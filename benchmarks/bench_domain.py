@@ -40,6 +40,7 @@ import pytest
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov_poisson import PlasmaVlasovPoisson
 from repro.parallel import DomainEngine
+from repro.perf.substrate import available_cores
 from repro.scaling.experiments import strong_scaling_table, weak_scaling_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -55,13 +56,6 @@ pytestmark = [
 
 #: worker count -> 3-D process grid (paper §5: spatial axes only)
 TOPOLOGIES = {1: (1, 1, 1), 2: (2, 1, 1), 4: (2, 2, 1)}
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover
-        return os.cpu_count() or 1
 
 
 def _grid(nx: tuple[int, int, int]) -> PhaseSpaceGrid:
@@ -122,7 +116,7 @@ def _measure(nx, workers: int | None, steps: int, repeats: int) -> dict:
 
 
 def run_domain_bench(steps: int | None = None, repeats: int | None = None) -> dict:
-    cores = _cores()
+    cores = available_cores()
     steps = steps or (1 if SMOKE else 2)
     repeats = repeats or (1 if SMOKE else 2)
 

@@ -37,6 +37,7 @@ import pytest
 
 from repro.core import PhaseSpaceGrid, VlasovSolver
 from repro.perf import PencilEngine
+from repro.perf.substrate import available_cores
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_ENABLED = os.environ.get("REPRO_BENCH", "") == "1"
@@ -49,13 +50,6 @@ pytestmark = [
         not BENCH_ENABLED, reason="benchmark job: set REPRO_BENCH=1 to run"
     ),
 ]
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover
-        return os.cpu_count() or 1
 
 
 def _grid() -> PhaseSpaceGrid:
@@ -83,7 +77,7 @@ def _strang(solver: VlasovSolver, accel: np.ndarray) -> None:
 
 def run_pencil_bench(n_workers: int | None = None, repeats: int = 3) -> dict:
     """Measure serial vs sharded Strang steps; return the result record."""
-    cores = _cores()
+    cores = available_cores()
     if n_workers is None:
         n_workers = max(2, cores)
     grid = _grid()

@@ -52,6 +52,7 @@ from repro.core.vlasov_poisson import PlasmaVlasovPoisson
 from repro.diagnostics import StepTimer
 from repro.gravity.poisson import PeriodicPoissonSolver
 from repro.perf.fft import get_default_backend
+from repro.perf.substrate import available_cores
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_ENABLED = os.environ.get("REPRO_BENCH", "") == "1"
@@ -64,13 +65,6 @@ pytestmark = [
         not BENCH_ENABLED, reason="benchmark job: set REPRO_BENCH=1 to run"
     ),
 ]
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover
-        return os.cpu_count() or 1
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -260,7 +254,7 @@ def run_step_bench(repeats: int = 5) -> dict:
 def run_poisson_bench(repeats: int | None = None) -> dict:
     solve_repeats = repeats or (1 if SMOKE else (3 if FULL else 7))
     record = {
-        "cores_available": _cores(),
+        "cores_available": available_cores(),
         "fft_library": get_default_backend().library,
         "fft_workers": get_default_backend().workers,
         "solve": run_solve_bench(solve_repeats),

@@ -40,10 +40,10 @@ import copy
 import dataclasses
 import itertools
 import json
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ..perf.substrate import available_cores
 from ..runtime.config import RunConfig, apply_override, toml_dumps
 
 __all__ = [
@@ -60,13 +60,6 @@ __all__ = [
 #: (spool-file jobs drained by separate ``repro campaign worker``
 #: processes, possibly on other hosts sharing the filesystem).
 EXECUTOR_NAMES = ("processes", "threads", "queue")
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 @dataclass
@@ -241,7 +234,7 @@ class CampaignConfig:
     def effective_concurrency(self) -> int:
         """K clamped by the shared CPU budget (always >= 1)."""
         budget = self.cpu_budget if self.cpu_budget is not None \
-            else _available_cores()
+            else available_cores()
         return max(1, min(self.concurrency, budget // self.cpus_per_run))
 
     # ------------------------------------------------------------------

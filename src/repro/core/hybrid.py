@@ -23,6 +23,7 @@ that distinction is a performance concern handled by the machine model in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +33,11 @@ from ..nbody.particles import ParticleSet
 from ..nbody.treepm import TreePMSolver
 from .mesh import PhaseSpaceGrid
 from .vlasov import VlasovSolver
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..diagnostics.timers import StepTimer
+    from ..perf.layout import LayoutEngine
+    from .engine import SweepEngine
 
 
 @dataclass
@@ -55,6 +61,10 @@ class HybridSimulation:
     use_tree:
         Include the short-range tree force for the particles (TreePM);
         False runs PM-only (cheaper, adequate for smoke tests).
+    engine, timer, layout:
+        Forwarded to the neutrino :class:`VlasovSolver`, exactly as the
+        Vlasov-Poisson drivers do (the PM/tree half of the step is not
+        engine-driven and records no timer sections).
     """
 
     grid: PhaseSpaceGrid
@@ -66,6 +76,9 @@ class HybridSimulation:
     softening: float | None = None
     theta: float = 0.5
     r_split_cells: float = 1.25
+    engine: "SweepEngine | None" = None
+    timer: "StepTimer | None" = None
+    layout: "LayoutEngine | str | None" = "auto"
     step_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -75,7 +88,10 @@ class HybridSimulation:
             # 1/30 of the mean interparticle spacing, a common N-body choice
             spacing = self.grid.box_size / max(round(self.cdm.n ** (1 / 3)), 1)
             self.softening = spacing / 30.0
-        self.neutrinos = VlasovSolver(self.grid, scheme=self.scheme)
+        self.neutrinos = VlasovSolver(
+            self.grid, scheme=self.scheme, engine=self.engine,
+            timer=self.timer, layout=self.layout,
+        )
         self.gravity = TreePMSolver(
             n_mesh=self.grid.nx,
             box_size=self.grid.box_size,

@@ -170,6 +170,15 @@ def casimir(f: np.ndarray, grid: PhaseSpaceGrid, power: float = 2.0) -> float:
     return float((np.abs(fa) ** power).sum() * grid.cell_volume)
 
 
+def finite_stats(f: np.ndarray) -> tuple[int, float]:
+    """(non-finite cell count, min of f) — the guards' health probe.
+
+    Both are exact under aggregation over blocks (summed counts, min of
+    minima), so guard decisions do not depend on where f lives.
+    """
+    return (int(f.size - np.count_nonzero(np.isfinite(f))), float(f.min()))
+
+
 def _check(f: np.ndarray, grid: PhaseSpaceGrid) -> None:
     if f.shape != grid.shape:
         raise ValueError(f"f shape {f.shape} does not match grid shape {grid.shape}")

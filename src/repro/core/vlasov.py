@@ -1,7 +1,8 @@
 """The phase-space Vlasov solver: directional splitting of Eq. (1).
 
-A :class:`VlasovSolver` owns the distribution function and applies the two
-elementary split operators of the paper's §5.1.1:
+A :class:`VlasovSolver` applies the two elementary split operators of the
+paper's §5.1.1, each as a plan of directional sweeps executed by its engine
+(:mod:`repro.core.engine` — where the sweeps run and where f lives):
 
 * ``drift`` — the spatial advections of Eq. (3), speed u_i / a^2 (the
   cosmological 1/a^2 is folded into the *effective* drift time supplied by
@@ -21,24 +22,18 @@ paper's neutrinos move many cells per step at high redshift.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .advection import SCHEMES, advect
+from .engine import AXIS_NAMES, Sweep, SweepEngine
 from .mesh import PhaseSpaceGrid
-from . import moments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
     from ..perf.arena import ScratchArena
     from ..perf.layout import LayoutEngine
-    from ..perf.pencil import PencilEngine
-
-#: axis letters for timer section names (vlasov/drift/x, vlasov/kick/ux, ...)
-_AXIS_NAMES = "xyz"
 
 
 @dataclass
@@ -53,14 +48,17 @@ class VlasovSolver:
         Advection scheme name (default the paper's ``slmpp5``).
     f:
         The distribution function, allocated zero; load initial conditions
-        by assigning into it (``solver.f[...] = ...``).
+        by assigning into it (``solver.f[...] = ...``) or over it.
     velocity_bc:
         Boundary condition along the velocity axes; the paper truncates at
         [-V, V) which is the ``zero`` (outflow) condition.
     engine:
-        Optional :class:`repro.perf.pencil.PencilEngine`; when set, every
-        directional sweep is pencil-sharded across its workers (bitwise
-        identical to the serial path).
+        Where the sweeps execute and f lives (:mod:`repro.core.engine`):
+        ``None`` (default) is the serial :class:`SweepEngine`; a
+        :class:`repro.perf.pencil.PencilEngine` pencil-shards every
+        sweep, a :class:`repro.parallel.domain.DomainEngine` keeps f in
+        persistent block workers.  All are bitwise-identical.  An engine
+        serves one solver at a time: binding restarts its f.
     timer:
         Optional :class:`repro.diagnostics.StepTimer`; when set, every
         sweep is recorded as ``vlasov/drift/x`` ... ``vlasov/kick/uz``,
@@ -75,60 +73,50 @@ class VlasovSolver:
         telemetry (``layout_decision`` events).  Every mode is
         bitwise-identical; only memory traffic differs.
     arena:
-        Scratch-buffer pool for the serial path (created automatically);
-        sweeps reuse it so steady-state stepping is allocation-free.
-
-    The solver double-buffers f: each sweep writes into a spare array and
-    swaps, so stepping allocates nothing after the first sweep.
+        Scratch-buffer pool of the serial engine (ignored when an engine
+        is passed; afterwards always the engine's own), so steady-state
+        stepping is allocation-free.
     """
 
     grid: PhaseSpaceGrid
     scheme: str = "slmpp5"
     velocity_bc: str = "zero"
-    engine: "PencilEngine | None" = None
+    engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
     arena: "ScratchArena | None" = None
     layout: "LayoutEngine | str | None" = "auto"
-    f: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        self.f = self.grid.zeros_f()
-        if self.arena is None:
-            from ..perf.arena import ScratchArena
-
-            self.arena = ScratchArena()
         from ..perf.layout import LayoutEngine
 
         if isinstance(self.layout, str):
             self.layout = LayoutEngine(mode=self.layout, timer=self.timer)
         elif self.layout is not None and self.layout.timer is None:
             self.layout.timer = self.timer
-        self._back: np.ndarray | None = None
+        if self.engine is None:
+            self.engine = SweepEngine(arena=self.arena)
+        self.arena = self.engine.arena
+        self.engine.bind(
+            self.grid, self.scheme, self.velocity_bc, self.timer, self.layout
+        )
+
+    @property
+    def f(self) -> np.ndarray:
+        """The distribution function (engine-resident; see ``engine``)."""
+        return self.engine.f
+
+    @f.setter
+    def f(self, value: np.ndarray) -> None:
+        self.engine.f = value
+
+    def notify_f_mutated(self) -> None:
+        """:attr:`f` was written in place (fault injection); engines
+        holding f elsewhere re-sync from it."""
+        self.engine.mark_mutated()
 
     # ------------------------------------------------------------------
     # split operators
     # ------------------------------------------------------------------
-
-    def _sweep(self, name: str, shift, axis: int, bc: str) -> None:
-        """One directional advection: timed, engine-aware, double-buffered."""
-        if self._back is None or self._back.shape != self.f.shape \
-                or self._back.dtype != self.f.dtype:
-            self._back = np.empty_like(self.f)
-        ctx = self.timer.section(name) if self.timer is not None else nullcontext()
-        with ctx:
-            if self.engine is not None:
-                self.engine.advect(
-                    self.f, shift, axis, scheme=self.scheme, bc=bc,
-                    out=self._back, layout=self.layout,
-                )
-            else:
-                advect(
-                    self.f, shift, axis, scheme=self.scheme, bc=bc,
-                    out=self._back, arena=self.arena, layout=self.layout,
-                )
-        self.f, self._back = self._back, self.f
 
     def drift(self, dt_drift: float) -> None:
         """Apply D_x D_y D_z: advect along every spatial axis.
@@ -143,13 +131,12 @@ class VlasovSolver:
         Following Eq. (5) the drifts are applied in z, y, x order (the
         rightmost operator acts first).
         """
-        for d in reversed(range(self.grid.dim)):
-            u = self.grid.u_center_broadcast(d)
-            shift = u * (dt_drift / self.grid.dx[d])
-            self._sweep(
-                f"vlasov/drift/{_AXIS_NAMES[d]}", shift,
-                self.grid.spatial_axis(d), "periodic",
-            )
+        g = self.grid
+        self.engine.run([
+            Sweep(f"vlasov/drift/{AXIS_NAMES[d]}", "x", d, g.spatial_axis(d),
+                  dt_drift / g.dx[d], "periodic")
+            for d in reversed(range(g.dim))
+        ], None)
 
     def kick(self, accel: np.ndarray, dt_kick: float) -> None:
         """Apply D_ux D_uy D_uz: advect along every velocity axis.
@@ -165,25 +152,17 @@ class VlasovSolver:
 
         Applied in x, y, z order (rightmost first in Eq. 5).
         """
+        g = self.grid
         accel = np.asarray(accel)
-        if accel.shape != (self.grid.dim,) + self.grid.nx:
+        if accel.shape != (g.dim,) + g.nx:
             raise ValueError(
-                f"accel shape {accel.shape} != {(self.grid.dim,) + self.grid.nx}"
+                f"accel shape {accel.shape} != {(g.dim,) + g.nx}"
             )
-        for d in range(self.grid.dim):
-            # broadcast the spatial field over the velocity axes, keeping
-            # size 1 along the advected velocity axis; the shift stays in
-            # float64 — casting the acceleration to float32 storage first
-            # rounds the departure points themselves (the same precision
-            # leak the fluxes had), while advect already confines storage
-            # precision to f
-            a_d = accel[d].astype(np.float64, copy=False)
-            a_d = a_d.reshape(self.grid.nx + (1,) * self.grid.dim)
-            shift = a_d * (dt_kick / self.grid.du[d])
-            self._sweep(
-                f"vlasov/kick/u{_AXIS_NAMES[d]}", shift,
-                self.grid.velocity_axis(d), self.velocity_bc,
-            )
+        self.engine.run([
+            Sweep(f"vlasov/kick/u{AXIS_NAMES[d]}", "v", d, g.velocity_axis(d),
+                  dt_kick / g.du[d], self.velocity_bc)
+            for d in range(g.dim)
+        ], accel)
 
     def strang_step(
         self,
@@ -225,17 +204,21 @@ class VlasovSolver:
         )
 
     # ------------------------------------------------------------------
-    # moments (delegated; no communication by construction, §5.1.3)
+    # moments and health (delegated to wherever f lives)
     # ------------------------------------------------------------------
 
     def density(self) -> np.ndarray:
         """Mass density on the spatial mesh."""
-        return moments.density(self.f, self.grid)
+        return self.engine.density()
 
     def total_mass(self) -> float:
         """Total phase-space mass."""
-        return moments.total_mass(self.f, self.grid)
+        return self.engine.total_mass()
 
     def kinetic_energy(self) -> float:
         """Kinetic energy in canonical velocity."""
-        return moments.kinetic_energy(self.f, self.grid)
+        return self.engine.kinetic_energy()
+
+    def f_stats(self) -> tuple[int, float]:
+        """(non-finite cell count, min of f), without materializing f."""
+        return self.engine.f_stats()

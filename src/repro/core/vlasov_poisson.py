@@ -35,32 +35,7 @@ from .vlasov import VlasovSolver
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
     from ..perf.layout import LayoutEngine
-    from ..perf.pencil import PencilEngine
-
-
-def _build_solver(grid, scheme, engine, timer, layout):
-    """The driver's Vlasov solver plus the Poisson spectral backend.
-
-    A :class:`repro.parallel.domain.DomainEngine` (recognized by its
-    ``is_domain_engine`` marker — a local import keeps the drivers free
-    of the parallel package) takes over solver *ownership*: f lives in
-    its workers, the returned adapter is the solver facade, and the
-    Poisson solver runs its mesh transforms through the engine's
-    distributed spectral backend.  Anything else (a PencilEngine or
-    None) keeps the classic arrangement: solver owns f, engine (if any)
-    only shards sweeps, Poisson uses the default backend.
-    """
-    if getattr(engine, "is_domain_engine", False):
-        from ..parallel.domain import DomainSolverAdapter
-
-        adapter = DomainSolverAdapter(
-            engine, grid, scheme=scheme, timer=timer, layout=layout,
-        )
-        return adapter, engine.spectral_backend()
-    solver = VlasovSolver(
-        grid, scheme=scheme, engine=engine, timer=timer, layout=layout,
-    )
-    return solver, None
+    from .engine import SweepEngine
 
 
 @dataclass
@@ -74,9 +49,11 @@ class PlasmaVlasovPoisson:
     charge -1).  Time is in inverse plasma frequencies, velocity in thermal
     units, as usual.
 
-    ``engine``/``timer`` are forwarded to the underlying
-    :class:`VlasovSolver`; with a timer attached, steps record
-    ``vlasov/drift/*``, ``vlasov/kick/*`` and the field solve split into
+    ``engine``/``timer``/``layout`` are forwarded to the underlying
+    :class:`VlasovSolver`, and the Poisson solver runs its mesh
+    transforms on that engine's spectral backend; with a timer
+    attached, steps record ``vlasov/drift/*``, ``vlasov/kick/*`` and the
+    field solve split into
     ``poisson/moments`` (density reduction), ``poisson/fft`` (forward +
     potential inverse transform) and ``poisson/grad`` (k-space gradient
     inverses) — so ``timer.report()`` localizes where the solve spends.
@@ -85,17 +62,19 @@ class PlasmaVlasovPoisson:
     grid: PhaseSpaceGrid
     scheme: str = "slmpp5"
     gradient_method: str = "spectral"
-    engine: "PencilEngine | None" = None
+    engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
     layout: "LayoutEngine | str | None" = "auto"
     time: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        self.solver, backend = _build_solver(
-            self.grid, self.scheme, self.engine, self.timer, self.layout,
+        self.solver = VlasovSolver(
+            self.grid, scheme=self.scheme, engine=self.engine,
+            timer=self.timer, layout=self.layout,
         )
         self.poisson = PeriodicPoissonSolver(
-            self.grid.nx, self.grid.box_size, backend=backend
+            self.grid.nx, self.grid.box_size,
+            backend=self.solver.engine.spectral_backend(),
         )
 
     def _timed_accel(self) -> np.ndarray:
@@ -110,7 +89,7 @@ class PlasmaVlasovPoisson:
 
     @f.setter
     def f(self, value: np.ndarray) -> None:
-        self.solver.f = np.asarray(value, dtype=self.grid.dtype)
+        self.solver.f = value
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """Fused field solve: ``(phi, electron acceleration)``.
@@ -212,17 +191,19 @@ class GravitationalVlasovPoisson:
     cosmology: Cosmology | None = None
     external_density: Callable[[], np.ndarray] | None = None
     a: float = 1.0
-    engine: "PencilEngine | None" = None
+    engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
     layout: "LayoutEngine | str | None" = "auto"
     time: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        self.solver, backend = _build_solver(
-            self.grid, self.scheme, self.engine, self.timer, self.layout,
+        self.solver = VlasovSolver(
+            self.grid, scheme=self.scheme, engine=self.engine,
+            timer=self.timer, layout=self.layout,
         )
         self.poisson = PeriodicPoissonSolver(
-            self.grid.nx, self.grid.box_size, backend=backend
+            self.grid.nx, self.grid.box_size,
+            backend=self.solver.engine.spectral_backend(),
         )
 
     def _timed_accel(self, a: float | None = None) -> np.ndarray:
@@ -237,7 +218,7 @@ class GravitationalVlasovPoisson:
 
     @f.setter
     def f(self, value: np.ndarray) -> None:
-        self.solver.f = np.asarray(value, dtype=self.grid.dtype)
+        self.solver.f = value
 
     # ------------------------------------------------------------------
 

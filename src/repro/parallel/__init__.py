@@ -30,7 +30,6 @@ __all__ = [
     "BlockDecomposition",
     "DomainDecomposition",
     "DomainEngine",
-    "DomainSolverAdapter",
     "DomainWorkerError",
     "pencil_slices",
     "decomposed_spatial_advect",
@@ -48,14 +47,12 @@ __all__ = [
     "CommLog",
     "MessageRecord",
     "VirtualComm",
-    "multiprocess_spatial_advect",
 ]
-from .localcluster import multiprocess_spatial_advect
 
 #: Lazily exported: :mod:`.domain` imports :mod:`repro.perf.pencil`,
 #: which itself imports :mod:`.decomposition` from this package — an
 #: eager import here would re-enter perf.pencil mid-initialization.
-_LAZY = ("DomainEngine", "DomainSolverAdapter", "DomainWorkerError")
+_LAZY = ("DomainEngine", "DomainWorkerError")
 
 
 def __getattr__(name: str):

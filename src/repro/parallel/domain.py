@@ -30,44 +30,42 @@ from three empirically pinned facts (asserted by the test suite):
 * per-cell velocity moments are block-local (§5.1.3), so the density
   mesh assembled from worker slabs is the serial one bit for bit.
 
-Supervision follows the PR 4 pattern of ``PencilEngine``: a dead or
-wedged worker tears the fleet down and retries on fresh processes (the
+Supervision follows the PR 4 pattern of ``PencilEngine`` (the same
+:func:`repro.perf.substrate.retry_with_backoff` loop): a dead or wedged
+worker tears the fleet down and retries on fresh processes (the
 parent-owned segments survive, so the current-role buffers are the
 recovery state — SIGKILL loses no data); an exhausted retry budget
 degrades permanently down the ladder **domain → pencil(threads) →
-serial**, finishing the step host-side from the gathered state.  All
-segments register with the :mod:`repro.perf.pencil` atexit leak sweep.
+serial**.  A degraded engine *is* its base class: the state is gathered
+into the host array and every protocol method falls through to
+:class:`repro.core.engine.SweepEngine`, with a threads ``PencilEngine``
+as the per-sweep kernel — so the failing step finishes host-side,
+bitwise.  All segments register with the :mod:`repro.perf.substrate`
+atexit leak sweep.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.advection import SCHEMES, advect
+from ..core.engine import Sweep, SweepEngine
 from ..core.mesh import PhaseSpaceGrid
-from ..core.vlasov import _AXIS_NAMES, VlasovSolver
-from ..perf.arena import ScratchArena
 from ..perf.fft import SpectralBackend
-from ..perf.pencil import (
-    PencilEngine,
-    _available_cores,
-    _emit,
-    _register_segment,
-    _release_segment,
+from ..perf.pencil import PencilEngine
+from ..perf.substrate import (
+    available_cores,
+    emit,
+    register_segment,
+    release_segment,
+    retry_with_backoff,
 )
 from .decomposition import BlockDecomposition
 from .exchange import required_ghost
-from .vmpi import MessageRecord
 from .workers import WorkerSpec, worker_main
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..diagnostics.timers import StepTimer
-
-__all__ = ["DomainEngine", "DomainSolverAdapter", "DomainWorkerError"]
+__all__ = ["DomainEngine", "DomainWorkerError"]
 
 #: Spatial shifts must stay strictly below one cell for block sweeps to
 #: be bitwise-identical to serial (integer part of the departure shift
@@ -118,7 +116,7 @@ class _FaultPool:
         self._engine._inject_call(fn, args)
 
 
-class DomainEngine:
+class DomainEngine(SweepEngine):
     """Persistent-worker spatial domain decomposition (see module doc).
 
     Parameters
@@ -137,9 +135,6 @@ class DomainEngine:
         Overlap halo assembly with the interior sweep (default); off
         forces the padded path everywhere (debugging aid).
     """
-
-    #: duck-typing marker for the drivers (no import needed there)
-    is_domain_engine = True
 
     def __init__(
         self,
@@ -162,11 +157,7 @@ class DomainEngine:
         self.backoff_base = float(backoff_base)
         self.task_timeout = task_timeout
         self.overlap = bool(overlap)
-
-        #: chaos-harness injection point, called as ``hook(self, pool)``
-        #: before each sweep (see :class:`_FaultPool`).
-        self.fault_hook = None
-        self.timer: "StepTimer | None" = None
+        super().__init__()
 
         # supervision / residency counters (observable by tests & bench)
         self.retries = 0
@@ -176,12 +167,12 @@ class DomainEngine:
         self.scatter_count = 0
         self.cfl_fallbacks = 0
         self.halo_bytes = 0
-        #: per-message halo accounting, same records the VirtualComm
-        #: logs — the vmpi parity test diffs the two.
-        self.halo_log: list[MessageRecord] = []
+        #: halo accounting, ``(src, dst, tag) -> [messages, nbytes]`` —
+        #: the VirtualComm log's messages, aggregated (bounded by the
+        #: topology, not the step count); the vmpi parity test diffs them.
+        self.halo_traffic: dict[tuple[int, int, str], list[int]] = {}
 
         # bound geometry (set by bind)
-        self.grid: PhaseSpaceGrid | None = None
         self.scheme = ""
         self.velocity_bc = "zero"
         self.ghost = 0
@@ -189,10 +180,8 @@ class DomainEngine:
 
         # runtime state
         self._cur = 0  # role index of the current-f segments
-        self._host: np.ndarray | None = None
-        self._host_dirty = False  # host has writes the segments lack
-        self._host_stale = False  # segments have writes the host lacks
-        self._host_tmp: np.ndarray | None = None
+        self._host_dirty = False  # host f has writes the segments lack
+        self._host_stale = False  # segments have writes the host f lacks
         self._segments: dict[str, object] = {}
         self._seg_names: list[tuple[str, str]] = []
         self._mesh_names: dict[str, str] = {}
@@ -203,7 +192,7 @@ class DomainEngine:
         self._conns: list = []
         self._victim = 0
         self._started = False
-        self._arena = ScratchArena()
+        self._fallback: PencilEngine | None = None  # kernel once degraded
         self._plain: SpectralBackend | None = None
         self._frontend: "_DomainBackend | None" = None
 
@@ -218,62 +207,42 @@ class DomainEngine:
             return int(np.prod(self.topology))
         return self.n_workers or 1
 
-    def bind(
-        self,
-        grid: PhaseSpaceGrid,
-        scheme: str,
-        timer: "StepTimer | None" = None,
-        velocity_bc: str = "zero",
-    ) -> None:
-        """Fix the engine to one grid geometry (idempotent per geometry).
+    def bind(self, grid: PhaseSpaceGrid, scheme: str,
+             velocity_bc: str = "zero", timer=None, layout=None) -> None:
+        """Fix the engine to one grid geometry and restart f as zeros.
 
-        Rebinding to a different grid/scheme tears everything down first;
-        rebinding to the same one only refreshes ``timer``.
+        Rebinding to a different grid/scheme tears everything down
+        first; rebinding to the same one (a rollback's fresh solver)
+        keeps workers and segments.
         """
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        if self.grid == grid and self.scheme == scheme \
-                and self.velocity_bc == velocity_bc:
-            self.timer = timer
-            return
-        if self.grid is not None:
-            self.close()
-        topo = self.topology
-        if topo is None:
-            workers = self.n_workers or min(_available_cores(), 4)
-            topo = _auto_topology(grid.nx, workers)
-        if len(topo) != grid.dim:
-            raise ValueError(
-                f"topology {topo} does not match grid dimension {grid.dim}"
-            )
-        ghost = required_ghost(scheme, 0.0)  # block sweeps run at CFL < 1
-        decomp = BlockDecomposition(grid.nx, topo)
-        for d in range(grid.dim):
-            if topo[d] == 1:
-                continue
-            thinnest = grid.nx[d] // topo[d]
-            if thinnest < ghost:
+        if not (self.grid == grid and self.scheme == scheme
+                and self.velocity_bc == velocity_bc):
+            if self.grid is not None:
+                self.close()
+            topo = self.topology
+            if topo is None:
+                workers = self.n_workers or min(available_cores(), 4)
+                topo = _auto_topology(grid.nx, workers)
+            if len(topo) != grid.dim:
                 raise ValueError(
-                    f"axis {d}: {topo[d]} blocks over {grid.nx[d]} cells "
-                    f"leaves {thinnest} < ghost width {ghost}; "
-                    "use fewer workers or a larger mesh"
+                    f"topology {topo} does not match grid dimension {grid.dim}"
                 )
-        self.grid = grid
-        self.scheme = scheme
-        self.velocity_bc = velocity_bc
-        self.timer = timer
-        self.ghost = ghost
-        self.decomp = decomp
-        self.topology = topo
-        self._fft_ok = None
-        self._plain = SpectralBackend()
-
-    def set_host(self, host: np.ndarray, dirty: bool = True) -> None:
-        """Point the engine at the adapter's host mirror of f."""
-        self._host = host
-        if dirty:
-            self._host_dirty = True
-            self._host_stale = False
+            ghost = required_ghost(scheme, 0.0)  # block sweeps run at CFL < 1
+            decomp = BlockDecomposition(grid.nx, topo)
+            for d in range(grid.dim):
+                if topo[d] > 1 and grid.nx[d] // topo[d] < ghost:
+                    raise ValueError(
+                        f"axis {d}: {topo[d]} blocks over {grid.nx[d]} cells "
+                        f"leaves {grid.nx[d] // topo[d]} < ghost width "
+                        f"{ghost}; use fewer workers or a larger mesh"
+                    )
+            self.ghost = ghost
+            self.decomp = decomp
+            self.topology = topo
+            self._fft_ok = None
+            self._plain = SpectralBackend()
+        super().bind(grid, scheme, velocity_bc, timer, layout)
+        self.mark_mutated()
 
     # -- segments & workers ---------------------------------------------
 
@@ -281,7 +250,7 @@ class DomainEngine:
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        _register_segment(shm)
+        register_segment(shm)
         self._segments[shm.name] = shm
         return shm
 
@@ -372,27 +341,21 @@ class DomainEngine:
         pings = self._round([("ping",)] * len(procs))
         if not self._started:
             self._started = True
-            _emit(
+            emit(
                 "domain_started",
                 topology=list(self.topology), workers=len(procs),
                 ghost=self.ghost, fft_library=pings[0]["fft_library"],
             )
 
     def _ensure_ready(self) -> None:
-        if self.degraded:
-            raise DomainWorkerError("engine is permanently degraded")
         if self.grid is None:
             raise RuntimeError("DomainEngine.bind() was never called")
         self._ensure_segments()
         self._ensure_workers()
         if self._host_dirty:
-            for r in range(self.decomp.size):
-                self._block_view(r, self._cur)[...] = \
-                    self._host[self.decomp.local_slice(r)]
+            self._scatter_host()
             self._host_dirty = False
-            self._host_stale = False
             self.scatter_count += 1
-            _emit("domain_scatter", nbytes=int(self._host.nbytes))
 
     def _teardown_workers(self, graceful: bool = False) -> None:
         procs, self._procs = self._procs, []
@@ -415,7 +378,7 @@ class DomainEngine:
 
     def _release_segments(self) -> None:
         for shm in list(self._segments.values()):
-            _release_segment(shm)
+            release_segment(shm)
         self._segments.clear()
         self._seg_names = []
         self._mesh_names = {}
@@ -426,19 +389,15 @@ class DomainEngine:
         had_workers = bool(self._procs)
         self._teardown_workers(graceful=True)
         self._release_segments()
+        if self._fallback is not None:
+            self._fallback.close()
         if had_workers:
-            _emit("domain_closed")
+            emit("domain_closed")
         self.grid = None
         self.decomp = None
         self.scheme = ""
         self._started = False
         self._frontend = None
-
-    def __enter__(self) -> "DomainEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:
@@ -484,29 +443,29 @@ class DomainEngine:
         Worker death tears the fleet down and retries on fresh processes
         (segments survive — the current-role buffers are authoritative);
         an exhausted budget degrades the engine permanently, after
-        syncing the host mirror from the surviving segments, and
-        re-raises for the caller's fallback path.
+        syncing the host array from the surviving segments, and
+        re-raises for the caller to fall through to the base engine.
         """
-        delay = self.backoff_base
-        for attempt in range(self.max_retries + 1):
-            try:
-                self._ensure_ready()
-                return self._round(payloads)
-            except DomainWorkerError as exc:
-                if self.degraded:
-                    raise
-                self.retries += 1
-                self._teardown_workers()
-                _emit(
-                    "domain_worker_failure",
-                    attempt=attempt, error=repr(exc),
-                )
-                if attempt >= self.max_retries:
-                    self._permanent_degrade(repr(exc))
-                    raise
-                time.sleep(delay)
-                delay *= 2.0
-        raise AssertionError("unreachable")  # pragma: no cover
+        if self.degraded:
+            raise DomainWorkerError("engine is permanently degraded")
+
+        def attempt() -> list:
+            self._ensure_ready()
+            return self._round(payloads)
+
+        def failed(n: int, exc: Exception) -> None:
+            self.retries += 1
+            self._teardown_workers()
+            emit("domain_worker_failure", attempt=n, error=repr(exc))
+
+        try:
+            return retry_with_backoff(
+                attempt, DomainWorkerError,
+                self.max_retries, self.backoff_base, failed,
+            )
+        except DomainWorkerError as exc:
+            self._permanent_degrade(repr(exc))
+            raise
 
     def _permanent_degrade(self, reason: str) -> None:
         if self.degraded:
@@ -514,12 +473,18 @@ class DomainEngine:
         # the parent created the segments: they outlive any worker death,
         # so the current-role blocks are intact recovery state (unless the
         # host mirror is the newer of the two — then it already wins)
-        if self._host is not None and self._seg_names and not self._host_dirty:
+        if self._seg_names and not self._host_dirty:
             self._gather_into_host()
-            self._host_stale = False
         self.degradations.append("domain")
         self.degraded = True
-        _emit(
+        self._fallback = PencilEngine(
+            n_workers=self.size,
+            backend="threads",
+            max_retries=self.max_retries,
+            backoff_base=self.backoff_base,
+            task_timeout=self.task_timeout,
+        )
+        emit(
             "domain_degraded",
             from_engine="domain", to_backend="pencil-threads", reason=reason,
         )
@@ -536,80 +501,85 @@ class DomainEngine:
         except (BrokenPipeError, OSError):  # pragma: no cover - racing death
             pass
 
-    def make_fallback_engine(self) -> PencilEngine:
-        """Next rung of the ladder: a threads PencilEngine (then serial)."""
-        return PencilEngine(
-            n_workers=self.size,
-            backend="threads",
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            task_timeout=self.task_timeout,
-        )
-
-    # -- host mirror ----------------------------------------------------
+    # -- host f --------------------------------------------------------
 
     def _gather_into_host(self) -> None:
         for r in range(self.decomp.size):
-            self._host[self.decomp.local_slice(r)] = \
+            self._f[self.decomp.local_slice(r)] = \
                 self._block_view(r, self._cur)
-
-    def refresh_host(self) -> None:
-        """Gather worker state into the host mirror if it is stale."""
-        if self.degraded or self._host_stale is False or self._host_dirty:
-            return
-        self._gather_into_host()
         self._host_stale = False
-        self.gather_count += 1
-        _emit("domain_gather", nbytes=int(self._host.nbytes), reason="host")
 
-    def mark_host_dirty(self) -> None:
-        """Host mirror was mutated in place (fault injection, IC load)."""
+    def _scatter_host(self) -> None:
+        for r in range(self.decomp.size):
+            self._block_view(r, self._cur)[...] = \
+                self._f[self.decomp.local_slice(r)]
+        self._host_stale = False
+        emit("domain_scatter", nbytes=int(self._f.nbytes))
+
+    @SweepEngine.f.getter
+    def f(self) -> np.ndarray:
+        """The host array, gathered from the workers first if stale."""
+        if self._host_stale and not self.degraded:
+            self._gather_into_host()
+            self.gather_count += 1
+            emit("domain_gather", nbytes=int(self._f.nbytes), reason="host")
+        return self._f
+
+    def mark_mutated(self) -> None:
+        """The host array is now the newer copy; re-scatter before use."""
         self._host_dirty = True
         self._host_stale = False
 
     # -- sweeps ----------------------------------------------------------
 
-    def run_sweeps(self, items: list[dict], accel: np.ndarray | None) -> int:
-        """Run directional sweeps on the workers; return how many fully
-        completed.  A shortfall means the engine degraded mid-plan — the
-        current f is then in the host mirror and the adapter finishes
-        the remaining items there (bitwise, only slower)."""
-        if self.degraded:
-            return 0
+    def advect(self, f, shift, axis, **kwargs) -> np.ndarray:
+        """Host kernel: serial, or the ladder's pencil rung once degraded."""
+        if self._fallback is not None:
+            return self._fallback.advect(f, shift, axis, **kwargs)
+        return super().advect(f, shift, axis, **kwargs)
+
+    def run(self, plan, accel) -> None:
+        """Run the plan on the workers; whatever a mid-plan degradation
+        leaves over finishes on the host array through the base engine
+        (bitwise, only slower)."""
+        if not self.degraded:
+            plan = plan[self._run_on_workers(plan, accel):]
+        super().run(plan, accel)
+
+    def _run_on_workers(self, plan: list[Sweep], accel) -> int:
+        """How many leading sweeps of ``plan`` completed on the fleet."""
         try:
             self._ensure_ready()
-            if accel is not None:
-                self._view(
-                    self._mesh_names["accel"],
-                    (self.grid.dim,) + self.grid.nx, np.float64,
-                )[...] = accel
         except DomainWorkerError:
             self._permanent_degrade("fleet unavailable")
             return 0
-        for k, item in enumerate(items):
+        if accel is not None:
+            self._view(
+                self._mesh_names["accel"],
+                (self.grid.dim,) + self.grid.nx, np.float64,
+            )[...] = accel
+        for k, sweep in enumerate(plan):
             try:
-                self._one_sweep(item)
+                self._one_sweep(sweep)
             except DomainWorkerError:
                 return k
-        return len(items)
+        return len(plan)
 
-    def _one_sweep(self, item: dict) -> None:
-        grid, decomp, g = self.grid, self.decomp, self.ghost
-        d, kind = item["d"], item["kind"]
-        ctx = self.timer.section(item["name"]) if self.timer is not None \
-            else nullcontext()
-        with ctx:
+    def _one_sweep(self, sweep: Sweep) -> None:
+        decomp, g, d = self.decomp, self.ghost, sweep.d
+        spatial = sweep.kind == "x"
+        with self._section(sweep.name):
             if self.fault_hook is not None:
                 self.fault_hook(self, _FaultPool(self))
-            if kind == "x":
-                max_u = float(np.abs(grid.u_centers(d)).max())
-                if max_u * abs(item["factor"]) >= _CFL_LIMIT:
-                    self._cfl_fallback(item)
+            if spatial:
+                max_u = float(np.abs(self.grid.u_centers(d)).max())
+                if max_u * abs(sweep.factor) >= _CFL_LIMIT:
+                    self._cfl_fallback(sweep)
                     return
+            p_axis = self.topology[d] if spatial else 1
             payloads = []
-            p_axis = self.topology[d] if kind == "x" else 1
             for r in range(decomp.size):
-                if kind != "x":
+                if not spatial:
                     mode = "v"
                 elif p_axis == 1:
                     mode = "local"
@@ -617,23 +587,20 @@ class DomainEngine:
                     mode = "overlap"
                 else:
                     mode = "padded"
-                payloads.append(("sweep", {
-                    "src": self._cur, "dst": 1 - self._cur,
-                    "kind": kind, "d": d, "axis": item["axis"],
-                    "factor": item["factor"], "bc": item["bc"],
-                    "mode": mode,
-                }))
+                payloads.append(
+                    ("sweep", sweep, self._cur, 1 - self._cur, mode)
+                )
             replies = self._supervised_round(payloads)
             self._cur = 1 - self._cur
             self._host_stale = True
             if self.timer is not None:
                 self.timer.add("domain/interior", max(r[1] for r in replies))
-                if kind == "x" and p_axis > 1:
+                if p_axis > 1:
                     self.timer.add("domain/halo", max(r[0] for r in replies))
                     self.timer.add(
                         "domain/boundary", max(r[2] for r in replies)
                     )
-            if kind == "x" and p_axis > 1:
+            if p_axis > 1:
                 self._log_halo(d)
 
     def _log_halo(self, d: int) -> None:
@@ -656,80 +623,80 @@ class DomainEngine:
             nbytes = g * transverse * nu_cells * itemsize
             left = decomp.neighbor(r, d, -1)
             right = decomp.neighbor(r, d, +1)
-            self.halo_log.append(
-                MessageRecord(src=left, dst=r, nbytes=nbytes, tag=f"ghost+{d}")
-            )
-            self.halo_log.append(
-                MessageRecord(src=right, dst=r, nbytes=nbytes, tag=f"ghost-{d}")
-            )
+            for key in ((left, r, f"ghost+{d}"), (right, r, f"ghost-{d}")):
+                tally = self.halo_traffic.setdefault(key, [0, 0])
+                tally[0] += 1
+                tally[1] += nbytes
             swept += 2 * nbytes
         self.halo_bytes += swept
-        _emit("domain_halo_exchange", axis=d, nbytes=swept,
-              messages=2 * decomp.size)
+        emit("domain_halo_exchange", axis=d, nbytes=swept,
+             messages=2 * decomp.size)
 
-    def _cfl_fallback(self, item: dict) -> None:
+    def _cfl_fallback(self, sweep: Sweep) -> None:
         """Gather → host sweep → scatter for a shift at or above 1 cell.
 
         Block sweeps are only bitwise below one cell of shift; rather
         than silently diverge, the engine pays two full-domain copies
-        and runs the serial kernel.  Counted and published — a run that
-        does this every step has its dt misconfigured for this engine.
+        and runs the base engine's host sweep.  Counted and published —
+        a run that does this every step has its dt misconfigured for
+        this engine.
         """
         self.cfl_fallbacks += 1
         self.gather_count += 1
         self.scatter_count += 1
-        _emit("domain_cfl_fallback", axis=item["d"],
-              factor=float(item["factor"]))
-        _emit("domain_gather", nbytes=int(self._host.nbytes), reason="cfl")
+        emit("domain_cfl_fallback", axis=sweep.d, factor=float(sweep.factor))
+        emit("domain_gather", nbytes=int(self._f.nbytes), reason="cfl")
         self._gather_into_host()
-        u = self.grid.u_center_broadcast(item["d"])
-        shift = u * item["factor"]
-        if self._host_tmp is None or self._host_tmp.shape != self._host.shape \
-                or self._host_tmp.dtype != self._host.dtype:
-            self._host_tmp = np.empty_like(self._host)
-        advect(self._host, shift, item["axis"], scheme=self.scheme,
-               bc=item["bc"], out=self._host_tmp, arena=self._arena)
-        self._host[...] = self._host_tmp
-        for r in range(self.decomp.size):
-            self._block_view(r, self._cur)[...] = \
-                self._host[self.decomp.local_slice(r)]
-        _emit("domain_scatter", nbytes=int(self._host.nbytes))
-        self._host_stale = False
+        self._host_sweep(sweep, None)
+        self._scatter_host()
 
     # -- moments / guards ------------------------------------------------
 
+    def _reduce_on_workers(self, command: str) -> list | None:
+        """One reduction command on every block; None once the engine
+        is (or just became) degraded — the host array is then current
+        and the base engine answers from it."""
+        if self.degraded:
+            return None
+        try:
+            return self._supervised_round(
+                [(command, self._cur)] * self.decomp.size
+            )
+        except DomainWorkerError:
+            return None
+
     def density(self) -> np.ndarray:
         """The density mesh assembled from worker slabs (bitwise serial)."""
-        self._ensure_ready()
-        self._supervised_round([("density", self._cur)] * self.decomp.size)
+        if self._reduce_on_workers("density") is None:
+            return super().density()
         return np.array(
             self._view(self._mesh_names["rho"], self.grid.nx, np.float64)
         )
 
-    def reduce_moments(self) -> dict:
-        """Partial-sum reductions: ``{"mass": float, "ke": float}``.
+    # Mass and kinetic energy are summed per block then across blocks —
+    # not bitwise against the serial full-array ``np.sum`` (pairwise
+    # order differs), but exact to the ledger's drift tolerances.
 
-        Summed per block then across blocks — not bitwise against the
-        serial full-array ``np.sum`` (pairwise order differs), but exact
-        to the ledger's drift tolerances; f itself is never touched.
-        """
-        self._ensure_ready()
-        replies = self._supervised_round(
-            [("reduce", self._cur)] * self.decomp.size
-        )
-        grid = self.grid
-        mass = sum(r["mass"] for r in replies) * grid.cell_volume
+    def total_mass(self) -> float:
+        replies = self._reduce_on_workers("reduce")
+        if replies is None:
+            return super().total_mass()
+        return float(sum(r["mass"] for r in replies) * self.grid.cell_volume)
+
+    def kinetic_energy(self) -> float:
+        replies = self._reduce_on_workers("reduce")
+        if replies is None:
+            return super().kinetic_energy()
         ke = 0.0
-        for d in range(grid.dim):
+        for d in range(self.grid.dim):
             ke += sum(r["ke"][d] for r in replies)
-        return {"mass": float(mass), "ke": float(0.5 * ke * grid.cell_volume)}
+        return float(0.5 * ke * self.grid.cell_volume)
 
     def f_stats(self) -> tuple[int, float]:
         """(non-finite count, global min) of f — exact under aggregation."""
-        self._ensure_ready()
-        replies = self._supervised_round(
-            [("stats", self._cur)] * self.decomp.size
-        )
+        replies = self._reduce_on_workers("stats")
+        if replies is None:
+            return super().f_stats()
         return (
             int(sum(r[0] for r in replies)),
             float(min(r[1] for r in replies)),
@@ -776,49 +743,38 @@ class DomainEngine:
         ).reshape(nx)
         x = np.cos(0.37 * idx) + 0.25 * np.sin(0.113 * idx)
         try:
-            fwd = self._dist_rfftn(x)
+            fwd = self._dist_fft(x, "fwd")
             ref_fwd = self._plain.rfftn(x)
-            inv = self._dist_irfftn(ref_fwd)
+            inv = self._dist_fft(ref_fwd, "inv")
             ref_inv = self._plain.irfftn(ref_fwd, s=nx)
         except DomainWorkerError:
             return
         if np.array_equal(fwd, ref_fwd) and np.array_equal(inv, ref_inv):
             self._fft_ok = True
         else:
-            _emit(
+            emit(
                 "domain_fft_fallback",
                 reason="staged transforms not bitwise with "
                        f"{self._plain.library}",
             )
 
-    def _dist_rfftn(self, x: np.ndarray) -> np.ndarray:
+    def _dist_fft(self, x: np.ndarray, direction: str) -> np.ndarray:
+        """The staged 3-D transform on the workers: ``"fwd"`` takes the
+        real mesh to its half-spectrum, ``"inv"`` back."""
         self._ensure_ready()
         t0 = time.perf_counter()
         n0, n1, n2 = self.grid.nx
-        self._view(self._fft_names[0], (n0, n1, n2), np.float64)[...] = x
-        size = self.decomp.size
-        for p in ("fwd0", "fwd1", "fwd2"):
-            self._supervised_round([("fft", p)] * size)
-        out = np.array(
-            self._view(self._fft_names[1], (n0, n1, n2 // 2 + 1),
-                       np.complex128)
-        )
-        if self.timer is not None:
-            self.timer.add("domain/fft", time.perf_counter() - t0)
-        return out
-
-    def _dist_irfftn(self, x_k: np.ndarray) -> np.ndarray:
-        self._ensure_ready()
-        t0 = time.perf_counter()
-        n0, n1, n2 = self.grid.nx
-        self._view(
+        real = self._view(self._fft_names[0], (n0, n1, n2), np.float64)
+        spec = self._view(
             self._fft_names[1], (n0, n1, n2 // 2 + 1), np.complex128
-        )[...] = x_k
-        size = self.decomp.size
-        for p in ("inv0", "inv1", "inv2"):
-            self._supervised_round([("fft", p)] * size)
-        out = np.array(self._view(self._fft_names[0], (n0, n1, n2),
-                                  np.float64))
+        )
+        src, dst = (real, spec) if direction == "fwd" else (spec, real)
+        src[...] = x
+        for k in range(3):
+            self._supervised_round(
+                [("fft", f"{direction}{k}")] * self.decomp.size
+            )
+        out = np.array(dst)
         if self.timer is not None:
             self.timer.add("domain/fft", time.perf_counter() - t0)
         return out
@@ -850,7 +806,7 @@ class _DomainBackend(SpectralBackend):
         eng = self._engine
         if eng._fft_eligible(x.shape, axes):
             try:
-                out = eng._dist_rfftn(np.asarray(x, dtype=np.float64))
+                out = eng._dist_fft(x, "fwd")
             except DomainWorkerError:
                 out = None
             if out is not None:
@@ -864,7 +820,7 @@ class _DomainBackend(SpectralBackend):
         s_t = tuple(s)
         if eng._fft_eligible(s_t, axes):
             try:
-                out = eng._dist_irfftn(np.asarray(x_k, dtype=np.complex128))
+                out = eng._dist_fft(x_k, "inv")
             except DomainWorkerError:
                 out = None
             if out is not None:
@@ -872,200 +828,3 @@ class _DomainBackend(SpectralBackend):
                 self._plans.add(("irfftn", s_t))
                 return out
         return super().irfftn(x_k, s, axes=axes)
-
-
-class DomainSolverAdapter:
-    """Drop-in :class:`VlasovSolver` facade over a :class:`DomainEngine`.
-
-    Owns a real host-side solver as (a) the lazily synced mirror of f —
-    ``adapter.f`` gathers only when read, so checkpoints and diagnostics
-    work while steps never pay a full-domain copy — and (b) the degraded
-    executor: when the engine exhausts its supervision budget mid-plan,
-    the remaining sweeps finish on the host solver with a threads
-    :class:`PencilEngine` (the **domain → pencil → serial** ladder),
-    computing shifts with exactly the serial solver's arithmetic so the
-    answer never changes.
-    """
-
-    def __init__(
-        self,
-        engine: DomainEngine,
-        grid: PhaseSpaceGrid,
-        scheme: str = "slmpp5",
-        velocity_bc: str = "zero",
-        timer: "StepTimer | None" = None,
-        layout=None,
-    ) -> None:
-        self.engine = engine
-        self.grid = grid
-        self.scheme = scheme
-        self.velocity_bc = velocity_bc
-        self.timer = timer
-        self.solver = VlasovSolver(
-            grid, scheme=scheme, velocity_bc=velocity_bc,
-            timer=timer, layout=layout,
-        )
-        engine.bind(grid, scheme, timer=timer, velocity_bc=velocity_bc)
-        engine.set_host(self.solver.f, dirty=True)
-        self.mode = "domain"
-
-    # -- state ----------------------------------------------------------
-
-    def _active(self) -> bool:
-        if self.mode == "domain" and self.engine.degraded:
-            self._adopt_fallback()
-        return self.mode == "domain"
-
-    def _adopt_fallback(self) -> None:
-        if self.mode != "domain":
-            return
-        self.mode = "fallback"
-        self.solver.engine = self.engine.make_fallback_engine()
-
-    @property
-    def f(self) -> np.ndarray:
-        """The distribution function (gathers from the workers if stale)."""
-        if self._active():
-            self.engine.refresh_host()
-        return self.solver.f
-
-    @f.setter
-    def f(self, value: np.ndarray) -> None:
-        self.solver.f = np.asarray(value, dtype=self.grid.dtype)
-        if self.mode == "domain":
-            self.engine.set_host(self.solver.f, dirty=True)
-
-    def notify_f_mutated(self) -> None:
-        """The host array was mutated in place (fault injection)."""
-        if self._active():
-            self.engine.mark_host_dirty()
-
-    def f_stats(self) -> tuple[int, float]:
-        """(non-finite count, min) without gathering (guards hot path)."""
-        if self._active():
-            try:
-                return self.engine.f_stats()
-            except DomainWorkerError:
-                self._adopt_fallback()
-        f = self.f
-        n_bad = int(f.size - np.count_nonzero(np.isfinite(f)))
-        return (n_bad, float(f.min()))
-
-    # -- split operators -------------------------------------------------
-
-    def drift(self, dt_drift: float) -> None:
-        """Spatial advections, z-y-x order (Eq. 5)."""
-        items = [
-            {
-                "name": f"vlasov/drift/{_AXIS_NAMES[d]}",
-                "kind": "x", "d": d,
-                "axis": self.grid.spatial_axis(d),
-                "factor": dt_drift / self.grid.dx[d],
-                "bc": "periodic",
-            }
-            for d in reversed(range(self.grid.dim))
-        ]
-        self._run_plan(items, accel=None)
-
-    def kick(self, accel: np.ndarray, dt_kick: float) -> None:
-        """Velocity advections, x-y-z order (Eq. 5); block-local always."""
-        accel = np.asarray(accel)
-        if accel.shape != (self.grid.dim,) + self.grid.nx:
-            raise ValueError(
-                f"accel shape {accel.shape} != "
-                f"{(self.grid.dim,) + self.grid.nx}"
-            )
-        items = [
-            {
-                "name": f"vlasov/kick/u{_AXIS_NAMES[d]}",
-                "kind": "v", "d": d,
-                "axis": self.grid.velocity_axis(d),
-                "factor": dt_kick / self.grid.du[d],
-                "bc": self.velocity_bc,
-            }
-            for d in range(self.grid.dim)
-        ]
-        self._run_plan(items, accel=accel)
-
-    def strang_step(
-        self, accel_first, dt_kick_first, dt_drift,
-        recompute_accel, dt_kick_second,
-    ) -> None:
-        """One full KDK step (matches :meth:`VlasovSolver.strang_step`)."""
-        self.kick(accel_first, dt_kick_first)
-        self.drift(dt_drift)
-        self.kick(recompute_accel(), dt_kick_second)
-
-    def _run_plan(self, items: list[dict], accel) -> None:
-        if self._active():
-            done = self.engine.run_sweeps(
-                items, np.asarray(accel, dtype=np.float64)
-                if accel is not None else None,
-            )
-            items = items[done:]
-            if not items:
-                return
-            # the engine degraded mid-plan; it has already synced f into
-            # our host solver's array — finish there
-            self._adopt_fallback()
-        for item in items:
-            self._host_sweep(item, accel)
-
-    def _host_sweep(self, item: dict, accel) -> None:
-        """One sweep on the host solver, shift arithmetic bit-for-bit the
-        serial solver's (``u * (dt/dx)`` / ``a_d * (dt/du)``)."""
-        d = item["d"]
-        if item["kind"] == "x":
-            u = self.grid.u_center_broadcast(d)
-            shift = u * item["factor"]
-        else:
-            a_d = np.asarray(accel)[d].astype(np.float64, copy=False)
-            a_d = a_d.reshape(self.grid.nx + (1,) * self.grid.dim)
-            shift = a_d * item["factor"]
-        self.solver._sweep(item["name"], shift, item["axis"], item["bc"])
-
-    # -- CFL bookkeeping --------------------------------------------------
-
-    def max_drift_cfl(self, dt_drift: float) -> float:
-        """Largest spatial shift in cells (see :class:`VlasovSolver`)."""
-        return max(
-            self.grid.v_max * abs(dt_drift) / self.grid.dx[d]
-            for d in range(self.grid.dim)
-        )
-
-    def max_kick_cfl(self, accel: np.ndarray, dt_kick: float) -> float:
-        """Largest velocity shift in cells (see :class:`VlasovSolver`)."""
-        accel = np.asarray(accel)
-        return max(
-            float(np.abs(accel[d]).max()) * abs(dt_kick) / self.grid.du[d]
-            for d in range(self.grid.dim)
-        )
-
-    # -- moments ----------------------------------------------------------
-
-    def density(self) -> np.ndarray:
-        """Mass density on the spatial mesh (worker-resident, bitwise)."""
-        if self._active():
-            try:
-                return self.engine.density()
-            except DomainWorkerError:
-                self._adopt_fallback()
-        return self.solver.density()
-
-    def total_mass(self) -> float:
-        """Total phase-space mass (distributed partial sums)."""
-        if self._active():
-            try:
-                return self.engine.reduce_moments()["mass"]
-            except DomainWorkerError:
-                self._adopt_fallback()
-        return self.solver.total_mass()
-
-    def kinetic_energy(self) -> float:
-        """Kinetic energy (distributed partial sums)."""
-        if self._active():
-            try:
-                return self.engine.reduce_moments()["ke"]
-            except DomainWorkerError:
-                self._adopt_fallback()
-        return self.solver.kinetic_energy()

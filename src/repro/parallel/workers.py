@@ -39,9 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.advection import advect
+from ..core.engine import Sweep, sweep_shift
 from ..core.mesh import PhaseSpaceGrid
+from ..core.moments import finite_stats
 from ..perf.arena import ScratchArena
-from ..perf.pencil import _attach_shm
+from ..perf.substrate import attach_shm
 from .decomposition import pencil_slices
 
 try:  # pragma: no cover - exercised on hosts with scipy
@@ -97,7 +99,7 @@ class _WorkerState:
     def _segment(self, name: str):
         shm = self._shm.get(name)
         if shm is None:
-            shm = self._shm[name] = _attach_shm(name)
+            shm = self._shm[name] = attach_shm(name)
         return shm
 
     def block(self, rank: int, role: int) -> np.ndarray:
@@ -143,52 +145,37 @@ def _ax(ndim: int, axis: int, sl: slice) -> tuple:
 # -- sweep ------------------------------------------------------------------
 
 
-def _shift_for(state: _WorkerState, job: dict) -> np.ndarray:
-    """The advection shift, computed exactly as the serial solver does.
-
-    Drift: ``u_center_broadcast(d) * (dt/dx_d)`` — identical on every
-    rank (velocity space is never decomposed).  Kick: the block's slab of
-    the float64 acceleration mesh times ``dt/du_d``; an elementwise
-    product of a slab equals the slab of the product, so the bits match
-    the serial full-mesh shift row for row.
-    """
-    grid, d, factor = state.grid, job["d"], job["factor"]
-    if job["kind"] == "x":
-        return grid.u_center_broadcast(d) * factor
-    accel = state.mesh(
-        state.spec.accel_name, (grid.dim,) + grid.nx, np.float64
-    )
-    own = tuple(slice(lo, hi) for lo, hi in state.spec.own_bounds)
-    a_d = np.ascontiguousarray(accel[d][own])
-    a_d = a_d.reshape(a_d.shape + (1,) * grid.dim)
-    return a_d * factor
-
-
-def _sweep(state: _WorkerState, job: dict) -> tuple:
-    """One directional advection of the local block.
+def _sweep(state: _WorkerState, sweep: Sweep, src: int, dst_role: int,
+           mode: str) -> tuple:
+    """One directional advection of the local block, role ``src`` into
+    role ``dst_role``.
 
     Returns ``(halo_seconds, interior_seconds, boundary_seconds)``;
     halo time is the ghost-slab assembly measured on its thread, which
     runs concurrently with the interior advection.
     """
     spec, grid = state.spec, state.grid
-    cur = state.block(spec.rank, job["src"])
-    dst = state.block(spec.rank, job["dst"])
-    axis, mode, g = job["axis"], job["mode"], spec.ghost
-    shift = _shift_for(state, job)
+    cur = state.block(spec.rank, src)
+    dst = state.block(spec.rank, dst_role)
+    axis, g = sweep.axis, spec.ghost
+    # the serial solver's shift, this block's slab of the shared
+    # acceleration mesh standing in for the full one
+    accel = state.mesh(spec.accel_name, (grid.dim,) + grid.nx, np.float64)
+    own = tuple(slice(lo, hi) for lo, hi in spec.own_bounds)
+    shift = sweep_shift(grid, sweep, accel[(slice(None),) + own])
     ndim = cur.ndim
 
     if mode in ("v", "local"):
         t0 = time.perf_counter()
-        advect(cur, shift, axis, scheme=spec.scheme, bc=job["bc"],
+        advect(cur, shift, axis, scheme=spec.scheme, bc=sweep.bc,
                out=dst, arena=state.arena)
         return (0.0, time.perf_counter() - t0, 0.0)
 
-    d = job["d"]
+    d = sweep.d
     n = cur.shape[axis]
     left, right = spec.neighbors[d]
-    nbr_l = state.block(left, job["src"])
-    nbr_r = state.block(right, job["src"])
+    nbr_l = state.block(left, src)
+    nbr_r = state.block(right, src)
     n_l = nbr_l.shape[axis]
 
     if mode == "padded":
@@ -278,13 +265,6 @@ def _reduce(state: _WorkerState, role: int) -> dict:
         u = grid.u_center_broadcast(d).astype(np.float64)
         ke.append(float((blk * u**2).sum(dtype=np.float64)))
     return {"mass": float(blk.sum(dtype=np.float64)), "ke": ke}
-
-
-def _stats(state: _WorkerState, role: int) -> tuple:
-    """(non-finite count, min) of the block — exact under aggregation."""
-    blk = state.block(state.spec.rank, role)
-    n_bad = int(blk.size - np.count_nonzero(np.isfinite(blk)))
-    return (n_bad, float(blk.min()))
 
 
 # -- 2-D pencil FFT passes --------------------------------------------------
@@ -403,13 +383,13 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                 continue
             try:
                 if cmd == "sweep":
-                    value = _sweep(state, msg[1])
+                    value = _sweep(state, *msg[1:])
                 elif cmd == "density":
                     value = _density(state, msg[1])
                 elif cmd == "reduce":
                     value = _reduce(state, msg[1])
                 elif cmd == "stats":
-                    value = _stats(state, msg[1])
+                    value = finite_stats(state.block(spec.rank, msg[1]))
                 elif cmd == "fft":
                     value = _fft_pass(state, msg[1])
                 elif cmd == "ping":

@@ -46,6 +46,7 @@ import threading
 import numpy as np
 
 from .arena import ScratchArena
+from .substrate import available_cores
 
 try:  # pragma: no cover - exercised implicitly on hosts with scipy
     import scipy.fft as _scipy_fft
@@ -64,10 +65,7 @@ def _default_workers() -> int:
     env = os.environ.get("REPRO_FFT_WORKERS", "")
     if env:
         return max(1, int(env))
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+    return available_cores()
 
 
 class SpectralBackend:

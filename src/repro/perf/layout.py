@@ -44,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..simd.transpose import pick_block_shape
+from .substrate import emit
 
 __all__ = [
     "LayoutDecision",
@@ -61,15 +62,6 @@ class LayoutDecision(NamedTuple):
     stride_bytes: int   # |stride| of the advected axis in f
     nbytes: int         # payload of f
     reason: str         # why this mode won
-
-
-def _emit(kind: str, **fields) -> None:
-    """Publish a telemetry event (lazy import; no-op outside a run)."""
-    try:
-        from ..runtime.telemetry import emit_event
-    except Exception:  # pragma: no cover - import cycles during teardown
-        return
-    emit_event(kind, **fields)
 
 
 class LayoutEngine:
@@ -153,7 +145,7 @@ class LayoutEngine:
             self.packed_sweeps += 1
         else:
             self.in_place_sweeps += 1
-        _emit(
+        emit(
             "layout_decision",
             mode=mode,
             axis=ax,

@@ -50,10 +50,15 @@ surviving backend, and publishes an ``engine_degraded`` telemetry event.
 Because every backend executes identical floating-point operations,
 degradation never changes the answer — only the wall clock.
 
-Shared-memory segments are registered in a module-level table and
-unlinked by an ``atexit`` hook, so segments cannot leak even when the
-parent dies mid-``advect`` (the historical leak: ``close()``/``unlink``
-lived only on the happy path of the sweep).
+Shared-memory segments are registered with the
+:mod:`repro.perf.substrate` leak guard and unlinked by its ``atexit``
+hook, so segments cannot leak even when the parent dies mid-``advect``
+(the historical leak: ``close()``/``unlink`` lived only on the happy
+path of the sweep).
+
+The engine is a :class:`repro.core.engine.SweepEngine` whose per-sweep
+kernel is the sharded :meth:`PencilEngine.advect`; f, plans, reductions
+and timing are the serial base's.
 
 ``fault_hook`` (an attribute, wired by the chaos harness) is called as
 ``hook(engine, pool)`` at the start of each *process* sweep — the
@@ -62,72 +67,28 @@ injection point for :meth:`repro.runtime.faults.FaultPlan.worker_fault`.
 
 from __future__ import annotations
 
-import atexit
-import os
-import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor, wait
 
 import numpy as np
 
 from ..core.advection import SCHEMES, advect
+from ..core.engine import SweepEngine
 from ..parallel.decomposition import pencil_slices
 from .arena import ScratchArena
+from .substrate import (
+    attach_shm,
+    available_cores,
+    emit,
+    register_segment,
+    release_segment,
+    retry_with_backoff,
+)
 
 __all__ = ["PencilEngine", "SweepTimeout"]
 
 
 class SweepTimeout(RuntimeError):
     """A sharded sweep exceeded the engine's ``task_timeout``."""
-
-
-def _emit(kind: str, **fields) -> None:
-    """Publish a telemetry event (lazy import; no-op outside a run)."""
-    try:
-        from ..runtime.telemetry import emit_event
-    except Exception:  # pragma: no cover - import cycles during teardown
-        return
-    emit_event(kind, **fields)
-
-
-# -- shared-memory leak guard ------------------------------------------------
-#
-# Every segment the engine creates is registered here and deregistered on
-# the normal release path; whatever is still registered when the process
-# exits (crash mid-advect, exception between create and the finally) is
-# unlinked by the atexit hook.  Without this, a SIGKILL'd run leaves
-# /dev/shm blocks behind until reboot.
-
-_LIVE_SEGMENTS: dict[int, object] = {}
-
-
-def _register_segment(shm) -> None:
-    _LIVE_SEGMENTS[id(shm)] = shm
-
-
-def _release_segment(shm) -> None:
-    """Close + unlink one segment, tolerating partial prior cleanup."""
-    _LIVE_SEGMENTS.pop(id(shm), None)
-    try:
-        shm.close()
-    except BufferError:  # a view still alive; unlink still detaches the name
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-@atexit.register
-def _cleanup_leaked_segments() -> None:  # pragma: no cover - exit path
-    for shm in list(_LIVE_SEGMENTS.values()):
-        _release_segment(shm)
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 # -- process-backend worker machinery ---------------------------------------
@@ -138,15 +99,6 @@ def _available_cores() -> int:
 _WORKER_ARENA: ScratchArena | None = None
 
 
-def _attach_shm(name: str):
-    from multiprocessing import shared_memory
-
-    try:  # Python >= 3.13: don't double-register with the resource tracker
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - older interpreters
-        return shared_memory.SharedMemory(name=name)
-
-
 def _pencil_worker(task) -> None:
     """Advect one pencil of the shared-memory arrays, in place."""
     global _WORKER_ARENA
@@ -154,8 +106,8 @@ def _pencil_worker(task) -> None:
         _WORKER_ARENA = ScratchArena()
     (in_name, out_name, shape, dtype, shard_axis, start, stop,
      shift, axis, scheme, bc, layout) = task
-    shm_in = _attach_shm(in_name)
-    shm_out = _attach_shm(out_name)
+    shm_in = attach_shm(in_name)
+    shm_out = attach_shm(out_name)
     try:
         f = np.ndarray(shape, dtype=dtype, buffer=shm_in.buf)
         out = np.ndarray(shape, dtype=dtype, buffer=shm_out.buf)
@@ -170,7 +122,7 @@ def _pencil_worker(task) -> None:
         shm_out.close()
 
 
-class PencilEngine:
+class PencilEngine(SweepEngine):
     """Shard directional sweeps into pencils and run them concurrently.
 
     Parameters
@@ -219,21 +171,20 @@ class PencilEngine:
             raise ValueError("pencils_per_worker must be >= 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        self.n_workers = int(n_workers) if n_workers else _available_cores()
+        self.n_workers = int(n_workers) if n_workers else available_cores()
         self.backend = backend
         self.pencils_per_worker = int(pencils_per_worker)
         self.min_shard_bytes = int(min_shard_bytes)
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
         self.task_timeout = task_timeout
+        super().__init__()
         self._executor = None
-        self._arenas: list[ScratchArena] = []
+        #: one arena per worker slot; slot 0 is the base engine's
+        self._arenas: list[ScratchArena] = [self.arena]
         #: plan of the most recent ``advect`` call, for tests/benchmarks:
         #: dict with backend / shard_axis / n_pencils (or None if serial).
         self.last_plan: dict | None = None
-        #: chaos-harness injection point: called as ``hook(self, pool)``
-        #: at the start of each process sweep (see module docstring).
-        self.fault_hook = None
         #: cumulative supervision counters (survive degradation).
         self.retries = 0
         #: backends abandoned by supervision, in order ("processes", ...).
@@ -246,12 +197,6 @@ class PencilEngine:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "PencilEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:
@@ -392,10 +337,7 @@ class PencilEngine:
             plan = self._plan(f, sh, axis, shard_axis)
         if plan is None:
             self.last_plan = None
-            return advect(
-                f, shift, axis, scheme=scheme, bc=bc, out=out,
-                arena=self._arena(0), layout=layout,
-            )
+            return super().advect(f, shift, axis, scheme, bc, out, layout)
         mode = self._resolve_sweep_layout(f, axis, layout)
         lay = "packed" if mode == "packed" else None
         shard, parts = plan
@@ -447,7 +389,7 @@ class PencilEngine:
         """Step down the backend ladder permanently; record and publish."""
         fallback = self.FALLBACK[self.backend]
         self.degradations.append(self.backend)
-        _emit(
+        emit(
             "engine_degraded",
             from_backend=self.backend, to_backend=fallback, reason=reason,
         )
@@ -456,8 +398,7 @@ class PencilEngine:
     def _run_serial(self, f, sh, axis, scheme, bc, out, lay=None) -> None:
         """Last-resort path: the plain serial kernel (same bits)."""
         self.last_plan = None
-        advect(f, sh, axis, scheme=scheme, bc=bc, out=out,
-               arena=self._arena(0), layout=lay)
+        super().advect(f, sh, axis, scheme, bc, out, lay)
 
     def _run_threads(self, f, sh, axis, scheme, bc, out, shard, slices,
                      lay=None):
@@ -471,7 +412,7 @@ class PencilEngine:
             # the same pool, degrade straight to serial and finish.
             self._teardown_pool()
             self.retries += 1
-            _emit("worker_failure", backend="threads", error=repr(exc))
+            emit("worker_failure", backend="threads", error=repr(exc))
             self._degrade(repr(exc))
             self._run_serial(f, sh, axis, scheme, bc, out, lay)
 
@@ -503,25 +444,25 @@ class PencilEngine:
         array is only written on a fully successful sweep, so a retry
         (or the degraded backend) always starts from pristine inputs.
         """
-        delay = self.backoff_base
-        for attempt in range(self.max_retries + 1):
-            try:
-                self._processes_sweep(
+        def failed(attempt: int, exc: Exception) -> None:
+            self._teardown_pool()
+            self.retries += 1
+            emit(
+                "worker_failure",
+                backend="processes", attempt=attempt, error=repr(exc),
+            )
+
+        try:
+            retry_with_backoff(
+                lambda: self._processes_sweep(
                     f, sh, axis, scheme, bc, out, shard, slices, lay
-                )
-                return
-            except (BrokenExecutor, SweepTimeout) as exc:
-                self._teardown_pool()
-                self.retries += 1
-                _emit(
-                    "worker_failure",
-                    backend="processes", attempt=attempt, error=repr(exc),
-                )
-                if attempt >= self.max_retries:
-                    self._degrade(repr(exc))
-                    break
-                time.sleep(delay)
-                delay *= 2.0
+                ),
+                (BrokenExecutor, SweepTimeout),
+                self.max_retries, self.backoff_base, failed,
+            )
+            return
+        except (BrokenExecutor, SweepTimeout) as exc:
+            self._degrade(repr(exc))
         # Degraded mid-sweep: finish on the surviving backend (the result
         # is bitwise-identical on every backend, so nothing is lost but
         # wall clock).
@@ -535,9 +476,9 @@ class PencilEngine:
         from multiprocessing import shared_memory
 
         shm_in = shared_memory.SharedMemory(create=True, size=f.nbytes)
-        _register_segment(shm_in)
+        register_segment(shm_in)
         shm_out = shared_memory.SharedMemory(create=True, size=f.nbytes)
-        _register_segment(shm_out)
+        register_segment(shm_out)
         try:
             stage = np.ndarray(f.shape, dtype=f.dtype, buffer=shm_in.buf)
             stage[...] = f
@@ -560,8 +501,8 @@ class PencilEngine:
             out[...] = result
             del result
         finally:
-            _release_segment(shm_in)
-            _release_segment(shm_out)
+            release_segment(shm_in)
+            release_segment(shm_out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -109,22 +109,23 @@ class GuardConfig:
 
 @dataclass
 class EngineConfig:
-    """The multicore advection engine (:class:`repro.perf.pencil.PencilEngine`).
+    """Where the Vlasov sweeps run (:mod:`repro.core.engine`).
 
-    ``backend="off"`` (default) runs the drivers' plain serial kernels
-    with no engine object at all; the other backends shard directional
+    Applies to all three scenarios: each stepper forwards the built
+    engine to its driver's :class:`~repro.core.vlasov.VlasovSolver`.
+    ``backend="off"`` (default) builds the serial
+    :class:`~repro.core.engine.SweepEngine`; the other backends build a
+    :class:`repro.perf.pencil.PencilEngine`, which shards directional
     sweeps into pencils (every backend is bitwise-identical — see
     ``docs/PERFORMANCE.md``).  The supervision knobs mirror the engine's:
     a broken or timed-out process sweep is retried ``max_retries`` times
     with exponential backoff from ``backoff_base`` seconds, then the
-    engine degrades processes → threads → serial permanently.  The
-    hybrid scenario ignores this section (its driver manages its own
-    kernels).
+    engine degrades processes → threads → serial permanently.
 
     ``layout`` is the sweep-layout policy (``"auto"`` / ``"packed"`` /
     ``"in_place"``, see :class:`repro.perf.layout.LayoutEngine`) and
-    applies whether or not a pencil backend is on — it is forwarded to
-    the drivers' Vlasov solvers, which own the deciding engine.
+    applies to every engine — it is forwarded to the drivers' Vlasov
+    solvers, which own the deciding layout engine.
 
     ``engine="domain"`` selects the persistent-worker domain engine
     instead (:class:`repro.parallel.domain.DomainEngine`): f lives

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ..core.moments import finite_stats
 from ..diagnostics.timers import ConservationLedger
 from .config import GuardConfig
 
@@ -74,12 +73,8 @@ class GuardSuite:
             # engine never gathers f for this); summed counts and min of
             # minima are exact, so both paths fire identically
             stats = getattr(stepper, "f_stats", None)
-            if stats is not None:
-                n_bad, fmin = stats()
-            else:
-                f = stepper.f
-                n_bad = int(np.size(f) - np.count_nonzero(np.isfinite(f)))
-                fmin = float(f.min())
+            n_bad, fmin = stats() if stats is not None \
+                else finite_stats(stepper.f)
             if cfg.nan != "off" and n_bad:
                 reports.append(GuardReport(
                     "nan", cfg.nan,

@@ -192,7 +192,7 @@ class SimulationRunner:
         prev_sink = set_event_sink(telemetry.event)
 
         engine = build_engine(config)
-        if engine is not None and fault_plan is not None:
+        if fault_plan is not None:
             engine.fault_hook = fault_plan.worker_fault
 
         stepper = build_stepper(config, timer=self.timer, engine=engine)
@@ -414,8 +414,7 @@ class SimulationRunner:
                 pipeline.close()
             set_event_sink(prev_sink)
             telemetry.close()
-            if engine is not None:
-                engine.close()
+            engine.close()
             self._write_manifest(status=status, exit_code=exit_code,
                                  last_step=stepper.index, reason=reason,
                                  rollbacks=recovery.attempts)

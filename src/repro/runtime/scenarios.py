@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.engine import SweepEngine
 from ..core.hybrid import HybridSimulation, build_neutrino_component
 from ..core.mesh import PhaseSpaceGrid
 from ..core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
@@ -123,42 +124,31 @@ class Stepper:
         raise NotImplementedError
 
     @property
+    def solver(self):
+        """The stepper's own :class:`~repro.core.vlasov.VlasovSolver`."""
+        raise NotImplementedError
+
+    @property
     def f(self) -> np.ndarray:
         """The distribution function (for guards and restores)."""
-        raise NotImplementedError
+        return self.solver.f
 
     @property
     def particles(self):
         """The particle component, or None."""
         return None
 
-    def _solver(self):
-        driver = getattr(self, "driver", None)
-        return getattr(driver, "solver", None)
-
     def f_stats(self) -> tuple[int, float]:
-        """(non-finite cell count, min of f) — the guards' health probe.
-
-        Delegates to the driver's solver when it has a distributed
-        implementation (the domain adapter answers from worker partials
-        without gathering f); otherwise computes from :attr:`f` — the
-        two are exact under aggregation (summed counts, min of minima),
-        so guard decisions are engine-independent.
-        """
-        solver = self._solver()
-        if solver is not None and hasattr(solver, "f_stats"):
-            return solver.f_stats()
-        f = self.f
-        n_bad = int(f.size - np.count_nonzero(np.isfinite(f)))
-        return (n_bad, float(f.min()))
+        """(non-finite cell count, min of f) — the guards' health probe,
+        answered by the solver's engine without materializing f when f
+        lives in workers (exact under aggregation, so guard decisions
+        are engine-independent)."""
+        return self.solver.f_stats()
 
     def notify_f_mutated(self) -> None:
-        """Tell the stepper :attr:`f` was mutated *in place* (fault
+        """Tell the solver :attr:`f` was mutated *in place* (fault
         injection) so engines holding f elsewhere re-sync it."""
-        solver = self._solver()
-        notify = getattr(solver, "notify_f_mutated", None)
-        if notify is not None:
-            notify()
+        self.solver.notify_f_mutated()
 
     def save(self, path: str | Path, timer=None) -> Path:
         """Write a restart checkpoint at the current state."""
@@ -181,11 +171,34 @@ class Stepper:
         return {"scenario": self.scenario, "schedule_index": self.index}
 
 
-class PlasmaStepper(Stepper):
+class _VlasovPoissonStepper(Stepper):
+    """What the two Vlasov-Poisson scenarios share: a ``driver`` owning
+    the solver, a time coordinate, and a rescalable fixed ``dt``."""
+
+    coord_key = "t"
+
+    def coordinate(self) -> dict[str, float]:
+        return {"t": self.driver.time}
+
+    def conserved(self) -> dict[str, float]:
+        return {
+            "mass": self.driver.solver.total_mass(),
+            "energy": self.driver.total_energy(),
+        }
+
+    @property
+    def solver(self):
+        return self.driver.solver
+
+    def rescale_dt(self, factor: float) -> bool:
+        self.dt *= float(factor)
+        return True
+
+
+class PlasmaStepper(_VlasovPoissonStepper):
     """Electrostatic plasma driver on a fixed-dt schedule."""
 
     scenario = "plasma"
-    coord_key = "t"
 
     def __init__(self, config: RunConfig, timer=None, engine=None) -> None:
         self.grid = _make_grid(config)
@@ -207,19 +220,6 @@ class PlasmaStepper(Stepper):
         self.index += 1
         return self.dt
 
-    def coordinate(self) -> dict[str, float]:
-        return {"t": self.driver.time}
-
-    def conserved(self) -> dict[str, float]:
-        return {
-            "mass": self.driver.solver.total_mass(),
-            "energy": self.driver.total_energy(),
-        }
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.driver.f
-
     def save(self, path: str | Path, timer=None) -> Path:
         return write_checkpoint(
             path, self.grid, self.driver.f, None,
@@ -232,16 +232,11 @@ class PlasmaStepper(Stepper):
         self.driver.time = float(header["time"])
         self.index = int(header["step"])
 
-    def rescale_dt(self, factor: float) -> bool:
-        self.dt *= float(factor)
-        return True
 
-
-class GravitationalStepper(Stepper):
+class GravitationalStepper(_VlasovPoissonStepper):
     """Static self-gravitating matter on a fixed-dt schedule."""
 
     scenario = "gravitational"
-    coord_key = "t"
 
     def __init__(self, config: RunConfig, timer=None, engine=None) -> None:
         self.grid = _make_grid(config)
@@ -273,19 +268,6 @@ class GravitationalStepper(Stepper):
         self.index += 1
         return self.dt
 
-    def coordinate(self) -> dict[str, float]:
-        return {"t": self.driver.time}
-
-    def conserved(self) -> dict[str, float]:
-        return {
-            "mass": self.driver.solver.total_mass(),
-            "energy": self.driver.total_energy(),
-        }
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.driver.f
-
     def save(self, path: str | Path, timer=None) -> Path:
         return write_checkpoint(
             path, self.grid, self.driver.f, None,
@@ -299,17 +281,9 @@ class GravitationalStepper(Stepper):
         self.driver.a = float(header["a"])
         self.index = int(header["step"])
 
-    def rescale_dt(self, factor: float) -> bool:
-        self.dt *= float(factor)
-        return True
-
 
 class HybridStepper(Stepper):
-    """Hybrid Vlasov + N-body driver on a scale-factor ladder.
-
-    The hybrid driver manages its own kernels, so the runner's engine
-    config does not apply (``engine`` is accepted and ignored).
-    """
+    """Hybrid Vlasov + N-body driver on a scale-factor ladder."""
 
     scenario = "hybrid"
     coord_key = "a"
@@ -331,6 +305,9 @@ class HybridStepper(Stepper):
             scheme=config.scheme,
             dtype=g.dtype,
             v_max_quantile=float(p.get("v_max_quantile", 0.997)),
+            engine=engine,
+            timer=timer,
+            layout=config.engine.layout,
         )
         self.grid = self.sim.grid
         self.schedule = scale_factor_steps(s.a_start, s.a_end, s.n_steps, s.spacing)
@@ -356,8 +333,8 @@ class HybridStepper(Stepper):
         return {"nu_mass": self.sim.neutrino_mass()}
 
     @property
-    def f(self) -> np.ndarray:
-        return self.sim.neutrinos.f
+    def solver(self):
+        return self.sim.neutrinos
 
     @property
     def particles(self):
@@ -392,15 +369,16 @@ def build_stepper(config: RunConfig, timer=None, engine=None) -> Stepper:
 
 
 def build_engine(config: RunConfig):
-    """Build the configured advection engine.
+    """Build the configured engine (see :mod:`repro.core.engine`).
 
     ``engine.engine = "domain"`` yields a
     :class:`~repro.parallel.domain.DomainEngine` (persistent
     shared-memory domain workers); the default ``"pencil"`` yields a
-    :class:`~repro.perf.pencil.PencilEngine`, or ``None`` for
-    ``engine.backend = "off"`` (the drivers run their plain serial
-    kernels).  The caller owns the engine's lifetime (``close()`` — the
-    runner does this in its ``finally``).
+    :class:`~repro.perf.pencil.PencilEngine`, or for
+    ``engine.backend = "off"`` the serial
+    :class:`~repro.core.engine.SweepEngine` they both extend.  The
+    caller owns the engine's lifetime (``close()`` — the runner does
+    this in its ``finally``).
     """
     e = config.engine
     if e.engine == "domain":
@@ -414,7 +392,7 @@ def build_engine(config: RunConfig):
             task_timeout=e.task_timeout,
         )
     if e.backend == "off":
-        return None
+        return SweepEngine()
     from ..perf.pencil import PencilEngine
 
     return PencilEngine(
@@ -444,6 +422,9 @@ def build_hybrid_simulation(
     scheme: str = "slmpp5",
     dtype: str = "float32",
     v_max_quantile: float = 0.997,
+    engine=None,
+    timer=None,
+    layout="auto",
 ) -> HybridSimulation:
     """The paper's headline workload, fully initialized and deterministic.
 
@@ -453,6 +434,7 @@ def build_hybrid_simulation(
     with the matching linear bulk flow.  The same (nx, nu, box_size,
     m_nu, seed, a_start) always yields bit-identical initial state,
     which is what makes config-only resume possible.
+    ``engine``/``timer``/``layout`` go to the simulation's Vlasov solver.
     """
     from ..cosmology import (
         Cosmology,
@@ -493,7 +475,8 @@ def build_hybrid_simulation(
     bulk = linear_velocity_field(dk_nu, fgrid, cosmo, a_start)
 
     sim = HybridSimulation(
-        grid, cdm, cosmo, a=a_start, scheme=scheme, use_tree=use_tree
+        grid, cdm, cosmo, a=a_start, scheme=scheme, use_tree=use_tree,
+        engine=engine, timer=timer, layout=layout,
     )
     sim.neutrinos.f = build_neutrino_component(
         grid, cosmo, delta_nu=delta_nu, bulk_velocity=bulk
@@ -527,16 +510,16 @@ def hybrid_demo(argv: list[str] | None = None) -> int:
           f"(f_nu={cosmo.f_nu:.3f}), u_thermal={fd.mean_speed:.0f} km/s")
 
     a_start = 1.0 / 11.0  # z = 10, the paper's starting epoch
+    timer = StepTimer()
     sim = build_hybrid_simulation(
         nx=args.nx, nu=args.nu, box_size=args.box, m_nu=args.m_nu,
-        seed=args.seed, a_start=a_start, use_tree=args.tree,
+        seed=args.seed, a_start=a_start, use_tree=args.tree, timer=timer,
     )
     print(sim.grid)
     print(f"CDM: {sim.cdm.n} particles, total mass {sim.cdm.total_mass:.3e}")
 
     ledger = ConservationLedger()
     ledger.register(nu_mass=sim.neutrino_mass())
-    timer = StepTimer()
 
     schedule = scale_factor_steps(a_start, 1.0, args.steps)
     print(f"\n{'a':>6} {'z':>6} {'sigma_cdm':>10} {'sigma_nu':>9} "

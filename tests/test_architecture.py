@@ -1,0 +1,84 @@
+"""Import-graph rules of ``src/repro``, checked on the syntax tree.
+
+Stdlib only (``ast``): CI runs this file in the lint job, before any
+dependency is installed, as ``python tests/test_architecture.py``.
+
+* a module's underscore names are its own — nobody imports them;
+* ``repro.core`` does not know ``repro.parallel`` exists: engines reach
+  the solver through :mod:`repro.core.engine`, never the reverse;
+* the second solver and its duck-type marker stay deleted.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# spelled in halves so that grepping the tree for them finds only code
+RETIRED = ("is_domain" + "_engine", "DomainSolver" + "Adapter")
+
+
+def modules():
+    """``(dotted module name, path)`` of every source file of the package."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        yield ".".join(parts), path
+
+
+def imports(name: str, path: Path):
+    """``(imported module, imported name or None, line)`` for every import
+    statement in the file, relative imports resolved against ``name``."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            for alias in node.names:
+                yield base, alias.name, node.lineno
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    offenders = []
+    for name, path in modules():
+        for module, imported, line in imports(name, path):
+            if not module.startswith("repro"):
+                continue
+            private = [part for part in module.split(".") + [imported or ""]
+                       if part.startswith("_") and not part.startswith("__")]
+            if private:
+                offenders.append(f"{path.relative_to(SRC)}:{line} imports "
+                                 f"{private[0]} from {module}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_core_does_not_import_parallel():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line} imports {module}"
+        for name, path in modules() if name.startswith("repro.core")
+        for module, imported, line in imports(name, path)
+        if f"{module}.{imported}".startswith("repro.parallel")
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_retired_identifiers_stay_retired():
+    offenders = [
+        f"{path.relative_to(SRC)} mentions {word}"
+        for _, path in modules() for word in RETIRED
+        if word in path.read_text()
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+if __name__ == "__main__":
+    for check in [v for k, v in sorted(globals().items()) if k.startswith("test_")]:
+        check()
+    print("architecture: ok")

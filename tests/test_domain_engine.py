@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.mesh import PhaseSpaceGrid
+from repro.core.vlasov import VlasovSolver
 from repro.core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
 from repro.parallel import (
     DomainDecomposition,
@@ -193,7 +194,7 @@ class TestVmpiParity:
             vp.f = f0
             vp.step(DT)
         finally:
-            halo_log = list(engine.halo_log)
+            halo_traffic = dict(engine.halo_traffic)
             halo_bytes = engine.halo_bytes
             engine.close()
 
@@ -214,8 +215,33 @@ class TestVmpiParity:
                 out[key] = out.get(key, 0) + m.nbytes
             return out
 
-        assert by_key(halo_log) == by_key(comm.log.messages)
+        assert {key: nbytes for key, (_, nbytes) in halo_traffic.items()} \
+            == by_key(comm.log.messages)
         assert halo_bytes == comm.log.total_p2p_bytes()
+
+    def test_halo_accounting_is_bounded_by_topology(self):
+        """The per-(src, dst, tag) aggregate must not grow with the step
+        count (it used to be a list gaining 2 records per rank per
+        partitioned sweep, forever)."""
+        grid = make_grid()
+        engine = DomainEngine(topology=(2, 2, 1))
+        try:
+            vp = PlasmaVlasovPoisson(grid, engine=engine)
+            vp.f = initial_f(grid)
+            vp.step(DT)
+            keys = set(engine.halo_traffic)
+            bytes_one = engine.halo_bytes
+            for _ in range(19):
+                vp.step(DT)
+            assert set(engine.halo_traffic) == keys
+            # 4 ranks x 2 partitioned axes x 2 directions
+            assert len(keys) == 16
+            assert all(n == 20 for n, _ in engine.halo_traffic.values())
+            assert engine.halo_bytes == 20 * bytes_one
+            assert sum(b for _, b in engine.halo_traffic.values()) \
+                == engine.halo_bytes
+        finally:
+            engine.close()
 
 
 class TestCornerGhosts:
@@ -378,6 +404,14 @@ class TestEngineConfig:
         assert engine.topology == (2, 2, 1)
         engine.close()
 
+    def test_bind_rejects_blocks_thinner_than_the_ghost_width(self):
+        """6 cells over 2 blocks leaves 3 < the 4-cell slmpp5 halo; the
+        engine must refuse at bind time, before any worker exists."""
+        engine = DomainEngine(topology=(1, 1, 2))
+        with pytest.raises(ValueError, match=r"leaves 3 < ghost width 4"):
+            engine.bind(make_grid(), "slmpp5")
+        assert engine.grid is None and not engine._procs
+
     def test_validate_rejects_unknown_engine(self):
         from repro.runtime.config import RunConfig
 
@@ -415,6 +449,43 @@ def _kill_hook(at_sweep):
             pool.submit(_kill_self)
 
     return hook
+
+
+class TestDegradedEngineIsItsBaseClass:
+    """A worker killed past ``max_retries`` mid-plan: the step finishes
+    on the host array through the inherited ``SweepEngine`` path,
+    bitwise, and everything after (sweeps, reductions, health probe)
+    answers from there."""
+
+    def test_strang_step_finishes_through_base_path_bitwise(self):
+        grid = make_grid()
+        accel = np.random.default_rng(9).standard_normal((3,) + grid.nx)
+
+        def step(solver):
+            solver.f = initial_f(grid)
+            for _ in range(2):
+                solver.strang_step(accel, 0.01, DT, lambda: accel, 0.01)
+
+        serial = VlasovSolver(grid)
+        step(serial)
+        engine = DomainEngine(topology=(2, 1, 1), max_retries=0,
+                              backoff_base=0.01)
+        engine.fault_hook = _kill_hook(at_sweep=5)  # inside the first drift
+        try:
+            solver = VlasovSolver(grid, engine=engine)
+            step(solver)
+            assert engine.degraded
+            assert engine.degradations == ["domain"]
+            assert engine.retries == 1
+            assert solver.f.tobytes() == serial.f.tobytes()
+            assert solver.density().tobytes() == serial.density().tobytes()
+            assert solver.total_mass() == serial.total_mass()
+            assert solver.kinetic_energy() == serial.kinetic_energy()
+            assert solver.f_stats() == serial.f_stats()
+            # the ladder's next rung is now the host sweeps' kernel
+            assert engine._fallback.backend == "threads"
+        finally:
+            engine.close()
 
 
 @pytest.mark.chaos

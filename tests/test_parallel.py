@@ -1,5 +1,4 @@
-"""Virtual parallel runtime: decomposition, vMPI, exchange, pencil FFT,
-and the real-multiprocess path."""
+"""Virtual parallel runtime: decomposition, vMPI, exchange, pencil FFT."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from repro.parallel import (
     decomposed_spatial_advect,
     decomposed_velocity_advect,
     exchange_ghosts,
-    multiprocess_spatial_advect,
     pencil_fft3d,
     required_ghost,
 )
@@ -207,17 +205,3 @@ class TestPencilFFT:
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
             PencilGrid((9, 8, 8), 2, 2)
-
-
-class TestMultiprocess:
-    def test_bit_equality_with_serial(self, rng):
-        f = rng.random((32, 8, 6)).astype(np.float32)
-        u = np.linspace(-0.9, 0.9, 6).reshape(1, 1, 6).astype(np.float32)
-        serial = advect(f, u, 0, scheme="slmpp5")
-        parallel = multiprocess_spatial_advect(f, u, 0, n_workers=2)
-        assert np.array_equal(serial, parallel)
-
-    def test_worker_count_validation(self, rng):
-        f = rng.random((10, 4)).astype(np.float32)
-        with pytest.raises(ValueError):
-            multiprocess_spatial_advect(f, 0.5, 0, n_workers=3)

@@ -318,9 +318,9 @@ class TestChaosRuns:
         kinds = [e["event"]
                  for e in read_events(tmp_path / "kill" / TELEMETRY_NAME)]
         assert "fault_injected" in kinds and "worker_failure" in kinds
-        from repro.perf.pencil import _LIVE_SEGMENTS
+        from repro.perf.substrate import LIVE_SEGMENTS
 
-        assert not _LIVE_SEGMENTS  # no leaked shared memory
+        assert not LIVE_SEGMENTS  # no leaked shared memory
 
     def test_stall_degrades_engine_but_not_the_answer(self, tmp_path):
         ref = reference_f(tmp_path, self.N)
