@@ -18,6 +18,14 @@ fractional departure varies along a non-advected axis — the drift-sweep
 shape (``u * dt/dx`` is constant per velocity slab), and the case where
 the seed path pays for full gathers that carry no information.
 
+Both sides run cache-blocked (``advect`` blocks every sweep above
+``BLOCK_CELLS`` itself since ISSUE 14, with no switch to turn it off),
+so neither side's number contains the full-size working set any more and
+the ratio is what the fast paths, the pooled limiter and the pack buy on
+block-sized scratch.  Re-measured on that footing (2-core host): 1.92x
+on the worst-strided axis, >= 1.34x everywhere — the gate below holds
+unchanged.
+
 Both paths must agree **bitwise** on every axis.  Acceptance (ISSUE 5):
 the optimized path is >= 1.5x faster on the worst-strided axis (axis 0;
 its stride is ``ny*nz*nu^3`` elements) and regresses < 5% on the

@@ -47,16 +47,26 @@ Allocation discipline
 
 ``out=``
     Preallocated destination with the result shape/dtype (aliasing the
-    input is allowed — every flux is fully computed before the output
-    write).  Callers stepping in a loop double-buffer instead of
-    allocating a fresh f every sweep.
+    input is allowed — every flux of a block is fully computed before
+    its output write, and blocks share no rows).  Callers stepping in a
+    loop double-buffer instead of allocating a fresh f every sweep.
 ``arena=``
     A :class:`repro.perf.arena.ScratchArena` holding the stencil, flux
-    and prefix-sum scratch buffers.  Repeated calls with the same shapes
-    reuse the same memory, so steady-state sweeps stop churning the
-    allocator.  The arithmetic is identical with or without an arena
-    (same operations, same order — only the buffer placement changes),
-    so results are bitwise-equal.
+    and prefix-sum scratch buffers.  Repeated calls reuse the same
+    memory, so steady-state sweeps stop churning the allocator.  The
+    arithmetic is identical with or without an arena (same operations,
+    same order — only the buffer placement changes), so results are
+    bitwise-equal.
+
+Cache blocking
+--------------
+A sweep streams ~45 temporaries the size of its input through memory.
+``advect`` therefore validates once and then works through arrays above
+:data:`BLOCK_CELLS` one block of non-advected rows at a time (see
+:func:`_block_plan`), so the temporaries are block-sized and stay in
+cache.  Cells couple only along the advected axis: each block runs the
+serial arithmetic on its rows and the result is bitwise the one-block
+result.  Every engine ends in this function, so every engine is blocked.
 
 Precision: the conservative prefix sums S(i, k) accumulate in float64
 even for float32 f (``_integer_mass``); float32 cumsums drift by
@@ -66,6 +76,9 @@ flux array — and the telescoped update — stay in the input precision.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -127,13 +140,30 @@ UNIFORM_FAST = True
 #: assert the toggle changes nothing but wall clock.
 POOLED_LIMITER = True
 
-#: process-wide advisory counters: sweeps that hit the uniform-k fast
-#: path vs. sweeps that fell back to the gather path.
+#: Cells one kernel call works on.  A sweep above this size runs as a
+#: sequence of calls over blocks of the non-advected axes, so the ~45
+#: block-sized temporaries of a call stay cache-resident instead of
+#: streaming through memory at full-array size.  Counted in cells, not
+#: bytes: the scratch per cell (float64 prefix sums and flux beside the
+#: storage-dtype stencil) barely depends on f's dtype, and a kernel call
+#: costs ~0.5 ms of Python/ufunc dispatch, which sets the floor — see
+#: docs/PERFORMANCE.md ("Cache-blocked sweeps") for the measured table.
+BLOCK_CELLS = 1 << 16
+
+#: process-wide advisory counters: kernel calls (one per block and flux
+#: direction) that hit the uniform-k fast path vs. calls that fell back
+#: to the gather path.
 _FASTPATH = {"uniform_k": 0, "gather_k": 0}
 
 
 def fastpath_counters() -> dict[str, int]:
-    """Snapshot of the uniform-k fast-path hit counters."""
+    """Snapshot of the uniform-k fast-path hit counters.
+
+    The counters count kernel calls, not sweeps: a sweep above
+    :data:`BLOCK_CELLS` adds one count per block (two where a block's
+    shifts mix signs), and a block can take the fast path where the
+    whole sweep's shift field could not.
+    """
     return dict(_FASTPATH)
 
 
@@ -204,7 +234,9 @@ def advect(
         ``periodic`` or ``zero``.
     out:
         Optional destination array with the result shape and dtype; may
-        alias ``f``.  When omitted a fresh array is allocated.
+        alias ``f`` (an ``out`` overlapping ``f`` any other way than as
+        the same view is computed as one block).  When omitted a fresh
+        array is allocated.
     arena:
         Optional :class:`repro.perf.arena.ScratchArena` supplying the
         internal work buffers.  One arena must serve one caller at a
@@ -242,9 +274,79 @@ def advect(
 
     sh = _normalize_shift(sh=shift, f=f, fw=fw, axis=axis)
 
+    # one layout decision per sweep, from the whole array's strides/size
     mode, lay = _resolve_layout(layout, f, fw, sh, axis)
-    packed = mode == "packed"
-    if packed and bc == "periodic":
+    if mode != "packed":
+        lay = None
+
+    res_shape_w = np.broadcast_shapes(fw.shape, sh.shape[:-1] + (n,))
+    ax = axis if axis >= 0 else axis + f.ndim
+    res_shape = res_shape_w[:-1][:ax] + (res_shape_w[-1],) + res_shape_w[:-1][ax:]
+    if out is None:
+        out = np.empty(res_shape, dtype=fw.dtype)
+    elif out.shape != res_shape or out.dtype != fw.dtype:
+        raise ValueError(
+            f"out has shape {out.shape}/{out.dtype}, "
+            f"result needs {res_shape}/{fw.dtype}"
+        )
+    out_w = np.moveaxis(out, ax, -1)
+
+    if (
+        fw.size <= BLOCK_CELLS
+        or res_shape_w != fw.shape
+        or (np.shares_memory(out, f) and not _same_view(out, f))
+    ):
+        # small, broadcast-expanding, or partially aliased: one block
+        _advect_block(fw, sh, out_w, spec, bc, arena, lay)
+    else:
+        # rows couple only along the advected axis, so each block runs
+        # the serial arithmetic on its rows — bitwise the one-block
+        # result, exact out=f aliasing included
+        for idx in _block_plan(fw.shape):
+            sh_idx = tuple(
+                slice(None) if m == 1 else s for s, m in zip(idx, sh.shape)
+            )
+            _advect_block(fw[idx], sh[sh_idx], out_w[idx], spec, bc, arena, lay)
+    return out
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two equal-shape arrays address exactly the same cells."""
+    return a is b or (
+        a.strides == b.strides
+        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+    )
+
+
+def _block_plan(shape: tuple[int, ...]):
+    """Index tuples cutting an axis-last array into ~``BLOCK_CELLS`` blocks.
+
+    Walks the leading (non-advected) axes outermost first: an axis whose
+    single index already spans more than a block is cut into unit
+    slices, the first axis whose indices fit is cut into balanced runs
+    of whole indices, and everything inside it — always including the
+    advected axis — rides along whole.
+    """
+    per_axis = []
+    inner = math.prod(shape)
+    for length in shape[:-1]:
+        inner //= length  # cells under one index of this axis
+        pieces = -(-length // max(BLOCK_CELLS // inner, 1))
+        q, r = divmod(length, pieces)  # the first r runs are one longer
+        edges = [i * q + min(i, r) for i in range(pieces + 1)]
+        per_axis.append([slice(a, b) for a, b in zip(edges, edges[1:])])
+        if inner <= BLOCK_CELLS:
+            break
+    return itertools.product(*per_axis)
+
+
+def _advect_block(fw, sh, out_w, spec, bc, arena, lay) -> None:
+    """One kernel call: flux and conservative update of an axis-last block.
+
+    ``lay`` is the layout engine when the sweep runs packed, else None.
+    """
+    n = fw.shape[-1]
+    if lay is not None and bc == "periodic":
         # LAT analog: land the axis-last view in contiguous scratch so
         # every kernel below runs on unit-stride memory.
         fw = lay.pack(fw, arena)
@@ -252,8 +354,7 @@ def advect(
     if bc == "zero":
         # the ghost pad already copies f into contiguous scratch — in
         # packed mode it *is* the pack, done with the blocked kernel
-        fw, pad_l, pad_r = _zero_pad(fw, sh, spec, arena,
-                                     engine=lay if packed else None)
+        fw, pad_l, _ = _zero_pad(fw, sh, spec, arena, engine=lay)
 
     flux = interface_flux(fw, sh, spec, arena)
 
@@ -267,25 +368,13 @@ def advect(
         fw = fw[..., pad_l : pad_l + n]
         d = d[..., pad_l : pad_l + n]
 
-    res_shape_w = np.broadcast_shapes(fw.shape, d.shape)
-    ax = axis if axis >= 0 else axis + f.ndim
-    res_shape = res_shape_w[:-1][:ax] + (res_shape_w[-1],) + res_shape_w[:-1][ax:]
-    if out is None:
-        out = np.empty(res_shape, dtype=fw.dtype)
-    elif out.shape != res_shape or out.dtype != fw.dtype:
-        raise ValueError(
-            f"out has shape {out.shape}/{out.dtype}, "
-            f"result needs {res_shape}/{fw.dtype}"
-        )
-    out_w = np.moveaxis(out, ax, -1)
-    if packed:
+    if lay is not None:
         # fused unpack: the flux-difference update writes the strided
         # output through the blocked transpose-back (bitwise the same
         # elementwise subtract)
         lay.unpack_subtract(fw, d, out_w)
     else:
         np.subtract(fw, d, out=out_w)
-    return out
 
 
 def _layout_eligible(fw: np.ndarray, sh: np.ndarray) -> bool:

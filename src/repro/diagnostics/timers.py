@@ -21,15 +21,20 @@ class SectionStats:
     """Lap times of one named section."""
 
     laps: list[float] = field(default_factory=list)
+    _total: float = field(default=0.0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._total = float(sum(self.laps))
 
     def add(self, seconds: float) -> None:
         """Record one lap."""
         self.laps.append(seconds)
+        self._total += seconds
 
     @property
     def total(self) -> float:
-        """Sum of laps."""
-        return float(sum(self.laps))
+        """Sum of laps — a running sum, so per-step reads stay O(1)."""
+        return self._total
 
     @property
     def median(self) -> float:

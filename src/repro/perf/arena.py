@@ -8,10 +8,12 @@ allocator (and the page-faulting of fresh memory) becomes a measurable
 tax on the paper's hot loop.
 
 :class:`ScratchArena` is a keyed pool of uninitialized work buffers.
-The advection kernels request buffers by ``(key, shape, dtype)``; the
-first request allocates, every later request with the same signature
-returns the *same* memory.  In steady state — fixed grid, fixed scheme —
-every sweep runs allocation-free.
+The advection kernels request buffers by ``(key, shape, dtype)``.  A
+slot is one flat buffer per ``(key, dtype)``, grown to the largest
+element count ever requested; a request is served as a reshaped view of
+its head, so the six axis-last block shapes of a Strang step share one
+set of buffers instead of pinning one set each.  In steady state — fixed
+grid, fixed scheme — every sweep runs allocation-free.
 
 Discipline
 ----------
@@ -20,11 +22,15 @@ Discipline
 * One arena serves **one caller at a time**.  It is deliberately not
   locked: give each worker thread/process of a
   :class:`repro.perf.pencil.PencilEngine` its own arena.
+* Two buffers live at the same time need two keys, whatever their
+  shapes: same ``(key, dtype)`` means same memory.
 * An arena pins its high-water memory until :meth:`clear` — size it to
   the workload by simply letting the workload make its requests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,33 +43,46 @@ class ScratchArena:
     __slots__ = ("_pool", "hits", "misses")
 
     def __init__(self) -> None:
-        self._pool: dict[tuple, np.ndarray] = {}
+        #: (key, dtype) -> (flat buffer, {shape: view of its head})
+        self._pool: dict[tuple, tuple[np.ndarray, dict]] = {}
         self.hits = 0
         self.misses = 0
 
     def take(self, key, shape, dtype) -> np.ndarray:
-        """Return the pooled buffer for ``(key, shape, dtype)``.
+        """Return pooled scratch of ``shape`` from slot ``(key, dtype)``.
 
         Contents are unspecified — the caller must fully overwrite.
         ``key`` is any hashable tag distinguishing concurrent uses of
-        same-shaped buffers within one computation.
+        scratch within one computation.  A request the slot's capacity
+        covers is a hit (and a repeated shape returns the very same
+        array object: views are cached per shape, so a workload cycling
+        through a few shapes pays two dict lookups per request); a
+        larger one reallocates the slot and is a miss.
         """
         shape = tuple(shape)
         dt = np.dtype(dtype)
-        slot = (key, shape, dt)
-        buf = self._pool.get(slot)
-        if buf is None:
-            self.misses += 1
-            buf = np.empty(shape, dtype=dt)
-            self._pool[slot] = buf
-        else:
+        slot = (key, dt)
+        held = self._pool.get(slot)
+        if held is not None:
+            view = held[1].get(shape)
+            if view is not None:
+                self.hits += 1
+                return view
+        n = math.prod(shape)
+        if held is not None and held[0].size >= n:
             self.hits += 1
-        return buf
+            flat, views = held
+        else:
+            self.misses += 1
+            flat, views = np.empty(n, dtype=dt), {}
+            self._pool[slot] = (flat, views)
+        view = views[shape] = flat[:n].reshape(shape)
+        return view
 
     @property
     def nbytes(self) -> int:
         """Total bytes currently pinned by the pool."""
-        return sum(b.nbytes for b in self._pool.values())
+        return sum(flat.nbytes for flat, _ in self._pool.values())
 
     @property
     def n_buffers(self) -> int:

@@ -1,0 +1,165 @@
+"""Cache-blocked sweeps change where scratch lives, never the bits (ISSUE 14).
+
+``advect`` walks arrays above ``BLOCK_CELLS`` one block of non-advected
+rows at a time.  Advection couples cells only along the advected axis,
+so the blocked result must equal the one-block result **bitwise** — for
+every scheme, boundary condition, dtype, axis and layout mode, for
+shifts that change sign or integer offset from block to block, and with
+``out`` aliasing ``f``.  The engine-level test pins the same on the
+reference 6-D grid, together with the memory the blocking is for.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import advection
+from repro.core.advection import SCHEMES, advect
+from repro.core.mesh import PhaseSpaceGrid
+from repro.core.vlasov import VlasovSolver
+from repro.parallel import DomainEngine
+from repro.perf import PencilEngine, ScratchArena
+
+SHAPE = (7, 5, 9, 11)  # no extent divides another; 3465 cells
+ONE_BLOCK = 1 << 62
+
+
+def _field(dtype):
+    rng = np.random.default_rng(11)
+    return (0.5 + rng.random(SHAPE)).astype(dtype)
+
+
+def _shifts(shape, axis):
+    """CFL 2.3; a mixed-sign field with |shift| up to 3 that varies along
+    every axis a block plan can split; k == 1 with alpha varying along
+    the outermost split axis (the uniform-k path, shift sliced)."""
+    rng = np.random.default_rng(5)
+    field_shape = list(shape)
+    field_shape[axis] = 1
+    yield 2.3
+    yield (rng.random(field_shape) - 0.5) * 6.0
+    outer = 1 if axis == 0 else 0
+    profile_shape = [1] * len(shape)
+    profile_shape[outer] = shape[outer]
+    yield 1.0 + 0.8 * rng.random(profile_shape)
+
+
+def _advect(monkeypatch, block_cells, f, sh, axis, scheme, bc, **kw):
+    monkeypatch.setattr(advection, "BLOCK_CELLS", block_cells)
+    out = np.empty_like(f)
+    advect(f, sh, axis, scheme=scheme, bc=bc, out=out, **kw)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("scheme", [
+    pytest.param(s, marks=pytest.mark.smoke) if s == "slmpp5" else s
+    for s in sorted(SCHEMES)
+])
+def test_blocked_bitwise_equals_one_block(monkeypatch, scheme, bc, dtype):
+    f = _field(dtype)
+    for axis in range(f.ndim):
+        if f.shape[axis] < SCHEMES[scheme].order:
+            continue
+        for sh in _shifts(f.shape, axis):
+            ref = _advect(monkeypatch, ONE_BLOCK, f, sh, axis, scheme, bc)
+            # 200 cells: unit slices on the outer axis, runs on the next;
+            # 1000 cells: balanced runs of the outer axis itself
+            for cells, kw in (
+                (200, {"arena": ScratchArena()}),
+                (1000, {"arena": ScratchArena(), "layout": "packed"}),
+            ):
+                got = _advect(monkeypatch, cells, f, sh, axis, scheme, bc, **kw)
+                assert got.tobytes() == ref.tobytes(), (
+                    f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
+                    f"BLOCK_CELLS={cells} {kw.get('layout')} diverged"
+                )
+
+
+def test_block_plan_covers_every_row_once(monkeypatch):
+    monkeypatch.setattr(advection, "BLOCK_CELLS", 200)
+    hits = np.zeros(SHAPE, dtype=np.int64)
+    sizes = []
+    for idx in advection._block_plan(SHAPE):
+        hits[idx] += 1
+        sizes.append(hits[idx].size)
+        assert hits[idx].shape[-1] == SHAPE[-1]  # never the advected axis
+    assert (hits == 1).all()
+    assert max(sizes) <= 200 and len(sizes) == 7 * 3
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_out_aliasing_contract(monkeypatch, bc):
+    """Exact ``out=f`` aliasing is blocked and safe; an ``out`` that
+    overlaps ``f`` any other way is computed as one block."""
+    rng = np.random.default_rng(2)
+    base = 0.5 + rng.random((SHAPE[0] + 1,) + SHAPE[1:])
+    sh = (rng.random((SHAPE[0], 1, SHAPE[2], SHAPE[3])) - 0.5) * 4.0
+    calls = []
+    kernel = advection._advect_block
+    monkeypatch.setattr(advection, "_advect_block",
+                        lambda *a: (calls.append(1), kernel(*a)))
+    monkeypatch.setattr(advection, "BLOCK_CELLS", 200)
+
+    f = base[:-1].copy()
+    ref = advect(f, sh, 1, bc=bc)
+    assert len(calls) > 1
+
+    same = f.copy()
+    assert advect(same, sh, 1, bc=bc, out=same) is same
+    assert same.tobytes() == ref.tobytes()
+
+    f, out = base[:-1], base[1:]  # shifted by one row of the split axis
+    expect = advect(f.copy(), sh, 1, bc=bc)
+    del calls[:]
+    advect(f, sh, 1, bc=bc, out=out)
+    assert len(calls) == 1
+    assert out.tobytes() == expect.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the reference 6-D grid: engines agree, and the arena is block-sized
+# ----------------------------------------------------------------------
+
+GRAV6D = dict(nx=(16, 8, 8), nu=(8, 8, 8), box_size=1.0, v_max=1.0,
+              dtype=np.float32)
+
+
+def _strang(engine, steps=1):
+    grid = PhaseSpaceGrid(**GRAV6D)
+    rng = np.random.default_rng(3)
+    f0 = 0.5 + rng.random(grid.shape, dtype=np.float32)
+    accel = rng.standard_normal((3,) + grid.nx)
+    solver = VlasovSolver(grid, engine=engine)
+    try:
+        solver.f = f0
+        stats = []
+        for _ in range(steps):
+            solver.strang_step(accel, 0.02, 0.04, lambda: accel, 0.02)
+            stats.append(solver.arena.stats())
+        return solver.f.tobytes(), stats
+    finally:
+        solver.engine.close()
+
+
+def test_engines_bitwise_on_the_reference_grid(monkeypatch):
+    serial, _ = _strang(None)
+    pencil = PencilEngine(n_workers=2, backend="threads", min_shard_bytes=0)
+    assert _strang(pencil)[0] == serial
+    assert pencil.last_plan is not None
+    domain = DomainEngine(topology=(2, 1, 1))
+    assert _strang(domain)[0] == serial
+    assert not domain.degraded
+    monkeypatch.setattr(advection, "BLOCK_CELLS", ONE_BLOCK)
+    assert _strang(None)[0] == serial
+
+
+def test_warm_arena_is_block_sized_and_pool_served():
+    _, (warm, again) = _strang(None, steps=2)
+    assert warm["nbytes"] < 64 * 2**20, f"{warm['nbytes'] / 2**20:.0f} MiB"
+    assert again["nbytes"] == warm["nbytes"]
+    assert again["misses"] == warm["misses"]
+    assert again["hits"] > warm["hits"]

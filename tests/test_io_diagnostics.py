@@ -281,6 +281,28 @@ class TestStepTimer:
         with pytest.raises(ValueError):
             SectionStats().median
 
+    def test_total_is_a_running_sum(self):
+        """The runner reads every section's total every step: the read
+        must not walk the laps (O(steps^2) over a run)."""
+        import math
+
+        from repro.diagnostics import SectionStats
+
+        class NoWalk(list):
+            def __iter__(self):
+                raise AssertionError("total iterated laps")
+
+        rng = np.random.default_rng(3)
+        stats = SectionStats(laps=[0.25, 0.5])
+        laps = [0.25, 0.5] + rng.uniform(1e-6, 2.0, 5000).tolist()
+        for lap in laps[2:]:
+            stats.add(lap)
+        assert stats.count == 5002
+        assert stats.median == float(np.median(laps))
+        exact = math.fsum(laps)
+        stats.laps = NoWalk(stats.laps)
+        assert abs(stats.total - exact) <= 1e-12 * exact
+
 
 class TestConservationLedger:
     def test_drift_tracking(self):

@@ -38,12 +38,20 @@ class TestScratchArena:
             "n_buffers": 1, "nbytes": 80, "hits": 1, "misses": 1,
         }
 
-    def test_distinct_keys_shapes_dtypes(self):
+    def test_slots_keyed_by_key_and_dtype_grow_to_capacity(self):
         a = ScratchArena()
-        assert a.take("x", (4,), np.float32) is not a.take("y", (4,), np.float32)
-        assert a.take("x", (4,), np.float32) is not a.take("x", (5,), np.float32)
-        assert a.take("x", (4,), np.float32) is not a.take("x", (4,), np.float64)
-        assert a.n_buffers == 4
+        x32 = a.take("x", (4,), np.float32)
+        assert not np.shares_memory(x32, a.take("y", (4,), np.float32))
+        assert not np.shares_memory(x32, a.take("x", (4,), np.float64))
+        # a shape the slot's capacity covers is the same memory, reshaped
+        square = a.take("x", (2, 2), np.float32)
+        assert square.shape == (2, 2) and np.shares_memory(square, x32)
+        assert (a.n_buffers, a.misses, a.hits) == (3, 3, 1)
+        # a larger request regrows the slot: one miss, high-water bytes
+        assert a.take("x", (3, 3), np.float32).shape == (3, 3)
+        assert (a.n_buffers, a.misses) == (3, 4)
+        assert a.nbytes == 9 * 4 + 4 * 4 + 4 * 8
+        assert a.take("x", (4,), np.float32).base is not x32.base
 
     def test_clear_drops_everything(self):
         a = ScratchArena()
