@@ -23,8 +23,12 @@ Both sides run cache-blocked (``advect`` blocks every sweep above
 so neither side's number contains the full-size working set any more and
 the ratio is what the fast paths, the pooled limiter and the pack buy on
 block-sized scratch.  Re-measured on that footing (2-core host): 1.92x
-on the worst-strided axis, >= 1.34x everywhere — the gate below holds
-unchanged.
+on the worst-strided axis, >= 1.34x everywhere.  ISSUE 15's sign-free,
+curvature-once MP limiter is the same arithmetic pooled or allocating,
+so both sides got faster (axis 0: baseline 3.18 -> 2.54 s, optimized
+1.65 -> 1.14 s); this shift field has one sign, so the row split never
+runs.  Re-measured: 2.22x on the worst-strided axis, >= 1.42x
+everywhere.  The gate below holds unchanged.
 
 Both paths must agree **bitwise** on every axis.  Acceptance (ISSUE 5):
 the optimized path is >= 1.5x faster on the worst-strided axis (axis 0;

@@ -60,13 +60,15 @@ Allocation discipline
 
 Cache blocking
 --------------
-A sweep streams ~45 temporaries the size of its input through memory.
-``advect`` therefore validates once and then works through arrays above
-:data:`BLOCK_CELLS` one block of non-advected rows at a time (see
-:func:`_block_plan`), so the temporaries are block-sized and stay in
-cache.  Cells couple only along the advected axis: each block runs the
-serial arithmetic on its rows and the result is bitwise the one-block
-result.  Every engine ends in this function, so every engine is blocked.
+An SL-MPP5 sweep makes ~120 ufunc passes over temporaries the size of
+its input (docs/PERFORMANCE.md, "One flux direction per row", counts
+them).  ``advect`` therefore validates once and then works through
+arrays above :data:`BLOCK_CELLS` one block of non-advected rows at a
+time (see :func:`_block_plan`), so the temporaries are block-sized and
+stay in cache.  Cells couple only along the advected axis: each block
+runs the serial arithmetic on its rows and the result is bitwise the
+one-block result.  Every engine ends in this function, so every engine
+is blocked.
 
 Precision: the conservative prefix sums S(i, k) accumulate in float64
 even for float32 f (``_integer_mass``); float32 cumsums drift by
@@ -77,13 +79,15 @@ flux array — and the telescoped update — stay in the input precision.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
 import numpy as np
 
 from .limiters import (
-    minmod,
+    minmod_into,
+    roll_into,
     mp_limit_departure_average,
     positivity_clamp_fraction,
     weno_smoothness,
@@ -141,7 +145,7 @@ UNIFORM_FAST = True
 POOLED_LIMITER = True
 
 #: Cells one kernel call works on.  A sweep above this size runs as a
-#: sequence of calls over blocks of the non-advected axes, so the ~45
+#: sequence of calls over blocks of the non-advected axes, so the
 #: block-sized temporaries of a call stay cache-resident instead of
 #: streaming through memory at full-array size.  Counted in cells, not
 #: bytes: the scratch per cell (float64 prefix sums and flux beside the
@@ -360,8 +364,7 @@ def _advect_block(fw, sh, out_w, spec, bc, arena, lay) -> None:
 
     # d(i) = flux(i+1/2) - flux(i-1/2), periodic wrap of the first cell
     d = _scratch(arena, ("upd", "delta"), flux.shape, flux.dtype)
-    d[..., 1:] = flux[..., :-1]
-    d[..., 0] = flux[..., -1]
+    roll_into(d, flux, 1)
     np.subtract(flux, d, out=d)
 
     if bc == "zero":
@@ -478,28 +481,44 @@ def interface_flux(fw: np.ndarray, sh: np.ndarray, spec: SchemeSpec, arena=None)
     """Time-integrated flux through every right interface ``i+1/2``.
 
     Works on the advected-axis-last view with periodic wrap-around.
-    Handles mixed-sign shifts by the reversal symmetry: the flux of the
+    Negative shifts go through the reversal symmetry: the flux of the
     mirrored problem (array and shift reversed) maps back with a sign flip
-    and an index shift.
+    and an index shift.  Where the shifts of a call mix signs, its rows
+    are split on ``sh >= 0`` and each subset is advanced once, in its own
+    direction — rows couple only along the advected axis, so a subset's
+    flux is bitwise the flux those rows get in any other company.
     """
     if spec.order not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported order {spec.order}")
-    any_neg = bool(np.any(sh < 0.0))
-    any_pos = bool(np.any(sh > 0.0))
-
-    if not any_neg:
+    if not np.any(sh < 0.0):
         return _flux_positive(fw, sh, spec, arena, "pos")
-    if not any_pos:
+    if not np.any(sh > 0.0):
         return _mirror_flux(fw, sh, spec, arena)
 
-    pos_mask = sh >= 0.0
-    f_pos = _flux_positive(fw, np.where(pos_mask, sh, 0.0), spec, arena, "pos")
-    f_neg = _mirror_flux(fw, np.where(pos_mask, 0.0, sh), spec, arena)
-    mix_shape = np.broadcast_shapes(f_pos.shape, f_neg.shape, pos_mask.shape)
-    mix = _scratch(arena, ("mix", "flux"), mix_shape, f_pos.dtype)
-    mix[...] = f_neg
-    np.copyto(mix, f_pos, where=pos_mask)
-    return mix
+    n = fw.shape[-1]
+    shape = np.broadcast_shapes(fw.shape, sh.shape[:-1] + (n,))
+    flux = _scratch(arena, ("mix", "flux"), shape, np.float64)
+    # the axes the shift varies along, moved to the front, index the rows
+    vary = [a for a, m in enumerate(sh.shape) if m > 1]
+    front = range(len(vary))
+    rows = np.moveaxis(np.broadcast_to(fw, shape), vary, front)
+    flux_rows = np.moveaxis(flux, vary, front)
+    sh_rows = np.moveaxis(sh, vary, front).reshape(rows.shape[: len(vary)])
+    pos = sh_rows >= 0.0
+    tail = (1,) * (fw.ndim - len(vary))
+    for mask, kernel in ((pos, _flux_positive), (~pos, _mirror_flux)):
+        part = sh_rows[mask]
+        # a subset's scratch is its share of the block's: let the arena
+        # size what it has to grow for the whole block, so the sign
+        # pattern of later calls cannot make it allocate
+        with (
+            contextlib.nullcontext() if arena is None
+            else arena.scaled(pos.size, part.size)
+        ):
+            flux_rows[mask] = kernel(
+                rows[mask], part.reshape(part.shape + tail), spec, arena
+            )
+    return flux
 
 
 def _mirror_flux(fw, sh, spec, arena=None):
@@ -596,17 +615,6 @@ def _integer_mass(fw, k, arena=None, tag="pos", kc=None):
     return out
 
 
-def _roll_into(dst, src, s):
-    """dst = np.roll(src, s, axis=-1) without the intermediate allocation."""
-    n = src.shape[-1]
-    s %= n
-    if s == 0:
-        dst[...] = src
-    else:
-        dst[..., :s] = src[..., n - s :]
-        dst[..., s:] = src[..., : n - s]
-
-
 def _gather_stencil(fw, k, order, widen=False, arena=None, tag="pos", kc=None):
     """Cell averages around the donor cell j = i - k for every interface.
 
@@ -618,6 +626,11 @@ def _gather_stencil(fw, k, order, widen=False, arena=None, tag="pos", kc=None):
     size-1 ``k``) turns every gather into a roll — two slice copies per
     stencil row instead of a full ``take_along_axis`` with an index
     array, reading memory sequentially instead of permuted.
+
+    Either way the rows are a roll family — ``k`` never varies along the
+    advected axis, so ``st[m]`` is ``st[m - 1]`` rolled one cell left —
+    which is what lets the MP limiter derive its neighbor curvatures by
+    rolling (:func:`repro.core.limiters.mp_bounds`, ``roll``).
     """
     n = fw.shape[-1]
     width = max(order, 5) if widen else order
@@ -627,7 +640,7 @@ def _gather_stencil(fw, k, order, widen=False, arena=None, tag="pos", kc=None):
     if kc is not None and np.broadcast_shapes(fw.shape, k.shape[:-1] + (n,)) == fw.shape:
         st = _scratch(arena, (tag, "stencil"), (width,) + fw.shape, fw.dtype)
         for m in range(width):
-            _roll_into(st[m], fw, kc - (m - r))
+            roll_into(st[m], fw, kc - (m - r))
         return st
     i = np.arange(n, dtype=np.int64)
     j = i - k  # donor index, broadcast (..., n)
@@ -702,7 +715,7 @@ def _fractional_flux(st, alpha, spec, arena=None, tag="pos"):
             )
             np.divide(phi, safe_alpha, out=u)
             u = mp_limit_departure_average(
-                u, alpha, st5, arena=arena, tag=(tag, "mp")
+                u, alpha, st5, arena=arena, tag=(tag, "mp"), rolled=True
             )
             lim = _scratch(
                 arena, (tag, "mp_lim"),
@@ -721,7 +734,7 @@ def _fractional_flux(st, alpha, spec, arena=None, tag="pos"):
             phi = sel
         else:
             u = phi / safe_alpha
-            u = mp_limit_departure_average(u, alpha, st5)
+            u = mp_limit_departure_average(u, alpha, st5, rolled=True)
             phi = np.where(pos, safe_alpha * u, phi)
     if use_pos:
         if POOLED_LIMITER:
@@ -742,10 +755,8 @@ def _pfc_fractional(st, alpha, arena=None, tag="pos"):
 
     phi(alpha) = alpha * (f_j + (1 - alpha)/2 * slope).
 
-    Every temporary of the expression (and of the inlined
-    :func:`~repro.core.limiters.minmod`) lives in pooled scratch; the
-    ufunc sequence replays the allocating form operation for operation,
-    so the result is bitwise-identical.
+    Every temporary of the expression (and of its
+    :func:`~repro.core.limiters.minmod`) lives in pooled scratch.
     """
     center = (st.shape[0] - 1) // 2
     fm1, f0, fp1 = st[center - 1], st[center], st[center + 1]
@@ -757,15 +768,7 @@ def _pfc_fractional(st, alpha, arena=None, tag="pos"):
     sb = _scratch(arena, (tag, "pfc_sb"), sshape, st.dtype)
     np.subtract(fp1, f0, out=a)
     np.subtract(f0, fm1, out=b)
-    # minmod(a, b) = 0.5*(sign(a)+sign(b)) * min(|a|, |b|), fused in place
-    np.sign(a, out=slope)
-    np.sign(b, out=sb)
-    np.add(slope, sb, out=slope)
-    np.multiply(slope, 0.5, out=slope)
-    np.abs(a, out=a)
-    np.abs(b, out=b)
-    np.minimum(a, b, out=a)
-    np.multiply(slope, a, out=slope)
+    minmod_into(slope, a, b, sb)
     # phi = alpha * (f0 + 0.5*(1 - alpha) * slope)
     w = _scratch(arena, (tag, "pfc_w"), alpha.shape, alpha.dtype)
     np.subtract(1.0, alpha, out=w)

@@ -31,48 +31,79 @@ def _take(arena, key, shape, dtype):
 
 
 def minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two-argument minmod: the smaller-magnitude one if signs agree, else 0."""
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+    """Two-argument minmod: the smaller-magnitude one if signs agree, else 0.
+
+    Written without ``np.sign``: ``max(0, min(a, b)) + min(0, max(a, b))``
+    — one of the two terms is always zero.  Value-equal to the
+    Suresh-Huynh form ``0.5 (sgn a + sgn b) min(|a|, |b|)``; a zero
+    result may carry the other sign.
+    """
+    return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
 
 
 def minmod4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Four-argument minmod (Suresh & Huynh Eq. 2.26)."""
-    sgn = 0.125 * (np.sign(a) + np.sign(b)) * np.abs(
-        (np.sign(a) + np.sign(c)) * (np.sign(a) + np.sign(d))
-    )
-    return sgn * np.minimum(
-        np.minimum(np.abs(a), np.abs(b)), np.minimum(np.abs(c), np.abs(d))
-    )
+    """Four-argument minmod (Suresh & Huynh Eq. 2.26), in the same
+    sign-free form as :func:`minmod`."""
+    lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return np.maximum(lo, 0.0) + np.minimum(hi, 0.0)
 
 
-def _minmod4_into(out, a, b, c, d, w1, w2, w3) -> np.ndarray:
+def minmod_into(out, a, b, w) -> np.ndarray:
+    """:func:`minmod` replayed into caller scratch, term for term.
+
+    ``out`` and ``w`` must not alias ``a`` or ``b``.
+    """
+    np.minimum(a, b, out=out)
+    np.maximum(a, b, out=w)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(w, 0.0, out=w)
+    np.add(out, w, out=out)
+    return out
+
+
+def minmod4_into(out, a, b, c, d, w1, w2) -> np.ndarray:
     """:func:`minmod4` replayed into caller scratch, term for term.
 
-    ``out``/``w1``/``w2``/``w3`` must not alias any of ``a``..``d``.
-    Multiplication by the exact scalars 0.125 etc. and the commuted
-    scalar products are IEEE-exact, so the result is bitwise
-    :func:`minmod4`.
+    ``out``/``w1``/``w2`` must not alias any of ``a``..``d``.
     """
-    np.sign(a, out=w1)                      # sa
-    np.sign(b, out=w2)
-    np.add(w1, w2, out=w2)                  # sa + sb
-    np.multiply(w2, 0.125, out=w2)          # 0.125 * (sa + sb)
-    np.sign(c, out=w3)
-    np.add(w1, w3, out=w3)                  # sa + sc
-    np.sign(d, out=out)
-    np.add(w1, out, out=out)                # sa + sd
-    np.multiply(w3, out, out=w3)
-    np.abs(w3, out=w3)
-    np.multiply(w2, w3, out=w2)             # sgn
-    np.abs(a, out=w1)
-    np.abs(b, out=w3)
-    np.minimum(w1, w3, out=w1)              # min(|a|, |b|)
-    np.abs(c, out=w3)
-    np.abs(d, out=out)
-    np.minimum(w3, out, out=w3)             # min(|c|, |d|)
-    np.minimum(w1, w3, out=w1)
-    np.multiply(w2, w1, out=out)
+    np.minimum(a, b, out=out)
+    np.minimum(c, d, out=w1)
+    np.minimum(out, w1, out=out)            # lo
+    np.maximum(a, b, out=w1)
+    np.maximum(c, d, out=w2)
+    np.maximum(w1, w2, out=w1)              # hi
+    np.maximum(out, 0.0, out=out)
+    np.minimum(w1, 0.0, out=w1)
+    np.add(out, w1, out=out)
     return out
+
+
+def roll_into(dst, src, s):
+    """dst = np.roll(src, s, axis=-1) without the intermediate allocation.
+
+    Contiguous operands take the longer of the two slice copies as one
+    flat shifted copy (it also spills into the columns that wrapped,
+    which the shorter slice copy then overwrites): the axis is often
+    8-16 cells long, and a row-by-row copy of such rows costs ~6x a
+    flat one.
+    """
+    n = src.shape[-1]
+    s %= n
+    if s == 0:
+        dst[...] = src
+        return
+    if not (
+        dst.flags.c_contiguous and src.flags.c_contiguous and dst.shape == src.shape
+    ):
+        dst[..., :s] = src[..., n - s :]
+        dst[..., s:] = src[..., : n - s]
+    elif 2 * s <= n:
+        dst.reshape(-1)[s:] = src.reshape(-1)[:-s]
+        dst[..., :s] = src[..., n - s :]
+    else:
+        dst.reshape(-1)[: s - n] = src.reshape(-1)[n - s :]
+        dst[..., s:] = src[..., : n - s]
 
 
 def median3(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -129,6 +160,7 @@ def mp_bounds(
     alpha_mp: float = 4.0,
     arena=None,
     tag=("mp",),
+    roll: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Suresh-Huynh MP interval [f_min, f_max] for rightward flow.
 
@@ -137,24 +169,32 @@ def mp_bounds(
     not degrade the formal order of accuracy, while at discontinuities it
     collapses to the local data range.
 
-    ``arena``/``tag`` route every temporary (about fifteen full-size
-    arrays in the allocating form) through pooled scratch; the ufunc
-    sequence replays the expressions below operation for operation, so
-    the returned bounds are bitwise-identical either way.  The returned
-    arrays live in the pool and are overwritten by the next same-tag
-    call.
+    ``arena``/``tag`` route every temporary through pooled scratch; the
+    returned arrays live in the pool and are overwritten by the next
+    same-tag call.  The bounds are bitwise-identical with or without an
+    arena.
+
+    ``roll`` declares the stencil a *roll family* — ``stencil[m] ==
+    np.roll(stencil[2], -roll * (m - 2), axis=-1)``, ``roll = +1`` for
+    the stencils :mod:`repro.core.advection` gathers and ``-1`` for
+    their mirror ``stencil[::-1]``.  The neighbor curvature ``d_{j+1}``
+    is then ``d_j`` rolled (same operands in the same order, so the same
+    bits) and ``dM4_{j-1/2}`` is ``dM4_{j+1/2}`` rolled (``minmod4`` is
+    symmetric in its arguments): 39 full-size passes instead of 55.
+    ``roll = 0`` assumes nothing about the stencil.  Both entries return
+    the same values; where the curvatures hold zeros of both signs a
+    zero bound may differ in sign.
     """
     fm2, fm1, f0, fp1, fp2 = (stencil[m] for m in range(5))
     shape = stencil.shape[1:]
     dt = stencil.dtype
-    dm = _take(arena, (*tag, "dm"), shape, dt)
     d0 = _take(arena, (*tag, "d0"), shape, dt)
     dp = _take(arena, (*tag, "dp"), shape, dt)
+    d4 = _take(arena, (*tag, "d4"), shape, dt)
     ta = _take(arena, (*tag, "ta"), shape, dt)
     tb = _take(arena, (*tag, "tb"), shape, dt)
     w1 = _take(arena, (*tag, "w1"), shape, dt)
     w2 = _take(arena, (*tag, "w2"), shape, dt)
-    w3 = _take(arena, (*tag, "w3"), shape, dt)
     m4p = _take(arena, (*tag, "m4p"), shape, dt)
     m4m = _take(arena, (*tag, "m4m"), shape, dt)
     ful = _take(arena, (*tag, "ful"), shape, dt)
@@ -163,32 +203,36 @@ def mp_bounds(
     f_min = _take(arena, (*tag, "min"), shape, dt)
     f_max = _take(arena, (*tag, "max"), shape, dt)
 
-    # d_m1 = fm2 - 2.0 * fm1 + f0   (and cyclic siblings)
-    np.multiply(fm1, 2.0, out=w1)
-    np.subtract(fm2, w1, out=dm)
-    np.add(dm, f0, out=dm)
+    def dm4(out, dn):
+        # minmod4(4 d_0 - d_n, 4 d_n - d_0, d_0, d_n)
+        np.subtract(d4, dn, out=ta)
+        np.multiply(dn, 4.0, out=tb)
+        np.subtract(tb, d0, out=tb)
+        minmod4_into(out, ta, tb, d0, dn, w1, w2)
+
+    # d_0 = fm1 - 2.0 * f0 + fp1   (d_p1, d_m1: its cyclic siblings)
     np.multiply(f0, 2.0, out=w1)
     np.subtract(fm1, w1, out=d0)
     np.add(d0, fp1, out=d0)
-    np.multiply(fp1, 2.0, out=w1)
-    np.subtract(f0, w1, out=dp)
-    np.add(dp, fp2, out=dp)
-    # dm4_p = minmod4(4 d_0 - d_p1, 4 d_p1 - d_0, d_0, d_p1)
-    np.multiply(d0, 4.0, out=ta)
-    np.subtract(ta, dp, out=ta)
-    np.multiply(dp, 4.0, out=tb)
-    np.subtract(tb, d0, out=tb)
-    _minmod4_into(m4p, ta, tb, d0, dp, w1, w2, w3)
-    # dm4_m = minmod4(4 d_0 - d_m1, 4 d_m1 - d_0, d_0, d_m1)
-    np.multiply(d0, 4.0, out=ta)
-    np.subtract(ta, dm, out=ta)
-    np.multiply(dm, 4.0, out=tb)
-    np.subtract(tb, d0, out=tb)
-    _minmod4_into(m4m, ta, tb, d0, dm, w1, w2, w3)
+    np.multiply(d0, 4.0, out=d4)
+    if roll:
+        roll_into(dp, d0, -roll)
+        dm4(m4p, dp)
+        roll_into(m4m, m4p, roll)
+    else:
+        np.multiply(fp1, 2.0, out=w1)
+        np.subtract(f0, w1, out=dp)
+        np.add(dp, fp2, out=dp)
+        dm4(m4p, dp)
+        dm = dp  # d_p1 is spent
+        np.multiply(fm1, 2.0, out=w1)
+        np.subtract(fm2, w1, out=dm)
+        np.add(dm, f0, out=dm)
+        dm4(m4m, dm)
 
     # f_ul = f0 + alpha_mp * (f0 - fm1)
-    np.subtract(f0, fm1, out=ful)
-    np.multiply(ful, alpha_mp, out=ful)
+    np.subtract(f0, fm1, out=flc)
+    np.multiply(flc, alpha_mp, out=ful)
     np.add(f0, ful, out=ful)
     # f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_p
     np.add(f0, fp1, out=fmd)
@@ -196,7 +240,6 @@ def mp_bounds(
     np.multiply(m4p, 0.5, out=w1)
     np.subtract(fmd, w1, out=fmd)
     # f_lc = f0 + 0.5 * (f0 - fm1) + (4/3) * dm4_m
-    np.subtract(f0, fm1, out=flc)
     np.multiply(flc, 0.5, out=flc)
     np.add(f0, flc, out=flc)
     np.multiply(m4m, 4.0 / 3.0, out=w1)
@@ -222,6 +265,7 @@ def mp_limit_departure_average(
     alpha_mp: float = 4.0,
     arena=None,
     tag="mp",
+    rolled: bool = False,
 ) -> np.ndarray:
     """MP limiting of the semi-Lagrangian departure-interval average.
 
@@ -247,8 +291,14 @@ def mp_limit_departure_average(
     call).  The pooled path requires the single-dtype case ``u.dtype ==
     alpha.dtype == stencil.dtype`` (what :mod:`repro.core.advection`
     produces — alpha is cast to the working dtype there); any other mix
-    falls back to the allocating expressions.  Both paths execute the
-    identical elementwise operations, so the result is bitwise-identical.
+    falls back to the allocating expressions (the same elementwise
+    operations; with or without an arena the result is bitwise-identical).
+
+    ``rolled`` declares ``stencil`` a roll family (``stencil[m]`` is
+    ``stencil[2]`` rolled ``2 - m`` cells along the last axis, as the
+    advection kernel's gathers are) and selects :func:`mp_bounds`'
+    ``roll`` entry for both sides: same values, and a zero may differ
+    in sign from the general entry's.
     """
     if stencil.shape[0] != 5:
         raise ValueError("MP limiter needs a 5-cell stencil")
@@ -264,12 +314,12 @@ def mp_limit_departure_average(
         lo = np.maximum(b_min, (f0 - (1.0 - alpha) * bm_max) / safe_alpha)
         hi = np.minimum(b_max, (f0 - (1.0 - alpha) * bm_min) / safe_alpha)
         return median3(u, lo, hi)
-    b_min, b_max = mp_bounds(stencil, alpha_mp, arena=arena, tag=(tag, "r"))
-    # remainder average sits at the cell's left edge: mirrored stencil;
-    # the scratch buffers are shared with the first call (same keys),
-    # only the four bound outputs get distinct tags
+    b_min, b_max = mp_bounds(
+        stencil, alpha_mp, arena=arena, tag=(tag, "r"), roll=int(rolled)
+    )
+    # remainder average sits at the cell's left edge: mirrored stencil
     bm_min, bm_max = mp_bounds(
-        stencil[::-1], alpha_mp, arena=arena, tag=(tag, "l")
+        stencil[::-1], alpha_mp, arena=arena, tag=(tag, "l"), roll=-int(rolled)
     )
     tiny = np.asarray(1.0e-7, dtype=u.dtype)
     safe_alpha = np.maximum(alpha, tiny)   # alpha-shaped: cheap
@@ -292,16 +342,9 @@ def mp_limit_departure_average(
     # median3(u, lo, hi) = u + minmod(lo - u, hi - u)
     np.subtract(va, u, out=va)
     np.subtract(vb, u, out=vb)
-    np.sign(va, out=vc)
-    np.sign(vb, out=vd)
-    np.add(vc, vd, out=vc)
-    np.multiply(vc, 0.5, out=vc)           # 0.5 * (sign + sign)
-    np.abs(va, out=va)
-    np.abs(vb, out=vb)
-    np.minimum(va, vb, out=va)
-    np.multiply(vc, va, out=va)
-    np.add(u, va, out=va)
-    return va
+    minmod_into(vc, va, vb, vd)
+    np.add(u, vc, out=vc)
+    return vc
 
 
 def positivity_clamp_fraction(
@@ -315,13 +358,16 @@ def positivity_clamp_fraction(
     enforcing ``0 <= phi <= fbar_j`` guarantees the updated averages stay
     non-negative for *any* CFL number (see DESIGN.md and the tests in
     ``tests/test_advection_properties.py``).  With an ``arena`` the
-    bound and the result live in pooled scratch (same clip, same bits).
+    bound and the result live in pooled scratch (same bits).
     """
     hi = _take(arena, (tag, "hi"), donor.shape, donor.dtype)
     np.maximum(donor, 0.0, out=hi)
     shape = np.broadcast_shapes(phi.shape, hi.shape)
     out = _take(arena, (tag, "phi"), shape, np.result_type(phi, hi))
-    return np.clip(phi, 0.0, hi, out=out)
+    # clip(phi, 0, hi) as two passes: np.clip costs ~3x their sum
+    np.maximum(phi, 0.0, out=out)
+    np.minimum(out, hi, out=out)
+    return out
 
 
 def weno_smoothness(stencil: np.ndarray) -> np.ndarray:

@@ -13,7 +13,10 @@ slot is one flat buffer per ``(key, dtype)``, grown to the largest
 element count ever requested; a request is served as a reshaped view of
 its head, so the six axis-last block shapes of a Strang step share one
 set of buffers instead of pinning one set each.  In steady state — fixed
-grid, fixed scheme — every sweep runs allocation-free.
+grid, fixed scheme — every sweep runs allocation-free, whatever the
+shift field does: a kernel call that works on a data-dependent subset of
+a block's rows sizes what it has to grow for the whole block
+(:meth:`ScratchArena.scaled`).
 
 Discipline
 ----------
@@ -30,6 +33,7 @@ Discipline
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -40,11 +44,19 @@ __all__ = ["ScratchArena"]
 class ScratchArena:
     """Keyed pool of reusable uninitialized NumPy work buffers."""
 
-    __slots__ = ("_pool", "hits", "misses")
+    __slots__ = ("_pool", "_scale", "hits", "misses")
+
+    #: Cached views per slot.  A workload cycling through a few shapes
+    #: (the six axis-last block shapes of a Strang step, plasma kick
+    #: pads) stays inside it; one whose shapes follow the data (row
+    #: subsets of a changing sign pattern) resets the cache instead of
+    #: growing it without bound.
+    MAX_VIEWS = 8
 
     def __init__(self) -> None:
         #: (key, dtype) -> (flat buffer, {shape: view of its head})
         self._pool: dict[tuple, tuple[np.ndarray, dict]] = {}
+        self._scale = (1, 1)
         self.hits = 0
         self.misses = 0
 
@@ -55,9 +67,11 @@ class ScratchArena:
         ``key`` is any hashable tag distinguishing concurrent uses of
         scratch within one computation.  A request the slot's capacity
         covers is a hit (and a repeated shape returns the very same
-        array object: views are cached per shape, so a workload cycling
-        through a few shapes pays two dict lookups per request); a
-        larger one reallocates the slot and is a miss.
+        array object: up to :attr:`MAX_VIEWS` views are cached per
+        slot, so a workload cycling through a few shapes pays two dict
+        lookups per request); a larger one reallocates the slot — to
+        the request times the :meth:`scaled` factor in force — and is a
+        miss.
         """
         shape = tuple(shape)
         dt = np.dtype(dtype)
@@ -74,10 +88,31 @@ class ScratchArena:
             flat, views = held
         else:
             self.misses += 1
-            flat, views = np.empty(n, dtype=dt), {}
+            whole, part = self._scale
+            flat, views = np.empty(-(-n * whole // part), dtype=dt), {}
             self._pool[slot] = (flat, views)
+        if len(views) >= self.MAX_VIEWS:
+            views.clear()
         view = views[shape] = flat[:n].reshape(shape)
         return view
+
+    @contextlib.contextmanager
+    def scaled(self, whole: int, part: int):
+        """Scope in which requests cover ``part`` of ``whole`` equal rows.
+
+        Scratch is proportional to the rows a kernel call works on.  A
+        call on a data-dependent subset of a block's rows (the rows of
+        one shift sign) would otherwise make every slot's high-water
+        mark follow the data; inside this scope a slot that has to grow
+        grows to what the whole block would have requested, so steady
+        state is reached after one pass whatever the subsets do.
+        """
+        outer = self._scale
+        self._scale = (whole, part)
+        try:
+            yield self
+        finally:
+            self._scale = outer
 
     @property
     def nbytes(self) -> int:

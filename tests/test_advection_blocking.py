@@ -1,4 +1,5 @@
-"""Cache-blocked sweeps change where scratch lives, never the bits (ISSUE 14).
+"""Cache-blocked sweeps change where scratch lives, never the bits (ISSUE 14);
+neither does advancing each row once, in its own direction (ISSUE 15).
 
 ``advect`` walks arrays above ``BLOCK_CELLS`` one block of non-advected
 rows at a time.  Advection couples cells only along the advected axis,
@@ -7,6 +8,11 @@ every scheme, boundary condition, dtype, axis and layout mode, for
 shifts that change sign or integer offset from block to block, and with
 ``out`` aliasing ``f``.  The engine-level test pins the same on the
 reference 6-D grid, together with the memory the blocking is for.
+
+A call whose shifts mix signs splits its rows on ``sh >= 0`` and runs
+each direction on its own rows.  The same argument makes that bitwise
+too: the result must equal advecting the two subsets in two single-sign
+calls, and the arena must not follow the sign pattern.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
 from repro.parallel import DomainEngine
 from repro.perf import PencilEngine, ScratchArena
+
+from .conftest import mixed_sign_shifts
 
 SHAPE = (7, 5, 9, 11)  # no extent divides another; 3465 cells
 ONE_BLOCK = 1 << 62
@@ -118,6 +126,84 @@ def test_out_aliasing_contract(monkeypatch, bc):
     advect(f, sh, 1, bc=bc, out=out)
     assert len(calls) == 1
     assert out.tobytes() == expect.tobytes()
+
+
+# ----------------------------------------------------------------------
+# one flux direction per row
+# ----------------------------------------------------------------------
+
+
+def _by_sign(f, sh, axis, scheme, bc):
+    """The rows with ``sh >= 0`` and the rows with ``sh < 0``, advected
+    in two single-sign calls on flat ``(rows, n)`` arrays."""
+    shape = list(np.broadcast_shapes(f.shape, np.shape(sh)))
+    shape[axis] = f.shape[axis]
+    rows = np.moveaxis(np.broadcast_to(f, shape), axis, -1)
+    sh_shape = shape[:axis] + [1] + shape[axis + 1:]
+    sh_rows = np.moveaxis(np.broadcast_to(sh, sh_shape), axis, -1).reshape(-1, 1)
+    out = np.empty((sh_rows.size, f.shape[axis]), dtype=f.dtype)
+    flat = rows.reshape(out.shape)
+    for mask in (sh_rows[:, 0] >= 0.0, sh_rows[:, 0] < 0.0):
+        assert mask.any()
+        out[mask] = advect(flat[mask], sh_rows[mask], 1, scheme=scheme, bc=bc)
+    return np.moveaxis(out.reshape(rows.shape), -1, axis)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("scheme", [
+    pytest.param(s, marks=pytest.mark.smoke) if s == "slmpp5" else s
+    for s in sorted(SCHEMES)
+])
+def test_mixed_signs_bitwise_equal_rows_advected_by_sign(scheme, bc, dtype):
+    f = _field(dtype)
+    for axis in range(f.ndim):
+        if f.shape[axis] < SCHEMES[scheme].order:
+            continue
+        for name, sh in mixed_sign_shifts(f.shape, axis):
+            ref = _by_sign(f, sh, axis, scheme, bc).tobytes()
+            where = f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} {name}"
+            arena = ScratchArena()
+            assert advect(f, sh, axis, scheme=scheme, bc=bc,
+                          arena=arena).tobytes() == ref, where
+            same = f.copy()
+            advect(same, sh, axis, scheme=scheme, bc=bc, out=same, arena=arena)
+            assert same.tobytes() == ref, where + " out=f"
+            assert advect(f, sh, axis, scheme=scheme, bc=bc, arena=arena,
+                          layout="packed").tobytes() == ref, where + " packed"
+        # a shift that broadcast-expands the result
+        thin = [slice(None)] * f.ndim
+        thin[(axis + 2) % f.ndim] = slice(0, 1)
+        thin = f[tuple(thin)]
+        _, sh = next(mixed_sign_shifts(f.shape, axis))
+        got = advect(thin, sh, axis, scheme=scheme, bc=bc)
+        assert got.shape == f.shape
+        assert got.tobytes() == _by_sign(thin, sh, axis, scheme, bc).tobytes()
+
+
+def test_arena_does_not_follow_the_sign_pattern():
+    """A fresh acceleration field every step changes how many rows of a
+    block go each way; the arena must reach steady state regardless."""
+    grid = PhaseSpaceGrid(nx=(8, 8, 8), nu=(8, 8, 8), box_size=1.0,
+                          v_max=1.0, dtype=np.float32)
+    rng = np.random.default_rng(4)
+    solver = VlasovSolver(grid)
+    solver.f = 0.5 + rng.random(grid.shape, dtype=np.float32)
+
+    def step():
+        accel = rng.standard_normal((3,) + grid.nx)
+        solver.strang_step(accel, 0.02, 0.04, lambda: accel, 0.02)
+        return solver.arena.stats()
+
+    step()
+    warm = step()
+    for _ in range(10):
+        stats = step()
+    assert stats["misses"] == warm["misses"]
+    assert stats["nbytes"] == warm["nbytes"] < 64 * 2**20
+    assert stats["hits"] > warm["hits"]
+    views = [len(v) for _, v in solver.arena._pool.values()]
+    assert max(views) <= ScratchArena.MAX_VIEWS
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,11 @@
-"""MP limiter machinery: minmod, bounds, departure-average limiting."""
+"""MP limiter machinery: minmod, bounds, departure-average limiting.
+
+The library computes minmod without ``np.sign`` and derives the MP
+limiter's neighbor curvatures by rolling.  The Suresh-Huynh sign forms
+live here as the oracle: the new forms must equal them in value (a zero
+may differ in sign), and the advection kernel built on them must equal,
+bit for bit, the kernel built on the oracle.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import advection
 from repro.core.limiters import (
     median3,
     minmod,
     minmod4,
+    minmod4_into,
+    minmod_into,
     mp_bounds,
     mp_limit_departure_average,
     mp_limit_interface,
@@ -18,7 +28,131 @@ from repro.core.limiters import (
     weno_smoothness,
 )
 
+from .conftest import adversarial_fields, mixed_sign_shifts
+
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+# ----------------------------------------------------------------------
+# the oracle: Suresh & Huynh's sign forms, and the limiter built on them
+# ----------------------------------------------------------------------
+
+
+def minmod_sign(a, b):
+    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+
+
+def minmod4_sign(a, b, c, d):
+    sgn = 0.125 * (np.sign(a) + np.sign(b)) * np.abs(
+        (np.sign(a) + np.sign(c)) * (np.sign(a) + np.sign(d))
+    )
+    return sgn * np.minimum(
+        np.minimum(np.abs(a), np.abs(b)), np.minimum(np.abs(c), np.abs(d))
+    )
+
+
+def mp_bounds_sign(stencil, alpha_mp=4.0):
+    fm2, fm1, f0, fp1, fp2 = (stencil[m] for m in range(5))
+    d_m1 = fm2 - 2.0 * fm1 + f0
+    d_0 = fm1 - 2.0 * f0 + fp1
+    d_p1 = f0 - 2.0 * fp1 + fp2
+    dm4_p = minmod4_sign(4.0 * d_0 - d_p1, 4.0 * d_p1 - d_0, d_0, d_p1)
+    dm4_m = minmod4_sign(4.0 * d_0 - d_m1, 4.0 * d_m1 - d_0, d_0, d_m1)
+    f_ul = f0 + alpha_mp * (f0 - fm1)
+    f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_p
+    f_lc = f0 + 0.5 * (f0 - fm1) + (4.0 / 3.0) * dm4_m
+    f_min = np.maximum(
+        np.minimum(np.minimum(f0, fp1), f_md), np.minimum(np.minimum(f0, f_ul), f_lc)
+    )
+    f_max = np.minimum(
+        np.maximum(np.maximum(f0, fp1), f_md), np.maximum(np.maximum(f0, f_ul), f_lc)
+    )
+    return f_min, f_max
+
+
+def departure_average_sign(u, alpha, stencil, alpha_mp=4.0, **_):
+    f0 = stencil[2]
+    b_min, b_max = mp_bounds_sign(stencil, alpha_mp)
+    bm_min, bm_max = mp_bounds_sign(stencil[::-1], alpha_mp)
+    safe_alpha = np.maximum(alpha, np.asarray(1.0e-7, dtype=u.dtype))
+    lo = np.maximum(b_min, (f0 - (1.0 - alpha) * bm_max) / safe_alpha)
+    hi = np.minimum(b_max, (f0 - (1.0 - alpha) * bm_min) / safe_alpha)
+    return u + minmod_sign(lo - u, hi - u)
+
+
+def clamp_clip(phi, donor, **_):
+    return np.clip(phi, 0.0, np.maximum(donor, 0.0))
+
+
+def _quads(dtype):
+    """Four operand arrays per adversarial input kind."""
+    for name, f in adversarial_fields((4, 6, 40), dtype):
+        yield name, tuple(f)
+
+
+class TestSignFreeForms:
+    @pytest.mark.smoke
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_minmod_forms_equal_the_sign_forms(self, dtype):
+        for name, (a, b, c, d) in _quads(dtype):
+            # == : a zero of either sign is the same value
+            assert np.array_equal(minmod(a, b), minmod_sign(a, b)), name
+            assert np.array_equal(
+                minmod4(a, b, c, d), minmod4_sign(a, b, c, d)
+            ), name
+            out, w1, w2 = (np.empty_like(a) for _ in range(3))
+            assert minmod_into(out, a, b, w1) is out
+            assert np.array_equal(out, minmod_sign(a, b)), name
+            assert minmod4_into(out, a, b, c, d, w1, w2) is out
+            assert np.array_equal(out, minmod4_sign(a, b, c, d)), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bounds_equal_the_sign_form_bounds(self, dtype):
+        for name, f in adversarial_fields((5, 6, 40), dtype):
+            for got, want in zip(mp_bounds(f), mp_bounds_sign(f)):
+                assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("pad", [0, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roll_family_entry_is_bitwise_the_general_one(self, dtype, pad):
+        """Stencils gathered by rolling one row (periodic, or a row with
+        zero ghost cells as the ``zero`` BC builds it), right and mirrored."""
+        rng = np.random.default_rng(8)
+        row = rng.standard_normal((6, 23)).astype(dtype)
+        row[:, :pad] = 0.0
+        row[:, row.shape[1] - pad:] = 0.0
+        st5 = np.stack([np.roll(row, -m, axis=-1) for m in range(-2, 3)])
+        for stencil, roll in ((st5, 1), (st5[::-1], -1)):
+            for got, want in zip(mp_bounds(stencil, roll=roll), mp_bounds(stencil)):
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("scheme", [
+    "slmpp3", pytest.param("slmpp5", marks=pytest.mark.smoke), "slmpp7",
+])
+def test_kernel_bits_are_those_of_the_sign_form_limiter(
+    monkeypatch, scheme, bc, dtype
+):
+    """``advect`` on the sign-free, rolled limiter is bitwise ``advect``
+    on the Suresh-Huynh sign-form limiter and ``np.clip``: a zero of the
+    other sign never reaches the flux."""
+    shape = (7, 5, 9)
+    for axis in (0, 2):
+        for sname, sh in mixed_sign_shifts(shape, axis):
+            for fname, f in adversarial_fields(shape, dtype):
+                got = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
+                with monkeypatch.context() as patch:
+                    patch.setattr(advection, "mp_limit_departure_average",
+                                  departure_average_sign)
+                    patch.setattr(advection, "positivity_clamp_fraction",
+                                  clamp_clip)
+                    want = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
+                assert got.tobytes() == want.tobytes(), (
+                    f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
+                    f"{sname} {fname}"
+                )
 
 
 class TestMinmod:
