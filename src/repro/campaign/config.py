@@ -39,12 +39,17 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..perf.substrate import available_cores
-from ..runtime.config import RunConfig, apply_override, toml_dumps
+from ..runtime.config import (
+    RunConfig,
+    apply_override,
+    build_section,
+    read_config_file,
+    write_config_file,
+)
 
 __all__ = [
     "EXECUTOR_NAMES",
@@ -272,45 +277,23 @@ class CampaignConfig:
             data["sweep"] = _flatten_sweep(data["sweep"])
         for section, section_cls in (("limits", LimitsConfig),
                                      ("retry", RetryConfig)):
-            if section in data and not dataclasses.is_dataclass(data[section]):
-                table = dict(data[section])
-                section_known = {f.name for f in fields(section_cls)}
-                section_unknown = set(table) - section_known
-                if section_unknown:
-                    raise ValueError(
-                        f"unknown {section} keys: {sorted(section_unknown)}"
-                    )
-                data[section] = section_cls(**table)
+            if section in data:
+                data[section] = build_section(section_cls, data[section])
         return cls(**data).validate()
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignConfig":
         """Load from a ``.json`` or ``.toml`` file (dispatch by suffix)."""
-        path = Path(path)
-        if path.suffix == ".toml":
-            import tomllib
-
-            data = tomllib.loads(path.read_text())
-        elif path.suffix == ".json":
-            data = json.loads(path.read_text())
-        else:
-            raise ValueError(f"spec must be .json or .toml, got {path.name!r}")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def dump(self, path: str | Path) -> Path:
         """Write to a ``.json`` or ``.toml`` file (dispatch by suffix)."""
-        path = Path(path)
         data = self.as_dict()
-        if path.suffix == ".toml":
+        if Path(path).suffix == ".toml":
             # dotted keys are not valid TOML bare keys; nest them so the
             # emitter writes `params.m_nu = [...]`-style dotted tables
             data["sweep"] = _nest_sweep(data["sweep"])
-            path.write_text(toml_dumps(data))
-        elif path.suffix == ".json":
-            path.write_text(json.dumps(data, indent=2) + "\n")
-        else:
-            raise ValueError(f"spec must be .json or .toml, got {path.name!r}")
-        return path
+        return write_config_file(data, path)
 
 
 def _flatten_sweep(sweep: dict, prefix: str = "") -> dict:

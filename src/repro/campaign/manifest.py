@@ -31,6 +31,8 @@ import threading
 import time
 from pathlib import Path
 
+from ..io.atomic import atomic_write_json
+
 __all__ = ["MANIFEST_NAME", "RUN_STATES", "CampaignManifest"]
 
 MANIFEST_NAME = "campaign.json"
@@ -212,6 +214,4 @@ class CampaignManifest:
     def save(self) -> None:
         """Atomically rewrite ``campaign.json`` (tmp + rename)."""
         self.data["updated"] = time.time()
-        tmp = self.path.with_name(f".{self.path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(self.data, indent=2) + "\n")
-        os.replace(tmp, self.path)
+        atomic_write_json(self.path, self.data)

@@ -43,6 +43,7 @@ import time
 import uuid
 from pathlib import Path
 
+from ..io.atomic import atomic_write_json
 from ..runtime.runner import DRAIN_NAME
 from .executors import Executor
 from .supervision import ExecutorUnavailable, LeaseExpired, RunLease
@@ -67,12 +68,6 @@ def spool_dirs(campaign_dir: str | Path) -> tuple[Path, Path, Path]:
     for d in (jobs, results, workers):
         d.mkdir(parents=True, exist_ok=True)
     return jobs, results, workers
-
-
-def _write_atomic(path: Path, data: dict) -> None:
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(json.dumps(data, indent=2) + "\n")
-    os.replace(tmp, path)
 
 
 def _read_json(path: Path) -> dict | None:
@@ -129,7 +124,7 @@ class QueueExecutor(Executor):
         result_path = results / f"{run_id}.json"
         nonce = uuid.uuid4().hex
         result_path.unlink(missing_ok=True)  # stale result from a prior attempt
-        _write_atomic(ticket_path, {
+        atomic_write_json(ticket_path, {
             "run_id": run_id,
             "nonce": nonce,
             "run_dir": str(run_dir.resolve()),
@@ -203,7 +198,7 @@ def run_worker(campaign_dir: str | Path, poll: float = 0.5,
     executed = 0
 
     def beat() -> None:
-        _write_atomic(heartbeat_path, {
+        atomic_write_json(heartbeat_path, {
             "worker": worker_id, "pid": os.getpid(), "time": time.time(),
         })
 
@@ -268,7 +263,7 @@ def _execute_claimed(ticket: dict, lease: RunLease, duration: float,
     finally:
         stop.set()
         renewer.join(timeout=2.0)
-        _write_atomic(results / f"{ticket['run_id']}.json", {
+        atomic_write_json(results / f"{ticket['run_id']}.json", {
             "run_id": ticket["run_id"],
             "nonce": ticket.get("nonce"),
             "exit_code": code,

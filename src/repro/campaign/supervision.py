@@ -57,6 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..io.atomic import atomic_write_json
 from ..runtime.runner import (
     DRAIN_NAME,
     EXIT_COMPLETE,
@@ -218,9 +219,7 @@ class RunLease:
             if existing is not None and not existing.expired():
                 return None
             # break the expired lease: last replace wins, nonce decides
-            tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-            tmp.write_text(payload)
-            os.replace(tmp, path)
+            atomic_write_json(path, data)
             survivor = cls.load(run_dir)
             if survivor is None or survivor.data.get("nonce") != data["nonce"]:
                 return None  # a racing breaker won
@@ -268,9 +267,7 @@ class RunLease:
         duration = float(duration if duration is not None
                          else self.data.get("duration", 30.0))
         self.data["deadline"] = time.time() + duration
-        tmp = self.path.with_name(f".{self.path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(self.data, indent=2) + "\n")
-        os.replace(tmp, self.path)
+        atomic_write_json(self.path, self.data)
         return True
 
     def release(self) -> None:

@@ -125,24 +125,7 @@ SCHEMES: dict[str, SchemeSpec] = {
 }
 
 _BCS = ("periodic", "zero")
-
-#: Uniform-shift fast paths: when the integer shift ``k`` is constant over
-#: the whole call (the common case — spatial sweeps carry one k per
-#: velocity slab, pencil shards see a single local bound), the prefix-sum
-#: lookup and the stencil gathers become roll/slice arithmetic instead of
-#: ``broadcast_to`` + ``take_along_axis`` index machinery.  Same ufuncs on
-#: the same values in the same order, so results are bitwise-identical;
-#: this module-wide switch exists so the equivalence tests can pin the
-#: gather path.
-UNIFORM_FAST = True
-
-#: Route the MP limiter and positivity clamp through pooled scratch
-#: (:func:`repro.core.limiters.mp_limit_departure_average`'s arena path).
-#: Off reproduces the seed execution path — every limiter temporary
-#: freshly allocated — with bitwise-identical results; the layout
-#: benchmark pins it off for its baseline and the equivalence tests
-#: assert the toggle changes nothing but wall clock.
-POOLED_LIMITER = True
+_LAYOUTS = (None, "in_place", "packed")
 
 #: Cells one kernel call works on.  A sweep above this size runs as a
 #: sequence of calls over blocks of the non-advected axes, so the
@@ -246,17 +229,12 @@ def advect(
         internal work buffers.  One arena must serve one caller at a
         time (give each worker thread/process its own).
     layout:
-        Sweep-layout policy — the LAT analog (paper §5.4).  ``None`` or
-        ``"in_place"`` runs on the strided ``moveaxis`` view as always;
-        ``"auto"`` lets the process-default
-        :class:`repro.perf.layout.LayoutEngine` decide from stride and
-        size whether to pack the advected axis into contiguous scratch
-        (cache-blocked transpose in, update fused with the transpose
-        back); ``"packed"`` forces packing where structurally possible
-        (pencil workers use this — the decision was already made for the
-        whole sweep); a :class:`~repro.perf.layout.LayoutEngine`
-        instance decides *and records* (counters, telemetry, timer
-        sections).  Every mode is bitwise-identical.
+        Measurement hook for the chunk-level LAT of paper §5.4, kept for
+        ``benchmarks/e2e`` ``probe_pack_gain`` — no product caller
+        passes it.  ``None`` / ``"in_place"`` run each block on the
+        strided ``moveaxis`` view; ``"packed"`` first copies a periodic
+        block into contiguous scratch (a ``zero`` block's ghost pad
+        already is that copy).  Bitwise-identical either way.
 
     Returns
     -------
@@ -278,10 +256,9 @@ def advect(
 
     sh = _normalize_shift(sh=shift, f=f, fw=fw, axis=axis)
 
-    # one layout decision per sweep, from the whole array's strides/size
-    mode, lay = _resolve_layout(layout, f, fw, sh, axis)
-    if mode != "packed":
-        lay = None
+    if layout not in _LAYOUTS:
+        raise ValueError(f"unknown layout {layout!r}; choose from {_LAYOUTS}")
+    pack = layout == "packed" and bc == "periodic"
 
     res_shape_w = np.broadcast_shapes(fw.shape, sh.shape[:-1] + (n,))
     ax = axis if axis >= 0 else axis + f.ndim
@@ -301,7 +278,7 @@ def advect(
         or (np.shares_memory(out, f) and not _same_view(out, f))
     ):
         # small, broadcast-expanding, or partially aliased: one block
-        _advect_block(fw, sh, out_w, spec, bc, arena, lay)
+        _advect_block(fw, sh, out_w, spec, bc, arena, pack)
     else:
         # rows couple only along the advected axis, so each block runs
         # the serial arithmetic on its rows — bitwise the one-block
@@ -310,7 +287,7 @@ def advect(
             sh_idx = tuple(
                 slice(None) if m == 1 else s for s, m in zip(idx, sh.shape)
             )
-            _advect_block(fw[idx], sh[sh_idx], out_w[idx], spec, bc, arena, lay)
+            _advect_block(fw[idx], sh[sh_idx], out_w[idx], spec, bc, arena, pack)
     return out
 
 
@@ -344,21 +321,20 @@ def _block_plan(shape: tuple[int, ...]):
     return itertools.product(*per_axis)
 
 
-def _advect_block(fw, sh, out_w, spec, bc, arena, lay) -> None:
+def _advect_block(fw, sh, out_w, spec, bc, arena, pack) -> None:
     """One kernel call: flux and conservative update of an axis-last block.
 
-    ``lay`` is the layout engine when the sweep runs packed, else None.
+    ``pack`` lands a periodic block in contiguous scratch first (see
+    ``advect``'s ``layout``).
     """
     n = fw.shape[-1]
-    if lay is not None and bc == "periodic":
-        # LAT analog: land the axis-last view in contiguous scratch so
-        # every kernel below runs on unit-stride memory.
-        fw = lay.pack(fw, arena)
+    if pack:
+        packed = _scratch(arena, ("layout", "pack"), fw.shape, fw.dtype)
+        packed[...] = fw
+        fw = packed
 
     if bc == "zero":
-        # the ghost pad already copies f into contiguous scratch — in
-        # packed mode it *is* the pack, done with the blocked kernel
-        fw, pad_l, _ = _zero_pad(fw, sh, spec, arena, engine=lay)
+        fw, pad_l, _ = _zero_pad(fw, sh, spec, arena)
 
     flux = interface_flux(fw, sh, spec, arena)
 
@@ -371,49 +347,7 @@ def _advect_block(fw, sh, out_w, spec, bc, arena, lay) -> None:
         fw = fw[..., pad_l : pad_l + n]
         d = d[..., pad_l : pad_l + n]
 
-    if lay is not None:
-        # fused unpack: the flux-difference update writes the strided
-        # output through the blocked transpose-back (bitwise the same
-        # elementwise subtract)
-        lay.unpack_subtract(fw, d, out_w)
-    else:
-        np.subtract(fw, d, out=out_w)
-
-
-def _layout_eligible(fw: np.ndarray, sh: np.ndarray) -> bool:
-    """Packing requires the update to keep f's own shape.
-
-    The packed buffer has ``fw``'s shape, so the shift must not
-    broadcast-expand the result (solver sweeps never do); 1-D arrays
-    and already-contiguous views gain nothing either way but stay
-    structurally fine — the engine's stride test rejects them.
-    """
-    if fw.ndim < 2:
-        return False
-    return all(s == 1 or s == t for s, t in zip(sh.shape, fw.shape))
-
-
-def _resolve_layout(layout, f, fw, sh, axis):
-    """Map ``layout=`` to ("in_place" | "packed", engine-or-None)."""
-    if layout is None or layout == "in_place":
-        return "in_place", None
-    from ..perf.layout import LayoutEngine, get_default_layout
-
-    if isinstance(layout, LayoutEngine):
-        return layout.decide(f, axis, eligible=_layout_eligible(fw, sh)), layout
-    if layout == "auto":
-        eng = get_default_layout()
-        return eng.decide(f, axis, eligible=_layout_eligible(fw, sh)), eng
-    if layout == "packed":
-        # forced mode (pencil workers): no decision recording — the
-        # engine that sharded this sweep already recorded it
-        eng = get_default_layout()
-        mode = "packed" if _layout_eligible(fw, sh) else "in_place"
-        return mode, eng
-    raise ValueError(
-        f"unknown layout {layout!r}; choose from ('auto', 'packed', "
-        "'in_place', None) or pass a LayoutEngine"
-    )
+    np.subtract(fw, d, out=out_w)
 
 
 def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
@@ -449,7 +383,7 @@ def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
     return sh
 
 
-def _zero_pad(fw, sh, spec, arena=None, engine=None):
+def _zero_pad(fw, sh, spec, arena=None):
     """Pad with the narrowest zero ghost layers this call needs.
 
     The pad is sized from the *per-call* bound: the largest integer
@@ -468,11 +402,7 @@ def _zero_pad(fw, sh, spec, arena=None, engine=None):
     n = fw.shape[-1]
     padded = _scratch(arena, ("pad", "f"), fw.shape[:-1] + (n + pad_l + pad_r,), fw.dtype)
     padded[..., :pad_l] = 0
-    if engine is not None:
-        # packed layout: the interior copy is the pack — do it blocked
-        engine.pack_into(padded[..., pad_l : pad_l + n], fw)
-    else:
-        padded[..., pad_l : pad_l + n] = fw
+    padded[..., pad_l : pad_l + n] = fw
     padded[..., pad_l + n :] = 0
     return padded, pad_l, pad_r
 
@@ -550,7 +480,7 @@ def _flux_positive(fw, sh, spec, arena=None, tag="pos"):
     k = np.floor(sh).astype(np.int64)
     alpha = (sh - k).astype(fw.dtype)
 
-    kc = _uniform_int(k) if UNIFORM_FAST else None
+    kc = _uniform_int(k)
     _FASTPATH["uniform_k" if kc is not None else "gather_k"] += 1
 
     flux = _integer_mass(fw, k, arena, tag, kc=kc)
@@ -703,46 +633,36 @@ def _fractional_flux(st, alpha, spec, arena=None, tag="pos"):
         # for any alpha in [0, 1].
         pos = alpha > 0.0
         safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=st.dtype))
-        if POOLED_LIMITER:
-            # the full-size quotient, limiter temporaries and masked
-            # recombination all run through pooled scratch (ufunc-for-
-            # ufunc replay of the allocating form — same bits, no
-            # allocator churn)
-            u = _scratch(
-                arena, (tag, "mp_u"),
-                np.broadcast_shapes(phi.shape, safe_alpha.shape),
-                np.result_type(phi, safe_alpha),
-            )
-            np.divide(phi, safe_alpha, out=u)
-            u = mp_limit_departure_average(
-                u, alpha, st5, arena=arena, tag=(tag, "mp"), rolled=True
-            )
-            lim = _scratch(
-                arena, (tag, "mp_lim"),
-                np.broadcast_shapes(safe_alpha.shape, u.shape),
-                np.result_type(safe_alpha, u),
-            )
-            np.multiply(safe_alpha, u, out=lim)
-            sel = _scratch(
-                arena, (tag, "mp_sel"),
-                np.broadcast_shapes(pos.shape, lim.shape, phi.shape),
-                np.result_type(lim, phi),
-            )
-            # np.where(pos, lim, phi), replayed as fill + masked overwrite
-            np.copyto(sel, phi)
-            np.copyto(sel, lim, where=pos)
-            phi = sel
-        else:
-            u = phi / safe_alpha
-            u = mp_limit_departure_average(u, alpha, st5, rolled=True)
-            phi = np.where(pos, safe_alpha * u, phi)
+        # the full-size quotient, limiter temporaries and masked
+        # recombination all run through pooled scratch
+        u = _scratch(
+            arena, (tag, "mp_u"),
+            np.broadcast_shapes(phi.shape, safe_alpha.shape),
+            np.result_type(phi, safe_alpha),
+        )
+        np.divide(phi, safe_alpha, out=u)
+        u = mp_limit_departure_average(
+            u, alpha, st5, arena=arena, tag=(tag, "mp"), rolled=True
+        )
+        lim = _scratch(
+            arena, (tag, "mp_lim"),
+            np.broadcast_shapes(safe_alpha.shape, u.shape),
+            np.result_type(safe_alpha, u),
+        )
+        np.multiply(safe_alpha, u, out=lim)
+        sel = _scratch(
+            arena, (tag, "mp_sel"),
+            np.broadcast_shapes(pos.shape, lim.shape, phi.shape),
+            np.result_type(lim, phi),
+        )
+        # np.where(pos, lim, phi) as fill + masked overwrite
+        np.copyto(sel, phi)
+        np.copyto(sel, lim, where=pos)
+        phi = sel
     if use_pos:
-        if POOLED_LIMITER:
-            phi = positivity_clamp_fraction(
-                phi, st[center], arena=arena, tag=(tag, "clamp")
-            )
-        else:
-            phi = positivity_clamp_fraction(phi, st[center])
+        phi = positivity_clamp_fraction(
+            phi, st[center], arena=arena, tag=(tag, "clamp")
+        )
     return phi
 
 

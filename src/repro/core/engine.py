@@ -31,7 +31,6 @@ from .mesh import PhaseSpaceGrid
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
     from ..perf.arena import ScratchArena
-    from ..perf.layout import LayoutEngine
 
 __all__ = ["AXIS_NAMES", "Sweep", "SweepEngine", "sweep_shift"]
 
@@ -94,7 +93,6 @@ class SweepEngine:
         scheme: str,
         velocity_bc: str = "zero",
         timer: "StepTimer | None" = None,
-        layout: "LayoutEngine | None" = None,
     ) -> None:
         """Adopt one solver's geometry; f restarts as zeros."""
         if scheme not in SCHEMES:
@@ -103,7 +101,6 @@ class SweepEngine:
         self.scheme = scheme
         self.velocity_bc = velocity_bc
         self.timer = timer
-        self.layout = layout
         self._f = grid.zeros_f()
         self._back: np.ndarray | None = None
 
@@ -124,10 +121,10 @@ class SweepEngine:
     # -- sweeps ----------------------------------------------------------
 
     def advect(self, f, shift, axis, scheme="slmpp5", bc="periodic",
-               out=None, layout=None) -> np.ndarray:
+               out=None) -> np.ndarray:
         """The per-sweep kernel: :func:`repro.core.advection.advect`."""
         return advect(f, shift, axis, scheme=scheme, bc=bc, out=out,
-                      arena=self.arena, layout=layout)
+                      arena=self.arena)
 
     def _section(self, name: str):
         return self.timer.section(name) if self.timer is not None \
@@ -147,7 +144,6 @@ class SweepEngine:
         self.advect(
             f, sweep_shift(self.grid, sweep, accel), sweep.axis,
             scheme=self.scheme, bc=sweep.bc, out=self._back,
-            layout=self.layout,
         )
         self._f, self._back = self._back, f
 

@@ -36,7 +36,6 @@ from .vlasov import VlasovSolver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
-    from ..perf.layout import LayoutEngine
     from .engine import SweepEngine
 
 
@@ -61,7 +60,7 @@ class HybridSimulation:
     use_tree:
         Include the short-range tree force for the particles (TreePM);
         False runs PM-only (cheaper, adequate for smoke tests).
-    engine, timer, layout:
+    engine, timer:
         Forwarded to the neutrino :class:`VlasovSolver`, exactly as the
         Vlasov-Poisson drivers do (the PM/tree half of the step is not
         engine-driven and records no timer sections).
@@ -78,7 +77,6 @@ class HybridSimulation:
     r_split_cells: float = 1.25
     engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
-    layout: "LayoutEngine | str | None" = "auto"
     step_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -90,7 +88,7 @@ class HybridSimulation:
             self.softening = spacing / 30.0
         self.neutrinos = VlasovSolver(
             self.grid, scheme=self.scheme, engine=self.engine,
-            timer=self.timer, layout=self.layout,
+            timer=self.timer,
         )
         self.gravity = TreePMSolver(
             n_mesh=self.grid.nx,

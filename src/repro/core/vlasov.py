@@ -33,7 +33,6 @@ from .mesh import PhaseSpaceGrid
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
     from ..perf.arena import ScratchArena
-    from ..perf.layout import LayoutEngine
 
 
 @dataclass
@@ -64,14 +63,6 @@ class VlasovSolver:
         sweep is recorded as ``vlasov/drift/x`` ... ``vlasov/kick/uz``,
         so ``timer.report()`` reproduces the paper's Fig. 7-style
         per-section breakdown.
-    layout:
-        Sweep-layout policy (the LAT analog, paper §5.4): ``"auto"``
-        (default), ``"packed"``, ``"in_place"``, or a prebuilt
-        :class:`repro.perf.layout.LayoutEngine`.  A string is promoted
-        to a solver-owned engine wired to ``timer`` (pack/unpack appear
-        as ``.../layout/pack`` sub-sections of each sweep) and to
-        telemetry (``layout_decision`` events).  Every mode is
-        bitwise-identical; only memory traffic differs.
     arena:
         Scratch-buffer pool of the serial engine (ignored when an engine
         is passed; afterwards always the engine's own), so steady-state
@@ -84,21 +75,12 @@ class VlasovSolver:
     engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
     arena: "ScratchArena | None" = None
-    layout: "LayoutEngine | str | None" = "auto"
 
     def __post_init__(self) -> None:
-        from ..perf.layout import LayoutEngine
-
-        if isinstance(self.layout, str):
-            self.layout = LayoutEngine(mode=self.layout, timer=self.timer)
-        elif self.layout is not None and self.layout.timer is None:
-            self.layout.timer = self.timer
         if self.engine is None:
             self.engine = SweepEngine(arena=self.arena)
         self.arena = self.engine.arena
-        self.engine.bind(
-            self.grid, self.scheme, self.velocity_bc, self.timer, self.layout
-        )
+        self.engine.bind(self.grid, self.scheme, self.velocity_bc, self.timer)
 
     @property
     def f(self) -> np.ndarray:

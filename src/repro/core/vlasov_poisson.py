@@ -34,7 +34,6 @@ from .vlasov import VlasovSolver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
-    from ..perf.layout import LayoutEngine
     from .engine import SweepEngine
 
 
@@ -49,7 +48,7 @@ class PlasmaVlasovPoisson:
     charge -1).  Time is in inverse plasma frequencies, velocity in thermal
     units, as usual.
 
-    ``engine``/``timer``/``layout`` are forwarded to the underlying
+    ``engine``/``timer`` are forwarded to the underlying
     :class:`VlasovSolver`, and the Poisson solver runs its mesh
     transforms on that engine's spectral backend; with a timer
     attached, steps record ``vlasov/drift/*``, ``vlasov/kick/*`` and the
@@ -64,13 +63,12 @@ class PlasmaVlasovPoisson:
     gradient_method: str = "spectral"
     engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
-    layout: "LayoutEngine | str | None" = "auto"
     time: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         self.solver = VlasovSolver(
             self.grid, scheme=self.scheme, engine=self.engine,
-            timer=self.timer, layout=self.layout,
+            timer=self.timer,
         )
         self.poisson = PeriodicPoissonSolver(
             self.grid.nx, self.grid.box_size,
@@ -193,13 +191,12 @@ class GravitationalVlasovPoisson:
     a: float = 1.0
     engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
-    layout: "LayoutEngine | str | None" = "auto"
     time: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         self.solver = VlasovSolver(
             self.grid, scheme=self.scheme, engine=self.engine,
-            timer=self.timer, layout=self.layout,
+            timer=self.timer,
         )
         self.poisson = PeriodicPoissonSolver(
             self.grid.nx, self.grid.box_size,

@@ -17,14 +17,15 @@ small file instead of decompressing the whole container — the access
 pattern of the serving tier (:mod:`repro.serve`).  :func:`read_snapshot`
 accepts both forms transparently.
 
-Writes are **atomic**: the container is staged to a temporary file in
-the destination directory and moved into place with ``os.replace``, so
-an interrupted write can never leave a truncated snapshot — and never
-corrupt an existing checkpoint being overwritten (the previous file
-survives intact until the replace).  Writers also return the path that
-actually exists on disk: ``np.savez`` silently appends ``.npz`` to
-suffix-less names, which used to make the returned path (and
-``path.stat()`` with a timer attached) point at a nonexistent file.
+Writes are **atomic** (:mod:`repro.io.atomic`): the container is staged
+to a temporary file in the destination directory and moved into place
+with ``os.replace``, so an interrupted write can never leave a
+truncated snapshot — and never corrupt an existing checkpoint being
+overwritten (the previous file survives intact until the replace).
+Writers also return the path that actually exists on disk: ``np.savez``
+silently appends ``.npz`` to suffix-less names, which used to make the
+returned path (and ``path.stat()`` with a timer attached) point at a
+nonexistent file.
 
 Integrity: version-3 headers carry a per-array CRC32 checksum computed
 over the exact bytes stored, and readers verify every array against it
@@ -48,20 +49,14 @@ import numpy as np
 from ..core.mesh import PhaseSpaceGrid
 from ..core import moments
 from ..nbody.particles import ParticleSet
+from .atomic import atomic_write, atomic_write_json
 
-#: Format version written into every header.
-#:
-#: * v1 — checkpoints carried ``a`` and ``step`` only; enough for the
-#:   hybrid driver (whose clock *is* the scale factor) but lossy for the
-#:   plasma/static drivers, which accumulate a proper ``time``.
-#: * v2 — adds ``time`` (the driver's accumulated proper time, exact
-#:   bits) and a free-form ``extra`` dict (scenario name, schedule
-#:   position, anything the orchestration layer needs to resume).
-#:   Readers backfill ``time=0.0`` / ``extra={}`` for v1 files, so old
-#:   checkpoints stay loadable.
-#: * v3 — adds ``checksums``: a per-array CRC32 (of the stored bytes)
-#:   that readers verify on load.  v2/v1 files (no ``checksums`` key)
-#:   are still accepted and simply skip the verification.
+#: Format version written into every header, and the only one readers
+#: accept.  A v3 header carries ``time`` (the driver's accumulated
+#: proper time, exact bits), a free-form ``extra`` dict (scenario name,
+#: schedule position, anything the orchestration layer needs to resume)
+#: and ``checksums``: a per-array CRC32 (of the stored bytes) that
+#: readers verify on load.
 FORMAT_VERSION = 3
 
 #: Global write/verify switch: ``REPRO_SNAPSHOT_CRC=0`` disables both
@@ -89,17 +84,22 @@ def _array_checksums(payload: dict) -> dict[str, int]:
 
 
 def _verify_checksums(path: Path, header: dict, arrays: dict) -> None:
-    """Check loaded arrays against the v3 header checksums.
+    """Check loaded arrays against the header checksums.
 
-    Older headers (no ``checksums`` key) verify trivially.  ``arrays``
-    holds the already-deserialized arrays — the exact bytes a resume
-    would adopt — so verification costs one CRC pass, not a second read.
+    A header without ``checksums`` fails: the writer always stores them
+    (unless :data:`CHECKSUMS_ENABLED` is off, which skips this check
+    too), so a missing key means a damaged header.  ``arrays`` holds the
+    already-deserialized arrays — the exact bytes a resume would adopt —
+    so verification costs one CRC pass, not a second read.
     """
     if not CHECKSUMS_ENABLED:
         return
     checksums = header.get("checksums")
     if not checksums:
-        return
+        raise SnapshotIntegrityError(
+            f"{path}: header carries no checksums (written with "
+            "REPRO_SNAPSHOT_CRC=0? then read it under the same setting)"
+        )
     for name, expected in checksums.items():
         if name not in arrays:
             raise SnapshotIntegrityError(
@@ -133,26 +133,25 @@ def quarantine(path: str | Path) -> Path:
     return target
 
 
+def _check_version(path: Path, header: dict) -> None:
+    """Refuse a container this reader's writer could not have written."""
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: format version {header.get('version')!r}, this "
+            f"reader accepts version {FORMAT_VERSION} only"
+        )
+
+
 def _atomic_savez(path: Path, payload: dict) -> Path:
     """Write an ``.npz`` container atomically; return the real final path.
 
     Mirrors ``np.savez``'s suffix behavior explicitly (append ``.npz``
-    when missing) so the caller gets the path that exists, then stages
-    the bytes through a same-directory temp file and ``os.replace``s it
-    into place — a crash mid-write leaves either the old file or no
-    file, never a truncated container.
+    when missing) so the caller gets the path that exists — a crash
+    mid-write leaves either the old file or no file, never a truncated
+    container.
     """
     final = path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
-    tmp = final.with_name(f".{final.name}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_write(final, lambda fh: np.savez(fh, **payload))
     return final
 
 
@@ -243,6 +242,7 @@ def read_snapshot(path: str | Path, timer: IOTimer | None = None) -> dict:
         header = json.loads(bytes(data["header"]).decode())
         if header.get("kind") != "snapshot":
             raise ValueError(f"{path} is not a snapshot (kind={header.get('kind')})")
+        _check_version(path, header)
         out = {"header": header}
         for key in data.files:
             if key != "header":
@@ -312,11 +312,11 @@ def read_checkpoint(
 ) -> tuple[PhaseSpaceGrid, np.ndarray, ParticleSet | None, dict]:
     """Read a checkpoint back into (grid, f, particles, header).
 
-    Headers older than the current :data:`FORMAT_VERSION` are upgraded in
-    place: v1 files gain ``time = 0.0`` and ``extra = {}``; v2 files
-    simply have no ``checksums`` to verify.  v3 arrays are checked
-    against their stored CRC32 and raise :class:`SnapshotIntegrityError`
-    on mismatch — a silent bit-flip must not become a resumed state.
+    Only the current :data:`FORMAT_VERSION` is accepted.  Arrays are
+    checked against their stored CRC32 and raise
+    :class:`SnapshotIntegrityError` on mismatch or when the header has
+    lost its checksums — a silent bit-flip must not become a resumed
+    state.
     """
     path = Path(path)
     t0 = time.perf_counter()
@@ -324,8 +324,7 @@ def read_checkpoint(
         header = json.loads(bytes(data["header"]).decode())
         if header.get("kind") != "checkpoint":
             raise ValueError(f"{path} is not a checkpoint")
-        header.setdefault("time", 0.0)
-        header.setdefault("extra", {})
+        _check_version(path, header)
         grid = PhaseSpaceGrid(
             nx=tuple(header["nx"]),
             nu=tuple(header["nu"]),
@@ -376,16 +375,7 @@ MIN_CHUNK_BYTES = 1 << 20
 def _atomic_save_npy(path: Path, arr: np.ndarray) -> Path:
     """Write one ``.npy`` chunk atomically; return the real final path."""
     final = path if path.name.endswith(".npy") else path.with_name(path.name + ".npy")
-    tmp = final.with_name(f".{final.name}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            np.save(fh, arr)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_write(final, lambda fh: np.save(fh, arr))
     return final
 
 
@@ -496,9 +486,7 @@ def write_snapshot_chunked(
         "fields": field_table,
     }
     manifest_path = out_dir / MANIFEST_NAME
-    tmp = manifest_path.with_name(f".{manifest_path.name}.tmp{os.getpid()}")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
-    os.replace(tmp, manifest_path)
+    atomic_write_json(manifest_path, manifest)
     total_bytes += manifest_path.stat().st_size
     if timer is not None:
         timer.record_write(time.perf_counter() - t0, total_bytes)
@@ -521,6 +509,7 @@ def snapshot_manifest(path: str | Path) -> dict:
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("header", {}).get("kind") != "snapshot":
         raise ValueError(f"{manifest_path} is not a snapshot manifest")
+    _check_version(manifest_path, manifest["header"])
     return manifest
 
 

@@ -208,7 +208,7 @@ class DomainEngine(SweepEngine):
         return self.n_workers or 1
 
     def bind(self, grid: PhaseSpaceGrid, scheme: str,
-             velocity_bc: str = "zero", timer=None, layout=None) -> None:
+             velocity_bc: str = "zero", timer=None) -> None:
         """Fix the engine to one grid geometry and restart f as zeros.
 
         Rebinding to a different grid/scheme tears everything down
@@ -241,7 +241,7 @@ class DomainEngine(SweepEngine):
             self.topology = topo
             self._fft_ok = None
             self._plain = SpectralBackend()
-        super().bind(grid, scheme, velocity_bc, timer, layout)
+        super().bind(grid, scheme, velocity_bc, timer)
         self.mark_mutated()
 
     # -- segments & workers ---------------------------------------------

@@ -16,11 +16,7 @@ allocator from taxing the third:
 * :class:`~repro.perf.fft.SpectralBackend` — plan-cached, worker-
   threaded FFT executor (scipy.fft pocketfft with a numpy fallback)
   behind every field solve, with pooled complex workspaces and
-  transform counters the FFT-budget tests assert against;
-* :class:`~repro.perf.layout.LayoutEngine` — the LAT analog (paper
-  §5.4): per-sweep contiguity decisions that pack badly-strided axes
-  into contiguous scratch with cache-blocked transposes, bitwise-
-  identical to the in-place path.
+  transform counters the FFT-budget tests assert against.
 
 See docs/PERFORMANCE.md ("The pencil engine", "The fused spectral
 pipeline") for when each backend wins.
@@ -28,17 +24,12 @@ pipeline") for when each backend wins.
 
 from .arena import ScratchArena
 from .fft import SpectralBackend, get_default_backend, set_default_backend
-from .layout import LayoutDecision, LayoutEngine, get_default_layout, set_default_layout
 from .pencil import PencilEngine
 
 __all__ = [
-    "LayoutDecision",
-    "LayoutEngine",
     "PencilEngine",
     "ScratchArena",
     "SpectralBackend",
     "get_default_backend",
-    "get_default_layout",
     "set_default_backend",
-    "set_default_layout",
 ]

@@ -105,7 +105,7 @@ def _pencil_worker(task) -> None:
     if _WORKER_ARENA is None:
         _WORKER_ARENA = ScratchArena()
     (in_name, out_name, shape, dtype, shard_axis, start, stop,
-     shift, axis, scheme, bc, layout) = task
+     shift, axis, scheme, bc) = task
     shm_in = attach_shm(in_name)
     shm_out = attach_shm(out_name)
     try:
@@ -116,7 +116,7 @@ def _pencil_worker(task) -> None:
             for d in range(len(shape))
         )
         advect(f[idx], shift, axis, scheme=scheme, bc=bc,
-               out=out[idx], arena=_WORKER_ARENA, layout=layout)
+               out=out[idx], arena=_WORKER_ARENA)
     finally:
         shm_in.close()
         shm_out.close()
@@ -263,31 +263,6 @@ class PencilEngine(SweepEngine):
             return None
         return shard_axis, parts
 
-    def _resolve_sweep_layout(self, f: np.ndarray, axis: int, layout) -> str:
-        """Decide the sweep's layout once, centrally.
-
-        The deciding engine records counters/telemetry for the *whole*
-        sweep; workers then receive the resolved mode as a forced string
-        (``"packed"``/``None``), which :func:`advect` applies without
-        recording — one sweep, one decision, however many pencils.
-        Each packed worker copies its shard into contiguous scratch
-        exactly once and runs every kernel stage on that copy.
-        """
-        if layout is None:
-            return "in_place"
-        from .layout import LayoutEngine, get_default_layout
-
-        eligible = f.ndim >= 2
-        if isinstance(layout, LayoutEngine):
-            return layout.decide(f, axis, eligible=eligible)
-        if layout == "in_place":
-            return "in_place"
-        if layout == "packed":
-            return "packed" if eligible else "in_place"
-        if layout == "auto":
-            return get_default_layout().decide(f, axis, eligible=eligible)
-        raise ValueError(f"unknown layout {layout!r}")
-
     @staticmethod
     def _slice_shift(sh: np.ndarray, shard_axis: int, sl: slice):
         if sh.ndim and sh.shape[shard_axis] != 1:
@@ -308,7 +283,6 @@ class PencilEngine(SweepEngine):
         bc: str = "periodic",
         out: np.ndarray | None = None,
         shard_axis: int | None = None,
-        layout=None,
     ) -> np.ndarray:
         """Sharded equivalent of :func:`repro.core.advection.advect`.
 
@@ -316,13 +290,6 @@ class PencilEngine(SweepEngine):
         engine requires the result shape to equal ``f.shape`` (shift
         axes of size 1 or matching f), which is the solver's case; an
         exotic broadcast falls back to the serial kernel.
-
-        ``layout`` follows :func:`advect`'s parameter: ``None``,
-        ``"auto"``/``"packed"``/``"in_place"``, or a
-        :class:`~repro.perf.layout.LayoutEngine`.  The decision is made
-        once per sweep on the full array (its strides are representative
-        — sharding never slices the advected axis) and the resolved mode
-        is forced onto every pencil.
         """
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -337,9 +304,7 @@ class PencilEngine(SweepEngine):
             plan = self._plan(f, sh, axis, shard_axis)
         if plan is None:
             self.last_plan = None
-            return super().advect(f, shift, axis, scheme, bc, out, layout)
-        mode = self._resolve_sweep_layout(f, axis, layout)
-        lay = "packed" if mode == "packed" else None
+            return super().advect(f, shift, axis, scheme, bc, out)
         shard, parts = plan
         slices = pencil_slices(f.shape[shard], parts)
         if out is None:
@@ -353,12 +318,11 @@ class PencilEngine(SweepEngine):
             "backend": self.backend,
             "shard_axis": shard,
             "n_pencils": len(slices),
-            "layout": mode,
         }
         if self.backend == "threads":
-            self._run_threads(f, sh, axis, scheme, bc, out, shard, slices, lay)
+            self._run_threads(f, sh, axis, scheme, bc, out, shard, slices)
         else:
-            self._run_processes(f, sh, axis, scheme, bc, out, shard, slices, lay)
+            self._run_processes(f, sh, axis, scheme, bc, out, shard, slices)
         return out
 
     # -- supervision ----------------------------------------------------
@@ -395,17 +359,14 @@ class PencilEngine(SweepEngine):
         )
         self.backend = fallback
 
-    def _run_serial(self, f, sh, axis, scheme, bc, out, lay=None) -> None:
+    def _run_serial(self, f, sh, axis, scheme, bc, out) -> None:
         """Last-resort path: the plain serial kernel (same bits)."""
         self.last_plan = None
-        super().advect(f, sh, axis, scheme, bc, out, lay)
+        super().advect(f, sh, axis, scheme, bc, out)
 
-    def _run_threads(self, f, sh, axis, scheme, bc, out, shard, slices,
-                     lay=None):
+    def _run_threads(self, f, sh, axis, scheme, bc, out, shard, slices):
         try:
-            self._threads_sweep(
-                f, sh, axis, scheme, bc, out, shard, slices, lay
-            )
+            self._threads_sweep(f, sh, axis, scheme, bc, out, shard, slices)
         except (BrokenExecutor, SweepTimeout) as exc:
             # Thread pools don't lose workers; the only infra failure is
             # a stall past task_timeout — no point retrying a stall on
@@ -414,10 +375,9 @@ class PencilEngine(SweepEngine):
             self.retries += 1
             emit("worker_failure", backend="threads", error=repr(exc))
             self._degrade(repr(exc))
-            self._run_serial(f, sh, axis, scheme, bc, out, lay)
+            self._run_serial(f, sh, axis, scheme, bc, out)
 
-    def _threads_sweep(self, f, sh, axis, scheme, bc, out, shard, slices,
-                       lay=None):
+    def _threads_sweep(self, f, sh, axis, scheme, bc, out, shard, slices):
         def one(slot: int, sl: slice) -> None:
             idx = tuple(
                 sl if d == shard else slice(None) for d in range(f.ndim)
@@ -425,7 +385,6 @@ class PencilEngine(SweepEngine):
             advect(
                 f[idx], self._slice_shift(sh, shard, sl), axis,
                 scheme=scheme, bc=bc, out=out[idx], arena=self._arena(slot),
-                layout=lay,
             )
 
         self._await([
@@ -433,8 +392,7 @@ class PencilEngine(SweepEngine):
             for slot, sl in enumerate(slices)
         ])
 
-    def _run_processes(self, f, sh, axis, scheme, bc, out, shard, slices,
-                       lay=None):
+    def _run_processes(self, f, sh, axis, scheme, bc, out, shard, slices):
         """Process sweep under supervision: retry, rebuild, degrade.
 
         A worker death (``BrokenExecutor``) or sweep timeout tears the
@@ -455,7 +413,7 @@ class PencilEngine(SweepEngine):
         try:
             retry_with_backoff(
                 lambda: self._processes_sweep(
-                    f, sh, axis, scheme, bc, out, shard, slices, lay
+                    f, sh, axis, scheme, bc, out, shard, slices
                 ),
                 (BrokenExecutor, SweepTimeout),
                 self.max_retries, self.backoff_base, failed,
@@ -467,12 +425,11 @@ class PencilEngine(SweepEngine):
         # is bitwise-identical on every backend, so nothing is lost but
         # wall clock).
         if self.backend == "threads":
-            self._run_threads(f, sh, axis, scheme, bc, out, shard, slices, lay)
+            self._run_threads(f, sh, axis, scheme, bc, out, shard, slices)
         else:
-            self._run_serial(f, sh, axis, scheme, bc, out, lay)
+            self._run_serial(f, sh, axis, scheme, bc, out)
 
-    def _processes_sweep(self, f, sh, axis, scheme, bc, out, shard, slices,
-                         lay=None):
+    def _processes_sweep(self, f, sh, axis, scheme, bc, out, shard, slices):
         from multiprocessing import shared_memory
 
         shm_in = shared_memory.SharedMemory(create=True, size=f.nbytes)
@@ -489,7 +446,7 @@ class PencilEngine(SweepEngine):
                     sl.start, sl.stop,
                     np.ascontiguousarray(self._slice_shift(sh, shard, sl))
                     if sh.ndim else sh,
-                    axis, scheme, bc, lay,
+                    axis, scheme, bc,
                 )
                 for sl in slices
             ]

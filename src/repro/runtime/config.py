@@ -122,11 +122,6 @@ class EngineConfig:
     with exponential backoff from ``backoff_base`` seconds, then the
     engine degrades processes → threads → serial permanently.
 
-    ``layout`` is the sweep-layout policy (``"auto"`` / ``"packed"`` /
-    ``"in_place"``, see :class:`repro.perf.layout.LayoutEngine`) and
-    applies to every engine — it is forwarded to the drivers' Vlasov
-    solvers, which own the deciding layout engine.
-
     ``engine="domain"`` selects the persistent-worker domain engine
     instead (:class:`repro.parallel.domain.DomainEngine`): f lives
     sharded across worker processes in shared memory for the whole run,
@@ -147,7 +142,6 @@ class EngineConfig:
     backoff_base: float = 0.05
     task_timeout: float | None = None
     min_shard_bytes: int = 1 << 16
-    layout: str = "auto"
 
 
 @dataclass
@@ -290,11 +284,6 @@ class RunConfig:
             raise ValueError("engine.max_retries must be >= 0")
         if e.task_timeout is not None and e.task_timeout <= 0.0:
             raise ValueError("engine.task_timeout must be positive or null")
-        if e.layout not in ("auto", "packed", "in_place"):
-            raise ValueError(
-                f"engine.layout {e.layout!r} not in ('auto', 'packed', "
-                f"'in_place')"
-            )
         d = self.diagnostics
         if d.every_steps is not None and d.every_steps < 1:
             raise ValueError("diagnostics.every_steps must be >= 1 or null")
@@ -351,7 +340,7 @@ class RunConfig:
             ("faults", FaultsConfig),
         ):
             if section in data:
-                kwargs[section] = _build_section(section_cls, data.pop(section))
+                kwargs[section] = build_section(section_cls, data.pop(section))
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -365,27 +354,11 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         """Load from a ``.json`` or ``.toml`` file (dispatch by suffix)."""
-        path = Path(path)
-        if path.suffix == ".toml":
-            import tomllib
-
-            data = tomllib.loads(path.read_text())
-        elif path.suffix == ".json":
-            data = json.loads(path.read_text())
-        else:
-            raise ValueError(f"config must be .json or .toml, got {path.name!r}")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def dump(self, path: str | Path) -> Path:
         """Write to a ``.json`` or ``.toml`` file (dispatch by suffix)."""
-        path = Path(path)
-        if path.suffix == ".toml":
-            path.write_text(toml_dumps(self.as_dict()))
-        elif path.suffix == ".json":
-            path.write_text(json.dumps(self.as_dict(), indent=2) + "\n")
-        else:
-            raise ValueError(f"config must be .json or .toml, got {path.name!r}")
-        return path
+        return write_config_file(self.as_dict(), path)
 
 
 def apply_override(data: dict, dotted_key: str, value) -> dict:
@@ -412,7 +385,7 @@ def apply_override(data: dict, dotted_key: str, value) -> dict:
     return data
 
 
-def _build_section(section_cls, data) -> object:
+def build_section(section_cls, data) -> object:
     """Instantiate one nested config dataclass, rejecting unknown keys."""
     if dataclasses.is_dataclass(data):
         return data
@@ -423,6 +396,30 @@ def _build_section(section_cls, data) -> object:
             f"unknown {section_cls.__name__} keys: {sorted(unknown)}"
         )
     return section_cls(**data)
+
+
+def read_config_file(path: str | Path) -> dict:
+    """The plain-dict contents of a ``.json`` or ``.toml`` config file."""
+    path = Path(path)
+    if path.suffix == ".toml":
+        import tomllib
+
+        return tomllib.loads(path.read_text())
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    raise ValueError(f"config must be .json or .toml, got {path.name!r}")
+
+
+def write_config_file(data: dict, path: str | Path) -> Path:
+    """Write a plain-dict config as ``.json`` or ``.toml`` (by suffix)."""
+    path = Path(path)
+    if path.suffix == ".toml":
+        path.write_text(toml_dumps(data))
+    elif path.suffix == ".json":
+        path.write_text(json.dumps(data, indent=2) + "\n")
+    else:
+        raise ValueError(f"config must be .json or .toml, got {path.name!r}")
+    return path
 
 
 # ----------------------------------------------------------------------

@@ -61,13 +61,13 @@ EXIT_GUARD_ABORT         70  a guard tripped at abort; state checkpointed
 from __future__ import annotations
 
 import json
-import os
 import signal
 import sys
 import time
 from pathlib import Path
 
 from ..diagnostics.timers import ConservationLedger, StepTimer
+from ..io.atomic import atomic_write_json
 from ..io.snapshot import IOTimer
 from ..perf.fft import get_default_backend
 from .config import RunConfig
@@ -544,10 +544,7 @@ class SimulationRunner:
             "updated": time.time(),
             "config": self.config.as_dict(),
         }
-        path = self.run_dir / MANIFEST_NAME
-        tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(manifest, indent=2) + "\n")
-        os.replace(tmp, path)
+        atomic_write_json(self.run_dir / MANIFEST_NAME, manifest)
 
     def manifest(self) -> dict:
         """The current manifest contents."""

@@ -204,7 +204,6 @@ class PlasmaStepper(_VlasovPoissonStepper):
         self.grid = _make_grid(config)
         self.driver = PlasmaVlasovPoisson(
             self.grid, scheme=config.scheme, timer=timer, engine=engine,
-            layout=config.engine.layout,
         )
         p = config.params
         f0 = _maxwellian(self.grid) * _cosine_perturbation(
@@ -247,7 +246,6 @@ class GravitationalStepper(_VlasovPoissonStepper):
             scheme=config.scheme,
             timer=timer,
             engine=engine,
-            layout=config.engine.layout,
         )
         sigma = float(p.get("sigma_v", 1.0))
         rho0 = float(p.get("rho0", 1.0))
@@ -307,7 +305,6 @@ class HybridStepper(Stepper):
             v_max_quantile=float(p.get("v_max_quantile", 0.997)),
             engine=engine,
             timer=timer,
-            layout=config.engine.layout,
         )
         self.grid = self.sim.grid
         self.schedule = scale_factor_steps(s.a_start, s.a_end, s.n_steps, s.spacing)
@@ -424,7 +421,6 @@ def build_hybrid_simulation(
     v_max_quantile: float = 0.997,
     engine=None,
     timer=None,
-    layout="auto",
 ) -> HybridSimulation:
     """The paper's headline workload, fully initialized and deterministic.
 
@@ -434,7 +430,7 @@ def build_hybrid_simulation(
     with the matching linear bulk flow.  The same (nx, nu, box_size,
     m_nu, seed, a_start) always yields bit-identical initial state,
     which is what makes config-only resume possible.
-    ``engine``/``timer``/``layout`` go to the simulation's Vlasov solver.
+    ``engine``/``timer`` go to the simulation's Vlasov solver.
     """
     from ..cosmology import (
         Cosmology,
@@ -476,7 +472,7 @@ def build_hybrid_simulation(
 
     sim = HybridSimulation(
         grid, cdm, cosmo, a=a_start, scheme=scheme, use_tree=use_tree,
-        engine=engine, timer=timer, layout=layout,
+        engine=engine, timer=timer,
     )
     sim.neutrinos.f = build_neutrino_component(
         grid, cosmo, delta_nu=delta_nu, bulk_velocity=bulk

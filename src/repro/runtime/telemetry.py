@@ -57,10 +57,9 @@ each thread (and each ``asyncio`` task) sees only the sink installed in
 its own context, so two :class:`~repro.runtime.runner.SimulationRunner`
 instances driving concurrent campaign runs in one process cannot
 interleave each other's events into the wrong ``telemetry.jsonl``.
-Subsystem code is unaffected — a sweep's layout decisions, engine
-degradations, and rollbacks are emitted from the thread driving that
-run, which is exactly the context whose sink points at that run's
-stream.
+Subsystem code is unaffected — engine degradations, worker failures
+and rollbacks are emitted from the thread driving that run, which is
+exactly the context whose sink points at that run's stream.
 """
 
 from __future__ import annotations
@@ -295,9 +294,7 @@ def summarize(path: str | Path) -> dict:
     (end-to-end time *including I/O*).  Fault-tolerance activity is
     reported alongside: ``events`` counts every event record by kind
     (fault injections, engine degradations, quarantines) and
-    ``recoveries`` counts completed rollback restores.  When the run
-    emitted ``layout_decision`` events, ``layout`` reports the packed
-    sweep fraction and transpose traffic (paper §5.4's LAT analog).
+    ``recoveries`` counts completed rollback restores.
     When the run used the domain engine (any ``domain_*`` event or
     ``domain/*`` timer section), ``domain`` rolls them up: halo
     exchanges and bytes, gathers/scatters (residency violations when
@@ -317,20 +314,12 @@ def summarize(path: str | Path) -> dict:
     worst: dict[str, float] = {}
     guard_events = 0
     by_kind: dict[str, int] = {}
-    layout_sweeps = layout_packed = layout_bytes = 0
     domain_halo_bytes = domain_halo_exchanges = 0
     domain_sections: dict[str, float] = {}
     for r in iter_records(path):
         if "event" in r:
             by_kind[r["event"]] = by_kind.get(r["event"], 0) + 1
-            if r["event"] == "layout_decision":
-                # one event per directional sweep (the deciding
-                # LayoutEngine emits it); the packed fraction and the
-                # transpose traffic it cost summarize the LAT analog
-                layout_sweeps += 1
-                layout_packed += r.get("mode") == "packed"
-                layout_bytes += int(r.get("bytes_moved", 0))
-            elif r["event"] == "domain_halo_exchange":
+            if r["event"] == "domain_halo_exchange":
                 domain_halo_exchanges += 1
                 domain_halo_bytes += int(r.get("nbytes", 0))
             continue
@@ -351,14 +340,6 @@ def summarize(path: str | Path) -> dict:
                 domain_sections[short] = (
                     domain_sections.get(short, 0.0) + float(seconds)
                 )
-    layout = None
-    if layout_sweeps:
-        layout = {
-            "sweeps": layout_sweeps,
-            "packed": layout_packed,
-            "packed_fraction": layout_packed / layout_sweeps,
-            "bytes_moved": layout_bytes,
-        }
     domain = None
     if domain_sections or any(k.startswith("domain_") for k in by_kind):
         domain = {
@@ -377,8 +358,6 @@ def summarize(path: str | Path) -> dict:
             return {"steps": 0}
         out = {"steps": 0, "events": by_kind,
                "recoveries": by_kind.get("rollback", 0)}
-        if layout is not None:
-            out["layout"] = layout
         if domain is not None:
             out["domain"] = domain
         return out
@@ -398,8 +377,6 @@ def summarize(path: str | Path) -> dict:
     if by_kind:
         summary["events"] = by_kind
         summary["recoveries"] = by_kind.get("rollback", 0)
-        if layout is not None:
-            summary["layout"] = layout
     if domain is not None:
         summary["domain"] = domain
     return summary

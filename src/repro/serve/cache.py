@@ -11,18 +11,19 @@ checksums of each input chunk the compute would read.  Two consequences:
   the stale entry is simply never addressed again, so there is no
   invalidation protocol to get wrong.
 
-Writes are atomic (tmp + ``os.replace``), so a killed query can never
-leave a truncated entry that a later hit would trust.
+Writes are atomic (:func:`repro.io.atomic.atomic_write`), so a killed
+query can never leave a truncated entry that a later hit would trust.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
+
+from ..io.atomic import atomic_write
 
 __all__ = ["ProductCache"]
 
@@ -60,16 +61,7 @@ class ProductCache:
         """Store one entry atomically; returns its path."""
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self.path(key)
-        tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write(path, lambda fh: np.savez(fh, **arrays))
         return path
 
     def stats(self) -> dict:

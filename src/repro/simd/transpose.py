@@ -63,28 +63,6 @@ def lat_shuffle_count(n: int) -> int:
     return n * int(np.log2(n))
 
 
-def pick_block_shape(
-    rows: int, cols: int, itemsize: int, cache_bytes: int = 1 << 18
-) -> tuple[int, int]:
-    """Block edge lengths for a cache-blocked strided<->contiguous copy.
-
-    Model: a (tile_rows, tile_cols) block touches ``tile_rows`` strided
-    runs of ``tile_cols`` contiguous elements on one side and the
-    transposed pattern on the other, so the resident footprint is
-    ``2 * tile_rows * tile_cols * itemsize``.  Pick the largest square
-    tile whose footprint fits ``cache_bytes`` (a conservative slice of
-    L2 by default), floored at 16 so every run still spans at least a
-    cache line — the same ratio the 16x16 register tile of
-    :func:`register_transpose` uses at the SIMD level.
-    """
-    if rows <= 0 or cols <= 0 or itemsize <= 0:
-        raise ValueError("rows, cols and itemsize must be positive")
-    if cache_bytes <= 0:
-        raise ValueError("cache_bytes must be positive")
-    edge = max(16, int(np.sqrt(cache_bytes / (2.0 * itemsize))))
-    return min(rows, edge), min(cols, edge)
-
-
 def tile_transpose_blocked(a: np.ndarray, tile: int = 16) -> np.ndarray:
     """Cache-blocked 2-D transpose (the memory-level analog of LAT).
 

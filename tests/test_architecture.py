@@ -6,7 +6,10 @@ dependency is installed, as ``python tests/test_architecture.py``.
 * a module's underscore names are its own — nobody imports them;
 * ``repro.core`` does not know ``repro.parallel`` exists: engines reach
   the solver through :mod:`repro.core.engine`, never the reverse;
-* the second solver and its duck-type marker stay deleted.
+* the second solver and its duck-type marker stay deleted;
+* so do the layout runtime and the kernel's A/B toggles: ``layout`` is a
+  parameter of ``core.advection.advect`` alone (the benchmark's
+  pack-gain probe passes it) and no call in the package sets it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # spelled in halves so that grepping the tree for them finds only code
-RETIRED = ("is_domain" + "_engine", "DomainSolver" + "Adapter")
+RETIRED = (
+    "is_domain" + "_engine", "DomainSolver" + "Adapter",
+    "Layout" + "Engine", "layout" + "_decision", "get_default" + "_layout",
+    "UNIFORM" + "_FAST", "POOLED" + "_LIMITER",
+)
 
 
 def modules():
@@ -75,6 +82,30 @@ def test_retired_identifiers_stay_retired():
         for _, path in modules() for word in RETIRED
         if word in path.read_text()
     ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_layout_is_a_parameter_of_advect_alone():
+    assert not (SRC / "repro" / "perf" / "layout.py").exists()
+    offenders = []
+    for name, path in modules():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                if any(kw.arg == "layout" for kw in node.keywords):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
+                                     "passes layout=")
+            elif isinstance(node, ast.AnnAssign):  # a dataclass field
+                if getattr(node.target, "id", None) == "layout":
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
+                                     "declares a layout field")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == "layout" for a in params) and (
+                    name, node.name
+                ) != ("repro.core.advection", "advect"):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
+                                     f"{node.name} declares layout")
     assert not offenders, "\n".join(offenders)
 
 

@@ -121,6 +121,16 @@ class TestCampaignConfig:
             CampaignConfig.from_dict({"name": "x", "base": plasma_base(),
                                       "concurency": 3})
 
+    @pytest.mark.parametrize("section, cls_name", [
+        ("limits", "LimitsConfig"), ("retry", "RetryConfig"),
+    ])
+    def test_unknown_section_key_rejected(self, section, cls_name):
+        """``[limits]`` / ``[retry]`` go through the builder ``RunConfig``
+        sections use, so a typo inside them is named the same way."""
+        with pytest.raises(ValueError, match=f"unknown {cls_name} keys"):
+            CampaignConfig.from_dict({"name": "x", "base": plasma_base(),
+                                      section: {"max_atempts": 3}})
+
     def test_typoed_sweep_path_rejected_at_load(self):
         with pytest.raises(ValueError, match="p0000"):
             CampaignConfig(

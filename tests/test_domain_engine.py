@@ -379,7 +379,7 @@ class TestTelemetryDomainBlock:
 
         path = tmp_path / "t.jsonl"
         with telemetry.TelemetryWriter(path) as w:
-            w.event("layout_decision", packed=False, bytes=0)
+            w.event("fault_injected", kind="nan", fired_at=1)
         s = telemetry.summarize(path)
         assert "domain" not in s
 

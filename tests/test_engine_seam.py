@@ -2,7 +2,7 @@
 ``VlasovSolver`` → :mod:`repro.core.engine`.
 
 Covers what the seam added over the per-engine suites: the hybrid
-driver forwarding ``engine``/``timer``/``layout`` (bitwise across
+driver forwarding ``engine``/``timer`` (bitwise across
 engines, CFL fallback included), hybrid timer sections in telemetry,
 and the hybrid health probe under a worker-resident f.  (A degraded
 ``DomainEngine`` finishing a step through its base class is in

@@ -136,6 +136,42 @@ class TestAtomicWrites:
         assert np.array_equal(f_read, f)
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("form", ["json", "npz"])
+    def test_failed_write_keeps_previous_file_and_leaves_no_tmp(
+        self, tmp_path, form
+    ):
+        """The one helper every durable artifact goes through: a writer
+        that raises after bytes reached the temp file leaves the old
+        file byte-identical and no ``.tmp*`` sibling."""
+        from repro.io.atomic import atomic_write, atomic_write_json
+
+        path = tmp_path / f"artifact.{form}"
+        if form == "json":
+            atomic_write_json(path, {"status": "running", "last_step": 3})
+
+            def write(fh):
+                fh.write(b'{"status": "comp')
+                raise OSError("disk gone")
+        else:
+            atomic_write(path, lambda fh: np.savez(fh, f=np.arange(5.0)))
+
+            class Poison:
+                def __array__(self, *args, **kwargs):
+                    raise OSError("disk gone")
+
+            def write(fh):  # member ``f`` is written, then ``g`` raises
+                np.savez(fh, f=np.zeros(5), g=Poison())
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write(path, write)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        if form == "json":  # unserializable: fails before any byte
+            with pytest.raises(TypeError):
+                atomic_write_json(path, {"bad": object()})
+            assert path.read_bytes() == before
+            assert list(tmp_path.iterdir()) == [path]
+
 
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path, grid, f, particles):
@@ -172,38 +208,32 @@ class TestCheckpoint:
         assert header["time"] == 1.25
         assert header["extra"] == {"scenario": "plasma", "schedule_index": 7}
 
-    def test_v1_header_reads_with_backfilled_fields(self, tmp_path, grid, f):
-        """A pre-v2 checkpoint (no ``time``/``extra``) must still load,
-        with the new fields backfilled to their v1-era meanings."""
+    def test_old_format_version_is_refused(self, tmp_path, grid, f):
+        """Nothing writes v1/v2 any more, and the reader accepts exactly
+        what the writer writes: an old header is an error naming both
+        versions, for checkpoints and snapshots alike."""
         import json
 
         from repro.io.snapshot import _atomic_savez
 
-        header = {
-            "version": 1,
-            "kind": "checkpoint",
-            "a": 0.5,
-            "step": 3,
-            "nx": grid.nx,
-            "nu": grid.nu,
-            "box_size": grid.box_size,
-            "v_max": grid.v_max,
-            "dtype": grid.dtype.name,
-            "has_particles": False,
-        }
-        payload = {
-            "header": np.frombuffer(
-                json.dumps(header).encode(), dtype=np.uint8
-            ),
-            "f": f,
-        }
-        path = _atomic_savez(tmp_path / "old.npz", payload)
-        grid2, f2, particles, loaded = read_checkpoint(path)
-        assert grid2 == grid
-        assert np.array_equal(f2, f)
-        assert particles is None
-        assert loaded["time"] == 0.0
-        assert loaded["extra"] == {}
+        for kind, read in (("checkpoint", read_checkpoint),
+                           ("snapshot", read_snapshot)):
+            header = {
+                "version": 2, "kind": kind, "a": 0.5, "step": 3,
+                "time": 0.0, "extra": {},
+                "nx": grid.nx, "nu": grid.nu, "box_size": grid.box_size,
+                "v_max": grid.v_max, "dtype": grid.dtype.name,
+                "has_particles": False,
+            }
+            payload = {
+                "header": np.frombuffer(
+                    json.dumps(header).encode(), dtype=np.uint8
+                ),
+                "f": f,
+            }
+            path = _atomic_savez(tmp_path / f"old_{kind}.npz", payload)
+            with pytest.raises(ValueError, match=r"version 2.*version 3"):
+                read(path)
 
 
 class TestStepTimer:

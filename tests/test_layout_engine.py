@@ -1,19 +1,20 @@
-"""LayoutEngine + fast-path equivalence properties (ISSUE 5).
+"""The sweep kernel has one path; these are the bits it must keep.
 
-The whole point of the layout engine, the uniform-shift fast paths and
-the pooled limiter is that they change *where bytes live*, never *what
-bits come out*.  These tests pin that contract:
+``advect`` chooses neither a layout nor between fast and slow forms, so
+the alternatives exist only here, as oracles it is compared against:
 
-* packed vs in-place sweeps are **bitwise**-identical for every scheme,
-  axis, boundary condition and dtype;
-* the uniform-k roll/slice fast path is bitwise-identical to the
-  ``take_along_axis`` gather path it replaces (``UNIFORM_FAST`` toggle),
-  and the pooled limiter to the allocating seed limiter
-  (``POOLED_LIMITER`` toggle);
-* a warm Strang step re-served entirely from the :class:`ScratchArena`
-  pool (hit-rate assertion), including the pack scratch;
-* the decision model itself: thresholds, forced modes, eligibility,
-  counters and ``layout_decision`` telemetry events.
+* ``layout="packed"`` — the block-copy measurement hook kept for
+  ``benchmarks/e2e`` ``probe_pack_gain`` — is **bitwise** ``layout=None``
+  and ``"in_place"`` for every scheme, axis, boundary condition and
+  dtype, with and without an arena, blocked, and in place;
+* the uniform-k roll/slice form is bitwise the ``take_along_axis``
+  gather form, which stays in the kernel for non-uniform ``k`` and is
+  forced here by patching ``_uniform_int`` to find no uniform shift;
+* a warm Strang step is re-served entirely from the
+  :class:`ScratchArena` pool (hit-rate assertion).
+
+(The allocating-limiter oracle is in ``tests/test_limiters.py`` beside
+the sign-form one.)
 
 The float64 cases deliberately include arrays whose innermost extent is
 8 (64-byte rows) — the stride class where elementwise kernels on
@@ -30,17 +31,7 @@ from repro.core import advection
 from repro.core.advection import SCHEMES, advect
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
-from repro.perf import LayoutEngine, ScratchArena
-from repro.perf.layout import get_default_layout, set_default_layout
-from repro.simd.transpose import pick_block_shape
-
-
-@pytest.fixture(autouse=True)
-def _restore_flags():
-    fast, pooled = advection.UNIFORM_FAST, advection.POOLED_LIMITER
-    yield
-    advection.UNIFORM_FAST = fast
-    advection.POOLED_LIMITER = pooled
+from repro.perf import ScratchArena
 
 
 def _field(dtype, shape=(8, 7, 9, 8)):
@@ -73,49 +64,56 @@ def _advect(f, sh, axis, scheme, bc, **kw):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bc", ["periodic", "zero"])
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_packed_bitwise_identical(scheme, bc, dtype):
-    """Forced-packed == in-place, bit for bit, for every axis and shift."""
+def test_packed_bitwise_identical(scheme, bc, dtype, monkeypatch):
+    """``layout="packed"`` == ``"in_place"`` == ``None``, bit for bit."""
     f = _field(dtype)
-    packed = LayoutEngine(mode="packed")
+    arena = ScratchArena()
     for axis in range(f.ndim):
         for sh in _shifts(f.shape, axis):
-            ref = _advect(f, sh, axis, scheme, bc)
-            for layout in (packed, "packed", "auto", "in_place", None):
-                got = _advect(
-                    f, sh, axis, scheme, bc,
-                    arena=ScratchArena(), layout=layout,
-                )
-                assert got.tobytes() == ref.tobytes(), (
-                    f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
-                    f"layout {layout!r} diverged"
-                )
+            ref = _advect(f, sh, axis, scheme, bc).tobytes()
+            where = f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis}"
+            for layout in ("packed", "in_place"):
+                for pool in (None, arena):
+                    got = _advect(f, sh, axis, scheme, bc,
+                                  arena=pool, layout=layout)
+                    assert got.tobytes() == ref, f"{where} {layout} diverged"
+            with monkeypatch.context() as patch:
+                patch.setattr(advection, "BLOCK_CELLS", 1000)
+                got = _advect(f, sh, axis, scheme, bc,
+                              arena=arena, layout="packed")
+                assert got.tobytes() == ref, f"{where} blocked diverged"
+                g = f.copy()
+                advect(g, sh, axis, scheme=scheme, bc=bc, out=g,
+                       arena=arena, layout="packed")
+                assert g.tobytes() == ref, f"{where} in place diverged"
+
+
+def test_layout_accepts_only_the_probe_values():
+    f = _field(np.float32)
+    for layout in ("auto", "bogus", ScratchArena()):
+        with pytest.raises(ValueError, match="unknown layout"):
+            advect(f, 0.5, 0, layout=layout)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_uniform_fast_path_matches_gather(scheme, dtype):
-    """UNIFORM_FAST and POOLED_LIMITER toggles never change the bits.
-
-    The baseline (both off) is the seed execution path; every
-    combination must agree with it exactly.
-    """
+def test_uniform_fast_path_matches_gather(scheme, dtype, monkeypatch):
+    """The roll/slice form a uniform integer shift takes is bitwise the
+    gather form every other shift takes."""
     f = _field(dtype)
     for bc in ("periodic", "zero"):
         for axis in (0, f.ndim - 1):
             for sh in _shifts(f.shape, axis):
-                advection.UNIFORM_FAST = False
-                advection.POOLED_LIMITER = False
-                ref = _advect(f, sh, axis, scheme, bc)
-                for fast, pooled in ((True, True), (True, False), (False, True)):
-                    advection.UNIFORM_FAST = fast
-                    advection.POOLED_LIMITER = pooled
-                    got = _advect(
-                        f, sh, axis, scheme, bc, arena=ScratchArena()
-                    )
-                    assert got.tobytes() == ref.tobytes(), (
-                        f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
-                        f"fast={fast} pooled={pooled} diverged"
-                    )
+                got = _advect(f, sh, axis, scheme, bc, arena=ScratchArena())
+                with monkeypatch.context() as patch:
+                    patch.setattr(advection, "_uniform_int", lambda k: None)
+                    advection.reset_fastpath_counters()
+                    want = _advect(f, sh, axis, scheme, bc)
+                    assert advection.fastpath_counters()["uniform_k"] == 0
+                assert got.tobytes() == want.tobytes(), (
+                    f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
+                    "uniform-k form diverged from the gather form"
+                )
 
 
 def test_fast_path_counters_track_uniform_shifts():
@@ -131,14 +129,11 @@ def test_fast_path_counters_track_uniform_shifts():
 
 def test_warm_strang_step_is_pool_served():
     """After one warm-up Strang step, a second step allocates nothing new:
-    every scratch request (stencil, flux, limiter, layout pack) is an
-    arena hit."""
+    every scratch request (stencil, flux, limiter) is an arena hit."""
     grid = PhaseSpaceGrid(
         nx=(8, 6), nu=(6, 8), box_size=1.0, v_max=1.0, dtype=np.float32
     )
-    solver = VlasovSolver(
-        grid, layout=LayoutEngine(mode="packed")
-    )
+    solver = VlasovSolver(grid)
     rng = np.random.default_rng(3)
     solver.f[...] = 0.5 + rng.random(grid.shape, dtype=np.float32)
     accel = rng.standard_normal((2,) + grid.nx)
@@ -151,104 +146,3 @@ def test_warm_strang_step_is_pool_served():
         f"{after['misses'] - before['misses']} new buffers"
     )
     assert after["hits"] > before["hits"]
-
-
-# ----------------------------------------------------------------------
-# decision model
-# ----------------------------------------------------------------------
-
-
-def test_decide_thresholds_and_forced_modes():
-    eng = LayoutEngine(min_packed_bytes=1 << 10, min_stride_bytes=64)
-    big = np.zeros((64, 64), dtype=np.float64)       # stride 512B, 32 KiB
-    small = np.zeros((4, 4), dtype=np.float64)
-    assert eng.decide(big, 0) == "packed"
-    assert eng.decide(big, 1) == "in_place"          # contiguous axis
-    assert eng.decide(small, 0) == "in_place"        # below size threshold
-    assert eng.decide(big, 0, eligible=False) == "in_place"
-    assert eng.last_decision.reason == "ineligible"
-    forced_off = LayoutEngine(mode="in_place", min_packed_bytes=0)
-    assert forced_off.decide(big, 0) == "in_place"
-    forced_on = LayoutEngine(mode="packed")
-    assert forced_on.decide(small, 0) == "packed"
-    tight = LayoutEngine(min_packed_bytes=0, min_stride_bytes=1 << 20)
-    assert tight.decide(big, 0) == "in_place"        # below stride threshold
-    stats = eng.stats()
-    assert stats["packed_sweeps"] == 1
-    assert stats["in_place_sweeps"] == 3
-    assert 0.0 < stats["packed_fraction"] < 1.0
-    with pytest.raises(ValueError):
-        LayoutEngine(mode="bogus")
-
-
-def test_layout_decision_events_emitted(tmp_path):
-    from repro.runtime import telemetry
-
-    path = tmp_path / "telemetry.jsonl"
-    with telemetry.TelemetryWriter(path) as writer:
-        prev = telemetry.set_event_sink(writer.event)
-        try:
-            eng = LayoutEngine(min_packed_bytes=0)
-            f = np.zeros((32, 16), dtype=np.float64)
-            eng.decide(f, 0)
-            eng.decide(f, 1)
-        finally:
-            telemetry.set_event_sink(prev)
-    summary = telemetry.summarize(path)
-    assert summary["events"]["layout_decision"] == 2
-    assert summary["layout"]["sweeps"] == 2
-    assert summary["layout"]["packed"] == 1
-    assert summary["layout"]["packed_fraction"] == 0.5
-    assert summary["layout"]["bytes_moved"] == 2 * f.nbytes
-
-
-def test_blocked_copy_and_unpack_match_plain_ops():
-    eng = LayoutEngine(block_bytes=1 << 12)          # force real tiling
-    rng = np.random.default_rng(9)
-    src = rng.standard_normal((7, 130, 90))
-    view = np.moveaxis(src, 0, -1)                   # strided view
-    dst = np.empty(view.shape, dtype=view.dtype)
-    eng.blocked_copy(dst, view)
-    assert np.array_equal(dst, view)
-    d = rng.standard_normal(view.shape)
-    out_w = np.empty_like(view)
-    eng.unpack_subtract(dst, d, out_w)
-    assert np.array_equal(out_w, dst - d)
-    assert eng.bytes_transposed == out_w.nbytes      # unpack traffic counted
-    buf = eng.pack(view, None)
-    assert np.array_equal(buf, view)
-    assert eng.bytes_transposed == out_w.nbytes + buf.nbytes
-
-
-def test_pick_block_shape_model():
-    r, c = pick_block_shape(1000, 1000, 8, cache_bytes=1 << 18)
-    assert 2 * r * c * 8 <= 1 << 18
-    assert r >= 16 and c >= 16
-    assert pick_block_shape(4, 4, 8) == (4, 4)       # clamped to the array
-    with pytest.raises(ValueError):
-        pick_block_shape(0, 4, 8)
-    with pytest.raises(ValueError):
-        pick_block_shape(4, 4, 8, cache_bytes=0)
-
-
-def test_default_layout_swap():
-    prev = set_default_layout(None)
-    try:
-        eng = get_default_layout()
-        assert get_default_layout() is eng
-        mine = LayoutEngine(mode="in_place")
-        assert set_default_layout(mine) is eng
-        assert get_default_layout() is mine
-    finally:
-        set_default_layout(prev)
-
-
-def test_solver_promotes_layout_string():
-    grid = PhaseSpaceGrid(
-        nx=(6, 6), nu=(4, 4), box_size=1.0, v_max=1.0, dtype=np.float32
-    )
-    solver = VlasovSolver(grid, layout="in_place")
-    assert isinstance(solver.layout, LayoutEngine)
-    assert solver.layout.mode == "in_place"
-    with pytest.raises(ValueError):
-        VlasovSolver(grid, layout="bogus")

@@ -4,7 +4,9 @@ The library computes minmod without ``np.sign`` and derives the MP
 limiter's neighbor curvatures by rolling.  The Suresh-Huynh sign forms
 live here as the oracle: the new forms must equal them in value (a zero
 may differ in sign), and the advection kernel built on them must equal,
-bit for bit, the kernel built on the oracle.
+bit for bit, the kernel built on the oracle.  The kernel's limiter tail
+runs in pooled scratch; its allocating composition (:func:`allocating_tail`)
+is the second oracle here, held to the same bitwise bar.
 """
 
 from __future__ import annotations
@@ -148,6 +150,60 @@ def test_kernel_bits_are_those_of_the_sign_form_limiter(
                                   departure_average_sign)
                     patch.setattr(advection, "positivity_clamp_fraction",
                                   clamp_clip)
+                    want = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
+                assert got.tobytes() == want.tobytes(), (
+                    f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
+                    f"{sname} {fname}"
+                )
+
+
+def allocating_tail(unlimited):
+    """The kernel's MP/positivity tail in its allocating composition:
+    every temporary a fresh array, no arena — the reference the pooled
+    ufunc-for-ufunc form in ``_fractional_flux`` must reproduce."""
+
+    def fractional_flux(st, alpha, spec, arena=None, tag="pos"):
+        phi = unlimited(
+            st, alpha, spec._replace(use_mp=False, use_pos=False), arena, tag
+        )
+        center = (st.shape[0] - 1) // 2
+        if spec.use_mp:
+            st5 = st[center - 2 : center + 3]
+            pos = alpha > 0.0
+            safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=st.dtype))
+            u = phi / safe_alpha
+            u = mp_limit_departure_average(u, alpha, st5, rolled=True)
+            phi = np.where(pos, safe_alpha * u, phi)
+        if spec.use_pos:
+            phi = positivity_clamp_fraction(phi, st[center])
+        return phi
+
+    return fractional_flux
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("scheme", [
+    "slmpp3", pytest.param("slmpp5", marks=pytest.mark.smoke), "slmpp7",
+])
+def test_kernel_bits_are_those_of_the_allocating_limiter(
+    monkeypatch, scheme, bc, dtype
+):
+    """``advect``'s pooled limiter tail (quotient, limiter temporaries,
+    masked recombination, clamp — all in arena scratch) is bitwise the
+    allocating composition."""
+    from repro.perf.arena import ScratchArena
+
+    shape = (7, 5, 9)
+    arena = ScratchArena()
+    tail = allocating_tail(advection._fractional_flux)
+    for axis in (0, 2):
+        for sname, sh in mixed_sign_shifts(shape, axis):
+            for fname, f in adversarial_fields(shape, dtype):
+                got = advection.advect(f, sh, axis, scheme=scheme, bc=bc,
+                                       arena=arena)
+                with monkeypatch.context() as patch:
+                    patch.setattr(advection, "_fractional_flux", tail)
                     want = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
                 assert got.tobytes() == want.tobytes(), (
                     f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "

@@ -129,6 +129,17 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="GuardConfig"):
             RunConfig.from_dict(data)
 
+    def test_retired_engine_layout_key_rejected(self):
+        """``engine.layout`` left the schema with the layout runtime: a
+        ``run.json`` that still carries it is refused like any typo."""
+        import dataclasses
+
+        from repro.runtime.config import EngineConfig
+
+        assert len(dataclasses.fields(EngineConfig)) == 8
+        with pytest.raises(ValueError, match="unknown EngineConfig keys"):
+            RunConfig.from_dict({"engine": {"layout": "auto"}})
+
     def test_unsupported_suffix(self, tmp_path):
         with pytest.raises(ValueError, match="json or .toml"):
             RunConfig.load(tmp_path / "cfg.yaml")

@@ -183,23 +183,28 @@ class TestCheckpointIntegrity:
         with pytest.raises(SnapshotIntegrityError, match="checksum"):
             read_checkpoint(path)
 
-    def test_v2_header_without_checksums_still_reads(self, tmp_path):
-        path, f = _plasma_checkpoint(tmp_path)
-
-        def downgrade(header):
-            header["version"] = 2
-            header.pop("checksums")
-
-        _rewrite_members(path, downgrade)
-        _, f_read, _, header = read_checkpoint(path)
-        assert header["version"] == 2
-        assert np.array_equal(f, f_read)
+    def test_header_stripped_of_checksums_is_refused_and_quarantined(
+        self, tmp_path
+    ):
+        """A header that lost its ``checksums`` key is damage, not an
+        older format: the read raises and the resume scan quarantines
+        the file and restores the previous checkpoint."""
+        old_path, f_old = _plasma_checkpoint(tmp_path, "ck_00000001.npz", 1)
+        new_path, _ = _plasma_checkpoint(tmp_path, "ck_00000002.npz", 2)
+        _rewrite_members(new_path, lambda header: header.pop("checksums"))
+        with pytest.raises(SnapshotIntegrityError, match="no checksums"):
+            read_checkpoint(new_path)
+        state = find_latest_valid_checkpoint(tmp_path, quarantine_corrupt=True)
+        assert state.path == old_path
+        assert np.array_equal(state.f, f_old)
+        assert (tmp_path / ("ck_00000002.npz" + QUARANTINE_SUFFIX)).exists()
 
     def test_crc_can_be_disabled(self, tmp_path, monkeypatch):
         monkeypatch.setattr(snapshot_mod, "CHECKSUMS_ENABLED", False)
-        path, _ = _plasma_checkpoint(tmp_path)
-        _, _, _, header = read_checkpoint(path)
+        path, f = _plasma_checkpoint(tmp_path)
+        _, f_read, _, header = read_checkpoint(path)
         assert "checksums" not in header
+        assert np.array_equal(f, f_read)
 
     def test_scan_quarantines_corrupt_newest_and_restores_previous(
         self, tmp_path

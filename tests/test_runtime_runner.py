@@ -378,7 +378,7 @@ class TestConcurrentRunners:
                                "fault_injected")
         assert [e["fired_at"] for e in injected] == [1, 3, 5]
         # not one of the neighbor's injections leaked across the thread
-        # boundary (the quiet run still emits its own layout events)
+        # boundary
         assert read_events(tmp_path / "quiet" / TELEMETRY_NAME,
                            "fault_injected") == []
         for name in ("chaos", "quiet"):
@@ -388,8 +388,8 @@ class TestConcurrentRunners:
 
     def test_concurrent_runs_bitwise_match_serial(self, tmp_path):
         """Concurrency must not perturb arithmetic: per-thread FFT
-        workspaces and layout engines keep concurrent runs bitwise
-        identical to the same configs run serially."""
+        workspaces keep concurrent runs bitwise identical to the same
+        configs run serially."""
         import threading
 
         configs = {

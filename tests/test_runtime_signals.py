@@ -51,7 +51,7 @@ def write_config(tmp_path: Path, n_steps: int, step_delay: float) -> Path:
 def wait_for_lines(path: Path, n: int, timeout: float = 30.0) -> None:
     """Wait until the stream holds >= n *step* records.
 
-    Event records (layout decisions, faults, ...) interleave with step
+    Event records (engine degradations, faults, ...) interleave with step
     records in the same JSONL file and don't advance the step count.
     """
     deadline = time.monotonic() + timeout
