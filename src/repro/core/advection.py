@@ -9,6 +9,23 @@ for the whole multi-dimensional array at once, vectorized over every other
 axis (the NumPy analog of the paper's SIMD vectorization over the
 non-advected loop indices, §5.3).
 
+Kernel layout
+-------------
+A kernel call lands its block once as *planes* — the advected axis first,
+every other index contiguous behind it, ghost planes sized from the
+stencil on both ends (wrap copies or zeros) — which is the paper's
+load-and-transpose of the chunk being worked on (§5.4) and its
+stencil-sized ghosts (§5.1.3) in one copy.  From then on the neighbor
+``j + m`` of every cell is a slice of planes, a view, and a shift
+fraction broadcasts along the leading axis.  The SL-MPP5 flux through
+interface ``i`` is ``S(i, k) + phi(j, alpha)`` with donor ``j = i - k``
+[23]; neither ``k`` nor ``alpha`` varies along the advected axis, so
+``phi`` is a function of the donor cell alone: it is evaluated once per
+cell of a window (all ``n`` cells of a periodic row; for ``zero`` only
+the donors of the ``n + 1`` interfaces the update reads) and looked up
+per interface.  docs/PERFORMANCE.md ("Cell space on ghost-extended
+planes") has the pass counts and the measurements.
+
 Schemes
 -------
 ``slmpp5``
@@ -51,7 +68,7 @@ Allocation discipline
     its output write, and blocks share no rows).  Callers stepping in a
     loop double-buffer instead of allocating a fresh f every sweep.
 ``arena=``
-    A :class:`repro.perf.arena.ScratchArena` holding the stencil, flux
+    A :class:`repro.perf.arena.ScratchArena` holding the plane, flux
     and prefix-sum scratch buffers.  Repeated calls reuse the same
     memory, so steady-state sweeps stop churning the allocator.  The
     arithmetic is identical with or without an arena (same operations,
@@ -60,9 +77,9 @@ Allocation discipline
 
 Cache blocking
 --------------
-An SL-MPP5 sweep makes ~120 ufunc passes over temporaries the size of
-its input (docs/PERFORMANCE.md, "One flux direction per row", counts
-them).  ``advect`` therefore validates once and then works through
+An SL-MPP5 sweep makes ~110 ufunc passes over temporaries the size of
+its input (docs/PERFORMANCE.md, "Cell space on ghost-extended planes",
+counts them).  ``advect`` therefore validates once and then works through
 arrays above :data:`BLOCK_CELLS` one block of non-advected rows at a
 time (see :func:`_block_plan`), so the temporaries are block-sized and
 stay in cache.  Cells couple only along the advected axis: each block
@@ -71,7 +88,7 @@ one-block result.  Every engine ends in this function, so every engine
 is blocked.
 
 Precision: the conservative prefix sums S(i, k) accumulate in float64
-even for float32 f (``_integer_mass``); float32 cumsums drift by
+even for float32 f (``_flux_positive``); float32 cumsums drift by
 ~1e3 cell-ulps over 1024-cell axes, which leaked into the fluxes.  The
 *difference* of prefix sums is cast back to the storage dtype, so the
 flux array — and the telescoped update — stay in the input precision.
@@ -87,7 +104,6 @@ import numpy as np
 
 from .limiters import (
     minmod_into,
-    roll_into,
     mp_limit_departure_average,
     positivity_clamp_fraction,
     weno_smoothness,
@@ -132,14 +148,14 @@ _LAYOUTS = (None, "in_place", "packed")
 #: block-sized temporaries of a call stay cache-resident instead of
 #: streaming through memory at full-array size.  Counted in cells, not
 #: bytes: the scratch per cell (float64 prefix sums and flux beside the
-#: storage-dtype stencil) barely depends on f's dtype, and a kernel call
+#: storage-dtype planes) barely depends on f's dtype, and a kernel call
 #: costs ~0.5 ms of Python/ufunc dispatch, which sets the floor — see
 #: docs/PERFORMANCE.md ("Cache-blocked sweeps") for the measured table.
 BLOCK_CELLS = 1 << 16
 
 #: process-wide advisory counters: kernel calls (one per block and flux
-#: direction) that hit the uniform-k fast path vs. calls that fell back
-#: to the gather path.
+#: direction) whose lookups were slices (uniform k) vs. calls that had
+#: to gather.
 _FASTPATH = {"uniform_k": 0, "gather_k": 0}
 
 
@@ -182,11 +198,11 @@ def _scratch(arena, key, shape, dtype) -> np.ndarray:
 def stencil_reach(spec: SchemeSpec) -> int:
     """Cells read on each side of the donor cell by a scheme's stencil.
 
-    The MP limiter widens the gather to the 5-cell Suresh-Huynh
+    The MP limiter widens the stencil to the 5-cell Suresh-Huynh
     neighborhood; every other scheme touches exactly ``order`` cells.
-    This is the per-scheme bound ghost/pad sizing must honor — padding
-    with the widest reach of the family (as ``_zero_pad`` once did)
-    over-allocates every ``upwind1``/``pfc2``/``slp3`` sweep.
+    This is the per-scheme bound ghost sizing honors — ghosts as wide as
+    the widest reach of the family would over-allocate every
+    ``upwind1``/``pfc2``/``slp3`` sweep.
     """
     width = max(spec.order, 5) if spec.use_mp else spec.order
     return (width - 1) // 2
@@ -229,12 +245,11 @@ def advect(
         internal work buffers.  One arena must serve one caller at a
         time (give each worker thread/process its own).
     layout:
-        Measurement hook for the chunk-level LAT of paper §5.4, kept for
-        ``benchmarks/e2e`` ``probe_pack_gain`` — no product caller
-        passes it.  ``None`` / ``"in_place"`` run each block on the
-        strided ``moveaxis`` view; ``"packed"`` first copies a periodic
-        block into contiguous scratch (a ``zero`` block's ghost pad
-        already is that copy).  Bitwise-identical either way.
+        Validated and ignored: every block is landed in contiguous
+        scratch (:func:`_advect_block`), so ``None``, ``"in_place"`` and
+        ``"packed"`` are the same program.  The argument stays because
+        ``benchmarks/e2e`` ``probe_pack_gain`` passes it — no product
+        caller does.
 
     Returns
     -------
@@ -258,7 +273,6 @@ def advect(
 
     if layout not in _LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; choose from {_LAYOUTS}")
-    pack = layout == "packed" and bc == "periodic"
 
     res_shape_w = np.broadcast_shapes(fw.shape, sh.shape[:-1] + (n,))
     ax = axis if axis >= 0 else axis + f.ndim
@@ -278,7 +292,7 @@ def advect(
         or (np.shares_memory(out, f) and not _same_view(out, f))
     ):
         # small, broadcast-expanding, or partially aliased: one block
-        _advect_block(fw, sh, out_w, spec, bc, arena, pack)
+        _advect_block(fw, sh, out_w, spec, bc, arena)
     else:
         # rows couple only along the advected axis, so each block runs
         # the serial arithmetic on its rows — bitwise the one-block
@@ -287,7 +301,7 @@ def advect(
             sh_idx = tuple(
                 slice(None) if m == 1 else s for s, m in zip(idx, sh.shape)
             )
-            _advect_block(fw[idx], sh[sh_idx], out_w[idx], spec, bc, arena, pack)
+            _advect_block(fw[idx], sh[sh_idx], out_w[idx], spec, bc, arena)
     return out
 
 
@@ -321,33 +335,40 @@ def _block_plan(shape: tuple[int, ...]):
     return itertools.product(*per_axis)
 
 
-def _advect_block(fw, sh, out_w, spec, bc, arena, pack) -> None:
-    """One kernel call: flux and conservative update of an axis-last block.
+def _advect_block(fw, sh, out_w, spec, bc, arena) -> None:
+    """One kernel call: land an axis-last block as planes, flux, update.
 
-    ``pack`` lands a periodic block in contiguous scratch first (see
-    ``advect``'s ``layout``).
+    The block is copied once into ``planes[ghosts + n + ghosts, *rows]`` —
+    advected axis first, every plane contiguous — with ``stencil_reach``
+    wrap copies on each side (``periodic``) or zeros (``zero``: the reach
+    plus the cells the block's largest shift reaches across, per side).
+    That copy is the transpose a strided axis needs, the ghost pad, and
+    what makes ``out`` free to alias ``f``; from here on cell ``j + m``
+    of every row is the view ``planes[lo + m : lo + m + count]``.
     """
     n = fw.shape[-1]
-    if pack:
-        packed = _scratch(arena, ("layout", "pack"), fw.shape, fw.dtype)
-        packed[...] = fw
-        fw = packed
-
+    sh = np.moveaxis(sh, -1, 0)
+    g_l = g_r = stencil_reach(spec)
     if bc == "zero":
-        fw, pad_l, _ = _zero_pad(fw, sh, spec, arena)
-
-    flux = interface_flux(fw, sh, spec, arena)
-
-    # d(i) = flux(i+1/2) - flux(i-1/2), periodic wrap of the first cell
-    d = _scratch(arena, ("upd", "delta"), flux.shape, flux.dtype)
-    roll_into(d, flux, 1)
-    np.subtract(flux, d, out=d)
-
+        g_l += 1 + max(int(np.floor(sh.max())), 0)
+        g_r += 1 + max(int(np.floor(-sh.min())), 0)
+    planes = _scratch(
+        arena, ("plane", "f"), (g_l + n + g_r,) + out_w.shape[:-1], fw.dtype
+    )
+    cells = planes[g_l : g_l + n]
+    cells[...] = np.moveaxis(fw, -1, 0)
     if bc == "zero":
-        fw = fw[..., pad_l : pad_l + n]
-        d = d[..., pad_l : pad_l + n]
+        planes[:g_l] = 0
+        planes[g_l + n :] = 0
+    else:
+        planes[:g_l] = cells[n - g_l :]
+        planes[g_l + n :] = cells[:g_r]
 
-    np.subtract(fw, d, out=out_w)
+    flux = interface_flux(planes, g_l, n, sh, spec, bc, arena)
+
+    d = _scratch(arena, ("upd", "delta"), cells.shape, flux.dtype)
+    np.subtract(flux[1:], flux[:-1], out=d)
+    np.subtract(cells, d, out=np.moveaxis(out_w, -1, 0))
 
 
 def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
@@ -383,59 +404,35 @@ def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
     return sh
 
 
-def _zero_pad(fw, sh, spec, arena=None):
-    """Pad with the narrowest zero ghost layers this call needs.
+def interface_flux(planes, lo, n, sh, spec: SchemeSpec, bc, arena=None) -> np.ndarray:
+    """Time-integrated flux through the ``n + 1`` interfaces of every row.
 
-    The pad is sized from the *per-call* bound: the largest integer
-    shift actually present in ``sh`` (per sign) plus the stencil reach
-    of the *requested scheme* — not the widest reach of the scheme
-    family.  An ``upwind1`` sweep pads 1 ghost cell per side, not 3;
-    a one-sided shift field pays the CFL-sized pad on one side only.
-    Pencil-sharded callers shrink this further for free: each pencil
-    pads from its own local shift bound.
-    """
-    k_max = max(int(np.floor(float(np.max(sh)))), 0)
-    k_min = min(int(np.floor(float(np.min(sh)))), 0)
-    r = stencil_reach(spec)
-    pad_l = k_max + r + 1
-    pad_r = -k_min + r + 1
-    n = fw.shape[-1]
-    padded = _scratch(arena, ("pad", "f"), fw.shape[:-1] + (n + pad_l + pad_r,), fw.dtype)
-    padded[..., :pad_l] = 0
-    padded[..., pad_l : pad_l + n] = fw
-    padded[..., pad_l + n :] = 0
-    return padded, pad_l, pad_r
-
-
-def interface_flux(fw: np.ndarray, sh: np.ndarray, spec: SchemeSpec, arena=None) -> np.ndarray:
-    """Time-integrated flux through every right interface ``i+1/2``.
-
-    Works on the advected-axis-last view with periodic wrap-around.
-    Negative shifts go through the reversal symmetry: the flux of the
-    mirrored problem (array and shift reversed) maps back with a sign flip
-    and an index shift.  Where the shifts of a call mix signs, its rows
-    are split on ``sh >= 0`` and each subset is advanced once, in its own
-    direction — rows couple only along the advected axis, so a subset's
-    flux is bitwise the flux those rows get in any other company.
+    ``planes[lo : lo + n]`` are the cells (see :func:`_advect_block`) and
+    entry ``i + 1`` of the result is interface ``i + 1/2``, ``i = -1 ..
+    n - 1``.  Negative shifts go through the reversal symmetry: the flux
+    of the mirrored problem (``planes[::-1]``, shift negated) maps back
+    with a sign flip and a reversal.  Where the shifts of a call mix
+    signs, its rows are split on ``sh >= 0`` and each subset is advanced
+    once, in its own direction — rows couple only along the advected
+    axis, so a subset's flux is bitwise the flux those rows get in any
+    other company.
     """
     if spec.order not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported order {spec.order}")
     if not np.any(sh < 0.0):
-        return _flux_positive(fw, sh, spec, arena, "pos")
+        return _flux_positive(planes, lo, n, sh, spec, bc, arena, "pos")
     if not np.any(sh > 0.0):
-        return _mirror_flux(fw, sh, spec, arena)
+        return _mirror_flux(planes, lo, n, sh, spec, bc, arena)
 
-    n = fw.shape[-1]
-    shape = np.broadcast_shapes(fw.shape, sh.shape[:-1] + (n,))
-    flux = _scratch(arena, ("mix", "flux"), shape, np.float64)
-    # the axes the shift varies along, moved to the front, index the rows
+    flux = _scratch(arena, ("mix", "flux"), (n + 1,) + planes.shape[1:], np.float64)
+    # the axes the shift varies along, moved behind the planes, index the rows
     vary = [a for a, m in enumerate(sh.shape) if m > 1]
-    front = range(len(vary))
-    rows = np.moveaxis(np.broadcast_to(fw, shape), vary, front)
+    front = range(1, 1 + len(vary))
+    rows = np.moveaxis(planes, vary, front)
     flux_rows = np.moveaxis(flux, vary, front)
-    sh_rows = np.moveaxis(sh, vary, front).reshape(rows.shape[: len(vary)])
+    sh_rows = np.moveaxis(sh, vary, front).reshape(rows.shape[1 : 1 + len(vary)])
     pos = sh_rows >= 0.0
-    tail = (1,) * (fw.ndim - len(vary))
+    tail = (1,) * (planes.ndim - 1 - len(vary))
     for mask, kernel in ((pos, _flux_positive), (~pos, _mirror_flux)):
         part = sh_rows[mask]
         # a subset's scratch is its share of the block's: let the arena
@@ -445,58 +442,46 @@ def interface_flux(fw: np.ndarray, sh: np.ndarray, spec: SchemeSpec, arena=None)
             contextlib.nullcontext() if arena is None
             else arena.scaled(pos.size, part.size)
         ):
-            flux_rows[mask] = kernel(
-                rows[mask], part.reshape(part.shape + tail), spec, arena
+            flux_rows[:, mask] = kernel(
+                rows[:, mask], lo, n, part.reshape((1,) + part.shape + tail),
+                spec, bc, arena,
             )
     return flux
 
 
-def _mirror_flux(fw, sh, spec, arena=None):
+def _mirror_flux(planes, lo, n, sh, spec, bc, arena=None):
     """Flux for non-positive shifts via the reversal symmetry.
 
-    Interface ``m+1/2`` of the reversed array is interface ``(N-2-m)+1/2``
-    of the original with the flux sign flipped; as an index map that is a
-    reversal followed by a one-step left roll.
+    Interface ``m+1/2`` of the reversed row is interface ``(n-2-m)+1/2``
+    of the original with the flux sign flipped: over the ``n + 1``
+    interfaces ``-1 .. n-1`` that is a plain reversal.  Every plane is
+    contiguous, so the negation's inner stride is the itemsize whatever
+    the block's shape (float64 ``np.negative`` has miscomputed on
+    64-byte-stride hyperplane views on some builds).
     """
-    g = fw[..., ::-1]
-    gs = -(sh[..., ::-1] if sh.shape[-1] != 1 else sh)
-    fg = _flux_positive(g, gs, spec, arena, "neg")
-    # one fused pass: negate straight out of the (unreversed) mirror
-    # flux into the rolled slots, instead of copy-then-negate.  The
-    # wrap slot flips sign via * -1.0 — bitwise the same flip (IEEE
-    # multiplication by -1 is exact, including signed zeros) — because
-    # this platform's float64 np.negative miscomputes on row-stride
-    # hyperplane views (stride exactly 64 bytes); the bulk negation's
-    # kernel stride is +-itemsize and unaffected.
-    rev = fg[..., ::-1]
+    fg = _flux_positive(
+        planes[::-1], planes.shape[0] - lo - n, n, -sh, spec, bc, arena, "neg"
+    )
     out = _scratch(arena, ("neg", "mirror"), fg.shape, fg.dtype)
-    np.negative(rev[..., 1:], out=out[..., :-1])
-    np.multiply(fg[..., -1], -1.0, out=out[..., -1])
+    np.negative(fg[::-1], out=out)
     return out
 
 
-def _flux_positive(fw, sh, spec, arena=None, tag="pos"):
-    """Flux for shifts >= 0 everywhere (periodic layout)."""
-    k = np.floor(sh).astype(np.int64)
-    alpha = (sh - k).astype(fw.dtype)
+def _flux_positive(planes, lo, n, sh, spec, bc, arena=None, tag="pos"):
+    """Flux for shifts >= 0 everywhere: ``S(i, k) + phi[i - k]``.
 
-    kc = _uniform_int(k)
-    _FASTPATH["uniform_k" if kc is not None else "gather_k"] += 1
+    Neither the integer shift ``k`` nor the fraction ``alpha`` varies
+    along the advected axis, so the fractional flux ``phi`` is a function
+    of the donor cell ``j = i - k`` alone: it is evaluated once per cell
+    of a window and looked up per interface.  ``periodic`` evaluates the
+    ``n`` cells; ``zero`` only the donors of interfaces ``-1 .. n-1``,
+    cells ``-1 - k_max .. n - 1 - k_min``.
 
-    flux = _integer_mass(fw, k, arena, tag, kc=kc)
-    st = _gather_stencil(fw, k, spec.order, widen=spec.use_mp, arena=arena,
-                         tag=tag, kc=kc)
-    flux += _fractional_flux(st, alpha, spec, arena, tag)
-    return flux
-
-
-def _integer_mass(fw, k, arena=None, tag="pos", kc=None):
-    """S(i, k) = mass of the k whole cells upstream of interface i+1/2.
-
-    Uses extended prefix sums: S = C(i) - C_ext(i-k) with
-    C_ext(q) = total * (q // N) + C[q mod N], valid for any integer q
-    (negative k yields the negative downstream sum, as required by the
-    mirror symmetry caller never exercises here but tests do).
+    S(i, k), the mass of the k whole cells upstream of interface i+1/2,
+    comes from extended prefix sums over the window: S = C(i) - C_ext(i-k)
+    with C_ext(q) = total * (q // period) + C[q mod period], valid for
+    any integer q (a ``zero`` window starts on a ghost plane and never
+    wraps: leading zeros add exactly, and ``total`` enters times 0).
 
     The prefix sums accumulate — and the result stays — in float64
     regardless of storage dtype: a float32 cumsum over a long axis
@@ -505,99 +490,109 @@ def _integer_mass(fw, k, arena=None, tag="pos", kc=None):
     stored at the float32 magnitude of k whole cells.  Keeping S (and
     hence the flux) in float64 defers the cast to the *telescoped
     difference* of neighboring fluxes — a cell-scale quantity — which
-    ``advect`` rounds back to the storage dtype exactly once.
+    ``_advect_block`` rounds back to the storage dtype exactly once.
 
-    ``kc`` (from :func:`_uniform_int`) enables the uniform-shift fast
-    path: for constant k the extended-index lookup ``C_ext(i - k)`` is a
-    rotation of C plus a whole number of wraps, so two slice copies
-    replace the ``q``/``wraps``/``qmod`` index arrays and the
-    ``take_along_axis`` gather — same multiply/add/subtract ufuncs on
-    the same values in the same order, bitwise-identical.
+    A uniform ``k`` (``kc`` from :func:`_uniform_int`) makes both lookups
+    rotations: slice operations replace the index arrays and the two
+    indexed lookups (:func:`_add_lookup`) — same multiply/add/subtract
+    ufuncs on the same values in the same order, bitwise-identical.
     """
-    n = fw.shape[-1]
-    out_shape = np.broadcast_shapes(fw.shape, k.shape[:-1] + (n,))
-    out = _scratch(arena, (tag, "int_mass"), out_shape, np.float64)
-    if kc == 0 or (kc is None and np.all(k == 0)):
+    k = np.floor(sh).astype(np.int64)
+    alpha = (sh - k).astype(planes.dtype)
+
+    kc = _uniform_int(k)
+    _FASTPATH["uniform_k" if kc is not None else "gather_k"] += 1
+    k_min, k_max = (kc, kc) if kc is not None else (int(k.min()), int(k.max()))
+
+    # the window: donor cells first .. first + count - 1, read by the m
+    # interfaces n - m .. n - 1; interface p of them is cell off + p of
+    # the prefix-sum window first .. n - 1
+    periodic = bc == "periodic"
+    first, count = (0, n) if periodic else (-1 - k_max, n + 1 + k_max - k_min)
+    m = n if periodic else n + 1
+    off, period = n - m - first, n - first
+    reach = stencil_reach(spec)
+    phi = _fractional_flux(
+        planes[lo + first - reach : lo + first + count + reach], alpha, spec, arena, tag
+    )
+
+    flux = _scratch(arena, (tag, "flux"), (n + 1,) + planes.shape[1:], np.float64)
+    out = flux[n + 1 - m :]
+    if kc is not None:
+        # donor index off + p - kc splits at p = r:
+        # p <  r: wraps = -(w+1), index p - r + period;  p >= r: -w, p - r
+        w, r = divmod(kc - off, period)
+    else:
+        idx = np.arange(off, off + m).reshape((m,) + (1,) * (planes.ndim - 1)) - k
+        wraps = idx // period
+        idx -= wraps * period
+    if k_max == 0:
         out[...] = 0
-        return out
-    csum = _scratch(arena, (tag, "csum"), fw.shape, np.float64)
-    np.cumsum(fw, axis=-1, dtype=np.float64, out=csum)
-    total = csum[..., -1:]
-    if kc is not None and out_shape == fw.shape:
-        # q = i - kc splits at i = r (kc = w*n + r, 0 <= r < n):
-        # i <  r: wraps = -(w+1), qmod = i - r + n
-        # i >= r: wraps = -w,     qmod = i - r
-        w, r = divmod(kc, n)
-        np.multiply(total, -(w + 1), out=out[..., :r])
-        np.multiply(total, -w, out=out[..., r:])
-        out[..., :r] += csum[..., n - r :]
-        out[..., r:] += csum[..., : n - r]
-        np.subtract(csum, out, out=out)
-        return out
-    i = np.arange(n, dtype=np.int64)
-    q = i - k  # broadcasts to (..., n)
-    wraps = q // n
-    qmod = q - wraps * n
-    cb = np.broadcast_to(csum, np.broadcast_shapes(csum.shape, qmod.shape))
-    np.multiply(total, wraps, out=out)
-    out += np.take_along_axis(cb, qmod, axis=-1)
-    np.subtract(np.broadcast_to(csum, out_shape), out, out=out)
-    return out
+    else:
+        csum = _scratch(arena, (tag, "csum"), (period,) + planes.shape[1:], np.float64)
+        np.cumsum(planes[lo + first : lo + n], axis=0, dtype=np.float64, out=csum)
+        total = csum[-1:]
+        if kc is not None:
+            np.multiply(total, -(w + 1), out=out[:r])
+            np.multiply(total, -w, out=out[r:])
+            out[:r] += csum[period - r :]
+            out[r:] += csum[: m - r]
+        else:
+            np.multiply(total, wraps, out=out)
+            _add_lookup(out, csum, idx)
+        np.subtract(csum[off : off + m], out, out=out)
+    if kc is not None:
+        out[:r] += phi[count - r :]
+        out[r:] += phi[: m - r]
+    else:
+        _add_lookup(out, phi, idx)
+    if periodic:
+        flux[0] = flux[n]  # interface -1 is interface n-1
+    return flux
 
 
-def _gather_stencil(fw, k, order, widen=False, arena=None, tag="pos", kc=None):
-    """Cell averages around the donor cell j = i - k for every interface.
+def _add_lookup(out, planes, idx) -> None:
+    """``out[p, row] += planes[idx[p, row], row]`` for every row.
 
-    Returns array of shape ``(width,) + broadcast(fw, k)`` with the donor
-    cell at the center index; ``width`` is ``order`` widened to at least 5
-    when the MP limiter needs the full 5-cell neighborhood.
-
-    A constant integer shift (``kc`` from :func:`_uniform_int`, or any
-    size-1 ``k``) turns every gather into a roll — two slice copies per
-    stencil row instead of a full ``take_along_axis`` with an index
-    array, reading memory sequentially instead of permuted.
-
-    Either way the rows are a roll family — ``k`` never varies along the
-    advected axis, so ``st[m]`` is ``st[m - 1]`` rolled one cell left —
-    which is what lets the MP limiter derive its neighbor curvatures by
-    rolling (:func:`repro.core.limiters.mp_bounds`, ``roll``).
+    ``idx`` has size 1 along the row axes the shift does not vary along.
+    Only the axes it does vary along are indexed (moved behind the plane
+    axis, on both sides, so the result needs no transpose); the others are
+    sliced, so rows that share an index are copied as whole runs — ~50x
+    cheaper than a ``take_along_axis`` with ``idx`` broadcast to every
+    element when a 512-cell run shares each index.
     """
-    n = fw.shape[-1]
-    width = max(order, 5) if widen else order
-    r = (width - 1) // 2
-    if kc is None and k.size == 1:
-        kc = int(k.reshape(-1)[0])
-    if kc is not None and np.broadcast_shapes(fw.shape, k.shape[:-1] + (n,)) == fw.shape:
-        st = _scratch(arena, (tag, "stencil"), (width,) + fw.shape, fw.dtype)
-        for m in range(width):
-            roll_into(st[m], fw, kc - (m - r))
-        return st
-    i = np.arange(n, dtype=np.int64)
-    j = i - k  # donor index, broadcast (..., n)
-    out_shape = (width,) + np.broadcast_shapes(fw.shape, j.shape)
-    st = _scratch(arena, (tag, "stencil"), out_shape, fw.dtype)
-    fb = np.broadcast_to(fw, out_shape[1:])
-    for m in range(width):
-        idx = (j + (m - r)) % n
-        st[m] = np.take_along_axis(fb, idx, axis=-1)
-    return st
+    vary = [a for a in range(1, idx.ndim) if idx.shape[a] > 1]
+    front = range(1, 1 + len(vary))
+    which = np.moveaxis(idx, vary, front)
+    which = which.reshape(which.shape[: 1 + len(vary)])
+    rows = np.ix_(*map(range, which.shape))[1:]  # open mesh, plane axis dropped
+    out = np.moveaxis(out, vary, front)
+    np.add(out, np.moveaxis(planes, vary, front)[(which, *rows)], out=out)
 
 
-def _fractional_flux(st, alpha, spec, arena=None, tag="pos"):
-    """phi: mass donated from the right alpha-fraction of the donor cell."""
+def _fractional_flux(cells, alpha, spec, arena=None, tag="pos"):
+    """phi of every donor cell: mass donated from its right alpha-fraction.
+
+    ``cells`` holds the donor cells as planes with ``stencil_reach(spec)``
+    neighbor planes on each side; ``st[m]`` below is cell ``j + m - r`` of
+    all donors at once, a view.  ``alpha`` has their dtype and one value
+    per row: it broadcasts into ``st[m]``'s shape along the leading axis.
+    """
     order, use_mp, use_pos, use_weno, use_pfc = spec
-    width = st.shape[0]
-    center = (width - 1) // 2
+    reach = stencil_reach(spec)
+    count = cells.shape[0] - 2 * reach
+    half = (order - 1) // 2
+    st = tuple(
+        cells[reach + m : reach + m + count] for m in range(-half, half + 1)
+    )
     if use_weno:
         phi = _weno_fractional(st, alpha, arena, tag)
     elif use_pfc:
         phi = _pfc_fractional(st, alpha, arena, tag)
     else:
         poly = flux_coefficient_polynomials(order)
-        lo = center - (order - 1) // 2
-        pshape = np.broadcast_shapes(st.shape[1:], alpha.shape)
-        phi = _scratch(arena, (tag, "phi"), pshape, st.dtype)
-        term = _scratch(arena, (tag, "phi_term"), pshape, st.dtype)
+        phi = _scratch(arena, (tag, "phi"), st[0].shape, cells.dtype)
+        term = _scratch(arena, (tag, "phi_term"), st[0].shape, cells.dtype)
         # Fused Horner pass: evaluate each cell's coefficient polynomial
         # c_m(alpha) in place and accumulate its term immediately —
         # no (order,) + shape coefficient stack, two alpha-sized
@@ -617,13 +612,10 @@ def _fractional_flux(st, alpha, spec, arena=None, tag="pos"):
                 np.multiply(c_acc, alpha, out=c_acc)
                 np.add(c_acc, poly[m, dgr], out=c_acc)
             c_work[...] = c_acc
-            np.multiply(c_work, st[lo + m], out=term)
+            np.multiply(c_work, st[m], out=term)
             phi += term
 
     if use_mp:
-        if width < 5:
-            raise AssertionError("MP limiting requires the widened 5-cell stencil")
-        st5 = st[center - 2 : center + 3]
         # u must be rescaled by the *true* alpha on both sides: flooring
         # the divisor (the old max(alpha, 1e-7)) shrank u for sub-floor
         # alphas, the limiter clamped it back into physical bounds, and
@@ -632,37 +624,23 @@ def _fractional_flux(st, alpha, spec, arena=None, tag="pos"):
         # the MP clamp bounds it and alpha * u_limited stays monotone
         # for any alpha in [0, 1].
         pos = alpha > 0.0
-        safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=st.dtype))
+        safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=cells.dtype))
         # the full-size quotient, limiter temporaries and masked
         # recombination all run through pooled scratch
-        u = _scratch(
-            arena, (tag, "mp_u"),
-            np.broadcast_shapes(phi.shape, safe_alpha.shape),
-            np.result_type(phi, safe_alpha),
-        )
+        u = _scratch(arena, (tag, "mp_u"), phi.shape, phi.dtype)
         np.divide(phi, safe_alpha, out=u)
         u = mp_limit_departure_average(
-            u, alpha, st5, arena=arena, tag=(tag, "mp"), rolled=True
+            u, alpha, cells[reach - 2 : reach + count + 2], arena=arena, tag=(tag, "mp")
         )
-        lim = _scratch(
-            arena, (tag, "mp_lim"),
-            np.broadcast_shapes(safe_alpha.shape, u.shape),
-            np.result_type(safe_alpha, u),
-        )
+        lim = _scratch(arena, (tag, "mp_lim"), phi.shape, phi.dtype)
         np.multiply(safe_alpha, u, out=lim)
-        sel = _scratch(
-            arena, (tag, "mp_sel"),
-            np.broadcast_shapes(pos.shape, lim.shape, phi.shape),
-            np.result_type(lim, phi),
-        )
+        sel = _scratch(arena, (tag, "mp_sel"), phi.shape, phi.dtype)
         # np.where(pos, lim, phi) as fill + masked overwrite
         np.copyto(sel, phi)
         np.copyto(sel, lim, where=pos)
         phi = sel
     if use_pos:
-        phi = positivity_clamp_fraction(
-            phi, st[center], arena=arena, tag=(tag, "clamp")
-        )
+        phi = positivity_clamp_fraction(phi, st[half], arena=arena, tag=(tag, "clamp"))
     return phi
 
 
@@ -678,14 +656,12 @@ def _pfc_fractional(st, alpha, arena=None, tag="pos"):
     Every temporary of the expression (and of its
     :func:`~repro.core.limiters.minmod`) lives in pooled scratch.
     """
-    center = (st.shape[0] - 1) // 2
-    fm1, f0, fp1 = st[center - 1], st[center], st[center + 1]
-    sshape = st.shape[1:]
-    pshape = np.broadcast_shapes(sshape, alpha.shape)
-    a = _scratch(arena, (tag, "pfc_a"), sshape, st.dtype)
-    b = _scratch(arena, (tag, "pfc_b"), sshape, st.dtype)
-    slope = _scratch(arena, (tag, "pfc_slope"), sshape, st.dtype)
-    sb = _scratch(arena, (tag, "pfc_sb"), sshape, st.dtype)
+    fm1, f0, fp1 = st
+    sshape = f0.shape
+    a = _scratch(arena, (tag, "pfc_a"), sshape, f0.dtype)
+    b = _scratch(arena, (tag, "pfc_b"), sshape, f0.dtype)
+    slope = _scratch(arena, (tag, "pfc_slope"), sshape, f0.dtype)
+    sb = _scratch(arena, (tag, "pfc_sb"), sshape, f0.dtype)
     np.subtract(fp1, f0, out=a)
     np.subtract(f0, fm1, out=b)
     minmod_into(slope, a, b, sb)
@@ -693,7 +669,7 @@ def _pfc_fractional(st, alpha, arena=None, tag="pos"):
     w = _scratch(arena, (tag, "pfc_w"), alpha.shape, alpha.dtype)
     np.subtract(1.0, alpha, out=w)
     np.multiply(w, 0.5, out=w)
-    phi = _scratch(arena, (tag, "phi"), pshape, st.dtype)
+    phi = _scratch(arena, (tag, "phi"), sshape, f0.dtype)
     np.multiply(w, slope, out=phi)
     np.add(f0, phi, out=phi)
     np.multiply(alpha, phi, out=phi)
@@ -715,11 +691,11 @@ def _weno_fractional(st, alpha, arena=None, tag="pos"):
     p5 = flux_coefficient_polynomials(5)  # (5, 6)
 
     a = alpha.astype(np.float64)
-    pshape = np.broadcast_shapes(st.shape[1:], alpha.shape)
-    term = _scratch(arena, (tag, "weno_term"), pshape, np.float64)
+    bshape = st[0].shape
+    term = _scratch(arena, (tag, "weno_term"), bshape, np.float64)
     phis = []
     for s in range(3):
-        acc = _scratch(arena, (tag, "weno_acc", s), pshape, np.float64)
+        acc = _scratch(arena, (tag, "weno_acc", s), bshape, np.float64)
         acc[...] = 0.0
         for m in range(5):
             if np.any(sub[s, m] != 0.0):
@@ -741,7 +717,6 @@ def _weno_fractional(st, alpha, arena=None, tag="pos"):
     d2 = np.clip(d2, 0.0, 1.0)
     d1 = np.clip(1.0 - d0 - d2, 0.0, 1.0)
 
-    bshape = st.shape[1:]
     beta32 = weno_smoothness(st)
     beta = _scratch(arena, (tag, "weno_beta"), beta32.shape, np.float64)
     beta[...] = beta32
@@ -749,8 +724,7 @@ def _weno_fractional(st, alpha, arena=None, tag="pos"):
     wden = _scratch(arena, (tag, "weno_wden"), bshape, np.float64)
     ws = []
     for idx, dd in enumerate((d0, d1, d2)):
-        w = _scratch(arena, (tag, "weno_w", idx),
-                     np.broadcast_shapes(dd.shape, bshape), np.float64)
+        w = _scratch(arena, (tag, "weno_w", idx), bshape, np.float64)
         np.add(eps, beta[idx], out=wden)
         np.power(wden, 2, out=wden)
         np.divide(dd, wden, out=w)
@@ -759,13 +733,13 @@ def _weno_fractional(st, alpha, arena=None, tag="pos"):
     wsum = _scratch(arena, (tag, "weno_wsum"), w0.shape, np.float64)
     np.add(w0, w1, out=wsum)
     np.add(wsum, w2, out=wsum)
-    num = _scratch(arena, (tag, "weno_num"), pshape, np.float64)
+    num = _scratch(arena, (tag, "weno_num"), bshape, np.float64)
     np.multiply(w0, phis[0], out=num)
     np.multiply(w1, phis[1], out=term)
     num += term
     np.multiply(w2, phis[2], out=term)
     num += term
     np.divide(num, wsum, out=num)
-    phi = _scratch(arena, (tag, "phi"), pshape, st.dtype)
+    phi = _scratch(arena, (tag, "phi"), bshape, st[0].dtype)
     phi[...] = num
     return phi

@@ -5,10 +5,12 @@ Suresh & Huynh (1997) [paper ref. 22] adapted to the conservative
 semi-Lagrangian flux of the SL-MPP5 scheme (paper §5.2, ref. [23]), plus
 the explicit positivity clamp on the donated fractional mass.
 
-All functions are shape-polymorphic and operate on the *gathered* stencil
-arrays produced by :mod:`repro.core.advection` — entry ``st[m+r]`` holds
-the cell average ``fbar_{j+m}`` of the donor-cell neighborhood, broadcast
-over the rest of the phase-space axes.
+All functions are shape-polymorphic.  A *stencil* is five arrays, entry
+``m + 2`` holding the cell average ``fbar_{j+m}`` of the donor-cell
+neighborhood.  The advection kernel works on *planes* instead — cell
+averages with the advected axis leading, ``cells[c]`` one cell of every
+row — where the neighbor ``j + m`` of all donor cells at once is the
+slice ``cells[2 + m : 2 + m + L]``, and a stencil is the ``L = 1`` case.
 """
 
 from __future__ import annotations
@@ -79,33 +81,6 @@ def minmod4_into(out, a, b, c, d, w1, w2) -> np.ndarray:
     return out
 
 
-def roll_into(dst, src, s):
-    """dst = np.roll(src, s, axis=-1) without the intermediate allocation.
-
-    Contiguous operands take the longer of the two slice copies as one
-    flat shifted copy (it also spills into the columns that wrapped,
-    which the shorter slice copy then overwrites): the axis is often
-    8-16 cells long, and a row-by-row copy of such rows costs ~6x a
-    flat one.
-    """
-    n = src.shape[-1]
-    s %= n
-    if s == 0:
-        dst[...] = src
-        return
-    if not (
-        dst.flags.c_contiguous and src.flags.c_contiguous and dst.shape == src.shape
-    ):
-        dst[..., :s] = src[..., n - s :]
-        dst[..., s:] = src[..., : n - s]
-    elif 2 * s <= n:
-        dst.reshape(-1)[s:] = src.reshape(-1)[:-s]
-        dst[..., :s] = src[..., n - s :]
-    else:
-        dst.reshape(-1)[: s - n] = src.reshape(-1)[n - s :]
-        dst[..., s:] = src[..., : n - s]
-
-
 def median3(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Median of three values, written as x + minmod(lo - x, hi - x)."""
     return x + minmod(lo - x, hi - x)
@@ -155,13 +130,7 @@ def mp_limit_interface(
     return np.where(need, limited, f_interface)
 
 
-def mp_bounds(
-    stencil: np.ndarray,
-    alpha_mp: float = 4.0,
-    arena=None,
-    tag=("mp",),
-    roll: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+def mp_bounds(stencil: np.ndarray, alpha_mp: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
     """Suresh-Huynh MP interval [f_min, f_max] for rightward flow.
 
     The interval always contains the donor average ``f_j``; near smooth
@@ -169,80 +138,78 @@ def mp_bounds(
     not degrade the formal order of accuracy, while at discontinuities it
     collapses to the local data range.
 
-    ``arena``/``tag`` route every temporary through pooled scratch; the
-    returned arrays live in the pool and are overwritten by the next
-    same-tag call.  The bounds are bitwise-identical with or without an
-    arena.
-
-    ``roll`` declares the stencil a *roll family* — ``stencil[m] ==
-    np.roll(stencil[2], -roll * (m - 2), axis=-1)``, ``roll = +1`` for
-    the stencils :mod:`repro.core.advection` gathers and ``-1`` for
-    their mirror ``stencil[::-1]``.  The neighbor curvature ``d_{j+1}``
-    is then ``d_j`` rolled (same operands in the same order, so the same
-    bits) and ``dM4_{j-1/2}`` is ``dM4_{j+1/2}`` rolled (``minmod4`` is
-    symmetric in its arguments): 39 full-size passes instead of 55.
-    ``roll = 0`` assumes nothing about the stencil.  Both entries return
-    the same values; where the curvatures hold zeros of both signs a
-    zero bound may differ in sign.
+    This is the entry for five arbitrary arrays.  The advection kernel
+    evaluates the same interval for whole rows of donor cells at once
+    (:func:`mp_limit_departure_average`), where neighboring cells share
+    their curvatures; both return the same values, and where the
+    curvatures hold zeros of both signs a zero bound may differ in sign.
     """
     fm2, fm1, f0, fp1, fp2 = (stencil[m] for m in range(5))
-    shape = stencil.shape[1:]
-    dt = stencil.dtype
-    d0 = _take(arena, (*tag, "d0"), shape, dt)
-    dp = _take(arena, (*tag, "dp"), shape, dt)
-    d4 = _take(arena, (*tag, "d4"), shape, dt)
-    ta = _take(arena, (*tag, "ta"), shape, dt)
-    tb = _take(arena, (*tag, "tb"), shape, dt)
-    w1 = _take(arena, (*tag, "w1"), shape, dt)
-    w2 = _take(arena, (*tag, "w2"), shape, dt)
-    m4p = _take(arena, (*tag, "m4p"), shape, dt)
-    m4m = _take(arena, (*tag, "m4m"), shape, dt)
-    ful = _take(arena, (*tag, "ful"), shape, dt)
-    fmd = _take(arena, (*tag, "fmd"), shape, dt)
-    flc = _take(arena, (*tag, "flc"), shape, dt)
-    f_min = _take(arena, (*tag, "min"), shape, dt)
-    f_max = _take(arena, (*tag, "max"), shape, dt)
+    d_m1 = fm2 - 2.0 * fm1 + f0
+    d_0 = fm1 - 2.0 * f0 + fp1
+    d_p1 = f0 - 2.0 * fp1 + fp2
+    dm4_p = minmod4(4.0 * d_0 - d_p1, 4.0 * d_p1 - d_0, d_0, d_p1)
+    dm4_m = minmod4(4.0 * d_0 - d_m1, 4.0 * d_m1 - d_0, d_0, d_m1)
+    f_ul = f0 + alpha_mp * (f0 - fm1)
+    f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_p
+    f_lc = f0 + 0.5 * (f0 - fm1) + (4.0 / 3.0) * dm4_m
+    f_min = np.maximum(
+        np.minimum(np.minimum(f0, fp1), f_md), np.minimum(np.minimum(f0, f_ul), f_lc)
+    )
+    f_max = np.minimum(
+        np.maximum(np.maximum(f0, fp1), f_md), np.maximum(np.maximum(f0, f_ul), f_lc)
+    )
+    return f_min, f_max
 
-    def dm4(out, dn):
-        # minmod4(4 d_0 - d_n, 4 d_n - d_0, d_0, d_n)
-        np.subtract(d4, dn, out=ta)
-        np.multiply(dn, 4.0, out=tb)
-        np.subtract(tb, d0, out=tb)
-        minmod4_into(out, ta, tb, d0, dn, w1, w2)
 
-    # d_0 = fm1 - 2.0 * f0 + fp1   (d_p1, d_m1: its cyclic siblings)
-    np.multiply(f0, 2.0, out=w1)
-    np.subtract(fm1, w1, out=d0)
-    np.add(d0, fp1, out=d0)
-    np.multiply(d0, 4.0, out=d4)
-    if roll:
-        roll_into(dp, d0, -roll)
-        dm4(m4p, dp)
-        roll_into(m4m, m4p, roll)
-    else:
-        np.multiply(fp1, 2.0, out=w1)
-        np.subtract(f0, w1, out=dp)
-        np.add(dp, fp2, out=dp)
-        dm4(m4p, dp)
-        dm = dp  # d_p1 is spent
-        np.multiply(fm1, 2.0, out=w1)
-        np.subtract(fm2, w1, out=dm)
-        np.add(dm, f0, out=dm)
-        dm4(m4m, dm)
+def _mp_interval(cells, alpha_mp, arena, tag):
+    """:func:`mp_bounds` of the donor cells ``cells[2:-2]``, plane-wise.
 
+    ``cells`` holds ``L + 4`` planes: the ``L`` donors and two neighbors
+    on each side.  The curvature ``d_c = (f_{c-1} - 2 f_c) + f_{c+1}`` is
+    evaluated once on the ``L + 2`` cells that border a donor interface
+    and ``dM4`` once on the ``L + 1`` interfaces between them; a donor
+    reads its two as views.  Every temporary is pooled scratch (the
+    returned arrays too — the next same-tag call overwrites them); the
+    bounds are bitwise-identical with or without an arena.
+    """
+    count, shape, dt = cells.shape[0] - 4, cells.shape[1:], cells.dtype
+    fm1, f0, fp1 = cells[1:-3], cells[2:-2], cells[3:-1]
+    d, d4 = (
+        _take(arena, (*tag, name), (count + 2,) + shape, dt) for name in ("d", "d4")
+    )
+    ta, tb, w1, w2, m4 = (
+        _take(arena, (*tag, name), (count + 1,) + shape, dt)
+        for name in ("ta", "tb", "w1", "w2", "m4")
+    )
+    f_min, f_max = (
+        _take(arena, (*tag, name), (count,) + shape, dt) for name in ("min", "max")
+    )
+
+    np.multiply(cells[1:-1], 2.0, out=d4)
+    np.subtract(cells[:-2], d4, out=d)
+    np.add(d, cells[2:], out=d)
+    np.multiply(d, 4.0, out=d4)
+    # dM4 between cells e, e+1: minmod4(4 d_e - d_e+1, 4 d_e+1 - d_e, d_e, d_e+1)
+    np.subtract(d4[:-1], d[1:], out=ta)
+    np.subtract(d4[1:], d[:-1], out=tb)
+    minmod4_into(m4, ta, tb, d[:-1], d[1:], w1, w2)
+
+    # the interface-sized buffers are spent: reuse them donor-sized
+    ful, fmd, flc, w1, w2 = ta[:-1], tb[:-1], d4[:-2], w1[:-1], w2[:-1]
     # f_ul = f0 + alpha_mp * (f0 - fm1)
     np.subtract(f0, fm1, out=flc)
     np.multiply(flc, alpha_mp, out=ful)
     np.add(f0, ful, out=ful)
-    # f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_p
+    # f_md = 0.5 * (f0 + fp1) - 0.5 * dM4_{j+1/2}
     np.add(f0, fp1, out=fmd)
     np.multiply(fmd, 0.5, out=fmd)
-    np.multiply(m4p, 0.5, out=w1)
+    np.multiply(m4[1:], 0.5, out=w1)
     np.subtract(fmd, w1, out=fmd)
-    # f_lc = f0 + 0.5 * (f0 - fm1) + (4/3) * dm4_m
+    # f_lc = f0 + 0.5 * (f0 - fm1) + (4/3) * dM4_{j-1/2}
     np.multiply(flc, 0.5, out=flc)
     np.add(f0, flc, out=flc)
-    np.multiply(m4m, 4.0 / 3.0, out=w1)
+    np.multiply(m4[:-1], 4.0 / 3.0, out=w1)
     np.add(flc, w1, out=flc)
 
     np.minimum(f0, fp1, out=w1)
@@ -261,11 +228,10 @@ def mp_bounds(
 def mp_limit_departure_average(
     u: np.ndarray,
     alpha: np.ndarray,
-    stencil: np.ndarray,
+    cells: np.ndarray,
     alpha_mp: float = 4.0,
     arena=None,
     tag="mp",
-    rolled: bool = False,
 ) -> np.ndarray:
     """MP limiting of the semi-Lagrangian departure-interval average.
 
@@ -286,41 +252,25 @@ def mp_limit_departure_average(
     requirements translate into an intersection interval for u, never
     empty because u = f_j satisfies both.
 
-    With an ``arena`` every full-size temporary lives in pooled scratch
-    (the returned array too — it is overwritten by the next same-tag
-    call).  The pooled path requires the single-dtype case ``u.dtype ==
-    alpha.dtype == stencil.dtype`` (what :mod:`repro.core.advection`
-    produces — alpha is cast to the working dtype there); any other mix
-    falls back to the allocating expressions (the same elementwise
-    operations; with or without an arena the result is bitwise-identical).
-
-    ``rolled`` declares ``stencil`` a roll family (``stencil[m]`` is
-    ``stencil[2]`` rolled ``2 - m`` cells along the last axis, as the
-    advection kernel's gathers are) and selects :func:`mp_bounds`'
-    ``roll`` entry for both sides: same values, and a zero may differ
-    in sign from the general entry's.
+    ``cells`` holds the ``L`` donor cells ``cells[2:-2]`` that ``u``
+    belongs to, as planes, with two neighbor planes on each side (a
+    five-array stencil is ``L = 1``).  The left-interface bounds are the
+    same computation on ``cells[::-1]``, which keeps its own operand
+    order ``(f_{j+1} - 2 f_j) + f_{j-1}``.  With an ``arena`` every
+    full-size temporary lives in pooled scratch (the returned array too —
+    it is overwritten by the next same-tag call); with or without one the
+    result is bitwise-identical.
     """
-    if stencil.shape[0] != 5:
+    if cells.shape[0] < 5:
         raise ValueError("MP limiter needs a 5-cell stencil")
-    f0 = stencil[2]
+    f0 = cells[2:-2]
     alpha = np.asarray(alpha)
-    dt = stencil.dtype
-    if u.dtype != dt or alpha.dtype != dt:
-        # mixed-dtype generality: the original allocating form
-        b_min, b_max = mp_bounds(stencil, alpha_mp)
-        bm_min, bm_max = mp_bounds(stencil[::-1], alpha_mp)
-        tiny = np.asarray(1.0e-7, dtype=u.dtype)
-        safe_alpha = np.maximum(alpha, tiny)
-        lo = np.maximum(b_min, (f0 - (1.0 - alpha) * bm_max) / safe_alpha)
-        hi = np.minimum(b_max, (f0 - (1.0 - alpha) * bm_min) / safe_alpha)
-        return median3(u, lo, hi)
-    b_min, b_max = mp_bounds(
-        stencil, alpha_mp, arena=arena, tag=(tag, "r"), roll=int(rolled)
+    b_min, b_max = _mp_interval(cells, alpha_mp, arena, (tag, "r"))
+    # remainder average sits at the cell's left edge: mirrored planes
+    bm_min, bm_max = (
+        b[::-1] for b in _mp_interval(cells[::-1], alpha_mp, arena, (tag, "l"))
     )
-    # remainder average sits at the cell's left edge: mirrored stencil
-    bm_min, bm_max = mp_bounds(
-        stencil[::-1], alpha_mp, arena=arena, tag=(tag, "l"), roll=-int(rolled)
-    )
+    dt = np.result_type(u, alpha, cells)
     tiny = np.asarray(1.0e-7, dtype=u.dtype)
     safe_alpha = np.maximum(alpha, tiny)   # alpha-shaped: cheap
     om_alpha = 1.0 - alpha                 # alpha-shaped: cheap
@@ -373,14 +323,15 @@ def positivity_clamp_fraction(
 def weno_smoothness(stencil: np.ndarray) -> np.ndarray:
     """Jiang-Shu smoothness indicators of the three quadratic sub-stencils.
 
-    Returns array of shape ``(3,) + stencil.shape[1:]``.  The nonlinear
-    WENO weights are formed in :mod:`repro.core.advection`, where the
-    *ideal* (linear) weights are known — in the semi-Lagrangian setting
-    they depend on the shift fraction alpha.
+    ``stencil`` is five equal-shape arrays (stacked, or a tuple of
+    views); returns array of shape ``(3,) + stencil[0].shape``.  The
+    nonlinear WENO weights are formed in :mod:`repro.core.advection`,
+    where the *ideal* (linear) weights are known — in the semi-Lagrangian
+    setting they depend on the shift fraction alpha.
     """
-    if stencil.shape[0] != 5:
+    if len(stencil) != 5:
         raise ValueError("WENO-5 smoothness needs a 5-cell stencil")
-    fm2, fm1, f0, fp1, fp2 = (stencil[m] for m in range(5))
+    fm2, fm1, f0, fp1, fp2 = stencil
     beta0 = (13.0 / 12.0) * (fm2 - 2 * fm1 + f0) ** 2 + 0.25 * (
         fm2 - 4 * fm1 + 3 * f0
     ) ** 2

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .. import constants as cst
 from ..units import UnitSystem
@@ -150,6 +149,8 @@ class Cosmology:
         """
         if a <= 0.0:
             raise ValueError("scale factor must be positive")
+        from scipy import integrate  # on use: most runs never integrate
+
         val, _ = integrate.quad(
             lambda x: 1.0 / (x * self.hubble(x)), 0.0, a, limit=200
         )
@@ -185,6 +186,8 @@ class Cosmology:
             raise ValueError("scale factors must be positive")
         if a1 < a0:
             raise ValueError("a1 must be >= a0 (forward integration)")
+        from scipy import integrate
+
         val, _ = integrate.quad(
             lambda a: 1.0 / (a**power * self.hubble(a)), a0, a1, limit=200
         )

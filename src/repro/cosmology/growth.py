@@ -8,7 +8,6 @@ suppression of clustering by massive neutrinos (paper Figs. 4 and 6).
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from .background import Cosmology
 
@@ -26,6 +25,8 @@ def growth_factor_unnormalized(cosmo: Cosmology, a) -> np.ndarray:
     effect); the total Omega_m drives the growth, which is the standard
     approximation on scales well below the free-streaming length.
     """
+    from scipy import integrate
+
     a_arr = np.atleast_1d(np.asarray(a, dtype=np.float64))
     if np.any(a_arr <= 0.0):
         raise ValueError("scale factor must be positive")

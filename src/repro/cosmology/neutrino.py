@@ -15,11 +15,11 @@ the comparison N-body neutrino runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from .. import constants as cst
 from ..units import UnitSystem
@@ -28,16 +28,28 @@ from ..units import UnitSystem
 #: n=1 -> 3.15137 (mean), n=2 -> 12.9394 (mean square)
 _FD_NORM = 1.5 * cst.ZETA3  # int_0^inf y^2/(e^y+1) dy = (3/2) zeta(3)
 _FD_MOM1 = 7.0 * math.pi**4 / 120.0  # int y^3/(e^y+1) dy
-_FD_MOM2 = 45.0 * cst.ZETA3 * 1.0  # placeholder replaced below
 
-# int_0^inf y^4/(e^y+1) dy = 45/2 * zeta(5) * Gamma(5)/Gamma(5)... compute
-# robustly by quadrature once at import time instead of hard-coding:
-_FD_MOM2 = integrate.quad(lambda y: y**4 / (np.exp(y) + 1.0), 0.0, 80.0)[0]
+
+@functools.cache
+def _fd_mom2() -> float:
+    """int_0^inf y^4/(e^y+1) dy, by quadrature instead of hard-coding.
+
+    On first use, not at import: ``scipy.integrate`` is a third of the
+    cost of importing the run path, and most runs never integrate.
+    """
+    from scipy import integrate
+
+    return integrate.quad(lambda y: y**4 / (np.exp(y) + 1.0), 0.0, 80.0)[0]
+
 
 #: Mean of y = p c / (k_B T_nu): 3.15137
 FD_MEAN_Y = _FD_MOM1 / _FD_NORM
-#: Mean square of y: 12.939
-FD_MEANSQ_Y = _FD_MOM2 / _FD_NORM
+
+
+def __getattr__(name: str) -> float:
+    if name == "FD_MEANSQ_Y":  #: Mean square of y: 12.939
+        return _fd_mom2() / _FD_NORM
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ class RelicNeutrinoDistribution:
     @property
     def velocity_dispersion_1d(self) -> float:
         """1-D velocity dispersion sigma with sigma^2 = <u^2>/3 [km/s]."""
-        return math.sqrt(FD_MEANSQ_Y / 3.0) * self.u0
+        return math.sqrt(_fd_mom2() / _FD_NORM / 3.0) * self.u0
 
     def velocity_cutoff(self, coverage: float = 0.999) -> float:
         """Grid half-width V enclosing the given fraction of neutrinos.
@@ -126,6 +138,8 @@ class RelicNeutrinoDistribution:
         """
         if not 0.0 < coverage < 1.0:
             raise ValueError("coverage must be in (0, 1)")
+        from scipy import integrate
+
         ys = np.linspace(1.0e-6, 60.0, 4000)
         pdf = ys**2 / (np.exp(ys) + 1.0)
         cdf = integrate.cumulative_trapezoid(pdf, ys, initial=0.0)
@@ -145,6 +159,8 @@ class RelicNeutrinoDistribution:
         """
         if n < 0:
             raise ValueError("n must be non-negative")
+        from scipy import integrate, interpolate
+
         ys = np.linspace(1.0e-6, 60.0, 8192)
         pdf = ys**2 / (np.exp(ys) + 1.0)
         cdf = integrate.cumulative_trapezoid(pdf, ys, initial=0.0)

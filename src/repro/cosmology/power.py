@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .background import Cosmology
 from .growth import growth_factor, growth_suppression_factor
@@ -109,6 +108,7 @@ class LinearPower:
 
     def _sigma_r_squared_unnormalized(self, r: float) -> float:
         """Variance of the unnormalized spectrum in spheres of radius r."""
+        from scipy import integrate
 
         def integrand(lnk: float) -> float:
             k = math.exp(lnk)

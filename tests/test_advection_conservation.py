@@ -1,7 +1,7 @@
 """Regression tests for the float32 conservation/accuracy fix.
 
 The paper's conservative SL form guarantees mass conservation to machine
-epsilon.  The original ``_integer_mass`` accumulated its prefix sums in
+epsilon.  The original kernel accumulated its prefix sums S(i, k) in
 ``fw.dtype``: in float32 the S(i, k) sums carry O(n) rounding on long
 axes (~1e-4 absolute at n = 1024, i.e. ~1e3 cell-ulps) which leaked into
 the fluxes.  The fix accumulates in float64, keeps the flux in float64,
@@ -9,9 +9,10 @@ and casts only the telescoped cell-scale difference back to storage
 precision — these tests pin both the total-mass drift (< 5 ulp of the
 total) and the per-cell agreement with a float64 reference.
 
-Also covered here: the per-call zero-BC ghost sizing (``_zero_pad`` must
-pad from the requested scheme's stencil reach and the shifts actually
-present, and stay exact at CFL > 2), and the bitwise equivalence of the
+Also covered here: the per-call zero-BC ghost sizing (the block is
+landed with ghost planes sized from the requested scheme's stencil reach
+and the shifts actually present, and stays exact at CFL > 2), and the
+bitwise equivalence of the
 ``out=``/``arena=`` fast path.
 """
 
@@ -87,7 +88,7 @@ class TestFloat32MassDrift:
 
 
 class TestZeroPadPerCallBound:
-    """`_zero_pad` sizes ghosts from the scheme + shifts actually used."""
+    """Zero ghosts are sized from the scheme + shifts actually used."""
 
     @pytest.mark.parametrize("scheme", ["upwind1", "pfc2", "slp3", "slmpp5", "slp7"])
     @pytest.mark.parametrize("cfl", [2.4, 3.9])

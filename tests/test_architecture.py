@@ -9,7 +9,10 @@ dependency is installed, as ``python tests/test_architecture.py``.
 * the second solver and its duck-type marker stay deleted;
 * so do the layout runtime and the kernel's A/B toggles: ``layout`` is a
   parameter of ``core.advection.advect`` alone (the benchmark's
-  pack-gain probe passes it) and no call in the package sets it.
+  pack-gain probe passes it) and no call in the package sets it;
+* so does the rows-last sweep kernel: no roll copies, no stencil gather
+  per interface, no pad helper, no ``roll`` / ``rolled`` / ``pack``
+  switch back to them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ RETIRED = (
     "is_domain" + "_engine", "DomainSolver" + "Adapter",
     "Layout" + "Engine", "layout" + "_decision", "get_default" + "_layout",
     "UNIFORM" + "_FAST", "POOLED" + "_LIMITER",
+    "roll" + "_into", "_gather" + "_stencil", "_zero" + "_pad",
 )
 
 
@@ -106,6 +110,37 @@ def test_layout_is_a_parameter_of_advect_alone():
                 ) != ("repro.core.advection", "advect"):
                     offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
                                      f"{node.name} declares layout")
+    assert not offenders, "\n".join(offenders)
+
+
+def _kernel_functions():
+    """``(path, function node)`` over the two modules of the sweep kernel."""
+    for module in ("advection", "limiters"):
+        path = SRC / "repro" / "core" / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, node
+
+
+def test_the_rows_last_kernel_stays_deleted():
+    offenders = []
+    for path, func in _kernel_functions():
+        args = func.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        for name in sorted(params & {"roll", "rolled", "pack"}):
+            offenders.append(f"{path.name}:{func.lineno} {func.name} declares {name}")
+        if path.name != "advection.py":
+            continue
+        # what is looked up by index is the prefix sums and phi, once each
+        # per call, never one stencil row after another
+        for loop in ast.walk(func):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                    ("take_along_axis", "_add_lookup")
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} gathers inside a loop")
     assert not offenders, "\n".join(offenders)
 
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,38 @@ from repro.cosmology import (
     neutrino_free_streaming_k,
 )
 from repro.cosmology.neutrino import FD_MEAN_Y, FD_MEANSQ_Y
+
+
+@pytest.mark.smoke
+def test_the_run_path_imports_without_scipy_integrate():
+    """``scipy.integrate`` (with the ``special`` / ``optimize`` /
+    ``sparse.linalg`` / ``numpy.testing`` it drags in) is a third of
+    ``import repro.runtime``; only a run that uses a ``Cosmology``
+    integral pays for it, on first use."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, repro.runtime, repro.cosmology\n"
+        "assert 'scipy.integrate' not in sys.modules, 'imported eagerly'\n"
+        "repro.cosmology.Cosmology().drift_factor(0.5, 0.6)\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_fd_mean_square_is_the_quadrature_it_always_was():
+    from scipy import integrate
+
+    from repro.constants import ZETA3
+    from repro.cosmology import neutrino
+
+    mom2 = integrate.quad(lambda y: y**4 / (np.exp(y) + 1.0), 0.0, 80.0)[0]
+    assert FD_MEANSQ_Y == neutrino.FD_MEANSQ_Y == mom2 / (1.5 * ZETA3)
+    assert FD_MEANSQ_Y == pytest.approx(12.939, rel=1e-4)
+    with pytest.raises(AttributeError):
+        neutrino.FD_MEANCUBE_Y
 
 
 class TestBackground:

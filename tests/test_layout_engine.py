@@ -3,23 +3,28 @@
 ``advect`` chooses neither a layout nor between fast and slow forms, so
 the alternatives exist only here, as oracles it is compared against:
 
-* ``layout="packed"`` — the block-copy measurement hook kept for
-  ``benchmarks/e2e`` ``probe_pack_gain`` — is **bitwise** ``layout=None``
-  and ``"in_place"`` for every scheme, axis, boundary condition and
-  dtype, with and without an arena, blocked, and in place;
-* the uniform-k roll/slice form is bitwise the ``take_along_axis``
-  gather form, which stays in the kernel for non-uniform ``k`` and is
-  forced here by patching ``_uniform_int`` to find no uniform shift;
+* the rows-last composition the kernel ran on until ISSUE 17
+  (``tests/rows_last_reference.py``: zero pad, stencil gathers per
+  interface, roll-family MP bounds, interface-space clip) is **bitwise**
+  the cell-space kernel on ghost-extended planes, for every scheme,
+  axis, boundary condition and dtype and every shape of shift;
+* ``layout=`` — validated and ignored, kept for ``benchmarks/e2e``
+  ``probe_pack_gain`` — changes nothing, with and without an arena,
+  blocked, and in place;
+* the slice-add lookup a uniform ``k`` takes is bitwise the indexed
+  lookup (``_add_lookup``), which stays in the kernel for non-uniform
+  ``k`` and is forced here by patching ``_uniform_int`` to find no
+  uniform shift;
 * a warm Strang step is re-served entirely from the
   :class:`ScratchArena` pool (hit-rate assertion).
 
 (The allocating-limiter oracle is in ``tests/test_limiters.py`` beside
 the sign-form one.)
 
-The float64 cases deliberately include arrays whose innermost extent is
-8 (64-byte rows) — the stride class where elementwise kernels on
-hyperplane views are most fragile on real BLAS/SIMD builds, and the one
-the fused mirror pass works around.
+The float64 cases deliberately include blocks whose planes are 8 cells
+(64 bytes) — the stride class where float64 ``np.negative`` has
+miscomputed on hyperplane views, which the rows-last mirror pass worked
+around and contiguous planes never present to it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ from repro.core.advection import SCHEMES, advect
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
 from repro.perf import ScratchArena
+
+from .conftest import adversarial_fields, mixed_sign_shifts
+from .rows_last_reference import reference_advect
+
+SHAPE = (7, 5, 9, 11)  # no extent divides another
 
 
 def _field(dtype, shape=(8, 7, 9, 8)):
@@ -59,6 +69,88 @@ def _advect(f, sh, axis, scheme, bc, **kw):
     out = np.empty_like(f)
     advect(f, sh, axis, scheme=scheme, bc=bc, out=out, **kw)
     return out
+
+
+def _every_shift(shape, axis):
+    """``mixed_sign_shifts`` plus what they leave out: a Python scalar,
+    more than one wrap of the axis in either direction, a whole number of
+    cells, and one sign only with ``k`` varying from row to row (along
+    every axis, and along two non-adjacent ones: no row split flattens
+    those before the lookup)."""
+    yield from mixed_sign_shifts(shape, axis)
+    yield "scalar", -1.7
+    yield "whole_cells", 2.0
+    yield "two_wraps", 2.0 * shape[axis] + 3.4
+    rng = np.random.default_rng(9)
+    full = list(shape)
+    full[axis] = 1
+    yield "wraps_mixed", (rng.random(full) - 0.5) * 5.0 * shape[axis]
+    yield "one_sign", -0.5 - 2.9 * rng.random(full)
+    shifts = dict(mixed_sign_shifts(shape, axis))
+    yield "one_sign_two_axes", 0.25 + np.abs(shifts["two_axes"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("scheme", [
+    pytest.param(s, marks=pytest.mark.smoke) if s == "slmpp5" else s
+    for s in sorted(SCHEMES)
+])
+def test_planes_bitwise_equal_the_rows_last_kernel(scheme, bc, dtype, monkeypatch):
+    rng = np.random.default_rng(11)
+    f = (0.5 + rng.random(SHAPE)).astype(dtype)
+    arena = ScratchArena()
+    where = f"{scheme}/{bc}/{np.dtype(dtype).name}"
+    axes = [a for a in range(f.ndim) if SHAPE[a] >= SCHEMES[scheme].order]
+    for axis in axes:
+        for name, sh in _every_shift(SHAPE, axis):
+            ref = reference_advect(f, sh, axis, scheme, bc).tobytes()
+            for pool in (None, arena):
+                got = advect(f, sh, axis, scheme=scheme, bc=bc, arena=pool)
+                assert got.tobytes() == ref, f"{where} axis {axis} {name}"
+            with monkeypatch.context() as patch:
+                patch.setattr(advection, "BLOCK_CELLS", 200)
+                same = f.copy()
+                advect(same, sh, axis, scheme=scheme, bc=bc, out=same, arena=arena)
+                assert same.tobytes() == ref, f"{where} axis {axis} {name} blocked out=f"
+        # a shift that broadcast-expands the result
+        thin = [slice(None)] * f.ndim
+        thin[(axis + 2) % f.ndim] = slice(0, 1)
+        thin = f[tuple(thin)]
+        _, sh = next(mixed_sign_shifts(SHAPE, axis))
+        got = advect(thin, sh, axis, scheme=scheme, bc=bc, arena=arena)
+        assert got.shape == SHAPE
+        assert got.tobytes() == reference_advect(thin, sh, axis, scheme, bc).tobytes()
+    for axis in (axes[0], axes[-1]):
+        shifts = dict(mixed_sign_shifts(SHAPE, axis))
+        for fname, g in adversarial_fields(SHAPE, dtype):
+            for name in ("cfl_3.3", "exact_rows"):
+                got = advect(g, shifts[name], axis, scheme=scheme, bc=bc, arena=arena)
+                ref = reference_advect(g, shifts[name], axis, scheme, bc)
+                assert got.tobytes() == ref.tobytes(), (
+                    f"{where} axis {axis} {name} {fname}"
+                )
+    # no rows at all: every plane is one cell
+    row = f[0, 0, 0].copy()
+    for sh in (0.6, -0.6, 3.25, -2.0 * row.size - 0.5, 0.0):
+        got = advect(row, sh, 0, scheme=scheme, bc=bc)
+        assert got.tobytes() == reference_advect(row, sh, 0, scheme, bc).tobytes(), (
+            f"{where} 1-D shift {sh}"
+        )
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_mirror_negation_on_64_byte_planes(bc):
+    """float64 blocks whose planes are 8 cells: the reversed flux of the
+    negative direction is negated plane by plane, inner stride 8 bytes."""
+    rng = np.random.default_rng(6)
+    for shape, axis in (((9, 8), 0), ((8, 9), 1), ((9, 1, 8), 0)):
+        f = rng.standard_normal(shape)
+        rows = [1 if a == axis else extent for a, extent in enumerate(shape)]
+        for sh in (-0.4, -2.6, -2.9 * rng.random(rows), (rng.random(rows) - 0.5) * 3.0):
+            got = advect(f, sh, axis, bc=bc)
+            assert got.tobytes() == reference_advect(f, sh, axis, "slmpp5", bc).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -98,8 +190,9 @@ def test_layout_accepts_only_the_probe_values():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_uniform_fast_path_matches_gather(scheme, dtype, monkeypatch):
-    """The roll/slice form a uniform integer shift takes is bitwise the
-    gather form every other shift takes."""
+    """The slice-add lookup of ``phi`` and the prefix sums a uniform
+    integer shift takes is bitwise the indexed lookup every other shift
+    takes."""
     f = _field(dtype)
     for bc in ("periodic", "zero"):
         for axis in (0, f.ndim - 1):

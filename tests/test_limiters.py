@@ -1,12 +1,15 @@
 """MP limiter machinery: minmod, bounds, departure-average limiting.
 
-The library computes minmod without ``np.sign`` and derives the MP
-limiter's neighbor curvatures by rolling.  The Suresh-Huynh sign forms
-live here as the oracle: the new forms must equal them in value (a zero
-may differ in sign), and the advection kernel built on them must equal,
-bit for bit, the kernel built on the oracle.  The kernel's limiter tail
-runs in pooled scratch; its allocating composition (:func:`allocating_tail`)
-is the second oracle here, held to the same bitwise bar.
+The library computes minmod without ``np.sign`` and evaluates the MP
+limiter's curvatures once per cell of a window of planes, neighbors
+reading them as views.  The Suresh-Huynh sign forms live here as the
+oracle: the new forms must equal them in value (a zero may differ in
+sign), and the advection kernel built on them must equal, bit for bit,
+the kernel built on the oracle.  The kernel's limiter tail runs in
+pooled scratch; its allocating composition (:func:`allocating_tail`)
+is the second oracle here, held to the same bitwise bar.  Both are
+installed over the names the kernel calls, and count their calls: an
+oracle nobody reaches would compare the kernel with itself.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import advection
+from repro.core.advection import stencil_reach
 from repro.core.limiters import (
+    _mp_interval,
     median3,
     minmod,
     minmod4,
@@ -31,6 +36,7 @@ from repro.core.limiters import (
 )
 
 from .conftest import adversarial_fields, mixed_sign_shifts
+from .rows_last_reference import mp_bounds_rolled
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -72,7 +78,14 @@ def mp_bounds_sign(stencil, alpha_mp=4.0):
     return f_min, f_max
 
 
-def departure_average_sign(u, alpha, stencil, alpha_mp=4.0, **_):
+def stencil_of(cells):
+    """The five neighbor arrays of the donor planes ``cells[2:-2]``."""
+    count = cells.shape[0] - 4
+    return np.stack([cells[m : m + count] for m in range(5)])
+
+
+def departure_average_sign(u, alpha, cells, alpha_mp=4.0, **_):
+    stencil = stencil_of(cells)
     f0 = stencil[2]
     b_min, b_max = mp_bounds_sign(stencil, alpha_mp)
     bm_min, bm_max = mp_bounds_sign(stencil[::-1], alpha_mp)
@@ -118,15 +131,51 @@ class TestSignFreeForms:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_roll_family_entry_is_bitwise_the_general_one(self, dtype, pad):
         """Stencils gathered by rolling one row (periodic, or a row with
-        zero ghost cells as the ``zero`` BC builds it), right and mirrored."""
+        zero ghost cells as the ``zero`` BC builds it), right and mirrored:
+        the roll-family entry the kernel used (now the reference's) is
+        bitwise the general five-array one, and the interval the kernel
+        evaluates on wrap-extended planes is bitwise both."""
         rng = np.random.default_rng(8)
         row = rng.standard_normal((6, 23)).astype(dtype)
         row[:, :pad] = 0.0
         row[:, row.shape[1] - pad:] = 0.0
         st5 = np.stack([np.roll(row, -m, axis=-1) for m in range(-2, 3)])
-        for stencil, roll in ((st5, 1), (st5[::-1], -1)):
-            for got, want in zip(mp_bounds(stencil, roll=roll), mp_bounds(stencil)):
+        cells = np.concatenate([row[:, -2:], row, row[:, :2]], axis=1).T
+        for stencil, roll, planes in ((st5, 1, cells), (st5[::-1], -1, cells[::-1])):
+            rolled = mp_bounds_rolled(stencil, roll)
+            windowed = _mp_interval(planes, 4.0, None, ("t",))
+            for got, want in zip(rolled, mp_bounds(stencil)):
                 assert got.tobytes() == want.tobytes()
+            for got, want in zip(windowed, rolled):
+                # the mirrored window lists its donors right to left
+                assert got[::roll].T.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_windowed_interval_on_adversarial_planes(self, dtype):
+        """On zeros of both signs, ties and sub-normals the interval
+        evaluated on a window of planes stays bitwise the roll-family
+        entry and ``==`` the general five-array one (a zero bound may
+        differ in sign), right and mirrored, with and without an arena."""
+        from repro.perf.arena import ScratchArena
+
+        arena = ScratchArena()
+        for name, f in adversarial_fields((27, 6, 5), dtype):
+            st5 = stencil_of(f)
+            # a window never wraps; on cells whose neighbors are all inside
+            # it, neither does the roll family of the 27-cell ring
+            ring = np.moveaxis(f, 0, -1)
+            ring5 = np.stack([np.roll(ring, -m, axis=-1) for m in range(-2, 3)])
+            for planes, stencil, rolls, roll in (
+                (f, st5, ring5, 1), (f[::-1], st5[::-1], ring5[::-1], -1)
+            ):
+                rolled = mp_bounds_rolled(rolls, roll)
+                for pool in (None, arena):
+                    windowed = _mp_interval(planes, 4.0, pool, ("t",))
+                    for got, want, ref in zip(windowed, mp_bounds(stencil), rolled):
+                        got = got[::roll]
+                        assert np.array_equal(got, want), name
+                        inside = np.moveaxis(ref, -1, 0)[2:-2]
+                        assert got.tobytes() == inside.tobytes(), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -141,41 +190,54 @@ def test_kernel_bits_are_those_of_the_sign_form_limiter(
     on the Suresh-Huynh sign-form limiter and ``np.clip``: a zero of the
     other sign never reaches the flux."""
     shape = (7, 5, 9)
+    calls = []
+
+    def counted(oracle):
+        def call(*args, **kw):
+            calls.append(oracle)
+            return oracle(*args, **kw)
+        return call
+
     for axis in (0, 2):
         for sname, sh in mixed_sign_shifts(shape, axis):
             for fname, f in adversarial_fields(shape, dtype):
                 got = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
+                del calls[:]
                 with monkeypatch.context() as patch:
                     patch.setattr(advection, "mp_limit_departure_average",
-                                  departure_average_sign)
+                                  counted(departure_average_sign))
                     patch.setattr(advection, "positivity_clamp_fraction",
-                                  clamp_clip)
+                                  counted(clamp_clip))
                     want = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
+                assert {departure_average_sign, clamp_clip} == set(calls)
                 assert got.tobytes() == want.tobytes(), (
                     f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
                     f"{sname} {fname}"
                 )
 
 
-def allocating_tail(unlimited):
+def allocating_tail(unlimited, calls):
     """The kernel's MP/positivity tail in its allocating composition:
     every temporary a fresh array, no arena — the reference the pooled
-    ufunc-for-ufunc form in ``_fractional_flux`` must reproduce."""
+    ufunc-for-ufunc form in ``_fractional_flux`` must reproduce.  Takes
+    what the kernel passes: the donor planes with ``stencil_reach(spec)``
+    neighbor planes on each side."""
 
-    def fractional_flux(st, alpha, spec, arena=None, tag="pos"):
-        phi = unlimited(
-            st, alpha, spec._replace(use_mp=False, use_pos=False), arena, tag
-        )
-        center = (st.shape[0] - 1) // 2
+    def fractional_flux(cells, alpha, spec, arena=None, tag="pos"):
+        calls.append(spec)
+        plain = spec._replace(use_mp=False, use_pos=False)
+        reach = stencil_reach(spec)
+        trim = reach - stencil_reach(plain)  # the MP limiter's extra planes
+        phi = unlimited(cells[trim : cells.shape[0] - trim], alpha, plain, arena, tag)
         if spec.use_mp:
-            st5 = st[center - 2 : center + 3]
             pos = alpha > 0.0
-            safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=st.dtype))
+            safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=cells.dtype))
             u = phi / safe_alpha
-            u = mp_limit_departure_average(u, alpha, st5, rolled=True)
+            u = mp_limit_departure_average(
+                u, alpha, cells[reach - 2 : cells.shape[0] - reach + 2])
             phi = np.where(pos, safe_alpha * u, phi)
         if spec.use_pos:
-            phi = positivity_clamp_fraction(phi, st[center])
+            phi = positivity_clamp_fraction(phi, cells[reach : cells.shape[0] - reach])
         return phi
 
     return fractional_flux
@@ -196,15 +258,18 @@ def test_kernel_bits_are_those_of_the_allocating_limiter(
 
     shape = (7, 5, 9)
     arena = ScratchArena()
-    tail = allocating_tail(advection._fractional_flux)
+    calls = []
+    tail = allocating_tail(advection._fractional_flux, calls)
     for axis in (0, 2):
         for sname, sh in mixed_sign_shifts(shape, axis):
             for fname, f in adversarial_fields(shape, dtype):
                 got = advection.advect(f, sh, axis, scheme=scheme, bc=bc,
                                        arena=arena)
+                del calls[:]
                 with monkeypatch.context() as patch:
                     patch.setattr(advection, "_fractional_flux", tail)
                     want = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
+                assert calls
                 assert got.tobytes() == want.tobytes(), (
                     f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
                     f"{sname} {fname}"
