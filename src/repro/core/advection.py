@@ -26,6 +26,13 @@ the donors of the ``n + 1`` interfaces the update reads) and looked up
 per interface.  docs/PERFORMANCE.md ("Cell space on ghost-extended
 planes") has the pass counts and the measurements.
 
+The landing copy also carries the sign of the shift: a row flowing left
+is landed reversed and advanced rightward by ``-shift`` (the reversal
+symmetry of the flux), and its update is written back reversed.  Every
+row of a block then flows the same way, so a block is one kernel run
+whatever its shifts' signs (docs/PERFORMANCE.md, "One kernel run per
+call").
+
 Schemes
 -------
 ``slmpp5``
@@ -96,7 +103,6 @@ flux array — and the telescoped update — stay in the input precision.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 
@@ -108,11 +114,7 @@ from .limiters import (
     positivity_clamp_fraction,
     weno_smoothness,
 )
-from .stencil import (
-    SUPPORTED_ORDERS,
-    flux_coefficient_polynomials,
-    weno_substencil_polynomials,
-)
+from .stencil import flux_coefficient_polynomials, weno_substencil_polynomials
 
 from typing import NamedTuple
 
@@ -153,9 +155,8 @@ _LAYOUTS = (None, "in_place", "packed")
 #: docs/PERFORMANCE.md ("Cache-blocked sweeps") for the measured table.
 BLOCK_CELLS = 1 << 16
 
-#: process-wide advisory counters: kernel calls (one per block and flux
-#: direction) whose lookups were slices (uniform k) vs. calls that had
-#: to gather.
+#: process-wide advisory counters: kernel calls (one per block) whose
+#: lookups were slices (uniform k) vs. calls that had to gather.
 _FASTPATH = {"uniform_k": 0, "gather_k": 0}
 
 
@@ -163,9 +164,10 @@ def fastpath_counters() -> dict[str, int]:
     """Snapshot of the uniform-k fast-path hit counters.
 
     The counters count kernel calls, not sweeps: a sweep above
-    :data:`BLOCK_CELLS` adds one count per block (two where a block's
-    shifts mix signs), and a block can take the fast path where the
-    whole sweep's shift field could not.
+    :data:`BLOCK_CELLS` adds one count per block, whatever the signs of
+    its shifts, and a block can take the fast path where the whole
+    sweep's shift field could not.  ``k`` is the integer part of
+    ``|shift|``.
     """
     return dict(_FASTPATH)
 
@@ -339,24 +341,43 @@ def _advect_block(fw, sh, out_w, spec, bc, arena) -> None:
     """One kernel call: land an axis-last block as planes, flux, update.
 
     The block is copied once into ``planes[ghosts + n + ghosts, *rows]`` —
-    advected axis first, every plane contiguous — with ``stencil_reach``
-    wrap copies on each side (``periodic``) or zeros (``zero``: the reach
-    plus the cells the block's largest shift reaches across, per side).
-    That copy is the transpose a strided axis needs, the ghost pad, and
-    what makes ``out`` free to alias ``f``; from here on cell ``j + m``
-    of every row is the view ``planes[lo + m : lo + m + count]``.
+    advected axis first, every plane contiguous — and the copy carries the
+    sign: a row with ``sh < 0`` lands reversed and is advanced by ``-sh``.
+    Interface ``i`` of the reversed row is interface ``n - 2 - i`` of the
+    row itself with the flux negated, and ``(-a) - (-b)`` rounds like
+    ``b - a``, so the reversed row's update, written back reversed, is
+    bitwise that of the left-flowing row.  Every row then flows rightward
+    and :func:`_flux_positive` runs once.  ``-0.0`` rows are not negative:
+    they keep their shift and their orientation.
+
+    Ghosts are ``stencil_reach`` wrap copies on each side (``periodic``;
+    a reversed row's wraps are its own, the two sides being equal) or
+    zeros (``zero``: the reach plus one, plus on the left the cells the
+    block's largest ``|sh|`` reaches across).  The landing is the
+    transpose a strided axis needs, the ghost pad, and what makes ``out``
+    free to alias ``f``; from here on cell ``j + m`` of every row is the
+    view ``planes[lo + m : lo + m + count]``.
     """
     n = fw.shape[-1]
     sh = np.moveaxis(sh, -1, 0)
+    neg = sh < 0.0
+    some, every = bool(neg.any()), bool(neg.all())
+    if every:
+        sh = -sh
+    elif some:
+        sh = np.where(neg, -sh, sh)
     g_l = g_r = stencil_reach(spec)
     if bc == "zero":
-        g_l += 1 + max(int(np.floor(sh.max())), 0)
-        g_r += 1 + max(int(np.floor(-sh.min())), 0)
+        g_l += 1 + int(np.floor(sh.max()))
+        g_r += 1
     planes = _scratch(
         arena, ("plane", "f"), (g_l + n + g_r,) + out_w.shape[:-1], fw.dtype
     )
     cells = planes[g_l : g_l + n]
-    cells[...] = np.moveaxis(fw, -1, 0)
+    src = np.moveaxis(fw, -1, 0)
+    cells[...] = src[::-1] if every else src
+    if some and not every:
+        np.copyto(cells, src[::-1], where=neg)
     if bc == "zero":
         planes[:g_l] = 0
         planes[g_l + n :] = 0
@@ -364,11 +385,20 @@ def _advect_block(fw, sh, out_w, spec, bc, arena) -> None:
         planes[:g_l] = cells[n - g_l :]
         planes[g_l + n :] = cells[:g_r]
 
-    flux = interface_flux(planes, g_l, n, sh, spec, bc, arena)
+    flux = _flux_positive(planes, g_l, n, sh, spec, bc, arena)
 
     d = _scratch(arena, ("upd", "delta"), cells.shape, flux.dtype)
     np.subtract(flux[1:], flux[:-1], out=d)
-    np.subtract(cells, d, out=np.moveaxis(out_w, -1, 0))
+    dst = np.moveaxis(out_w, -1, 0)
+    if not some:
+        np.subtract(cells, d, out=dst)
+    elif every:
+        np.subtract(cells, d, out=dst[::-1])
+    else:
+        res = _scratch(arena, ("upd", "res"), cells.shape, dst.dtype)
+        np.subtract(cells, d, out=res)
+        np.copyto(dst, res, where=~neg)
+        np.copyto(dst, res[::-1], where=neg)
 
 
 def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
@@ -404,71 +434,12 @@ def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
     return sh
 
 
-def interface_flux(planes, lo, n, sh, spec: SchemeSpec, bc, arena=None) -> np.ndarray:
-    """Time-integrated flux through the ``n + 1`` interfaces of every row.
+def _flux_positive(planes, lo, n, sh, spec, bc, arena=None):
+    """Flux for shifts >= 0 everywhere: ``S(i, k) + phi[i - k]``.
 
     ``planes[lo : lo + n]`` are the cells (see :func:`_advect_block`) and
     entry ``i + 1`` of the result is interface ``i + 1/2``, ``i = -1 ..
-    n - 1``.  Negative shifts go through the reversal symmetry: the flux
-    of the mirrored problem (``planes[::-1]``, shift negated) maps back
-    with a sign flip and a reversal.  Where the shifts of a call mix
-    signs, its rows are split on ``sh >= 0`` and each subset is advanced
-    once, in its own direction — rows couple only along the advected
-    axis, so a subset's flux is bitwise the flux those rows get in any
-    other company.
-    """
-    if spec.order not in SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported order {spec.order}")
-    if not np.any(sh < 0.0):
-        return _flux_positive(planes, lo, n, sh, spec, bc, arena, "pos")
-    if not np.any(sh > 0.0):
-        return _mirror_flux(planes, lo, n, sh, spec, bc, arena)
-
-    flux = _scratch(arena, ("mix", "flux"), (n + 1,) + planes.shape[1:], np.float64)
-    # the axes the shift varies along, moved behind the planes, index the rows
-    vary = [a for a, m in enumerate(sh.shape) if m > 1]
-    front = range(1, 1 + len(vary))
-    rows = np.moveaxis(planes, vary, front)
-    flux_rows = np.moveaxis(flux, vary, front)
-    sh_rows = np.moveaxis(sh, vary, front).reshape(rows.shape[1 : 1 + len(vary)])
-    pos = sh_rows >= 0.0
-    tail = (1,) * (planes.ndim - 1 - len(vary))
-    for mask, kernel in ((pos, _flux_positive), (~pos, _mirror_flux)):
-        part = sh_rows[mask]
-        # a subset's scratch is its share of the block's: let the arena
-        # size what it has to grow for the whole block, so the sign
-        # pattern of later calls cannot make it allocate
-        with (
-            contextlib.nullcontext() if arena is None
-            else arena.scaled(pos.size, part.size)
-        ):
-            flux_rows[:, mask] = kernel(
-                rows[:, mask], lo, n, part.reshape((1,) + part.shape + tail),
-                spec, bc, arena,
-            )
-    return flux
-
-
-def _mirror_flux(planes, lo, n, sh, spec, bc, arena=None):
-    """Flux for non-positive shifts via the reversal symmetry.
-
-    Interface ``m+1/2`` of the reversed row is interface ``(n-2-m)+1/2``
-    of the original with the flux sign flipped: over the ``n + 1``
-    interfaces ``-1 .. n-1`` that is a plain reversal.  Every plane is
-    contiguous, so the negation's inner stride is the itemsize whatever
-    the block's shape (float64 ``np.negative`` has miscomputed on
-    64-byte-stride hyperplane views on some builds).
-    """
-    fg = _flux_positive(
-        planes[::-1], planes.shape[0] - lo - n, n, -sh, spec, bc, arena, "neg"
-    )
-    out = _scratch(arena, ("neg", "mirror"), fg.shape, fg.dtype)
-    np.negative(fg[::-1], out=out)
-    return out
-
-
-def _flux_positive(planes, lo, n, sh, spec, bc, arena=None, tag="pos"):
-    """Flux for shifts >= 0 everywhere: ``S(i, k) + phi[i - k]``.
+    n - 1``.
 
     Neither the integer shift ``k`` nor the fraction ``alpha`` varies
     along the advected axis, so the fractional flux ``phi`` is a function
@@ -513,10 +484,10 @@ def _flux_positive(planes, lo, n, sh, spec, bc, arena=None, tag="pos"):
     off, period = n - m - first, n - first
     reach = stencil_reach(spec)
     phi = _fractional_flux(
-        planes[lo + first - reach : lo + first + count + reach], alpha, spec, arena, tag
+        planes[lo + first - reach : lo + first + count + reach], alpha, spec, arena
     )
 
-    flux = _scratch(arena, (tag, "flux"), (n + 1,) + planes.shape[1:], np.float64)
+    flux = _scratch(arena, "flux", (n + 1,) + planes.shape[1:], np.float64)
     out = flux[n + 1 - m :]
     if kc is not None:
         # donor index off + p - kc splits at p = r:
@@ -529,7 +500,7 @@ def _flux_positive(planes, lo, n, sh, spec, bc, arena=None, tag="pos"):
     if k_max == 0:
         out[...] = 0
     else:
-        csum = _scratch(arena, (tag, "csum"), (period,) + planes.shape[1:], np.float64)
+        csum = _scratch(arena, "csum", (period,) + planes.shape[1:], np.float64)
         np.cumsum(planes[lo + first : lo + n], axis=0, dtype=np.float64, out=csum)
         total = csum[-1:]
         if kc is not None:
@@ -570,7 +541,7 @@ def _add_lookup(out, planes, idx) -> None:
     np.add(out, np.moveaxis(planes, vary, front)[(which, *rows)], out=out)
 
 
-def _fractional_flux(cells, alpha, spec, arena=None, tag="pos"):
+def _fractional_flux(cells, alpha, spec, arena=None):
     """phi of every donor cell: mass donated from its right alpha-fraction.
 
     ``cells`` holds the donor cells as planes with ``stencil_reach(spec)``
@@ -586,33 +557,35 @@ def _fractional_flux(cells, alpha, spec, arena=None, tag="pos"):
         cells[reach + m : reach + m + count] for m in range(-half, half + 1)
     )
     if use_weno:
-        phi = _weno_fractional(st, alpha, arena, tag)
+        phi = _weno_fractional(st, alpha, arena)
     elif use_pfc:
-        phi = _pfc_fractional(st, alpha, arena, tag)
+        phi = _pfc_fractional(st, alpha, arena)
     else:
         poly = flux_coefficient_polynomials(order)
-        phi = _scratch(arena, (tag, "phi"), st[0].shape, cells.dtype)
-        term = _scratch(arena, (tag, "phi_term"), st[0].shape, cells.dtype)
-        # Fused Horner pass: evaluate each cell's coefficient polynomial
-        # c_m(alpha) in place and accumulate its term immediately —
-        # no (order,) + shape coefficient stack, two alpha-sized
-        # buffers total.  Replays evaluate_flux_coefficients bit for
-        # bit: with float32 alpha the leading product rounds in
-        # float32, the first add promotes to float64 (NEP 50 strong
-        # scalar), the remaining steps stay float64, and one cast back
-        # to the working dtype precedes the stencil multiply.
-        c_work = _scratch(arena, (tag, "phi_cw"), alpha.shape, alpha.dtype)
-        c_acc = _scratch(arena, (tag, "phi_ca"), alpha.shape, np.float64)
+        col = (order,) + (1,) * alpha.ndim  # one polynomial per c_m
+        # One Horner pass over the (order,) + alpha.shape stack of all
+        # coefficient polynomials c_m(alpha).  Elementwise it replays
+        # evaluate_flux_coefficients bit for bit: with float32 alpha the
+        # leading product rounds in float32, the first add promotes to
+        # float64 (a float64 operand, as the scalar coefficient was under
+        # NEP 50), the remaining steps stay float64, and one cast back to
+        # the working dtype precedes the stencil multiply.
+        c_work = _scratch(arena, "phi_cw", (order,) + alpha.shape, alpha.dtype)
+        c_acc = _scratch(arena, "phi_ca", (order,) + alpha.shape, np.float64)
+        c_work[...] = poly[:, -1].reshape(col)
+        np.multiply(c_work, alpha, out=c_work)
+        np.add(c_work, poly[:, order - 1].reshape(col), out=c_acc)
+        for dgr in range(order - 2, -1, -1):
+            np.multiply(c_acc, alpha, out=c_acc)
+            np.add(c_acc, poly[:, dgr].reshape(col), out=c_acc)
+        c_work[...] = c_acc
+        # phi starts at +0 and adds every term: starting from c_0 * st[0]
+        # would keep a -0.0 term that 0 + term turns into +0.0
+        phi = _scratch(arena, "phi", st[0].shape, cells.dtype)
+        term = _scratch(arena, "phi_term", st[0].shape, cells.dtype)
         phi[...] = 0
         for m in range(order):
-            c_work[...] = poly[m, -1]
-            np.multiply(c_work, alpha, out=c_work)
-            np.add(c_work, poly[m, order - 1], out=c_acc)
-            for dgr in range(order - 2, -1, -1):
-                np.multiply(c_acc, alpha, out=c_acc)
-                np.add(c_acc, poly[m, dgr], out=c_acc)
-            c_work[...] = c_acc
-            np.multiply(c_work, st[m], out=term)
+            np.multiply(c_work[m], st[m], out=term)
             phi += term
 
     if use_mp:
@@ -627,24 +600,24 @@ def _fractional_flux(cells, alpha, spec, arena=None, tag="pos"):
         safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=cells.dtype))
         # the full-size quotient, limiter temporaries and masked
         # recombination all run through pooled scratch
-        u = _scratch(arena, (tag, "mp_u"), phi.shape, phi.dtype)
+        u = _scratch(arena, "mp_u", phi.shape, phi.dtype)
         np.divide(phi, safe_alpha, out=u)
         u = mp_limit_departure_average(
-            u, alpha, cells[reach - 2 : reach + count + 2], arena=arena, tag=(tag, "mp")
+            u, alpha, cells[reach - 2 : reach + count + 2], arena=arena
         )
-        lim = _scratch(arena, (tag, "mp_lim"), phi.shape, phi.dtype)
+        lim = _scratch(arena, "mp_lim", phi.shape, phi.dtype)
         np.multiply(safe_alpha, u, out=lim)
-        sel = _scratch(arena, (tag, "mp_sel"), phi.shape, phi.dtype)
+        sel = _scratch(arena, "mp_sel", phi.shape, phi.dtype)
         # np.where(pos, lim, phi) as fill + masked overwrite
         np.copyto(sel, phi)
         np.copyto(sel, lim, where=pos)
         phi = sel
     if use_pos:
-        phi = positivity_clamp_fraction(phi, st[half], arena=arena, tag=(tag, "clamp"))
+        phi = positivity_clamp_fraction(phi, st[half], arena=arena)
     return phi
 
 
-def _pfc_fractional(st, alpha, arena=None, tag="pos"):
+def _pfc_fractional(st, alpha, arena=None):
     """Filbet-style positive-flux-conservative fractional flux.
 
     Piecewise-linear reconstruction with the minmod slope: 2nd-order,
@@ -658,25 +631,25 @@ def _pfc_fractional(st, alpha, arena=None, tag="pos"):
     """
     fm1, f0, fp1 = st
     sshape = f0.shape
-    a = _scratch(arena, (tag, "pfc_a"), sshape, f0.dtype)
-    b = _scratch(arena, (tag, "pfc_b"), sshape, f0.dtype)
-    slope = _scratch(arena, (tag, "pfc_slope"), sshape, f0.dtype)
-    sb = _scratch(arena, (tag, "pfc_sb"), sshape, f0.dtype)
+    a = _scratch(arena, "pfc_a", sshape, f0.dtype)
+    b = _scratch(arena, "pfc_b", sshape, f0.dtype)
+    slope = _scratch(arena, "pfc_slope", sshape, f0.dtype)
+    sb = _scratch(arena, "pfc_sb", sshape, f0.dtype)
     np.subtract(fp1, f0, out=a)
     np.subtract(f0, fm1, out=b)
     minmod_into(slope, a, b, sb)
     # phi = alpha * (f0 + 0.5*(1 - alpha) * slope)
-    w = _scratch(arena, (tag, "pfc_w"), alpha.shape, alpha.dtype)
+    w = _scratch(arena, "pfc_w", alpha.shape, alpha.dtype)
     np.subtract(1.0, alpha, out=w)
     np.multiply(w, 0.5, out=w)
-    phi = _scratch(arena, (tag, "phi"), sshape, f0.dtype)
+    phi = _scratch(arena, "phi", sshape, f0.dtype)
     np.multiply(w, slope, out=phi)
     np.add(f0, phi, out=phi)
     np.multiply(alpha, phi, out=phi)
     return phi
 
 
-def _weno_fractional(st, alpha, arena=None, tag="pos"):
+def _weno_fractional(st, alpha, arena=None):
     """Semi-Lagrangian WENO-5 fractional flux (Qiu & Christlieb 2010).
 
     The full-array float64 temporaries — three sub-stencil fluxes, the
@@ -692,10 +665,10 @@ def _weno_fractional(st, alpha, arena=None, tag="pos"):
 
     a = alpha.astype(np.float64)
     bshape = st[0].shape
-    term = _scratch(arena, (tag, "weno_term"), bshape, np.float64)
+    term = _scratch(arena, "weno_term", bshape, np.float64)
     phis = []
     for s in range(3):
-        acc = _scratch(arena, (tag, "weno_acc", s), bshape, np.float64)
+        acc = _scratch(arena, ("weno_acc", s), bshape, np.float64)
         acc[...] = 0.0
         for m in range(5):
             if np.any(sub[s, m] != 0.0):
@@ -718,28 +691,28 @@ def _weno_fractional(st, alpha, arena=None, tag="pos"):
     d1 = np.clip(1.0 - d0 - d2, 0.0, 1.0)
 
     beta32 = weno_smoothness(st)
-    beta = _scratch(arena, (tag, "weno_beta"), beta32.shape, np.float64)
+    beta = _scratch(arena, "weno_beta", beta32.shape, np.float64)
     beta[...] = beta32
     eps = 1.0e-6
-    wden = _scratch(arena, (tag, "weno_wden"), bshape, np.float64)
+    wden = _scratch(arena, "weno_wden", bshape, np.float64)
     ws = []
     for idx, dd in enumerate((d0, d1, d2)):
-        w = _scratch(arena, (tag, "weno_w", idx), bshape, np.float64)
+        w = _scratch(arena, ("weno_w", idx), bshape, np.float64)
         np.add(eps, beta[idx], out=wden)
         np.power(wden, 2, out=wden)
         np.divide(dd, wden, out=w)
         ws.append(w)
     w0, w1, w2 = ws
-    wsum = _scratch(arena, (tag, "weno_wsum"), w0.shape, np.float64)
+    wsum = _scratch(arena, "weno_wsum", w0.shape, np.float64)
     np.add(w0, w1, out=wsum)
     np.add(wsum, w2, out=wsum)
-    num = _scratch(arena, (tag, "weno_num"), bshape, np.float64)
+    num = _scratch(arena, "weno_num", bshape, np.float64)
     np.multiply(w0, phis[0], out=num)
     np.multiply(w1, phis[1], out=term)
     num += term
     np.multiply(w2, phis[2], out=term)
     num += term
     np.divide(num, wsum, out=num)
-    phi = _scratch(arena, (tag, "phi"), bshape, st[0].dtype)
+    phi = _scratch(arena, "phi", bshape, st[0].dtype)
     phi[...] = num
     return phi

@@ -12,11 +12,12 @@ The advection kernels request buffers by ``(key, shape, dtype)``.  A
 slot is one flat buffer per ``(key, dtype)``, grown to the largest
 element count ever requested; a request is served as a reshaped view of
 its head, so the six axis-last block shapes of a Strang step share one
-set of buffers instead of pinning one set each.  In steady state — fixed
-grid, fixed scheme — every sweep runs allocation-free, whatever the
-shift field does: a kernel call that works on a data-dependent subset of
-a block's rows sizes what it has to grow for the whole block
-(:meth:`ScratchArena.scaled`).
+set of buffers instead of pinning one set each.  A kernel call works on
+a whole block, whatever the signs of its shifts, so the only shapes that
+follow the data are those a ``zero``-BC call sizes from its integer
+shifts: the window of ``n + 1 + k_max - k_min`` donor planes and the
+ghosts in front of it.  Once a slot has seen the largest shift of a
+workload, every sweep runs allocation-free.
 
 Discipline
 ----------
@@ -33,7 +34,6 @@ Discipline
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -44,19 +44,18 @@ __all__ = ["ScratchArena"]
 class ScratchArena:
     """Keyed pool of reusable uninitialized NumPy work buffers."""
 
-    __slots__ = ("_pool", "_scale", "hits", "misses")
+    __slots__ = ("_pool", "hits", "misses")
 
     #: Cached views per slot.  A workload cycling through a few shapes
-    #: (the six axis-last block shapes of a Strang step, plasma kick
-    #: pads) stays inside it; one whose shapes follow the data (row
-    #: subsets of a changing sign pattern) resets the cache instead of
-    #: growing it without bound.
+    #: (the six axis-last block shapes of a Strang step) stays inside
+    #: it; one whose shapes follow the data (``zero``-BC windows whose
+    #: length tracks the spread of the integer shifts) resets the cache
+    #: instead of growing it without bound.
     MAX_VIEWS = 8
 
     def __init__(self) -> None:
         #: (key, dtype) -> (flat buffer, {shape: view of its head})
         self._pool: dict[tuple, tuple[np.ndarray, dict]] = {}
-        self._scale = (1, 1)
         self.hits = 0
         self.misses = 0
 
@@ -69,9 +68,8 @@ class ScratchArena:
         covers is a hit (and a repeated shape returns the very same
         array object: up to :attr:`MAX_VIEWS` views are cached per
         slot, so a workload cycling through a few shapes pays two dict
-        lookups per request); a larger one reallocates the slot — to
-        the request times the :meth:`scaled` factor in force — and is a
-        miss.
+        lookups per request); a larger one reallocates the slot to the
+        request and is a miss.
         """
         shape = tuple(shape)
         dt = np.dtype(dtype)
@@ -88,31 +86,12 @@ class ScratchArena:
             flat, views = held
         else:
             self.misses += 1
-            whole, part = self._scale
-            flat, views = np.empty(-(-n * whole // part), dtype=dt), {}
+            flat, views = np.empty(n, dtype=dt), {}
             self._pool[slot] = (flat, views)
         if len(views) >= self.MAX_VIEWS:
             views.clear()
         view = views[shape] = flat[:n].reshape(shape)
         return view
-
-    @contextlib.contextmanager
-    def scaled(self, whole: int, part: int):
-        """Scope in which requests cover ``part`` of ``whole`` equal rows.
-
-        Scratch is proportional to the rows a kernel call works on.  A
-        call on a data-dependent subset of a block's rows (the rows of
-        one shift sign) would otherwise make every slot's high-water
-        mark follow the data; inside this scope a slot that has to grow
-        grows to what the whole block would have requested, so steady
-        state is reached after one pass whatever the subsets do.
-        """
-        outer = self._scale
-        self._scale = (whole, part)
-        try:
-            yield self
-        finally:
-            self._scale = outer
 
     @property
     def nbytes(self) -> int:

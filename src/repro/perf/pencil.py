@@ -133,7 +133,10 @@ class PencilEngine(SweepEngine):
         ``"threads"`` (default), ``"processes"``, or ``"serial"``.
     pencils_per_worker:
         Pencils per worker (>1 trades dispatch overhead for load balance
-        when per-pencil cost varies, e.g. mixed-sign shift fields).
+        when per-pencil cost varies, e.g. where the integer part of the
+        shift varies across pencils: gathers instead of slices, wider
+        ``zero``-BC windows).  The signs of the shifts do not matter —
+        every block is one kernel run.
     min_shard_bytes:
         Arrays smaller than this run serially — dispatch overhead beats
         the win on small problems (see docs/PERFORMANCE.md).  Set 0 to

@@ -1,5 +1,5 @@
-"""Cache-blocked sweeps change where scratch lives, never the bits (ISSUE 14);
-neither does advancing each row once, in its own direction (ISSUE 15).
+"""Cache-blocked sweeps change where scratch lives, never the bits;
+neither does advancing every row of a block in one kernel run.
 
 ``advect`` walks arrays above ``BLOCK_CELLS`` one block of non-advected
 rows at a time.  Advection couples cells only along the advected axis,
@@ -9,10 +9,12 @@ shifts that change sign or integer offset from block to block, and with
 ``out`` aliasing ``f``.  The engine-level test pins the same on the
 reference 6-D grid, together with the memory the blocking is for.
 
-A call whose shifts mix signs splits its rows on ``sh >= 0`` and runs
-each direction on its own rows.  The same argument makes that bitwise
-too: the result must equal advecting the two subsets in two single-sign
-calls, and the arena must not follow the sign pattern.
+A block whose shifts mix signs lands its rows with ``sh < 0`` reversed,
+advances every row rightward by ``|sh|`` in one kernel run and writes
+the reversed rows back reversed.  The result must equal advecting the
+rows of each sign in two single-sign calls, bit for bit; a call must
+run the flux kernel once per block; and the arena must not follow the
+sign pattern.
 """
 
 from __future__ import annotations
@@ -129,13 +131,13 @@ def test_out_aliasing_contract(monkeypatch, bc):
 
 
 # ----------------------------------------------------------------------
-# one flux direction per row
+# one kernel run per call, whatever the signs
 # ----------------------------------------------------------------------
 
 
 def _by_sign(f, sh, axis, scheme, bc):
     """The rows with ``sh >= 0`` and the rows with ``sh < 0``, advected
-    in two single-sign calls on flat ``(rows, n)`` arrays."""
+    in (up to) two single-sign calls on flat ``(rows, n)`` arrays."""
     shape = list(np.broadcast_shapes(f.shape, np.shape(sh)))
     shape[axis] = f.shape[axis]
     rows = np.moveaxis(np.broadcast_to(f, shape), axis, -1)
@@ -144,9 +146,25 @@ def _by_sign(f, sh, axis, scheme, bc):
     out = np.empty((sh_rows.size, f.shape[axis]), dtype=f.dtype)
     flat = rows.reshape(out.shape)
     for mask in (sh_rows[:, 0] >= 0.0, sh_rows[:, 0] < 0.0):
-        assert mask.any()
-        out[mask] = advect(flat[mask], sh_rows[mask], 1, scheme=scheme, bc=bc)
+        if mask.any():
+            out[mask] = advect(flat[mask], sh_rows[mask], 1, scheme=scheme, bc=bc)
     return np.moveaxis(out.reshape(rows.shape), -1, axis)
+
+
+def _sign_profiles(shape, axis):
+    """``mixed_sign_shifts``, plus a field with every shift negative and
+    one where only the negative rows cross whole cells (|shift| > 1 on
+    ``sh < 0``, < 1 on the rest: under ``zero`` the ghosts in front of
+    the reversed rows are the wide ones)."""
+    yield from mixed_sign_shifts(shape, axis)
+    rng = np.random.default_rng(8)
+    full = list(shape)
+    full[axis] = 1
+    yield "all_negative", -0.05 - 3.0 * rng.random(full)
+    left = rng.random(full) < 0.5
+    yield "negative_rows_wrap", np.where(
+        left, -1.0 - 2.0 * rng.random(full), 0.95 * rng.random(full)
+    )
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -160,7 +178,7 @@ def test_mixed_signs_bitwise_equal_rows_advected_by_sign(scheme, bc, dtype):
     for axis in range(f.ndim):
         if f.shape[axis] < SCHEMES[scheme].order:
             continue
-        for name, sh in mixed_sign_shifts(f.shape, axis):
+        for name, sh in _sign_profiles(f.shape, axis):
             ref = _by_sign(f, sh, axis, scheme, bc).tobytes()
             where = f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} {name}"
             arena = ScratchArena()
@@ -179,6 +197,32 @@ def test_mixed_signs_bitwise_equal_rows_advected_by_sign(scheme, bc, dtype):
         got = advect(thin, sh, axis, scheme=scheme, bc=bc)
         assert got.shape == f.shape
         assert got.tobytes() == _by_sign(thin, sh, axis, scheme, bc).tobytes()
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_one_kernel_run_per_block(monkeypatch, bc):
+    """Mixed, all-positive and all-negative shifts each run the flux
+    kernel once on a one-block array, and once per block when blocked."""
+    calls = []
+    kernel = advection._flux_positive
+    monkeypatch.setattr(advection, "_flux_positive",
+                        lambda *a: (calls.append(1), kernel(*a))[1])
+    f = _field(np.float64)
+    _, mixed = next(mixed_sign_shifts(f.shape, 1))
+    assert (mixed < 0).any() and (mixed > 0).any()
+    for sh in (mixed, np.abs(mixed), -0.1 - np.abs(mixed)):
+        del calls[:]
+        advect(f, sh, 1, bc=bc)
+        assert len(calls) == 1
+
+    monkeypatch.setattr(advection, "BLOCK_CELLS", 200)
+    blocks = len(list(advection._block_plan(np.moveaxis(f, 1, -1).shape)))
+    del calls[:]
+    advection.reset_fastpath_counters()
+    advect(f, mixed, 1, bc=bc)
+    assert len(calls) == blocks > 1
+    assert sum(advection.fastpath_counters().values()) == blocks
 
 
 def test_arena_does_not_follow_the_sign_pattern():
@@ -221,8 +265,9 @@ def test_a_scratch_key_has_one_shape_per_kernel_call(bc):
     seen = {}
     f = _field(np.float32)
     _, sh = next(mixed_sign_shifts(f.shape, 1))
-    advect(f, sh, 1, bc=bc, arena=Recorder())  # one block, both directions
-    assert len(seen) > 40
+    advect(f, sh, 1, bc=bc, arena=Recorder())  # one block, one direction
+    parts = {p for key, _ in seen for p in (key if isinstance(key, tuple) else (key,))}
+    assert not parts & {"neg", "mix"}
     assert {k: v for k, v in seen.items() if len(v) > 1} == {}
 
 

@@ -12,7 +12,9 @@ dependency is installed, as ``python tests/test_architecture.py``.
   pack-gain probe passes it) and no call in the package sets it;
 * so does the rows-last sweep kernel: no roll copies, no stencil gather
   per interface, no pad helper, no ``roll`` / ``rolled`` / ``pack``
-  switch back to them.
+  switch back to them;
+* so does the per-sign row split: one flux kernel run per block, no
+  mirrored flux, no arena scope sizing a row subset.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ RETIRED = (
     "Layout" + "Engine", "layout" + "_decision", "get_default" + "_layout",
     "UNIFORM" + "_FAST", "POOLED" + "_LIMITER",
     "roll" + "_into", "_gather" + "_stencil", "_zero" + "_pad",
+    "interface" + "_flux", "_mirror" + "_flux",
 )
 
 
@@ -111,6 +114,17 @@ def test_layout_is_a_parameter_of_advect_alone():
                     offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
                                      f"{node.name} declares layout")
     assert not offenders, "\n".join(offenders)
+
+
+def test_the_arena_has_no_row_subset_scope():
+    path = SRC / "repro" / "perf" / "arena.py"
+    (arena,) = [
+        node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "ScratchArena"
+    ]
+    members = {getattr(node, "name", None) for node in arena.body}
+    assert "scaled" not in members
+    assert "_scale" not in ast.unparse(arena)
 
 
 def _kernel_functions():

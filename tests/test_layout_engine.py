@@ -24,7 +24,9 @@ the sign-form one.)
 The float64 cases deliberately include blocks whose planes are 8 cells
 (64 bytes) — the stride class where float64 ``np.negative`` has
 miscomputed on hyperplane views, which the rows-last mirror pass worked
-around and contiguous planes never present to it.
+around.  The kernel negates nothing now: left-flowing rows are landed
+and written back reversed, and those reversed copies run on the same
+planes.
 """
 
 from __future__ import annotations
@@ -142,8 +144,9 @@ def test_planes_bitwise_equal_the_rows_last_kernel(scheme, bc, dtype, monkeypatc
 @pytest.mark.smoke
 @pytest.mark.parametrize("bc", ["periodic", "zero"])
 def test_mirror_negation_on_64_byte_planes(bc):
-    """float64 blocks whose planes are 8 cells: the reversed flux of the
-    negative direction is negated plane by plane, inner stride 8 bytes."""
+    """float64 blocks whose planes are 8 cells: rows with a negative
+    shift are landed and written back reversed plane by plane, inner
+    stride 8 bytes."""
     rng = np.random.default_rng(6)
     for shape, axis in (((9, 8), 0), ((8, 9), 1), ((9, 1, 8), 0)):
         f = rng.standard_normal(shape)

@@ -223,12 +223,12 @@ def allocating_tail(unlimited, calls):
     what the kernel passes: the donor planes with ``stencil_reach(spec)``
     neighbor planes on each side."""
 
-    def fractional_flux(cells, alpha, spec, arena=None, tag="pos"):
+    def fractional_flux(cells, alpha, spec, arena=None):
         calls.append(spec)
         plain = spec._replace(use_mp=False, use_pos=False)
         reach = stencil_reach(spec)
         trim = reach - stencil_reach(plain)  # the MP limiter's extra planes
-        phi = unlimited(cells[trim : cells.shape[0] - trim], alpha, plain, arena, tag)
+        phi = unlimited(cells[trim : cells.shape[0] - trim], alpha, plain, arena)
         if spec.use_mp:
             pos = alpha > 0.0
             safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=cells.dtype))

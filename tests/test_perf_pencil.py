@@ -53,20 +53,6 @@ class TestScratchArena:
         assert a.nbytes == 9 * 4 + 4 * 4 + 4 * 8
         assert a.take("x", (4,), np.float32).base is not x32.base
 
-    def test_scaled_slot_grows_to_the_whole_block(self):
-        a = ScratchArena()
-        with a.scaled(8, 3):
-            part = a.take("x", (3, 10), np.float32)
-            assert a.take("y", (5, 10), np.float32).base.size == 134  # ceil
-        assert part.shape == (3, 10) and a.misses == 2
-        # any other share of the 8 rows, and the whole block, now fit
-        with a.scaled(8, 7):
-            assert np.shares_memory(a.take("x", (7, 10), np.float32), part)
-        assert np.shares_memory(a.take("x", (8, 10), np.float32), part)
-        assert a.misses == 2 and a.nbytes == (80 + 134) * 4
-        # outside the scope a slot grows to the request, as always
-        assert a.take("x", (9, 10), np.float32).base.size == 90
-
     def test_view_cache_is_bounded(self):
         a = ScratchArena()
         a.take("x", (64,), np.float64)
