@@ -19,11 +19,11 @@ on their own slab rather than restating it.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from ..diagnostics.timers import section
 from . import moments
 from .advection import SCHEMES, advect
 from .mesh import PhaseSpaceGrid
@@ -79,6 +79,10 @@ class SweepEngine:
     #: chaos-harness hook, ``hook(engine, pool)``; only engines with
     #: workers to sabotage ever call it.
     fault_hook = None
+    #: bumped by everything that may change f — ``run``, ``mark_mutated``
+    #: (so the f setter and restores) and ``bind`` — so a value derived
+    #: from f is current exactly while the version it was derived at is.
+    f_version = 0
 
     def __init__(self, arena: "ScratchArena | None" = None) -> None:
         if arena is None:
@@ -103,6 +107,7 @@ class SweepEngine:
         self.timer = timer
         self._f = grid.zeros_f()
         self._back: np.ndarray | None = None
+        self.mark_mutated()
 
     # -- the distribution function --------------------------------------
 
@@ -117,6 +122,7 @@ class SweepEngine:
 
     def mark_mutated(self) -> None:
         """The array behind :attr:`f` was written (in place, or replaced)."""
+        self.f_version += 1
 
     # -- sweeps ----------------------------------------------------------
 
@@ -127,11 +133,11 @@ class SweepEngine:
                       arena=self.arena)
 
     def _section(self, name: str):
-        return self.timer.section(name) if self.timer is not None \
-            else nullcontext()
+        return section(self.timer, name)
 
     def run(self, plan, accel) -> None:
         """Execute ``plan`` on the host array, each sweep a timed section."""
+        self.f_version += 1
         for sweep in plan:
             with self._section(sweep.name):
                 self._host_sweep(sweep, accel)

@@ -14,6 +14,13 @@ One step advances both components through the same scale-factor interval
 with the KDK structure: kick both (potential at a0), drift both, recompute
 the potential from the *drifted* densities, kick both.
 
+Each kick solves the common potential once (:meth:`HybridSimulation.
+kick_fields`): one neutrino moment, one CDM window stencil for the
+deposit and the interpolation, one PM solve; the Vlasov kick takes the
+mesh field, the CDM kick the same field at the particles (plus the tree
+term).  A timer records it as ``pm/{moments,deposit,fft,grad,interp}``,
+``tree`` and ``cdm/{kick,drift}``: the paper's per-part split (Tables 3-4).
+
 The Vlasov grid's spatial mesh doubles as the PM mesh so the densities
 live on one grid.  (The paper decouples N_PM from N_x for load balance;
 that distinction is a performance concern handled by the machine model in
@@ -29,6 +36,7 @@ import numpy as np
 
 from ..cosmology.background import Cosmology
 from ..cosmology.neutrino import RelicNeutrinoDistribution
+from ..diagnostics.timers import section
 from ..nbody.particles import ParticleSet
 from ..nbody.treepm import TreePMSolver
 from .mesh import PhaseSpaceGrid
@@ -62,8 +70,9 @@ class HybridSimulation:
         False runs PM-only (cheaper, adequate for smoke tests).
     engine, timer:
         Forwarded to the neutrino :class:`VlasovSolver`, exactly as the
-        Vlasov-Poisson drivers do (the PM/tree half of the step is not
-        engine-driven and records no timer sections).
+        Vlasov-Poisson drivers do; the PM transforms run on the engine's
+        spectral backend, and the timer also records the particle half
+        of the step (see the module docstring).
     """
 
     grid: PhaseSpaceGrid
@@ -97,6 +106,7 @@ class HybridSimulation:
             eps=self.softening,
             theta=self.theta,
             r_split_cells=self.r_split_cells,
+            fft_backend=self.neutrinos.engine.spectral_backend(),
         )
 
     # ------------------------------------------------------------------
@@ -115,22 +125,31 @@ class HybridSimulation:
         """rho_CDM + rho_nu — the source of the common potential."""
         return self.cdm_density() + self.neutrino_density()
 
+    def kick_fields(self, a: float) -> tuple[np.ndarray, np.ndarray]:
+        """One solve of the common potential at ``a``: ``(acc_mesh,
+        acc_particles)`` — the mesh field, shape (dim,) + nx, for the
+        Vlasov kick and the full (PM + optional tree) acceleration for
+        the CDM kick."""
+        timer = self.timer
+        with section(timer, "pm"):
+            with section(timer, "moments"):
+                rho_nu = self.neutrino_density()
+            acc_mesh, acc = self.gravity.long_range(self.cdm, a, rho_nu, timer)
+        if self.use_tree:
+            with section(timer, "tree"):
+                acc = acc + self.gravity.short_range(self.cdm, a)
+        return acc_mesh, acc
+
     def mesh_acceleration(self, a: float) -> np.ndarray:
-        """Long-range acceleration field on the mesh, shape (dim,) + nx."""
+        """Long-range acceleration field on the mesh, shape (dim,) + nx
+        (no interpolation, no tree)."""
         return self.gravity.mesh_acceleration_field(
             self.cdm, a=a, external_density=self.neutrino_density()
         )
 
     def particle_acceleration(self, a: float) -> np.ndarray:
         """Full (PM + optional tree) acceleration at the particles."""
-        if self.use_tree:
-            return self.gravity.accelerations(
-                self.cdm, a=a, external_density=self.neutrino_density()
-            )
-        source = self.gravity.pm_source(
-            self.cdm, a=a, external_density=self.neutrino_density()
-        )
-        return self.gravity.pm.accelerations(self.cdm.positions, source)
+        return self.kick_fields(a)[1]
 
     # ------------------------------------------------------------------
     # time stepping
@@ -148,23 +167,24 @@ class HybridSimulation:
         kick2 = cosmo.kick_factor(am, a1)
 
         # first kick: common potential at a0
-        mesh_acc = self.mesh_acceleration(a0)
-        part_acc = self.particle_acceleration(a0)
-        self.neutrinos.kick(mesh_acc, kick1)
-        self.cdm.kick(part_acc, kick1)
+        self._kick(a0, kick1)
 
         # drift both components
         self.neutrinos.drift(drift)
-        self.cdm.drift(drift)
+        with section(self.timer, "cdm/drift"):
+            self.cdm.drift(drift)
 
         # second kick: recomputed potential at a1
-        mesh_acc = self.mesh_acceleration(a1)
-        part_acc = self.particle_acceleration(a1)
-        self.neutrinos.kick(mesh_acc, kick2)
-        self.cdm.kick(part_acc, kick2)
+        self._kick(a1, kick2)
 
         self.a = a_next
         self.step_count += 1
+
+    def _kick(self, a: float, dt_kick: float) -> None:
+        acc_mesh, acc = self.kick_fields(a)
+        self.neutrinos.kick(acc_mesh, dt_kick)
+        with section(self.timer, "cdm/kick"):
+            self.cdm.kick(acc, dt_kick)
 
     def run(self, schedule: np.ndarray, observer=None) -> None:
         """Advance through a scale-factor schedule (first entry = current a).

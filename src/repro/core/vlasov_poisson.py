@@ -17,17 +17,25 @@ and :class:`repro.gravity.poisson.PeriodicPoissonSolver`:
 
 Both advance with the KDK Strang sequence of Eq. (5), recomputing the
 potential between the drift and the second half kick.
+
+One field solve per f state: each driver keeps its last solve, keyed by
+the engine's ``f_version`` (bumped by every sweep, f assignment and
+``notify_f_mutated``) and the scale factor.  The ledger's energy after a
+step and the next step's first kick see the same f, so the kick reuses
+the ledger's solve: two solves per step, not three, bitwise unchanged.
+The slot's arrays are read-only; writing into ``f`` in place after a
+solve needs ``solver.notify_f_mutated()``.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from ..cosmology.background import Cosmology
+from ..diagnostics.timers import section
 from ..gravity.poisson import PeriodicPoissonSolver
 from .mesh import PhaseSpaceGrid
 from .vlasov import VlasovSolver
@@ -37,8 +45,48 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import SweepEngine
 
 
+class _Slot(NamedTuple):
+    """One field solve: the f state it belongs to (None: no state) and its
+    read-only results; ``phi`` is None when only the force was solved."""
+
+    key: tuple | None
+    rho: np.ndarray | None
+    phi: np.ndarray | None
+    accel: np.ndarray | None
+
+
+class _OneSolvePerF:
+    """What both drivers share: the last field solve, reused while the
+    request's key (f version, and a) is the slot's."""
+
+    _slot = _Slot(None, None, None, None)
+
+    def _field_solve(self, key, need_phi: bool, density_source,
+                     sign: float = 1.0) -> _Slot:
+        """The slot when it answers ``key``, else a fresh solve of
+        ``density_source() -> (rho, source)`` (timed as ``moments``)
+        that replaces it; ``sign=-1`` flips the force."""
+        slot = self._slot
+        if key is not None and key == slot.key and (slot.phi is not None or not need_phi):
+            return slot
+        with section(self.timer, "moments"):
+            rho, source = density_source()
+        kw = {"method": self.gradient_method, "timer": self.timer}
+        if need_phi:
+            phi, accel = self.poisson.solve_fields(source, **kw)
+        else:
+            phi, accel = None, self.poisson.acceleration(source, **kw)
+        if sign < 0:
+            np.negative(accel, out=accel)
+        for x in (rho, phi, accel):
+            if x is not None:
+                x.setflags(write=False)
+        self._slot = _Slot(key, rho, phi, accel)
+        return self._slot
+
+
 @dataclass
-class PlasmaVlasovPoisson:
+class PlasmaVlasovPoisson(_OneSolvePerF):
     """Normalized electron Vlasov-Poisson system on a periodic box.
 
         df/dt + v df/dx - E df/dv = 0,    laplacian(phi) = rho_e - <rho_e>,
@@ -76,8 +124,7 @@ class PlasmaVlasovPoisson:
         )
 
     def _timed_accel(self) -> np.ndarray:
-        ctx = self.timer.section("poisson") if self.timer is not None else nullcontext()
-        with ctx:
+        with section(self.timer, "poisson"):
             return self.acceleration()
 
     @property
@@ -89,6 +136,15 @@ class PlasmaVlasovPoisson:
     def f(self, value: np.ndarray) -> None:
         self.solver.f = value
 
+    def _fields(self, need_phi: bool) -> _Slot:
+        def contrast():
+            rho = self.solver.density()
+            return rho, rho - rho.mean()
+
+        # solver returns -grad(phi); electrons (charge -1) feel +grad(phi)
+        return self._field_solve((self.solver.engine.f_version,), need_phi,
+                                 contrast, sign=-1.0)
+
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """Fused field solve: ``(phi, electron acceleration)``.
 
@@ -96,24 +152,8 @@ class PlasmaVlasovPoisson:
         potential and the acceleration (+grad phi per electron-charge
         sign; see :meth:`PeriodicPoissonSolver.solve_fields`).
         """
-        phi, accel = self.poisson.solve_fields(
-            self._density_contrast(),
-            method=self.gradient_method,
-            timer=self.timer,
-        )
-        # solver returns -grad(phi); electrons (charge -1) feel +grad(phi)
-        np.negative(accel, out=accel)
-        return phi, accel
-
-    def _density_contrast(self) -> np.ndarray:
-        ctx = (
-            self.timer.section("moments")
-            if self.timer is not None
-            else nullcontext()
-        )
-        with ctx:
-            rho = self.solver.density()
-            return rho - rho.mean()
+        slot = self._fields(need_phi=True)
+        return slot.phi, slot.accel
 
     def acceleration(self) -> np.ndarray:
         """Electron acceleration +grad(phi) on the spatial mesh.
@@ -122,14 +162,7 @@ class PlasmaVlasovPoisson:
         the spectral-gradient route (see
         :meth:`PeriodicPoissonSolver.acceleration`).
         """
-        accel = self.poisson.acceleration(
-            self._density_contrast(),
-            method=self.gradient_method,
-            timer=self.timer,
-        )
-        # solver returns -grad(phi); electrons (charge -1) feel +grad(phi)
-        np.negative(accel, out=accel)
-        return accel
+        return self._fields(need_phi=False).accel
 
     def electric_field(self) -> np.ndarray:
         """E = -grad(phi), shape (dim,) + nx."""
@@ -162,7 +195,7 @@ class PlasmaVlasovPoisson:
 
 
 @dataclass
-class GravitationalVlasovPoisson:
+class GravitationalVlasovPoisson(_OneSolvePerF):
     """Self-gravitating Vlasov-Poisson in (optionally) expanding space.
 
     Parameters
@@ -204,8 +237,7 @@ class GravitationalVlasovPoisson:
         )
 
     def _timed_accel(self, a: float | None = None) -> np.ndarray:
-        ctx = self.timer.section("poisson") if self.timer is not None else nullcontext()
-        with ctx:
+        with section(self.timer, "poisson"):
             return self.acceleration(a)
 
     @property
@@ -226,21 +258,21 @@ class GravitationalVlasovPoisson:
             rho = rho + self.external_density()
         return rho
 
-    def _source(self, a: float) -> np.ndarray:
-        """Poisson source (4 pi G / a)(rho - mean), timed as ``moments``."""
-        ctx = (
-            self.timer.section("moments")
-            if self.timer is not None
-            else nullcontext()
-        )
-        with ctx:
+    def _fields(self, a: float | None, need_phi: bool) -> _Slot:
+        a = self.a if a is None else a
+
+        def source():
             rho = self.total_density()
-            return (4.0 * np.pi * self.g_newton / a) * (rho - rho.mean())
+            return rho, (4.0 * np.pi * self.g_newton / a) * (rho - rho.mean())
+
+        # an external density is not part of f's state: nothing is reused
+        key = None if self.external_density is not None \
+            else (self.solver.engine.f_version, a)
+        return self._field_solve(key, need_phi, source)
 
     def potential(self, a: float | None = None) -> np.ndarray:
         """Peculiar potential of Eq. (2) at scale factor a."""
-        a = self.a if a is None else a
-        return self.poisson.potential(self._source(a))
+        return self._fields(a, need_phi=True).phi
 
     def fields(self, a: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Fused field solve at scale factor a: ``(phi, -grad phi)``.
@@ -249,24 +281,20 @@ class GravitationalVlasovPoisson:
         (:meth:`PeriodicPoissonSolver.solve_fields`); with a timer
         attached the solve splits into ``moments`` / ``fft`` / ``grad``.
         """
-        a = self.a if a is None else a
-        return self.poisson.solve_fields(
-            self._source(a), method=self.gradient_method, timer=self.timer
-        )
+        slot = self._fields(a, need_phi=True)
+        return slot.phi, slot.accel
 
     def acceleration(self, a: float | None = None) -> np.ndarray:
         """-grad(phi), shape (dim,) + nx — the kick path; never inverts
         phi itself on the spectral-gradient route."""
-        a = self.a if a is None else a
-        return self.poisson.acceleration(
-            self._source(a), method=self.gradient_method, timer=self.timer
-        )
+        return self._fields(a, need_phi=False).accel
 
     def potential_energy(self, a: float | None = None) -> float:
-        """W = (1/2) int rho phi dx (self-energy of the contrast)."""
-        phi = self.potential(a)
-        rho = self.total_density()
-        return 0.5 * float(((rho - rho.mean()) * phi).sum()) * self.grid.cell_volume_x
+        """W = (1/2) int rho phi dx (self-energy of the contrast); one
+        density moment, shared with the solve."""
+        slot = self._fields(a, need_phi=True)
+        rho = slot.rho
+        return 0.5 * float(((rho - rho.mean()) * slot.phi).sum()) * self.grid.cell_volume_x
 
     def total_energy(self, a: float | None = None) -> float:
         """Kinetic + potential energy (meaningful for static runs; in

@@ -10,10 +10,15 @@ median/percentile reporting.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def section(timer: "StepTimer | None", name: str):
+    """``timer.section(name)``, or a no-op context when there is no timer."""
+    return timer.section(name) if timer is not None else nullcontext()
 
 
 @dataclass
@@ -130,32 +135,37 @@ class ConservationLedger:
     :meth:`is_relative` tells the caller which of the two a key uses, so
     thresholds are never compared against the wrong kind silently.
 
-    The worst drift is maintained incrementally — ``relative_drift`` is
-    O(1) per call, not O(steps) — so per-step telemetry can export it
-    without turning a long run quadratic.
+    Nothing grows with the run: per quantity the ledger keeps the
+    initial and latest values and two running worsts (the drift above
+    and ``|q - q0|``), so every read is O(1) and a thousand-step run
+    holds as much as a one-step run.
     """
 
     initial: dict[str, float] = field(default_factory=dict)
-    history: dict[str, list[float]] = field(default_factory=dict)
+    latest: dict[str, float] = field(default_factory=dict)
     _worst: dict[str, float] = field(default_factory=dict, repr=False)
+    _worst_abs: dict[str, float] = field(default_factory=dict, repr=False)
 
     def register(self, **quantities: float) -> None:
         """Record initial values."""
         for key, value in quantities.items():
-            self.initial[key] = float(value)
-            self.history[key] = [float(value)]
-            self._worst[key] = self._one_drift(key, float(value))
+            value = float(value)
+            self.initial[key] = self.latest[key] = value
+            self._worst[key] = self._one_drift(key, value)
+            self._worst_abs[key] = 0.0
 
     def update(self, **quantities: float) -> None:
         """Record current values."""
         for key, value in quantities.items():
             if key not in self.initial:
                 raise KeyError(f"{key!r} was never registered")
-            value = float(value)
-            self.history[key].append(value)
+            value = self.latest[key] = float(value)
             drift = self._one_drift(key, value)
             if drift > self._worst[key]:
                 self._worst[key] = drift
+            drift = abs(value - self.initial[key])
+            if drift > self._worst_abs[key]:
+                self._worst_abs[key] = drift
 
     def _one_drift(self, key: str, value: float) -> float:
         q0 = self.initial[key]
@@ -173,7 +183,7 @@ class ConservationLedger:
         """Most recently recorded value of one quantity."""
         if key not in self.initial:
             raise KeyError(f"{key!r} was never registered")
-        return self.history[key][-1]
+        return self.latest[key]
 
     def relative_drift(self, key: str) -> float:
         """Largest |q/q0 - 1| seen (|q| when q0 == 0 — see class docs)."""
@@ -188,8 +198,7 @@ class ConservationLedger:
         """Largest |q - q0| seen for one quantity."""
         if key not in self.initial:
             raise KeyError(f"{key!r} was never registered")
-        q0 = self.initial[key]
-        return max(abs(q - q0) for q in self.history[key])
+        return self._worst_abs[key]
 
     def as_dict(self) -> dict[str, dict]:
         """Machine-readable export (the telemetry stream's ``drifts``).
@@ -200,7 +209,7 @@ class ConservationLedger:
         return {
             key: {
                 "initial": self.initial[key],
-                "latest": self.history[key][-1],
+                "latest": self.latest[key],
                 "drift": self._worst[key],
                 "relative": self.initial[key] != 0.0,
             }

@@ -51,12 +51,13 @@ All transforms run through :class:`repro.perf.fft.SpectralBackend`
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ..diagnostics.timers import section
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
@@ -263,8 +264,7 @@ class PeriodicPoissonSolver:
             raise ValueError(f"method must be one of {_GRADIENTS}")
         be = self._backend
 
-        ctx = timer.section("fft") if timer is not None else nullcontext()
-        with ctx:
+        with section(timer, "fft"):
             phi_k = self._phi_k(source, kernel)
             # the spectral gradient differentiates phi_k directly, so an
             # accel-only solve never needs phi in real space at all; the
@@ -275,8 +275,7 @@ class PeriodicPoissonSolver:
                 else None
             )
 
-        ctx = timer.section("grad") if timer is not None else nullcontext()
-        with ctx:
+        with section(timer, "grad"):
             accel = np.empty((self.dim,) + self.nx, dtype=np.float64)
             if method == "spectral":
                 for d in range(self.dim):

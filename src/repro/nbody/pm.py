@@ -19,16 +19,109 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclasses_field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ..gravity.poisson import PeriodicPoissonSolver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..diagnostics.timers import StepTimer
     from ..perf.fft import SpectralBackend
 
 _WINDOWS = ("ngp", "cic", "tsc")
+
+
+class WindowStencil(NamedTuple):
+    """One position set's window on a periodic mesh, built once.
+
+    ``idx`` / ``weights`` have shape (K, N): per point of the window
+    support (K = 1, 2^dim or 3^dim) the wrapped flat mesh index and the
+    weight of every particle.  :meth:`deposit` and :meth:`interpolate`
+    both consume it, so a PM force evaluation that assigns the masses and
+    then interpolates every force component back builds the window once.
+    """
+
+    idx: np.ndarray
+    weights: np.ndarray
+    n_mesh: tuple[int, ...]
+    box_size: float
+
+    def deposit(self, masses: np.ndarray) -> np.ndarray:
+        """The *density* mesh (mass per mesh-cell volume) of ``masses``.
+
+        One ``bincount`` adds the (point, particle) pairs in the order a
+        per-point ``np.add.at`` pass would, so every cell sums its
+        contributions in that order.
+        """
+        masses = np.asarray(masses, dtype=np.float64)
+        flat = np.bincount(
+            self.idx.ravel(), (masses * self.weights).ravel(),
+            minlength=int(np.prod(self.n_mesh)),
+        )
+        cell_vol = (self.box_size / np.array(self.n_mesh)).prod()
+        return flat.reshape(self.n_mesh) / cell_vol
+
+    def interpolate(self, mesh: np.ndarray) -> np.ndarray:
+        """``mesh`` at the positions, shape (N,); a stack of meshes,
+        shape (k,) + n_mesh, gives (N, k)."""
+        if mesh.shape[1:] == self.n_mesh:
+            return np.stack([self.interpolate(m) for m in mesh], axis=1)
+        if mesh.shape != self.n_mesh:
+            raise ValueError(f"mesh shape {mesh.shape} != {self.n_mesh}")
+        flat = mesh.reshape(-1)
+        out = np.zeros(self.weights.shape[1], dtype=np.float64)
+        for idx, w in zip(self.idx, self.weights):
+            out += flat[idx] * w
+        return out
+
+
+def window_stencil(
+    positions: np.ndarray,
+    n_mesh: tuple[int, ...],
+    box_size: float,
+    window: str = "cic",
+) -> WindowStencil:
+    """The :class:`WindowStencil` of ``positions`` on a periodic mesh.
+
+    Support points are ordered with axis 0 varying fastest; a point's
+    weight is the product of its per-axis weights taken in axis order.
+    """
+    if window not in _WINDOWS:
+        raise ValueError(f"window must be one of {_WINDOWS}")
+    positions = np.asarray(positions, dtype=np.float64)
+    n_mesh = tuple(int(n) for n in n_mesh)
+    n, dim = positions.shape
+    if len(n_mesh) != dim:
+        raise ValueError("mesh dimensionality must match positions")
+    scaled = positions / box_size * np.array(n_mesh)  # in cell units
+    idx = np.zeros((1, n), dtype=np.int64)
+    weights = np.ones((1, n))
+    for d in range(dim):
+        cells, w_d = _axis_window(scaled[:, d], window)
+        stride = int(np.prod(n_mesh[d + 1 :]))
+        k = len(cells) * len(idx)
+        idx = (idx[None] + (cells % n_mesh[d] * stride)[:, None]).reshape(k, n)
+        weights = (weights[None] * w_d[:, None]).reshape(k, n)
+    return WindowStencil(idx, weights, n_mesh, float(box_size))
+
+
+def _axis_window(x: np.ndarray, window: str) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of the window at cell-unit coordinates ``x``: the cells
+    it touches (unwrapped) and their weights, each of shape (1|2|3, N)."""
+    if window == "ngp":
+        return np.floor(x).astype(np.int64)[None], np.ones((1, x.size))
+    if window == "cic":
+        lo = np.floor(x - 0.5).astype(np.int64)
+        frac = x - 0.5 - lo  # in [0,1): weight of the hi cell
+        return np.stack([lo, lo + 1]), np.stack([1.0 - frac, frac])
+    # tsc: quadratic spline over 3 cells
+    center = np.floor(x).astype(np.int64)
+    dx = x - (center + 0.5)  # distance from the center-cell midpoint
+    return (
+        np.stack([center - 1, center, center + 1]),
+        np.stack([0.5 * (0.5 - dx) ** 2, 0.75 - dx**2, 0.5 * (0.5 + dx) ** 2]),
+    )
 
 
 def assign_mass(
@@ -42,27 +135,7 @@ def assign_mass(
 
     Returns the *density* mesh (mass per mesh-cell volume).
     """
-    if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {_WINDOWS}")
-    positions = np.asarray(positions, dtype=np.float64)
-    masses = np.asarray(masses, dtype=np.float64)
-    n, dim = positions.shape
-    if len(n_mesh) != dim:
-        raise ValueError("mesh dimensionality must match positions")
-    mesh = np.zeros(n_mesh, dtype=np.float64)
-    scaled = positions / box_size * np.array(n_mesh)  # in cell units
-
-    offsets, weights = _window_offsets_weights(scaled, n_mesh, window)
-    flat = np.zeros(mesh.size, dtype=np.float64)
-    strides = np.array(
-        [int(np.prod(n_mesh[d + 1 :])) for d in range(dim)], dtype=np.int64
-    )
-    for off, w in zip(offsets, weights):
-        idx = (off * strides).sum(axis=1)
-        np.add.at(flat, idx, masses * w)
-    mesh += flat.reshape(n_mesh)
-    cell_vol = (box_size / np.array(n_mesh)).prod()
-    return mesh / cell_vol
+    return window_stencil(positions, n_mesh, box_size, window).deposit(masses)
 
 
 def interpolate_mesh(
@@ -72,75 +145,7 @@ def interpolate_mesh(
     window: str = "cic",
 ) -> np.ndarray:
     """Interpolate a mesh field to particle positions with the same window."""
-    if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {_WINDOWS}")
-    positions = np.asarray(positions, dtype=np.float64)
-    n_mesh = mesh.shape
-    dim = positions.shape[1]
-    if len(n_mesh) != dim:
-        raise ValueError("mesh dimensionality must match positions")
-    scaled = positions / box_size * np.array(n_mesh)
-    offsets, weights = _window_offsets_weights(scaled, n_mesh, window)
-    flat = mesh.reshape(-1)
-    strides = np.array(
-        [int(np.prod(n_mesh[d + 1 :])) for d in range(dim)], dtype=np.int64
-    )
-    out = np.zeros(positions.shape[0], dtype=np.float64)
-    for off, w in zip(offsets, weights):
-        idx = (off * strides).sum(axis=1)
-        out += flat[idx] * w
-    return out
-
-
-def _window_offsets_weights(scaled, n_mesh, window):
-    """Per-particle (cell-index, weight) pairs for the chosen window.
-
-    ``scaled`` is the position in cell units.  Yields one (idx, w) pair per
-    point of the window support (1, 2^dim, or 3^dim), each idx of shape
-    (N, dim) already wrapped, each w of shape (N,).
-    """
-    n, dim = scaled.shape
-    nm = np.array(n_mesh, dtype=np.int64)
-    if window == "ngp":
-        base = np.floor(scaled).astype(np.int64) % nm
-        return [base], [np.ones(n)]
-
-    if window == "cic":
-        lo = np.floor(scaled - 0.5).astype(np.int64)
-        frac = scaled - 0.5 - lo  # in [0,1): weight of the hi cell
-        corners, weights = [], []
-        for bits in range(2**dim):
-            sel = np.array([(bits >> d) & 1 for d in range(dim)], dtype=np.int64)
-            idx = (lo + sel) % nm
-            w = np.ones(n)
-            for d in range(dim):
-                w = w * (frac[:, d] if sel[d] else 1.0 - frac[:, d])
-            corners.append(idx)
-            weights.append(w)
-        return corners, weights
-
-    # tsc: quadratic spline over 3 cells per axis
-    center = np.floor(scaled).astype(np.int64)
-    dx = scaled - (center + 0.5)  # distance from the center-cell midpoint
-    w_axis = np.empty((dim, 3, n))
-    w_axis[:, 0] = (0.5 * (0.5 - dx) ** 2).T
-    w_axis[:, 1] = (0.75 - dx**2).T
-    w_axis[:, 2] = (0.5 * (0.5 + dx) ** 2).T
-    corners, weights = [], []
-    for code in range(3**dim):
-        sel = []
-        c = code
-        for _ in range(dim):
-            sel.append(c % 3)
-            c //= 3
-        sel = np.array(sel, dtype=np.int64)
-        idx = (center + (sel - 1)) % nm
-        w = np.ones(n)
-        for d in range(dim):
-            w = w * w_axis[d, sel[d]]
-        corners.append(idx)
-        weights.append(w)
-    return corners, weights
+    return window_stencil(positions, mesh.shape, box_size, window).interpolate(mesh)
 
 
 def window_deconvolution(n_mesh, box_size, window: str) -> np.ndarray:
@@ -235,9 +240,13 @@ class PMSolver:
 
     # ------------------------------------------------------------------
 
+    def stencil(self, positions) -> WindowStencil:
+        """This mesh's assignment window for one position set."""
+        return window_stencil(positions, self.n_mesh, self.box_size, self.window)
+
     def density(self, positions, masses) -> np.ndarray:
         """Assigned density mesh."""
-        return assign_mass(positions, masses, self.n_mesh, self.box_size, self.window)
+        return self.stencil(positions).deposit(masses)
 
     def potential_mesh(self, source: np.ndarray) -> np.ndarray:
         """Solve laplacian(phi) = source with the PM extras applied.
@@ -255,11 +264,17 @@ class PMSolver:
             source, method=method, kernel=self._kernel_extra
         )
 
-    def acceleration_mesh(self, source: np.ndarray, method: str = "fd4") -> np.ndarray:
+    def acceleration_mesh(
+        self,
+        source: np.ndarray,
+        method: str = "fd4",
+        timer: "StepTimer | None" = None,
+    ) -> np.ndarray:
         """-grad(phi) on the mesh, shape (dim,) + n_mesh; with spectral
-        gradients the inverse transform of phi itself is skipped."""
+        gradients the inverse transform of phi itself is skipped.
+        ``timer`` records the solve as ``fft`` / ``grad``."""
         return self.poisson.acceleration(
-            source, method=method, kernel=self._kernel_extra
+            source, method=method, kernel=self._kernel_extra, timer=timer
         )
 
     def accelerations(
@@ -275,10 +290,4 @@ class PMSolver:
         :func:`repro.gravity.poisson.gravity_source`).
         """
         acc_mesh = self.acceleration_mesh(source, method)
-        dim = len(self.n_mesh)
-        out = np.empty((positions.shape[0], dim), dtype=np.float64)
-        for d in range(dim):
-            out[:, d] = interpolate_mesh(
-                acc_mesh[d], positions, self.box_size, self.window
-            )
-        return out
+        return self.stencil(positions).interpolate(acc_mesh)

@@ -24,12 +24,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..diagnostics.timers import section
 from .particles import ParticleSet
 from .phantom import InteractionCounter
-from .pm import PMSolver, interpolate_mesh
+from .pm import PMSolver, WindowStencil
 from .tree import BarnesHutTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..diagnostics.timers import StepTimer
     from ..perf.fft import SpectralBackend
 
 
@@ -111,9 +113,13 @@ class TreePMSolver:
         particles: ParticleSet,
         a: float = 1.0,
         external_density: np.ndarray | None = None,
+        stencil: WindowStencil | None = None,
     ) -> np.ndarray:
-        """Poisson source (4 pi G / a)(rho - mean) on the PM mesh."""
-        rho = self.pm.density(particles.positions, particles.masses)
+        """Poisson source (4 pi G / a)(rho - mean) on the PM mesh;
+        ``stencil`` is the particles' window when the caller has it."""
+        if stencil is None:
+            stencil = self.pm.stencil(particles.positions)
+        rho = stencil.deposit(particles.masses)
         if external_density is not None:
             if external_density.shape != self.n_mesh:
                 raise ValueError(
@@ -123,6 +129,60 @@ class TreePMSolver:
             rho = rho + external_density
         return (4.0 * np.pi * self.g_newton / a) * (rho - rho.mean())
 
+    def long_range(
+        self,
+        particles: ParticleSet,
+        a: float = 1.0,
+        external_density: np.ndarray | None = None,
+        timer: "StepTimer | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The PM half of the split, once: ``(acc_mesh, acc_particles)``
+        from one window stencil, deposit and solve; every component is
+        interpolated over that stencil.  ``acc_mesh`` is what the hybrid's
+        Vlasov kick consumes (smooth on the mesh scale: no short-range
+        term).  ``timer`` records ``deposit``, ``fft``, ``grad``, ``interp``.
+        """
+        stencil, acc_mesh = self._mesh_field(particles, a, external_density, timer)
+        with section(timer, "interp"):
+            return acc_mesh, stencil.interpolate(acc_mesh)
+
+    def _mesh_field(self, particles, a, external_density, timer):
+        with section(timer, "deposit"):
+            stencil = self.pm.stencil(particles.positions)
+            source = self.pm_source(particles, a, external_density, stencil)
+        return stencil, self.pm.acceleration_mesh(source, timer=timer)
+
+    def mesh_acceleration_field(
+        self,
+        particles: ParticleSet,
+        a: float = 1.0,
+        external_density: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """PM acceleration *field* on the mesh, shape (dim,) + n_mesh:
+        :meth:`long_range` without the interpolation."""
+        return self._mesh_field(particles, a, external_density, None)[1]
+
+    def short_range(
+        self, particles: ParticleSet, a: float = 1.0, kernel_dtype=np.float64
+    ) -> np.ndarray:
+        """The tree half of the split: erfc-cut pair forces per particle."""
+        if self.r_cut > 0.5 * self.box_size:
+            raise ValueError(
+                "short-range cutoff exceeds half the box; enlarge the PM "
+                "mesh (or use the PM-only path)"
+            )
+        tree = BarnesHutTree(particles, leaf_size=self.leaf_size, theta=self.theta)
+        # the 4 pi G / a prefactor of the mesh source corresponds to a
+        # plain G/a prefactor of the pairwise short-range force
+        return tree.accelerations(
+            self.g_newton / a,
+            self.eps,
+            r_split=self.r_split,
+            r_cut=self.r_cut,
+            counter=self.counter,
+            kernel_dtype=kernel_dtype,
+        )
+
     def accelerations(
         self,
         particles: ParticleSet,
@@ -131,42 +191,5 @@ class TreePMSolver:
         kernel_dtype=np.float64,
     ) -> np.ndarray:
         """Total (PM + tree) acceleration on every particle."""
-        if self.r_cut > 0.5 * self.box_size:
-            raise ValueError(
-                "short-range cutoff exceeds half the box; enlarge the PM "
-                "mesh (or use the PM-only path)"
-            )
-        source = self.pm_source(particles, a, external_density)
-        acc = self.pm.accelerations(particles.positions, source)
-        tree = BarnesHutTree(particles, leaf_size=self.leaf_size, theta=self.theta)
-        # the 4 pi G / a prefactor of the mesh source corresponds to a
-        # plain G/a prefactor of the pairwise short-range force
-        acc += tree.accelerations(
-            self.g_newton / a,
-            self.eps,
-            r_split=self.r_split,
-            r_cut=self.r_cut,
-            counter=self.counter,
-            kernel_dtype=kernel_dtype,
-        )
-        return acc
-
-    def mesh_acceleration_field(
-        self,
-        particles: ParticleSet,
-        a: float = 1.0,
-        external_density: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """PM acceleration *field* on the mesh, shape (dim,) + n_mesh.
-
-        This long-range field is what the Vlasov component consumes in the
-        hybrid scheme (it lives on the same mesh as the distribution
-        function's spatial grid); the Vlasov medium is smooth on the mesh
-        scale, so it needs no short-range correction.
-        """
-        source = self.pm_source(particles, a, external_density)
-        return self.pm.acceleration_mesh(source)
-
-    def interpolate_to(self, mesh_field: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Interpolate one mesh field component to positions."""
-        return interpolate_mesh(mesh_field, positions, self.box_size, self.window)
+        tree = self.short_range(particles, a, kernel_dtype)
+        return self.long_range(particles, a, external_density)[1] + tree

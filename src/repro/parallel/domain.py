@@ -241,8 +241,7 @@ class DomainEngine(SweepEngine):
             self.topology = topo
             self._fft_ok = None
             self._plain = SpectralBackend()
-        super().bind(grid, scheme, velocity_bc, timer)
-        self.mark_mutated()
+        super().bind(grid, scheme, velocity_bc, timer)  # marks f mutated
 
     # -- segments & workers ---------------------------------------------
 
@@ -527,6 +526,7 @@ class DomainEngine(SweepEngine):
 
     def mark_mutated(self) -> None:
         """The host array is now the newer copy; re-scatter before use."""
+        super().mark_mutated()
         self._host_dirty = True
         self._host_stale = False
 
@@ -541,7 +541,7 @@ class DomainEngine(SweepEngine):
     def run(self, plan, accel) -> None:
         """Run the plan on the workers; whatever a mid-plan degradation
         leaves over finishes on the host array through the base engine
-        (bitwise, only slower)."""
+        (bitwise, only slower); that call also bumps ``f_version``."""
         if not self.degraded:
             plan = plan[self._run_on_workers(plan, accel):]
         super().run(plan, accel)

@@ -260,3 +260,109 @@ class TestTreePathInHybrid:
         pair_diff = np.abs(acc_tree[0] - acc_pm[0]).max()
         far_diff = np.abs(acc_tree[32:] - acc_pm[32:]).max()
         assert pair_diff > 3.0 * far_diff
+
+
+def _composed_kick(sim, a, dt_kick):
+    """A kick as it was before the kick field was fused: the public mesh
+    field, then the particle force from its own moment, deposit and
+    solve (TreePM when the tree is on)."""
+    mesh_acc = sim.mesh_acceleration(a)
+    rho_nu = sim.neutrino_density()
+    if sim.use_tree:
+        part_acc = sim.gravity.accelerations(sim.cdm, a=a, external_density=rho_nu)
+    else:
+        source = sim.gravity.pm_source(sim.cdm, a=a, external_density=rho_nu)
+        part_acc = sim.gravity.pm.accelerations(sim.cdm.positions, source)
+    sim.neutrinos.kick(mesh_acc, dt_kick)
+    sim.cdm.kick(part_acc, dt_kick)
+
+
+def _composed_step(sim, a_next):
+    cosmo = sim.cosmology
+    a0, a1 = sim.a, a_next
+    am = 0.5 * (a0 + a1)
+    _composed_kick(sim, a0, cosmo.kick_factor(a0, am))
+    sim.neutrinos.drift(cosmo.drift_factor(a0, a1))
+    sim.cdm.drift(cosmo.drift_factor(a0, a1))
+    _composed_kick(sim, a1, cosmo.kick_factor(am, a1))
+    sim.a = a_next
+    sim.step_count += 1
+
+
+def _state(sim):
+    return (sim.neutrinos.f.tobytes(), sim.cdm.positions.tobytes(),
+            sim.cdm.velocities.tobytes())
+
+
+class TestOneKickField:
+    """Each kick deposits, solves and weighs its particles once, and the
+    step is bitwise the composition it replaced."""
+
+    def _pair(self, cosmo, use_tree):
+        L = 40.0 if use_tree else 200.0
+        grid = PhaseSpaceGrid(nx=(8,) * 3, nu=(6,) * 3, box_size=L, v_max=4000.0)
+        cdm_mass = (cosmo.omega_cdm + cosmo.omega_b) * cosmo.units.rho_crit * L**3
+        sims = []
+        for _ in range(2):
+            cdm = ParticleSet.uniform_random(
+                512, L, cdm_mass, np.random.default_rng(11))
+            sim = HybridSimulation(grid, cdm, cosmo, a=0.2, use_tree=use_tree,
+                                   r_split_cells=0.8)
+            sim.neutrinos.f = build_neutrino_component(grid, cosmo)
+            sims.append(sim)
+        return sims
+
+    @pytest.mark.parametrize("use_tree, schedule", [
+        (False, (0.25, 0.32, 0.4)),
+        (True, (0.25,)),
+    ])
+    def test_fused_step_is_the_composed_step(self, cosmo, use_tree, schedule):
+        fused, composed = self._pair(cosmo, use_tree)
+        for a_next in schedule:
+            fused.step(a_next)
+            _composed_step(composed, a_next)
+            assert _state(fused) == _state(composed)
+
+    def test_one_stencil_deposit_and_moment_per_kick(self, mini_setup, monkeypatch):
+        import repro.nbody.pm as pm_module
+
+        calls = {"stencil": 0, "deposit": 0, "moment": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        sim = mini_setup
+        monkeypatch.setattr(pm_module, "window_stencil",
+                            counting("stencil", pm_module.window_stencil))
+        monkeypatch.setattr(pm_module.WindowStencil, "deposit",
+                            counting("deposit", pm_module.WindowStencil.deposit))
+        monkeypatch.setattr(sim, "neutrino_density",
+                            counting("moment", sim.neutrino_density))
+        sim.step(0.12)
+        assert calls == {"stencil": 2, "deposit": 2, "moment": 2}  # two kicks
+
+    def test_mesh_acceleration_stays_mesh_only(self, mini_setup, monkeypatch):
+        import repro.nbody.pm as pm_module
+
+        def no_interpolation(self, mesh):
+            raise AssertionError("mesh_acceleration interpolated")
+
+        monkeypatch.setattr(pm_module.WindowStencil, "interpolate", no_interpolation)
+        assert mini_setup.mesh_acceleration(0.1).shape == (3,) + mini_setup.grid.nx
+
+    def test_particle_half_is_timed(self, cosmo, rng):
+        from repro.diagnostics import StepTimer
+
+        L = 200.0
+        grid = PhaseSpaceGrid(nx=(8,) * 3, nu=(6,) * 3, box_size=L, v_max=4000.0)
+        cdm = ParticleSet.uniform_random(512, L, 1.0, rng)
+        timer = StepTimer()
+        sim = HybridSimulation(grid, cdm, cosmo, a=0.1, use_tree=False, timer=timer)
+        sim.neutrinos.f = build_neutrino_component(grid, cosmo)
+        sim.step(0.12)
+        for name in ("pm/moments", "pm/deposit", "pm/fft", "pm/grad",
+                     "pm/interp", "cdm/kick", "cdm/drift"):
+            assert timer.sections[name].count == (1 if name == "cdm/drift" else 2), name

@@ -12,6 +12,7 @@ from repro.nbody.pm import (
     assign_mass,
     interpolate_mesh,
     window_deconvolution,
+    window_stencil,
 )
 
 
@@ -196,3 +197,95 @@ class TestAdjointness:
         cell_vol = 1.0
         rhs = float((g * rho).sum() * cell_vol)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def _per_point_window(positions, n_mesh, box_size, window):
+    """The window as it was built before the stencil: one (wrapped cell
+    index, weight) pair per support point, each point its own loop."""
+    scaled = positions / box_size * np.array(n_mesh)
+    n, dim = scaled.shape
+    nm = np.array(n_mesh, dtype=np.int64)
+    if window == "ngp":
+        return [np.floor(scaled).astype(np.int64) % nm], [np.ones(n)]
+    if window == "cic":
+        lo = np.floor(scaled - 0.5).astype(np.int64)
+        frac = scaled - 0.5 - lo
+        base, m = lo, 2
+        per_axis = [[1.0 - frac[:, d], frac[:, d]] for d in range(dim)]
+    else:
+        base = np.floor(scaled).astype(np.int64)
+        dx = scaled - (base + 0.5)
+        base, m = base - 1, 3
+        per_axis = [[0.5 * (0.5 - dx[:, d]) ** 2, 0.75 - dx[:, d] ** 2,
+                     0.5 * (0.5 + dx[:, d]) ** 2] for d in range(dim)]
+    cells, weights = [], []
+    for code in range(m**dim):
+        sel = [(code // m**d) % m for d in range(dim)]
+        w = np.ones(n)
+        for d in range(dim):
+            w = w * per_axis[d][sel[d]]
+        cells.append((base + np.array(sel)) % nm)
+        weights.append(w)
+    return cells, weights
+
+
+def _per_point_assign(positions, masses, n_mesh, box_size, window):
+    cells, weights = _per_point_window(positions, n_mesh, box_size, window)
+    strides = np.array([int(np.prod(n_mesh[d + 1:])) for d in range(len(n_mesh))])
+    flat = np.zeros(int(np.prod(n_mesh)))
+    for c, w in zip(cells, weights):
+        np.add.at(flat, (c * strides).sum(axis=1), masses * w)
+    return flat.reshape(n_mesh) / (box_size / np.array(n_mesh)).prod()
+
+
+def _per_point_interpolate(mesh, positions, box_size, window):
+    n_mesh = mesh.shape
+    cells, weights = _per_point_window(positions, n_mesh, box_size, window)
+    out = np.zeros(positions.shape[0])
+    for c, w in zip(cells, weights):
+        out += mesh[tuple(c.T)] * w
+    return out
+
+
+class TestWindowStencil:
+    """One stencil per position set, bitwise the per-point loop it
+    replaced, for every window and dimension."""
+
+    @pytest.mark.parametrize("window", ["ngp", "cic", "tsc"])
+    @pytest.mark.parametrize("n_mesh", [(9,), (6, 5), (8, 8, 8), (4, 7, 5)])
+    def test_deposit_and_interpolate_bitwise(self, window, n_mesh, rng):
+        box = 3.3
+        pos = rng.uniform(0, box, (301, len(n_mesh)))
+        pos[:3] = 0.0  # on a cell edge and at the wrap
+        pos[3] = box * (1 - 1e-16)
+        masses = rng.uniform(0.1, 2.0, 301)
+        field = rng.standard_normal((len(n_mesh),) + n_mesh)
+        stencil = window_stencil(pos, n_mesh, box, window)
+        assert stencil.deposit(masses).tobytes() == _per_point_assign(
+            pos, masses, n_mesh, box, window).tobytes()
+        assert assign_mass(pos, masses, n_mesh, box, window).tobytes() == \
+            stencil.deposit(masses).tobytes()
+        stacked = stencil.interpolate(field)
+        assert stacked.shape == (301, len(n_mesh))
+        for d in range(len(n_mesh)):
+            ref = _per_point_interpolate(field[d], pos, box, window)
+            assert stacked[:, d].tobytes() == ref.tobytes()
+            assert interpolate_mesh(field[d], pos, box, window).tobytes() \
+                == ref.tobytes()
+
+    def test_pm_accelerations_share_one_stencil(self, rng, monkeypatch):
+        import repro.nbody.pm as pm_module
+
+        calls = []
+        real = pm_module.window_stencil
+        monkeypatch.setattr(pm_module, "window_stencil",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        pm = PMSolver((8, 8, 8), 1.0, window="tsc")
+        pm.accelerations(rng.uniform(0, 1, (50, 3)),
+                         rng.standard_normal((8, 8, 8)))
+        assert len(calls) == 1  # was one per force component
+
+    def test_mismatched_mesh_rejected(self, rng):
+        stencil = window_stencil(rng.uniform(0, 1, (5, 2)), (4, 4), 1.0)
+        with pytest.raises(ValueError):
+            stencil.interpolate(np.zeros((4, 5)))

@@ -285,10 +285,15 @@ class TestLedgerExport:
         rng = np.random.default_rng(0)
         ledger = ConservationLedger()
         ledger.register(q=2.0)
+        seen = [2.0]
         for value in 2.0 + 0.01 * rng.standard_normal(50):
             ledger.update(q=value)
-        recomputed = max(abs(q / 2.0 - 1.0) for q in ledger.history["q"])
+            seen.append(float(value))
+        recomputed = max(abs(q / 2.0 - 1.0) for q in seen)
         assert ledger.relative_drift("q") == pytest.approx(recomputed, rel=0)
+        assert ledger.absolute_drift("q") == max(abs(q - 2.0) for q in seen)
+        assert ledger.current("q") == seen[-1]
+        assert not hasattr(ledger, "history")  # nothing grows with the run
 
     def test_current_and_absolute_drift(self):
         ledger = ConservationLedger()

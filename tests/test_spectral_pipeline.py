@@ -23,6 +23,9 @@ from repro.gravity.poisson import PeriodicPoissonSolver
 from repro.nbody.pm import PMSolver
 from repro.nbody.treepm import TreePMSolver
 from repro.perf.fft import SpectralBackend, set_default_backend
+from repro.runtime import EXIT_COMPLETE, RunConfig, SimulationRunner, read_telemetry
+from repro.runtime.config import GridConfig, ScheduleConfig
+from repro.runtime.runner import TELEMETRY_NAME
 
 
 @pytest.fixture
@@ -272,3 +275,60 @@ class TestBackend:
         solver.solve_fields(np.sin(np.arange(8.0)), "spectral")
         assert counting_backend.n_forward == 0
         assert private.n_forward == 1
+
+
+class TestOneSolvePerFState:
+    """Through the runner, ledger included: a KDK step costs its two
+    field solves and nothing more — the ledger's solve after a step is
+    the next step's first kick field (plasma, gravitational), and a
+    hybrid kick solves the shared potential once for both components."""
+
+    CONFIGS = {
+        "plasma": dict(
+            grid=GridConfig(nx=(16,), nu=(16,), box_size=2 * np.pi, v_max=4.0),
+            schedule=ScheduleConfig(kind="time", dt=0.05, n_steps=4),
+        ),
+        "gravitational": dict(
+            grid=GridConfig(nx=(16,), nu=(16,), box_size=10.0, v_max=3.0),
+            schedule=ScheduleConfig(kind="time", dt=0.05, n_steps=4),
+            params={"g_newton": 0.05},
+        ),
+        "hybrid": dict(
+            scheme="slp3",
+            grid=GridConfig(nx=(4, 4, 4), nu=(4, 4, 4), box_size=200.0,
+                            v_max=1.0, dtype="float32"),
+            schedule=ScheduleConfig(kind="scale_factor", a_start=1.0 / 11.0,
+                                    a_end=1.0, n_steps=4),
+            params={"m_nu": 0.4, "seed": 7},
+        ),
+    }
+
+    @pytest.mark.parametrize("scenario", ["plasma", "gravitational", "hybrid"])
+    def test_two_forward_transforms_per_step(self, counting_backend, scenario,
+                                             tmp_path):
+        config = RunConfig(scenario=scenario, name=f"t-fft-{scenario}",
+                           **self.CONFIGS[scenario])
+        runner = SimulationRunner.create(config, tmp_path / scenario)
+        assert runner.run() == EXIT_COMPLETE
+        forwards = [r["fft"]["n_forward"]
+                    for r in read_telemetry(tmp_path / scenario / TELEMETRY_NAME)]
+        assert [b - a for a, b in zip(forwards, forwards[1:])] == [2, 2, 2]
+
+    def test_potential_energy_runs_one_moment(self, monkeypatch):
+        grid = PhaseSpaceGrid(
+            nx=(16,), nu=(16,), box_size=10.0, v_max=3.0, dtype=np.float64
+        )
+        gvp = GravitationalVlasovPoisson(grid, g_newton=1.0)
+        u = grid.u_centers(0)[None, :]
+        x = grid.x_centers(0)[:, None]
+        gvp.f = (1 + 0.1 * np.cos(2 * np.pi * x / 10.0)) * np.exp(-(u**2) / 2)
+        moments = []
+        density = gvp.solver.density
+        monkeypatch.setattr(gvp.solver, "density",
+                            lambda: moments.append(1) or density())
+        w = gvp.potential_energy()
+        assert len(moments) == 1
+        gvp.total_energy()
+        gvp.acceleration()
+        assert gvp.potential_energy() == w
+        assert len(moments) == 1  # same f: the solve is reused

@@ -14,6 +14,17 @@ from scipy.signal import argrelmax
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
 from repro.cosmology import Cosmology
+from repro.perf.fft import get_default_backend
+from repro.runtime import EXIT_COMPLETE, RunConfig, SimulationRunner, read_telemetry
+from repro.runtime.config import (
+    CheckpointConfig,
+    EngineConfig,
+    FaultsConfig,
+    GridConfig,
+    GuardConfig,
+    ScheduleConfig,
+)
+from repro.runtime.scenarios import build_engine, build_stepper
 
 
 def maxwellian(v, sigma=1.0):
@@ -227,3 +238,137 @@ class TestEnergyDiagnostics:
         v = grid.u_centers(0)[None, :]
         gvp.f = np.exp(-(x**2) / 2.0) * maxwellian(v)
         assert gvp.potential_energy() < 0.0
+
+
+# ----------------------------------------------------------------------
+# one field solve per f state: the drivers' slot
+# ----------------------------------------------------------------------
+
+SLOT_CONFIGS = {
+    "plasma": dict(
+        scenario="plasma",
+        grid=GridConfig(nx=(24,), nu=(24,), box_size=4 * np.pi, v_max=6.0),
+        schedule=ScheduleConfig(kind="time", dt=0.1, n_steps=6),
+        params={"amplitude": 0.05},
+    ),
+    "gravitational": dict(
+        scenario="gravitational",
+        grid=GridConfig(nx=(16,), nu=(16,), box_size=10.0, v_max=4.0),
+        schedule=ScheduleConfig(kind="time", dt=0.05, n_steps=6),
+        params={"g_newton": 0.05, "amplitude": 0.05, "sigma_v": 1.0},
+    ),
+}
+
+ENGINES = {
+    "serial": EngineConfig(),
+    "pencil": EngineConfig(backend="threads", n_workers=2, min_shard_bytes=0),
+    "domain": EngineConfig(engine="domain", topology=[2]),
+}
+
+
+def slot_config(scenario: str, engine: str, **overrides) -> RunConfig:
+    base = dict(SLOT_CONFIGS[scenario], name=f"t-slot-{scenario}",
+                engine=ENGINES[engine])
+    base.update(overrides)
+    return RunConfig(**base).validate()
+
+
+def _mutate(stepper, how: str) -> None:
+    """Change f through one of the paths that must invalidate the slot."""
+    solver = stepper.driver.solver
+    if how == "setter":
+        stepper.driver.f = stepper.f * 1.03
+    elif how == "notify":
+        f = stepper.f
+        f[: f.shape[0] // 2] *= 1.05
+        stepper.notify_f_mutated()
+    elif how == "kick":
+        x = np.arange(stepper.grid.nx[0])
+        accel = np.sin(2 * np.pi * x / x.size)[None] * np.ones((1,) + stepper.grid.nx)
+        solver.kick(accel, 0.2)
+    elif how == "drift":
+        solver.drift(0.3)
+    else:  # restore
+        stepper.restore(np.roll(stepper.f, 3, axis=0) * 0.98, None,
+                        {"time": 0.4, "step": 2, "a": 1.0})
+
+
+class TestFieldSlot:
+    """The ledger's solve is the next kick's, and nothing else reuses it."""
+
+    @pytest.mark.parametrize("engine", ["serial", "pencil", "domain"])
+    @pytest.mark.parametrize("scenario", ["plasma", "gravitational"])
+    def test_every_mutation_path_invalidates(self, scenario, engine):
+        config = slot_config(scenario, engine)
+        eng, fresh_eng = build_engine(config), build_engine(config)
+        try:
+            stepper = build_stepper(config, engine=eng)
+            backend = stepper.driver.poisson.backend or get_default_backend()
+            for how in ("setter", "notify", "kick", "drift", "restore"):
+                before = stepper.conserved()["energy"]
+                n0 = backend.n_forward
+                assert stepper.conserved()["energy"] == before
+                assert backend.n_forward == n0  # same f: the slot answered
+                _mutate(stepper, how)
+                after = stepper.conserved()["energy"]
+                assert backend.n_forward == n0 + 1, how  # re-solved
+                fresh = build_stepper(config, engine=fresh_eng)
+                fresh.driver.f = np.array(stepper.f)
+                assert after == fresh.driver.total_energy(), (how, engine)
+                assert after != before, how
+                n1 = backend.n_forward
+                stepper.advance()  # the first kick reads the ledger's solve
+                assert backend.n_forward == n1 + 1, how
+        finally:
+            eng.close()
+            fresh_eng.close()
+
+    @pytest.mark.parametrize("engine", ["serial", "pencil", "domain"])
+    @pytest.mark.parametrize("scenario", ["plasma", "gravitational"])
+    def test_rollback_energies_match_a_clean_run(self, scenario, engine, tmp_path):
+        """A rollback restores f into a fresh stepper: every energy the
+        ledger records afterwards is the clean run's, bit for bit."""
+        clean = slot_config(scenario, engine)
+        assert SimulationRunner.create(clean, tmp_path / "clean").run() == EXIT_COMPLETE
+        faulted = slot_config(
+            scenario, engine,
+            checkpoint=CheckpointConfig(every_steps=2, keep_last=3),
+            guards=GuardConfig(nan="rollback"),
+            faults=FaultsConfig(seed=1, events=[{"kind": "inject_nan", "step": 3}]),
+        )
+        runner = SimulationRunner.create(faulted, tmp_path / "faulted")
+        assert runner.run() == EXIT_COMPLETE
+        assert runner.manifest()["rollbacks"] == 1
+
+        def energies(run_dir):
+            return {r["step"]: r["conserved"]["energy"]
+                    for r in read_telemetry(run_dir / "telemetry.jsonl")}
+
+        assert energies(tmp_path / "faulted") == energies(tmp_path / "clean")
+
+    def test_slot_arrays_are_read_only(self):
+        grid = PhaseSpaceGrid(nx=(16,), nu=(16,), box_size=10.0, v_max=3.0,
+                              dtype=np.float64)
+        vp = PlasmaVlasovPoisson(grid)
+        gvp = GravitationalVlasovPoisson(grid, g_newton=1.0)
+        u = grid.u_centers(0)[None, :]
+        for driver in (vp, gvp):
+            driver.f = np.broadcast_to(maxwellian(u), grid.shape).copy()
+            phi, accel = driver.fields()
+            for array in (phi, accel, driver.acceleration()):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_external_density_is_never_reused(self):
+        """An external density is not part of f's state: every request
+        re-solves, so a changed external field is always felt."""
+        grid = PhaseSpaceGrid(nx=(16,), nu=(16,), box_size=10.0, v_max=3.0,
+                              dtype=np.float64)
+        blob = np.zeros(grid.nx)
+        gvp = GravitationalVlasovPoisson(grid, g_newton=1.0,
+                                         external_density=lambda: blob)
+        u = grid.u_centers(0)[None, :]
+        gvp.f = np.broadcast_to(maxwellian(u), grid.shape).copy()
+        flat = gvp.acceleration()
+        blob[4] = 5.0
+        assert not np.array_equal(gvp.acceleration(), flat)
