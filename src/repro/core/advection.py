@@ -13,9 +13,11 @@ Kernel layout
 -------------
 A kernel call lands its block once as *planes* — the advected axis first,
 every other index contiguous behind it, ghost planes sized from the
-stencil on both ends (wrap copies or zeros) — which is the paper's
+stencil on both ends (wrap copies, zeros, or a domain block's
+neighbours' edge planes, ``halo=``) — which is the paper's
 load-and-transpose of the chunk being worked on (§5.4) and its
-stencil-sized ghosts (§5.1.3) in one copy.  From then on the neighbor
+stencil-sized ghosts (§5.1.3) in one copy: for a domain block the
+landing copy *is* the halo exchange.  From then on the neighbor
 ``j + m`` of every cell is a slice of planes, a view, and a shift
 fraction broadcasts along the leading axis.  The SL-MPP5 flux through
 interface ``i`` is ``S(i, k) + phi(j, alpha)`` with donor ``j = i - k``
@@ -210,6 +212,16 @@ def stencil_reach(spec: SchemeSpec) -> int:
     return (width - 1) // 2
 
 
+def ghost_width(spec: SchemeSpec, max_shift: float = 0.0) -> int:
+    """Planes a non-wrapping window reads left of a row shifted by up to
+    ``max_shift``: the ``floor(max_shift)`` whole cells and the stencil
+    of the donor of interface ``-1/2``, one cell out.  ``zero`` pads the
+    left with it, ``halo=`` lands it on both sides (a reversed row reads
+    its right neighbour on the left), the domain engine sizes blocks by it.
+    """
+    return stencil_reach(spec) + 1 + int(math.floor(max_shift))
+
+
 def advect(
     f: np.ndarray,
     shift,
@@ -219,6 +231,7 @@ def advect(
     out: np.ndarray | None = None,
     arena=None,
     layout=None,
+    halo: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Advance one directional advection by a (possibly >1) CFL shift.
 
@@ -252,6 +265,14 @@ def advect(
         ``"packed"`` are the same program.  The argument stays because
         ``benchmarks/e2e`` ``probe_pack_gain`` passes it — no product
         caller does.
+    halo:
+        ``(left, right)``: the blocks beside ``f`` in a periodic row cut
+        into blocks (``bc`` must be ``periodic``).  They have ``f``'s
+        shape except along ``axis``, where each holds at least
+        :func:`ghost_width` planes.  Their edge planes are landed as
+        ``f``'s ghost planes and the flux runs on the ``zero`` window,
+        which never wraps, so below one cell of shift the result is
+        bitwise the slab of advecting the whole row.
 
     Returns
     -------
@@ -268,7 +289,7 @@ def advect(
 
     fw = np.moveaxis(f, axis, -1)
     n = fw.shape[-1]
-    if n < order:
+    if n < order and halo is None:
         raise ValueError(f"axis length {n} too short for order-{order} stencil")
 
     sh = _normalize_shift(sh=shift, f=f, fw=fw, axis=axis)
@@ -276,8 +297,19 @@ def advect(
     if layout not in _LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; choose from {_LAYOUTS}")
 
-    res_shape_w = np.broadcast_shapes(fw.shape, sh.shape[:-1] + (n,))
     ax = axis if axis >= 0 else axis + f.ndim
+    if halo is not None:
+        if bc != "periodic":
+            raise ValueError(f"halo= continues a periodic row; got bc={bc!r}")
+        halo = tuple(np.moveaxis(h, ax, -1) for h in halo)
+        g = ghost_width(spec, np.abs(sh).max())
+        if any(h.shape[:-1] != fw.shape[:-1] or h.shape[-1] < g for h in halo):
+            raise ValueError(
+                f"halo blocks need f's shape off axis {axis} and at least "
+                f"ghost width {g} planes along it; got {[h.shape for h in halo]}"
+            )
+
+    res_shape_w = np.broadcast_shapes(fw.shape, sh.shape[:-1] + (n,))
     res_shape = res_shape_w[:-1][:ax] + (res_shape_w[-1],) + res_shape_w[:-1][ax:]
     if out is None:
         out = np.empty(res_shape, dtype=fw.dtype)
@@ -294,7 +326,7 @@ def advect(
         or (np.shares_memory(out, f) and not _same_view(out, f))
     ):
         # small, broadcast-expanding, or partially aliased: one block
-        _advect_block(fw, sh, out_w, spec, bc, arena)
+        _advect_block(fw, sh, out_w, spec, bc, arena, halo)
     else:
         # rows couple only along the advected axis, so each block runs
         # the serial arithmetic on its rows — bitwise the one-block
@@ -303,7 +335,8 @@ def advect(
             sh_idx = tuple(
                 slice(None) if m == 1 else s for s, m in zip(idx, sh.shape)
             )
-            _advect_block(fw[idx], sh[sh_idx], out_w[idx], spec, bc, arena)
+            _advect_block(fw[idx], sh[sh_idx], out_w[idx], spec, bc, arena,
+                          halo and tuple(h[idx] for h in halo))
     return out
 
 
@@ -337,7 +370,14 @@ def _block_plan(shape: tuple[int, ...]):
     return itertools.product(*per_axis)
 
 
-def _advect_block(fw, sh, out_w, spec, bc, arena) -> None:
+def _land(dst, fwd, rev, neg, some, every) -> None:
+    """``dst`` takes ``rev`` on the rows with ``sh < 0``, ``fwd`` elsewhere."""
+    dst[...] = rev if every else fwd
+    if some and not every:
+        np.copyto(dst, rev, where=neg)
+
+
+def _advect_block(fw, sh, out_w, spec, bc, arena, halo=None) -> None:
     """One kernel call: land an axis-last block as planes, flux, update.
 
     The block is copied once into ``planes[ghosts + n + ghosts, *rows]`` —
@@ -351,12 +391,14 @@ def _advect_block(fw, sh, out_w, spec, bc, arena) -> None:
     they keep their shift and their orientation.
 
     Ghosts are ``stencil_reach`` wrap copies on each side (``periodic``;
-    a reversed row's wraps are its own, the two sides being equal) or
-    zeros (``zero``: the reach plus one, plus on the left the cells the
-    block's largest ``|sh|`` reaches across).  The landing is the
-    transpose a strided axis needs, the ghost pad, and what makes ``out``
-    free to alias ``f``; from here on cell ``j + m`` of every row is the
-    view ``planes[lo + m : lo + m + count]``.
+    a reversed row's wraps are its own, the two sides being equal), zeros
+    (``zero``: :func:`ghost_width` planes on the left, the width at no
+    shift on the right), or the neighbours' edge planes (``halo``:
+    :func:`ghost_width` on both sides, a reversed row landing its whole
+    extended row reversed, and the flux on the ``zero`` window).  The
+    landing is the transpose a strided axis needs, the ghost pad, and
+    what makes ``out`` free to alias ``f``; from here on cell ``j + m``
+    of every row is the view ``planes[lo + m : lo + m + count]``.
     """
     n = fw.shape[-1]
     sh = np.moveaxis(sh, -1, 0)
@@ -366,19 +408,25 @@ def _advect_block(fw, sh, out_w, spec, bc, arena) -> None:
         sh = -sh
     elif some:
         sh = np.where(neg, -sh, sh)
-    g_l = g_r = stencil_reach(spec)
-    if bc == "zero":
-        g_l += 1 + int(np.floor(sh.max()))
-        g_r += 1
+    if bc == "periodic" and halo is None:
+        g_l = g_r = stencil_reach(spec)
+    else:
+        g_l = ghost_width(spec, sh.max())
+        g_r = ghost_width(spec) if halo is None else g_l
     planes = _scratch(
         arena, ("plane", "f"), (g_l + n + g_r,) + out_w.shape[:-1], fw.dtype
     )
     cells = planes[g_l : g_l + n]
     src = np.moveaxis(fw, -1, 0)
-    cells[...] = src[::-1] if every else src
-    if some and not every:
-        np.copyto(cells, src[::-1], where=neg)
-    if bc == "zero":
+    signs = (neg, some, every)
+    _land(cells, src, src[::-1], *signs)
+    if halo is not None:
+        left, right = (np.moveaxis(h, -1, 0) for h in halo)
+        left, right = left[left.shape[0] - g_l :], right[:g_r]
+        _land(planes[:g_l], left, right[::-1], *signs)
+        _land(planes[g_l + n :], right, left[::-1], *signs)
+        bc = "zero"  # the window reads only landed planes: it must not wrap
+    elif bc == "zero":
         planes[:g_l] = 0
         planes[g_l + n :] = 0
     else:

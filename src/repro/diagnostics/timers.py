@@ -97,7 +97,7 @@ class StepTimer:
 
         Unlike :meth:`section`, the name is *not* qualified against the
         active section stack: callers that merge laps measured elsewhere
-        (worker processes reporting ``domain/halo`` time, say) want a
+        (worker processes reporting ``domain/interior`` time, say) want a
         stable key regardless of which section the merge happens under.
         """
         self.sections.setdefault(name, SectionStats()).add(float(seconds))

@@ -1,10 +1,9 @@
 """Parallel runtime: decomposition, vMPI, ghost exchange, pencil FFT —
 and the real-transport :class:`~repro.parallel.domain.DomainEngine`
-(persistent shared-memory domain workers, overlapped halo exchange,
-distributed mesh FFT — see ``docs/PARALLEL.md``)."""
+(persistent shared-memory domain workers whose halos are the kernel's
+ghost planes, distributed mesh FFT — see ``docs/PARALLEL.md``)."""
 
 from .decomposition import (
-    GHOST_WIDTH,
     BlockDecomposition,
     DomainDecomposition,
     pencil_slices,
@@ -26,7 +25,6 @@ from .particle_exchange import (
 from .vmpi import CollectiveRecord, CommLog, MessageRecord, VirtualComm
 
 __all__ = [
-    "GHOST_WIDTH",
     "BlockDecomposition",
     "DomainDecomposition",
     "DomainEngine",

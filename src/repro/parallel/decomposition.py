@@ -7,8 +7,8 @@ so that the calculation of the velocity moments ... can be performed
 without any data transfer among MPI processes".
 
 This module is pure geometry: rank <-> block mapping, local slices,
-neighbor ranks, ghost-layer widths (3 layers for the 5-point-stencil
-fifth-order scheme), and message-size arithmetic.  The execution layer
+neighbor ranks and message-size arithmetic (ghost widths come from the
+kernel, :func:`repro.core.advection.ghost_width`).  The execution layer
 lives in :mod:`repro.parallel.vmpi` and :mod:`repro.parallel.exchange`.
 """
 
@@ -17,11 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Ghost layers required per side by reconstruction order (stencil reach
-#: of the donor cell at CFL <= 1: (order-1)/2 + 1).
-GHOST_WIDTH = {1: 1, 3: 2, 5: 3, 7: 4}
-
 
 def pencil_slices(n: int, parts: int) -> list[slice]:
     """Balanced contiguous partition of an ``n``-cell axis into pencils.

@@ -5,8 +5,9 @@ This is the production promotion of the virtual layout in
 blocks (paper §5.1.3 — velocity space is never split), each block is
 pinned to a **persistent worker process** that holds its subdomain in
 ``multiprocessing.shared_memory`` across *all* steps, and halo exchange
-is a direct shared-memory read of the neighbors' ghost slabs, overlapped
-with the interior sweep (see :mod:`repro.parallel.workers`).  Unlike
+is the kernel's landing copy reading the neighbors' edge planes straight
+out of shared memory as the block's ghost planes (see
+:mod:`repro.parallel.workers`).  Unlike
 :class:`repro.perf.pencil.PencilEngine`, nothing is scattered or
 gathered per sweep: the distribution function lives in the workers'
 segments for the lifetime of the run, and the parent only gathers when
@@ -17,8 +18,9 @@ assert it stays zero across steps.
 Bitwise identity with the serial solver is a hard invariant, inherited
 from three empirically pinned facts (asserted by the test suite):
 
-* a block sweep (padded or overlapped-stitch) equals the serial sweep
-  exactly while every shift stays **below one cell** — the engine checks
+* a block sweep landed with its neighbors' edge planes equals the
+  serial sweep exactly while every shift stays **below one cell** (at
+  and above it the prefix sums' origin moves) — the engine checks
   each spatial sweep's max shift and falls back to a gather → host sweep
   → scatter for the rare sweep at CFL >= 1 (``domain_cfl_fallback``);
   velocity kicks never cross block boundaries and have no cap;
@@ -50,6 +52,7 @@ import time
 
 import numpy as np
 
+from ..core.advection import SCHEMES, ghost_width
 from ..core.engine import Sweep, SweepEngine
 from ..core.mesh import PhaseSpaceGrid
 from ..perf.fft import SpectralBackend
@@ -62,7 +65,6 @@ from ..perf.substrate import (
     retry_with_backoff,
 )
 from .decomposition import BlockDecomposition
-from .exchange import required_ghost
 from .workers import WorkerSpec, worker_main
 
 __all__ = ["DomainEngine", "DomainWorkerError"]
@@ -131,9 +133,6 @@ class DomainEngine(SweepEngine):
     max_retries / backoff_base / task_timeout:
         Supervision budget, exactly as in
         :class:`repro.perf.pencil.PencilEngine`.
-    overlap:
-        Overlap halo assembly with the interior sweep (default); off
-        forces the padded path everywhere (debugging aid).
     """
 
     def __init__(
@@ -143,7 +142,6 @@ class DomainEngine(SweepEngine):
         max_retries: int = 2,
         backoff_base: float = 0.05,
         task_timeout: float | None = None,
-        overlap: bool = True,
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -156,7 +154,6 @@ class DomainEngine(SweepEngine):
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
         self.task_timeout = task_timeout
-        self.overlap = bool(overlap)
         super().__init__()
 
         # supervision / residency counters (observable by tests & bench)
@@ -227,7 +224,9 @@ class DomainEngine(SweepEngine):
                 raise ValueError(
                     f"topology {topo} does not match grid dimension {grid.dim}"
                 )
-            ghost = required_ghost(scheme, 0.0)  # block sweeps run at CFL < 1
+            if scheme not in SCHEMES:
+                raise ValueError(f"unknown scheme {scheme!r}")
+            ghost = ghost_width(SCHEMES[scheme])  # block sweeps run at CFL < 1
             decomp = BlockDecomposition(grid.nx, topo)
             for d in range(grid.dim):
                 if topo[d] > 1 and grid.nx[d] // topo[d] < ghost:
@@ -297,10 +296,8 @@ class DomainEngine(SweepEngine):
                    "p1": self._fft_p[0], "p2": self._fft_p[1]}
         return WorkerSpec(
             rank=rank,
-            size=decomp.size,
             grid=grid,
             scheme=self.scheme,
-            ghost=self.ghost,
             seg_names=tuple(self._seg_names),
             block_shapes=tuple(
                 decomp.local_shape(r) for r in range(decomp.size)
@@ -566,8 +563,7 @@ class DomainEngine(SweepEngine):
         return len(plan)
 
     def _one_sweep(self, sweep: Sweep) -> None:
-        decomp, g, d = self.decomp, self.ghost, sweep.d
-        spatial = sweep.kind == "x"
+        d, spatial = sweep.d, sweep.kind == "x"
         with self._section(sweep.name):
             if self.fault_hook is not None:
                 self.fault_hook(self, _FaultPool(self))
@@ -576,31 +572,14 @@ class DomainEngine(SweepEngine):
                 if max_u * abs(sweep.factor) >= _CFL_LIMIT:
                     self._cfl_fallback(sweep)
                     return
-            p_axis = self.topology[d] if spatial else 1
-            payloads = []
-            for r in range(decomp.size):
-                if not spatial:
-                    mode = "v"
-                elif p_axis == 1:
-                    mode = "local"
-                elif self.overlap and decomp.local_shape(r)[d] >= 2 * g:
-                    mode = "overlap"
-                else:
-                    mode = "padded"
-                payloads.append(
-                    ("sweep", sweep, self._cur, 1 - self._cur, mode)
-                )
-            replies = self._supervised_round(payloads)
+            replies = self._supervised_round(
+                [("sweep", sweep, self._cur, 1 - self._cur)] * self.decomp.size
+            )
             self._cur = 1 - self._cur
             self._host_stale = True
             if self.timer is not None:
-                self.timer.add("domain/interior", max(r[1] for r in replies))
-                if p_axis > 1:
-                    self.timer.add("domain/halo", max(r[0] for r in replies))
-                    self.timer.add(
-                        "domain/boundary", max(r[2] for r in replies)
-                    )
-            if p_axis > 1:
+                self.timer.add("domain/interior", max(replies))
+            if spatial and self.topology[d] > 1:
                 self._log_halo(d)
 
     def _log_halo(self, d: int) -> None:

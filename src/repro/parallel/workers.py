@@ -8,15 +8,13 @@ segments by *role* index — the worker itself is stateless about which
 buffer currently holds f, so a killed-and-respawned worker resumes from
 the untouched current-role segment without any re-scatter.
 
-The sweep command implements the paper's communication hiding (§5.1.3):
-a helper thread assembles the two boundary ghost slabs by reading the
-neighbor blocks' shared segments **while the main thread advects the
-full local block**; the boundary pencils are then recomputed from the
-ghost slabs and overwrite the (locally wrapped, hence wrong) first and
-last ``ghost`` layers of the output.  Both the overlapped-stitch and the
-padded fallback produce results bitwise-identical to the serial sweep as
-long as every shift stays below one cell — the engine enforces that CFL
-cap and gathers to the host for the rare sweep that exceeds it.
+The sweep command is one kernel call.  On a partitioned spatial axis the
+neighbor blocks' source-role segments are ``advect``'s ``halo``: the
+landing copy reads their edge planes out of shared memory into the
+block's ghost planes (§5.1.3's stencil-sized ghosts, filled once per
+sweep).  That is bitwise the serial sweep's slab while every shift stays
+below one cell — the engine enforces that CFL cap and gathers to the
+host for the rare sweep that exceeds it.
 
 The FFT commands are the per-pass bodies of the 2-D pencil-decomposed
 transform (promoted from :mod:`repro.parallel.fft_decomp`'s virtual-comm
@@ -31,7 +29,6 @@ module-level functions only, specs picklable.
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -67,10 +64,8 @@ class WorkerSpec:
     """
 
     rank: int
-    size: int
     grid: PhaseSpaceGrid
     scheme: str
-    ghost: int
     #: per-rank (role-0 name, role-1 name) block segments
     seg_names: tuple[tuple[str, str], ...]
     #: per-rank spatial block shape (trailing velocity axes are grid.nu)
@@ -86,7 +81,7 @@ class WorkerSpec:
 
 
 class _WorkerState:
-    """Attached segments, cached views and scratch of one worker."""
+    """Attached segments, cached views and kernel arena of one worker."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
@@ -94,7 +89,6 @@ class _WorkerState:
         self.arena = ScratchArena()
         self._shm: dict[str, object] = {}
         self._views: dict = {}
-        self._scratch: dict = {}
 
     def _segment(self, name: str):
         shm = self._shm.get(name)
@@ -121,12 +115,6 @@ class _WorkerState:
             self._views[key] = view
         return view
 
-    def scratch(self, key, shape, dtype) -> np.ndarray:
-        buf = self._scratch.get(key)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-            buf = self._scratch[key] = np.empty(shape, dtype=dtype)
-        return buf
-
     def close(self) -> None:
         self._views.clear()
         for shm in self._shm.values():
@@ -137,106 +125,32 @@ class _WorkerState:
         self._shm.clear()
 
 
-def _ax(ndim: int, axis: int, sl: slice) -> tuple:
-    """Index tuple slicing ``sl`` along ``axis`` only."""
-    return tuple(sl if d == axis else slice(None) for d in range(ndim))
-
-
 # -- sweep ------------------------------------------------------------------
 
 
-def _sweep(state: _WorkerState, sweep: Sweep, src: int, dst_role: int,
-           mode: str) -> tuple:
+def _sweep(state: _WorkerState, sweep: Sweep, src: int, dst_role: int) -> float:
     """One directional advection of the local block, role ``src`` into
-    role ``dst_role``.
+    role ``dst_role``; returns its seconds.
 
-    Returns ``(halo_seconds, interior_seconds, boundary_seconds)``;
-    halo time is the ghost-slab assembly measured on its thread, which
-    runs concurrently with the interior advection.
+    On a partitioned spatial axis the neighbours' ``src``-role blocks
+    are the ``halo``: the kernel lands their edge planes as the block's
+    ghost planes, which is the whole halo exchange.
     """
     spec, grid = state.spec, state.grid
     cur = state.block(spec.rank, src)
     dst = state.block(spec.rank, dst_role)
-    axis, g = sweep.axis, spec.ghost
     # the serial solver's shift, this block's slab of the shared
     # acceleration mesh standing in for the full one
     accel = state.mesh(spec.accel_name, (grid.dim,) + grid.nx, np.float64)
     own = tuple(slice(lo, hi) for lo, hi in spec.own_bounds)
     shift = sweep_shift(grid, sweep, accel[(slice(None),) + own])
-    ndim = cur.ndim
-
-    if mode in ("v", "local"):
-        t0 = time.perf_counter()
-        advect(cur, shift, axis, scheme=spec.scheme, bc=sweep.bc,
-               out=dst, arena=state.arena)
-        return (0.0, time.perf_counter() - t0, 0.0)
-
-    d = sweep.d
-    n = cur.shape[axis]
-    left, right = spec.neighbors[d]
-    nbr_l = state.block(left, src)
-    nbr_r = state.block(right, src)
-    n_l = nbr_l.shape[axis]
-
-    if mode == "padded":
-        # block too thin to split into interior + boundary: assemble the
-        # fully padded slab first (no overlap), advect, copy the center.
-        t0 = time.perf_counter()
-        pshape = list(cur.shape)
-        pshape[axis] = n + 2 * g
-        padded = state.scratch(("pad", axis), tuple(pshape), cur.dtype)
-        padded[_ax(ndim, axis, slice(0, g))] = \
-            nbr_l[_ax(ndim, axis, slice(n_l - g, n_l))]
-        padded[_ax(ndim, axis, slice(g, g + n))] = cur
-        padded[_ax(ndim, axis, slice(g + n, g + n + g))] = \
-            nbr_r[_ax(ndim, axis, slice(0, g))]
-        t1 = time.perf_counter()
-        out = state.scratch(("pad_out", axis), tuple(pshape), cur.dtype)
-        advect(padded, shift, axis, scheme=spec.scheme, bc="periodic",
-               out=out, arena=state.arena)
-        dst[...] = out[_ax(ndim, axis, slice(g, g + n))]
-        return (t1 - t0, time.perf_counter() - t1, 0.0)
-
-    # overlapped stitch: ghost slabs fill on a thread while the main
-    # thread advects the whole local block (its first/last g layers wrap
-    # locally and are wrong — the boundary pencils recompute them).
-    sshape = list(cur.shape)
-    sshape[axis] = 3 * g
-    slab_l = state.scratch(("slab_l", axis), tuple(sshape), cur.dtype)
-    slab_r = state.scratch(("slab_r", axis), tuple(sshape), cur.dtype)
-    halo = {"seconds": 0.0}
-
-    def fill_halo() -> None:
-        t0 = time.perf_counter()
-        slab_l[_ax(ndim, axis, slice(0, g))] = \
-            nbr_l[_ax(ndim, axis, slice(n_l - g, n_l))]
-        slab_l[_ax(ndim, axis, slice(g, 3 * g))] = \
-            cur[_ax(ndim, axis, slice(0, 2 * g))]
-        slab_r[_ax(ndim, axis, slice(0, 2 * g))] = \
-            cur[_ax(ndim, axis, slice(n - 2 * g, n))]
-        slab_r[_ax(ndim, axis, slice(2 * g, 3 * g))] = \
-            nbr_r[_ax(ndim, axis, slice(0, g))]
-        halo["seconds"] = time.perf_counter() - t0
-
-    thread = threading.Thread(target=fill_halo, name="halo")
-    thread.start()
+    left, right = spec.neighbors[sweep.d]
+    partitioned = sweep.kind == "x" and left != spec.rank
+    halo = (state.block(left, src), state.block(right, src)) if partitioned else None
     t0 = time.perf_counter()
-    advect(cur, shift, axis, scheme=spec.scheme, bc="periodic",
-           out=dst, arena=state.arena)
-    interior = time.perf_counter() - t0
-    thread.join()
-
-    t0 = time.perf_counter()
-    out_l = state.scratch(("slab_lo", axis), tuple(sshape), cur.dtype)
-    out_r = state.scratch(("slab_ro", axis), tuple(sshape), cur.dtype)
-    advect(slab_l, shift, axis, scheme=spec.scheme, bc="periodic",
-           out=out_l, arena=state.arena)
-    advect(slab_r, shift, axis, scheme=spec.scheme, bc="periodic",
-           out=out_r, arena=state.arena)
-    keep = _ax(ndim, axis, slice(g, 2 * g))
-    dst[_ax(ndim, axis, slice(0, g))] = out_l[keep]
-    dst[_ax(ndim, axis, slice(n - g, n))] = out_r[keep]
-    return (halo["seconds"], interior, time.perf_counter() - t0)
+    advect(cur, shift, sweep.axis, scheme=spec.scheme, bc=sweep.bc,
+           out=dst, arena=state.arena, halo=halo)
+    return time.perf_counter() - t0
 
 
 # -- moments / guards -------------------------------------------------------

@@ -125,7 +125,7 @@ class EngineConfig:
     ``engine="domain"`` selects the persistent-worker domain engine
     instead (:class:`repro.parallel.domain.DomainEngine`): f lives
     sharded across worker processes in shared memory for the whole run,
-    halo exchange overlaps the interior sweeps, and the field solve's
+    halos land as the kernel's ghost planes, and the field solve's
     mesh FFTs are pencil-distributed.  ``topology`` is its workers-per-
     spatial-axis grid (e.g. ``[2, 2, 1]``; null auto-factors
     ``n_workers`` over the longest axes); ``backend``/``min_shard_bytes``

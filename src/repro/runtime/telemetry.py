@@ -299,8 +299,8 @@ def summarize(path: str | Path) -> dict:
     ``domain/*`` timer section), ``domain`` rolls them up: halo
     exchanges and bytes, gathers/scatters (residency violations when
     nonzero mid-run), CFL and FFT fallbacks, worker failures and
-    degradations, and the cumulative seconds of the halo / interior /
-    boundary / fft phases.
+    degradations, and the cumulative seconds of every ``domain/*``
+    section (``interior``, ``fft``).
 
     The stream is folded in a single line-by-line pass — full records
     are never accumulated — and a torn tail (SIGKILL mid-write, whether

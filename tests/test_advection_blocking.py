@@ -200,29 +200,124 @@ def test_mixed_signs_bitwise_equal_rows_advected_by_sign(scheme, bc, dtype):
 
 
 @pytest.mark.smoke
-@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("bc", ["periodic", "zero", "halo"])
 def test_one_kernel_run_per_block(monkeypatch, bc):
     """Mixed, all-positive and all-negative shifts each run the flux
-    kernel once on a one-block array, and once per block when blocked."""
+    kernel once on a one-block array, and once per block when blocked —
+    landing a ``halo`` included."""
     calls = []
     kernel = advection._flux_positive
     monkeypatch.setattr(advection, "_flux_positive",
                         lambda *a: (calls.append(1), kernel(*a))[1])
     f = _field(np.float64)
+    kw = {"halo": (f, f)} if bc == "halo" else {"bc": bc}
     _, mixed = next(mixed_sign_shifts(f.shape, 1))
     assert (mixed < 0).any() and (mixed > 0).any()
     for sh in (mixed, np.abs(mixed), -0.1 - np.abs(mixed)):
         del calls[:]
-        advect(f, sh, 1, bc=bc)
+        advect(f, sh, 1, **kw)
         assert len(calls) == 1
 
     monkeypatch.setattr(advection, "BLOCK_CELLS", 200)
     blocks = len(list(advection._block_plan(np.moveaxis(f, 1, -1).shape)))
     del calls[:]
     advection.reset_fastpath_counters()
-    advect(f, mixed, 1, bc=bc)
+    advect(f, mixed, 1, **kw)
     assert len(calls) == blocks > 1
     assert sum(advection.fastpath_counters().values()) == blocks
+
+
+# ----------------------------------------------------------------------
+# halo=: a block of a periodic row, its neighbours landed as ghost planes
+# ----------------------------------------------------------------------
+
+HALO_SHAPE = (8, 9, 6, 10)  # even halves on 8 and 10, 5 + 4 on 9
+
+
+def _row_blocks(f, axis, cut):
+    """``f`` cut in two along ``axis`` at ``cut``: ``[(lo, hi, block)]``."""
+    n = f.shape[axis]
+    return [(lo, hi, np.take(f, range(lo, hi), axis=axis))
+            for lo, hi in ((0, cut), (cut, n))]
+
+
+def _below_one(shape, axis):
+    """``mixed_sign_shifts`` scaled below one cell (a positive factor
+    keeps the ``0.0`` / ``-0.0`` rows), and all-positive / all-negative."""
+    for name, sh in mixed_sign_shifts(shape, axis):
+        top = np.abs(sh).max()
+        yield name, sh * (0.99 / top) if top >= 1.0 else sh
+    _, sh = next(mixed_sign_shifts(shape, axis))
+    yield "all_positive", np.abs(sh)
+    yield "all_negative", -0.01 - 0.98 * np.abs(sh)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scheme", [
+    pytest.param(s, marks=pytest.mark.smoke) if s == "slmpp5" else s
+    for s in sorted(SCHEMES)
+])
+def test_halo_bitwise_equals_the_serial_slab(monkeypatch, scheme, dtype):
+    """Below one cell of shift, a block advected with its two neighbours
+    as ``halo`` is the slab of the periodic sweep of the whole row, bit
+    for bit: the ``zero`` window reads only landed planes, and with
+    ``k == 0`` its flux is the periodic one, donor cell by donor cell."""
+    rng = np.random.default_rng(12)
+    f = (0.5 + rng.random(HALO_SHAPE)).astype(dtype)
+    g = advection.ghost_width(SCHEMES[scheme])
+    for axis in range(f.ndim):
+        n = f.shape[axis]
+        if n < SCHEMES[scheme].order:
+            continue
+        for name, sh in _below_one(f.shape, axis):
+            monkeypatch.setattr(advection, "BLOCK_CELLS", 1 << 16)
+            ref = advect(f, sh, axis, scheme=scheme)
+            for cut in {n // 2, n // 2 + 1}:
+                if min(cut, n - cut) < g:
+                    continue
+                blocks = _row_blocks(f, axis, cut)
+                for cells in (1 << 16, 200):
+                    monkeypatch.setattr(advection, "BLOCK_CELLS", cells)
+                    for i, (lo, hi, blk) in enumerate(blocks):
+                        halo = (blocks[i - 1][2], blocks[1 - i][2])
+                        got = advect(blk, sh, axis, scheme=scheme, halo=halo,
+                                     arena=ScratchArena())
+                        assert got.tobytes() == np.take(
+                            ref, range(lo, hi), axis=axis
+                        ).tobytes(), (
+                            f"{scheme}/{np.dtype(dtype).name} axis {axis} "
+                            f"{name} block {lo}:{hi} BLOCK_CELLS={cells}"
+                        )
+
+
+@pytest.mark.parametrize("sh", [2.3, "field"])
+def test_halo_past_one_cell_conserves_and_matches_to_rounding(sh):
+    f = _field(np.float64)[:, :, :, :10]
+    axis = 3
+    if sh == "field":
+        _, sh = next(mixed_sign_shifts(f.shape, axis))
+        sh = sh * (2.3 / np.abs(sh).max())
+    ref = advect(f, sh, axis)
+    blocks = _row_blocks(f, axis, 5)  # ghost width 2 + 1 + 2 = 5
+    got = np.concatenate([
+        advect(blk, sh, axis, halo=(blocks[i - 1][2], blocks[1 - i][2]))
+        for i, (_, _, blk) in enumerate(blocks)
+    ], axis=axis)
+    # Not bitwise: whole cells are summed from prefix sums that start at
+    # the block's window instead of the row's, so S(i, k) rounds
+    # differently (~1e-15).  That is why the domain engine keeps its
+    # CFL < 1 cap: its contract with the serial solver is bits.
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    assert got.sum() == pytest.approx(f.sum(), rel=1e-12)
+
+
+def test_halo_rejects_thin_neighbours_and_a_zero_bc():
+    f = _field(np.float64)
+    thin = f[:, :, :, :2]  # slmpp5 at |shift| < 1 reads 3 planes
+    with pytest.raises(ValueError, match="ghost width 3 planes"):
+        advect(f, 0.5, 3, halo=(f, thin))
+    with pytest.raises(ValueError, match="periodic"):
+        advect(f, 0.5, 3, bc="zero", halo=(f, f))
 
 
 def test_arena_does_not_follow_the_sign_pattern():

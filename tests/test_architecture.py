@@ -14,7 +14,11 @@ dependency is installed, as ``python tests/test_architecture.py``.
   per interface, no pad helper, no ``roll`` / ``rolled`` / ``pack``
   switch back to them;
 * so does the per-sign row split: one flux kernel run per block, no
-  mirrored flux, no arena scope sizing a row subset.
+  mirrored flux, no arena scope sizing a row subset;
+* so does the domain worker's overlap machinery: halos are ghost planes
+  the kernel lands (``advect(halo=)``, passed by the worker's one sweep
+  call alone), so no halo thread, no slab or pad scratch, no sweep mode,
+  no ``overlap`` option.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ RETIRED = (
     "UNIFORM" + "_FAST", "POOLED" + "_LIMITER",
     "roll" + "_into", "_gather" + "_stencil", "_zero" + "_pad",
     "interface" + "_flux", "_mirror" + "_flux",
+    "fill" + "_halo", "state" + ".scratch(",  # _WorkerState's slab scratch
 )
 
 
@@ -156,6 +161,55 @@ def test_the_rows_last_kernel_stays_deleted():
                 ):
                     offenders.append(f"{path.name}:{node.lineno} gathers inside a loop")
     assert not offenders, "\n".join(offenders)
+
+
+def _tree(*parts: str) -> ast.Module:
+    path = SRC.joinpath("repro", *parts)
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_the_domain_worker_runs_no_helper_thread():
+    path = SRC / "repro" / "parallel" / "workers.py"
+    assert not [line for module, _, line
+                in imports("repro.parallel.workers", path)
+                if module.split(".")[0] == "threading"]
+
+
+def test_the_domain_engine_has_no_overlap_option():
+    (init,) = [
+        node for cls in ast.walk(_tree("parallel", "domain.py"))
+        if isinstance(cls, ast.ClassDef) and cls.name == "DomainEngine"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    args = init.args
+    assert "overlap" not in {a.arg for a in args.args + args.kwonlyargs}
+
+
+def test_a_sweep_payload_carries_no_mode():
+    """``("sweep", sweep, src, dst)``: the worker picks its halo from
+    its neighbours, the parent sends every rank the same command."""
+    payloads = [
+        node for name, path in modules()
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Tuple) and node.elts
+        and isinstance(node.elts[0], ast.Constant) and node.elts[0].value == "sweep"
+    ]
+    assert payloads and all(len(p.elts) == 4 for p in payloads), \
+        [ast.unparse(p) for p in payloads]
+    (sweep,) = [node for node in ast.walk(_tree("parallel", "workers.py"))
+                if isinstance(node, ast.FunctionDef) and node.name == "_sweep"]
+    assert [a.arg for a in sweep.args.args] == ["state", "sweep", "src", "dst_role"]
+
+
+def test_halo_is_passed_by_the_domain_worker_alone():
+    callers = [
+        path.relative_to(SRC).as_posix()
+        for _, path in modules()
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and any(kw.arg == "halo" for kw in node.keywords)
+    ]
+    assert callers == ["repro/parallel/workers.py"], callers
 
 
 if __name__ == "__main__":

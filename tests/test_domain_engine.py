@@ -20,12 +20,12 @@ import pytest
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
 from repro.core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
+from repro.diagnostics import StepTimer
 from repro.parallel import (
     DomainDecomposition,
     DomainEngine,
     exchange_ghosts,
     exchange_ghosts_full,
-    required_ghost,
 )
 from repro.parallel.vmpi import VirtualComm
 from repro.perf.fft import SpectralBackend
@@ -100,8 +100,9 @@ class TestBitwiseIdentity:
         assert np.array_equal(f_domain, f_serial)
 
     def test_overlap_path_bitwise(self):
-        """Blocks with n >= 2*ghost take the overlapped halo/interior
-        path (halo thread fills ghosts while the interior advects)."""
+        """Blocks of 8 planes, as on the benchmark grid: each worker lands
+        its neighbors' 3 edge planes as ghost planes and advects its
+        block once."""
         nx = (16, 8, 6)
         f_serial = run_plasma(None, nx=nx)
         engine = DomainEngine(topology=(2, 1, 1))
@@ -125,6 +126,8 @@ class TestNonDivisibleGrids:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_uneven_blocks_bitwise(self, dtype):
+        """Blocks of 5 and 4 planes, shorter than the order-5 stencil on
+        their own: the neighbors' edge planes complete the rows."""
         nx = (9, 8, 6)  # 9 over 2 ranks -> blocks of 5 and 4
         f_serial = run_plasma(None, nx=nx, dtype=dtype)
         engine = DomainEngine(topology=(2, 2, 1))
@@ -188,19 +191,26 @@ class TestVmpiParity:
     def test_halo_bytes_match_virtual_exchange(self):
         grid = make_grid()
         engine = DomainEngine(topology=(2, 2, 1))
+        timer = StepTimer()
         try:
-            vp = PlasmaVlasovPoisson(grid, engine=engine)
+            vp = PlasmaVlasovPoisson(grid, engine=engine, timer=timer)
             f0 = initial_f(grid)
             vp.f = f0
             vp.step(DT)
         finally:
             halo_traffic = dict(engine.halo_traffic)
             halo_bytes = engine.halo_bytes
+            ghost = engine.ghost
             engine.close()
+        # the worker's one block sweep, halo landing included, is the
+        # whole section: no halo slab, no boundary re-advection
+        assert "domain/interior" in timer.sections
+        assert not {"domain/halo", "domain/boundary"} & set(timer.sections)
 
         # replay: one KDK step does one full drift (kicks are velocity
-        # sweeps — no spatial halo); only partitioned axes exchange
-        ghost = required_ghost("slmpp5", 0.0)
+        # sweeps — no spatial halo); only partitioned axes exchange the
+        # ghost width the kernel reads
+        assert ghost == 3
         decomp = DomainDecomposition(grid.nx, (2, 2, 1))
         comm = VirtualComm(decomp.size)
         blocks = decomp.scatter(f0)
@@ -405,11 +415,11 @@ class TestEngineConfig:
         engine.close()
 
     def test_bind_rejects_blocks_thinner_than_the_ghost_width(self):
-        """6 cells over 2 blocks leaves 3 < the 4-cell slmpp5 halo; the
+        """4 cells over 2 blocks leaves 2 < the 3-plane slmpp5 halo; the
         engine must refuse at bind time, before any worker exists."""
         engine = DomainEngine(topology=(1, 1, 2))
-        with pytest.raises(ValueError, match=r"leaves 3 < ghost width 4"):
-            engine.bind(make_grid(), "slmpp5")
+        with pytest.raises(ValueError, match=r"leaves 2 < ghost width 3"):
+            engine.bind(make_grid(nx=(8, 8, 4)), "slmpp5")
         assert engine.grid is None and not engine._procs
 
     def test_validate_rejects_unknown_engine(self):
