@@ -116,7 +116,7 @@ def run_pencil_bench(n_workers: int | None = None, repeats: int = 3) -> dict:
     serial.f[...] = ic
     t_serial = _median_time(lambda: _strang(serial, accel), repeats)
 
-    engine = PencilEngine(n_workers=n_workers, backend="threads")
+    engine = PencilEngine(n_workers=n_workers)
     sharded = VlasovSolver(grid, engine=engine)
     sharded.f[...] = ic
     _strang(sharded, accel)

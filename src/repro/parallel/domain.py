@@ -8,8 +8,8 @@ pinned to a **persistent worker process** that holds its subdomain in
 is the kernel's landing copy reading the neighbors' edge planes straight
 out of shared memory as the block's ghost planes (see
 :mod:`repro.parallel.workers`).  Unlike
-:class:`repro.perf.pencil.PencilEngine`, nothing is scattered or
-gathered per sweep: the distribution function lives in the workers'
+:class:`repro.perf.pencil.PencilEngine`, whose threads sweep the host
+array, the distribution function lives in the workers'
 segments for the lifetime of the run, and the parent only gathers when
 someone actually asks for the full array (checkpoints, diagnostics) —
 the ``gather_count`` counter makes that observable and the benchmarks
@@ -32,14 +32,14 @@ from three empirically pinned facts (asserted by the test suite):
 * per-cell velocity moments are block-local (§5.1.3), so the density
   mesh assembled from worker slabs is the serial one bit for bit.
 
-Supervision follows the PR 4 pattern of ``PencilEngine`` (the same
-:func:`repro.perf.substrate.retry_with_backoff` loop): a dead or wedged
+This is the package's one supervised process transport
+(:func:`repro.perf.substrate.retry_with_backoff`): a dead or wedged
 worker tears the fleet down and retries on fresh processes (the
 parent-owned segments survive, so the current-role buffers are the
 recovery state — SIGKILL loses no data); an exhausted retry budget
-degrades permanently down the ladder **domain → pencil(threads) →
-serial**.  A degraded engine *is* its base class: the state is gathered
-into the host array and every protocol method falls through to
+degrades permanently down the ladder **domain → pencil(threads)**.  A
+degraded engine *is* its base class: the state is gathered into the
+host array and every protocol method falls through to
 :class:`repro.core.engine.SweepEngine`, with a threads ``PencilEngine``
 as the per-sweep kernel — so the failing step finishes host-side,
 bitwise.  All segments register with the :mod:`repro.perf.substrate`
@@ -130,9 +130,14 @@ class DomainEngine(SweepEngine):
         Worker count when ``topology`` is ``None`` (default: available
         cores, capped at 4 — domain workers hold whole subdomains, they
         are not cheap threads).
-    max_retries / backoff_base / task_timeout:
-        Supervision budget, exactly as in
-        :class:`repro.perf.pencil.PencilEngine`.
+    max_retries:
+        How many times a failed command round is retried on a fresh
+        fleet before the engine degrades.
+    backoff_base:
+        First retry delay [s]; doubles per retry (bounded exponential).
+    task_timeout:
+        Wall-clock budget [s] for one command round; ``None`` (default)
+        waits forever.  Exceeding it counts as a worker failure.
     """
 
     def __init__(
@@ -473,13 +478,7 @@ class DomainEngine(SweepEngine):
             self._gather_into_host()
         self.degradations.append("domain")
         self.degraded = True
-        self._fallback = PencilEngine(
-            n_workers=self.size,
-            backend="threads",
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            task_timeout=self.task_timeout,
-        )
+        self._fallback = PencilEngine(n_workers=self.size)
         emit(
             "domain_degraded",
             from_engine="domain", to_backend="pencil-threads", reason=reason,

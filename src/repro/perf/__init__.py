@@ -10,16 +10,16 @@ allocator from taxing the third:
   flux / prefix-sum buffers so repeated ``advect`` calls are
   allocation-free in steady state;
 * :class:`~repro.perf.pencil.PencilEngine` — shards any directional
-  sweep into pencils along a non-advected axis and dispatches them
-  across worker threads/processes, bitwise-identical to the serial
-  kernel;
+  sweep into pencils along a non-advected axis and runs them on a
+  thread pool, bitwise-identical to the serial kernel (the process
+  transport is :class:`repro.parallel.domain.DomainEngine`);
 * :class:`~repro.perf.fft.SpectralBackend` — plan-cached, worker-
   threaded FFT executor (scipy.fft pocketfft with a numpy fallback)
   behind every field solve, with pooled complex workspaces and
   transform counters the FFT-budget tests assert against.
 
 See docs/PERFORMANCE.md ("The pencil engine", "The fused spectral
-pipeline") for when each backend wins.
+pipeline") for when each one pays.
 """
 
 from .arena import ScratchArena

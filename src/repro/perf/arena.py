@@ -24,8 +24,9 @@ Discipline
 * Buffers come back **uninitialized** (whatever the previous call left
   in them); consumers must overwrite every element they read.
 * One arena serves **one caller at a time**.  It is deliberately not
-  locked: give each worker thread/process of a
-  :class:`repro.perf.pencil.PencilEngine` its own arena.
+  locked: give each worker thread of a
+  :class:`repro.perf.pencil.PencilEngine` (and each domain worker
+  process) its own arena.
 * Two buffers live at the same time need two keys, whatever their
   shapes: same ``(key, dtype)`` means same memory.
 * An arena pins its high-water memory until :meth:`clear` — size it to

@@ -1,9 +1,11 @@
 """Host substrate shared by the sweep engines.
 
-What :class:`repro.perf.pencil.PencilEngine`, the domain engine
-(:mod:`repro.parallel.domain`) and its workers all need from the host,
-in one place: the core count, the telemetry hook, the shared-memory
-leak guard, and the retry-with-backoff supervision loop.
+What the sweep engines and the domain workers need from the host, in
+one place: the core count (:class:`repro.perf.pencil.PencilEngine`'s
+default thread count, the domain engine's default fleet), the telemetry
+hook, and — for the domain engine (:mod:`repro.parallel.domain`), the
+one process transport — the shared-memory leak guard and the
+retry-with-backoff supervision loop.
 """
 
 from __future__ import annotations

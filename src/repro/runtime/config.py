@@ -30,11 +30,12 @@ SCENARIOS = ("plasma", "gravitational", "hybrid")
 POLICIES = ("off", "warn", "abort", "rollback")
 
 #: Pencil-engine backends the runner can build ("off" = no engine, the
-#: plain serial kernels inside the drivers).
-ENGINE_BACKENDS = ("off", "serial", "threads", "processes")
+#: plain serial kernels inside the drivers; "threads" = the thread-sharded
+#: :class:`repro.perf.pencil.PencilEngine`).
+ENGINE_BACKENDS = ("off", "threads")
 
-#: Engine kinds: "pencil" shards sweeps through scatter/gather
-#: (:class:`repro.perf.pencil.PencilEngine`, tuned by ``backend``);
+#: Engine kinds: "pencil" shards each sweep over threads
+#: (:class:`repro.perf.pencil.PencilEngine`, switched on by ``backend``);
 #: "domain" pins 3-D spatial blocks to persistent shared-memory workers
 #: (:class:`repro.parallel.domain.DomainEngine`, tuned by ``topology``).
 ENGINES = ("pencil", "domain")
@@ -114,13 +115,10 @@ class EngineConfig:
     Applies to all three scenarios: each stepper forwards the built
     engine to its driver's :class:`~repro.core.vlasov.VlasovSolver`.
     ``backend="off"`` (default) builds the serial
-    :class:`~repro.core.engine.SweepEngine`; the other backends build a
-    :class:`repro.perf.pencil.PencilEngine`, which shards directional
-    sweeps into pencils (every backend is bitwise-identical — see
-    ``docs/PERFORMANCE.md``).  The supervision knobs mirror the engine's:
-    a broken or timed-out process sweep is retried ``max_retries`` times
-    with exponential backoff from ``backoff_base`` seconds, then the
-    engine degrades processes → threads → serial permanently.
+    :class:`~repro.core.engine.SweepEngine`; ``backend="threads"`` builds
+    a :class:`repro.perf.pencil.PencilEngine` of ``n_workers`` threads,
+    which shards directional sweeps into pencils (bitwise-identical to
+    serial — see ``docs/PERFORMANCE.md``).
 
     ``engine="domain"`` selects the persistent-worker domain engine
     instead (:class:`repro.parallel.domain.DomainEngine`): f lives
@@ -128,10 +126,13 @@ class EngineConfig:
     halos land as the kernel's ghost planes, and the field solve's
     mesh FFTs are pencil-distributed.  ``topology`` is its workers-per-
     spatial-axis grid (e.g. ``[2, 2, 1]``; null auto-factors
-    ``n_workers`` over the longest axes); ``backend``/``min_shard_bytes``
-    are pencil-only and ignored.  Its degradation ladder on worker death
-    is domain → pencil(threads) → serial, reusing the same
-    ``max_retries``/``backoff_base``/``task_timeout`` budget.
+    ``n_workers`` over the longest axes); ``backend`` is pencil-only and
+    ignored.  The supervision knobs tune the domain engine alone: a dead
+    or timed-out worker round (``task_timeout`` seconds; null waits
+    forever) is retried on fresh workers ``max_retries`` times with
+    exponential backoff from ``backoff_base`` seconds, then the engine
+    degrades permanently to host sweeps on a threads ``PencilEngine``
+    (domain → pencil(threads); same bits, only slower).
     """
 
     engine: str = "pencil"
@@ -141,7 +142,6 @@ class EngineConfig:
     max_retries: int = 2
     backoff_base: float = 0.05
     task_timeout: float | None = None
-    min_shard_bytes: int = 1 << 16
 
 
 @dataclass

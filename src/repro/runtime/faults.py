@@ -15,12 +15,12 @@ its spec, the same discipline as the simulation ICs.
 Fault kinds (``FAULT_KINDS``):
 
 ``kill_worker``
-    SIGKILL one pencil **process** worker mid-sweep (the engine's fault
-    hook submits a suicide task to the pool).  Exercises
-    ``BrokenProcessPool`` supervision: retry, pool rebuild, degrade.
+    SIGKILL one **domain worker** process mid-sweep (the engine's fault
+    hook sends it a suicide call).  Exercises the domain engine's
+    supervision: retry on a respawned fleet, then degrade.
 ``stall_worker``
-    Occupy a pencil worker with a sleep longer than the engine's task
-    timeout.  Exercises the per-sweep timeout path.
+    Occupy a domain worker with a sleep longer than the engine's
+    ``task_timeout``.  Exercises the command-round timeout path.
 ``corrupt_checkpoint``
     Flip bytes of the newest checkpoint *after* it lands on disk.
     Exercises checksum verify-on-read and quarantine.
@@ -98,7 +98,7 @@ FIRED_LEDGER = "faults_fired.jsonl"
 FAULTS_ENV = "REPRO_FAULTS"
 
 
-# -- picklable worker payloads (must be module-level for process pools) --
+# -- picklable worker payloads (module-level: sent to worker processes) --
 
 
 def _kill_self() -> None:  # pragma: no cover - dies before reporting
@@ -158,7 +158,7 @@ class FaultPlan:
     The runner calls :meth:`begin_step` before each step and then offers
     the plan its injection points (state mutation after the advance,
     file corruption after a checkpoint write, the engine's worker hook
-    during a process sweep).  An event fires at the **first** offered
+    before a domain-engine sweep).  An event fires at the **first** offered
     opportunity at or after its scheduled step — so a ``kill_worker``
     scheduled for step 2 of a run whose engine only sweeps on step 3
     fires on step 3, once.
@@ -341,12 +341,13 @@ class FaultPlan:
                     os.kill(os.getpid(), signal.SIGKILL)
 
     def worker_fault(self, engine, pool) -> None:
-        """Pencil-engine fault hook: sabotage the process pool mid-sweep.
+        """Domain-engine fault hook: sabotage the worker fleet mid-step.
 
         Wired by the runner as ``engine.fault_hook``; called by the
-        engine after the pool exists and before the sweep's tasks are
-        dispatched, so the kill/stall lands *mid-sweep*.  Drains every
-        due event (two ``stall_worker`` events occupy two workers).
+        engine at the start of each sweep, before its command round, so
+        the kill/stall lands *mid-step*.  ``pool.submit`` hands the call
+        to one worker, round-robin.  Drains every due event (two
+        ``stall_worker`` events occupy two workers).
         """
         while self._take("kill_worker") is not None:
             pool.submit(_kill_self)

@@ -392,14 +392,7 @@ def build_engine(config: RunConfig):
         return SweepEngine()
     from ..perf.pencil import PencilEngine
 
-    return PencilEngine(
-        n_workers=e.n_workers,
-        backend=e.backend,
-        min_shard_bytes=e.min_shard_bytes,
-        max_retries=e.max_retries,
-        backoff_base=e.backoff_base,
-        task_timeout=e.task_timeout,
-    )
+    return PencilEngine(n_workers=e.n_workers)
 
 
 # ----------------------------------------------------------------------

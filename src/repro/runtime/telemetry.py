@@ -277,7 +277,7 @@ def read_events(path: str | Path, kind: str | None = None) -> list[dict]:
     """Load the event records of a telemetry stream, oldest first.
 
     ``kind`` filters to one event kind (``"fault_injected"``,
-    ``"rollback"``, ``"engine_degraded"``, ...).
+    ``"rollback"``, ``"domain_degraded"``, ...).
     """
     events = [r for r in iter_records(path) if "event" in r]
     if kind is not None:

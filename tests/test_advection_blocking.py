@@ -27,7 +27,7 @@ from repro.core.advection import SCHEMES, advect
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
 from repro.parallel import DomainEngine
-from repro.perf import PencilEngine, ScratchArena
+from repro.perf import PencilEngine, ScratchArena, pencil
 
 from .conftest import mixed_sign_shifts
 
@@ -393,9 +393,10 @@ def _strang(engine, steps=1):
 
 def test_engines_bitwise_on_the_reference_grid(monkeypatch):
     serial, _ = _strang(None)
-    pencil = PencilEngine(n_workers=2, backend="threads", min_shard_bytes=0)
-    assert _strang(pencil)[0] == serial
-    assert pencil.last_plan is not None
+    monkeypatch.setattr(pencil, "MIN_SHARD_BYTES", 0)
+    threads = PencilEngine(n_workers=2)
+    assert _strang(threads)[0] == serial
+    assert threads.last_plan is not None
     domain = DomainEngine(topology=(2, 1, 1))
     assert _strang(domain)[0] == serial
     assert not domain.degraded

@@ -18,7 +18,10 @@ dependency is installed, as ``python tests/test_architecture.py``.
 * so does the domain worker's overlap machinery: halos are ghost planes
   the kernel lands (``advect(halo=)``, passed by the worker's one sweep
   call alone), so no halo thread, no slab or pad scratch, no sweep mode,
-  no ``overlap`` option.
+  no ``overlap`` option;
+* so does the pencil engine's process transport: ``perf/pencil.py`` is a
+  thread pool with no pool of processes, no retry loop, no timeout and
+  no shard knobs — the domain engine is the one supervised transport.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ RETIRED = (
     "roll" + "_into", "_gather" + "_stencil", "_zero" + "_pad",
     "interface" + "_flux", "_mirror" + "_flux",
     "fill" + "_halo", "state" + ".scratch(",  # _WorkerState's slab scratch
+    "Sweep" + "Timeout", "_pencil" + "_worker",
+    "min_shard" + "_bytes", "pencils_per" + "_worker",
 )
 
 
@@ -210,6 +215,26 @@ def test_halo_is_passed_by_the_domain_worker_alone():
         if isinstance(node, ast.Call) and any(kw.arg == "halo" for kw in node.keywords)
     ]
     assert callers == ["repro/parallel/workers.py"], callers
+
+
+def test_the_pencil_engine_is_threads_only():
+    path = SRC / "repro" / "perf" / "pencil.py"
+    offenders = [
+        f"pencil.py:{line} imports {imported or module}"
+        for module, imported, line in imports("repro.perf.pencil", path)
+        if module.split(".")[0] == "multiprocessing"
+        or "retry_with_backoff" in (module.split(".")[-1], imported)
+    ]
+    assert not offenders, "\n".join(offenders)
+    (init,) = [
+        node for cls in ast.walk(_tree("perf", "pencil.py"))
+        if isinstance(cls, ast.ClassDef) and cls.name == "PencilEngine"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    args = init.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert params == ["self", "n_workers"] and not (args.vararg or args.kwarg), params
 
 
 if __name__ == "__main__":

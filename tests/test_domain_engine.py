@@ -29,6 +29,7 @@ from repro.parallel import (
 )
 from repro.parallel.vmpi import VirtualComm
 from repro.perf.fft import SpectralBackend
+from repro.perf.pencil import PencilEngine
 
 # nu axes must fit the order-5 stencil (>= 5 cells); 6 keeps the kick
 # sweeps legal while the problem stays small enough for CI
@@ -493,7 +494,7 @@ class TestDegradedEngineIsItsBaseClass:
             assert solver.kinetic_energy() == serial.kinetic_energy()
             assert solver.f_stats() == serial.f_stats()
             # the ladder's next rung is now the host sweeps' kernel
-            assert engine._fallback.backend == "threads"
+            assert type(engine._fallback) is PencilEngine
         finally:
             engine.close()
 

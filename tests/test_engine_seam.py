@@ -18,6 +18,7 @@ from repro.core.engine import Sweep, SweepEngine, sweep_shift
 from repro.core.mesh import PhaseSpaceGrid
 from repro.nbody.integrator import scale_factor_steps
 from repro.parallel import DomainEngine
+from repro.perf import pencil
 from repro.perf.pencil import PencilEngine
 from repro.runtime import EXIT_GUARD_ABORT, RunConfig, SimulationRunner, read_telemetry
 from repro.runtime.config import (
@@ -64,11 +65,12 @@ class TestHybridThroughTheSeam:
         finally:
             sim.neutrinos.engine.close()
 
-    def test_bitwise_across_engines_with_cfl_above_one(self):
+    def test_bitwise_across_engines_with_cfl_above_one(self, monkeypatch):
         serial = self.run_hybrid(None)
-        pencil = PencilEngine(n_workers=2, backend="threads", min_shard_bytes=0)
-        assert self.run_hybrid(pencil) == serial
-        assert pencil.last_plan is not None  # the sweeps really sharded
+        monkeypatch.setattr(pencil, "MIN_SHARD_BYTES", 0)
+        threads = PencilEngine(n_workers=2)
+        assert self.run_hybrid(threads) == serial
+        assert threads.last_plan is not None  # the sweeps really sharded
         domain = DomainEngine(topology=(2, 1, 1))
         assert self.run_hybrid(domain) == serial
         assert domain.cfl_fallbacks > 0 and not domain.degraded

@@ -136,9 +136,33 @@ class TestRoundTrips:
 
         from repro.runtime.config import EngineConfig
 
-        assert len(dataclasses.fields(EngineConfig)) == 8
+        assert len(dataclasses.fields(EngineConfig)) == 7
         with pytest.raises(ValueError, match="unknown EngineConfig keys"):
             RunConfig.from_dict({"engine": {"layout": "auto"}})
+
+    @pytest.mark.parametrize("backend", ["processes", "serial"])
+    def test_retired_engine_backends_rejected(self, backend):
+        """The pencil engine is threads only: the process transport is
+        the domain engine, and a serial pencil engine was SweepEngine."""
+        data = small_config().as_dict()
+        data["engine"]["backend"] = backend
+        with pytest.raises(ValueError, match=r"\('off', 'threads'\)"):
+            RunConfig.from_dict(data)
+
+    def test_resume_refuses_retired_min_shard_bytes(self, tmp_path):
+        """``engine.min_shard_bytes`` left the schema (it is the pencil
+        module's ``MIN_SHARD_BYTES`` now): an old ``run.json`` that
+        carries it is refused on resume like any unknown key."""
+        from repro.runtime import SimulationRunner
+
+        runner = SimulationRunner.create(small_config(), tmp_path / "run")
+        assert runner.run(max_steps=1) == 75
+        manifest_path = tmp_path / "run" / "run.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["engine"]["min_shard_bytes"] = 0
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unknown EngineConfig keys"):
+            SimulationRunner.resume(tmp_path / "run")
 
     def test_unsupported_suffix(self, tmp_path):
         with pytest.raises(ValueError, match="json or .toml"):

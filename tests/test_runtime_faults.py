@@ -3,9 +3,9 @@
 Two tiers live here. The fast tests (FaultPlan mechanics, checkpoint
 integrity, the scipy→numpy FFT fallback, the restart-from-zero warning)
 run in tier-1. The ``chaos`` -marked integration drills run whole
-simulations with faults injected — a worker SIGKILLed mid-sweep, a
-checkpoint corrupted on disk, NaNs planted in f — and assert the
-headline guarantee: the run still completes with a final distribution
+simulations with faults injected — a domain worker SIGKILLed or stalled
+mid-step, a checkpoint corrupted on disk, NaNs planted in f — and
+assert the headline guarantee: the run still completes with a final distribution
 function **bitwise-identical** to a fault-free run. They are excluded
 from tier-1 by the ``-m "not chaos"`` addopts and exercised by the
 dedicated CI chaos job (``pytest -m chaos``).
@@ -298,17 +298,34 @@ class TestRestartFromZero:
 # ----------------------------------------------------------------------
 
 
+def event_kinds(run_dir) -> list[str]:
+    return [e["event"] for e in read_events(run_dir / TELEMETRY_NAME)]
+
+
+@pytest.fixture
+def no_leaked_segments():
+    """Every shared-memory segment a drill creates is unlinked by its end."""
+    from repro.perf.substrate import LIVE_SEGMENTS
+
+    yield
+    assert not LIVE_SEGMENTS
+
+
 @pytest.mark.chaos
 class TestChaosRuns:
     N = 8
 
     def engine(self, **over):
-        base = dict(backend="processes", n_workers=2, min_shard_bytes=0,
-                    task_timeout=60.0)
+        """Two domain workers: the package's one supervised process
+        transport.  This grid's drifts run at CFL ~1.1, so they take the
+        host fallback and the kicks are the worker rounds that fail."""
+        base = dict(engine="domain", topology=[2], task_timeout=60.0)
         base.update(over)
         return EngineConfig(**base)
 
-    def test_worker_kill_completes_bitwise_identical(self, tmp_path):
+    def test_worker_kill_completes_bitwise_identical(
+        self, tmp_path, no_leaked_segments
+    ):
         ref = reference_f(tmp_path, self.N)
         cfg = chaos_config(
             self.N,
@@ -320,34 +337,34 @@ class TestChaosRuns:
         runner = SimulationRunner.create(cfg, tmp_path / "kill")
         assert runner.run() == EXIT_COMPLETE
         assert np.array_equal(ref, final_f(tmp_path / "kill", self.N))
-        kinds = [e["event"]
-                 for e in read_events(tmp_path / "kill" / TELEMETRY_NAME)]
-        assert "fault_injected" in kinds and "worker_failure" in kinds
-        from repro.perf.substrate import LIVE_SEGMENTS
+        kinds = event_kinds(tmp_path / "kill")
+        assert "fault_injected" in kinds and "domain_worker_failure" in kinds
+        assert "domain_degraded" not in kinds  # a respawn was enough
 
-        assert not LIVE_SEGMENTS  # no leaked shared memory
-
-    def test_stall_degrades_engine_but_not_the_answer(self, tmp_path):
+    def test_stall_degrades_engine_but_not_the_answer(
+        self, tmp_path, no_leaked_segments
+    ):
+        """A worker busy past ``task_timeout`` fails the command round;
+        with no retries left the engine degrades to host sweeps."""
         ref = reference_f(tmp_path, self.N)
         cfg = chaos_config(
             self.N,
-            engine=self.engine(task_timeout=0.25, max_retries=0),
-            # two stalls: one per worker, so the sweep's own tasks queue
-            # behind them past the timeout
+            engine=self.engine(task_timeout=0.5, max_retries=0),
+            # one stalled worker holds up the whole round (a barrier)
             faults=FaultsConfig(seed=3, events=[
-                {"kind": "stall_worker", "step": 2, "magnitude": 1.5},
-                {"kind": "stall_worker", "step": 2, "magnitude": 1.5},
+                {"kind": "stall_worker", "step": 2, "magnitude": 3.0},
             ]),
         )
         runner = SimulationRunner.create(cfg, tmp_path / "stall")
         assert runner.run() == EXIT_COMPLETE
         assert np.array_equal(ref, final_f(tmp_path / "stall", self.N))
-        kinds = [e["event"]
-                 for e in read_events(tmp_path / "stall" / TELEMETRY_NAME)]
-        assert "engine_degraded" in kinds
+        events = read_events(tmp_path / "stall" / TELEMETRY_NAME)
+        (failure,) = [e for e in events if e["event"] == "domain_worker_failure"]
+        assert "timed out after 0.5s" in failure["error"]
+        assert [e["event"] for e in events].count("domain_degraded") == 1
 
     def test_corruption_and_nan_roll_back_to_previous_checkpoint(
-        self, tmp_path
+        self, tmp_path, no_leaked_segments
     ):
         """The demo drill: kill + corrupt + NaN in one run.
 
@@ -381,6 +398,7 @@ class TestChaosRuns:
         assert runner.manifest()["rollbacks"] == 1
         ck_dir = tmp_path / "drill" / CHECKPOINT_DIR
         assert (ck_dir / (checkpoint_name(4) + QUARANTINE_SUFFIX)).exists()
+        assert "domain_worker_failure" in by_kind
 
     def test_rollback_budget_exhaustion_aborts_70(self, tmp_path):
         cfg = chaos_config(

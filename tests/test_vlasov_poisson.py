@@ -14,6 +14,7 @@ from scipy.signal import argrelmax
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
 from repro.cosmology import Cosmology
+from repro.perf import pencil
 from repro.perf.fft import get_default_backend
 from repro.runtime import EXIT_COMPLETE, RunConfig, SimulationRunner, read_telemetry
 from repro.runtime.config import (
@@ -261,7 +262,7 @@ SLOT_CONFIGS = {
 
 ENGINES = {
     "serial": EngineConfig(),
-    "pencil": EngineConfig(backend="threads", n_workers=2, min_shard_bytes=0),
+    "pencil": EngineConfig(backend="threads", n_workers=2),
     "domain": EngineConfig(engine="domain", topology=[2]),
 }
 
@@ -295,6 +296,11 @@ def _mutate(stepper, how: str) -> None:
 
 class TestFieldSlot:
     """The ledger's solve is the next kick's, and nothing else reuses it."""
+
+    @pytest.fixture(autouse=True)
+    def shard_small_arrays(self, monkeypatch):
+        """The pencil engine shards even these small grids."""
+        monkeypatch.setattr(pencil, "MIN_SHARD_BYTES", 0)
 
     @pytest.mark.parametrize("engine", ["serial", "pencil", "domain"])
     @pytest.mark.parametrize("scenario", ["plasma", "gravitational"])
