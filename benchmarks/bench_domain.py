@@ -1,7 +1,7 @@
 """Domain-engine scaling — weak and strong curves vs the machine model.
 
 Runs full plasma Vlasov-Poisson steps (KDK: drift + 2 kicks + Poisson
-through the engine's distributed mesh FFT) on the real-transport
+on the parent's default FFT backend) on the real-transport
 :class:`~repro.parallel.domain.DomainEngine` at 1/2/4 persistent
 shared-memory workers, and writes ``benchmarks/results/BENCH_domain.json``
 with:
@@ -86,7 +86,7 @@ def _measure(nx, workers: int | None, steps: int, repeats: int) -> dict:
     engine = DomainEngine(topology=TOPOLOGIES[workers]) if workers else None
     vp = PlasmaVlasovPoisson(grid, engine=engine)
     vp.f = _initial(grid)
-    vp.step(dt)  # warm: spawn workers, build FFT plans, probe bitwise
+    vp.step(dt)  # warm: spawn workers, build FFT plans
 
     laps = []
     for _ in range(repeats):

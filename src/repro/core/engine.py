@@ -5,8 +5,10 @@
 and hands plan plus acceleration mesh to one engine protocol: ``bind``,
 ``run(plan, accel)``, the host ``f`` (get / set / ``mark_mutated``), the
 reductions (``density``, ``total_mass``, ``kinetic_energy``,
-``f_stats``), ``spectral_backend``, ``fault_hook`` and ``close`` — see
-the method-by-method table in docs/PERFORMANCE.md ("One engine seam").
+``f_stats``), ``fault_hook`` and ``close`` — see the method-by-method
+table in docs/PERFORMANCE.md ("One engine seam").  The field solve is
+not part of it: every driver's Poisson solver runs on the process-default
+:class:`repro.perf.fft.SpectralBackend`, whatever the engine.
 
 :class:`SweepEngine` is that protocol's serial implementation and the
 base of the two parallel ones: ``PencilEngine`` overrides the per-sweep
@@ -169,11 +171,7 @@ class SweepEngine:
         """(non-finite cell count, min of f) — the guards' health probe."""
         return moments.finite_stats(self.f)
 
-    # -- field solve / lifetime -------------------------------------------
-
-    def spectral_backend(self):
-        """FFT backend for the mesh transforms; None means the default."""
-        return None
+    # -- lifetime --------------------------------------------------------
 
     def close(self) -> None:
         """Nothing to release."""

@@ -70,9 +70,9 @@ class HybridSimulation:
         False runs PM-only (cheaper, adequate for smoke tests).
     engine, timer:
         Forwarded to the neutrino :class:`VlasovSolver`, exactly as the
-        Vlasov-Poisson drivers do; the PM transforms run on the engine's
-        spectral backend, and the timer also records the particle half
-        of the step (see the module docstring).
+        Vlasov-Poisson drivers do; the PM transforms run on the
+        process-default spectral backend, and the timer also records the
+        particle half of the step (see the module docstring).
     """
 
     grid: PhaseSpaceGrid
@@ -106,7 +106,6 @@ class HybridSimulation:
             eps=self.softening,
             theta=self.theta,
             r_split_cells=self.r_split_cells,
-            fft_backend=self.neutrinos.engine.spectral_backend(),
         )
 
     # ------------------------------------------------------------------

@@ -98,7 +98,7 @@ class PlasmaVlasovPoisson(_OneSolvePerF):
 
     ``engine``/``timer`` are forwarded to the underlying
     :class:`VlasovSolver`, and the Poisson solver runs its mesh
-    transforms on that engine's spectral backend; with a timer
+    transforms on the process-default spectral backend; with a timer
     attached, steps record ``vlasov/drift/*``, ``vlasov/kick/*`` and the
     field solve split into
     ``poisson/moments`` (density reduction), ``poisson/fft`` (forward +
@@ -118,10 +118,7 @@ class PlasmaVlasovPoisson(_OneSolvePerF):
             self.grid, scheme=self.scheme, engine=self.engine,
             timer=self.timer,
         )
-        self.poisson = PeriodicPoissonSolver(
-            self.grid.nx, self.grid.box_size,
-            backend=self.solver.engine.spectral_backend(),
-        )
+        self.poisson = PeriodicPoissonSolver(self.grid.nx, self.grid.box_size)
 
     def _timed_accel(self) -> np.ndarray:
         with section(self.timer, "poisson"):
@@ -231,10 +228,7 @@ class GravitationalVlasovPoisson(_OneSolvePerF):
             self.grid, scheme=self.scheme, engine=self.engine,
             timer=self.timer,
         )
-        self.poisson = PeriodicPoissonSolver(
-            self.grid.nx, self.grid.box_size,
-            backend=self.solver.engine.spectral_backend(),
-        )
+        self.poisson = PeriodicPoissonSolver(self.grid.nx, self.grid.box_size)
 
     def _timed_accel(self, a: float | None = None) -> np.ndarray:
         with section(self.timer, "poisson"):

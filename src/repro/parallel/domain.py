@@ -16,7 +16,7 @@ the ``gather_count`` counter makes that observable and the benchmarks
 assert it stays zero across steps.
 
 Bitwise identity with the serial solver is a hard invariant, inherited
-from three empirically pinned facts (asserted by the test suite):
+from two empirically pinned facts (asserted by the test suite):
 
 * a block sweep landed with its neighbors' edge planes equals the
   serial sweep exactly while every shift stays **below one cell** (at
@@ -24,13 +24,15 @@ from three empirically pinned facts (asserted by the test suite):
   each spatial sweep's max shift and falls back to a gather → host sweep
   → scatter for the rare sweep at CFL >= 1 (``domain_cfl_fallback``);
   velocity kicks never cross block boundaries and have no cap;
-* the staged 2-D pencil forward FFT equals the fused ``rfftn`` and the
-  staged inverse equals :meth:`SpectralBackend.irfftn`'s separable plan
-  (which is why that method uses the separable order); an init-time
-  probe verifies both on the actual staging buffers and otherwise keeps
-  the field solve on the parent (``domain_fft_fallback``);
 * per-cell velocity moments are block-local (§5.1.3), so the density
   mesh assembled from worker slabs is the serial one bit for bit.
+
+The field solve itself runs on the parent, on the process-default
+:class:`repro.perf.fft.SpectralBackend` like every other engine's: the
+parent holds the whole density mesh anyway, so a worker-staged
+transform would move the mesh twice and distribute nothing.  The
+paper's pencil-FFT traffic is modelled by
+:mod:`repro.parallel.fft_decomp` and :mod:`repro.machine.costmodel`.
 
 This is the package's one supervised process transport
 (:func:`repro.perf.substrate.retry_with_backoff`): a dead or wedged
@@ -55,7 +57,6 @@ import numpy as np
 from ..core.advection import SCHEMES, ghost_width
 from ..core.engine import Sweep, SweepEngine
 from ..core.mesh import PhaseSpaceGrid
-from ..perf.fft import SpectralBackend
 from ..perf.pencil import PencilEngine
 from ..perf.substrate import (
     available_cores,
@@ -187,16 +188,11 @@ class DomainEngine(SweepEngine):
         self._segments: dict[str, object] = {}
         self._seg_names: list[tuple[str, str]] = []
         self._mesh_names: dict[str, str] = {}
-        self._fft_names: tuple[str, str, str] | None = None
-        self._fft_p: tuple[int, int] = (1, 1)
-        self._fft_ok: bool | None = None
         self._procs: list = []
         self._conns: list = []
         self._victim = 0
         self._started = False
         self._fallback: PencilEngine | None = None  # kernel once degraded
-        self._plain: SpectralBackend | None = None
-        self._frontend: "_DomainBackend | None" = None
 
     # -- binding --------------------------------------------------------
 
@@ -243,8 +239,6 @@ class DomainEngine(SweepEngine):
             self.ghost = ghost
             self.decomp = decomp
             self.topology = topo
-            self._fft_ok = None
-            self._plain = SpectralBackend()
         super().bind(grid, scheme, velocity_bc, timer)  # marks f mutated
 
     # -- segments & workers ---------------------------------------------
@@ -275,16 +269,6 @@ class DomainEngine(SweepEngine):
             "rho": self._create_segment(nx_cells * 8).name,
             "accel": self._create_segment(grid.dim * nx_cells * 8).name,
         }
-        if grid.dim == 3:
-            n0, n1, n2 = grid.nx
-            nzr = n2 // 2 + 1
-            self._fft_names = (
-                self._create_segment(n0 * n1 * n2 * 8).name,
-                self._create_segment(n0 * n1 * nzr * 16).name,
-                self._create_segment(n0 * n1 * nzr * 16).name,
-            )
-            p1 = self.topology[0]
-            self._fft_p = (p1, decomp.size // p1)
 
     def _view(self, name: str, shape, dtype) -> np.ndarray:
         return np.ndarray(shape, dtype=dtype, buffer=self._segments[name].buf)
@@ -295,10 +279,6 @@ class DomainEngine(SweepEngine):
 
     def _worker_spec(self, rank: int) -> WorkerSpec:
         decomp, grid = self.decomp, self.grid
-        fft = None
-        if self._fft_names is not None:
-            fft = {"names": self._fft_names,
-                   "p1": self._fft_p[0], "p2": self._fft_p[1]}
         return WorkerSpec(
             rank=rank,
             grid=grid,
@@ -316,7 +296,6 @@ class DomainEngine(SweepEngine):
             ),
             rho_name=self._mesh_names["rho"],
             accel_name=self._mesh_names["accel"],
-            fft=fft,
         )
 
     def _ensure_workers(self) -> None:
@@ -339,13 +318,13 @@ class DomainEngine(SweepEngine):
             procs.append(proc)
             conns.append(parent)
         self._procs, self._conns = procs, conns
-        pings = self._round([("ping",)] * len(procs))
+        self._round([("ping",)] * len(procs))
         if not self._started:
             self._started = True
             emit(
                 "domain_started",
                 topology=list(self.topology), workers=len(procs),
-                ghost=self.ghost, fft_library=pings[0]["fft_library"],
+                ghost=self.ghost,
             )
 
     def _ensure_ready(self) -> None:
@@ -383,7 +362,6 @@ class DomainEngine(SweepEngine):
         self._segments.clear()
         self._seg_names = []
         self._mesh_names = {}
-        self._fft_names = None
 
     def close(self) -> None:
         """Stop workers and unlink segments (engine stays re-bindable)."""
@@ -398,7 +376,6 @@ class DomainEngine(SweepEngine):
         self.decomp = None
         self.scheme = ""
         self._started = False
-        self._frontend = None
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:
@@ -680,129 +657,8 @@ class DomainEngine(SweepEngine):
             float(min(r[1] for r in replies)),
         )
 
-    # -- distributed FFT -------------------------------------------------
-
-    def spectral_backend(self) -> "_DomainBackend":
-        """The plan-cached frontend the Poisson solver should use."""
-        if self._frontend is None:
-            self._frontend = _DomainBackend(self)
-        return self._frontend
-
-    def _fft_eligible(self, shape: tuple[int, ...], axes) -> bool:
-        if self.degraded or self.grid is None or axes is not None:
-            return False
-        if self._fft_names is None and not self._seg_names:
-            # segments not allocated yet: they will be, if dim == 3
-            if self.grid.dim != 3:
-                return False
-        elif self._fft_names is None:
-            return False
-        if tuple(shape) != self.grid.nx:
-            return False
-        if self._fft_ok is None:
-            self._fft_probe()
-        return bool(self._fft_ok)
-
-    def _fft_probe(self) -> None:
-        """One-time bitwise check of the staged transforms on the real
-        staging buffers vs the serial backend; a mismatch (numpy's fused
-        forward differs from its staged one, say) pins the field solve
-        to the parent, published as ``domain_fft_fallback``."""
-        self._fft_ok = False
-        try:
-            self._ensure_ready()
-        except DomainWorkerError:
-            return
-        if self._fft_names is None:
-            return
-        nx = self.grid.nx
-        idx = np.arange(
-            int(np.prod(nx, dtype=np.int64)), dtype=np.float64
-        ).reshape(nx)
-        x = np.cos(0.37 * idx) + 0.25 * np.sin(0.113 * idx)
-        try:
-            fwd = self._dist_fft(x, "fwd")
-            ref_fwd = self._plain.rfftn(x)
-            inv = self._dist_fft(ref_fwd, "inv")
-            ref_inv = self._plain.irfftn(ref_fwd, s=nx)
-        except DomainWorkerError:
-            return
-        if np.array_equal(fwd, ref_fwd) and np.array_equal(inv, ref_inv):
-            self._fft_ok = True
-        else:
-            emit(
-                "domain_fft_fallback",
-                reason="staged transforms not bitwise with "
-                       f"{self._plain.library}",
-            )
-
-    def _dist_fft(self, x: np.ndarray, direction: str) -> np.ndarray:
-        """The staged 3-D transform on the workers: ``"fwd"`` takes the
-        real mesh to its half-spectrum, ``"inv"`` back."""
-        self._ensure_ready()
-        t0 = time.perf_counter()
-        n0, n1, n2 = self.grid.nx
-        real = self._view(self._fft_names[0], (n0, n1, n2), np.float64)
-        spec = self._view(
-            self._fft_names[1], (n0, n1, n2 // 2 + 1), np.complex128
-        )
-        src, dst = (real, spec) if direction == "fwd" else (spec, real)
-        src[...] = x
-        for k in range(3):
-            self._supervised_round(
-                [("fft", f"{direction}{k}")] * self.decomp.size
-            )
-        out = np.array(dst)
-        if self.timer is not None:
-            self.timer.add("domain/fft", time.perf_counter() - t0)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DomainEngine(topology={self.topology}, "
             f"ghost={self.ghost}, degraded={self.degraded})"
         )
-
-
-class _DomainBackend(SpectralBackend):
-    """SpectralBackend whose 3-D mesh transforms run on the workers.
-
-    Everything else — k-space products, plan records, counters, the
-    numpy fallback, any transform that is not the bound mesh's shape —
-    is the plain parent-side backend, so the Poisson solver's code runs
-    unmodified and stays bitwise with serial whether or not a given
-    transform was distributed.
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: DomainEngine) -> None:
-        super().__init__()
-        self._engine = engine
-
-    def rfftn(self, x: np.ndarray, axes=None) -> np.ndarray:
-        eng = self._engine
-        if eng._fft_eligible(x.shape, axes):
-            try:
-                out = eng._dist_fft(x, "fwd")
-            except DomainWorkerError:
-                out = None
-            if out is not None:
-                self.n_forward += 1
-                self._plans.add(("rfftn", x.shape))
-                return out
-        return super().rfftn(x, axes=axes)
-
-    def irfftn(self, x_k: np.ndarray, s, axes=None) -> np.ndarray:
-        eng = self._engine
-        s_t = tuple(s)
-        if eng._fft_eligible(s_t, axes):
-            try:
-                out = eng._dist_fft(x_k, "inv")
-            except DomainWorkerError:
-                out = None
-            if out is not None:
-                self.n_inverse += 1
-                self._plans.add(("irfftn", s_t))
-                return out
-        return super().irfftn(x_k, s, axes=axes)

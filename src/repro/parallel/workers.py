@@ -16,12 +16,10 @@ sweep).  That is bitwise the serial sweep's slab while every shift stays
 below one cell — the engine enforces that CFL cap and gathers to the
 host for the rare sweep that exceeds it.
 
-The FFT commands are the per-pass bodies of the 2-D pencil-decomposed
-transform (promoted from :mod:`repro.parallel.fft_decomp`'s virtual-comm
-replay to real cross-worker transposes through shared staging buffers);
-the pass order matches :meth:`repro.perf.fft.SpectralBackend.irfftn`'s
-separable plan exactly, which is what makes the distributed field solve
-bitwise-identical to the serial one.
+There are no FFT commands: the field solve runs on the parent, which
+holds the whole density mesh the ``density`` command assembles (the
+paper's pencil-FFT traffic is modelled by
+:mod:`repro.parallel.fft_decomp`, not run here).
 
 Everything here must stay importable under the ``spawn`` start method:
 module-level functions only, specs picklable.
@@ -41,15 +39,6 @@ from ..core.mesh import PhaseSpaceGrid
 from ..core.moments import finite_stats
 from ..perf.arena import ScratchArena
 from ..perf.substrate import attach_shm
-from .decomposition import pencil_slices
-
-try:  # pragma: no cover - exercised on hosts with scipy
-    import scipy.fft as _fft_lib
-
-    _FFT_LIBRARY = "scipy.fft"
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _fft_lib = None
-    _FFT_LIBRARY = "numpy.fft"
 
 __all__ = ["WorkerSpec", "worker_main"]
 
@@ -76,8 +65,6 @@ class WorkerSpec:
     neighbors: tuple[tuple[int, int], ...]
     rho_name: str
     accel_name: str
-    #: 2-D pencil FFT role: {"names": (real, spec0, spec1), "p1", "p2"}
-    fft: dict | None
 
 
 class _WorkerState:
@@ -181,92 +168,6 @@ def _reduce(state: _WorkerState, role: int) -> dict:
     return {"mass": float(blk.sum(dtype=np.float64)), "ke": ke}
 
 
-# -- 2-D pencil FFT passes --------------------------------------------------
-#
-# Worker (i, j) on the p1 x p2 pencil grid owns x-pencil i and y-pencil j.
-# Each pass is a batch of independent 1-D transforms on its slab of the
-# shared staging buffers; the parent barriers between passes (it collects
-# every reply before issuing the next), which is the transpose.
-
-
-def _fft_roles(state: _WorkerState) -> tuple:
-    fft = state.spec.fft
-    p1, p2 = fft["p1"], fft["p2"]
-    return p1, p2, state.spec.rank // p2, state.spec.rank % p2
-
-
-def _fft_views(state: _WorkerState) -> tuple:
-    fft = state.spec.fft
-    n0, n1, n2 = state.spec.grid.nx
-    nzr = n2 // 2 + 1
-    real = state.mesh(fft["names"][0], (n0, n1, n2), np.float64)
-    spec0 = state.mesh(fft["names"][1], (n0, n1, nzr), np.complex128)
-    spec1 = state.mesh(fft["names"][2], (n0, n1, nzr), np.complex128)
-    return real, spec0, spec1
-
-
-def _rfft(x, axis):
-    if _fft_lib is not None:
-        return _fft_lib.rfft(x, axis=axis)
-    return np.fft.rfft(x, axis=axis)
-
-
-def _cfft(x, axis, inverse: bool):
-    if _fft_lib is not None:
-        return _fft_lib.ifft(x, axis=axis) if inverse \
-            else _fft_lib.fft(x, axis=axis)
-    return np.fft.ifft(x, axis=axis) if inverse else np.fft.fft(x, axis=axis)
-
-
-def _irfft(x, n, axis):
-    if _fft_lib is not None:
-        return _fft_lib.irfft(x, n=n, axis=axis)
-    return np.fft.irfft(x, n=n, axis=axis)
-
-
-def _fft_pass(state: _WorkerState, which: str) -> None:
-    """One pass of the staged 3-D transform (see module docstring).
-
-    Forward: rfft(z) -> fft(x) -> fft(y); inverse: ifft(x) -> ifft(y) ->
-    irfft(z) — the exact separable order of ``SpectralBackend.irfftn``.
-    """
-    p1, p2, i, j = _fft_roles(state)
-    real, spec0, spec1 = _fft_views(state)
-    n0, n1, n2 = state.spec.grid.nx
-    nzr = n2 // 2 + 1
-    x_p1 = pencil_slices(n0, p1)
-    x_p2 = pencil_slices(n0, p2)
-    y_p2 = pencil_slices(n1, p2)
-    zk_p1 = pencil_slices(nzr, p1)
-
-    if which == "fwd0":
-        if i < len(x_p1) and j < len(y_p2):
-            sl = (x_p1[i], y_p2[j], slice(None))
-            spec0[sl] = _rfft(real[sl], axis=2)
-    elif which == "fwd1":
-        if i < len(zk_p1) and j < len(y_p2):
-            sl = (slice(None), y_p2[j], zk_p1[i])
-            spec1[sl] = _cfft(spec0[sl], axis=0, inverse=False)
-    elif which == "fwd2":
-        if i < len(zk_p1) and j < len(x_p2):
-            sl = (x_p2[j], slice(None), zk_p1[i])
-            spec0[sl] = _cfft(spec1[sl], axis=1, inverse=False)
-    elif which == "inv0":
-        if i < len(zk_p1) and j < len(y_p2):
-            sl = (slice(None), y_p2[j], zk_p1[i])
-            spec1[sl] = _cfft(spec0[sl], axis=0, inverse=True)
-    elif which == "inv1":
-        if i < len(zk_p1) and j < len(x_p2):
-            sl = (x_p2[j], slice(None), zk_p1[i])
-            spec0[sl] = _cfft(spec1[sl], axis=1, inverse=True)
-    elif which == "inv2":
-        if i < len(x_p1) and j < len(y_p2):
-            sl = (x_p1[i], y_p2[j], slice(None))
-            real[sl] = _irfft(spec0[sl], n=n2, axis=2)
-    else:  # pragma: no cover - protocol error
-        raise ValueError(f"unknown fft pass {which!r}")
-
-
 # -- main loop --------------------------------------------------------------
 
 
@@ -304,10 +205,8 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                     value = _reduce(state, msg[1])
                 elif cmd == "stats":
                     value = finite_stats(state.block(spec.rank, msg[1]))
-                elif cmd == "fft":
-                    value = _fft_pass(state, msg[1])
                 elif cmd == "ping":
-                    value = {"rank": spec.rank, "fft_library": _FFT_LIBRARY}
+                    value = spec.rank
                 else:
                     raise ValueError(f"unknown command {cmd!r}")
                 reply = ("ok", value)

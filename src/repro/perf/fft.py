@@ -142,11 +142,9 @@ class SpectralBackend:
         Evaluated as the *separable* composition — one complex ``ifft``
         per leading axis, then one ``irfft`` along the last axis — rather
         than the fused ``irfftn`` kernel.  The two differ by ~1 ulp, and
-        the separable order is the one the distributed pencil path of
-        :class:`repro.parallel.domain.DomainEngine` reproduces pass by
-        pass, so using it here keeps serial and distributed field solves
-        bitwise identical by construction (the bitwise-vs-serial engine
-        gates depend on this).
+        every recorded final-f checksum was produced by the separable
+        order: switching kernels would change the bits of every
+        reproduced run, so the order stays.
         """
         self.n_inverse += 1
         self._plans.add(("irfftn", tuple(s)))

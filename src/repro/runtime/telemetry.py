@@ -298,9 +298,9 @@ def summarize(path: str | Path) -> dict:
     When the run used the domain engine (any ``domain_*`` event or
     ``domain/*`` timer section), ``domain`` rolls them up: halo
     exchanges and bytes, gathers/scatters (residency violations when
-    nonzero mid-run), CFL and FFT fallbacks, worker failures and
-    degradations, and the cumulative seconds of every ``domain/*``
-    section (``interior``, ``fft``).
+    nonzero mid-run), CFL fallbacks, worker failures and degradations,
+    and the cumulative seconds of every ``domain/*`` section
+    (``interior``).
 
     The stream is folded in a single line-by-line pass — full records
     are never accumulated — and a torn tail (SIGKILL mid-write, whether
@@ -348,7 +348,6 @@ def summarize(path: str | Path) -> dict:
             "gathers": by_kind.get("domain_gather", 0),
             "scatters": by_kind.get("domain_scatter", 0),
             "cfl_fallbacks": by_kind.get("domain_cfl_fallback", 0),
-            "fft_fallbacks": by_kind.get("domain_fft_fallback", 0),
             "worker_failures": by_kind.get("domain_worker_failure", 0),
             "degradations": by_kind.get("domain_degraded", 0),
             "section_seconds": domain_sections,

@@ -21,7 +21,10 @@ dependency is installed, as ``python tests/test_architecture.py``.
   no ``overlap`` option;
 * so does the pencil engine's process transport: ``perf/pencil.py`` is a
   thread pool with no pool of processes, no retry loop, no timeout and
-  no shard knobs — the domain engine is the one supervised transport.
+  no shard knobs — the domain engine is the one supervised transport;
+* so does the domain engine's staged mesh FFT: field solves run on the
+  parent's default backend, the engine protocol has no FFT hook, and the
+  domain worker imports no FFT library.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ RETIRED = (
     "fill" + "_halo", "state" + ".scratch(",  # _WorkerState's slab scratch
     "Sweep" + "Timeout", "_pencil" + "_worker",
     "min_shard" + "_bytes", "pencils_per" + "_worker",
+    "_Domain" + "Backend", "_dist" + "_fft", "_fft" + "_probe",
+    "_fft" + "_pass", "spectral" + "_backend",
 )
 
 
@@ -178,6 +183,14 @@ def test_the_domain_worker_runs_no_helper_thread():
     assert not [line for module, _, line
                 in imports("repro.parallel.workers", path)
                 if module.split(".")[0] == "threading"]
+
+
+def test_the_domain_worker_runs_no_fft():
+    path = SRC / "repro" / "parallel" / "workers.py"
+    offenders = [f"workers.py:{line} imports {module}" for module, _, line
+                 in imports("repro.parallel.workers", path)
+                 if module.split(".")[0] == "scipy"]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_the_domain_engine_has_no_overlap_option():

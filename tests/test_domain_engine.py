@@ -28,7 +28,6 @@ from repro.parallel import (
     exchange_ghosts_full,
 )
 from repro.parallel.vmpi import VirtualComm
-from repro.perf.fft import SpectralBackend
 from repro.perf.pencil import PencilEngine
 
 # nu axes must fit the order-5 stencil (>= 5 cells); 6 keeps the kick
@@ -206,7 +205,8 @@ class TestVmpiParity:
         # the worker's one block sweep, halo landing included, is the
         # whole section: no halo slab, no boundary re-advection
         assert "domain/interior" in timer.sections
-        assert not {"domain/halo", "domain/boundary"} & set(timer.sections)
+        assert not {"domain/halo", "domain/boundary", "domain/fft"} \
+            & set(timer.sections)
 
         # replay: one KDK step does one full drift (kicks are velocity
         # sweeps — no spatial halo); only partitioned axes exchange the
@@ -299,33 +299,12 @@ class TestCornerGhosts:
 
 
 class TestDistributedFFT:
-    """Pencil-decomposed mesh FFT through the shared segments must be
-    bitwise against the plan-cached serial backend."""
-
-    @pytest.mark.parametrize("nx", [(8, 8, 6), (9, 10, 6)])
-    def test_rfftn_irfftn_bitwise(self, nx):
-        grid = make_grid(nx=nx)
-        engine = DomainEngine(topology=(2, 2, 1))
-        try:
-            vp = PlasmaVlasovPoisson(grid, engine=engine)
-            vp.f = initial_f(grid)
-            backend = engine.spectral_backend()
-            plain = SpectralBackend()
-            idx = np.arange(int(np.prod(nx)), dtype=np.float64).reshape(nx)
-            mesh = np.cos(0.29 * idx) + 0.5 * np.sin(0.071 * idx)
-            spec = backend.rfftn(mesh)
-            assert np.array_equal(spec, plain.rfftn(mesh))
-            back = backend.irfftn(spec.copy(), s=nx)
-            assert np.array_equal(back, plain.irfftn(spec.copy(), s=nx))
-            if backend.n_forward:  # distributed path taken (probe passed)
-                assert backend.n_forward >= 1
-                assert backend.n_inverse >= 1
-        finally:
-            engine.close()
+    """The field solve runs on the parent's default backend, whatever the
+    engine: a domain step's Poisson solve is the serial one."""
 
     def test_poisson_solve_through_engine_backend(self):
-        """The driver's Poisson solver runs on the engine's backend and
-        must agree bitwise with the serial field solve."""
+        """A plasma step on the domain engine solves its fields on the
+        parent's default backend and must agree bitwise with serial."""
         f_serial = run_plasma(None, steps=1)
         engine = DomainEngine(topology=(2, 1, 1))
         f_domain = run_plasma(engine, steps=1)
@@ -354,7 +333,7 @@ class TestTelemetryDomainBlock:
                 "drifts": {"mass": {"initial": 1.0, "latest": 1.0,
                                     "drift": 0.0, "relative": True}},
                 "sections": {"step": 0.01, "domain/halo": 0.002,
-                             "domain/interior": 0.005, "domain/fft": 0.001},
+                             "domain/interior": 0.005},
                 "fft": {"n_forward": 2, "n_inverse": 4, "n_plans": 1},
                 "io": {"bytes_written": 0, "bytes_read": 0,
                        "write_seconds": 0.0, "read_seconds": 0.0},
@@ -370,9 +349,9 @@ class TestTelemetryDomainBlock:
         assert dom["cfl_fallbacks"] == 1
         assert dom["worker_failures"] == 1
         assert dom["degradations"] == 0
+        assert "fft_fallbacks" not in dom
         assert dom["section_seconds"]["halo"] == pytest.approx(0.002)
         assert dom["section_seconds"]["interior"] == pytest.approx(0.005)
-        assert dom["section_seconds"]["fft"] == pytest.approx(0.001)
 
     def test_summarize_domain_block_events_only(self, tmp_path):
         """Event-only streams (no step records) still get the block."""

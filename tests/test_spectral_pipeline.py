@@ -24,7 +24,7 @@ from repro.nbody.pm import PMSolver
 from repro.nbody.treepm import TreePMSolver
 from repro.perf.fft import SpectralBackend, set_default_backend
 from repro.runtime import EXIT_COMPLETE, RunConfig, SimulationRunner, read_telemetry
-from repro.runtime.config import GridConfig, ScheduleConfig
+from repro.runtime.config import EngineConfig, GridConfig, ScheduleConfig
 from repro.runtime.runner import TELEMETRY_NAME
 
 
@@ -301,13 +301,23 @@ class TestOneSolvePerFState:
                                     a_end=1.0, n_steps=4),
             params={"m_nu": 0.4, "seed": 7},
         ),
+        # blocks of 3 x-planes (the ghost width) and drift CFL 0.3 < 1, so
+        # every sweep runs on the workers and the solve on the parent
+        "gravitational-domain": dict(
+            scenario="gravitational",
+            grid=GridConfig(nx=(6, 6, 6), nu=(6, 6, 6), box_size=1.0,
+                            v_max=3.0, dtype="float32"),
+            schedule=ScheduleConfig(kind="time", dt=0.02, n_steps=4),
+            engine=EngineConfig(engine="domain", topology=[2, 1, 1]),
+        ),
     }
 
-    @pytest.mark.parametrize("scenario", ["plasma", "gravitational", "hybrid"])
+    @pytest.mark.parametrize("scenario", ["plasma", "gravitational", "hybrid",
+                                          "gravitational-domain"])
     def test_two_forward_transforms_per_step(self, counting_backend, scenario,
                                              tmp_path):
-        config = RunConfig(scenario=scenario, name=f"t-fft-{scenario}",
-                           **self.CONFIGS[scenario])
+        config = RunConfig(**{"scenario": scenario, "name": f"t-fft-{scenario}",
+                              **self.CONFIGS[scenario]})
         runner = SimulationRunner.create(config, tmp_path / scenario)
         assert runner.run() == EXIT_COMPLETE
         forwards = [r["fft"]["n_forward"]
