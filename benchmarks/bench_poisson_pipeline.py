@@ -4,7 +4,7 @@ Measures the field-solve path before/after the fuse (ISSUE 2): the
 pre-PR composition paid ``1 + dim`` forward transforms per spectral
 solve (``potential`` then per-axis ``gradient`` re-transforming phi)
 through ``np.fft``; :meth:`PeriodicPoissonSolver.solve_fields` pays one
-forward through the plan-cached scipy backend.  Three measurements:
+forward through the numpy.fft spectral backend.  Three measurements:
 
 * solve latency, legacy vs fused, on 2-D/3-D mesh workloads for the
   spectral and fd4 gradient methods;
@@ -26,8 +26,7 @@ path — ``PeriodicPoissonSolver.acceleration``, which skips the phi
 inverse) must run >= 1.3x faster than the pre-PR composition.  The
 gain is structural — 3 transforms instead of 6 for a 2-D spectral
 force solve (4 instead of 6 when the potential is also wanted) — so
-it holds on single-core hosts too; worker threads add on top where
-cores exist.
+it holds on single-core hosts too.
 The Strang-step speedup is recorded for the trajectory but not
 asserted: the step is advection-bound (the ``poisson_share`` field
 says exactly how much room the field solve has), and the pencil
@@ -51,7 +50,6 @@ from repro.core import PhaseSpaceGrid
 from repro.core.vlasov_poisson import PlasmaVlasovPoisson
 from repro.diagnostics import StepTimer
 from repro.gravity.poisson import PeriodicPoissonSolver
-from repro.perf.fft import get_default_backend
 from repro.perf.substrate import available_cores
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -255,8 +253,6 @@ def run_poisson_bench(repeats: int | None = None) -> dict:
     solve_repeats = repeats or (1 if SMOKE else (3 if FULL else 7))
     record = {
         "cores_available": available_cores(),
-        "fft_library": get_default_backend().library,
-        "fft_workers": get_default_backend().workers,
         "solve": run_solve_bench(solve_repeats),
         "step": run_step_bench(1 if SMOKE else 3),
     }

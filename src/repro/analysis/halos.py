@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..core.mesh import PhaseSpaceGrid
 from ..nbody.particles import ParticleSet
@@ -94,6 +93,8 @@ def fof_halos(
         linking_length = b * spacing
     if linking_length <= 0:
         raise ValueError("linking length must be positive")
+
+    from scipy.spatial import cKDTree  # on use: serving never finds halos
 
     tree = cKDTree(particles.positions, boxsize=box)
     pairs = tree.query_pairs(linking_length, output_type="ndarray")

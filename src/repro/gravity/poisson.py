@@ -45,7 +45,7 @@ with spectral gradients it also skips the inverse transform of phi
 itself (the kick never reads the potential).
 
 All transforms run through :class:`repro.perf.fft.SpectralBackend`
-(worker threads, warm pocketfft plans, pooled k-space workspaces); pass
+(``numpy.fft`` one axis at a time, pooled k-space workspaces); pass
 ``backend=`` or rely on the process-wide default.
 """
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from .particles import ParticleSet
 from .phantom import accel_batched
@@ -79,6 +78,8 @@ def ewald_accel(
     """
     if particles.dim != 3:
         raise ValueError("Ewald summation implemented for 3-D only")
+    from scipy.special import erfc  # on use: the run path never sums Ewald
+
     box = particles.box_size
     if alpha is None:
         alpha = 2.0 / box

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 #: Tile width for the batched kernel — analogous to the SIMD vector length
 #: times unrolling depth in the SVE original; NumPy amortizes per-op
@@ -55,6 +54,8 @@ def shortrange_factor(r: np.ndarray, r_split: float) -> np.ndarray:
     Gaussian-filtered PM force exp(-k^2 r_s^2) in Fourier space, so the sum
     is the exact Newtonian force.)
     """
+    from scipy.special import erfc  # on use: Vlasov-only runs never split
+
     x = r / (2.0 * r_split)
     return erfc(x) + (r / (r_split * math.sqrt(math.pi))) * np.exp(-(x**2))
 

@@ -193,6 +193,8 @@ class DomainEngine(SweepEngine):
         self._victim = 0
         self._started = False
         self._fallback: PencilEngine | None = None  # kernel once degraded
+        self._partials_key: int | None = None  # f_version of the replies
+        self._partials_replies: list | None = None
 
     # -- binding --------------------------------------------------------
 
@@ -628,18 +630,32 @@ class DomainEngine(SweepEngine):
             self._view(self._mesh_names["rho"], self.grid.nx, np.float64)
         )
 
+    def _partials(self) -> list | None:
+        """Every block's ledger and guard partials of the current f.
+
+        One worker round per f state: the replies are kept under
+        ``f_version`` (the key rule of the drivers' field slot), so a
+        step's mass, kinetic energy and guard probe share one round.
+        """
+        if self._partials_key == self.f_version:
+            return self._partials_replies
+        replies = self._reduce_on_workers("reduce")
+        if replies is not None:
+            self._partials_key, self._partials_replies = self.f_version, replies
+        return replies
+
     # Mass and kinetic energy are summed per block then across blocks —
     # not bitwise against the serial full-array ``np.sum`` (pairwise
     # order differs), but exact to the ledger's drift tolerances.
 
     def total_mass(self) -> float:
-        replies = self._reduce_on_workers("reduce")
+        replies = self._partials()
         if replies is None:
             return super().total_mass()
         return float(sum(r["mass"] for r in replies) * self.grid.cell_volume)
 
     def kinetic_energy(self) -> float:
-        replies = self._reduce_on_workers("reduce")
+        replies = self._partials()
         if replies is None:
             return super().kinetic_energy()
         ke = 0.0
@@ -649,12 +665,12 @@ class DomainEngine(SweepEngine):
 
     def f_stats(self) -> tuple[int, float]:
         """(non-finite count, global min) of f — exact under aggregation."""
-        replies = self._reduce_on_workers("stats")
+        replies = self._partials()
         if replies is None:
             return super().f_stats()
         return (
-            int(sum(r[0] for r in replies)),
-            float(min(r[1] for r in replies)),
+            int(sum(r["stats"][0] for r in replies)),
+            float(min(r["stats"][1] for r in replies)),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -158,14 +158,17 @@ def _density(state: _WorkerState, role: int) -> None:
 
 
 def _reduce(state: _WorkerState, role: int) -> dict:
-    """Partial sums for the conserved-quantity ledger (mass, kinetic)."""
+    """This block's partials for the ledger (mass, kinetic) and the
+    guards (non-finite count, min) — everything a step's bookkeeping
+    asks of f, in one reply."""
     grid = state.spec.grid
     blk = state.block(state.spec.rank, role)
     ke = []
     for d in range(grid.dim):
         u = grid.u_center_broadcast(d).astype(np.float64)
         ke.append(float((blk * u**2).sum(dtype=np.float64)))
-    return {"mass": float(blk.sum(dtype=np.float64)), "ke": ke}
+    return {"mass": float(blk.sum(dtype=np.float64)), "ke": ke,
+            "stats": finite_stats(blk)}
 
 
 # -- main loop --------------------------------------------------------------
@@ -203,8 +206,6 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                     value = _density(state, msg[1])
                 elif cmd == "reduce":
                     value = _reduce(state, msg[1])
-                elif cmd == "stats":
-                    value = finite_stats(state.block(spec.rank, msg[1]))
                 elif cmd == "ping":
                     value = spec.rank
                 else:

@@ -13,9 +13,9 @@ allocator from taxing the third:
   sweep into pencils along a non-advected axis and runs them on a
   thread pool, bitwise-identical to the serial kernel (the process
   transport is :class:`repro.parallel.domain.DomainEngine`);
-* :class:`~repro.perf.fft.SpectralBackend` — plan-cached, worker-
-  threaded FFT executor (scipy.fft pocketfft with a numpy fallback)
-  behind every field solve, with pooled complex workspaces and
+* :class:`~repro.perf.fft.SpectralBackend` — the ``numpy.fft`` executor
+  behind every field solve (separable, in the order the recorded
+  checksums were made with), with pooled complex workspaces and
   transform counters the FFT-budget tests assert against.
 
 See docs/PERFORMANCE.md ("The pencil engine", "The fused spectral

@@ -123,11 +123,10 @@ class EngineConfig:
     ``engine="domain"`` selects the persistent-worker domain engine
     instead (:class:`repro.parallel.domain.DomainEngine`): f lives
     sharded across worker processes in shared memory for the whole run,
-    halos land as the kernel's ghost planes, and the field solve's
-    mesh FFTs are pencil-distributed.  ``topology`` is its workers-per-
-    spatial-axis grid (e.g. ``[2, 2, 1]``; null auto-factors
-    ``n_workers`` over the longest axes); ``backend`` is pencil-only and
-    ignored.  The supervision knobs tune the domain engine alone: a dead
+    halos land as the kernel's ghost planes, and the field solve runs
+    on the parent.  ``topology`` is its workers-per-spatial-axis grid
+    (e.g. ``[2, 2, 1]``; null auto-factors ``n_workers`` over the
+    longest axes); ``backend`` is pencil-only and ignored.  The supervision knobs tune the domain engine alone: a dead
     or timed-out worker round (``task_timeout`` seconds; null waits
     forever) is retried on fresh workers ``max_retries`` times with
     exponential backoff from ``backoff_base`` seconds, then the engine

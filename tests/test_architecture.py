@@ -24,7 +24,10 @@ dependency is installed, as ``python tests/test_architecture.py``.
   no shard knobs — the domain engine is the one supervised transport;
 * so does the domain engine's staged mesh FFT: field solves run on the
   parent's default backend, the engine protocol has no FFT hook, and the
-  domain worker imports no FFT library.
+  domain worker imports no FFT library;
+* so does the scipy FFT path: the spectral backend is ``numpy.fft`` with
+  no fallback, no worker threads and no knob, and the modules a kinetic
+  run loads import scipy on use only, never at module level.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ RETIRED = (
     "min_shard" + "_bytes", "pencils_per" + "_worker",
     "_Domain" + "Backend", "_dist" + "_fft", "_fft" + "_probe",
     "_fft" + "_pass", "spectral" + "_backend",
+    "_scipy" + "_fft", "REPRO_FFT" + "_WORKERS", "fft" + "_fallback",
+    "n_fall" + "backs",
 )
 
 
@@ -190,6 +195,30 @@ def test_the_domain_worker_runs_no_fft():
     offenders = [f"workers.py:{line} imports {module}" for module, _, line
                  in imports("repro.parallel.workers", path)
                  if module.split(".")[0] == "scipy"]
+    assert not offenders, "\n".join(offenders)
+
+
+def _module_level(tree: ast.Module):
+    """Every node of ``tree`` outside a function or class body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_the_run_path_imports_scipy_on_use_only():
+    offenders = []
+    for parts in (("perf", "fft.py"), ("nbody", "direct.py"),
+                  ("nbody", "phantom.py"), ("analysis", "halos.py")):
+        for node in _module_level(_tree(*parts)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            offenders += [f"{'/'.join(parts)}:{node.lineno} imports {name}"
+                          for name in names if name.split(".")[0] == "scipy"]
     assert not offenders, "\n".join(offenders)
 
 

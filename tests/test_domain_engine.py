@@ -20,7 +20,7 @@ import pytest
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
 from repro.core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
-from repro.diagnostics import StepTimer
+from repro.diagnostics import ConservationLedger, StepTimer
 from repro.parallel import (
     DomainDecomposition,
     DomainEngine,
@@ -29,6 +29,10 @@ from repro.parallel import (
 )
 from repro.parallel.vmpi import VirtualComm
 from repro.perf.pencil import PencilEngine
+from repro.runtime import RunConfig
+from repro.runtime.config import EngineConfig, GridConfig, ScheduleConfig
+from repro.runtime.guards import GuardSuite
+from repro.runtime.scenarios import build_engine, build_stepper
 
 # nu axes must fit the order-5 stencil (>= 5 cells); 6 keeps the kick
 # sweeps legal while the problem stays small enough for CI
@@ -180,6 +184,46 @@ class TestWorkerResidency:
             assert n_bad == 0
             f_host = np.array(vp.f, copy=True)
             assert fmin == float(f_host.min())
+        finally:
+            engine.close()
+
+    def test_one_reduction_round_per_f_state(self, monkeypatch):
+        """A step's bookkeeping — the ledger's mass and kinetic energy,
+        the guards' (non-finite count, min) — is one worker round per f
+        state, answering what the serial engine answers."""
+        config = RunConfig(
+            scenario="gravitational", name="t-rounds",
+            grid=GridConfig(nx=(6, 6, 6), nu=(6, 6, 6), box_size=1.0,
+                            v_max=3.0, dtype="float32"),
+            schedule=ScheduleConfig(kind="time", dt=0.02, n_steps=2),
+            engine=EngineConfig(engine="domain", topology=[2, 1, 1]),
+        )
+        serial = build_stepper(config)
+        engine = build_engine(config)
+        try:
+            stepper = build_stepper(config, engine=engine)
+            ledger = ConservationLedger()
+            ledger.register(**stepper.conserved())
+            guards = GuardSuite(config.guards, ledger)
+            rounds = []
+            real_round = engine._round
+            monkeypatch.setattr(engine, "_round",
+                                lambda payloads: rounds.append(payloads[0][0])
+                                or real_round(payloads))
+            for _ in range(2):
+                stepper.advance()
+                serial.advance()
+                # the next kick's field solve (its density round) is
+                # the energy's potential term; count the bookkeeping alone
+                stepper.driver.potential_energy()
+                rounds.clear()
+                ledger.update(**stepper.conserved())
+                assert guards.check_step(stepper, 0.0) == []
+                assert rounds == ["reduce"]
+                want = serial.conserved()
+                for key, value in ledger.latest.items():
+                    assert value == pytest.approx(want[key], rel=1e-12), key
+                assert stepper.f_stats() == serial.f_stats()
         finally:
             engine.close()
 

@@ -1,8 +1,7 @@
 """Fault-tolerance: chaos injection, quarantine, rollback, fallbacks.
 
 Two tiers live here. The fast tests (FaultPlan mechanics, checkpoint
-integrity, the scipy→numpy FFT fallback, the restart-from-zero warning)
-run in tier-1. The ``chaos`` -marked integration drills run whole
+integrity, the restart-from-zero warning) run in tier-1. The ``chaos`` -marked integration drills run whole
 simulations with faults injected — a domain worker SIGKILLed or stalled
 mid-step, a checkpoint corrupted on disk, NaNs planted in f — and
 assert the headline guarantee: the run still completes with a final distribution
@@ -235,40 +234,6 @@ class TestCheckpointIntegrity:
         state = find_latest_valid_checkpoint(tmp_path)
         assert state.f is None and len(state.skipped) == 1
         assert path.exists()
-
-
-# ----------------------------------------------------------------------
-# FFT fallback (tier-1)
-# ----------------------------------------------------------------------
-
-
-class TestFFTFallback:
-    def test_scipy_failure_falls_back_to_numpy(self, monkeypatch):
-        from repro.perf import fft as fft_mod
-
-        class Broken:
-            @staticmethod
-            def rfftn(*a, **k):
-                raise RuntimeError("worker pool wedged")
-
-            @staticmethod
-            def irfftn(*a, **k):
-                raise RuntimeError("worker pool wedged")
-
-        monkeypatch.setattr(fft_mod, "_scipy_fft", Broken())
-        backend = fft_mod.SpectralBackend(workers=1)
-        events = []
-        prev = set_event_sink(lambda kind, **fields: events.append((kind, fields)))
-        try:
-            x = np.random.default_rng(3).random((16, 16))
-            x_k = backend.rfftn(x)
-            x_back = backend.irfftn(x_k, s=x.shape)
-        finally:
-            set_event_sink(prev)
-        assert np.allclose(x, x_back)
-        assert backend.counters()["fallbacks"] == 2
-        assert [kind for kind, _ in events] == ["fft_fallback", "fft_fallback"]
-        assert events[0][1]["transform"] == "rfftn"
 
 
 # ----------------------------------------------------------------------

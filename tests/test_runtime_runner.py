@@ -8,6 +8,11 @@ skipping a deliberately truncated checkpoint.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +30,7 @@ from repro.runtime import (
 )
 from repro.runtime.config import (
     CheckpointConfig,
+    DiagnosticsConfig,
     FaultsConfig,
     GridConfig,
     GuardConfig,
@@ -71,6 +77,35 @@ def gravitational_config(n_steps=6) -> RunConfig:
 
 def final_checkpoint(run_dir, n_steps):
     return read_checkpoint(run_dir / CHECKPOINT_DIR / checkpoint_name(n_steps))
+
+
+class TestImportDiet:
+    """A kinetic run never loads scipy: the field transforms are
+    ``numpy.fft``, and the Ewald, TreePM-split and FoF call sites import
+    their scipy pieces on use.  Only the hybrid's ``Cosmology``
+    integrals still pull it in."""
+
+    @pytest.mark.parametrize("config", [plasma_config, gravitational_config])
+    def test_a_run_loads_no_scipy(self, config, tmp_path):
+        cfg = config(n_steps=2)
+        cfg.checkpoint = CheckpointConfig(every_steps=1, keep_last=2)
+        cfg.diagnostics = DiagnosticsConfig(every_steps=1, n_bins=4)
+        path = cfg.dump(tmp_path / "run.json")
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['run', sys.argv[1], '--run-dir', sys.argv[2]]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not loaded, loaded[:8]\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path), str(tmp_path / "run")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert (tmp_path / "run" / "diagnostics").is_dir()
 
 
 class TestCompleteRun:

@@ -36,7 +36,7 @@ def counting_backend():
     (drivers build their own ``PeriodicPoissonSolver``) routes through
     it; the previous default is restored afterwards.
     """
-    backend = SpectralBackend(workers=1)
+    backend = SpectralBackend()
     previous = set_default_backend(backend)
     yield backend
     set_default_backend(previous)
@@ -189,7 +189,7 @@ class TestEquivalence:
     def test_treepm_threads_backend(self):
         """An explicit backend handed to TreePM carries every PM
         transform (and still performs one forward per solve)."""
-        backend = SpectralBackend(workers=1)
+        backend = SpectralBackend()
         tp = TreePMSolver((8, 8, 8), 10.0, g_newton=1.0, eps=0.05,
                           fft_backend=backend)
         rng = np.random.default_rng(6)
@@ -247,7 +247,7 @@ class TestTimerSections:
 
 class TestBackend:
     def test_counts_and_stats(self):
-        be = SpectralBackend(workers=1)
+        be = SpectralBackend()
         x = np.random.default_rng(0).standard_normal((8, 8))
         x_k = be.rfftn(x)
         y = be.irfftn(x_k, s=(8, 8))
@@ -259,8 +259,26 @@ class TestBackend:
         assert (be.n_forward, be.n_inverse) == (0, 0)
         assert be.stats()["n_plans"] == 2  # plans survive a counter reset
 
+    @pytest.mark.parametrize("shape", [(32,), (16, 8, 8), (8, 8, 8),
+                                       (12, 10, 6), (16, 12)])
+    def test_transforms_are_scipy_bits(self, shape):
+        """numpy.fft in the backend's separable order reproduces the bits
+        every recorded checksum was made with (scipy.fft's ``rfftn`` and
+        separable inverse): scipy is the oracle here, not a dependency of
+        the run path."""
+        sfft = pytest.importorskip("scipy.fft")
+        x = np.random.default_rng(len(shape)).standard_normal(shape)
+        be = SpectralBackend()
+        x_k = be.rfftn(x)
+        assert x_k.tobytes() == sfft.rfftn(x, workers=1).tobytes()
+        ref = x_k
+        for ax, n in enumerate(shape[:-1]):
+            ref = sfft.ifft(ref, n=n, axis=ax, workers=1)
+        ref = sfft.irfft(ref, n=shape[-1], axis=len(shape) - 1, workers=1)
+        assert be.irfftn(x_k, s=shape).tobytes() == ref.tobytes()
+
     def test_kspace_product_pools_workspace(self):
-        be = SpectralBackend(workers=1)
+        be = SpectralBackend()
         a = np.ones((4, 3), dtype=np.complex128)
         b = np.full((1, 3), 2.0 + 0.0j)
         out1 = be.kspace_product("g", a, b)
@@ -269,7 +287,7 @@ class TestBackend:
         assert np.all(out1 == 2.0)
 
     def test_explicit_backend_overrides_default(self, counting_backend):
-        private = SpectralBackend(workers=1)
+        private = SpectralBackend()
         solver = PeriodicPoissonSolver((8,), 1.0, backend=private)
         counting_backend.reset_counts()
         solver.solve_fields(np.sin(np.arange(8.0)), "spectral")
