@@ -14,13 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import moments
-from repro.core.advection import advect
+from repro.core.advection import SCHEMES, advect, ghost_width
 from repro.core.mesh import PhaseSpaceGrid
 from repro.parallel import (
     DomainDecomposition,
     VirtualComm,
     decomposed_spatial_advect,
-    required_ghost,
 )
 
 from benchmarks.conftest import record, run_report
@@ -57,7 +56,7 @@ def test_ablation_report(benchmark, rng):
         partial = [rng.random((nx, nx)) for _ in range(4)]
         comm2.allreduce_sum(partial, tag="density")
         comm2.allreduce_sum(partial, tag="density-second-kick")
-        ghost = required_ghost("slmpp5", 1.0)
+        ghost = ghost_width(SCHEMES["slmpp5"], 1.0)
         # ghost exchange along each decomposed velocity axis (kick stencils)
         v_blocks = [
             np.ascontiguousarray(

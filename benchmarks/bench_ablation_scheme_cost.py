@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.advection import advect
-from repro.core.schemes import MP5_RK3_CFL_LIMIT, Mp5Rk3Advector
+from repro.core.schemes import MP5_RK3_MAX_CFL, Mp5Rk3Advector
 
 from benchmarks.conftest import record, run_report
 
@@ -43,13 +43,13 @@ def test_ablation_report(benchmark, smooth_field):
         out_rk = adv.advance(f, total_shift, 1)
         t_rk = time.perf_counter() - t0
 
-        n_sub = int(np.ceil(total_shift / MP5_RK3_CFL_LIMIT))
+        n_sub = int(np.ceil(total_shift / MP5_RK3_MAX_CFL))
         agree = float(np.abs(out_sl - out_rk).max() / np.abs(f).max())
 
         lines = [
             "Scheme-cost ablation: advect the same field by 1.0 cell",
             f"  SL-MPP5 (single stage, any CFL): 1 flux evaluation, {t_sl * 1e3:8.1f} ms",
-            f"  MP5+RK3 (CFL<= {MP5_RK3_CFL_LIMIT}): {adv.flux_evaluations} flux "
+            f"  MP5+RK3 (CFL<= {MP5_RK3_MAX_CFL}): {adv.flux_evaluations} flux "
             f"evaluations ({n_sub} sub-steps x 3 stages), {t_rk * 1e3:8.1f} ms",
             f"  flux-evaluation ratio: {adv.flux_evaluations}x "
             "(paper: 'reduces the computational cost drastically')",

@@ -78,7 +78,7 @@ Allocation discipline
     loop double-buffer instead of allocating a fresh f every sweep.
 ``arena=``
     A :class:`repro.perf.arena.ScratchArena` holding the plane, flux
-    and prefix-sum scratch buffers.  Repeated calls reuse the same
+    and limiter scratch buffers.  Repeated calls reuse the same
     memory, so steady-state sweeps stop churning the allocator.  The
     arithmetic is identical with or without an arena (same operations,
     same order — only the buffer placement changes), so results are
@@ -96,11 +96,14 @@ runs the serial arithmetic on its rows and the result is bitwise the
 one-block result.  Every engine ends in this function, so every engine
 is blocked.
 
-Precision: the conservative prefix sums S(i, k) accumulate in float64
-even for float32 f (``_flux_positive``); float32 cumsums drift by
-~1e3 cell-ulps over 1024-cell axes, which leaked into the fluxes.  The
-*difference* of prefix sums is cast back to the storage dtype, so the
-flux array — and the telescoped update — stay in the input precision.
+Precision: the whole-cell sums S(i, k) accumulate in float64 even for
+float32 f (``_flux_positive``), and only the telescoped *difference* of
+neighbouring fluxes is cast back to the storage dtype, so the update
+stays in the input precision.  S adds the k cells upstream of its
+interface one by one, nearest first: it has no origin (no prefix sum
+that starts at cell 0 or at a block's first ghost plane), so a block
+landed with its neighbours (``halo=``) sums the same operands in the
+same order as the whole row, at any CFL.
 """
 
 from __future__ import annotations
@@ -151,8 +154,8 @@ _LAYOUTS = (None, "in_place", "packed")
 #: sequence of calls over blocks of the non-advected axes, so the
 #: block-sized temporaries of a call stay cache-resident instead of
 #: streaming through memory at full-array size.  Counted in cells, not
-#: bytes: the scratch per cell (float64 prefix sums and flux beside the
-#: storage-dtype planes) barely depends on f's dtype, and a kernel call
+#: bytes: the scratch per cell (float64 flux beside the storage-dtype
+#: planes) barely depends on f's dtype, and a kernel call
 #: costs ~0.5 ms of Python/ufunc dispatch, which sets the floor — see
 #: docs/PERFORMANCE.md ("Cache-blocked sweeps") for the measured table.
 BLOCK_CELLS = 1 << 16
@@ -271,8 +274,8 @@ def advect(
         shape except along ``axis``, where each holds at least
         :func:`ghost_width` planes.  Their edge planes are landed as
         ``f``'s ghost planes and the flux runs on the ``zero`` window,
-        which never wraps, so below one cell of shift the result is
-        bitwise the slab of advecting the whole row.
+        which never wraps, so the result is bitwise the slab of
+        advecting the whole row, at any shift.
 
     Returns
     -------
@@ -475,7 +478,7 @@ def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
             )
     else:
         # scalar: carry the full dimensionality so every downstream
-        # shape (gathers, prefix sums) broadcasts against f
+        # shape (window, flux planes) broadcasts against f
         sh = sh.reshape((1,) * max(f.ndim, 1))
     if not np.all(np.isfinite(sh)):
         raise ValueError("shift contains non-finite values")
@@ -497,24 +500,25 @@ def _flux_positive(planes, lo, n, sh, spec, bc, arena=None):
     cells ``-1 - k_max .. n - 1 - k_min``.
 
     S(i, k), the mass of the k whole cells upstream of interface i+1/2,
-    comes from extended prefix sums over the window: S = C(i) - C_ext(i-k)
-    with C_ext(q) = total * (q // period) + C[q mod period], valid for
-    any integer q (a ``zero`` window starts on a ghost plane and never
-    wraps: leading zeros add exactly, and ``total`` enters times 0).
+    is summed cell by cell: S = 0 + f_i + f_(i-1) + ... + f_(i-k+1), in
+    that order — one slice add per ``j < k_max``, masked to the rows
+    with ``k > j`` once ``j`` reaches ``k_min``; a periodic row reads
+    cell ``(i - j) mod n``, a ``zero`` window the landed ghost planes.
+    Every operand is a cell of the row and the order is fixed by the
+    interface alone, so S has no origin: a block landed with ``halo=``
+    adds exactly what the whole row adds, at any shift.
 
-    The prefix sums accumulate — and the result stays — in float64
-    regardless of storage dtype: a float32 cumsum over a long axis
-    carries O(n) rounding that leaks straight into the fluxes (~1e3
-    cell-ulps at n = 1024), and even an exact S rounds to ulp(S) when
-    stored at the float32 magnitude of k whole cells.  Keeping S (and
-    hence the flux) in float64 defers the cast to the *telescoped
-    difference* of neighboring fluxes — a cell-scale quantity — which
+    S accumulates — and the flux stays — in float64 regardless of
+    storage dtype: even an exact S rounds to ulp(S) when stored at the
+    float32 magnitude of k whole cells.  Keeping S (and hence the flux)
+    in float64 defers the cast to the *telescoped difference* of
+    neighboring fluxes — a cell-scale quantity — which
     ``_advect_block`` rounds back to the storage dtype exactly once.
 
-    A uniform ``k`` (``kc`` from :func:`_uniform_int`) makes both lookups
-    rotations: slice operations replace the index arrays and the two
-    indexed lookups (:func:`_add_lookup`) — same multiply/add/subtract
-    ufuncs on the same values in the same order, bitwise-identical.
+    A uniform ``k`` (``kc`` from :func:`_uniform_int`) makes the phi
+    lookup a rotation: two slice adds replace the index array and the
+    indexed lookup (:func:`_add_lookup`) — the same adds on the same
+    values, bitwise-identical.
     """
     k = np.floor(sh).astype(np.int64)
     alpha = (sh - k).astype(planes.dtype)
@@ -525,7 +529,7 @@ def _flux_positive(planes, lo, n, sh, spec, bc, arena=None):
 
     # the window: donor cells first .. first + count - 1, read by the m
     # interfaces n - m .. n - 1; interface p of them is cell off + p of
-    # the prefix-sum window first .. n - 1
+    # the cells first .. n - 1, which wrap (periodic) with that period
     periodic = bc == "periodic"
     first, count = (0, n) if periodic else (-1 - k_max, n + 1 + k_max - k_min)
     m = n if periodic else n + 1
@@ -537,34 +541,23 @@ def _flux_positive(planes, lo, n, sh, spec, bc, arena=None):
 
     flux = _scratch(arena, "flux", (n + 1,) + planes.shape[1:], np.float64)
     out = flux[n + 1 - m :]
+    out[...] = 0
+    for j in range(k_max):  # S: cell i - j joins the rows with k > j
+        where = True if j < k_min else k > j
+        if periodic:  # cell (p - j) mod n, split where it wraps
+            s = j % n
+            np.add(out[:s], planes[lo + n - s : lo + n], out=out[:s], where=where)
+            np.add(out[s:], planes[lo : lo + n - s], out=out[s:], where=where)
+        else:  # interface p - 1 reads plane lo + p - 1 - j
+            np.add(out, planes[lo - 1 - j : lo + n - j], out=out, where=where)
     if kc is not None:
-        # donor index off + p - kc splits at p = r:
-        # p <  r: wraps = -(w+1), index p - r + period;  p >= r: -w, p - r
-        w, r = divmod(kc - off, period)
-    else:
-        idx = np.arange(off, off + m).reshape((m,) + (1,) * (planes.ndim - 1)) - k
-        wraps = idx // period
-        idx -= wraps * period
-    if k_max == 0:
-        out[...] = 0
-    else:
-        csum = _scratch(arena, "csum", (period,) + planes.shape[1:], np.float64)
-        np.cumsum(planes[lo + first : lo + n], axis=0, dtype=np.float64, out=csum)
-        total = csum[-1:]
-        if kc is not None:
-            np.multiply(total, -(w + 1), out=out[:r])
-            np.multiply(total, -w, out=out[r:])
-            out[:r] += csum[period - r :]
-            out[r:] += csum[: m - r]
-        else:
-            np.multiply(total, wraps, out=out)
-            _add_lookup(out, csum, idx)
-        np.subtract(csum[off : off + m], out, out=out)
-    if kc is not None:
+        # donor index off + p - kc wraps below p = r
+        r = (kc - off) % period
         out[:r] += phi[count - r :]
         out[r:] += phi[: m - r]
     else:
-        _add_lookup(out, phi, idx)
+        idx = np.arange(off, off + m).reshape((m,) + (1,) * (planes.ndim - 1)) - k
+        _add_lookup(out, phi, idx % period)
     if periodic:
         flux[0] = flux[n]  # interface -1 is interface n-1
     return flux

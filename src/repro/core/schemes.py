@@ -25,7 +25,7 @@ from .stencil import edge_value_coefficients
 _RK3_STAGES = ((1.0, 0.0, 1.0), (0.75, 0.25, 0.25), (1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0))
 
 #: Maximum CFL for which MP5+RK3 remains monotone (Suresh & Huynh, alpha=4).
-MP5_RK3_CFL_LIMIT = 0.2
+MP5_RK3_MAX_CFL = 0.2
 
 
 @dataclass
@@ -73,7 +73,7 @@ class Mp5Rk3Advector:
 
     def advance(
         self, f: np.ndarray, shift, axis: int, bc: str = "periodic",
-        cfl: float = MP5_RK3_CFL_LIMIT,
+        cfl: float = MP5_RK3_MAX_CFL,
     ) -> np.ndarray:
         """Advance by an arbitrary total shift, sub-cycling at the CFL limit."""
         sh = np.asarray(shift, dtype=np.float64)

@@ -3,9 +3,10 @@
 The SL scheme is stable at any CFL, but three considerations still bound
 the step (and set the paper's end-to-end step counts):
 
-* **spatial CFL** — with domain decomposition the ghost width caps the
-  usable shift (repro.parallel.exchange.required_ghost); production runs
-  march at spatial CFL ~ 1;
+* **spatial CFL** — with domain decomposition a drift lands
+  ``ghost_width(spec, cfl)`` planes from each neighbour
+  (:func:`repro.core.advection.ghost_width`), so the block width bounds
+  the usable shift; production runs march at spatial CFL ~ 1;
 * **velocity CFL** — the kick shift a*dt/du should stay below ~1 cell for
   accuracy of the split (and positivity headroom);
 * **expansion** — da/a per step bounded so the background integrals stay

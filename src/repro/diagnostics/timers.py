@@ -10,10 +10,14 @@ median/percentile reporting.
 from __future__ import annotations
 
 import time
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: Laps a section keeps for its median — the paper's "40 steps, median".
+MEDIAN_LAPS = 40
 
 
 def section(timer: "StepTimer | None", name: str):
@@ -23,35 +27,40 @@ def section(timer: "StepTimer | None", name: str):
 
 @dataclass
 class SectionStats:
-    """Lap times of one named section."""
+    """Lap times of one named section.
 
-    laps: list[float] = field(default_factory=list)
+    Bounded however long the run: ``laps`` keeps the last
+    :data:`MEDIAN_LAPS` laps, the window ``median`` reads, while
+    ``count`` and ``total`` run over every lap.
+    """
+
+    laps: deque = field(default_factory=deque)
+    count: int = field(default=0, init=False)
     _total: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.count = len(self.laps)
         self._total = float(sum(self.laps))
+        self.laps = deque(self.laps, maxlen=MEDIAN_LAPS)
 
     def add(self, seconds: float) -> None:
         """Record one lap."""
         self.laps.append(seconds)
+        self.count += 1
         self._total += seconds
 
     @property
     def total(self) -> float:
-        """Sum of laps — a running sum, so per-step reads stay O(1)."""
+        """Sum of every lap — a running sum, so per-step reads stay O(1)."""
         return self._total
 
     @property
     def median(self) -> float:
-        """Median lap (the paper's reported statistic)."""
+        """Median of the last :data:`MEDIAN_LAPS` laps (the paper's
+        reported statistic)."""
         if not self.laps:
             raise ValueError("no laps recorded")
         return float(np.median(self.laps))
-
-    @property
-    def count(self) -> int:
-        """Number of laps."""
-        return len(self.laps)
 
 
 class StepTimer:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
+from ..core.advection import SCHEMES, ghost_width
 from . import a64fx, tofu
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids a cycle
@@ -48,9 +49,9 @@ SWEEPS_PER_STEP = 6
 #: (~30), sign/branch overhead (~30).
 FLOPS_PER_CELL_SWEEP = 200.0
 
-#: Ghost layers exchanged per side (order 5 at CFL ~ 1, cf.
-#: repro.parallel.exchange.required_ghost).
-GHOST_LAYERS = 4
+#: Ghost layers exchanged per side: the kernel's halo for SL-MPP5 at
+#: CFL ~ 1.
+GHOST_LAYERS = ghost_width(SCHEMES["slmpp5"], 1.0)
 
 #: Tree interactions per particle: BASE + SLOPE * log2(N_total).  With
 #: theta = 0.5 and the paper's particle loads, TreePM walks run a few

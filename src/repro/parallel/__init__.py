@@ -1,7 +1,7 @@
 """Parallel runtime: decomposition, vMPI, ghost exchange, pencil FFT —
 and the real-transport :class:`~repro.parallel.domain.DomainEngine`
 (persistent shared-memory domain workers whose halos are the kernel's
-ghost planes, distributed mesh FFT — see ``docs/PARALLEL.md``)."""
+ghost planes — see ``docs/PARALLEL.md``)."""
 
 from .decomposition import (
     BlockDecomposition,
@@ -13,7 +13,6 @@ from .exchange import (
     decomposed_velocity_advect,
     exchange_ghosts,
     exchange_ghosts_full,
-    required_ghost,
 )
 from .fft_decomp import PencilGrid, pencil_fft3d
 from .particle_exchange import (
@@ -34,7 +33,6 @@ __all__ = [
     "decomposed_velocity_advect",
     "exchange_ghosts",
     "exchange_ghosts_full",
-    "required_ghost",
     "PencilGrid",
     "decompose_particles",
     "exchange_boundary_particles",

@@ -19,11 +19,14 @@ Bitwise identity with the serial solver is a hard invariant, inherited
 from two empirically pinned facts (asserted by the test suite):
 
 * a block sweep landed with its neighbors' edge planes equals the
-  serial sweep exactly while every shift stays **below one cell** (at
-  and above it the prefix sums' origin moves) — the engine checks
-  each spatial sweep's max shift and falls back to a gather → host sweep
-  → scatter for the rare sweep at CFL >= 1 (``domain_cfl_fallback``);
-  velocity kicks never cross block boundaries and have no cap;
+  serial sweep exactly, at any CFL: the kernel's whole-cell sums have
+  no origin.  The one limit is the ghost width — a sweep shifting by up
+  to ``c`` cells lands ``ghost_width(spec, c)`` planes from each
+  neighbour, so no block along a partitioned axis may be thinner.
+  :meth:`DomainEngine.run` checks the whole plan against that before
+  any worker round and refuses with a ``ValueError`` naming the largest
+  dt/dx that fits; velocity kicks never cross block boundaries and
+  have no limit;
 * per-cell velocity moments are block-local (§5.1.3), so the density
   mesh assembled from worker slabs is the serial one bit for bit.
 
@@ -54,8 +57,8 @@ import time
 
 import numpy as np
 
-from ..core.advection import SCHEMES, ghost_width
-from ..core.engine import Sweep, SweepEngine
+from ..core.advection import SCHEMES, ghost_width, stencil_reach
+from ..core.engine import Sweep, SweepEngine, sweep_shift
 from ..core.mesh import PhaseSpaceGrid
 from ..perf.pencil import PencilEngine
 from ..perf.substrate import (
@@ -69,11 +72,6 @@ from .decomposition import BlockDecomposition
 from .workers import WorkerSpec, worker_main
 
 __all__ = ["DomainEngine", "DomainWorkerError"]
-
-#: Spatial shifts must stay strictly below one cell for block sweeps to
-#: be bitwise-identical to serial (integer part of the departure shift
-#: crosses block seams otherwise).
-_CFL_LIMIT = 1.0
 
 
 class DomainWorkerError(RuntimeError):
@@ -168,7 +166,6 @@ class DomainEngine(SweepEngine):
         self.degraded = False
         self.gather_count = 0
         self.scatter_count = 0
-        self.cfl_fallbacks = 0
         self.halo_bytes = 0
         #: halo accounting, ``(src, dst, tag) -> [messages, nbytes]`` —
         #: the VirtualComm log's messages, aggregated (bounded by the
@@ -229,7 +226,7 @@ class DomainEngine(SweepEngine):
                 )
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
-            ghost = ghost_width(SCHEMES[scheme])  # block sweeps run at CFL < 1
+            ghost = ghost_width(SCHEMES[scheme])  # the thinnest halo a sweep lands
             decomp = BlockDecomposition(grid.nx, topo)
             for d in range(grid.dim):
                 if topo[d] > 1 and grid.nx[d] // topo[d] < ghost:
@@ -516,10 +513,41 @@ class DomainEngine(SweepEngine):
     def run(self, plan, accel) -> None:
         """Run the plan on the workers; whatever a mid-plan degradation
         leaves over finishes on the host array through the base engine
-        (bitwise, only slower); that call also bumps ``f_version``."""
+        (bitwise, only slower); that call also bumps ``f_version``.
+
+        A plan whose halo would not fit the blocks is refused up front
+        (:meth:`_check_ghosts`), with f, ``f_version`` and the fleet
+        untouched."""
         if not self.degraded:
+            self._check_ghosts(plan)
             plan = plan[self._run_on_workers(plan, accel):]
         super().run(plan, accel)
+
+    def _ghost(self, sweep: Sweep) -> int:
+        """Planes a spatial sweep lands from each neighbour: the kernel's
+        ``ghost_width`` of the very shift array the workers compute."""
+        shift = sweep_shift(self.grid, sweep, None)
+        return ghost_width(SCHEMES[self.scheme], np.abs(shift).max())
+
+    def _check_ghosts(self, plan: list[Sweep]) -> None:
+        """Raise ``ValueError`` if a partitioned drift of ``plan`` needs
+        more ghost planes than the thinnest block along its axis has."""
+        for sweep in plan:
+            d = sweep.d
+            if sweep.kind != "x" or self.topology[d] == 1:
+                continue
+            g = self._ghost(sweep)
+            thin = min(self.decomp.local_shape(r)[d] for r in range(self.decomp.size))
+            if g > thin:
+                max_u = float(np.abs(self.grid.u_center_broadcast(d)).max())
+                limit = (thin - stencil_reach(SCHEMES[self.scheme])) / max_u
+                raise ValueError(
+                    f"axis {d}: the drift at CFL {max_u * abs(sweep.factor):.3g} "
+                    f"lands {g} ghost planes, but the thinnest of "
+                    f"{self.topology[d]} blocks over {self.grid.nx[d]} cells "
+                    f"has {thin}; dt/dx must stay below {limit:.6g} on this "
+                    "topology (or use fewer blocks along the axis)"
+                )
 
     def _run_on_workers(self, plan: list[Sweep], accel) -> int:
         """How many leading sweeps of ``plan`` completed on the fleet."""
@@ -545,11 +573,6 @@ class DomainEngine(SweepEngine):
         with self._section(sweep.name):
             if self.fault_hook is not None:
                 self.fault_hook(self, _FaultPool(self))
-            if spatial:
-                max_u = float(np.abs(self.grid.u_centers(d)).max())
-                if max_u * abs(sweep.factor) >= _CFL_LIMIT:
-                    self._cfl_fallback(sweep)
-                    return
             replies = self._supervised_round(
                 [("sweep", sweep, self._cur, 1 - self._cur)] * self.decomp.size
             )
@@ -558,10 +581,11 @@ class DomainEngine(SweepEngine):
             if self.timer is not None:
                 self.timer.add("domain/interior", max(replies))
             if spatial and self.topology[d] > 1:
-                self._log_halo(d)
+                self._log_halo(d, self._ghost(sweep))
 
-    def _log_halo(self, d: int) -> None:
-        """Account the sweep's ghost reads as the messages they replace.
+    def _log_halo(self, d: int, g: int) -> None:
+        """Account the sweep's ``g`` ghost planes per side as the
+        messages they replace.
 
         Reading the left neighbor's high slab is the message that
         neighbor would have sent rightward (``ghost+{axis}``), and
@@ -570,7 +594,7 @@ class DomainEngine(SweepEngine):
         parity test holds us to.  Self-sends (single block on the axis)
         are never logged, matching ``VirtualComm.sendrecv``.
         """
-        grid, decomp, g = self.grid, self.decomp, self.ghost
+        grid, decomp = self.grid, self.decomp
         nu_cells = int(np.prod(grid.nu, dtype=np.int64))
         itemsize = np.dtype(grid.dtype).itemsize
         swept = 0
@@ -588,24 +612,6 @@ class DomainEngine(SweepEngine):
         self.halo_bytes += swept
         emit("domain_halo_exchange", axis=d, nbytes=swept,
              messages=2 * decomp.size)
-
-    def _cfl_fallback(self, sweep: Sweep) -> None:
-        """Gather → host sweep → scatter for a shift at or above 1 cell.
-
-        Block sweeps are only bitwise below one cell of shift; rather
-        than silently diverge, the engine pays two full-domain copies
-        and runs the base engine's host sweep.  Counted and published —
-        a run that does this every step has its dt misconfigured for
-        this engine.
-        """
-        self.cfl_fallbacks += 1
-        self.gather_count += 1
-        self.scatter_count += 1
-        emit("domain_cfl_fallback", axis=sweep.d, factor=float(sweep.factor))
-        emit("domain_gather", nbytes=int(self._f.nbytes), reason="cfl")
-        self._gather_into_host()
-        self._host_sweep(sweep, None)
-        self._scatter_host()
 
     # -- moments / guards ------------------------------------------------
 

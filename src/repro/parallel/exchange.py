@@ -7,33 +7,22 @@ velocity advections and all velocity moments are rank-local by
 construction (paper §5.1.3), and the tests assert the decomposed update
 equals the single-domain one bit-for-bit.
 
-Ghost width: the semi-Lagrangian flux at local interface ``i+1/2`` with
-shift ``s`` (|s| <= cfl_max) touches cells within
-``(width-1)/2 + floor(cfl_max) + 1`` of ``i``, and the leftmost interior
-update needs the flux one interface outside — hence
-:func:`required_ghost`.  Decomposition therefore caps the usable CFL at
-the ghost width, the one restriction the unconditionally stable SL scheme
-inherits in production (the paper steps at spatial CFL ~ 1).
+Ghost width: the leftmost interior update reads the flux through the
+interface just outside the block, whose donor lies ``floor(cfl_max)``
+cells further out with its stencil around it — the kernel's
+:func:`repro.core.advection.ghost_width`.  Decomposition therefore
+bounds the usable CFL by the block width, the one restriction the
+unconditionally stable SL scheme inherits in production (the paper
+steps at spatial CFL ~ 1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.advection import SCHEMES, advect
+from ..core.advection import SCHEMES, advect, ghost_width
 from .decomposition import DomainDecomposition
 from .vmpi import VirtualComm
-
-
-def required_ghost(scheme: str, cfl_max: float = 1.0) -> int:
-    """Ghost layers per side for a scheme at a given maximum CFL."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    spec = SCHEMES[scheme]
-    width = max(spec.order, 5) if spec.use_mp else spec.order
-    if cfl_max < 0.0:
-        raise ValueError("cfl_max must be non-negative")
-    return (width - 1) // 2 + int(np.floor(cfl_max)) + 2
 
 
 def exchange_ghosts(
@@ -127,15 +116,16 @@ def decomposed_spatial_advect(
 
     ``shift`` must be constant along all spatial axes (it varies only with
     the velocity coordinate for the Vlasov drift), so every rank uses the
-    same array.  Equality with the global :func:`repro.core.advect` holds
-    exactly as long as |shift| <= cfl_max.
+    same array.  Each rank receives ``ghost_width(scheme, cfl_max)``
+    planes per side, and the result equals the global
+    :func:`repro.core.advect` bit for bit at any |shift| <= cfl_max.
     """
     sh = np.asarray(shift)
     if float(np.max(np.abs(sh))) > cfl_max + 1e-12:
         raise ValueError(
             f"shift exceeds cfl_max={cfl_max}; raise cfl_max (and ghost width)"
         )
-    ghost = required_ghost(scheme, cfl_max)
+    ghost = ghost_width(SCHEMES[scheme], cfl_max)
     padded = exchange_ghosts(blocks, decomp, axis, ghost, comm)
     out = []
     for blk in padded:

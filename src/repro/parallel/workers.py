@@ -12,9 +12,9 @@ The sweep command is one kernel call.  On a partitioned spatial axis the
 neighbor blocks' source-role segments are ``advect``'s ``halo``: the
 landing copy reads their edge planes out of shared memory into the
 block's ghost planes (§5.1.3's stencil-sized ghosts, filled once per
-sweep).  That is bitwise the serial sweep's slab while every shift stays
-below one cell — the engine enforces that CFL cap and gathers to the
-host for the rare sweep that exceeds it.
+sweep).  That is bitwise the serial sweep's slab at any CFL; the engine
+refuses, before the round, a plan whose ghost width exceeds the thinnest
+block.
 
 There are no FFT commands: the field solve runs on the parent, which
 holds the whole density mesh the ``density`` command assembles (the

@@ -6,8 +6,8 @@ and bandwidth-bounded float32 streaming.  NumPy gives us the first; this
 package supplies the single-node analog of the second and stops the
 allocator from taxing the third:
 
-* :class:`~repro.perf.arena.ScratchArena` — preallocated stencil /
-  flux / prefix-sum buffers so repeated ``advect`` calls are
+* :class:`~repro.perf.arena.ScratchArena` — preallocated plane /
+  flux / limiter buffers so repeated ``advect`` calls are
   allocation-free in steady state;
 * :class:`~repro.perf.pencil.PencilEngine` — shards any directional
   sweep into pencils along a non-advected axis and runs them on a

@@ -1,8 +1,8 @@
 """Preallocated scratch buffers for the hot advection path.
 
 A directional semi-Lagrangian sweep allocates roughly ten large
-temporaries per call — prefix sums, stencil gathers, fractional fluxes,
-ghost-padded copies, the flux-difference update.  At one sweep that is
+temporaries per call — landed planes, the flux, fractional fluxes,
+limiter bounds, the flux-difference update.  At one sweep that is
 noise; at the six sweeps per Strang step times thousands of steps the
 allocator (and the page-faulting of fresh memory) becomes a measurable
 tax on the paper's hot loop.

@@ -298,7 +298,7 @@ def summarize(path: str | Path) -> dict:
     When the run used the domain engine (any ``domain_*`` event or
     ``domain/*`` timer section), ``domain`` rolls them up: halo
     exchanges and bytes, gathers/scatters (residency violations when
-    nonzero mid-run), CFL fallbacks, worker failures and degradations,
+    nonzero mid-run), worker failures and degradations,
     and the cumulative seconds of every ``domain/*`` section
     (``interior``).
 
@@ -347,7 +347,6 @@ def summarize(path: str | Path) -> dict:
             "halo_bytes": domain_halo_bytes,
             "gathers": by_kind.get("domain_gather", 0),
             "scatters": by_kind.get("domain_scatter", 0),
-            "cfl_fallbacks": by_kind.get("domain_cfl_fallback", 0),
             "worker_failures": by_kind.get("domain_worker_failure", 0),
             "degradations": by_kind.get("domain_degraded", 0),
             "section_seconds": domain_sections,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..machine import a64fx
-from ..parallel.exchange import required_ghost
+from ..core.advection import SCHEMES, ghost_width
 from .runs import RunConfig
 
 #: Bytes per N-body particle: position + velocity (float64) + mass/ids.
@@ -81,7 +81,7 @@ def node_memory_budget(run: RunConfig, scheme: str = "slmpp5") -> MemoryBudget:
 
     # one axis is exchanged at a time; both faces double-buffered, with
     # chunked streaming capping the resident buffer
-    ghost = required_ghost(scheme, 1.0)
+    ghost = ghost_width(SCHEMES[scheme], 1.0)
     max_face = max(ly * lz, lx * lz, lx * ly)
     per_dir = min(ghost * max_face * nu3 * 4, GHOST_BUFFER_CAP)
     ghost_bytes = 2 * 2 * per_dir * procs  # 2 faces x double buffer

@@ -88,14 +88,11 @@ def _flux_positive(fw, sh, spec):
     k = np.floor(sh).astype(np.int64)
     alpha = (sh - k).astype(fw.dtype)
     q = np.arange(n) - k
-    if np.all(k == 0):
-        flux = np.zeros(fw.shape)
-    else:
-        csum = np.cumsum(fw, axis=-1, dtype=np.float64)
-        wraps = q // n
-        flux = csum - (
-            csum[:, -1:] * wraps + np.take_along_axis(csum, q - wraps * n, axis=-1)
-        )
+    # S(i, k) = f_i + f_(i-1) + ... + f_(i-k+1), nearest cell first, in
+    # float64: rows with k <= j add an exact +0.0
+    flux = np.zeros(fw.shape)
+    for j in range(int(k.max())):
+        flux += np.where(k > j, np.roll(fw, j, axis=-1), 0.0)
     r = stencil_reach(spec)
     st = np.stack(
         [np.take_along_axis(fw, (q + m) % n, axis=-1) for m in range(-r, r + 1)]

@@ -292,23 +292,32 @@ def test_halo_bitwise_equals_the_serial_slab(monkeypatch, scheme, dtype):
 
 @pytest.mark.parametrize("sh", [2.3, "field"])
 def test_halo_past_one_cell_conserves_and_matches_to_rounding(sh):
-    f = _field(np.float64)[:, :, :, :10]
+    """Past one cell a block landed with its neighbours is still the slab
+    of the whole row's sweep, to the last rounding: S(i, k) adds the
+    same k cells in the same order wherever the block starts.  ``2.3`` is
+    a uniform shift, ``field`` the mixed-sign fields; both run at CFL 2.3
+    and 3.7, on every cut that leaves both blocks the ghost width."""
     axis = 3
-    if sh == "field":
-        _, sh = next(mixed_sign_shifts(f.shape, axis))
-        sh = sh * (2.3 / np.abs(sh).max())
-    ref = advect(f, sh, axis)
-    blocks = _row_blocks(f, axis, 5)  # ghost width 2 + 1 + 2 = 5
-    got = np.concatenate([
-        advect(blk, sh, axis, halo=(blocks[i - 1][2], blocks[1 - i][2]))
-        for i, (_, _, blk) in enumerate(blocks)
-    ], axis=axis)
-    # Not bitwise: whole cells are summed from prefix sums that start at
-    # the block's window instead of the row's, so S(i, k) rounds
-    # differently (~1e-15).  That is why the domain engine keeps its
-    # CFL < 1 cap: its contract with the serial solver is bits.
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-    assert got.sum() == pytest.approx(f.sum(), rel=1e-12)
+    rng = np.random.default_rng(8)
+    for dtype, rtol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+        f = (0.5 + rng.random((4, 5, 3, 14))).astype(dtype)
+        for cfl in (2.3, 3.7):
+            shifts = [cfl] if sh != "field" else [
+                s * (cfl / np.abs(s).max()) for _, s in mixed_sign_shifts(f.shape, axis)
+            ]
+            g = advection.ghost_width(SCHEMES["slmpp5"], cfl)
+            for shift in shifts:
+                ref = advect(f, shift, axis)
+                for cut in range(g, f.shape[axis] - g + 1):
+                    blocks = _row_blocks(f, axis, cut)
+                    got = np.concatenate([
+                        advect(blk, shift, axis,
+                               halo=(blocks[i - 1][2], blocks[1 - i][2]))
+                        for i, (_, _, blk) in enumerate(blocks)
+                    ], axis=axis)
+                    assert got.tobytes() == ref.tobytes(), (dtype, cfl, cut)
+                np.testing.assert_allclose(got.sum(dtype=np.float64),
+                                           f.sum(dtype=np.float64), rtol=rtol)
 
 
 def test_halo_rejects_thin_neighbours_and_a_zero_bc():

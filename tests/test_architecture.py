@@ -27,7 +27,11 @@ dependency is installed, as ``python tests/test_architecture.py``.
   domain worker imports no FFT library;
 * so does the scipy FFT path: the spectral backend is ``numpy.fft`` with
   no fallback, no worker threads and no knob, and the modules a kinetic
-  run loads import scipy on use only, never at module level.
+  run loads import scipy on use only, never at module level;
+* so does the domain engine's CFL cap and its host fallback: the
+  kernel's whole-cell sums have no origin (no ``cumsum`` in
+  ``core/advection.py``), ghost width is the one limit, and
+  ``ghost_width`` is the one ghost formula.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ RETIRED = (
     "_fft" + "_pass", "spectral" + "_backend",
     "_scipy" + "_fft", "REPRO_FFT" + "_WORKERS", "fft" + "_fallback",
     "n_fall" + "backs",
+    "_CFL" + "_LIMIT", "_cfl" + "_fallback", "cfl" + "_fallbacks",
+    "required" + "_ghost",
 )
 
 
@@ -165,8 +171,8 @@ def test_the_rows_last_kernel_stays_deleted():
             offenders.append(f"{path.name}:{func.lineno} {func.name} declares {name}")
         if path.name != "advection.py":
             continue
-        # what is looked up by index is the prefix sums and phi, once each
-        # per call, never one stencil row after another
+        # what is looked up by index is phi, once per call, never one
+        # stencil row after another
         for loop in ast.walk(func):
             if not isinstance(loop, (ast.For, ast.While)):
                 continue
@@ -176,6 +182,13 @@ def test_the_rows_last_kernel_stays_deleted():
                 ):
                     offenders.append(f"{path.name}:{node.lineno} gathers inside a loop")
     assert not offenders, "\n".join(offenders)
+
+
+def test_the_whole_cell_sums_have_no_origin():
+    """S(i, k) adds the k cells upstream of its interface one by one: no
+    prefix sum, whose rounding would move with a block's first plane."""
+    path = SRC / "repro" / "core" / "advection.py"
+    assert "cumsum" not in path.read_text()
 
 
 def _tree(*parts: str) -> ast.Module:

@@ -3,7 +3,8 @@
 The :class:`~repro.parallel.domain.DomainEngine` pins each spatial block
 to a persistent shared-memory worker and must reproduce the serial
 solver *bitwise* — same splitting, same stencil, same FFT plan — across
-topologies, uneven grids, dtypes, CFL fallbacks, and worker deaths.
+topologies, uneven grids, dtypes, drifts past one cell, and worker
+deaths; a plan whose halo does not fit the blocks is refused untouched.
 These tests hold it to that, plus the vMPI accounting parity (the real
 halo bytes must equal what the virtual-communicator model predicts) and
 the no-full-gather residency guarantee.
@@ -92,7 +93,6 @@ class TestBitwiseIdentity:
         engine = DomainEngine(topology=topology)
         f_domain = run_plasma(engine)
         assert not engine.degraded
-        assert engine.cfl_fallbacks == 0
         assert np.array_equal(f_domain, f_serial)
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -113,16 +113,60 @@ class TestBitwiseIdentity:
         f_domain = run_plasma(engine, nx=nx)
         assert np.array_equal(f_domain, f_serial)
 
-    def test_cfl_fallback_bitwise(self):
-        """Sweeps whose per-step shift reaches a full cell cannot be
-        stitched from blocks; the engine must detect that, fall back to
-        a host advect, and still match serial bitwise."""
-        dt = 0.5  # max_u * dt / dx = 12 >> 1
-        f_serial = run_plasma(None, dt=dt, steps=2)
+    @pytest.mark.parametrize("cfl", [2.3, 3.7])
+    def test_drift_past_one_cell_bitwise(self, cfl):
+        """Drifts of several cells run on the workers like any other: the
+        halo is ``ghost_width`` of the sweep's shift (6 planes at 3.7,
+        the blocks' width here), and no step gathers f."""
+        nx = (12, 12, 6)
+        grid = make_grid(nx=nx)
+        max_u = float(np.abs(grid.u_centers(0)).max())
+        dt = cfl * grid.dx[0] / max_u
+        f_serial = run_plasma(None, nx=nx, dt=dt, steps=2)
         engine = DomainEngine(topology=(2, 2, 1))
-        f_domain = run_plasma(engine, dt=dt, steps=2)
-        assert engine.cfl_fallbacks > 0
-        assert np.array_equal(f_domain, f_serial)
+        try:
+            vp = PlasmaVlasovPoisson(grid, engine=engine)
+            vp.f = initial_f(grid)
+            for _ in range(2):
+                vp.step(dt)
+            assert engine.gather_count == 0 and engine.scatter_count == 1
+            assert not engine.degraded and engine.retries == 0
+            assert vp.f.tobytes() == f_serial.tobytes()
+        finally:
+            engine.close()
+
+    def test_plan_past_the_ghost_width_is_refused_untouched(self):
+        """Blocks of 4 planes take ghosts up to 4 planes (slmpp5: CFL < 2).
+        A drift at CFL 2.3 needs 5: ``run`` refuses the whole plan before
+        any worker round — the z and y sweeps ahead of x included — and
+        names the largest dt/dx that fits, (4 - 2) / max|u| = 0.8.  It is
+        not a worker failure: no retry, no degradation, no gather."""
+        from repro.runtime import telemetry
+
+        grid = make_grid()
+        engine = DomainEngine(topology=(2, 1, 1))
+        events = []
+        try:
+            solver = VlasovSolver(grid, engine=engine)
+            solver.f = initial_f(grid)
+            solver.drift(DT)
+            before = solver.f.tobytes()
+            counts = (engine.f_version, engine.gather_count,
+                      engine.scatter_count, engine.retries)
+            max_u = float(np.abs(grid.u_centers(0)).max())
+            with telemetry.event_sink(lambda kind, **_: events.append(kind)):
+                with pytest.raises(ValueError, match=r"axis 0: .*CFL 2\.3.*"
+                                   r"dt/dx must stay below 0\.8 "):
+                    solver.drift(2.3 * grid.dx[0] / max_u)
+            assert (engine.f_version, engine.gather_count,
+                    engine.scatter_count, engine.retries) == counts
+            assert solver.f.tobytes() == before
+            assert engine.gather_count == counts[1]  # no sweep left f stale
+            assert not engine.degraded and "domain_worker_failure" not in events
+            solver.drift(DT)  # the fleet still serves
+            assert engine.retries == 0
+        finally:
+            engine.close()
 
 
 class TestNonDivisibleGrids:
@@ -369,7 +413,6 @@ class TestTelemetryDomainBlock:
             w.event("domain_halo_exchange", axis=1, nbytes=512, messages=8)
             w.event("domain_gather", reason="host")
             w.event("domain_scatter", reason="host")
-            w.event("domain_cfl_fallback", axis=0)
             w.event("domain_worker_failure", attempt=1, error="killed")
             rec = {
                 "step": 1, "coord": {"t": 0.1}, "dt": 0.1, "wall_s": 0.01,
@@ -390,7 +433,7 @@ class TestTelemetryDomainBlock:
         assert dom["halo_bytes"] == 1536
         assert dom["gathers"] == 1
         assert dom["scatters"] == 1
-        assert dom["cfl_fallbacks"] == 1
+        assert "cfl_fallbacks" not in dom
         assert dom["worker_failures"] == 1
         assert dom["degradations"] == 0
         assert "fft_fallbacks" not in dom

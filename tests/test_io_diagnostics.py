@@ -313,7 +313,8 @@ class TestStepTimer:
 
     def test_total_is_a_running_sum(self):
         """The runner reads every section's total every step: the read
-        must not walk the laps (O(steps^2) over a run)."""
+        must not walk the laps (O(steps^2) over a run), and the laps kept
+        stay bounded — the last 40, the paper's "40 steps, median"."""
         import math
 
         from repro.diagnostics import SectionStats
@@ -328,10 +329,12 @@ class TestStepTimer:
         for lap in laps[2:]:
             stats.add(lap)
         assert stats.count == 5002
-        assert stats.median == float(np.median(laps))
+        assert len(stats.laps) == 40
+        assert stats.median == float(np.median(laps[-40:]))
         exact = math.fsum(laps)
         stats.laps = NoWalk(stats.laps)
         assert abs(stats.total - exact) <= 1e-12 * exact
+        assert stats.count == 5002
 
 
 class TestConservationLedger:

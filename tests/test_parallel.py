@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.advection import advect
+from repro.core.advection import SCHEMES, advect, ghost_width
 from repro.parallel import (
     DomainDecomposition,
     PencilGrid,
@@ -16,7 +16,6 @@ from repro.parallel import (
     decomposed_velocity_advect,
     exchange_ghosts,
     pencil_fft3d,
-    required_ghost,
 )
 
 
@@ -126,18 +125,22 @@ class TestGhostExchange:
 
 
 class TestDecomposedAdvection:
-    @given(st.integers(0, 2**31 - 1), st.floats(-0.95, 0.95))
+    @given(st.integers(0, 2**31 - 1), st.floats(-3.5, 3.5))
     @settings(max_examples=15, deadline=None)
     def test_spatial_bit_equality(self, seed, shift_scale):
-        """The decomposed drift equals the global one bit-for-bit."""
+        """The decomposed drift equals the global one bit-for-bit, past
+        one cell too: blocks of 8 planes take the 6-plane halo of
+        |shift| <= 3.5.  float64 keeps the whole-cell sums' last bits."""
         r = np.random.default_rng(seed)
-        f = r.random((24, 6, 6)).astype(np.float32)
         u = (shift_scale * np.linspace(-1, 1, 6)).reshape(1, 6, 1).astype(np.float32)
         d = DomainDecomposition((24,), (3,))
-        comm = VirtualComm(3)
-        got = d.gather(decomposed_spatial_advect(d.scatter(f), d, u, 0, "slmpp5", comm))
-        want = advect(f, u, 0, scheme="slmpp5")
-        assert np.array_equal(got, want)
+        for dtype in (np.float32, np.float64):
+            f = r.random((24, 6, 6)).astype(dtype)
+            comm = VirtualComm(3)
+            got = d.gather(decomposed_spatial_advect(d.scatter(f), d, u, 0, "slmpp5",
+                                                     comm, cfl_max=3.5))
+            want = advect(f, u, 0, scheme="slmpp5")
+            assert got.tobytes() == want.tobytes()
 
     def test_velocity_needs_no_communication(self, rng):
         """Paper §5.1.3: the velocity space is never decomposed, so kicks
@@ -163,11 +166,17 @@ class TestDecomposedAdvection:
             )
 
     def test_required_ghost_values(self):
-        assert required_ghost("slmpp5", 1.0) == 5
-        assert required_ghost("slp5", 0.9) == 4
-        assert required_ghost("upwind1", 0.5) == 2
-        with pytest.raises(ValueError):
-            required_ghost("nope")
+        """The decomposed drift exchanges the kernel's ghost width."""
+        assert ghost_width(SCHEMES["slmpp5"], 1.0) == 4
+        assert ghost_width(SCHEMES["slp5"], 0.9) == 3
+        assert ghost_width(SCHEMES["upwind1"], 0.5) == 1
+        f = np.ones((24, 4), np.float32)
+        d = DomainDecomposition((24,), (2,))
+        comm = VirtualComm(2)
+        decomposed_spatial_advect(d.scatter(f), d, np.full((1, 4), 1.5), 0,
+                                  "slmpp5", comm, cfl_max=2.0)
+        # 2 ranks x 2 directions, ghost_width(slmpp5, 2.0) = 5 planes of 4 cells
+        assert comm.log.total_p2p_bytes() == 4 * 5 * 4 * 4
 
 
 class TestPencilFFT:

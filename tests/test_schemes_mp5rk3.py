@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.advection import advect
-from repro.core.schemes import MP5_RK3_CFL_LIMIT, Mp5Rk3Advector
+from repro.core.schemes import MP5_RK3_MAX_CFL, Mp5Rk3Advector
 
 from .conftest import cell_averages, sine_primitive
 
@@ -54,7 +54,7 @@ class TestProperties:
         adv = Mp5Rk3Advector()
         g = f.copy()
         for _ in range(50):
-            g = adv.step(g, MP5_RK3_CFL_LIMIT, 0)
+            g = adv.step(g, MP5_RK3_MAX_CFL, 0)
         assert g.max() <= 1.0 + 1e-6
         assert g.min() >= -1e-6
 
@@ -66,7 +66,7 @@ class TestProperties:
         adv = Mp5Rk3Advector(use_mp=False)
         g = f.copy()
         for _ in range(50):
-            g = adv.step(g, MP5_RK3_CFL_LIMIT, 0)
+            g = adv.step(g, MP5_RK3_MAX_CFL, 0)
         assert g.max() > 1.0 + 1e-3 or g.min() < -1e-3
 
     def test_negative_velocity_mirror(self, rng):
