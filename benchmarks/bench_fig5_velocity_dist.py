@@ -52,7 +52,7 @@ def matched_evolution():
             ]
         )
         particles.kick(acc_p, kick1)
-        sim.step(a_next)  # advances the hybrid with its own KDK
+        sim.step(a_next)  # advances the hybrid with its own leapfrog
         particles.drift(drift)
         acc_mesh = sim.mesh_acceleration(a_next)
         acc_p = np.column_stack(
@@ -62,6 +62,7 @@ def matched_evolution():
             ]
         )
         particles.kick(acc_p, kick2)
+    sim.synchronize()  # the hybrid's pending half kick: f at z = 0
     return sim, particles
 
 

@@ -1,6 +1,6 @@
 """Serial vs pencil-sharded sweeps — the PencilEngine acceptance gate.
 
-Measures one full float32 Strang step (3 drifts + 2x3 kicks) and the
+Measures one merged float32 leapfrog step (3 kicks + 3 drifts) and the
 individual directional sweeps, serial vs :class:`repro.perf.PencilEngine`,
 on 6-D phase-space workloads.  Results go to stdout and to
 ``benchmarks/results/BENCH_pencil.json`` so the trajectory of the
@@ -17,7 +17,7 @@ Sizes:
   point executable (the bitwise check still gates).
 
 Acceptance: bitwise identical always; with >= 2 available cores the
-sharded Strang step must reach a parallel efficiency — speedup over
+sharded step must reach a parallel efficiency — speedup over
 ``min(n_workers, cores)`` — of >= 0.45, i.e. sharding over two threads
 must not cost more than ~10 % over the serial step.  That is all the
 gate can honestly ask of the thread backend today, and the history of
@@ -96,12 +96,14 @@ def _median_time(fn, repeats: int) -> float:
     return float(np.median(laps))
 
 
-def _strang(solver: VlasovSolver, accel: np.ndarray) -> None:
-    solver.strang_step(accel, 0.004, 0.008, lambda: accel, 0.004)
+def _step(solver: VlasovSolver, accel: np.ndarray) -> None:
+    """One merged leapfrog step: a full kick, then the drift."""
+    solver.kick(accel, 0.008)
+    solver.drift(0.008)
 
 
 def run_pencil_bench(n_workers: int | None = None, repeats: int = 3) -> dict:
-    """Measure serial vs sharded Strang steps; return the result record."""
+    """Measure serial vs sharded steps; return the result record."""
     cores = available_cores()
     if n_workers is None:
         n_workers = max(2, cores)
@@ -112,27 +114,27 @@ def run_pencil_bench(n_workers: int | None = None, repeats: int = 3) -> dict:
 
     serial = VlasovSolver(grid)
     serial.f[...] = ic
-    _strang(serial, accel)  # warm the arena
+    _step(serial, accel)  # warm the arena
     serial.f[...] = ic
-    t_serial = _median_time(lambda: _strang(serial, accel), repeats)
+    t_serial = _median_time(lambda: _step(serial, accel), repeats)
 
     engine = PencilEngine(n_workers=n_workers)
     sharded = VlasovSolver(grid, engine=engine)
     sharded.f[...] = ic
-    _strang(sharded, accel)
+    _step(sharded, accel)
     sharded.f[...] = ic
-    t_sharded = _median_time(lambda: _strang(sharded, accel), repeats)
+    t_sharded = _median_time(lambda: _step(sharded, accel), repeats)
 
     # bitwise identity of the full multi-sweep trajectory
     serial.f[...] = ic
     sharded.f[...] = ic
-    _strang(serial, accel)
-    _strang(sharded, accel)
+    _step(serial, accel)
+    _step(sharded, accel)
     bitwise = serial.f.tobytes() == sharded.f.tobytes()
     engine.close()
 
     record = {
-        "workload": f"{grid.nx[0]}^3 x {grid.nu[0]}^3 float32 Strang step",
+        "workload": f"{grid.nx[0]}^3 x {grid.nu[0]}^3 float32 leapfrog step",
         "n_cells": grid.n_cells,
         "cores_available": cores,
         "n_workers": n_workers,
@@ -160,7 +162,7 @@ def test_pencil_engine_speedup_and_identity():
         print("smoke mode: timing gates skipped")
     elif record["cores_available"] >= 2:
         assert record["parallel_efficiency"] >= MIN_PARALLEL_EFFICIENCY, (
-            f"sharded Strang step {record['speedup']:.2f}x faster with "
+            f"sharded step {record['speedup']:.2f}x faster with "
             f"{record['n_workers']} workers on {record['cores_available']} "
             f"cores: efficiency {record['parallel_efficiency']:.2f} "
             f"(acceptance: >= {MIN_PARALLEL_EFFICIENCY})"

@@ -8,7 +8,7 @@ forward through the numpy.fft spectral backend.  Three measurements:
 
 * solve latency, legacy vs fused, on 2-D/3-D mesh workloads for the
   spectral and fd4 gradient methods;
-* plasma Strang-step throughput on a 2-D benchmark workload
+* plasma step throughput on a 2-D benchmark workload
   (128^2 x 8^2, spectral gradients), legacy field path vs fused;
 * the fused step's timer breakdown (``poisson/moments|fft|grad``),
   recording what share of a step the field solve actually is.
@@ -27,7 +27,7 @@ inverse) must run >= 1.3x faster than the pre-PR composition.  The
 gain is structural — 3 transforms instead of 6 for a 2-D spectral
 force solve (4 instead of 6 when the potential is also wanted) — so
 it holds on single-core hosts too.
-The Strang-step speedup is recorded for the trajectory but not
+The step speedup is recorded for the trajectory but not
 asserted: the step is advection-bound (the ``poisson_share`` field
 says exactly how much room the field solve has), and the pencil
 engine, not this pipeline, owns the sweep budget.
@@ -179,7 +179,7 @@ def run_solve_bench(repeats: int = 7) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# plasma Strang-step throughput
+# plasma step throughput
 
 
 def _plasma_driver(timer: StepTimer | None = None) -> PlasmaVlasovPoisson:
@@ -235,7 +235,7 @@ def run_step_bench(repeats: int = 5) -> dict:
     }
     return {
         "workload": (
-            f"{vp.grid.nx[0]}^2 x {vp.grid.nu[0]}^2 float64 Strang step, "
+            f"{vp.grid.nx[0]}^2 x {vp.grid.nu[0]}^2 float64 leapfrog step, "
             f"slp3, spectral grad"
         ),
         "n_cells": vp.grid.n_cells,

@@ -42,6 +42,7 @@ def main() -> None:
         vp.step(dt=0.1)
         times.append(vp.time)
         energies.append(vp.field_energy())
+    vp.synchronize()  # apply the pending half kick: f at t = 16
     t = np.array(times)
     e = np.array(energies)
 

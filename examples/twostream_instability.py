@@ -58,6 +58,7 @@ def main() -> None:
             )
             print(f"{vp.time:6.1f} {e:13.4e} {phase}")
 
+    vp.synchronize()  # apply the pending half kick before reading f
     e = np.array(energies)
     t = np.arange(1, args.steps + 1) * args.dt
     window = (e > 30 * e[0]) & (e < e.max() / 10) & (t < t[e.argmax()])

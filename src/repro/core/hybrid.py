@@ -11,15 +11,27 @@ potential:
   neutrino components share the common gravitational potential".
 
 One step advances both components through the same scale-factor interval
-with the KDK structure: kick both (potential at a0), drift both, recompute
-the potential from the *drifted* densities, kick both.
+with the KDK structure of Eq. (5) in its merged (leapfrog) form.  Step
+n's closing half kick and step n+1's opening half kick use the same
+potential, the one solved from the *drifted* densities at a_n, so they
+are one kick by one integral:
+
+    kick both by kick_factor(am_{n-1}, am_n) -> drift both over [a_n, a_{n+1}]
+
+with am the interval midpoints.  Between steps both components owe the
+half kick kick_factor(am, a) (``kick_from`` holds am; None: synchronous);
+:meth:`HybridSimulation.synchronize` applies it, and checkpoints carry it.
 
 Each kick solves the common potential once (:meth:`HybridSimulation.
 kick_fields`): one neutrino moment, one CDM window stencil for the
 deposit and the interpolation, one PM solve; the Vlasov kick takes the
 mesh field, the CDM kick the same field at the particles (plus the tree
-term).  A timer records it as ``pm/{moments,deposit,fft,grad,interp}``,
-``tree`` and ``cdm/{kick,drift}``: the paper's per-part split (Tables 3-4).
+term).  The last solve is kept, keyed like the Vlasov-Poisson drivers'
+slot by the engine's ``f_version`` and a, and recomputed lazily after a
+restore; a kick moves neither the density nor the particles, so the
+bits are the same.  A timer records it as
+``pm/{moments,deposit,fft,grad,interp}``, ``tree`` and
+``cdm/{kick,drift}``: the paper's per-part split (Tables 3-4).
 
 The Vlasov grid's spatial mesh doubles as the PM mesh so the densities
 live on one grid.  (The paper decouples N_PM from N_x for load balance;
@@ -87,6 +99,9 @@ class HybridSimulation:
     engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
     step_count: int = field(default=0, init=False)
+    #: start of the owed kick interval [kick_from, a]; None: synchronous
+    kick_from: float | None = field(default=None, init=False)
+    _fields: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
         if abs(self.cdm.box_size - self.grid.box_size) > 1e-9 * self.grid.box_size:
@@ -154,41 +169,60 @@ class HybridSimulation:
     # time stepping
     # ------------------------------------------------------------------
 
+    def _current_fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`kick_fields` at the current state, solved once."""
+        key = (self.neutrinos.engine.f_version, self.a)
+        if self._fields[0] != key:
+            self._fields = (key, self.kick_fields(self.a))
+        return self._fields[1]
+
+    def _kick(self, factor: float) -> None:
+        acc_mesh, acc = self._current_fields()
+        self.neutrinos.kick(acc_mesh, factor)
+        with section(self.timer, "cdm/kick"):
+            self.cdm.kick(acc, factor)
+
     def step(self, a_next: float) -> None:
-        """Advance both components from the current a to a_next (KDK)."""
+        """Advance both components from the current a to a_next: one
+        merged kick (the pending half plus the opening half, one
+        integral), the drift, the closing half left pending."""
         if a_next <= self.a:
             raise ValueError("a_next must exceed the current scale factor")
         cosmo = self.cosmology
         a0, a1 = self.a, a_next
         am = 0.5 * (a0 + a1)
-        kick1 = cosmo.kick_factor(a0, am)
+        self._kick(cosmo.kick_factor(
+            a0 if self.kick_from is None else self.kick_from, am))
         drift = cosmo.drift_factor(a0, a1)
-        kick2 = cosmo.kick_factor(am, a1)
-
-        # first kick: common potential at a0
-        self._kick(a0, kick1)
-
-        # drift both components
         self.neutrinos.drift(drift)
         with section(self.timer, "cdm/drift"):
             self.cdm.drift(drift)
-
-        # second kick: recomputed potential at a1
-        self._kick(a1, kick2)
-
+        self.kick_from = am
         self.a = a_next
         self.step_count += 1
 
-    def _kick(self, a: float, dt_kick: float) -> None:
-        acc_mesh, acc = self.kick_fields(a)
-        self.neutrinos.kick(acc_mesh, dt_kick)
-        with section(self.timer, "cdm/kick"):
-            self.cdm.kick(acc, dt_kick)
+    def synchronize(self) -> None:
+        """Apply the pending half kick kick_factor(kick_from, a) to both
+        components in place.  A no-op when nothing is pending."""
+        if self.kick_from is not None:
+            self._kick(self.cosmology.kick_factor(self.kick_from, self.a))
+            self.kick_from = None
+
+    def pending_velocity(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(mesh, particles)``: the velocity shifts the pending kick
+        applies to the neutrinos' mesh and to the CDM particles; both
+        None when synchronous."""
+        if self.kick_from is None:
+            return None, None
+        factor = self.cosmology.kick_factor(self.kick_from, self.a)
+        acc_mesh, acc = self._current_fields()
+        return factor * acc_mesh, factor * acc
 
     def run(self, schedule: np.ndarray, observer=None) -> None:
         """Advance through a scale-factor schedule (first entry = current a).
 
-        ``observer(sim)`` is called after every step when given.
+        ``observer(sim)`` is called after every step when given (on the
+        carried state); the schedule ends synchronized.
         """
         schedule = np.asarray(schedule, dtype=np.float64)
         if abs(schedule[0] - self.a) > 1e-12:
@@ -197,6 +231,7 @@ class HybridSimulation:
             self.step(float(a_next))
             if observer is not None:
                 observer(self)
+        self.synchronize()
 
     # ------------------------------------------------------------------
     # convenience diagnostics
@@ -218,6 +253,9 @@ class HybridSimulation:
         """Write the full state (f + particles + epoch) for bit-exact restart."""
         from ..io.snapshot import write_checkpoint
 
+        extra = dict(extra or {})
+        if self.kick_from is not None:
+            extra["kick_from_a"] = self.kick_from
         return write_checkpoint(
             path, self.grid, self.neutrinos.f, self.cdm,
             a=self.a, step=self.step_count, extra=extra, timer=timer,
@@ -230,12 +268,19 @@ class HybridSimulation:
         grid, f, particles, header = read_checkpoint(path, timer=timer)
         if grid != self.grid:
             raise ValueError("checkpoint grid does not match this simulation")
+        self.restore(f, particles, header)
+
+    def restore(self, f: np.ndarray, particles: ParticleSet | None,
+                header: dict) -> None:
+        """Adopt a checkpoint's state; a header without ``kick_from_a``
+        (written synchronous) owes no kick."""
         if particles is None:
             raise ValueError("checkpoint carries no particles")
         self.neutrinos.f = f
         self.cdm = particles
         self.a = float(header["a"])
         self.step_count = int(header["step"])
+        self.kick_from = header.get("extra", {}).get("kick_from_a")
 
 
 def build_neutrino_component(

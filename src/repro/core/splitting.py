@@ -14,7 +14,10 @@ composition itself a first-class, testable object:
 All three drive any object exposing ``kick_operator(dt)`` and
 ``drift_operator(dt)``; :class:`SplitStepper` adapts the
 Vlasov-Poisson drivers to that protocol.  The temporal orders are
-*measured* in ``tests/test_splitting.py``.
+*measured* in ``tests/test_splitting.py``.  The drivers' own step is the
+Strang composition with adjacent half kicks merged
+(:mod:`repro.core.vlasov_poisson`); here every composition stays
+unmerged, so that each is measured as written.
 """
 
 from __future__ import annotations

@@ -10,11 +10,19 @@ paper's §5.1.1, each as a plan of directional sweeps executed by its engine
 * ``kick``  — the velocity advections of Eq. (4), speed -dphi/dx_i,
   supplied as an acceleration field on the spatial mesh.
 
-One full time step composes them in the Strang sequence of Eq. (5):
-half kick, full drift, half kick — with the caller recomputing the
-potential between the drift and the second half kick (KDK), which keeps
-the whole Vlasov-Poisson loop second order in time while the advections
-themselves are spatially 5th order and single-stage.
+One full time step composes them in the Strang sequence of Eq. (5),
+K(h/2) D(h) K(h/2), with the caller recomputing the potential after the
+drift.  The drivers run it in the merged (leapfrog) form: step n's
+closing half kick and step n+1's opening half kick see the same field
+(a kick leaves the density unchanged), so they are applied as one kick,
+
+    K(h_{n-1}/2 + h_n/2) D(h_n),   pending K(h_n/2) carried to step n+1,
+
+three velocity and three spatial sweeps per step, one field solve.  A
+driver's ``synchronize()`` applies the pending half kick when the
+synchronous f is needed.  The whole Vlasov-Poisson loop stays second
+order in time while the advections are spatially 5th order and
+single-stage.
 
 Thanks to the semi-Lagrangian fluxes, *no CFL restriction* applies: the
 paper's neutrinos move many cells per step at high redshift.
@@ -129,8 +137,8 @@ class VlasovSolver:
             Acceleration field -grad(phi) on the spatial mesh, shape
             ``(dim,) + grid.nx``.
         dt_kick:
-            Effective kick time (int dt over the half step for
-            cosmological callers).
+            Effective kick time (int dt over the kicked interval for
+            cosmological callers; a merged kick spans two half steps).
 
         Applied in x, y, z order (rightmost first in Eq. 5).
         """
@@ -145,25 +153,6 @@ class VlasovSolver:
                   dt_kick / g.du[d], self.velocity_bc)
             for d in range(g.dim)
         ], accel)
-
-    def strang_step(
-        self,
-        accel_first: np.ndarray,
-        dt_kick_first: float,
-        dt_drift: float,
-        recompute_accel,
-        dt_kick_second: float,
-    ) -> None:
-        """One full Strang (KDK) step of Eq. (5).
-
-        ``recompute_accel`` is a callable invoked *after* the drift with no
-        arguments, returning the updated acceleration field for the second
-        half kick (callers close over their Poisson solve; the density has
-        changed during the drift).
-        """
-        self.kick(accel_first, dt_kick_first)
-        self.drift(dt_drift)
-        self.kick(recompute_accel(), dt_kick_second)
 
     # ------------------------------------------------------------------
     # CFL bookkeeping (informational: the SL scheme has no stability limit,

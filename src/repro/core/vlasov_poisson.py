@@ -15,16 +15,26 @@ and :class:`repro.gravity.poisson.PeriodicPoissonSolver`:
   ``cosmology=None`` freezes the expansion (a = 1, plain dt) for static
   self-gravity tests [26].
 
-Both advance with the KDK Strang sequence of Eq. (5), recomputing the
-potential between the drift and the second half kick.
+Both advance with the KDK Strang sequence of Eq. (5) in its merged
+(leapfrog) form.  Step n's closing half kick and step n+1's opening half
+kick use the same field, the solve after step n's drift, so a step is
+
+    kick(pending + h/2) -> drift(h) -> pending = h/2
+
+three velocity and three spatial sweeps and one field solve.  Between
+steps f carries the ``pending_kick`` (a kick time, or the kick factor
+int dt of a cosmological step): it is the synchronous state minus that
+half kick.  :meth:`synchronize` applies it in place; a checkpoint stores
+it as it is, so a restored run continues the same chain bit for bit.
+The density, and with it the field, is the synchronous one: a kick does
+not move mass between spatial cells.
 
 One field solve per f state: each driver keeps its last solve, keyed by
 the engine's ``f_version`` (bumped by every sweep, f assignment and
 ``notify_f_mutated``) and the scale factor.  The ledger's energy after a
-step and the next step's first kick see the same f, so the kick reuses
-the ledger's solve: two solves per step, not three, bitwise unchanged.
-The slot's arrays are read-only; writing into ``f`` in place after a
-solve needs ``solver.notify_f_mutated()``.
+step and the next step's kick see the same f, so the kick reuses the
+ledger's solve.  The slot's arrays are read-only; writing into ``f`` in
+place after a solve needs ``solver.notify_f_mutated()``.
 """
 
 from __future__ import annotations
@@ -57,9 +67,36 @@ class _Slot(NamedTuple):
 
 class _OneSolvePerF:
     """What both drivers share: the last field solve, reused while the
-    request's key (f version, and a) is the slot's."""
+    request's key (f version, and a) is the slot's, and the half kick
+    f still owes (see the module docstring)."""
 
     _slot = _Slot(None, None, None, None)
+    #: kick time the next step (or :meth:`synchronize`) adds; 0: f is
+    #: synchronous
+    pending_kick: float = 0.0
+
+    def _kick_drift(self, dt_kick: float, dt_drift: float,
+                    dt_pending: float) -> None:
+        """The merged step: one kick by ``pending + dt_kick`` in the
+        current field, the drift, and ``dt_pending`` left owed."""
+        self.solver.kick(self._timed_accel(), self.pending_kick + dt_kick)
+        self.solver.drift(dt_drift)
+        self.pending_kick = dt_pending
+
+    def synchronize(self) -> None:
+        """Apply the pending half kick in place: f becomes the
+        synchronous state of the current time.  A no-op when nothing is
+        pending."""
+        if self.pending_kick:
+            self.solver.kick(self._timed_accel(), self.pending_kick)
+            self.pending_kick = 0.0
+
+    def pending_velocity(self) -> np.ndarray | None:
+        """The velocity shift the pending kick applies on the spatial
+        mesh, ``pending_kick * acceleration``; None when synchronous."""
+        if not self.pending_kick:
+            return None
+        return self.pending_kick * self._timed_accel()
 
     def _field_solve(self, key, need_phi: bool, density_source,
                      sign: float = 1.0) -> _Slot:
@@ -177,18 +214,19 @@ class PlasmaVlasovPoisson(_OneSolvePerF):
         return self.solver.kinetic_energy() + self.field_energy()
 
     def step(self, dt: float) -> None:
-        """One KDK Strang step of length dt."""
-        self.solver.strang_step(
-            self._timed_accel(), 0.5 * dt, dt, self._timed_accel, 0.5 * dt
-        )
+        """One merged leapfrog step of length dt: kick by the pending
+        half kick plus dt/2, drift by dt, dt/2 left pending."""
+        self._kick_drift(0.5 * dt, dt, 0.5 * dt)
         self.time += dt
 
     def run(self, dt: float, n_steps: int, observer: Callable | None = None) -> None:
-        """Advance n_steps, optionally calling ``observer(self)`` each step."""
+        """Advance n_steps, optionally calling ``observer(self)`` each step
+        (on the carried state); the run ends synchronized."""
         for _ in range(n_steps):
             self.step(dt)
             if observer is not None:
                 observer(self)
+        self.synchronize()
 
 
 @dataclass
@@ -299,18 +337,19 @@ class GravitationalVlasovPoisson(_OneSolvePerF):
     # ------------------------------------------------------------------
 
     def step_static(self, dt: float) -> None:
-        """KDK step with frozen expansion (a stays fixed)."""
-        self.solver.strang_step(
-            self._timed_accel(), 0.5 * dt, dt, self._timed_accel, 0.5 * dt
-        )
+        """Merged leapfrog step with frozen expansion (a stays fixed)."""
+        self._kick_drift(0.5 * dt, dt, 0.5 * dt)
         self.time += dt
 
     def step_cosmological(self, a_next: float) -> None:
-        """KDK step advancing the scale factor from self.a to a_next.
+        """Merged leapfrog step advancing the scale factor from self.a
+        to a_next.
 
         Kick and drift prefactors are the exact background integrals
-        int dt and int dt/a^2 over the half/full intervals (see
-        :meth:`repro.cosmology.background.Cosmology.kick_factor`).
+        int dt and int dt/a^2 (see
+        :meth:`repro.cosmology.background.Cosmology.kick_factor`): the
+        kick adds int dt over the opening half [a, a_mid] to the pending
+        one, and int dt over [a_mid, a_next] is left pending.
         """
         if self.cosmology is None:
             raise ValueError("no cosmology attached; use step_static")
@@ -319,15 +358,7 @@ class GravitationalVlasovPoisson(_OneSolvePerF):
         cosmo = self.cosmology
         a0, a1 = self.a, a_next
         am = 0.5 * (a0 + a1)
-        kick1 = cosmo.kick_factor(a0, am)
-        drift = cosmo.drift_factor(a0, a1)
-        kick2 = cosmo.kick_factor(am, a1)
-
-        accel0 = self._timed_accel(a=a0)
-
-        def second_accel() -> np.ndarray:
-            return self._timed_accel(a=a1)
-
-        self.solver.strang_step(accel0, kick1, drift, second_accel, kick2)
+        self._kick_drift(cosmo.kick_factor(a0, am), cosmo.drift_factor(a0, a1),
+                         cosmo.kick_factor(am, a1))
         self.time += cosmo.kick_factor(a0, a1)
         self.a = a_next

@@ -51,7 +51,7 @@ Exit-code contract (also in ``docs/RUNTIME.md``):
 ====================  =====  ==============================================
 name                  value  meaning
 ====================  =====  ==============================================
-EXIT_COMPLETE             0  schedule finished; final checkpoint on disk
+EXIT_COMPLETE             0  schedule finished; synchronous final checkpoint
 EXIT_RESUMABLE           75  interrupted/budget/max_steps; resume continues
 EXIT_GUARD_ABORT         70  a guard tripped at abort; state checkpointed
                              (also: rollback budget exhausted)
@@ -339,13 +339,18 @@ class SimulationRunner:
                     or (done and stepper.index != last_diag_step)
                 ):
                     # the submit copies f on this thread; moments, FFTs
-                    # and disk I/O happen on the worker.  A dropped
+                    # and disk I/O happen on the worker.  The carried f
+                    # owes a half kick: the velocities are corrected by
+                    # its shift, f itself is not kicked.  A dropped
                     # submission (on_full="drop", queue full) leaves
                     # last_diag_step alone so the next step retries.
                     with self.timer.section("diagnostics_submit"):
+                        dv, dv_particles = stepper.pending_velocity()
                         accepted = pipeline.submit(
                             stepper.index, stepper.coordinate(),
                             stepper.f, stepper.particles,
+                            velocity_shift=dv,
+                            particle_velocity_shift=dv_particles,
                         )
                     if accepted:
                         last_diag_step = stepper.index
@@ -400,6 +405,9 @@ class SimulationRunner:
                         reason = "max_steps"
                     break
             if status == "running":  # the while condition ended the loop
+                # the one place the pending half kick is applied: every
+                # other checkpoint holds the carried state as it is
+                stepper.synchronize()
                 self._checkpoint(stepper, ck_dir)
                 status, exit_code, reason = "complete", EXIT_COMPLETE, "schedule"
                 print(f"runner: complete — {stepper.index} steps "

@@ -11,6 +11,13 @@ and the current coordinate, checkpoint, restore.  Restores are
 checkpoint reproduces the uninterrupted run's ``f`` (and particles)
 exactly, which is the runtime subsystem's headline guarantee.
 
+The drivers step in the merged leapfrog form, so between steps f owes a
+half kick (:mod:`repro.core.vlasov_poisson`).  A checkpoint stores that
+state as it is, with the pending kick in its header's ``extra``
+(``pending_kick``, or the hybrid's ``kick_from_a``); a header without
+the key is synchronous, which is how :meth:`Stepper.synchronize` leaves
+the final checkpoint and how checkpoints written before the merge read.
+
 Initial conditions are part of the scenario (a run must be resumable
 from its config file alone, so ICs cannot live in an ad-hoc script):
 
@@ -120,7 +127,17 @@ class Stepper:
         raise NotImplementedError
 
     def conserved(self) -> dict[str, float]:
-        """Conserved quantities for the ledger/guards."""
+        """Conserved quantities for the ledger/guards (read on the
+        carried f: the pending half kick is not applied)."""
+        raise NotImplementedError
+
+    def synchronize(self) -> None:
+        """Apply the pending half kick in place (the schedule's end)."""
+        raise NotImplementedError
+
+    def pending_velocity(self) -> tuple:
+        """``(mesh, particles)`` velocity shifts of the pending half
+        kick, for the diagnostics' velocity moment; None when none."""
         raise NotImplementedError
 
     @property
@@ -190,9 +207,25 @@ class _VlasovPoissonStepper(Stepper):
     def solver(self):
         return self.driver.solver
 
+    def synchronize(self) -> None:
+        self.driver.synchronize()
+
+    def pending_velocity(self) -> tuple:
+        return self.driver.pending_velocity(), None
+
     def rescale_dt(self, factor: float) -> bool:
         self.dt *= float(factor)
         return True
+
+    def _extra(self) -> dict:
+        extra = super()._extra()
+        if self.driver.pending_kick:
+            extra["pending_kick"] = self.driver.pending_kick
+        return extra
+
+    def _restore_pending(self, header: dict) -> None:
+        self.driver.pending_kick = float(
+            header.get("extra", {}).get("pending_kick", 0.0))
 
 
 class PlasmaStepper(_VlasovPoissonStepper):
@@ -229,6 +262,7 @@ class PlasmaStepper(_VlasovPoissonStepper):
     def restore(self, f: np.ndarray, particles, header: dict) -> None:
         self.driver.f = f
         self.driver.time = float(header["time"])
+        self._restore_pending(header)
         self.index = int(header["step"])
 
 
@@ -277,6 +311,7 @@ class GravitationalStepper(_VlasovPoissonStepper):
         self.driver.f = f
         self.driver.time = float(header["time"])
         self.driver.a = float(header["a"])
+        self._restore_pending(header)
         self.index = int(header["step"])
 
 
@@ -329,6 +364,12 @@ class HybridStepper(Stepper):
     def conserved(self) -> dict[str, float]:
         return {"nu_mass": self.sim.neutrino_mass()}
 
+    def synchronize(self) -> None:
+        self.sim.synchronize()
+
+    def pending_velocity(self) -> tuple:
+        return self.sim.pending_velocity()
+
     @property
     def solver(self):
         return self.sim.neutrinos
@@ -341,12 +382,7 @@ class HybridStepper(Stepper):
         return self.sim.save_checkpoint(path, timer=timer, extra=self._extra())
 
     def restore(self, f: np.ndarray, particles, header: dict) -> None:
-        if particles is None:
-            raise ValueError("hybrid checkpoint carries no particles")
-        self.sim.neutrinos.f = f
-        self.sim.cdm = particles
-        self.sim.a = float(header["a"])
-        self.sim.step_count = int(header["step"])
+        self.sim.restore(f, particles, header)
 
 
 _STEPPERS = {
@@ -487,7 +523,7 @@ def hybrid_demo(argv: list[str] | None = None) -> int:
     ap.add_argument("--nx", type=int, default=8, help="spatial cells per axis")
     ap.add_argument("--nu", type=int, default=8, help="velocity cells per axis")
     ap.add_argument("--box", type=float, default=200.0, help="box size [Mpc/h]")
-    ap.add_argument("--steps", type=int, default=6, help="KDK steps z=10 -> 0")
+    ap.add_argument("--steps", type=int, default=6, help="leapfrog steps z=10 -> 0")
     ap.add_argument("--m-nu", type=float, default=0.4, help="total nu mass [eV]")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--tree", action="store_true", help="enable the tree force")
@@ -527,6 +563,7 @@ def hybrid_demo(argv: list[str] | None = None) -> int:
             f"{_time.perf_counter() - t0:7.2f}"
         )
 
+    sim.synchronize()
     print(f"\nneutrino mass drift over the run: "
           f"{ledger.relative_drift('nu_mass'):.2e}")
     print(f"min f at z=0: {sim.neutrinos.f.min():+.3e}")

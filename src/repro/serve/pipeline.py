@@ -125,26 +125,36 @@ class DiagnosticsPipeline:
         coord: dict[str, float],
         f: np.ndarray,
         particles: ParticleSet | None = None,
+        velocity_shift: np.ndarray | None = None,
+        particle_velocity_shift: np.ndarray | None = None,
     ) -> bool:
         """Enqueue one run state; returns whether it was accepted.
 
         The state is copied *here*, on the caller's thread — the stepper
         mutates ``f`` and the particle arrays in place, so the worker
-        must own frozen bytes.
+        must own frozen bytes.  ``velocity_shift`` (on the mesh) and
+        ``particle_velocity_shift`` are a pending half kick's: they are
+        added to the stored ``velocity`` moment and particle velocities.
+        The density is exact without it, and the dispersion does not
+        change under a per-cell shift.
         """
         if self._closed:
             raise RuntimeError("pipeline is closed")
         coord = {k: float(v) for k, v in coord.items()}
+        if particles is not None:
+            velocities = particles.velocities.copy()
+            if particle_velocity_shift is not None:
+                velocities += particle_velocity_shift
+            particles = ParticleSet(
+                particles.positions.copy(), velocities,
+                particles.masses.copy(), particles.box_size,
+            )
         item = (
             int(step),
             coord,
             np.array(f, copy=True),
-            None if particles is None else ParticleSet(
-                particles.positions.copy(),
-                particles.velocities.copy(),
-                particles.masses.copy(),
-                particles.box_size,
-            ),
+            particles,
+            None if velocity_shift is None else np.array(velocity_shift),
         )
         if self.on_full == "drop":
             try:
@@ -219,13 +229,17 @@ class DiagnosticsPipeline:
                 self._queue.task_done()
 
     def _moment_fields(
-        self, f: np.ndarray, particles: ParticleSet | None
+        self, f: np.ndarray, particles: ParticleSet | None,
+        velocity_shift: np.ndarray | None,
     ) -> dict[str, np.ndarray]:
         """The stored field set: Vlasov moments (+ CDM density mesh)."""
         rho = moments.density(f, self.grid)
+        velocity = moments.mean_velocity(f, self.grid, rho)
+        if velocity_shift is not None:
+            velocity = velocity + np.where(rho > 0.0, velocity_shift, 0.0)
         fields = {
             "density": rho.astype(np.float32),
-            "velocity": moments.mean_velocity(f, self.grid, rho).astype(np.float32),
+            "velocity": velocity.astype(np.float32),
             "dispersion": moments.velocity_dispersion(
                 f, self.grid, rho
             ).astype(np.float32),
@@ -270,9 +284,10 @@ class DiagnosticsPipeline:
         coord: dict[str, float],
         f: np.ndarray,
         particles: ParticleSet | None,
+        velocity_shift: np.ndarray | None,
     ) -> None:
         t0 = time.perf_counter()
-        fields = self._moment_fields(f, particles)
+        fields = self._moment_fields(f, particles, velocity_shift)
         snap_dir = self.out_dir / snapshot_name(step)
         write_snapshot_chunked(
             snap_dir, self.grid, particles=particles,

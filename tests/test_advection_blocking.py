@@ -340,7 +340,9 @@ def test_arena_does_not_follow_the_sign_pattern():
 
     def step():
         accel = rng.standard_normal((3,) + grid.nx)
-        solver.strang_step(accel, 0.02, 0.04, lambda: accel, 0.02)
+        solver.kick(accel, 0.02)
+        solver.drift(0.04)
+        solver.kick(accel, 0.02)
         return solver.arena.stats()
 
     step()
@@ -393,7 +395,9 @@ def _strang(engine, steps=1):
         solver.f = f0
         stats = []
         for _ in range(steps):
-            solver.strang_step(accel, 0.02, 0.04, lambda: accel, 0.02)
+            solver.kick(accel, 0.02)
+            solver.drift(0.04)
+            solver.kick(accel, 0.02)
             stats.append(solver.arena.stats())
         return solver.f.tobytes(), stats
     finally:

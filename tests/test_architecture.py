@@ -31,7 +31,10 @@ dependency is installed, as ``python tests/test_architecture.py``.
 * so does the domain engine's CFL cap and its host fallback: the
   kernel's whole-cell sums have no origin (no ``cumsum`` in
   ``core/advection.py``), ghost width is the one limit, and
-  ``ghost_width`` is the one ghost formula.
+  ``ghost_width`` is the one ghost formula;
+* so does unmerged KDK: the drivers step Eq. (5) as a leapfrog with the
+  pending half kick carried, and the solver has no two-kick step taking
+  a second field callback.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ RETIRED = (
     "n_fall" + "backs",
     "_CFL" + "_LIMIT", "_cfl" + "_fallback", "cfl" + "_fallbacks",
     "required" + "_ghost",
+    # unmerged KDK: the solver's two-kick step and its second field hook
+    ".strang" + "_step(", "recompute" + "_accel", "second" + "_accel",
+    "dt_kick" + "_second", "kick" + "2 =",
 )
 
 

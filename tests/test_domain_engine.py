@@ -540,8 +540,10 @@ class TestDegradedEngineIsItsBaseClass:
 
         def step(solver):
             solver.f = initial_f(grid)
-            for _ in range(2):
-                solver.strang_step(accel, 0.01, DT, lambda: accel, 0.01)
+            for _ in range(2):  # K(h/2) D(h) K(h/2), composed here
+                solver.kick(accel, 0.01)
+                solver.drift(DT)
+                solver.kick(accel, 0.01)
 
         serial = VlasovSolver(grid)
         step(serial)

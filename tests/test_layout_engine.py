@@ -233,9 +233,14 @@ def test_warm_strang_step_is_pool_served():
     rng = np.random.default_rng(3)
     solver.f[...] = 0.5 + rng.random(grid.shape, dtype=np.float32)
     accel = rng.standard_normal((2,) + grid.nx)
-    solver.strang_step(accel, 0.05, 0.1, lambda: accel, 0.05)  # warm
+    def strang_step():
+        solver.kick(accel, 0.05)
+        solver.drift(0.1)
+        solver.kick(accel, 0.05)
+
+    strang_step()  # warm
     before = solver.arena.stats()
-    solver.strang_step(accel, 0.05, 0.1, lambda: accel, 0.05)
+    strang_step()
     after = solver.arena.stats()
     assert after["misses"] == before["misses"], (
         "warm Strang step allocated fresh scratch: "

@@ -136,19 +136,61 @@ class TestFFTBudget:
         assert counting_backend.n_forward == 1
         assert counting_backend.n_inverse == 1
 
-    def test_plasma_strang_step_two_forwards(self, counting_backend):
-        """One KDK step recomputes the potential once: two solves, two
-        forward transforms total (Eq. 5's two field evaluations)."""
-        grid = PhaseSpaceGrid(
-            nx=(16,), nu=(16,), box_size=2 * np.pi, v_max=4.0, dtype=np.float64
-        )
-        vp = PlasmaVlasovPoisson(grid)
-        x = grid.x_centers(0)[:, None]
-        u = grid.u_centers(0)[None, :]
-        vp.f = (1 + 0.01 * np.cos(x)) * np.exp(-(u**2) / 2)
-        counting_backend.reset_counts()
-        vp.step(0.05)
-        assert counting_backend.n_forward == 2
+    @pytest.mark.parametrize("driver", ["plasma", "gravitational", "hybrid"])
+    def test_steady_step_is_costmodel_step(
+            self, counting_backend, driver, cosmo):
+        """A steady merged step runs ``costmodel.SWEEPS_PER_STEP`` (6)
+        sweeps and one forward transform; a one-step run (the step and
+        the closing synchronize()) still runs 9 sweeps."""
+        from repro.core.engine import SweepEngine
+        from repro.core.hybrid import HybridSimulation, build_neutrino_component
+        from repro.machine.costmodel import SWEEPS_PER_STEP
+        from repro.nbody.particles import ParticleSet
+
+        class CountingEngine(SweepEngine):
+            sweeps = 0
+
+            def run(self, plan, accel):
+                self.sweeps += len(plan)
+                super().run(plan, accel)
+
+        engine = CountingEngine()
+        if driver == "hybrid":
+            grid = PhaseSpaceGrid(nx=(6,) * 3, nu=(6,) * 3, box_size=200.0,
+                                  v_max=4000.0)
+            mass = cosmo.omega_m * cosmo.units.rho_crit * 200.0**3
+            cdm = ParticleSet.uniform_random(216, 200.0, mass,
+                                             np.random.default_rng(0))
+            sim = HybridSimulation(grid, cdm, cosmo, a=0.1, use_tree=False,
+                                   engine=engine)
+            sim.neutrinos.f = build_neutrino_component(grid, cosmo)
+            steps = iter(np.linspace(0.1, 0.2, 5)[1:])
+            step = lambda: sim.step(float(next(steps)))  # noqa: E731
+        else:
+            grid = PhaseSpaceGrid(nx=(6,) * 3, nu=(6,) * 3, box_size=10.0,
+                                  v_max=3.0, dtype=np.float64)
+            if driver == "plasma":
+                sim = PlasmaVlasovPoisson(grid, engine=engine)
+                step = lambda: sim.step(0.05)  # noqa: E731
+            else:
+                sim = GravitationalVlasovPoisson(grid, g_newton=0.1,
+                                                 engine=engine)
+                step = lambda: sim.step_static(0.05)  # noqa: E731
+            x = grid.x_centers(0)[:, None, None, None, None, None]
+            u = grid.u_centers(0)[None, None, None, :, None, None]
+            sim.f = np.broadcast_to(
+                (1 + 0.1 * np.cos(2 * np.pi * x / 10.0)) * np.exp(-(u**2) / 2),
+                grid.shape).copy()
+        step()
+        assert engine.sweeps == 6
+        sim.synchronize()
+        assert engine.sweeps == 9
+        for _ in range(2):
+            engine.sweeps = 0
+            counting_backend.reset_counts()
+            step()
+            assert engine.sweeps == SWEEPS_PER_STEP == 6
+            assert counting_backend.n_forward == 1
 
 
 class TestEquivalence:
@@ -229,8 +271,8 @@ class TestTimerSections:
         vp.step(0.05)
         for name in ("poisson", "poisson/moments", "poisson/fft", "poisson/grad"):
             assert name in timer.sections, name
-        # two field solves per KDK step
-        assert timer.sections["poisson/fft"].count == 2
+        # one field solve per merged step
+        assert timer.sections["poisson/fft"].count == 1
 
     def test_gravitational_step_splits_poisson_sections(self):
         grid = PhaseSpaceGrid(
@@ -296,10 +338,10 @@ class TestBackend:
 
 
 class TestOneSolvePerFState:
-    """Through the runner, ledger included: a KDK step costs its two
-    field solves and nothing more — the ledger's solve after a step is
-    the next step's first kick field (plasma, gravitational), and a
-    hybrid kick solves the shared potential once for both components."""
+    """Through the runner, ledger included: a merged step costs one
+    field solve and nothing more — the ledger's solve after a step is
+    the next step's kick field (plasma, gravitational), and a hybrid
+    kick solves the shared potential once for both components."""
 
     CONFIGS = {
         "plasma": dict(
@@ -332,15 +374,15 @@ class TestOneSolvePerFState:
 
     @pytest.mark.parametrize("scenario", ["plasma", "gravitational", "hybrid",
                                           "gravitational-domain"])
-    def test_two_forward_transforms_per_step(self, counting_backend, scenario,
-                                             tmp_path):
+    def test_one_forward_transform_per_step(self, counting_backend, scenario,
+                                            tmp_path):
         config = RunConfig(**{"scenario": scenario, "name": f"t-fft-{scenario}",
                               **self.CONFIGS[scenario]})
         runner = SimulationRunner.create(config, tmp_path / scenario)
         assert runner.run() == EXIT_COMPLETE
         forwards = [r["fft"]["n_forward"]
                     for r in read_telemetry(tmp_path / scenario / TELEMETRY_NAME)]
-        assert [b - a for a, b in zip(forwards, forwards[1:])] == [2, 2, 2]
+        assert [b - a for a, b in zip(forwards, forwards[1:])] == [1, 1, 1]
 
     def test_potential_energy_runs_one_moment(self, monkeypatch):
         grid = PhaseSpaceGrid(

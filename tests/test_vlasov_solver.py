@@ -108,16 +108,25 @@ class TestKick:
 
 class TestStrangStep:
     def test_kdk_sequence_called(self, grid):
-        solver = VlasovSolver(grid, scheme="slmpp5")
-        solver.f = maxwellian_beam(grid)
+        """Eq. (5) in its merged form: the first kick is a half kick,
+        each later kick merges the previous closing half with the next
+        opening half, and synchronize() applies the last closing half."""
+        from repro.core.vlasov_poisson import PlasmaVlasovPoisson
+
+        vp = PlasmaVlasovPoisson(grid)
+        vp.f = maxwellian_beam(grid)
         calls = []
-
-        def recompute():
-            calls.append(True)
-            return np.zeros((1,) + grid.nx)
-
-        solver.strang_step(np.zeros((1,) + grid.nx), 0.1, 0.2, recompute, 0.1)
-        assert calls == [True]
+        kick, drift = vp.solver.kick, vp.solver.drift
+        vp.solver.kick = lambda accel, dt: (calls.append(("K", dt)), kick(accel, dt))
+        vp.solver.drift = lambda dt: (calls.append(("D", dt)), drift(dt))
+        for _ in range(3):
+            vp.step(0.2)
+        assert vp.pending_kick == 0.1
+        vp.synchronize()
+        vp.synchronize()  # nothing left pending: a no-op
+        assert calls == [("K", 0.1), ("D", 0.2), ("K", 0.2), ("D", 0.2),
+                         ("K", 0.2), ("D", 0.2), ("K", 0.1)]
+        assert vp.pending_kick == 0.0
 
     def test_cfl_helpers(self, grid):
         solver = VlasovSolver(grid)
