@@ -14,8 +14,15 @@ A :class:`SimulationRunner` owns one **run directory**::
 and turns any scenario's driver into a production run with the paper's
 operational discipline:
 
-* **checkpoint cadence** — every N steps and/or every T seconds,
-  whichever fires first, with keep-last-K rotation;
+* **checkpoint cadence** — on every multiple of N steps and/or every
+  T seconds, whichever fires first, with keep-last-K rotation.  The
+  multiples of N and the schedule's last step are the leapfrog's
+  **sync points**: the step that lands on one applies the pending half
+  kick (``Stepper.synchronize()``) before the guards look at it, so
+  those checkpoints are synchronous and a run's step-kN checkpoint is
+  bitwise the final one of the same run scheduled for kN steps.  Every
+  other checkpoint (T seconds, drain, abort) holds the carried state
+  and its pending kick, and continues the same chain on resume;
 * **auto-resume** — on start, the newest *valid* checkpoint in the run
   directory is loaded (corrupt or truncated files are skipped with a
   note and left for post-mortem); a fresh directory starts from the
@@ -177,6 +184,12 @@ class SimulationRunner:
         ck_dir = self.run_dir / CHECKPOINT_DIR
         ck_dir.mkdir(parents=True, exist_ok=True)
 
+        def on_step_cadence(index: int) -> bool:
+            # absolute multiples, so a resumed or rolled-back run lands
+            # its checkpoints and sync points on the same steps
+            return (ck_cfg.every_steps is not None
+                    and index % ck_cfg.every_steps == 0)
+
         if fault_plan is None:
             if config.faults.events:
                 fault_plan = FaultPlan(
@@ -262,7 +275,6 @@ class SimulationRunner:
 
         start = time.monotonic()
         last_ck_time = start
-        last_ck_step = stepper.index
         prev_sections: dict[str, float] = {}
         steps_taken = 0
         status, exit_code, reason = "running", EXIT_COMPLETE, ""
@@ -276,6 +288,11 @@ class SimulationRunner:
                 t0 = time.monotonic()
                 with self.timer.section("step"):
                     dt = stepper.advance()
+                    # a sync point: the guards, the ledger and the
+                    # checkpoint below all see the synchronous state
+                    if (stepper.index >= stepper.n_steps
+                            or on_step_cadence(stepper.index)):
+                        stepper.synchronize()
                 wall = time.monotonic() - t0
                 steps_taken += 1
                 if fault_plan is not None:
@@ -324,7 +341,6 @@ class SimulationRunner:
                         recovery, f"guard:{worst.guard}", engine
                     )
                     guard_suite = GuardSuite(config.guards, self.ledger)
-                    last_ck_step = stepper.index
                     last_diag_step = stepper.index
                     last_ck_time = time.monotonic()
                     print(f"runner: rollback {recovery.attempts}/"
@@ -355,8 +371,7 @@ class SimulationRunner:
                     if accepted:
                         last_diag_step = stepper.index
                 due = not done and (
-                    (ck_cfg.every_steps is not None
-                     and stepper.index - last_ck_step >= ck_cfg.every_steps)
+                    on_step_cadence(stepper.index)
                     or (ck_cfg.every_seconds is not None
                         and time.monotonic() - last_ck_time
                         >= ck_cfg.every_seconds)
@@ -365,7 +380,6 @@ class SimulationRunner:
                     path = self._checkpoint(stepper, ck_dir)
                     if fault_plan is not None:
                         fault_plan.corrupt_file(path)
-                    last_ck_step = stepper.index
                     last_ck_time = time.monotonic()
 
                 if fault_plan is not None:
@@ -405,9 +419,6 @@ class SimulationRunner:
                         reason = "max_steps"
                     break
             if status == "running":  # the while condition ended the loop
-                # the one place the pending half kick is applied: every
-                # other checkpoint holds the carried state as it is
-                stepper.synchronize()
                 self._checkpoint(stepper, ck_dir)
                 status, exit_code, reason = "complete", EXIT_COMPLETE, "schedule"
                 print(f"runner: complete — {stepper.index} steps "

@@ -16,7 +16,8 @@ half kick (:mod:`repro.core.vlasov_poisson`).  A checkpoint stores that
 state as it is, with the pending kick in its header's ``extra``
 (``pending_kick``, or the hybrid's ``kick_from_a``); a header without
 the key is synchronous, which is how :meth:`Stepper.synchronize` leaves
-the final checkpoint and how checkpoints written before the merge read.
+the runner's sync points (the step cadence's multiples and the
+schedule's end) and how checkpoints written before the merge read.
 
 Initial conditions are part of the scenario (a run must be resumable
 from its config file alone, so ICs cannot live in an ad-hoc script):
@@ -132,7 +133,7 @@ class Stepper:
         raise NotImplementedError
 
     def synchronize(self) -> None:
-        """Apply the pending half kick in place (the schedule's end)."""
+        """Apply the pending half kick in place (a sync point)."""
         raise NotImplementedError
 
     def pending_velocity(self) -> tuple:

@@ -4,10 +4,15 @@ A step is ``kick(pending + opening) -> drift -> pending = closing``; the
 state between steps owes a half kick, which checkpoints store as it is.
 These tests pin what that must not break:
 
-* resume after ``--max-steps k``, for every k, ends on the uninterrupted
-  run's final f (and particles) ``.tobytes()``; so do a rollback at
-  ``dt_scale != 1`` and a resume from a checkpoint written without the
-  pending key (the format before the merge);
+* resume after ``--max-steps k``, for every k, with and without sync
+  points on the checkpoint cadence, ends on the uninterrupted run's
+  final f (and particles) ``.tobytes()``; so do a rollback at
+  ``dt_scale != 1`` onto a synchronous or a carried checkpoint and a
+  resume from a checkpoint written without the pending key (the format
+  before the merge);
+* a cadence checkpoint is bitwise the final state of the same run
+  scheduled to end on that step;
+* the guards see the synchronized state of a sync point;
 * serial == pencil == domain on a merged run;
 * the diagnostics ``velocity`` of a carried state matches a synchronized
   copy's within the kick's first-moment error;
@@ -17,6 +22,8 @@ These tests pin what that must not break:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +31,13 @@ from repro.core import moments
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov_poisson import PlasmaVlasovPoisson
 from repro.io.snapshot import read_checkpoint, read_snapshot, write_checkpoint
-from repro.runtime import EXIT_COMPLETE, EXIT_RESUMABLE, RunConfig, SimulationRunner
+from repro.runtime import (
+    EXIT_COMPLETE,
+    EXIT_GUARD_ABORT,
+    EXIT_RESUMABLE,
+    RunConfig,
+    SimulationRunner,
+)
 from repro.runtime.config import (
     CheckpointConfig,
     DiagnosticsConfig,
@@ -40,6 +53,10 @@ from repro.runtime.scenarios import build_stepper
 from repro.serve.pipeline import snapshot_name
 
 N_STEPS = {"plasma": 5, "gravitational": 5, "hybrid": 4}
+#: checkpoint.every_steps: None (the schedule's end is the only sync
+#: point) or 2 (every even step is one too)
+CADENCES = [None, 2]
+PENDING_KEYS = {"pending_kick", "kick_from_a"}
 
 
 def config(scenario: str, **overrides) -> RunConfig:
@@ -70,6 +87,21 @@ def config(scenario: str, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def every(n: int | None) -> CheckpointConfig:
+    return CheckpointConfig(every_steps=n, keep_last=2)
+
+
+def advance_like_the_runner(stepper, until: int, cadence: int | None = None):
+    """Step as the runner does: synchronize on every multiple of the
+    checkpoint cadence and on the schedule's last step."""
+    while stepper.index < until:
+        stepper.advance()
+        if stepper.index >= stepper.n_steps or (
+                cadence is not None and stepper.index % cadence == 0):
+            stepper.synchronize()
+    return stepper
+
+
 def final_state(run_dir, n_steps):
     _, f, particles, header = read_checkpoint(
         run_dir / CHECKPOINT_DIR / checkpoint_name(n_steps))
@@ -86,29 +118,45 @@ def run_to_end(cfg, run_dir):
 
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory):
-    """Final state of each scenario's uninterrupted run."""
+    """Final state of each scenario's uninterrupted run, per cadence."""
     root = tmp_path_factory.mktemp("uninterrupted")
-    return {s: run_to_end(config(s), root / s) for s in N_STEPS}
+    return {(s, c): run_to_end(config(s, checkpoint=every(c)), root / f"{s}-{c}")
+            for s in N_STEPS for c in CADENCES}
 
 
 @pytest.mark.parametrize("scenario", sorted(N_STEPS))
 class TestResumeAtAnyStep:
-    def test_max_steps_then_resume_for_every_k(self, scenario, uninterrupted,
-                                               tmp_path):
-        want, header = uninterrupted[scenario]
+    @pytest.mark.parametrize("cadence", CADENCES)
+    def test_max_steps_then_resume_for_every_k(self, scenario, cadence,
+                                               uninterrupted, tmp_path):
+        want, header = uninterrupted[scenario, cadence]
         # the final checkpoint is synchronous: no pending key in its header
-        assert not {"pending_kick", "kick_from_a"} & set(header["extra"])
+        assert not PENDING_KEYS & set(header["extra"])
         n = N_STEPS[scenario]
         for k in range(1, n):
             run_dir = tmp_path / f"k{k}"
-            runner = SimulationRunner.create(config(scenario), run_dir)
+            runner = SimulationRunner.create(
+                config(scenario, checkpoint=every(cadence)), run_dir)
             assert runner.run(max_steps=k) == EXIT_RESUMABLE
-            # a mid-run checkpoint holds the carried state and its kick
+            # a sync point's checkpoint is synchronous; any other holds
+            # the carried state and its kick
             _, _, _, mid = read_checkpoint(
                 run_dir / CHECKPOINT_DIR / checkpoint_name(k))
-            assert {"pending_kick", "kick_from_a"} & set(mid["extra"])
+            carried = cadence is None or k % cadence != 0
+            assert bool(PENDING_KEYS & set(mid["extra"])) == carried, k
             assert SimulationRunner.resume(run_dir).run() == EXIT_COMPLETE
             assert final_state(run_dir, n)[0] == want, k
+
+    def test_the_runner_chain_is_the_drivers(self, scenario, uninterrupted):
+        """The runner's bits are the driver stepped with a synchronize
+        on every sync point, for both cadences."""
+        for cadence in CADENCES:
+            reference = advance_like_the_runner(
+                build_stepper(config(scenario)), N_STEPS[scenario], cadence)
+            assert final_state_of(reference) == \
+                uninterrupted[scenario, cadence][0], cadence
+        # the sync points are part of the chain: the cadences differ
+        assert uninterrupted[scenario, 2][0] != uninterrupted[scenario, None][0]
 
     def test_checkpoint_without_the_pending_key(self, scenario, uninterrupted,
                                                 tmp_path):
@@ -131,12 +179,10 @@ class TestResumeAtAnyStep:
             sim_time=reference.coordinate().get("t", 0.0),
             extra={"scenario": scenario, "schedule_index": k},
         )
-        while reference.index < n:
-            reference.advance()
-        reference.synchronize()
+        advance_like_the_runner(reference, n)
         assert run_to_end(cfg, run_dir)[0] == final_state_of(reference)
         # the synchronization really moved the chain: not the plain run's end
-        assert final_state_of(reference) != uninterrupted[scenario][0]
+        assert final_state_of(reference) != uninterrupted[scenario, None][0]
 
 
 def final_state_of(stepper):
@@ -147,36 +193,83 @@ def final_state_of(stepper):
     return state
 
 
+@pytest.mark.parametrize("cadence", [2, None], ids=["synchronous", "carried"])
 @pytest.mark.parametrize("scenario", ["plasma", "gravitational"])
-def test_rollback_with_dt_scale_continues_the_carried_chain(scenario, tmp_path):
-    """A NaN at step 3 rolls back to the step-2 checkpoint, which owes
-    the kick h/2 of the old step; dt then halves, so the next kick is
-    h/2 + h/4.  The run ends on the chain that rescales dt at step 2."""
+def test_rollback_with_dt_scale_continues_the_chain(scenario, cadence,
+                                                    tmp_path):
+    """A NaN at step 3 rolls back to the step-2 checkpoint and dt then
+    halves.  On the cadence that checkpoint is a sync point, so the next
+    kick is the opening h/4 alone; off it (a ``--max-steps 2`` stop) it
+    owes the old step's h/2, so the next kick is h/2 + h/4.  Either way
+    the run ends on the chain that rescales dt at step 2."""
     n = N_STEPS[scenario]
     cfg = config(
         scenario,
-        checkpoint=CheckpointConfig(every_steps=2, keep_last=3),
+        checkpoint=CheckpointConfig(every_steps=cadence, keep_last=3),
         guards=GuardConfig(nan="rollback"),
         recovery=RecoveryConfig(max_attempts=2, dt_scale=0.5),
         faults=FaultsConfig(seed=1, events=[{"kind": "inject_nan", "step": 3}]),
     )
     runner = SimulationRunner.create(cfg, tmp_path / "run")
+    if cadence is None:
+        assert runner.run(max_steps=2) == EXIT_RESUMABLE
+        runner = SimulationRunner.resume(tmp_path / "run")
     assert runner.run() == EXIT_COMPLETE
     assert runner.manifest()["rollbacks"] == 1
 
-    reference = build_stepper(config(scenario))
-    for _ in range(2):
-        reference.advance()
-    assert reference.driver.pending_kick == 0.5 * cfg.schedule.dt
+    reference = advance_like_the_runner(build_stepper(config(scenario)), 2,
+                                        cadence)
+    assert reference.driver.pending_kick == (
+        0.0 if cadence else 0.5 * cfg.schedule.dt)
     reference.rescale_dt(0.5)
-    while reference.index < n:
-        reference.advance()
-    reference.synchronize()
+    advance_like_the_runner(reference, n, cadence)
     assert final_state(tmp_path / "run", n)[0] == final_state_of(reference)
 
 
+@pytest.mark.parametrize("scenario", ["plasma", "gravitational"])
+def test_a_cadence_checkpoint_is_a_shorter_schedules_final_state(scenario,
+                                                                 tmp_path):
+    """The step-k checkpoint of a run with ``every_steps`` dividing k is
+    bitwise the final checkpoint of the same run scheduled for k steps:
+    both are the synchronous state after the same chain."""
+    n, cadence = N_STEPS[scenario], 2
+    cfg = config(scenario, checkpoint=CheckpointConfig(every_steps=cadence,
+                                                       keep_last=n))
+    run_to_end(cfg, tmp_path / "long")
+    for k in range(cadence, n, cadence):
+        short = config(scenario, checkpoint=every(cadence),
+                       schedule=replace(cfg.schedule, n_steps=k))
+        mid, header = final_state(tmp_path / "long", k)
+        assert not PENDING_KEYS & set(header["extra"])
+        assert run_to_end(short, tmp_path / f"short{k}")[0] == mid, k
+
+
+@pytest.mark.parametrize("scenario", sorted(N_STEPS))
+def test_the_guards_see_the_synchronized_last_step(scenario, tmp_path,
+                                                   monkeypatch):
+    """A fault that appears only when the last step's pending half kick
+    is applied is caught by the step's guards: the run aborts and no
+    synchronous final checkpoint of a poisoned state is published as
+    complete."""
+    stepper_type = type(build_stepper(config(scenario)))
+    synchronize = stepper_type.synchronize
+
+    def poisoned(self):
+        synchronize(self)
+        if self.index == self.n_steps:
+            self.f.flat[0] = np.nan
+            self.notify_f_mutated()
+
+    monkeypatch.setattr(stepper_type, "synchronize", poisoned)
+    cfg = config(scenario, guards=GuardConfig(nan="abort"))
+    runner = SimulationRunner.create(cfg, tmp_path / "run")
+    assert runner.run() == EXIT_GUARD_ABORT
+    assert runner.manifest()["reason"] == "guard:nan"
+
+
 def test_serial_pencil_domain_agree_on_a_merged_run(tmp_path):
-    """Same bits on every engine, through a max-steps stop and resume."""
+    """Same bits on every engine, through a max-steps stop (carried)
+    and resume, and a sync point at step 2."""
     grid = GridConfig(nx=(6, 6, 6), nu=(6, 6, 6), box_size=1.0, v_max=3.0,
                       dtype="float32")
     schedule = ScheduleConfig(kind="time", dt=0.02, n_steps=4)
@@ -187,7 +280,7 @@ def test_serial_pencil_domain_agree_on_a_merged_run(tmp_path):
         "domain": EngineConfig(engine="domain", topology=[2, 1, 1]),
     }.items():
         cfg = config("gravitational", grid=grid, schedule=schedule,
-                     engine=engine)
+                     engine=engine, checkpoint=every(2))
         runner = SimulationRunner.create(cfg, tmp_path / name)
         assert runner.run(max_steps=1) == EXIT_RESUMABLE
         assert SimulationRunner.resume(tmp_path / name).run() == EXIT_COMPLETE

@@ -227,11 +227,13 @@ class TestResumeRobustness:
         and still reproduce the uninterrupted run exactly (it simply
         re-runs the steps the truncated file claimed to cover)."""
         n = 8
-        full = SimulationRunner.create(plasma_config(n), tmp_path / "full")
-        assert full.run() == EXIT_COMPLETE
-
+        # the step cadence is part of the chain (its multiples are the
+        # leapfrog's sync points), so both runs share it
         cfg = plasma_config(n, checkpoint=CheckpointConfig(every_steps=2,
                                                            keep_last=10))
+        full = SimulationRunner.create(cfg, tmp_path / "full")
+        assert full.run() == EXIT_COMPLETE
+
         part = SimulationRunner.create(cfg, tmp_path / "part")
         assert part.run(max_steps=5) == EXIT_RESUMABLE
         ck_dir = tmp_path / "part" / CHECKPOINT_DIR

@@ -333,12 +333,14 @@ class TestFieldSlot:
     @pytest.mark.parametrize("scenario", ["plasma", "gravitational"])
     def test_rollback_energies_match_a_clean_run(self, scenario, engine, tmp_path):
         """A rollback restores f into a fresh stepper: every energy the
-        ledger records afterwards is the clean run's, bit for bit."""
-        clean = slot_config(scenario, engine)
+        ledger records afterwards is the clean run's, bit for bit.  Both
+        share the step cadence, whose multiples are sync points."""
+        cadence = CheckpointConfig(every_steps=2, keep_last=3)
+        clean = slot_config(scenario, engine, checkpoint=cadence)
         assert SimulationRunner.create(clean, tmp_path / "clean").run() == EXIT_COMPLETE
         faulted = slot_config(
             scenario, engine,
-            checkpoint=CheckpointConfig(every_steps=2, keep_last=3),
+            checkpoint=cadence,
             guards=GuardConfig(nan="rollback"),
             faults=FaultsConfig(seed=1, events=[{"kind": "inject_nan", "step": 3}]),
         )
