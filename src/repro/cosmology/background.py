@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import constants as cst
 from ..units import UnitSystem
+from .quadrature import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -145,16 +146,14 @@ class Cosmology:
     def cosmic_time(self, a: float) -> float:
         """Proper time since the Big Bang at scale factor a [internal units].
 
-        t(a) = int_0^a da' / (a' H(a')).
+        t(a) = int_0^a dx / (x H(x)), with x = a s^2: the integrand goes
+        as x^(1/2) at 0, and as a polynomial in s.
         """
         if a <= 0.0:
             raise ValueError("scale factor must be positive")
-        from scipy import integrate  # on use: most runs never integrate
-
-        val, _ = integrate.quad(
-            lambda x: 1.0 / (x * self.hubble(x)), 0.0, a, limit=200
-        )
-        return val
+        return float(gauss_legendre(
+            lambda s: 2.0 / (s * self.hubble(a * s**2)), 0.0, 1.0
+        ))
 
     def cosmic_time_gyr(self, a: float) -> float:
         """Proper time since the Big Bang at scale factor a [Gyr]."""
@@ -186,12 +185,12 @@ class Cosmology:
             raise ValueError("scale factors must be positive")
         if a1 < a0:
             raise ValueError("a1 must be >= a0 (forward integration)")
-        from scipy import integrate
 
-        val, _ = integrate.quad(
-            lambda a: 1.0 / (a**power * self.hubble(a)), a0, a1, limit=200
-        )
-        return val
+        def integrand(ln_a):  # over ln a: smooth however wide [a0, a1] is
+            a = np.exp(ln_a)
+            return a / (a**power * self.hubble(a))
+
+        return float(gauss_legendre(integrand, math.log(a0), math.log(a1)))
 
 
 #: The paper's fiducial cosmology (Planck 2015, M_nu = 0.4 eV).

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .background import Cosmology
+from .quadrature import gauss_legendre
 
 
 def growth_factor_unnormalized(cosmo: Cosmology, a) -> np.ndarray:
@@ -24,21 +25,21 @@ def growth_factor_unnormalized(cosmo: Cosmology, a) -> np.ndarray:
     :func:`growth_suppression_factor` for the scale-dependent neutrino
     effect); the total Omega_m drives the growth, which is the standard
     approximation on scales well below the free-streaming length.
-    """
-    from scipy import integrate
 
+    The integral is taken over x = a s^2, s in [0, 1]: its integrand
+    goes as x^(3/2) at 0, and as a polynomial in s.
+    """
     a_arr = np.atleast_1d(np.asarray(a, dtype=np.float64))
     if np.any(a_arr <= 0.0):
         raise ValueError("scale factor must be positive")
-    out = np.empty_like(a_arr)
-    for i, ai in enumerate(a_arr):
-        integral, _ = integrate.quad(
-            lambda x: x ** (-3.0) * cosmo.e_of_a(x) ** (-3.0),
-            0.0,
-            ai,
-            limit=200,
-        )
-        out[i] = 2.5 * cosmo.omega_m * cosmo.e_of_a(ai) * integral
+    a_col = a_arr[:, None, None]  # one integral per a, over the nodes in s
+
+    def integrand(s):
+        x = a_col * s**2
+        return 2.0 * a_col * s / (x * cosmo.e_of_a(x)) ** 3
+
+    integral = gauss_legendre(integrand, 0.0, 1.0)
+    out = 2.5 * cosmo.omega_m * cosmo.e_of_a(a_arr) * integral
     return out if np.ndim(a) else float(out[0])
 
 

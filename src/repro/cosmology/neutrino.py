@@ -35,7 +35,7 @@ def _fd_mom2() -> float:
     """int_0^inf y^4/(e^y+1) dy, by quadrature instead of hard-coding.
 
     On first use, not at import: ``scipy.integrate`` is a third of the
-    cost of importing the run path, and most runs never integrate.
+    cost of importing the run path, and no run needs this moment.
     """
     from scipy import integrate
 
@@ -138,11 +138,10 @@ class RelicNeutrinoDistribution:
         """
         if not 0.0 < coverage < 1.0:
             raise ValueError("coverage must be in (0, 1)")
-        from scipy import integrate
-
         ys = np.linspace(1.0e-6, 60.0, 4000)
         pdf = ys**2 / (np.exp(ys) + 1.0)
-        cdf = integrate.cumulative_trapezoid(pdf, ys, initial=0.0)
+        steps = np.diff(ys) * (pdf[1:] + pdf[:-1]) / 2.0  # trapezoid rule
+        cdf = np.concatenate(([0.0], np.cumsum(steps)))
         cdf /= cdf[-1]
         y_cut = float(np.interp(coverage, cdf, ys))
         return y_cut * self.u0

@@ -19,6 +19,8 @@ Carlo representation whose shot noise the Vlasov run eliminates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..cosmology.neutrino import RelicNeutrinoDistribution
@@ -111,19 +113,13 @@ def _fd_profile(speed: np.ndarray, fd: RelicNeutrinoDistribution, dim: int) -> n
     velocity scale (exact marginals of the 3-D Fermi-Dirac have no closed
     form; the tests only rely on normalization and scale).
     """
-    from scipy import integrate
-
     if dim == 3:
         return fd.f_of_speed(speed)
     u0 = fd.u0
-    if dim == 1:
-        norm, _ = integrate.quad(lambda y: 1.0 / (np.exp(y) + 1.0), 0.0, 200.0)
-        norm *= 2.0 * u0  # both signs
-    else:  # dim == 2
-        norm, _ = integrate.quad(
-            lambda y: 2.0 * np.pi * y / (np.exp(y) + 1.0), 0.0, 200.0
-        )
-        norm *= u0**2
+    if dim == 1:  # int_0^inf dy / (e^y + 1) = ln 2, on both signs
+        norm = 2.0 * math.log(2.0) * u0
+    else:  # dim == 2: int_0^inf 2 pi y dy / (e^y + 1) = pi^3 / 6
+        norm = math.pi**3 / 6.0 * u0**2
     return 1.0 / norm / (np.exp(np.minimum(speed / u0, 500.0)) + 1.0)
 
 

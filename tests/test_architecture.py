@@ -28,6 +28,8 @@ dependency is installed, as ``python tests/test_architecture.py``.
 * so does the scipy FFT path: the spectral backend is ``numpy.fft`` with
   no fallback, no worker threads and no knob, and the modules a kinetic
   run loads import scipy on use only, never at module level;
+* so do the hybrid's scipy quadratures: the cosmology integrals a run
+  takes (background, growth, power) import no scipy at all;
 * so does the domain engine's CFL cap and its host fallback: the
   kernel's whole-cell sums have no origin (no ``cumsum`` in
   ``core/advection.py``), ghost width is the one limit, and
@@ -238,6 +240,18 @@ def test_the_run_path_imports_scipy_on_use_only():
                      else [])
             offenders += [f"{'/'.join(parts)}:{node.lineno} imports {name}"
                           for name in names if name.split(".")[0] == "scipy"]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_cosmology_integrals_import_no_scipy():
+    """Kick and drift factors, growth and the sigma8 normalisation are
+    fixed Gauss-Legendre rules on numpy: no scipy at any nesting level."""
+    offenders = [f"cosmology/{module}.py:{line} imports {name}"
+                 for module in ("background", "growth", "power", "quadrature")
+                 for name, _, line in imports(
+                     f"repro.cosmology.{module}",
+                     SRC / "repro" / "cosmology" / f"{module}.py")
+                 if name.split(".")[0] == "scipy"]
     assert not offenders, "\n".join(offenders)
 
 

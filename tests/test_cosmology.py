@@ -27,14 +27,17 @@ from repro.cosmology.neutrino import FD_MEAN_Y, FD_MEANSQ_Y
 def test_the_run_path_imports_without_scipy_integrate():
     """``scipy.integrate`` (with the ``special`` / ``optimize`` /
     ``sparse.linalg`` / ``numpy.testing`` it drags in) is a third of
-    ``import repro.runtime``; only a run that uses a ``Cosmology``
-    integral pays for it, on first use."""
+    ``import repro.runtime``.  The ``Cosmology`` integrals a run takes
+    are Gauss-Legendre rules on numpy: none of them loads any scipy."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "import sys, repro.runtime, repro.cosmology\n"
-        "assert 'scipy.integrate' not in sys.modules, 'imported eagerly'\n"
-        "repro.cosmology.Cosmology().drift_factor(0.5, 0.6)\n"
-        "assert 'scipy.integrate' in sys.modules\n"
+        "import sys, repro.runtime, repro.cosmology as c\n"
+        "cosmo = c.Cosmology()\n"
+        "cosmo.drift_factor(0.5, 0.6)\n"
+        "c.growth_factor(cosmo, 0.5)\n"
+        "c.LinearPower(cosmo).amplitude\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded[:8]\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env,
@@ -53,6 +56,89 @@ def test_fd_mean_square_is_the_quadrature_it_always_was():
     assert FD_MEANSQ_Y == pytest.approx(12.939, rel=1e-4)
     with pytest.raises(AttributeError):
         neutrino.FD_MEANCUBE_Y
+
+
+def tight_quad(f, lo, hi):
+    """The adaptive reference the fixed rules are pinned against."""
+    from scipy import integrate
+
+    return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=4000)[0]
+
+
+class TestQuadratureAgainstTightReference:
+    """Every integral a hybrid run takes, against a converged ``quad``."""
+
+    def test_kick_and_drift_over_the_hybrid_schedule(self, cosmo):
+        from repro.nbody.integrator import scale_factor_steps
+
+        schedule = scale_factor_steps(1.0 / 11.0, 1.0, 20)  # hybrid_pm's
+        for a0, a1 in zip(schedule[:-1], schedule[1:]):
+            for factor, power in ((cosmo.kick_factor, 1), (cosmo.drift_factor, 3)):
+                ref = tight_quad(lambda a: 1.0 / (a**power * cosmo.hubble(a)), a0, a1)
+                assert factor(a0, a1) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.05, 1.0 / 11.0, 0.5, 1.0])
+    def test_growth_factor(self, cosmo, a):
+        from repro.cosmology.growth import growth_factor_unnormalized
+
+        integral = tight_quad(lambda x: x**-3.0 * cosmo.e_of_a(x) ** -3.0, 0.0, a)
+        ref = 2.5 * cosmo.omega_m * cosmo.e_of_a(a) * integral
+        assert growth_factor_unnormalized(cosmo, a) == pytest.approx(
+            ref, rel=1e-12, abs=0.0
+        )
+
+    def test_growth_factor_of_an_array_is_the_scalars(self, cosmo):
+        from repro.cosmology.growth import growth_factor_unnormalized
+
+        a = np.array([1e-3, 0.05, 0.5, 1.0])
+        each = [growth_factor_unnormalized(cosmo, float(x)) for x in a]
+        assert growth_factor_unnormalized(cosmo, a).tolist() == each
+
+    @pytest.mark.parametrize("a", [1.0 / 11.0, 0.5, 1.0])
+    def test_cosmic_time(self, cosmo, a):
+        ref = tight_quad(lambda x: 1.0 / (x * cosmo.hubble(x)), 0.0, a)
+        assert cosmo.cosmic_time(a) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_sigma8_normalisation(self, cosmo):
+        """An adaptive ``quad(limit=400)`` lands 7.9e-5 off this, with no
+        warning."""
+        shape = LinearPower(cosmo)._shape
+
+        def integrand(lnk):
+            k = np.exp(lnk)
+            x = 8.0 * k
+            w = 3.0 * (np.sin(x) - x * np.cos(x)) / x**3 if x >= 1e-4 else 1.0
+            return k**3 * float(shape(np.asarray(k))) * w**2
+
+        ref = tight_quad(integrand, np.log(1e-5), np.log(1e3)) / (2.0 * np.pi**2)
+        raw = LinearPower(cosmo)._sigma_r_squared_unnormalized(8.0)
+        assert raw == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_velocity_cutoff_is_the_cumulative_trapezoid(self, cosmo):
+        from scipy import integrate
+
+        fd = RelicNeutrinoDistribution(cosmo.m_nu_total_ev / 3.0, cosmo.units)
+        ys = np.linspace(1.0e-6, 60.0, 4000)
+        cdf = integrate.cumulative_trapezoid(ys**2 / (np.exp(ys) + 1.0), ys,
+                                             initial=0.0)
+        for coverage in (0.99, 0.997, 0.999):
+            y_cut = float(np.interp(coverage, cdf / cdf[-1], ys))
+            assert fd.velocity_cutoff(coverage) == y_cut * fd.u0
+
+    def test_the_reduced_fermi_dirac_profiles_are_unit_normalised(self, cosmo):
+        """``_fd_profile`` normalises 1-D and 2-D by closed forms:
+        int_0^inf dy / (e^y + 1) = ln 2, int_0^inf 2 pi y dy / (e^y + 1)
+        = pi^3 / 6."""
+        from repro.ic.neutrino_ic import _fd_profile
+
+        fd = RelicNeutrinoDistribution(cosmo.m_nu_total_ev / 3.0, cosmo.units)
+        one = 2.0 * tight_quad(
+            lambda u: float(_fd_profile(np.asarray(u), fd, 1)), 0.0, np.inf)
+        two = tight_quad(
+            lambda u: 2.0 * np.pi * u * float(_fd_profile(np.asarray(u), fd, 2)),
+            0.0, np.inf)
+        assert one == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert two == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 class TestBackground:

@@ -80,21 +80,25 @@ def final_checkpoint(run_dir, n_steps):
 
 
 class TestImportDiet:
-    """A kinetic run never loads scipy: the field transforms are
-    ``numpy.fft``, and the Ewald, TreePM-split and FoF call sites import
-    their scipy pieces on use.  Only the hybrid's ``Cosmology``
-    integrals still pull it in."""
+    """A run never loads scipy: the field transforms are ``numpy.fft``,
+    the hybrid's ``Cosmology`` integrals are Gauss-Legendre rules on
+    numpy, and the Ewald, TreePM-split and FoF call sites import their
+    scipy pieces on use.  The resume rebuilds the hybrid's IC, and loads
+    none either."""
 
-    @pytest.mark.parametrize("config", [plasma_config, gravitational_config])
+    @pytest.mark.parametrize("config", [plasma_config, gravitational_config,
+                                        hybrid_config])
     def test_a_run_loads_no_scipy(self, config, tmp_path):
-        cfg = config(n_steps=2)
+        cfg = config(n_steps=4)
         cfg.checkpoint = CheckpointConfig(every_steps=1, keep_last=2)
         cfg.diagnostics = DiagnosticsConfig(every_steps=1, n_bins=4)
         path = cfg.dump(tmp_path / "run.json")
         code = (
             "import sys\n"
             "from repro.cli import main\n"
-            "assert main(['run', sys.argv[1], '--run-dir', sys.argv[2]]) == 0\n"
+            "run = ['run', sys.argv[1], '--run-dir', sys.argv[2], '--max-steps', '2']\n"
+            f"assert main(run) == {EXIT_RESUMABLE}\n"
+            "assert main(['resume', sys.argv[2]]) == 0\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "assert not loaded, loaded[:8]\n"
         )
