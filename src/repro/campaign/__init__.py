@@ -9,7 +9,7 @@ failure-classified retries, resource watchdogs — see
 :mod:`repro.campaign.supervision`) that keeps a multi-day sweep alive
 through worker deaths and stalled runs.  Exposed on the CLI as ``repro
 campaign <spec>`` / ``repro campaign resume <dir>`` / ``repro campaign
-worker <dir>``; see ``docs/CAMPAIGN.md`` for the spec format, the
+status <dir>``; see ``docs/CAMPAIGN.md`` for the spec format, the
 executor interface, and the exit-code semantics.
 """
 
@@ -23,13 +23,10 @@ from .config import (
 )
 from .executors import Executor, ProcessExecutor, ThreadExecutor, build_executor
 from .manifest import MANIFEST_NAME, RUN_STATES, CampaignManifest
-from .remote import QueueExecutor, run_worker
 from .scheduler import RUN_CONFIG_NAME, RUNS_DIR, SUPERVISOR_LOG, Campaign
 from .supervision import (
     FAILURE_CLASSES,
     LEASE_NAME,
-    ExecutorUnavailable,
-    LeaseExpired,
     Outcome,
     RetryPolicy,
     RunLease,
@@ -45,9 +42,7 @@ __all__ = [
     "Executor",
     "ProcessExecutor",
     "ThreadExecutor",
-    "QueueExecutor",
     "build_executor",
-    "run_worker",
     "aggregate_rows",
     "format_table",
     "LimitsConfig",
@@ -56,8 +51,6 @@ __all__ = [
     "RetryPolicy",
     "Supervisor",
     "Outcome",
-    "LeaseExpired",
-    "ExecutorUnavailable",
     "classify_exit",
     "EXECUTOR_NAMES",
     "FAILURE_CLASSES",

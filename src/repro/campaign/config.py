@@ -60,11 +60,9 @@ __all__ = [
 ]
 
 #: Executor implementations the scheduler can build (see
-#: campaign.executors and campaign.remote): ``processes`` (one OS
-#: subprocess per run), ``threads`` (in-process runners) and ``queue``
-#: (spool-file jobs drained by separate ``repro campaign worker``
-#: processes, possibly on other hosts sharing the filesystem).
-EXECUTOR_NAMES = ("processes", "threads", "queue")
+#: campaign.executors): ``processes`` (one OS subprocess per run) and
+#: ``threads`` (in-process runners).
+EXECUTOR_NAMES = ("processes", "threads")
 
 
 @dataclass
@@ -87,14 +85,14 @@ class LimitsConfig:
     executor holds a process handle → the runner checkpoints and exits
     75) and SIGKILLed after ``grace_seconds`` if the drain does not
     land.  ``lease_seconds`` is the heartbeat horizon: a run whose
-    lease/telemetry shows no progress for this long is declared stalled
+    telemetry shows no progress for this long is declared stalled
     and reclaimed.  ``poll_seconds`` paces the supervisor's monitor
-    loop (and the queue executor's result polling).
+    loop.
 
     RSS is read from the run's own telemetry (``rss_mb`` is peak RSS of
-    the *run process*), so the budget is meaningful for the process and
-    queue executors; thread-executor runs share the scheduler's RSS and
-    only the drain-flag path applies to them.
+    the *run process*), so the budget is meaningful for the process
+    executor; thread-executor runs share the scheduler's RSS and only
+    the drain-flag path applies to them.
     """
 
     wall_seconds: float | None = None

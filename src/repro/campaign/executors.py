@@ -3,7 +3,7 @@
 The scheduler only ever talks to the :class:`Executor` interface —
 *execute this materialized run directory, tell me the exit code* — so
 the execution substrate is swappable without touching scheduling,
-manifest, or resume logic.  Three implementations ship:
+manifest, or resume logic.  Two implementations ship:
 
 :class:`ProcessExecutor` (``"processes"``, the default)
     One OS subprocess per run, driving the standard ``python -m repro
@@ -22,14 +22,6 @@ manifest, or resume logic.  Three implementations ship:
     concurrent runs *because the telemetry event sink is contextual*
     (a contextvar, not a process global): each in-flight runner's
     subsystem events land in its own ``telemetry.jsonl``.
-
-:class:`~repro.campaign.remote.QueueExecutor` (``"queue"``)
-    The remote seam: submission writes a job ticket into the
-    campaign's spool directory and separate ``repro campaign worker``
-    processes (possibly on other hosts sharing the filesystem) claim
-    jobs through the lease protocol, execute them, and report terminal
-    status back through result files — the scheduler polls rather than
-    holding a subprocess handle.  See :mod:`repro.campaign.remote`.
 
 The supervision hooks (:meth:`Executor.request_drain` /
 :meth:`Executor.request_kill`) are how the campaign watchdog enforces
@@ -64,22 +56,9 @@ class Executor:
     already holds checkpoints resumes it — that contract is what makes
     campaign resume (and supervised retry) free, and all shipped
     executors inherit it from ``SimulationRunner``'s own auto-resume.
-
-    Constructors accept (and may ignore) the keyword context the
-    scheduler provides — ``campaign_dir`` and ``limits`` — so one
-    registry builds every backend.
     """
 
     name = "abstract"
-    #: Remote executors poll an external substrate; the supervisor's
-    #: local monitor loop (heartbeat renew, drain→kill ladder) is
-    #: theirs to implement inside ``execute``.
-    remote = False
-
-    def __init__(self, campaign_dir: Path | None = None,
-                 limits=None) -> None:
-        self.campaign_dir = Path(campaign_dir) if campaign_dir else None
-        self.limits = limits
 
     def execute(self, run_dir: Path, config_path: Path,
                 max_steps: int | None = None) -> int:
@@ -133,9 +112,7 @@ class ProcessExecutor(Executor):
     #: Seconds ``close()`` waits after SIGTERM before escalating.
     TERM_GRACE = 5.0
 
-    def __init__(self, campaign_dir: Path | None = None,
-                 limits=None) -> None:
-        super().__init__(campaign_dir, limits)
+    def __init__(self) -> None:
         self._procs: dict[str, subprocess.Popen] = {}
         self._lock = threading.Lock()
 
@@ -210,30 +187,19 @@ class ProcessExecutor(Executor):
             self._reap(proc)
 
 
-def _executor_registry() -> dict:
-    from .remote import QueueExecutor
-
-    return {
-        ProcessExecutor.name: ProcessExecutor,
-        ThreadExecutor.name: ThreadExecutor,
-        QueueExecutor.name: QueueExecutor,
-    }
+_EXECUTORS = {cls.name: cls for cls in (ProcessExecutor, ThreadExecutor)}
 
 
-def build_executor(name: str, campaign_dir: Path | None = None,
-                   limits=None) -> Executor:
+def build_executor(name: str) -> Executor:
     """Instantiate a registered executor by name.
 
     Unknown names raise ``ValueError`` listing the valid choices.
-    ``campaign_dir``/``limits`` are the scheduler's context — the queue
-    executor needs both, the local executors keep them for reference.
     """
-    registry = _executor_registry()
     try:
-        cls = registry[name]
+        cls = _EXECUTORS[name]
     except KeyError:
         raise ValueError(
             f"unknown executor {name!r}; expected one of "
-            f"{tuple(registry)}"
+            f"{tuple(_EXECUTORS)}"
         ) from None
-    return cls(campaign_dir=campaign_dir, limits=limits)
+    return cls()

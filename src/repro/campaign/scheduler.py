@@ -58,7 +58,7 @@ SUPERVISOR_LOG = "supervisor.jsonl"
 
 #: Executor degradation order: when a backend keeps failing to spawn,
 #: the scheduler falls back to the next entry that still works.
-DEGRADE_CHAIN = ("queue", "processes", "threads")
+DEGRADE_CHAIN = ("processes", "threads")
 
 
 class Campaign:
@@ -135,15 +135,11 @@ class Campaign:
         """
         return asyncio.run(self._run_async(executor, max_steps, supervise))
 
-    def _build_executor(self, name: str) -> Executor:
-        return build_executor(name, campaign_dir=self.campaign_dir,
-                              limits=self.config.limits)
-
     async def _run_async(self, executor: Executor | None,
                          max_steps: int | None, supervise: bool) -> int:
         owns_executor = executor is None
         if executor is None:
-            executor = self._build_executor(self.config.executor)
+            executor = build_executor(self.config.executor)
         if max_steps is None:
             max_steps = self.config.max_steps
         stale = self.manifest.reset_stale_running()
@@ -176,7 +172,7 @@ class Campaign:
                     else DEGRADE_CHAIN[1:])
             if not tail:
                 return False
-            replacement = self._build_executor(tail[0])
+            replacement = build_executor(tail[0])
             closers.append(replacement)
             state["executor"] = replacement
             supervisor.emit("supervision_degrade",

@@ -12,8 +12,7 @@ than a fire-and-forget subprocess:
     *broken* and retaken, with a nonce re-read deciding races between
     two breakers.  The lease is the single source of truth for "someone
     is executing this run" — the scheduler's monitor renews it while
-    the run's telemetry shows progress, a ``repro campaign worker``
-    renews it from its heartbeat thread, and a lease that stops being
+    the run's telemetry shows progress, and a lease that stops being
     renewed marks its run orphaned and reclaimable.
 
 :func:`classify_exit`
@@ -21,7 +20,7 @@ than a fire-and-forget subprocess:
     (exit 0), ``resumable`` (exit 75 — an orderly drain; the run's
     checkpoint chain continues it), ``permanent`` (exit 70 — a guard
     abort a human must look at), ``transient`` (signal death, lease
-    expiry, spawn failure — retry and it will likely just work).
+    held, spawn failure — retry and it will likely just work).
 
 :class:`RetryPolicy`
     Capped exponential backoff with deterministic seeded jitter, plus
@@ -70,8 +69,6 @@ from .config import LimitsConfig, RetryConfig
 __all__ = [
     "FAILURE_CLASSES",
     "LEASE_NAME",
-    "LeaseExpired",
-    "ExecutorUnavailable",
     "Outcome",
     "RetryPolicy",
     "RunLease",
@@ -86,23 +83,15 @@ LEASE_NAME = "lease.json"
 FAILURE_CLASSES = ("done", "transient", "resumable", "permanent")
 
 #: Consecutive spawn failures of one executor before the scheduler
-#: degrades to the next backend in the chain (queue→processes→threads).
+#: degrades to the next backend in the chain (processes→threads).
 DEGRADE_AFTER = 2
-
-
-class LeaseExpired(Exception):
-    """A run's lease stopped being renewed: the holder is presumed dead."""
-
-
-class ExecutorUnavailable(Exception):
-    """The execution backend itself is broken (spawn failure, no worker)."""
 
 
 def classify_exit(exit_code: int | None) -> str:
     """Map one terminal exit code onto its failure class.
 
-    ``None`` (no exit code — the attempt died before producing one:
-    lease expiry, spawn failure) and negative codes (signal death) are
+    ``None`` (no exit code — the attempt never produced one: lease
+    held elsewhere, spawn failure) and negative codes (signal death) are
     ``transient``; unknown positive codes are ``transient`` too, on the
     theory that anything that is not a deliberate contract code was an
     environmental accident worth one more try.
@@ -286,29 +275,20 @@ class RunLease:
 # ----------------------------------------------------------------------
 
 
-def heartbeat_age(run_dir: str | Path, since: float,
-                  include_lease: bool = True) -> float:
-    """Seconds since the run last showed life, relative to ``since``.
+def heartbeat_age(run_dir: str | Path, since: float) -> float:
+    """Seconds since the run last showed progress, relative to ``since``.
 
-    Life is the newest of: the lease file's mtime (renewals), the
-    telemetry stream's mtime (the runner appends one record per step),
-    and ``since`` itself (dispatch time — a run that has not produced
-    its first record yet is not stalled, just starting).
-
-    ``include_lease=False`` restricts life to *run progress* (telemetry
-    only).  The supervisor's own monitor must use this form: it renews
-    the lease itself, so counting the lease mtime would declare its own
-    renewals to be the run's heartbeat and a frozen run would never
-    look stalled.
+    Progress is the newer of the telemetry stream's mtime (the runner
+    appends one record per step) and ``since`` itself (dispatch time — a
+    run that has not produced its first record yet is not stalled, just
+    starting).  The lease file's mtime does not count: the supervisor
+    renews the lease itself, so its own renewals would read as the run's
+    heartbeat and a frozen run would never look stalled.
     """
-    run_dir = Path(run_dir)
-    newest = since
-    names = (LEASE_NAME, TELEMETRY_NAME) if include_lease else (TELEMETRY_NAME,)
-    for name in names:
-        try:
-            newest = max(newest, (run_dir / name).stat().st_mtime)
-        except OSError:
-            pass
+    try:
+        newest = max(since, (Path(run_dir) / TELEMETRY_NAME).stat().st_mtime)
+    except OSError:
+        newest = since
     return time.time() - newest
 
 
@@ -429,15 +409,12 @@ class Supervisor:
             RunLease.break_lease(run_dir)
             self.emit("lease_reclaimed", run_id=run_id, by=self.owner)
 
-        remote = getattr(executor, "remote", False)
-        lease = None
-        if not remote:
-            lease = RunLease.acquire(run_dir, self.owner, lim.lease_seconds,
-                                     attempt=attempt)
-            if lease is None:
-                return Outcome(None, "transient", reason="lease_held")
-            self.emit("lease_acquired", run_id=run_id, owner=self.owner,
-                      attempt=attempt)
+        lease = RunLease.acquire(run_dir, self.owner, lim.lease_seconds,
+                                 attempt=attempt)
+        if lease is None:
+            return Outcome(None, "transient", reason="lease_held")
+        self.emit("lease_acquired", run_id=run_id, owner=self.owner,
+                  attempt=attempt)
         self.emit("supervision_dispatch", run_id=run_id, attempt=attempt,
                   executor=executor.name)
 
@@ -448,11 +425,8 @@ class Supervisor:
             try:
                 result["code"] = executor.execute(run_dir, config_path,
                                                   max_steps)
-            except LeaseExpired as exc:
-                result["lease_expired"] = str(exc)
             except Exception as exc:  # spawn/backend failure
                 result["error"] = f"{type(exc).__name__}: {exc}"
-                result["unavailable"] = isinstance(exc, ExecutorUnavailable)
             finally:
                 done.set()
 
@@ -465,24 +439,20 @@ class Supervisor:
             while not done.wait(timeout=lim.poll_seconds):
                 self._monitor_tick(executor, state, lease)
         finally:
-            if lease is not None:
-                lease.release()
-                self.emit("lease_released", run_id=run_id, owner=self.owner)
+            lease.release()
+            self.emit("lease_released", run_id=run_id, owner=self.owner)
         return self._classify(executor, state, result, attempt)
 
     # -- monitor internals ----------------------------------------------
 
     def _monitor_tick(self, executor, state: _Attempt,
-                      lease: RunLease | None) -> None:
+                      lease: RunLease) -> None:
         """One watchdog pass: heartbeat, budgets, the drain→kill ladder."""
         lim = self.limits
         now = time.time()
-        if getattr(executor, "remote", False):
-            return  # the queue executor polls/reclaims on its own
-        age = heartbeat_age(state.run_dir, state.started,
-                            include_lease=False)
+        age = heartbeat_age(state.run_dir, state.started)
         stalled = age > lim.lease_seconds
-        if lease is not None and not stalled:
+        if not stalled:
             # renew lazily — only once the deadline is within half the
             # lease duration, not on every tick (a rewrite per 0.25 s
             # poll is measurable disk traffic at K runs in flight)
@@ -533,12 +503,7 @@ class Supervisor:
     def _classify(self, executor, state: _Attempt, result: dict,
                   attempt: int) -> Outcome:
         """Fold the execute thread's result into a classified Outcome."""
-        if "lease_expired" in result:
-            self.emit("lease_expired", run_id=state.run_id,
-                      detail=result["lease_expired"])
-            self.note_spawn_result(executor, failed=False)
-            outcome = Outcome(None, "transient", reason="lease_expired")
-        elif "error" in result:
+        if "error" in result:
             self.note_spawn_result(executor, failed=True)
             outcome = Outcome(None, "transient", reason=result["error"],
                               spawn_failure=True)

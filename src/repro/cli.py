@@ -9,9 +9,8 @@ without writing a script:
 * ``run``      — start a production run from a config file;
 * ``resume``   — continue an interrupted run from its run directory;
 * ``campaign`` — run/resume/watch a parameter-sweep campaign from a
-  spec, or start a ``worker`` process for its job queue;
+  spec;
 * ``verify``   — check the integrity of a run's checkpoints;
-* ``serve``    — list/query a run's stored diagnostics products;
 * ``scaling``  — print Tables 2-4 + the time-to-solution report;
 * ``memory``   — per-node memory audit of the Table 2 runs;
 * ``schemes``  — list the advection schemes and their properties.
@@ -21,12 +20,22 @@ without writing a script:
 both accept ``--faults`` (inline JSON or a file path) to drive a chaos
 drill against a real run.  ``campaign`` rolls the same contract up over
 a whole sweep (0 all done, 70 any guard abort, else 75 — resume until
-0; see ``docs/CAMPAIGN.md``).
+0; see ``docs/CAMPAIGN.md``).  A config or spec path that names no file
+is a usage error (exit 2), reported in one line.
 """
 
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
+
+
+def _no_config_file(command: str, path: str) -> bool:
+    """Report a config path that names no file; ``True`` when missing."""
+    if Path(path).is_file():
+        return False
+    print(f"{command}: no such config file: {path}")
+    return True
 
 
 def cmd_info(_: argparse.Namespace) -> int:
@@ -96,6 +105,8 @@ def cmd_hybrid(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Start (or re-enter) a production run from a config file."""
+    if _no_config_file("run", args.config):
+        return 2
     from repro.runtime import FaultPlan, RunConfig, SimulationRunner
 
     config = RunConfig.load(args.config)
@@ -143,30 +154,16 @@ def _campaign_status(campaign, watch: bool) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    """Run, resume, inspect, or serve a parameter-sweep campaign.
+    """Run, resume or inspect a parameter-sweep campaign.
 
     ``repro campaign <spec>`` materializes and runs a sweep (re-running
     an existing directory naturally resumes it); ``repro campaign
     resume <dir>`` re-enters a campaign from its manifest alone;
     ``repro campaign status <dir>`` prints the aggregate table without
-    executing anything (``--watch`` keeps refreshing it); ``repro
-    campaign worker <dir>`` starts a queue worker that claims and
-    executes jobs from the campaign's spool (the ``queue`` executor's
-    substrate).
+    executing anything (``--watch`` keeps refreshing it).
     """
     from repro.campaign import Campaign, CampaignConfig, format_table
 
-    if args.target == "worker":
-        if args.arg is None:
-            print("campaign worker: campaign directory required")
-            return 2
-        from repro.campaign import run_worker
-
-        executed = run_worker(args.arg, poll=args.poll, once=args.once,
-                              worker_id=args.worker_id,
-                              max_jobs=args.max_jobs)
-        print(f"campaign worker: executed {executed} job(s)")
-        return 0
     if args.target in ("resume", "status"):
         if args.arg is None:
             print(f"campaign {args.target}: campaign directory required")
@@ -175,6 +172,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.target == "status":
             return _campaign_status(campaign, args.watch)
     else:
+        if _no_config_file("campaign", args.target):
+            return 2
         config = CampaignConfig.load(args.target)
         if args.concurrency is not None:
             config.concurrency = args.concurrency
@@ -195,8 +194,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ``--quarantine`` additionally renames failing files to ``*.corrupt``
     so the restart chain skips them without re-reading.
     """
-    from pathlib import Path
-
     from repro.io.snapshot import quarantine, read_checkpoint
 
     ck_dir = Path(args.run_dir) / "checkpoints"
@@ -220,77 +217,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"ok    {path.name}  step={header['step']}")
     print(f"verify: {len(paths) - bad}/{len(paths)} checkpoints valid")
     return 1 if bad else 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a run's stored diagnostics products.
-
-    ``repro serve list <run_dir>`` tabulates the stored snapshots;
-    ``repro serve query <run_dir> --product ...`` computes (or answers
-    from the content-addressed cache) one derived product.  Exit 0 on
-    success, 1 when the store is missing or the query cannot be
-    answered.
-    """
-    import json as _json
-    import time
-
-    import numpy as np
-
-    from repro.serve import QueryEngine
-
-    try:
-        engine = QueryEngine(args.run_dir, use_cache=not args.no_cache)
-    except FileNotFoundError as exc:
-        print(f"serve: {exc}")
-        return 1
-
-    if args.action == "list":
-        rows = engine.describe()
-        if not rows:
-            print(f"serve: no snapshots under {engine.store_dir}")
-            return 1
-        if args.json:
-            print(_json.dumps(rows, indent=2))
-            return 0
-        for row in rows:
-            coord = ", ".join(f"{k}={v:.4g}" for k, v in row["coord"].items())
-            print(f"{row['snapshot']}  step={row['step']:<6} {coord:<14} "
-                  f"fields: {', '.join(row['fields'])}")
-        return 0
-
-    t0 = time.perf_counter()
-    try:
-        result = engine.query(
-            args.product, step=args.step, field=args.field,
-            field_b=args.field_b, n_bins=args.n_bins,
-            axis=args.axis, index=args.index,
-        )
-    except (FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"serve: {exc}")
-        return 1
-    elapsed = time.perf_counter() - t0
-    if args.json:
-        payload = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else
-                float(v) if isinstance(v, np.floating) else v)
-            for k, v in result.items()
-        }
-        payload["seconds"] = elapsed
-        print(_json.dumps(payload, indent=2))
-        return 0
-    origin = "cache" if result["cached"] else "computed"
-    print(f"{args.product} @ {result['snapshot']}  [{origin}, {elapsed:.3f}s]")
-    for name, value in result.items():
-        if name in ("cached", "snapshot"):
-            continue
-        if isinstance(value, np.ndarray):
-            flat = np.asarray(value)
-            head = ", ".join(f"{v:.6g}" for v in flat.ravel()[:8])
-            tail = ", ..." if flat.size > 8 else ""
-            print(f"  {name}: shape={flat.shape}  [{head}{tail}]")
-        else:
-            print(f"  {name}: {float(value):.6g}")
-    return 0
 
 
 def cmd_scaling(_: argparse.Namespace) -> int:
@@ -383,16 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="parameter-sweep campaign over runs")
     p.add_argument("target",
-                   help="campaign spec (.json/.toml), or "
-                        "'resume'/'status'/'worker'")
+                   help="campaign spec (.json/.toml), or 'resume'/'status'")
     p.add_argument("arg", nargs="?", default=None,
-                   help="campaign directory (for resume/status/worker)")
+                   help="campaign directory (for resume/status)")
     p.add_argument("--dir", default=None,
                    help="campaign directory (default: <name>.campaign)")
     p.add_argument("-k", "--concurrency", type=int, default=None,
                    help="override the spec's runs-in-flight count")
     p.add_argument("--executor", default=None,
-                   choices=("processes", "threads", "queue"),
+                   choices=("processes", "threads"),
                    help="override the spec's executor backend")
     p.add_argument("--max-steps", type=int, default=None,
                    help="cap steps per run this invocation (runs exit 75)")
@@ -400,45 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bare dispatch: no leases, watchdogs, or retries")
     p.add_argument("--watch", action="store_true",
                    help="status: refresh the table until done/interrupted")
-    p.add_argument("--poll", type=float, default=0.5,
-                   help="worker: queue poll interval [s] (default: 0.5)")
-    p.add_argument("--once", action="store_true",
-                   help="worker: drain the visible queue once, then exit")
-    p.add_argument("--worker-id", default=None,
-                   help="worker: stable identity (default: worker-<pid>)")
-    p.add_argument("--max-jobs", type=int, default=None,
-                   help="worker: stop after executing this many jobs")
 
     p = sub.add_parser("verify", help="checkpoint integrity audit")
     p.add_argument("run_dir", help="run directory (or its checkpoints/)")
     p.add_argument("--quarantine", action="store_true",
                    help="rename failing checkpoints to *.corrupt")
-
-    p = sub.add_parser("serve", help="query a run's diagnostics products")
-    p.add_argument("action", choices=("list", "query"),
-                   help="list stored snapshots, or answer one query")
-    p.add_argument("run_dir", help="run directory (or its diagnostics/)")
-    p.add_argument("--product", default="power",
-                   choices=("power", "cross", "correlation", "transfer",
-                            "slice", "moments"),
-                   help="derived product to compute/serve")
-    p.add_argument("--field", default="density",
-                   help="stored field name (default: density)")
-    p.add_argument("--field-b", default=None,
-                   help="second field for cross/correlation/transfer "
-                        "(default: cdm_density when stored)")
-    p.add_argument("--step", type=int, default=None,
-                   help="schedule step to serve (default: newest)")
-    p.add_argument("--n-bins", type=int, default=16,
-                   help="spectral bins (default: 16)")
-    p.add_argument("--axis", type=int, default=0,
-                   help="slice: axis to cut (default: 0)")
-    p.add_argument("--index", type=int, default=None,
-                   help="slice: index along the axis (default: middle)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the product cache (always recompute)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full result as JSON")
 
     sub.add_parser("scaling", help="Tables 2-4 + time-to-solution")
     sub.add_parser("memory", help="per-node memory audit")
@@ -455,7 +346,6 @@ _COMMANDS = {
     "resume": cmd_resume,
     "campaign": cmd_campaign,
     "verify": cmd_verify,
-    "serve": cmd_serve,
     "scaling": cmd_scaling,
     "memory": cmd_memory,
     "schemes": cmd_schemes,

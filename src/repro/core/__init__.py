@@ -4,7 +4,6 @@ from .advection import SCHEMES, advect
 from .mesh import PhaseSpaceGrid
 from .schemes import Mp5Rk3Advector
 from .splitting import COMPOSITIONS, SplitStepper, lie_step, ruth_step, strang_step
-from .timestep import TimestepController
 from .vlasov import VlasovSolver
 from .vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
 from . import moments
@@ -19,7 +18,6 @@ __all__ = [
     "lie_step",
     "ruth_step",
     "strang_step",
-    "TimestepController",
     "VlasovSolver",
     "GravitationalVlasovPoisson",
     "PlasmaVlasovPoisson",

@@ -7,12 +7,6 @@ from .gaussian_field import (
     gaussian_field_fourier,
     measure_power,
 )
-from .lpt2 import (
-    lpt2_particles,
-    second_order_displacement,
-    second_order_growth,
-    second_order_growth_rate,
-)
 from .neutrino_ic import neutrino_distribution_function, sample_neutrino_particles
 from .zeldovich import displacement_field, linear_velocity_field, zeldovich_particles
 
@@ -22,10 +16,6 @@ __all__ = [
     "gaussian_field",
     "gaussian_field_fourier",
     "measure_power",
-    "lpt2_particles",
-    "second_order_displacement",
-    "second_order_growth",
-    "second_order_growth_rate",
     "neutrino_distribution_function",
     "sample_neutrino_particles",
     "displacement_field",

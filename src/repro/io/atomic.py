@@ -1,11 +1,11 @@
 """Crash-safe file replacement — the package's one write-then-rename.
 
 Every durable artifact (checkpoints, snapshot chunks and manifests,
-``run.json``, ``campaign.json``, leases, spool tickets, cache entries)
-is staged in a same-directory temp file, flushed and fsynced, and only
-then moved over the destination with ``os.replace``: a crash at any
-point leaves the previous file or the new one, never a torn or empty
-one, and a failed write leaves no temp file behind.
+``run.json``, ``campaign.json``, leases) is staged in a same-directory
+temp file, flushed and fsynced, and only then moved over the
+destination with ``os.replace``: a crash at any point leaves the
+previous file or the new one, never a torn or empty one, and a failed
+write leaves no temp file behind.
 """
 
 from __future__ import annotations

@@ -12,10 +12,9 @@ self-describing, portable, append-free.  Snapshots can alternatively be
 written **chunked** (:func:`write_snapshot_chunked`): each moment field
 is split into per-slab ``.npy`` chunks along its leading spatial axis
 under one directory, described by a ``manifest.json``, so a reader
-fetching one slab of one field (:func:`read_snapshot_slab`) touches one
-small file instead of decompressing the whole container — the access
-pattern of the serving tier (:mod:`repro.serve`).  :func:`read_snapshot`
-accepts both forms transparently.
+fetching one field (:func:`read_snapshot_field`) touches its chunks
+only instead of decompressing the whole container.
+:func:`read_snapshot` accepts both forms transparently.
 
 Writes are **atomic** (:mod:`repro.io.atomic`): the container is staged
 to a temporary file in the destination directory and moved into place
@@ -367,7 +366,7 @@ DEFAULT_CHUNKS = 8
 
 #: Fields this small are not worth splitting: each chunk pays an
 #: open + fsync + rename, which for sub-megabyte slabs costs far more
-#: than slab-granular reads ever save.  The writer shrinks the chunk
+#: than the split ever saves.  The writer shrinks the chunk
 #: count so every chunk is at least this big (set 0 to force splitting).
 MIN_CHUNK_BYTES = 1 << 20
 
@@ -561,31 +560,6 @@ def read_snapshot_field(
     if timer is not None:
         timer.record_read(time.perf_counter() - t0, arr.nbytes)
     return arr
-
-
-def read_snapshot_slab(
-    path: str | Path, field: str, chunk: int, timer: IOTimer | None = None
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Fetch a single slab of one field without touching its siblings.
-
-    Returns ``(slab, (start, stop))`` — the slab's index range along the
-    field's chunk axis.  This is the read path the manifest exists for:
-    one small ``.npy`` instead of the whole container.
-    """
-    out_dir = _manifest_dir(Path(path))
-    t0 = time.perf_counter()
-    manifest = snapshot_manifest(out_dir)
-    spec = manifest["fields"][field]
-    entries = spec["chunks"]
-    if not -len(entries) <= chunk < len(entries):
-        raise IndexError(
-            f"field {field!r} has {len(entries)} chunks, asked for {chunk}"
-        )
-    entry = entries[chunk]
-    slab = _load_chunk(out_dir, field, spec, entry)
-    if timer is not None:
-        timer.record_read(time.perf_counter() - t0, slab.nbytes)
-    return slab, (int(entry["start"]), int(entry["stop"]))
 
 
 def _read_snapshot_chunked(path: Path, timer: IOTimer | None = None) -> dict:

@@ -15,12 +15,6 @@ from .exchange import (
     exchange_ghosts_full,
 )
 from .fft_decomp import PencilGrid, pencil_fft3d
-from .particle_exchange import (
-    decompose_particles,
-    exchange_boundary_particles,
-    migrate_particles,
-    owner_of,
-)
 from .vmpi import CollectiveRecord, CommLog, MessageRecord, VirtualComm
 
 __all__ = [
@@ -34,10 +28,6 @@ __all__ = [
     "exchange_ghosts",
     "exchange_ghosts_full",
     "PencilGrid",
-    "decompose_particles",
-    "exchange_boundary_particles",
-    "migrate_particles",
-    "owner_of",
     "pencil_fft3d",
     "CollectiveRecord",
     "CommLog",

@@ -45,7 +45,7 @@ operational discipline:
   moment fields and binned spectra under ``diagnostics/`` at that
   cadence, off the step critical path; its lifecycle lands in the
   telemetry stream as ``diagnostics_*`` events and the stored products
-  are served by ``repro serve`` (:mod:`repro.serve`);
+  read back through :func:`repro.serve.read_products`;
 * **chaos injection** — an optional :class:`~repro.runtime.faults.FaultPlan`
   (``[faults]`` config section, ``REPRO_FAULTS`` env, or the ``run()``
   argument) fires deterministic worker kills, checkpoint corruption,

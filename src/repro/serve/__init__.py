@@ -1,29 +1,20 @@
-"""The always-on analysis & serving tier.
+"""The always-on analysis tier.
 
 Production runs used to write checkpoints that nothing ever read; the
 paper's actual product is the *derived* surface — density maps, velocity
 moments, power/cross/transfer spectra (Figs. 4-6).  This package turns
 the run directory into that product surface:
-
-* :class:`DiagnosticsPipeline` — a background worker that computes and
-  stores moment fields + binned spectra at the runner's snapshot
-  cadence, off the step critical path (:mod:`repro.serve.pipeline`);
-* :class:`QueryEngine` — the cached query layer over the stored
-  products, memoized by content hash (:mod:`repro.serve.query`);
-* :class:`ProductCache` — the content-addressed memo store itself
-  (:mod:`repro.serve.cache`).
-
-CLI surface: ``repro serve list|query`` (see ``docs/SERVING.md``).
+:class:`DiagnosticsPipeline` is a background worker that computes and
+stores moment fields + binned spectra at the runner's snapshot cadence,
+off the step critical path (:mod:`repro.serve.pipeline`).  The stored
+products are read back with :func:`read_products` and
+:func:`repro.io.snapshot.read_snapshot_field` (see ``docs/SERVING.md``).
 """
 
-from .cache import ProductCache
 from .pipeline import PRODUCTS_NAME, DiagnosticsPipeline, read_products
-from .query import QueryEngine
 
 __all__ = [
     "DiagnosticsPipeline",
     "PRODUCTS_NAME",
-    "ProductCache",
-    "QueryEngine",
     "read_products",
 ]

@@ -7,7 +7,8 @@ write_snapshot_chunked`), runs the spectral estimators from
 :mod:`repro.analysis`, and appends one JSON line per snapshot to
 ``products.jsonl``.  The step loop pays only for the defensive copy of
 ``f`` at submit time — moments, FFTs and disk I/O all happen off the
-critical path (the tax is gated in ``benchmarks/bench_serve.py``).
+critical path (the end-to-end benchmark reports the tax as
+``serve.pipeline.submit_s``).
 
 Backpressure is explicit: the submit queue is bounded, and ``on_full``
 picks the failure mode — ``"block"`` (default; the step loop waits, no

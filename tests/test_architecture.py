@@ -36,7 +36,11 @@ dependency is installed, as ``python tests/test_architecture.py``.
   ``ghost_width`` is the one ghost formula;
 * so does unmerged KDK: the drivers step Eq. (5) as a leapfrog with the
   pending half kick carried, and the solver has no two-kick step taking
-  a second field callback.
+  a second field callback;
+* every module is reached: the CLI, a benchmark or an example imports
+  it, following a name imported from a package to the submodule that
+  defines it — tests and package re-exports do not count, so code that
+  no run reaches is deleted rather than kept alive by its own tests.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = SRC.parent
 # spelled in halves so that grepping the tree for them finds only code
 RETIRED = (
     "is_domain" + "_engine", "DomainSolver" + "Adapter",
@@ -76,19 +81,25 @@ def modules():
         yield ".".join(parts), path
 
 
+def _from_module(name: str, path: Path, node: ast.ImportFrom) -> str:
+    """The module a ``from ... import`` names, resolved against ``name``."""
+    base = node.module or ""
+    if node.level:
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+        base = ".".join(anchor + ([base] if base else []))
+    return base
+
+
 def imports(name: str, path: Path):
     """``(imported module, imported name or None, line)`` for every import
     statement in the file, relative imports resolved against ``name``."""
-    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, None, node.lineno
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
-                base = ".".join(anchor + ([base] if base else []))
+            base = _from_module(name, path, node)
             for alias in node.names:
                 yield base, alias.name, node.lineno
 
@@ -310,6 +321,73 @@ def test_the_pencil_engine_is_threads_only():
     args = init.args
     params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     assert params == ["self", "n_workers"] and not (args.vararg or args.kwarg), params
+
+
+#: The package's own entry points; benchmarks and examples are the rest.
+ENTRY = ("repro.cli", "repro.__main__")
+
+#: Modules no entry point imports that stay anyway, each with its reader.
+UNREACHED_BY_DESIGN = (
+    # the Eqs. 9-10 shot-noise algebra the N-body comparator's S/N rests on
+    "repro.analysis.shotnoise",
+    # the virtual 2-D pencil FFT that DESIGN.md and EXPERIMENTS.md cite
+    "repro.parallel.fft_decomp",
+)
+
+
+def _source(module: str) -> Path | None:
+    """The file of a ``repro`` module or package, ``None`` if there is none."""
+    base = SRC.joinpath(*module.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _defined_in(module: str, imported: str | None) -> str | None:
+    """The plain module an import lands in: a package's name is followed
+    through its ``__init__`` to the submodule that defines it, and a bare
+    package import lands nowhere."""
+    path = _source(module)
+    if path is None or path.name != "__init__.py":
+        return module if path else None
+    if imported is None:
+        return None
+    if _source(f"{module}.{imported}"):
+        return _defined_in(f"{module}.{imported}", None)
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (alias.asname or alias.name) == imported:
+                    return _defined_in(_from_module(module, path, node), alias.name)
+    return None  # defined in the __init__ itself
+
+
+def reached_modules() -> set[str]:
+    """Every module the CLI, a benchmark or an example imports, transitively."""
+    todo = [(name, _source(name)) for name in ENTRY]
+    todo += [(".".join(path.relative_to(ROOT).with_suffix("").parts), path)
+             for path in sorted([*ROOT.glob("benchmarks/**/*.py"),
+                                 *ROOT.glob("examples/*.py")])]
+    reached = set()
+    while todo:
+        name, path = todo.pop()
+        for module, imported, _ in imports(name, path):
+            target = (_defined_in(module, imported)
+                      if module.split(".")[0] == "repro" else None)
+            if target and target not in reached:
+                reached.add(target)
+                todo.append((target, _source(target)))
+    return reached
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    reached = reached_modules()
+    unreached = {name for name, path in modules()
+                 if path.name != "__init__.py" and name not in (*ENTRY, *reached)}
+    assert unreached == set(UNREACHED_BY_DESIGN), (
+        f"no entry point imports {sorted(unreached - set(UNREACHED_BY_DESIGN))}; "
+        f"reached after all: {sorted(set(UNREACHED_BY_DESIGN) - unreached)}")
 
 
 if __name__ == "__main__":

@@ -277,5 +277,8 @@ class TestProcessExecutor:
         assert manifest["status"] == "complete"
 
     def test_build_executor_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            build_executor("carrier-pigeon")
+        for name in ("carrier-pigeon", "queue"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                build_executor(name)
+        with pytest.raises(ValueError, match="executor 'queue' not in"):
+            CampaignConfig(base=plasma_base(), executor="queue").validate()

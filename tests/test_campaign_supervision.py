@@ -1,20 +1,17 @@
-"""Campaign supervision tier: leases, retries, watchdogs, the queue.
+"""Campaign supervision tier: leases, retries, watchdogs.
 
 Tier-1 covers the protocol pieces in isolation (lease semantics,
 failure classification, retry budgets) and fast thread-executor
 integrations (transient retry, permanent no-retry, stale-``running``
-reconciliation, executor degradation, a queue round-trip with an
-in-process worker).  The ``chaos``-marked drills run the ISSUE's
-acceptance scenarios for real: an 8-point processes campaign surviving
-kill/freeze/oom injections bitwise-identically, and a queue worker
-SIGKILLed mid-run whose lease is reclaimed and job re-dispatched.
+reconciliation, executor degradation).  The ``chaos``-marked drill runs
+the acceptance scenario for real: an 8-point processes campaign
+surviving kill/freeze/oom injections bitwise-identically.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -33,9 +30,7 @@ from repro.campaign import (
     RetryPolicy,
     RunLease,
     ThreadExecutor,
-    build_executor,
     classify_exit,
-    run_worker,
 )
 from repro.campaign.scheduler import SUPERVISOR_LOG
 from repro.io.snapshot import read_checkpoint
@@ -370,51 +365,6 @@ class TestDegradation:
         assert campaign.manifest.runs["p0000"]["attempts"] == 3
 
 
-class TestQueueExecutor:
-    def test_queue_requires_campaign_dir(self):
-        with pytest.raises(ValueError, match="campaign_dir"):
-            build_executor("queue")
-
-    def test_round_trip_with_in_process_worker(self, tmp_path):
-        campaign = small_campaign(tmp_path, n_points=2, executor="queue")
-        worker = threading.Thread(
-            target=run_worker,
-            kwargs=dict(campaign_dir=campaign.campaign_dir, poll=0.05,
-                        worker_id="w-test", max_jobs=2),
-            daemon=True,
-        )
-        worker.start()
-        try:
-            assert campaign.run() == EXIT_COMPLETE
-        finally:
-            worker.join(timeout=30.0)
-        assert not worker.is_alive()
-        assert campaign.manifest.status == "complete"
-        # spool fully drained: no tickets, no unconsumed results
-        spool = campaign.campaign_dir / "spool"
-        assert not list((spool / "jobs").glob("*.json"))
-        assert not list((spool / "results").glob("*.json"))
-        outcomes = supervisor_events(campaign, "supervision_outcome")
-        assert len(outcomes) == 2
-        assert all(o["class"] == "done" for o in outcomes)
-
-    def test_no_worker_raises_unavailable_then_degrades(self, tmp_path,
-                                                        monkeypatch):
-        import repro.campaign.remote as remote
-
-        monkeypatch.setattr(remote, "UNCLAIMED_GRACE", 0.3)
-        campaign = small_campaign(tmp_path, executor="queue")
-        campaign.config.retry = fast_retry(max_attempts=3)
-        # no worker ever starts: the queue is declared unavailable and
-        # the scheduler degrades queue -> processes; to keep the test
-        # off subprocess startup, degrade again by... simply letting the
-        # real processes executor finish the tiny run.
-        assert campaign.run() == EXIT_COMPLETE
-        degrade = supervisor_events(campaign, "supervision_degrade")
-        assert degrade and degrade[0]["from_executor"] == "queue"
-        assert degrade[0]["to_executor"] == "processes"
-
-
 # ----------------------------------------------------------------------
 # chaos drills (excluded from tier-1; CI runs them with `-m chaos`)
 # ----------------------------------------------------------------------
@@ -516,70 +466,3 @@ class TestCampaignChaosDrill:
                 campaign.manifest.run_dir(point.run_id)
                 / CHECKPOINT_DIR / checkpoint_name(4))
             assert np.array_equal(f_serial, f_campaign), point.run_id
-
-    def test_queue_worker_killed_mid_run_lease_reclaimed(self, tmp_path):
-        """SIGKILL the claiming worker: reclaim + re-dispatch, no hang."""
-        import repro
-
-        base = plasma_base(n_steps=6)
-        base["checkpoint"] = {"every_steps": 1}
-        base["step_delay"] = 0.3
-        config = CampaignConfig(
-            name="t-queue-chaos", base=base, executor="queue",
-            limits=LimitsConfig(lease_seconds=1.5, grace_seconds=1.0,
-                                poll_seconds=0.1),
-            retry=RetryConfig(max_attempts=3, backoff_base=0.05,
-                              backoff_cap=0.2, jitter=0.0),
-        ).validate()
-        campaign = Campaign.create(config, tmp_path / "c")
-        run_dir = campaign.manifest.run_dir("p0000")
-
-        env = dict(os.environ)
-        pkg_root = str(os.path.dirname(os.path.dirname(repro.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p
-        )
-
-        def worker_cmd(worker_id, max_jobs):
-            return [sys.executable, "-m", "repro", "campaign", "worker",
-                    str(campaign.campaign_dir), "--poll", "0.1",
-                    "--worker-id", worker_id, "--max-jobs", str(max_jobs)]
-
-        result: dict = {}
-        scheduler = threading.Thread(
-            target=lambda: result.update(code=campaign.run()), daemon=True,
-        )
-        victim = subprocess.Popen(worker_cmd("w-victim", 1), env=env)
-        second = None
-        try:
-            scheduler.start()
-            # wait until the victim has claimed the job and made progress
-            deadline = time.time() + 60.0
-            telemetry = run_dir / "telemetry.jsonl"
-            while time.time() < deadline:
-                if telemetry.exists() and read_telemetry(telemetry):
-                    break
-                time.sleep(0.1)
-            else:  # pragma: no cover - drill environment failure
-                pytest.fail("victim worker never started the run")
-            victim.send_signal(signal.SIGKILL)
-            victim.wait()
-            # the lease stops renewing; the executor reclaims it and the
-            # supervisor re-dispatches — serviced by a fresh worker
-            second = subprocess.Popen(worker_cmd("w-second", 1), env=env)
-            scheduler.join(timeout=120.0)
-            assert not scheduler.is_alive(), "scheduler hung on dead worker"
-        finally:
-            for proc in (victim, second):
-                if proc is not None and proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
-
-        assert result.get("code") == EXIT_COMPLETE
-        entry = campaign.manifest.runs["p0000"]
-        assert entry["attempts"] == 2
-        assert entry["history"][0]["class"] == "transient"
-        assert entry["history"][0]["reason"] == "lease_expired"
-        assert supervisor_events(campaign, "lease_expired")
-        # the run completed its full schedule across the two workers
-        assert len(read_telemetry(run_dir / "telemetry.jsonl")) >= 6

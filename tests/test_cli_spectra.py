@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +56,29 @@ class TestCli:
         args = parser.parse_args(["landau", "--k", "0.4"])
         assert args.command == "landau"
         assert args.k == 0.4
+        # an executor or a command the CLI does not offer is a usage error
+        for argv in (["campaign", "spec.toml", "--executor", "queue"],
+                     ["serve", "list", "d"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, line", [
+        (["run", "missing.toml"], "run: no such config file: missing.toml"),
+        (["campaign", "missing.toml"],
+         "campaign: no such config file: missing.toml"),
+        # `worker` names no subcommand: it is read as a spec path
+        (["campaign", "worker", "."], "campaign: no such config file: worker"),
+    ], ids=["run", "campaign", "campaign-worker"])
+    def test_missing_config_is_a_one_line_usage_error(self, argv, line,
+                                                      tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (done.returncode, done.stdout + done.stderr) == (2, line + "\n")
 
 
 class TestCrossPower:

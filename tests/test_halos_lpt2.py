@@ -1,4 +1,4 @@
-"""FoF halos + neutrino condensation, 2LPT ICs, and the Casimir diagnostics."""
+"""FoF halos + neutrino condensation and the Casimir diagnostics."""
 
 from __future__ import annotations
 
@@ -12,17 +12,6 @@ from repro.analysis import (
 )
 from repro.core import moments
 from repro.core.mesh import PhaseSpaceGrid
-from repro.cosmology import LinearPower
-from repro.ic import (
-    FourierGrid,
-    gaussian_field_fourier,
-    lpt2_particles,
-    second_order_displacement,
-    second_order_growth,
-    second_order_growth_rate,
-    zeldovich_particles,
-)
-from repro.ic.lpt2 import second_order_source
 from repro.nbody.particles import ParticleSet
 
 
@@ -113,67 +102,6 @@ class TestCondensation:
         assert condensation_report([], np.empty(0)) == "no halos found"
 
 
-class Test2LPT:
-    def test_plane_wave_has_zero_second_order(self, rng):
-        """For a single plane wave the 2LPT source vanishes identically
-        (Zel'dovich is exact for plane-parallel collapse)."""
-        grid = FourierGrid((16, 16, 16), 100.0)
-        delta_k = np.zeros((16, 16, 9), dtype=complex)
-        delta_k[1, 0, 0] = 16**3 * 0.01  # single k_x mode
-        src = second_order_source(delta_k, grid)
-        assert np.abs(src).max() < 1e-12
-        psi2 = second_order_displacement(delta_k, grid)
-        assert np.abs(psi2).max() < 1e-10
-
-    def test_crossed_waves_nonzero_source(self):
-        grid = FourierGrid((16, 16, 16), 100.0)
-        delta_k = np.zeros((16, 16, 9), dtype=complex)
-        delta_k[1, 0, 0] = 16**3 * 0.01
-        delta_k[0, 1, 0] = 16**3 * 0.01
-        src = second_order_source(delta_k, grid)
-        assert np.abs(src).max() > 1e-8
-
-    def test_second_order_growth_eds_limit(self, cosmo):
-        """Deep in matter domination D2 -> -(3/7) D1^2."""
-        a = 0.02
-        from repro.cosmology import growth_factor
-
-        d1 = float(growth_factor(cosmo, a))
-        assert second_order_growth(cosmo, a) == pytest.approx(
-            -(3.0 / 7.0) * d1**2, rel=0.01
-        )
-        assert second_order_growth_rate(cosmo, a) == pytest.approx(2.0, rel=0.02)
-
-    def test_lpt2_close_to_zeldovich_at_high_z(self, cosmo, rng):
-        """At early times the second-order term is tiny: 2LPT positions
-        converge to Zel'dovich (relative correction ~ D1 * delta)."""
-        grid = FourierGrid((12,) * 3, 200.0)
-        power = LinearPower(cosmo)
-        dk = gaussian_field_fourier(grid, lambda k: power(k), rng)
-        a = 1.0 / 101.0
-        p1 = zeldovich_particles(dk, grid, cosmo, a, 12, 1.0)
-        p2 = lpt2_particles(dk, grid, cosmo, a, 12, 1.0)
-        d = (p2.positions - p1.positions + 100.0) % 200.0 - 100.0
-        # 2nd-order correction much smaller than the 1st-order displacement
-        psi1_scale = np.abs(
-            ((p1.positions - _lattice(12, 200.0)) + 100.0) % 200.0 - 100.0
-        ).max()
-        assert np.abs(d).max() < 0.1 * max(psi1_scale, 1e-10)
-
-    def test_lpt2_correction_grows_with_time(self, cosmo, rng):
-        grid = FourierGrid((12,) * 3, 200.0)
-        power = LinearPower(cosmo)
-        dk = gaussian_field_fourier(grid, lambda k: power(k), rng)
-
-        def correction(a):
-            p1 = zeldovich_particles(dk, grid, cosmo, a, 12, 1.0)
-            p2 = lpt2_particles(dk, grid, cosmo, a, 12, 1.0)
-            d = (p2.positions - p1.positions + 100.0) % 200.0 - 100.0
-            return np.abs(d).max()
-
-        assert correction(0.1) > 10 * correction(0.01)
-
-
 class TestCasimirs:
     @pytest.fixture
     def grid(self):
@@ -216,8 +144,3 @@ class TestCasimirs:
         with pytest.raises(ValueError):
             moments.casimir(np.zeros(grid.shape), grid, 0.0)
 
-
-def _lattice(n_side: int, box: float) -> np.ndarray:
-    ax = (np.arange(n_side) + 0.5) * (box / n_side)
-    mesh = np.meshgrid(ax, ax, ax, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])

@@ -1,9 +1,8 @@
-"""The serving tier: chunked snapshots, the diagnostics pipeline, and
-the content-addressed query layer (``repro.serve``)."""
+"""The analysis tier: chunked snapshots and the diagnostics pipeline
+(``repro.serve``)."""
 
 from __future__ import annotations
 
-import json
 import threading
 
 import numpy as np
@@ -15,12 +14,11 @@ from repro.io.snapshot import (
     SnapshotIntegrityError,
     read_snapshot,
     read_snapshot_field,
-    read_snapshot_slab,
     snapshot_manifest,
     write_snapshot,
     write_snapshot_chunked,
 )
-from repro.serve import DiagnosticsPipeline, QueryEngine, read_products
+from repro.serve import DiagnosticsPipeline, read_products
 from repro.serve.pipeline import snapshot_name
 
 
@@ -51,17 +49,6 @@ class TestChunkedSnapshot:
                                       min_chunk_bytes=0)
         whole = read_snapshot_field(snap, "density")
         assert whole.shape == grid.nx
-        manifest = snapshot_manifest(snap)
-        spec = manifest["fields"]["density"]
-        reassembled = []
-        for i, entry in enumerate(spec["chunks"]):
-            slab, (start, stop) = read_snapshot_slab(snap, "density", i)
-            assert (start, stop) == (entry["start"], entry["stop"])
-            assert slab.shape[spec["axis"]] == stop - start
-            reassembled.append(slab)
-        np.testing.assert_array_equal(
-            np.concatenate(reassembled, axis=spec["axis"]), whole
-        )
 
     def test_vector_fields_chunk_on_axis_one(self, grid, f, tmp_path):
         """The component axis of velocity/dispersion must stay whole."""
@@ -182,76 +169,6 @@ class TestDiagnosticsPipeline:
         assert "diagnostics_error" in kinds
 
 
-class TestQueryEngine:
-    @pytest.fixture
-    def store(self, grid, f, tmp_path):
-        with DiagnosticsPipeline(tmp_path / "diagnostics", grid,
-                                 n_bins=5) as pipe:
-            pipe.submit(2, {"t": 0.2}, f)
-            pipe.submit(4, {"t": 0.4}, f**2)  # nonlinear: distinct spectra
-        return tmp_path
-
-    def test_warm_hit_bitwise_identical(self, store):
-        engine = QueryEngine(store)
-        cold = engine.query("power", n_bins=5)
-        warm = engine.query("power", n_bins=5)
-        assert not cold["cached"] and warm["cached"]
-        for name in ("k", "p", "counts"):
-            assert np.array_equal(cold[name], warm[name])
-        assert cold[name].dtype == warm[name].dtype
-
-    def test_no_cache_recomputes(self, store):
-        engine = QueryEngine(store, use_cache=False)
-        first = engine.query("power", n_bins=5)
-        second = engine.query("power", n_bins=5)
-        assert not first["cached"] and not second["cached"]
-        assert engine.cache.stats()["entries"] == 0
-
-    def test_params_address_distinct_entries(self, store):
-        engine = QueryEngine(store)
-        a = engine.query("power", n_bins=5)
-        b = engine.query("power", n_bins=7)
-        c = engine.query("power", n_bins=5, step=2)
-        assert not b["cached"] and not c["cached"]
-        assert len(a["k"]) != len(b["k"]) or not np.array_equal(a["k"], b["k"])
-        assert not np.array_equal(a["p"], c["p"])
-
-    def test_rewritten_snapshot_misses(self, grid, f, store):
-        """Content addressing: new bytes under the same name re-compute."""
-        engine = QueryEngine(store)
-        engine.query("moments", step=4)
-        write_snapshot_chunked(store / "diagnostics" / snapshot_name(4), grid,
-                               f * 5.0, n_chunks=8,
-                               extra={"step": 4, "coord": {"t": 0.4}})
-        fresh = QueryEngine(store).query("moments", step=4)
-        assert not fresh["cached"]
-
-    def test_slice_matches_full_field(self, store):
-        engine = QueryEngine(store)
-        manifest = snapshot_manifest(engine.resolve_step(4))
-        full = read_snapshot_field(engine.resolve_step(4), "density")
-        for axis in (0, 1):
-            out = engine.query("slice", step=4, field="density",
-                               axis=axis, index=3)
-            np.testing.assert_array_equal(out["plane"],
-                                          np.take(full, 3, axis=axis))
-        assert manifest["fields"]["density"]["axis"] == 0
-
-    def test_transfer_between_snapshots_fields(self, store):
-        engine = QueryEngine(store)
-        out = engine.query("transfer", step=4, field="density",
-                           field_b="density", n_bins=5)
-        np.testing.assert_allclose(out["t"], 1.0, rtol=1e-10)
-
-    def test_missing_field_reports_inventory(self, store):
-        with pytest.raises(KeyError, match="available"):
-            QueryEngine(store).query("power", field="nope")
-
-    def test_missing_store_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            QueryEngine(tmp_path / "nowhere")
-
-
 class TestRunnerIntegration:
     @pytest.fixture
     def run_dir(self, tmp_path):
@@ -285,13 +202,6 @@ class TestRunnerIntegration:
         # the worker's interleaved events must not tear step records
         assert len(read_telemetry(run_dir / "telemetry.jsonl")) == 4
 
-    def test_query_layer_serves_the_run(self, run_dir):
-        engine = QueryEngine(run_dir)
-        cold = engine.query("power", n_bins=4)
-        warm = engine.query("power", n_bins=4)
-        assert warm["cached"]
-        assert np.array_equal(cold["p"], warm["p"])
-
     def test_disabled_by_default(self, tmp_path):
         from repro.runtime.config import RunConfig
         from repro.runtime.runner import SimulationRunner
@@ -305,36 +215,3 @@ class TestRunnerIntegration:
         assert runner.run() == 0
         assert not (tmp_path / "run" / "diagnostics").exists()
 
-
-class TestServeCli:
-    @pytest.fixture
-    def run_dir(self, grid, tmp_path, rng):
-        f = rng.random(grid.shape)
-        with DiagnosticsPipeline(tmp_path / "run" / "diagnostics", grid,
-                                 n_bins=4) as pipe:
-            pipe.submit(1, {"t": 0.1}, f)
-        return tmp_path / "run"
-
-    def test_list(self, run_dir, capsys):
-        from repro.cli import main
-
-        assert main(["serve", "list", str(run_dir)]) == 0
-        out = capsys.readouterr().out
-        assert snapshot_name(1) in out and "density" in out
-
-    def test_query_warm_and_cold(self, run_dir, capsys):
-        from repro.cli import main
-
-        argv = ["serve", "query", str(run_dir), "--product", "power",
-                "--n-bins", "4", "--json"]
-        assert main(argv) == 0
-        cold = json.loads(capsys.readouterr().out)
-        assert main(argv) == 0
-        warm = json.loads(capsys.readouterr().out)
-        assert not cold["cached"] and warm["cached"]
-        assert cold["p"] == warm["p"]
-
-    def test_bad_store_exits_nonzero(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["serve", "list", str(tmp_path / "missing")]) == 1

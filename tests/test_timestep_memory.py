@@ -1,99 +1,15 @@
-"""Time-step controller and the per-node memory audit."""
+"""The per-node memory audit."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.mesh import PhaseSpaceGrid
-from repro.core.timestep import TimestepController
 from repro.scaling.memory import (
     global_f_bytes,
     memory_report,
     node_memory_budget,
 )
 from repro.scaling.runs import TABLE2, by_id
-
-
-@pytest.fixture
-def controller(cosmo):
-    grid = PhaseSpaceGrid(
-        nx=(16,) * 3, nu=(8,) * 3, box_size=200.0, v_max=4000.0
-    )
-    return TimestepController(cosmo, grid)
-
-
-class TestTimestepController:
-    def test_drift_limit_respects_cfl(self, controller, cosmo):
-        a = 0.1
-        a_next = controller.drift_limit(a)
-        assert a_next > a
-        shift = controller.grid.v_max * cosmo.drift_factor(a, a_next) / min(
-            controller.grid.dx
-        )
-        assert shift <= controller.cfl_drift * 1.01
-
-    def test_kick_limit_scales_inversely_with_accel(self, controller):
-        # accelerations large enough to bind (typical deep-potential
-        # values in internal units are 1e4-1e5)
-        a1 = controller.kick_limit(0.3, accel_max=1.0e6)
-        a2 = controller.kick_limit(0.3, accel_max=1.0e7)
-        assert 0.3 < a2 < a1
-
-    def test_zero_accel_unconstrained(self, controller):
-        assert controller.kick_limit(0.3, 0.0) == np.inf
-
-    def test_expansion_limit(self, controller):
-        assert controller.expansion_limit(0.5) == pytest.approx(
-            0.5 * np.exp(controller.max_dloga)
-        )
-
-    def test_next_scale_factor_is_min(self, controller):
-        a = 0.1
-        a_next = controller.next_scale_factor(a, accel_max=10.0)
-        assert a < a_next <= 1.0
-        assert a_next <= controller.expansion_limit(a) + 1e-12
-
-    def test_never_exceeds_a_end(self, controller):
-        assert controller.next_scale_factor(0.999, 0.0) == 1.0
-
-    def test_progress_floor(self, controller):
-        # pathological acceleration: still moves forward
-        a_next = controller.next_scale_factor(0.5, accel_max=1e30)
-        assert a_next > 0.5
-
-    def test_estimate_steps_scales_with_resolution(self, cosmo):
-        """The binding constraint behind §7.2: halving dx doubles the
-        CFL-limited step count (used by repro.scaling.tts)."""
-        g1 = PhaseSpaceGrid(nx=(16,) * 3, nu=(8,) * 3, box_size=200.0, v_max=4000.0)
-        g2 = PhaseSpaceGrid(nx=(32,) * 3, nu=(8,) * 3, box_size=200.0, v_max=4000.0)
-        c1 = TimestepController(cosmo, g1)
-        c2 = TimestepController(cosmo, g2)
-        n1 = c1.estimate_steps(0.1)
-        n2 = c2.estimate_steps(0.1)
-        assert n2 == pytest.approx(2 * n1, rel=0.05)
-
-    def test_h1024_step_count_plausible(self, cosmo):
-        """The real H1024 geometry: the CFL-1 bound gives ~200 steps; at
-        the accuracy-driven CFL ~ 0.1 the count matches the ~2000 the TTS
-        model infers from the paper's wall-clock."""
-        grid = PhaseSpaceGrid(
-            nx=(768,) * 3, nu=(8,) * 3, box_size=1200.0, v_max=3780.0
-        )
-        c = TimestepController(cosmo, grid)
-        n_cfl1 = c.estimate_steps(1.0 / 11.0)
-        assert 100 < n_cfl1 < 500
-        c_accurate = TimestepController(cosmo, grid, cfl_drift=0.1)
-        n_acc = c_accurate.estimate_steps(1.0 / 11.0)
-        assert 1000 < n_acc < 5000
-
-    def test_validation(self, cosmo):
-        grid = PhaseSpaceGrid(nx=(8,) * 3, nu=(8,) * 3, box_size=1.0, v_max=1.0)
-        with pytest.raises(ValueError):
-            TimestepController(cosmo, grid, cfl_drift=-1.0)
-        c = TimestepController(cosmo, grid)
-        with pytest.raises(ValueError):
-            c.next_scale_factor(1.5, 0.0)
 
 
 class TestMemoryBudget:
