@@ -90,29 +90,39 @@ def _orchestrated(every_steps: int | None) -> float:
 def _fault_tolerance_tax() -> tuple[float, float, float]:
     """Cadenced-run seconds with the fault-tolerance layer on vs off.
 
-    "On" is the shipped default: CRC32 checksums on every checkpoint
-    write, supervised-engine plumbing, the recovery manager in the loop.
-    "Off" flips the one global that gates the per-byte work
-    (``repro.io.snapshot.CHECKSUMS_ENABLED``, the ``REPRO_SNAPSHOT_CRC=0``
-    escape hatch) — the rest of the layer is priced in whichever side of
-    the comparison it lands on, which is the honest accounting: it runs
-    in production too.
+    "On" is the shipped run: CRC32 checksums on every checkpoint write,
+    supervised-engine plumbing, the recovery manager in the loop.  "Off"
+    is the same run minus the per-byte work, the one part of the layer
+    with a cost that grows with the state: every call of
+    ``repro.io.snapshot._array_checksums`` (one per checkpoint payload)
+    is timed inside the run and subtracted.  The rest of the layer is
+    priced on both sides, which is the honest accounting: it runs in
+    production too.
     """
     from repro.io import snapshot
 
-    saved = snapshot.CHECKSUMS_ENABLED
-    on_times, off_times = [], []
+    real = snapshot._array_checksums
+    crc_seconds = 0.0
+
+    def timed(payload):
+        nonlocal crc_seconds
+        t0 = time.perf_counter()
+        try:
+            return real(payload)
+        finally:
+            crc_seconds += time.perf_counter() - t0
+
+    runs = []
+    snapshot._array_checksums = timed
     try:
         _orchestrated(every_steps=5)  # warm-up (plans, allocator, page cache)
-        # interleave the reps so machine drift hits both sides equally
         for _ in range(1 if SMOKE else 3):
-            snapshot.CHECKSUMS_ENABLED = True
-            on_times.append(_orchestrated(every_steps=5))
-            snapshot.CHECKSUMS_ENABLED = False
-            off_times.append(_orchestrated(every_steps=5))
+            crc_seconds = 0.0
+            elapsed = _orchestrated(every_steps=5)
+            runs.append((elapsed, elapsed - crc_seconds))
     finally:
-        snapshot.CHECKSUMS_ENABLED = saved
-    with_crc, without_crc = min(on_times), min(off_times)
+        snapshot._array_checksums = real
+    with_crc, without_crc = min(runs)
     return with_crc, without_crc, with_crc / without_crc - 1.0
 
 

@@ -261,15 +261,6 @@ class HybridSimulation:
             a=self.a, step=self.step_count, extra=extra, timer=timer,
         )
 
-    def load_checkpoint(self, path, timer=None) -> None:
-        """Restore the state written by :meth:`save_checkpoint`."""
-        from ..io.snapshot import read_checkpoint
-
-        grid, f, particles, header = read_checkpoint(path, timer=timer)
-        if grid != self.grid:
-            raise ValueError("checkpoint grid does not match this simulation")
-        self.restore(f, particles, header)
-
     def restore(self, f: np.ndarray, particles: ParticleSet | None,
                 header: dict) -> None:
         """Adopt a checkpoint's state; a header without ``kick_from_a``

@@ -150,10 +150,11 @@ class DiagnosticsConfig:
     ``every_steps`` is the submission cadence (``None``, the default,
     disables the tier entirely — TOML has no null, so a missing key and
     the default agree).  The background worker computes moment fields
-    and binned spectra and stores them as chunked snapshots under the
-    run directory's ``diagnostics/``; ``queue_max``/``on_full`` bound
-    the submit queue and pick the full-queue policy (``"block"`` never
-    loses a product, ``"drop"`` never stalls the step loop).
+    and binned spectra and stores each product as one checksummed
+    ``.npz`` snapshot under the run directory's ``diagnostics/``;
+    ``queue_max``/``on_full`` bound the submit queue and pick the
+    full-queue policy (``"block"`` never loses a product, ``"drop"``
+    never stalls the step loop).
     """
 
     every_steps: int | None = None
@@ -161,7 +162,6 @@ class DiagnosticsConfig:
     queue_max: int = 2
     on_full: str = "block"
     spectra: bool = True
-    n_chunks: int = 8
 
 
 @dataclass
@@ -292,8 +292,6 @@ class RunConfig:
             raise ValueError("diagnostics.queue_max must be >= 1")
         if d.on_full not in ("block", "drop"):
             raise ValueError("diagnostics.on_full must be 'block' or 'drop'")
-        if d.n_chunks < 1:
-            raise ValueError("diagnostics.n_chunks must be >= 1")
         r = self.recovery
         if r.max_attempts < 1:
             raise ValueError("recovery.max_attempts must be >= 1")

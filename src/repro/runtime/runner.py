@@ -8,7 +8,7 @@ A :class:`SimulationRunner` owns one **run directory**::
         checkpoints/
             ck_00000010.npz # rotated, keep_last newest survive
         diagnostics/        # serving tier (config [diagnostics] section):
-            snap_*/         #   chunked moment-field snapshots
+            snap_*.npz      #   moment-field snapshots
             products.jsonl  #   one spectra record per stored snapshot
 
 and turns any scenario's driver into a production run with the paper's
@@ -228,7 +228,6 @@ class SimulationRunner:
                 on_full=diag_cfg.on_full,
                 spectra=diag_cfg.spectra,
                 event_sink=telemetry.event,
-                n_chunks=diag_cfg.n_chunks,
             )
 
         state = find_latest_valid_checkpoint(

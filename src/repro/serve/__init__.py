@@ -8,7 +8,7 @@ the run directory into that product surface:
 stores moment fields + binned spectra at the runner's snapshot cadence,
 off the step critical path (:mod:`repro.serve.pipeline`).  The stored
 products are read back with :func:`read_products` and
-:func:`repro.io.snapshot.read_snapshot_field` (see ``docs/SERVING.md``).
+:func:`repro.io.snapshot.read_snapshot` (see ``docs/SERVING.md``).
 """
 
 from .pipeline import PRODUCTS_NAME, DiagnosticsPipeline, read_products

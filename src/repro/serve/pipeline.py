@@ -1,14 +1,15 @@
 """Incremental diagnostics on a background worker.
 
 The runner submits ``(step, coord, f, particles)`` tuples at its
-snapshot cadence; a single worker thread computes the moment fields,
-writes them as a chunked snapshot (:func:`repro.io.snapshot.
-write_snapshot_chunked`), runs the spectral estimators from
-:mod:`repro.analysis`, and appends one JSON line per snapshot to
-``products.jsonl``.  The step loop pays only for the defensive copy of
-``f`` at submit time — moments, FFTs and disk I/O all happen off the
-critical path (the end-to-end benchmark reports the tax as
-``serve.pipeline.submit_s``).
+snapshot cadence; a single worker thread computes the moment fields
+(:meth:`DiagnosticsPipeline._moment_fields`, the one place the stored
+set is decided), writes them as one checksummed ``.npz`` snapshot
+(:func:`repro.io.snapshot.write_snapshot`), runs the spectral
+estimators from :mod:`repro.analysis`, and appends one JSON line per
+snapshot to ``products.jsonl``.  The step loop pays only for the
+defensive copy of ``f`` at submit time — moments, FFTs and disk I/O all
+happen off the critical path (the end-to-end benchmark reports the tax
+as ``serve.pipeline.submit_s``).
 
 Backpressure is explicit: the submit queue is bounded, and ``on_full``
 picks the failure mode — ``"block"`` (default; the step loop waits, no
@@ -37,7 +38,7 @@ import numpy as np
 from ..analysis.spectra import correlation_coefficient, cross_power, transfer_ratio
 from ..core import moments
 from ..core.mesh import PhaseSpaceGrid
-from ..io.snapshot import IOTimer, write_snapshot_chunked
+from ..io.snapshot import IOTimer, write_snapshot
 from ..nbody.particles import ParticleSet
 
 __all__ = ["DiagnosticsPipeline", "PRODUCTS_NAME", "read_products", "snapshot_name"]
@@ -47,8 +48,8 @@ PRODUCTS_NAME = "products.jsonl"
 
 
 def snapshot_name(step: int) -> str:
-    """Canonical chunked-snapshot directory name for a schedule position."""
-    return f"snap_{step:08d}"
+    """Canonical snapshot file name for a schedule position."""
+    return f"snap_{step:08d}.npz"
 
 
 def _overdensity(rho: np.ndarray) -> np.ndarray:
@@ -66,8 +67,8 @@ class DiagnosticsPipeline:
     Parameters
     ----------
     out_dir:
-        Directory the snapshots, ``products.jsonl`` and (later) the
-        query cache live under; created on first use.
+        Directory the snapshots and ``products.jsonl`` live under;
+        created on first use.
     grid:
         The run's phase-space grid (moment kernels need the geometry).
     n_bins, spectra:
@@ -80,8 +81,6 @@ class DiagnosticsPipeline:
         Optional ``sink(kind, **fields)`` the worker publishes telemetry
         events through (the runner passes its ``TelemetryWriter.event``,
         which is thread-safe).
-    n_chunks:
-        Slabs per stored field (see ``write_snapshot_chunked``).
     """
 
     def __init__(
@@ -93,7 +92,6 @@ class DiagnosticsPipeline:
         on_full: str = "block",
         spectra: bool = True,
         event_sink: Callable[..., None] | None = None,
-        n_chunks: int = 8,
     ) -> None:
         if on_full not in ("block", "drop"):
             raise ValueError("on_full must be 'block' or 'drop'")
@@ -102,7 +100,6 @@ class DiagnosticsPipeline:
         self.n_bins = int(n_bins)
         self.on_full = on_full
         self.spectra = bool(spectra)
-        self.n_chunks = int(n_chunks)
         self.io_timer = IOTimer()
         self._event_sink = event_sink
         self._queue: queue.Queue = queue.Queue(maxsize=int(queue_max))
@@ -233,7 +230,9 @@ class DiagnosticsPipeline:
         self, f: np.ndarray, particles: ParticleSet | None,
         velocity_shift: np.ndarray | None,
     ) -> dict[str, np.ndarray]:
-        """The stored field set: Vlasov moments (+ CDM density mesh)."""
+        """The stored field set: Vlasov density, velocity (corrected for
+        the pending kick) and dispersion, plus the CDM density mesh of a
+        hybrid run.  Never f itself."""
         rho = moments.density(f, self.grid)
         velocity = moments.mean_velocity(f, self.grid, rho)
         if velocity_shift is not None:
@@ -289,17 +288,16 @@ class DiagnosticsPipeline:
     ) -> None:
         t0 = time.perf_counter()
         fields = self._moment_fields(f, particles, velocity_shift)
-        snap_dir = self.out_dir / snapshot_name(step)
-        write_snapshot_chunked(
-            snap_dir, self.grid, particles=particles,
-            a=coord.get("a", 1.0), timer=self.io_timer,
-            extra={"step": step, "coord": coord},
-            fields=fields, n_chunks=self.n_chunks,
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        snap_path = write_snapshot(
+            self.out_dir / snapshot_name(step), self.grid, fields,
+            particles=particles, a=coord.get("a", 1.0),
+            timer=self.io_timer, extra={"step": step, "coord": coord},
         )
         record = {
             "step": step,
             "coord": coord,
-            "snapshot": snap_dir.name,
+            "snapshot": snap_path.name,
             "fields": sorted(fields) + (
                 ["positions", "velocities", "masses"] if particles is not None
                 else []
@@ -308,7 +306,6 @@ class DiagnosticsPipeline:
         if self.spectra:
             record["spectra"] = self._spectra(fields)
         record["wall_s"] = time.perf_counter() - t0
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         with open(self.out_dir / PRODUCTS_NAME, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
             fh.flush()

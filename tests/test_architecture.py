@@ -69,6 +69,10 @@ RETIRED = (
     # unmerged KDK: the solver's two-kick step and its second field hook
     ".strang" + "_step(", "recompute" + "_accel", "second" + "_accel",
     "dt_kick" + "_second", "kick" + "2 =",
+    # the chunked snapshot format and the checksum switch
+    "write_snapshot" + "_chunked", "read_snapshot" + "_field",
+    "snapshot" + "_manifest", "n_" + "chunks",
+    "REPRO_SNAPSHOT" + "_CRC", "CHECKSUMS" + "_ENABLED",
 )
 
 

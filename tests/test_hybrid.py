@@ -171,6 +171,8 @@ class TestNeutrinoMassDependence:
 
 class TestCheckpointRestart:
     def test_bit_exact_roundtrip(self, mini_setup, tmp_path):
+        from repro.io.snapshot import read_checkpoint
+
         sim = mini_setup
         sim.step(0.12)
         path = sim.save_checkpoint(tmp_path / "ck.npz")
@@ -178,7 +180,9 @@ class TestCheckpointRestart:
         pos_ref = sim.cdm.positions.copy()
         vel_ref = sim.cdm.velocities.copy()
         sim.step(0.15)
-        sim.load_checkpoint(path)
+        grid, f, particles, header = read_checkpoint(path)
+        assert grid == sim.grid
+        sim.restore(f, particles, header)
         assert np.array_equal(sim.neutrinos.f, f_ref)
         assert np.array_equal(sim.cdm.positions, pos_ref)
         assert np.array_equal(sim.cdm.velocities, vel_ref)
@@ -188,31 +192,17 @@ class TestCheckpointRestart:
     def test_restart_continues_identically(self, mini_setup, tmp_path):
         """Evolving through a checkpoint equals evolving straight through
         (the restart is bit-exact, so the continuation is too)."""
+        from repro.io.snapshot import read_checkpoint
+
         sim = mini_setup
         sim.step(0.12)
         path = sim.save_checkpoint(tmp_path / "ck.npz")
         sim.step(0.15)
         f_straight = sim.neutrinos.f.copy()
-        sim.load_checkpoint(path)
+        _, f, particles, header = read_checkpoint(path)
+        sim.restore(f, particles, header)
         sim.step(0.15)
         assert np.array_equal(sim.neutrinos.f, f_straight)
-
-    def test_grid_mismatch_rejected(self, mini_setup, cosmo, rng, tmp_path):
-        from repro.core.hybrid import HybridSimulation
-        from repro.core.mesh import PhaseSpaceGrid
-        from repro.nbody.particles import ParticleSet
-
-        sim = mini_setup
-        path = sim.save_checkpoint(tmp_path / "ck.npz")
-        other_grid = PhaseSpaceGrid(
-            nx=(6,) * 3, nu=(6,) * 3, box_size=200.0, v_max=4000.0
-        )
-        other = HybridSimulation(
-            other_grid, ParticleSet.uniform_random(8, 200.0, 1.0, rng),
-            cosmo, a=0.1, use_tree=False,
-        )
-        with pytest.raises(ValueError, match="grid"):
-            other.load_checkpoint(path)
 
 
 class TestTreePathInHybrid:

@@ -30,6 +30,15 @@ def f(grid, rng):
 
 
 @pytest.fixture
+def fields(grid, rng):
+    """A small moment-field set, as the diagnostics pipeline hands it over."""
+    return {
+        "density": rng.random(grid.nx).astype(np.float32),
+        "velocity": rng.random((3,) + grid.nx).astype(np.float32),
+    }
+
+
+@pytest.fixture
 def particles(rng):
     return ParticleSet(
         rng.uniform(0, 10, (50, 3)), rng.normal(0, 1, (50, 3)),
@@ -38,11 +47,11 @@ def particles(rng):
 
 
 class TestSnapshot:
-    def test_snapshot_roundtrip(self, tmp_path, grid, f, particles):
+    def test_snapshot_roundtrip(self, tmp_path, grid, fields, particles):
         timer = IOTimer()
         path = write_snapshot(
-            tmp_path / "snap.npz", grid, f, particles, a=0.5, timer=timer,
-            extra={"step": 7},
+            tmp_path / "snap.npz", grid, fields, particles, a=0.5,
+            timer=timer, extra={"step": 7},
         )
         snap = read_snapshot(path, timer=timer)
         assert snap["header"]["a"] == 0.5
@@ -53,18 +62,18 @@ class TestSnapshot:
         assert timer.write_seconds > 0 and timer.read_seconds > 0
         assert timer.bytes_written > 0
 
-    def test_snapshot_stores_moments_not_f(self, tmp_path, grid, f):
-        """Snapshots never carry the 6-D f (the paper's I/O budget would
-        be exabytes otherwise) — only its moments."""
-        path = write_snapshot(tmp_path / "s.npz", grid, f)
-        snap = read_snapshot(path)
-        assert "f" not in snap
-        from repro.core import moments
+    def test_snapshot_stores_moments_not_f(self, tmp_path, grid, fields):
+        """A snapshot holds exactly the fields it is handed, bit for bit,
+        and nothing else: never the 6-D f (the paper's I/O budget would
+        be exabytes otherwise).  Which moments those are is the
+        diagnostics pipeline's choice (``tests/test_serve.py``)."""
+        snap = read_snapshot(write_snapshot(tmp_path / "s.npz", grid, fields))
+        assert set(snap) == {"header", *fields}
+        for name, arr in fields.items():
+            assert snap[name].tobytes() == arr.tobytes()
 
-        assert np.allclose(snap["density"], moments.density(f, grid), rtol=1e-6)
-
-    def test_snapshot_without_particles(self, tmp_path, grid, f):
-        snap = read_snapshot(write_snapshot(tmp_path / "s.npz", grid, f))
+    def test_snapshot_without_particles(self, tmp_path, grid, fields):
+        snap = read_snapshot(write_snapshot(tmp_path / "s.npz", grid, fields))
         assert not snap["header"]["has_particles"]
         assert "positions" not in snap
 
@@ -80,9 +89,9 @@ class TestAtomicWrites:
     timer attached), and an interrupted write could leave a truncated
     container where a good checkpoint used to be."""
 
-    def test_suffixless_snapshot_returns_real_path(self, tmp_path, grid, f):
+    def test_suffixless_snapshot_returns_real_path(self, tmp_path, grid, fields):
         timer = IOTimer()
-        path = write_snapshot(tmp_path / "snap", grid, f, timer=timer)
+        path = write_snapshot(tmp_path / "snap", grid, fields, timer=timer)
         assert path.name == "snap.npz"
         assert path.exists()
         assert timer.bytes_written == path.stat().st_size
@@ -97,9 +106,9 @@ class TestAtomicWrites:
         assert np.array_equal(f2, f)
         assert header["step"] == 3
 
-    def test_odd_suffix_is_kept_plus_npz(self, tmp_path, grid, f):
+    def test_odd_suffix_is_kept_plus_npz(self, tmp_path, grid, fields):
         """np.savez semantics, made explicit: 'snap.v1' -> 'snap.v1.npz'."""
-        path = write_snapshot(tmp_path / "snap.v1", grid, f)
+        path = write_snapshot(tmp_path / "snap.v1", grid, fields)
         assert path.name == "snap.v1.npz"
         assert path.exists()
 
@@ -193,8 +202,9 @@ class TestCheckpoint:
         _, f2, _, _ = read_checkpoint(write_checkpoint(tmp_path / "c.npz", grid, f))
         assert f2.dtype == np.float64
 
-    def test_snapshot_checkpoint_not_interchangeable(self, tmp_path, grid, f):
-        path = write_snapshot(tmp_path / "s.npz", grid, f)
+    def test_snapshot_checkpoint_not_interchangeable(self, tmp_path, grid,
+                                                     fields):
+        path = write_snapshot(tmp_path / "s.npz", grid, fields)
         with pytest.raises(ValueError):
             read_checkpoint(path)
 

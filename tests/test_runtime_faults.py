@@ -17,11 +17,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.io import snapshot as snapshot_mod
 from repro.io.snapshot import (
     QUARANTINE_SUFFIX,
     SnapshotIntegrityError,
     read_checkpoint,
+    read_snapshot,
     write_checkpoint,
 )
 from repro.runtime import (
@@ -153,15 +153,34 @@ def _plasma_checkpoint(tmp_path, name="ck_00000001.npz", step=1):
     return write_checkpoint(tmp_path / name, grid, f, step=step), f
 
 
-def _rewrite_members(path, mutate_header):
-    """Re-pack an npz with a mutated header but valid zip-member CRCs."""
+def _diagnostics_snapshot(tmp_path):
+    """One product stored by the diagnostics pipeline; returns its path."""
+    from repro.core import PhaseSpaceGrid
+    from repro.serve import DiagnosticsPipeline
+    from repro.serve.pipeline import snapshot_name
+
+    grid = PhaseSpaceGrid(nx=(8,), nu=(8,), box_size=1.0, v_max=2.0,
+                          dtype=np.float64)
+    f = np.random.default_rng(0).random(grid.shape)
+    with DiagnosticsPipeline(tmp_path / "diag", grid, spectra=False) as pipe:
+        pipe.submit(1, {"t": 0.0}, f)
+    return tmp_path / "diag" / snapshot_name(1)
+
+
+def _rewrite_members(path, mutate_header=None, flip=None):
+    """Re-pack an npz with a mutated header, or one byte of array
+    ``flip`` inverted, but valid zip-member CRCs."""
     with np.load(path) as data:
         members = {k: data[k] for k in data.files}
-    header = json.loads(bytes(members["header"]).decode())
-    mutate_header(header)
-    members["header"] = np.frombuffer(
-        json.dumps(header).encode(), dtype=np.uint8
-    )
+    if mutate_header is not None:
+        header = json.loads(bytes(members["header"]).decode())
+        mutate_header(header)
+        members["header"] = np.frombuffer(
+            json.dumps(header).encode(), dtype=np.uint8
+        )
+    if flip is not None:
+        raw = members[flip].view(np.uint8).reshape(-1)
+        raw[raw.size // 2] ^= 0xFF
     np.savez(path, **members)
 
 
@@ -181,6 +200,11 @@ class TestCheckpointIntegrity:
         _rewrite_members(path, tamper)
         with pytest.raises(SnapshotIntegrityError, match="checksum"):
             read_checkpoint(path)
+        # a diagnostics product is the same container: one flipped byte
+        snap = _diagnostics_snapshot(tmp_path)
+        _rewrite_members(snap, flip="density")
+        with pytest.raises(SnapshotIntegrityError, match="'density'"):
+            read_snapshot(snap)
 
     def test_header_stripped_of_checksums_is_refused_and_quarantined(
         self, tmp_path
@@ -197,13 +221,6 @@ class TestCheckpointIntegrity:
         assert state.path == old_path
         assert np.array_equal(state.f, f_old)
         assert (tmp_path / ("ck_00000002.npz" + QUARANTINE_SUFFIX)).exists()
-
-    def test_crc_can_be_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(snapshot_mod, "CHECKSUMS_ENABLED", False)
-        path, f = _plasma_checkpoint(tmp_path)
-        _, f_read, _, header = read_checkpoint(path)
-        assert "checksums" not in header
-        assert np.array_equal(f, f_read)
 
     def test_scan_quarantines_corrupt_newest_and_restores_previous(
         self, tmp_path

@@ -1,5 +1,5 @@
-"""The analysis tier: chunked snapshots and the diagnostics pipeline
-(``repro.serve``)."""
+"""The analysis tier: the diagnostics pipeline (``repro.serve``) and
+the snapshots it stores."""
 
 from __future__ import annotations
 
@@ -8,16 +8,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import moments
 from repro.core.mesh import PhaseSpaceGrid
-from repro.io.snapshot import (
-    MANIFEST_NAME,
-    SnapshotIntegrityError,
-    read_snapshot,
-    read_snapshot_field,
-    snapshot_manifest,
-    write_snapshot,
-    write_snapshot_chunked,
-)
+from repro.io.snapshot import read_snapshot
 from repro.serve import DiagnosticsPipeline, read_products
 from repro.serve.pipeline import snapshot_name
 
@@ -32,66 +25,6 @@ def f(grid, rng) -> np.ndarray:
     return rng.random(grid.shape)
 
 
-class TestChunkedSnapshot:
-    def test_round_trip_matches_legacy_moments(self, grid, f, tmp_path):
-        """Chunked and monolithic writers store the same moment fields."""
-        legacy = write_snapshot(tmp_path / "legacy.npz", grid, f, a=0.5)
-        chunked = write_snapshot_chunked(tmp_path / "snap", grid, f, a=0.5,
-                                         n_chunks=3)
-        ref = read_snapshot(legacy)
-        out = read_snapshot(chunked)  # read_snapshot dispatches on layout
-        assert out["header"]["a"] == ref["header"]["a"]
-        for name in ("density", "velocity", "dispersion"):
-            np.testing.assert_array_equal(out[name], ref[name])
-
-    def test_field_and_slab_reads(self, grid, f, tmp_path):
-        snap = write_snapshot_chunked(tmp_path / "snap", grid, f, n_chunks=4,
-                                      min_chunk_bytes=0)
-        whole = read_snapshot_field(snap, "density")
-        assert whole.shape == grid.nx
-
-    def test_vector_fields_chunk_on_axis_one(self, grid, f, tmp_path):
-        """The component axis of velocity/dispersion must stay whole."""
-        snap = write_snapshot_chunked(tmp_path / "snap", grid, f, n_chunks=3,
-                                      min_chunk_bytes=0)
-        manifest = snapshot_manifest(snap)
-        assert manifest["fields"]["velocity"]["axis"] == 1
-        assert len(manifest["fields"]["velocity"]["chunks"]) == 3
-        assert manifest["fields"]["density"]["axis"] == 0
-        vel = read_snapshot_field(snap, "velocity")
-        assert vel.shape == (grid.dim, *grid.nx)
-
-    def test_corrupt_chunk_detected(self, grid, f, tmp_path):
-        snap = tmp_path / "snap"
-        write_snapshot_chunked(snap, grid, f, n_chunks=2)
-        manifest = snapshot_manifest(snap)
-        victim = snap / manifest["fields"]["density"]["chunks"][0]["file"]
-        blob = bytearray(victim.read_bytes())
-        blob[-1] ^= 0xFF
-        victim.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotIntegrityError):
-            read_snapshot_field(snap, "density")
-
-    def test_more_chunks_than_extent_degrades(self, grid, f, tmp_path):
-        """n_chunks beyond the slab axis extent must not create empties."""
-        snap = write_snapshot_chunked(tmp_path / "snap", grid, f, n_chunks=64,
-                                      min_chunk_bytes=0)
-        manifest = snapshot_manifest(snap)
-        for spec in manifest["fields"].values():
-            for entry in spec["chunks"]:
-                assert entry["stop"] > entry["start"]
-        np.testing.assert_array_equal(
-            read_snapshot_field(snap, "density").shape, grid.nx
-        )
-
-    def test_small_fields_collapse_to_few_chunks(self, grid, f, tmp_path):
-        """Sub-megabyte fields must not shatter into fsync-heavy slivers."""
-        snap = write_snapshot_chunked(tmp_path / "snap", grid, f, n_chunks=8)
-        manifest = snapshot_manifest(snap)
-        for spec in manifest["fields"].values():  # every field is tiny here
-            assert len(spec["chunks"]) == 1
-
-
 class TestDiagnosticsPipeline:
     def test_products_and_events(self, grid, f, tmp_path):
         events = []
@@ -104,10 +37,17 @@ class TestDiagnosticsPipeline:
                 assert pipe.submit(step, {"t": 0.1 * step}, f * step)
         records = list(read_products(tmp_path / "diag"))
         assert [r["step"] for r in records] == [1, 2, 3]
-        for step in (1, 2, 3):
-            assert (tmp_path / "diag" / snapshot_name(step)
-                    / MANIFEST_NAME).exists()
-        assert "density" in records[0]["fields"]
+        for step, record in zip((1, 2, 3), records):
+            assert record["snapshot"] == snapshot_name(step)
+            stored = read_snapshot(tmp_path / "diag" / record["snapshot"])
+            # moments only, never the 6-D f
+            assert sorted(set(stored) - {"header"}) == record["fields"]
+            assert "f" not in stored
+            np.testing.assert_array_equal(
+                stored["density"],
+                moments.density(f * step, grid).astype(np.float32),
+            )
+        assert records[0]["fields"] == ["density", "dispersion", "velocity"]
         assert len(records[0]["spectra"]["k"]) > 0
         assert events.count("diagnostics_enqueued") == 3
         assert events.count("diagnostics_written") == 3
@@ -144,15 +84,12 @@ class TestDiagnosticsPipeline:
             original(*item)
 
         pipe._process = gated
-        from repro.core import moments
-
         expected = moments.density(f, grid).astype(np.float32)
         pipe.submit(1, {"t": 0.0}, f)
         f[:] = 0.0  # the stepper advancing in place
         release.set()
         pipe.close()
-        stored = read_snapshot_field(tmp_path / "diag" / snapshot_name(1),
-                                     "density")
+        stored = read_snapshot(tmp_path / "diag" / snapshot_name(1))["density"]
         np.testing.assert_array_equal(stored, expected)
 
     def test_worker_error_is_contained(self, grid, f, tmp_path):
@@ -179,7 +116,7 @@ class TestRunnerIntegration:
             "scenario": "plasma",
             "grid": {"nx": [16], "nu": [16]},
             "schedule": {"n_steps": 4, "dt": 0.05},
-            "diagnostics": {"every_steps": 2, "n_bins": 4, "n_chunks": 2},
+            "diagnostics": {"every_steps": 2, "n_bins": 4},
         })
         runner = SimulationRunner.create(config, tmp_path / "run")
         assert runner.run() == 0
