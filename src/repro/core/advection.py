@@ -86,12 +86,14 @@ Allocation discipline
 
 Cache blocking
 --------------
-An SL-MPP5 sweep makes ~110 ufunc passes over temporaries the size of
-its input (docs/PERFORMANCE.md, "Cell space on ghost-extended planes",
-counts them).  ``advect`` therefore validates once and then works through
-arrays above :data:`BLOCK_CELLS` one block of non-advected rows at a
-time (see :func:`_block_plan`), so the temporaries are block-sized and
-stay in cache.  Cells couple only along the advected axis: each block
+An SL-MPP5 kernel call makes 64 ufunc passes over temporaries the size
+of its block, 67 when the block mixes shift signs (docs/PERFORMANCE.md,
+"Flux-form limiting, one shared interval", counts them;
+``tests/test_kernel_reference.py::TestPassBudget`` pins them).
+``advect`` therefore validates once and then works through arrays above
+:data:`BLOCK_CELLS` one block of non-advected rows at a time (see
+:func:`_block_plan`), so the temporaries are block-sized and stay in
+cache.  Cells couple only along the advected axis: each block
 runs the serial arithmetic on its rows and the result is bitwise the
 one-block result.  Every engine ends in this function, so every engine
 is blocked.
@@ -115,7 +117,7 @@ import numpy as np
 
 from .limiters import (
     minmod_into,
-    mp_limit_departure_average,
+    mp_limit_flux,
     positivity_clamp_fraction,
     weno_smoothness,
 )
@@ -128,7 +130,7 @@ class SchemeSpec(NamedTuple):
     """Configuration of one advection scheme."""
 
     order: int          # formal spatial order / stencil width
-    use_mp: bool        # Suresh-Huynh MP departure-average limiting
+    use_mp: bool        # Suresh-Huynh MP limiting of the fractional flux
     use_pos: bool       # positivity clamp of the fractional flux
     use_weno: bool      # nonlinear WENO-5 sub-stencil weighting
     use_pfc: bool = False  # minmod piecewise-linear flux (Filbet PFC)
@@ -155,8 +157,9 @@ _LAYOUTS = (None, "in_place", "packed")
 #: block-sized temporaries of a call stay cache-resident instead of
 #: streaming through memory at full-array size.  Counted in cells, not
 #: bytes: the scratch per cell (float64 flux beside the storage-dtype
-#: planes) barely depends on f's dtype, and a kernel call
-#: costs ~0.5 ms of Python/ufunc dispatch, which sets the floor — see
+#: planes) barely depends on f's dtype, and a kernel call (64 block-sized
+#: ufunc passes for SL-MPP5) costs ~0.5 ms of Python/ufunc dispatch,
+#: which sets the floor — see
 #: docs/PERFORMANCE.md ("Cache-blocked sweeps") for the measured table.
 BLOCK_CELLS = 1 << 16
 
@@ -395,8 +398,9 @@ def _advect_block(fw, sh, out_w, spec, bc, arena, halo=None) -> None:
 
     Ghosts are ``stencil_reach`` wrap copies on each side (``periodic``;
     a reversed row's wraps are its own, the two sides being equal), zeros
-    (``zero``: :func:`ghost_width` planes on the left, the width at no
-    shift on the right), or the neighbours' edge planes (``halo``:
+    (``zero``: :func:`ghost_width` planes on the left, ``stencil_reach``
+    on the right, which is all the window reads past the last cell), or
+    the neighbours' edge planes (``halo``:
     :func:`ghost_width` on both sides, a reversed row landing its whole
     extended row reversed, and the flux on the ``zero`` window).  The
     landing is the transpose a strided axis needs, the ghost pad, and
@@ -415,7 +419,7 @@ def _advect_block(fw, sh, out_w, spec, bc, arena, halo=None) -> None:
         g_l = g_r = stencil_reach(spec)
     else:
         g_l = ghost_width(spec, sh.max())
-        g_r = ghost_width(spec) if halo is None else g_l
+        g_r = stencil_reach(spec) if halo is None else g_l
     planes = _scratch(
         arena, ("plane", "f"), (g_l + n + g_r,) + out_w.shape[:-1], fw.dtype
     )
@@ -630,29 +634,9 @@ def _fractional_flux(cells, alpha, spec, arena=None):
             phi += term
 
     if use_mp:
-        # u must be rescaled by the *true* alpha on both sides: flooring
-        # the divisor (the old max(alpha, 1e-7)) shrank u for sub-floor
-        # alphas, the limiter clamped it back into physical bounds, and
-        # the re-multiply then overstated the flux by up to floor/alpha.
-        # Dividing by tiny alpha may produce round-off garbage in u, but
-        # the MP clamp bounds it and alpha * u_limited stays monotone
-        # for any alpha in [0, 1].
-        pos = alpha > 0.0
-        safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=cells.dtype))
-        # the full-size quotient, limiter temporaries and masked
-        # recombination all run through pooled scratch
-        u = _scratch(arena, "mp_u", phi.shape, phi.dtype)
-        np.divide(phi, safe_alpha, out=u)
-        u = mp_limit_departure_average(
-            u, alpha, cells[reach - 2 : reach + count + 2], arena=arena
+        phi = mp_limit_flux(
+            phi, alpha, cells[reach - 2 : reach + count + 2], arena=arena
         )
-        lim = _scratch(arena, "mp_lim", phi.shape, phi.dtype)
-        np.multiply(safe_alpha, u, out=lim)
-        sel = _scratch(arena, "mp_sel", phi.shape, phi.dtype)
-        # np.where(pos, lim, phi) as fill + masked overwrite
-        np.copyto(sel, phi)
-        np.copyto(sel, lim, where=pos)
-        phi = sel
     if use_pos:
         phi = positivity_clamp_fraction(phi, st[half], arena=arena)
     return phi

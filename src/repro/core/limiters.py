@@ -3,7 +3,11 @@
 Implements the MP (monotonicity-preserving) interface-value limiter of
 Suresh & Huynh (1997) [paper ref. 22] adapted to the conservative
 semi-Lagrangian flux of the SL-MPP5 scheme (paper §5.2, ref. [23]), plus
-the explicit positivity clamp on the donated fractional mass.
+the explicit positivity clamp on the donated fractional mass.  The
+SL-MPP limit acts on the donated mass ``phi = alpha * u`` itself
+(:func:`mp_limit_flux`): the two MP intervals a donor cell's update must
+respect, that of its right interface and the mirrored one of its left,
+multiply out into one interval for ``phi``.
 
 All functions are shape-polymorphic.  A *stencil* is five arrays, entry
 ``m + 2`` holding the cell average ``fbar_{j+m}`` of the donor-cell
@@ -11,6 +15,8 @@ neighborhood.  The advection kernel works on *planes* instead — cell
 averages with the advected axis leading, ``cells[c]`` one cell of every
 row — where the neighbor ``j + m`` of all donor cells at once is the
 slice ``cells[2 + m : 2 + m + L]``, and a stencil is the ``L = 1`` case.
+On planes, neighboring donors share their interfaces, and the right and
+mirrored intervals share every interface term (:func:`_window_bounds`).
 """
 
 from __future__ import annotations
@@ -139,19 +145,21 @@ def mp_bounds(stencil: np.ndarray, alpha_mp: float = 4.0) -> tuple[np.ndarray, n
     collapses to the local data range.
 
     This is the entry for five arbitrary arrays.  The advection kernel
-    evaluates the same interval for whole rows of donor cells at once
-    (:func:`mp_limit_departure_average`), where neighboring cells share
-    their curvatures; both return the same values, and where the
-    curvatures hold zeros of both signs a zero bound may differ in sign.
+    evaluates both intervals of whole rows of donor cells at once
+    (:func:`mp_limit_flux`), where neighboring cells share their
+    interface terms; both write the curvature as ``(f_{c-1} + f_{c+1}) -
+    2 f_c``, which the mirror ``stencil[::-1]`` leaves unchanged, and
+    return the same values (where the terms hold zeros of both signs a
+    zero bound may differ in sign).
     """
     fm2, fm1, f0, fp1, fp2 = (stencil[m] for m in range(5))
-    d_m1 = fm2 - 2.0 * fm1 + f0
-    d_0 = fm1 - 2.0 * f0 + fp1
-    d_p1 = f0 - 2.0 * fp1 + fp2
+    d_m1 = (fm2 + f0) - 2.0 * fm1
+    d_0 = (fm1 + fp1) - 2.0 * f0
+    d_p1 = (f0 + fp2) - 2.0 * fp1
     dm4_p = minmod4(4.0 * d_0 - d_p1, 4.0 * d_p1 - d_0, d_0, d_p1)
     dm4_m = minmod4(4.0 * d_0 - d_m1, 4.0 * d_m1 - d_0, d_0, d_m1)
     f_ul = f0 + alpha_mp * (f0 - fm1)
-    f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_p
+    f_md = 0.5 * ((f0 + fp1) - dm4_p)
     f_lc = f0 + 0.5 * (f0 - fm1) + (4.0 / 3.0) * dm4_m
     f_min = np.maximum(
         np.minimum(np.minimum(f0, fp1), f_md), np.minimum(np.minimum(f0, f_ul), f_lc)
@@ -162,139 +170,145 @@ def mp_bounds(stencil: np.ndarray, alpha_mp: float = 4.0) -> tuple[np.ndarray, n
     return f_min, f_max
 
 
-def _mp_interval(cells, alpha_mp, arena, tag):
-    """:func:`mp_bounds` of the donor cells ``cells[2:-2]``, plane-wise.
+def _window_bounds(cells, alpha_mp=4.0, arena=None, tag="mp"):
+    """Both MP intervals of the donor cells ``cells[2:-2]``, plane-wise.
 
     ``cells`` holds ``L + 4`` planes: the ``L`` donors and two neighbors
-    on each side.  The curvature ``d_c = (f_{c-1} - 2 f_c) + f_{c+1}`` is
-    evaluated once on the ``L + 2`` cells that border a donor interface
-    and ``dM4`` once on the ``L + 1`` interfaces between them; a donor
-    reads its two as views.  Every temporary is pooled scratch (the
-    returned arrays too — the next same-tag call overwrites them); the
-    bounds are bitwise-identical with or without an arena.
+    on each side.  Returns ``(b_min, b_max, bm_min, bm_max)``: the
+    interval of each donor's right interface (:func:`mp_bounds` of its
+    stencil) and of its left one (``mp_bounds`` of the mirrored stencil).
+
+    The two share their terms.  The curvature ``d_c = (f_{c-1} + f_{c+1})
+    - 2 f_c`` is evaluated once on the ``L + 2`` cells that border a donor
+    interface; ``dM4`` (symmetric in its arguments), the first difference
+    ``e = f_{c+1} - f_c``, ``f_md`` and ``min/max(f_c, f_{c+1}, f_md)``
+    once on the ``L + 1`` interfaces.  Donor ``j`` reads interface ``j +
+    1/2`` for its right interval and ``j - 1/2`` for the mirrored one, as
+    views:
+
+        right:    f_ul = f_j + 4 e_{j-1/2}
+                  f_lc = f_j + e_{j-1/2} / 2 + (4/3) dM4_{j-1/2}
+        mirrored: f_ul = f_j - 4 e_{j+1/2}
+                  f_lc = f_j - e_{j+1/2} / 2 + (4/3) dM4_{j+1/2}
+
+    Every buffer is pooled scratch, and the donor-sized results are views
+    of interface-sized buffers already spent (the next same-tag call
+    overwrites them); the bounds are bitwise-identical with or without an
+    arena.
     """
     count, shape, dt = cells.shape[0] - 4, cells.shape[1:], cells.dtype
-    fm1, f0, fp1 = cells[1:-3], cells[2:-2], cells[3:-1]
-    d, d4 = (
-        _take(arena, (*tag, name), (count + 2,) + shape, dt) for name in ("d", "d4")
+    d, t = (_take(arena, (tag, name), (count + 2,) + shape, dt) for name in ("d", "t"))
+    a, b, m4, w1, w2, e, e4, fmd = (
+        _take(arena, (tag, name), (count + 1,) + shape, dt)
+        for name in ("a", "b", "m4", "w1", "w2", "e", "e4", "md")
     )
-    ta, tb, w1, w2, m4 = (
-        _take(arena, (*tag, name), (count + 1,) + shape, dt)
-        for name in ("ta", "tb", "w1", "w2", "m4")
-    )
-    f_min, f_max = (
-        _take(arena, (*tag, name), (count,) + shape, dt) for name in ("min", "max")
-    )
+    np.add(cells[:-2], cells[2:], out=d)
+    np.multiply(cells[1:-1], 2.0, out=t)
+    np.subtract(d, t, out=d)
+    np.multiply(d, 4.0, out=t)
+    # dM4 between cells c, c+1: minmod4(4 d_c - d_c+1, 4 d_c+1 - d_c, d_c, d_c+1)
+    np.subtract(t[:-1], d[1:], out=a)
+    np.subtract(t[1:], d[:-1], out=b)
+    minmod4_into(m4, a, b, d[:-1], d[1:], w1, w2)
 
-    np.multiply(cells[1:-1], 2.0, out=d4)
-    np.subtract(cells[:-2], d4, out=d)
-    np.add(d, cells[2:], out=d)
-    np.multiply(d, 4.0, out=d4)
-    # dM4 between cells e, e+1: minmod4(4 d_e - d_e+1, 4 d_e+1 - d_e, d_e, d_e+1)
-    np.subtract(d4[:-1], d[1:], out=ta)
-    np.subtract(d4[1:], d[:-1], out=tb)
-    minmod4_into(m4, ta, tb, d[:-1], d[1:], w1, w2)
-
-    # the interface-sized buffers are spent: reuse them donor-sized
-    ful, fmd, flc, w1, w2 = ta[:-1], tb[:-1], d4[:-2], w1[:-1], w2[:-1]
-    # f_ul = f0 + alpha_mp * (f0 - fm1)
-    np.subtract(f0, fm1, out=flc)
-    np.multiply(flc, alpha_mp, out=ful)
-    np.add(f0, ful, out=ful)
-    # f_md = 0.5 * (f0 + fp1) - 0.5 * dM4_{j+1/2}
-    np.add(f0, fp1, out=fmd)
+    left, right = cells[1:-2], cells[2:-1]  # the two cells of each interface
+    np.subtract(right, left, out=e)
+    np.multiply(e, alpha_mp, out=e4)
+    np.multiply(e, 0.5, out=e)  # e / 2 from here on
+    # f_md = ((f_c + f_c+1) - dM4) / 2, then min/max(f_c, f_c+1, f_md)
+    np.add(left, right, out=fmd)
+    np.subtract(fmd, m4, out=fmd)
     np.multiply(fmd, 0.5, out=fmd)
-    np.multiply(m4[1:], 0.5, out=w1)
-    np.subtract(fmd, w1, out=fmd)
-    # f_lc = f0 + 0.5 * (f0 - fm1) + (4/3) * dM4_{j-1/2}
-    np.multiply(flc, 0.5, out=flc)
-    np.add(f0, flc, out=flc)
-    np.multiply(m4[:-1], 4.0 / 3.0, out=w1)
-    np.add(flc, w1, out=flc)
+    np.multiply(m4, 4.0 / 3.0, out=m4)  # (4/3) dM4 from here on
+    a_min, a_max = a, b
+    np.minimum(left, right, out=a_min)
+    np.minimum(a_min, fmd, out=a_min)
+    np.maximum(left, right, out=a_max)
+    np.maximum(a_max, fmd, out=a_max)
 
-    np.minimum(f0, fp1, out=w1)
-    np.minimum(w1, fmd, out=w1)
-    np.minimum(f0, ful, out=w2)
-    np.minimum(w2, flc, out=w2)
-    np.maximum(w1, w2, out=f_min)
-    np.maximum(f0, fp1, out=w1)
-    np.maximum(w1, fmd, out=w1)
-    np.maximum(f0, ful, out=w2)
-    np.maximum(w2, flc, out=w2)
-    np.minimum(w1, w2, out=f_max)
-    return f_min, f_max
+    # the rest is donor-sized, in the spent buffers; t holds f_lc per side
+    f0, flc = cells[2:-2], t[:count]
+    bounds = []
+    for near, far, op, f_min, f_max in (
+        (slice(0, count), slice(1, None), np.add, w1[:count], d[:count]),
+        (slice(1, None), slice(0, count), np.subtract, fmd[:count], w2[:count]),
+    ):
+        op(f0, e4[near], out=f_max)  # f_ul
+        op(f0, e[near], out=flc)
+        np.add(flc, m4[near], out=flc)  # f_lc
+        np.minimum(f0, f_max, out=f_min)
+        np.minimum(f_min, flc, out=f_min)
+        np.maximum(a_min[far], f_min, out=f_min)
+        np.maximum(f0, f_max, out=f_max)
+        np.maximum(f_max, flc, out=f_max)
+        np.minimum(a_max[far], f_max, out=f_max)
+        bounds += [f_min, f_max]
+    return tuple(bounds)
 
 
-def mp_limit_departure_average(
-    u: np.ndarray,
+def mp_limit_flux(
+    phi: np.ndarray,
     alpha: np.ndarray,
     cells: np.ndarray,
     alpha_mp: float = 4.0,
     arena=None,
     tag="mp",
 ) -> np.ndarray:
-    """MP limiting of the semi-Lagrangian departure-interval average.
+    """MP limiting of the semi-Lagrangian fractional flux.
 
     This is the SL-MPP constraint of the paper's scheme [23]: the
-    conservative SL flux donates ``alpha * u`` from donor cell j, where
-    ``u`` is the reconstruction average over the rightmost ``alpha``
+    conservative SL flux donates ``phi = alpha * u`` from donor cell j,
+    where ``u`` is the reconstruction average over the rightmost ``alpha``
     fraction of the cell.  The updated cell average is the convex
     combination
 
         f_i^{n+1} = (1 - alpha) * w_j + alpha * u_{j-1},
-        w_j = (f_j - alpha u_j) / (1 - alpha)   (the remainder average).
+        w_j = (f_j - phi_j) / (1 - alpha)   (the remainder average).
 
     Monotonicity for *any* alpha in [0, 1] therefore follows from keeping
-    ``u_j`` inside the MP interval of cell j's *right* interface and
-    ``w_j`` inside the MP interval of its *left* interface (the mirrored
-    bounds) — no CFL restriction, which is what lets the single-stage
-    scheme run at the advective CFL of the whole step.  The two
-    requirements translate into an intersection interval for u, never
-    empty because u = f_j satisfies both.
+    ``u_j`` inside the MP interval ``[b_min, b_max]`` of cell j's *right*
+    interface and ``w_j`` inside the MP interval ``[bm_min, bm_max]`` of
+    its *left* interface (the mirrored bounds) — no CFL restriction,
+    which is what lets the single-stage scheme run at the advective CFL
+    of the whole step.  Multiplied out, the two requirements bound the
+    flux itself:
 
-    ``cells`` holds the ``L`` donor cells ``cells[2:-2]`` that ``u``
+        lo = max(alpha b_min, f_j - (1 - alpha) bm_max)
+        hi = min(alpha b_max, f_j - (1 - alpha) bm_min)
+
+    and ``phi`` is clamped into ``[lo, hi]``, never empty in exact
+    arithmetic because ``phi = alpha f_j`` satisfies both.  No division:
+    at ``alpha = 0`` the interval is ``[0, 0]`` (``bm_min <= f_j <=
+    bm_max``), so the limited flux is exactly zero with no special case.
+
+    ``cells`` holds the ``L`` donor cells ``cells[2:-2]`` that ``phi``
     belongs to, as planes, with two neighbor planes on each side (a
-    five-array stencil is ``L = 1``).  The left-interface bounds are the
-    same computation on ``cells[::-1]``, which keeps its own operand
-    order ``(f_{j+1} - 2 f_j) + f_{j-1}``.  With an ``arena`` every
-    full-size temporary lives in pooled scratch (the returned array too —
-    it is overwritten by the next same-tag call); with or without one the
-    result is bitwise-identical.
+    five-array stencil is ``L = 1``); ``phi`` has the donors' shape and
+    ``alpha`` broadcasts into it.  Both intervals come from
+    :func:`_window_bounds`.  Every temporary lives in pooled scratch when
+    an ``arena`` is given (the returned array too — it is overwritten by
+    the next same-tag call); with or without one the result is
+    bitwise-identical.
     """
     if cells.shape[0] < 5:
         raise ValueError("MP limiter needs a 5-cell stencil")
+    b_min, b_max, bm_min, bm_max = _window_bounds(cells, alpha_mp, arena, tag)
     f0 = cells[2:-2]
-    alpha = np.asarray(alpha)
-    b_min, b_max = _mp_interval(cells, alpha_mp, arena, (tag, "r"))
-    # remainder average sits at the cell's left edge: mirrored planes
-    bm_min, bm_max = (
-        b[::-1] for b in _mp_interval(cells[::-1], alpha_mp, arena, (tag, "l"))
-    )
-    dt = np.result_type(u, alpha, cells)
-    tiny = np.asarray(1.0e-7, dtype=u.dtype)
-    safe_alpha = np.maximum(alpha, tiny)   # alpha-shaped: cheap
-    om_alpha = 1.0 - alpha                 # alpha-shaped: cheap
-    shape = np.broadcast_shapes(b_min.shape, alpha.shape, u.shape)
-    va = _take(arena, (tag, "lim_a"), shape, dt)
-    vb = _take(arena, (tag, "lim_b"), shape, dt)
-    vc = _take(arena, (tag, "lim_c"), shape, dt)
-    vd = _take(arena, (tag, "lim_d"), shape, dt)
-    # lo = maximum(b_min, (f0 - (1 - alpha) * bm_max) / safe_alpha)
-    np.multiply(om_alpha, bm_max, out=va)
-    np.subtract(f0, va, out=va)
-    np.divide(va, safe_alpha, out=va)
-    np.maximum(b_min, va, out=va)
-    # hi = minimum(b_max, (f0 - (1 - alpha) * bm_min) / safe_alpha)
-    np.multiply(om_alpha, bm_min, out=vb)
-    np.subtract(f0, vb, out=vb)
-    np.divide(vb, safe_alpha, out=vb)
-    np.minimum(b_max, vb, out=vb)
-    # median3(u, lo, hi) = u + minmod(lo - u, hi - u)
-    np.subtract(va, u, out=va)
-    np.subtract(vb, u, out=vb)
-    minmod_into(vc, va, vb, vd)
-    np.add(u, vc, out=vc)
-    return vc
+    rest = 1.0 - alpha  # alpha-shaped: cheap
+    # lo = max(alpha b_min, f0 - (1 - alpha) bm_max), into b_min
+    np.multiply(b_min, alpha, out=b_min)
+    np.multiply(bm_max, rest, out=bm_max)
+    np.subtract(f0, bm_max, out=bm_max)
+    np.maximum(b_min, bm_max, out=b_min)
+    # hi = min(alpha b_max, f0 - (1 - alpha) bm_min), into b_max
+    np.multiply(b_max, alpha, out=b_max)
+    np.multiply(bm_min, rest, out=bm_min)
+    np.subtract(f0, bm_min, out=bm_min)
+    np.minimum(b_max, bm_min, out=b_max)
+    # the clamp, into the spent bm_max
+    np.maximum(phi, b_min, out=bm_max)
+    np.minimum(bm_max, b_max, out=bm_max)
+    return bm_max
 
 
 def positivity_clamp_fraction(

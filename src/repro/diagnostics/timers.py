@@ -97,8 +97,7 @@ class StepTimer:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - t0
-            self.sections.setdefault(name, SectionStats()).add(elapsed)
+            self.add(name, time.perf_counter() - t0)
             self._stack.pop()
 
     def add(self, name: str, seconds: float) -> None:
@@ -109,7 +108,10 @@ class StepTimer:
         (worker processes reporting ``domain/interior`` time, say) want a
         stable key regardless of which section the merge happens under.
         """
-        self.sections.setdefault(name, SectionStats()).add(float(seconds))
+        stats = self.sections.get(name)
+        if stats is None:  # not setdefault: it would build a SectionStats per lap
+            stats = self.sections[name] = SectionStats()
+        stats.add(float(seconds))
 
     def median(self, name: str) -> float:
         """Median lap of a section."""

@@ -1,12 +1,13 @@
-"""The rows-last kernel ``advect`` ran on until ISSUE 17, kept as the oracle.
+"""The sweep kernel's one bitwise oracle: the rows-last composition.
 
-``advect`` now lands each block as ghost-extended planes (advected axis
+``advect`` lands each block as ghost-extended planes (advected axis
 first), evaluates the fractional flux once per donor cell of a window and
 looks it up per interface.  This is the composition it replaced, written
 with allocating NumPy on flat ``(rows, n)`` arrays: zero pad -> periodic
 row -> five-to-seven stencil gathers per interface -> the roll-family MP
-bounds -> limit and clamp in interface space -> ``flux - roll(flux)``.
-Same operands, same ufuncs, same order: the two must agree to the byte.
+bounds -> the flux-form limit and the clamp in interface space -> ``flux
+- roll(flux)``.  Same operands, same ufuncs, same order: the two must
+agree to the byte.
 
 The elementwise pieces whose arithmetic did not move (``minmod4``, the
 positivity clamp, the PFC and WENO fluxes, the coefficient polynomials)
@@ -23,40 +24,52 @@ from repro.core.advection import (
     _weno_fractional,
     stencil_reach,
 )
-from repro.core.limiters import median3, minmod4, positivity_clamp_fraction
+from repro.core.limiters import minmod4, positivity_clamp_fraction
 from repro.core.stencil import evaluate_flux_coefficients
 
 
-def mp_bounds_rolled(stencil, roll, alpha_mp=4.0):
-    """The roll-family entry of ``mp_bounds``: ``stencil[m]`` is
-    ``stencil[2]`` rolled ``-roll * (m - 2)`` cells along the last axis
-    (``roll = +1`` as gathered, ``-1`` for the mirror ``stencil[::-1]``),
-    so the neighbor curvature and the left ``dM4`` are rolls."""
+def mp_bounds_rolled(stencil, alpha_mp=4.0):
+    """Both MP intervals of every donor, in the roll family: ``stencil[m]``
+    is ``stencil[2]`` rolled ``-(m - 2)`` cells along the last axis, so a
+    term of interface ``j + 1/2`` is a term of ``j - 1/2`` rolled one
+    cell.  Returns ``(b_min, b_max, bm_min, bm_max)``: the interval of the
+    right interface and the mirrored one of the left.  Every interface
+    term (the symmetric curvature's ``dM4``, ``e``, ``f_md`` and the
+    min/max of the interface's cells) is formed once, at ``j + 1/2``,
+    and read by both sides."""
     fm2, fm1, f0, fp1, fp2 = stencil
-    d_0 = fm1 - 2.0 * f0 + fp1
-    d_n = np.roll(d_0, -roll, axis=-1)
-    dm4_p = minmod4(4.0 * d_0 - d_n, 4.0 * d_n - d_0, d_0, d_n)
-    dm4_m = np.roll(dm4_p, roll, axis=-1)
-    f_ul = f0 + alpha_mp * (f0 - fm1)
-    f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_p
-    f_lc = f0 + 0.5 * (f0 - fm1) + (4.0 / 3.0) * dm4_m
-    f_min = np.maximum(
-        np.minimum(np.minimum(f0, fp1), f_md), np.minimum(np.minimum(f0, f_ul), f_lc)
-    )
-    f_max = np.minimum(
-        np.maximum(np.maximum(f0, fp1), f_md), np.maximum(np.maximum(f0, f_ul), f_lc)
-    )
-    return f_min, f_max
+
+    def left(a):  # the term of interface j - 1/2
+        return np.roll(a, 1, axis=-1)
+
+    d_0 = (fm1 + fp1) - 2.0 * f0
+    d_n = np.roll(d_0, -1, axis=-1)
+    dm4 = minmod4(4.0 * d_0 - d_n, 4.0 * d_n - d_0, d_0, d_n)
+    e = fp1 - f0
+    f_md = 0.5 * ((f0 + fp1) - dm4)
+    a_min = np.minimum(np.minimum(f0, fp1), f_md)
+    a_max = np.maximum(np.maximum(f0, fp1), f_md)
+    e4, e2, m43 = e * alpha_mp, e * 0.5, dm4 * (4.0 / 3.0)
+    f_ul = f0 + left(e4)
+    f_lc = (f0 + left(e2)) + left(m43)
+    b_min = np.maximum(a_min, np.minimum(np.minimum(f0, f_ul), f_lc))
+    b_max = np.minimum(a_max, np.maximum(np.maximum(f0, f_ul), f_lc))
+    f_ul = f0 - e4
+    f_lc = (f0 - e2) + m43
+    bm_min = np.maximum(left(a_min), np.minimum(np.minimum(f0, f_ul), f_lc))
+    bm_max = np.minimum(left(a_max), np.maximum(np.maximum(f0, f_ul), f_lc))
+    return b_min, b_max, bm_min, bm_max
 
 
-def departure_average_rolled(u, alpha, stencil):
+def limit_flux_rolled(phi, alpha, stencil):
+    """The flux-form SL-MPP limit: ``phi`` clamped into
+    ``[max(alpha b_min, f0 - (1 - alpha) bm_max),
+    min(alpha b_max, f0 - (1 - alpha) bm_min)]``."""
     f0 = stencil[2]
-    b_min, b_max = mp_bounds_rolled(stencil, 1)
-    bm_min, bm_max = mp_bounds_rolled(stencil[::-1], -1)
-    safe_alpha = np.maximum(alpha, np.asarray(1.0e-7, dtype=u.dtype))
-    lo = np.maximum(b_min, (f0 - (1.0 - alpha) * bm_max) / safe_alpha)
-    hi = np.minimum(b_max, (f0 - (1.0 - alpha) * bm_min) / safe_alpha)
-    return median3(u, lo, hi)
+    b_min, b_max, bm_min, bm_max = mp_bounds_rolled(stencil)
+    lo = np.maximum(b_min * alpha, f0 - bm_max * (1.0 - alpha))
+    hi = np.minimum(b_max * alpha, f0 - bm_min * (1.0 - alpha))
+    return np.minimum(np.maximum(phi, lo), hi)
 
 
 def _fractional_flux(st, alpha, spec):
@@ -73,10 +86,7 @@ def _fractional_flux(st, alpha, spec):
         for m in range(order):
             phi += coef[m] * st[center - (order - 1) // 2 + m]
     if use_mp:
-        pos = alpha > 0.0
-        safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=st.dtype))
-        u = departure_average_rolled(phi / safe_alpha, alpha, st[center - 2 : center + 3])
-        phi = np.where(pos, safe_alpha * u, phi)
+        phi = limit_flux_rolled(phi, alpha, st[center - 2 : center + 3])
     if use_pos:
         phi = positivity_clamp_fraction(phi, st[center])
     return phi

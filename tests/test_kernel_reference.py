@@ -1,13 +1,13 @@
-"""The sweep kernel has one path; these are the bits it must keep.
+"""The sweep kernel against its one reference; the bits it must keep.
 
 ``advect`` chooses neither a layout nor between fast and slow forms, so
 the alternatives exist only here, as oracles it is compared against:
 
-* the rows-last composition the kernel ran on until ISSUE 17
-  (``tests/rows_last_reference.py``: zero pad, stencil gathers per
-  interface, roll-family MP bounds, interface-space clip) is **bitwise**
-  the cell-space kernel on ghost-extended planes, for every scheme,
-  axis, boundary condition and dtype and every shape of shift;
+* the rows-last composition (``tests/rows_last_reference.py``: zero pad,
+  stencil gathers per interface, roll-family MP bounds, the flux-form
+  limit and clip in interface space) is **bitwise** the cell-space
+  kernel on ghost-extended planes, for every scheme, axis, boundary
+  condition and dtype and every shape of shift;
 * ``layout=`` — validated and ignored, kept for ``benchmarks/e2e``
   ``probe_pack_gain`` — changes nothing, with and without an arena,
   blocked, and in place;
@@ -16,10 +16,8 @@ the alternatives exist only here, as oracles it is compared against:
   ``k`` and is forced here by patching ``_uniform_int`` to find no
   uniform shift;
 * a warm Strang step is re-served entirely from the
-  :class:`ScratchArena` pool (hit-rate assertion).
-
-(The allocating-limiter oracle is in ``tests/test_limiters.py`` beside
-the sign-form one.)
+  :class:`ScratchArena` pool (hit-rate assertion);
+* an ``slmpp5`` kernel call makes a pinned number of full-size passes.
 
 The float64 cases deliberately include blocks whose planes are 8 cells
 (64 bytes) — the stride class where float64 ``np.negative`` has
@@ -34,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import advection
+from repro.core import advection, limiters
 from repro.core.advection import SCHEMES, advect
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
@@ -247,3 +245,60 @@ def test_warm_strang_step_is_pool_served():
         f"{after['misses'] - before['misses']} new buffers"
     )
     assert after["hits"] > before["hits"]
+
+
+class _PassCounter:
+    """``numpy`` seen through a counter: each ufunc call or ``copyto``
+    whose output holds at least ``floor`` elements is one full-size pass."""
+
+    def __init__(self, floor):
+        self._floor = floor
+        self.passes = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not (isinstance(attr, np.ufunc) or name == "copyto"):
+            return attr
+
+        def counted(*args, **kw):
+            result = attr(*args, **kw)
+            if name == "copyto":
+                out = args[0]
+            else:
+                out = kw.get("out", args[attr.nin:] or result)
+                out = out[0] if isinstance(out, tuple) else out
+            if np.size(out) >= self._floor:
+                self.passes += 1
+            return result
+
+        return counted
+
+
+class TestPassBudget:
+    """Full-size passes of one ``slmpp5`` kernel call, pinned: a change
+    cannot add passes unseen (and one that removes some updates the pin).
+    ``numpy`` is replaced by a counter in both modules the kernel runs
+    in; in-place operators and slice assignments are not counted."""
+
+    # one sign: 2 update + 5 polynomial + 26 shared interface terms +
+    # 2 x 9 per side + 8 bounds on phi + 2 clamp into them + 3 positivity
+    # clamp; mixed signs land and write back by mask (+3)
+    BUDGET = {"one_sign": 64, "mixed": 67}
+
+    @pytest.mark.smoke
+    @pytest.mark.parametrize("bc", ["periodic", "zero"])
+    def test_slmpp5_call_is_its_pass_budget(self, bc, monkeypatch):
+        rng = np.random.default_rng(2)
+        f = (0.5 + rng.random((32, 64))).astype(np.float32)
+        mixed = (rng.random((32, 1)) - 0.5) * 1.9
+        for name, sh in (("one_sign", 0.4), ("one_sign", -0.7), ("mixed", mixed)):
+            counter = _PassCounter(f.size)
+            with monkeypatch.context() as patch:
+                patch.setattr(advection, "np", counter)
+                patch.setattr(limiters, "np", counter)
+                got = advect(f, sh, 1, scheme="slmpp5", bc=bc)
+            assert got.tobytes() == advect(f, sh, 1, scheme="slmpp5", bc=bc).tobytes()
+            assert counter.passes == self.BUDGET[name], (
+                f"{bc} {name}: {counter.passes} full-size passes, "
+                f"pinned at {self.BUDGET[name]}"
+            )

@@ -1,15 +1,15 @@
-"""MP limiter machinery: minmod, bounds, departure-average limiting.
+"""MP limiter machinery: minmod, bounds, flux-form limiting.
 
-The library computes minmod without ``np.sign`` and evaluates the MP
-limiter's curvatures once per cell of a window of planes, neighbors
-reading them as views.  The Suresh-Huynh sign forms live here as the
-oracle: the new forms must equal them in value (a zero may differ in
-sign), and the advection kernel built on them must equal, bit for bit,
-the kernel built on the oracle.  The kernel's limiter tail runs in
-pooled scratch; its allocating composition (:func:`allocating_tail`)
-is the second oracle here, held to the same bitwise bar.  Both are
-installed over the names the kernel calls, and count their calls: an
-oracle nobody reaches would compare the kernel with itself.
+The library computes minmod without ``np.sign``, evaluates both MP
+intervals of a donor (its right interface's and the mirrored one of its
+left) on a window of planes with every interface term formed once, and
+limits the donated mass ``phi = alpha * u`` itself.  The kernel built on
+them is held bitwise to ``tests/rows_last_reference.py``
+(``tests/test_kernel_reference.py``); here the pieces are held to the
+five-array :func:`mp_bounds` and to the properties the scheme rests on:
+the interval contains the donor, and the limited flux keeps both the
+donated and the remaining average inside their MP intervals for any
+``alpha`` in [0, 1].
 """
 
 from __future__ import annotations
@@ -19,63 +19,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import advection
-from repro.core.advection import stencil_reach
 from repro.core.limiters import (
-    _mp_interval,
+    _window_bounds,
     median3,
     minmod,
     minmod4,
     minmod4_into,
     minmod_into,
     mp_bounds,
-    mp_limit_departure_average,
+    mp_limit_flux,
     mp_limit_interface,
     positivity_clamp_fraction,
     weno_smoothness,
 )
+from repro.perf.arena import ScratchArena
 
-from .conftest import adversarial_fields, mixed_sign_shifts
+from .conftest import adversarial_fields
 from .rows_last_reference import mp_bounds_rolled
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-
-
-# ----------------------------------------------------------------------
-# the oracle: Suresh & Huynh's sign forms, and the limiter built on them
-# ----------------------------------------------------------------------
-
-
-def minmod_sign(a, b):
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
-
-
-def minmod4_sign(a, b, c, d):
-    sgn = 0.125 * (np.sign(a) + np.sign(b)) * np.abs(
-        (np.sign(a) + np.sign(c)) * (np.sign(a) + np.sign(d))
-    )
-    return sgn * np.minimum(
-        np.minimum(np.abs(a), np.abs(b)), np.minimum(np.abs(c), np.abs(d))
-    )
-
-
-def mp_bounds_sign(stencil, alpha_mp=4.0):
-    fm2, fm1, f0, fp1, fp2 = (stencil[m] for m in range(5))
-    d_m1 = fm2 - 2.0 * fm1 + f0
-    d_0 = fm1 - 2.0 * f0 + fp1
-    d_p1 = f0 - 2.0 * fp1 + fp2
-    dm4_p = minmod4_sign(4.0 * d_0 - d_p1, 4.0 * d_p1 - d_0, d_0, d_p1)
-    dm4_m = minmod4_sign(4.0 * d_0 - d_m1, 4.0 * d_m1 - d_0, d_0, d_m1)
-    f_ul = f0 + alpha_mp * (f0 - fm1)
-    f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_p
-    f_lc = f0 + 0.5 * (f0 - fm1) + (4.0 / 3.0) * dm4_m
-    f_min = np.maximum(
-        np.minimum(np.minimum(f0, fp1), f_md), np.minimum(np.minimum(f0, f_ul), f_lc)
-    )
-    f_max = np.minimum(
-        np.maximum(np.maximum(f0, fp1), f_md), np.maximum(np.maximum(f0, f_ul), f_lc)
-    )
-    return f_min, f_max
 
 
 def stencil_of(cells):
@@ -84,196 +46,67 @@ def stencil_of(cells):
     return np.stack([cells[m : m + count] for m in range(5)])
 
 
-def departure_average_sign(u, alpha, cells, alpha_mp=4.0, **_):
-    stencil = stencil_of(cells)
-    f0 = stencil[2]
-    b_min, b_max = mp_bounds_sign(stencil, alpha_mp)
-    bm_min, bm_max = mp_bounds_sign(stencil[::-1], alpha_mp)
-    safe_alpha = np.maximum(alpha, np.asarray(1.0e-7, dtype=u.dtype))
-    lo = np.maximum(b_min, (f0 - (1.0 - alpha) * bm_max) / safe_alpha)
-    hi = np.minimum(b_max, (f0 - (1.0 - alpha) * bm_min) / safe_alpha)
-    return u + minmod_sign(lo - u, hi - u)
-
-
-def clamp_clip(phi, donor, **_):
-    return np.clip(phi, 0.0, np.maximum(donor, 0.0))
-
-
-def _quads(dtype):
-    """Four operand arrays per adversarial input kind."""
-    for name, f in adversarial_fields((4, 6, 40), dtype):
-        yield name, tuple(f)
+def both_bounds(stencil):
+    """:func:`mp_bounds` of the right interface, then of the mirror."""
+    return mp_bounds(stencil) + mp_bounds(stencil[::-1])
 
 
 class TestSignFreeForms:
     @pytest.mark.smoke
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_minmod_forms_equal_the_sign_forms(self, dtype):
-        for name, (a, b, c, d) in _quads(dtype):
-            # == : a zero of either sign is the same value
-            assert np.array_equal(minmod(a, b), minmod_sign(a, b)), name
-            assert np.array_equal(
-                minmod4(a, b, c, d), minmod4_sign(a, b, c, d)
-            ), name
+    def test_into_forms_are_the_allocating_forms(self, dtype):
+        for name, f in adversarial_fields((4, 6, 40), dtype):
+            a, b, c, d = f
             out, w1, w2 = (np.empty_like(a) for _ in range(3))
             assert minmod_into(out, a, b, w1) is out
-            assert np.array_equal(out, minmod_sign(a, b)), name
+            assert out.tobytes() == minmod(a, b).tobytes(), name
             assert minmod4_into(out, a, b, c, d, w1, w2) is out
-            assert np.array_equal(out, minmod4_sign(a, b, c, d)), name
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bounds_equal_the_sign_form_bounds(self, dtype):
-        for name, f in adversarial_fields((5, 6, 40), dtype):
-            for got, want in zip(mp_bounds(f), mp_bounds_sign(f)):
-                assert np.array_equal(got, want), name
+            assert out.tobytes() == minmod4(a, b, c, d).tobytes(), name
 
     @pytest.mark.parametrize("pad", [0, 4])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_roll_family_entry_is_bitwise_the_general_one(self, dtype, pad):
         """Stencils gathered by rolling one row (periodic, or a row with
-        zero ghost cells as the ``zero`` BC builds it), right and mirrored:
-        the roll-family entry the kernel used (now the reference's) is
-        bitwise the general five-array one, and the interval the kernel
-        evaluates on wrap-extended planes is bitwise both."""
+        zero ghost cells as the ``zero`` BC builds it): the reference's
+        roll-family intervals, right and mirrored, are bitwise the general
+        five-array ones, and the intervals the kernel evaluates on
+        wrap-extended planes are bitwise both."""
         rng = np.random.default_rng(8)
         row = rng.standard_normal((6, 23)).astype(dtype)
         row[:, :pad] = 0.0
         row[:, row.shape[1] - pad:] = 0.0
         st5 = np.stack([np.roll(row, -m, axis=-1) for m in range(-2, 3)])
         cells = np.concatenate([row[:, -2:], row, row[:, :2]], axis=1).T
-        for stencil, roll, planes in ((st5, 1, cells), (st5[::-1], -1, cells[::-1])):
-            rolled = mp_bounds_rolled(stencil, roll)
-            windowed = _mp_interval(planes, 4.0, None, ("t",))
-            for got, want in zip(rolled, mp_bounds(stencil)):
-                assert got.tobytes() == want.tobytes()
-            for got, want in zip(windowed, rolled):
-                # the mirrored window lists its donors right to left
-                assert got[::roll].T.tobytes() == want.tobytes()
+        rolled = mp_bounds_rolled(st5)
+        windowed = _window_bounds(cells)
+        for got, want in zip(rolled, both_bounds(st5)):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(windowed, rolled):
+            assert got.T.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_windowed_interval_on_adversarial_planes(self, dtype):
-        """On zeros of both signs, ties and sub-normals the interval
-        evaluated on a window of planes stays bitwise the roll-family
-        entry and ``==`` the general five-array one (a zero bound may
-        differ in sign), right and mirrored, with and without an arena."""
-        from repro.perf.arena import ScratchArena
-
+        """On zeros of both signs, ties and sub-normals the shared
+        intervals evaluated on a window of planes stay bitwise the
+        roll-family ones and ``==`` the general five-array ones (a zero
+        bound may differ in sign), right and mirrored, and bitwise with
+        and without an arena."""
         arena = ScratchArena()
         for name, f in adversarial_fields((27, 6, 5), dtype):
-            st5 = stencil_of(f)
+            general = both_bounds(stencil_of(f))
             # a window never wraps; on cells whose neighbors are all inside
             # it, neither does the roll family of the 27-cell ring
             ring = np.moveaxis(f, 0, -1)
-            ring5 = np.stack([np.roll(ring, -m, axis=-1) for m in range(-2, 3)])
-            for planes, stencil, rolls, roll in (
-                (f, st5, ring5, 1), (f[::-1], st5[::-1], ring5[::-1], -1)
-            ):
-                rolled = mp_bounds_rolled(rolls, roll)
-                for pool in (None, arena):
-                    windowed = _mp_interval(planes, 4.0, pool, ("t",))
-                    for got, want, ref in zip(windowed, mp_bounds(stencil), rolled):
-                        got = got[::roll]
-                        assert np.array_equal(got, want), name
-                        inside = np.moveaxis(ref, -1, 0)[2:-2]
-                        assert got.tobytes() == inside.tobytes(), name
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("bc", ["periodic", "zero"])
-@pytest.mark.parametrize("scheme", [
-    "slmpp3", pytest.param("slmpp5", marks=pytest.mark.smoke), "slmpp7",
-])
-def test_kernel_bits_are_those_of_the_sign_form_limiter(
-    monkeypatch, scheme, bc, dtype
-):
-    """``advect`` on the sign-free, rolled limiter is bitwise ``advect``
-    on the Suresh-Huynh sign-form limiter and ``np.clip``: a zero of the
-    other sign never reaches the flux."""
-    shape = (7, 5, 9)
-    calls = []
-
-    def counted(oracle):
-        def call(*args, **kw):
-            calls.append(oracle)
-            return oracle(*args, **kw)
-        return call
-
-    for axis in (0, 2):
-        for sname, sh in mixed_sign_shifts(shape, axis):
-            for fname, f in adversarial_fields(shape, dtype):
-                got = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
-                del calls[:]
-                with monkeypatch.context() as patch:
-                    patch.setattr(advection, "mp_limit_departure_average",
-                                  counted(departure_average_sign))
-                    patch.setattr(advection, "positivity_clamp_fraction",
-                                  counted(clamp_clip))
-                    want = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
-                assert {departure_average_sign, clamp_clip} == set(calls)
-                assert got.tobytes() == want.tobytes(), (
-                    f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
-                    f"{sname} {fname}"
-                )
-
-
-def allocating_tail(unlimited, calls):
-    """The kernel's MP/positivity tail in its allocating composition:
-    every temporary a fresh array, no arena — the reference the pooled
-    ufunc-for-ufunc form in ``_fractional_flux`` must reproduce.  Takes
-    what the kernel passes: the donor planes with ``stencil_reach(spec)``
-    neighbor planes on each side."""
-
-    def fractional_flux(cells, alpha, spec, arena=None):
-        calls.append(spec)
-        plain = spec._replace(use_mp=False, use_pos=False)
-        reach = stencil_reach(spec)
-        trim = reach - stencil_reach(plain)  # the MP limiter's extra planes
-        phi = unlimited(cells[trim : cells.shape[0] - trim], alpha, plain, arena)
-        if spec.use_mp:
-            pos = alpha > 0.0
-            safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=cells.dtype))
-            u = phi / safe_alpha
-            u = mp_limit_departure_average(
-                u, alpha, cells[reach - 2 : cells.shape[0] - reach + 2])
-            phi = np.where(pos, safe_alpha * u, phi)
-        if spec.use_pos:
-            phi = positivity_clamp_fraction(phi, cells[reach : cells.shape[0] - reach])
-        return phi
-
-    return fractional_flux
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("bc", ["periodic", "zero"])
-@pytest.mark.parametrize("scheme", [
-    "slmpp3", pytest.param("slmpp5", marks=pytest.mark.smoke), "slmpp7",
-])
-def test_kernel_bits_are_those_of_the_allocating_limiter(
-    monkeypatch, scheme, bc, dtype
-):
-    """``advect``'s pooled limiter tail (quotient, limiter temporaries,
-    masked recombination, clamp — all in arena scratch) is bitwise the
-    allocating composition."""
-    from repro.perf.arena import ScratchArena
-
-    shape = (7, 5, 9)
-    arena = ScratchArena()
-    calls = []
-    tail = allocating_tail(advection._fractional_flux, calls)
-    for axis in (0, 2):
-        for sname, sh in mixed_sign_shifts(shape, axis):
-            for fname, f in adversarial_fields(shape, dtype):
-                got = advection.advect(f, sh, axis, scheme=scheme, bc=bc,
-                                       arena=arena)
-                del calls[:]
-                with monkeypatch.context() as patch:
-                    patch.setattr(advection, "_fractional_flux", tail)
-                    want = advection.advect(f, sh, axis, scheme=scheme, bc=bc)
-                assert calls
-                assert got.tobytes() == want.tobytes(), (
-                    f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
-                    f"{sname} {fname}"
-                )
+            rolled = mp_bounds_rolled(
+                np.stack([np.roll(ring, -m, axis=-1) for m in range(-2, 3)])
+            )
+            plain = [b.tobytes() for b in _window_bounds(f)]
+            pooled = _window_bounds(f, arena=arena)
+            for got, bits, want, ref in zip(pooled, plain, general, rolled):
+                assert got.tobytes() == bits, name
+                assert np.array_equal(got, want), name
+                inside = np.moveaxis(ref, -1, 0)[2:-2]
+                assert got.tobytes() == inside.tobytes(), name
 
 
 class TestMinmod:
@@ -338,35 +171,65 @@ class TestMpBounds:
 
 class TestDepartureAverageLimiter:
     def test_exact_at_alpha_one(self, rng):
-        # at alpha = 1 the only admissible average is the donor average
+        # at alpha = 1 the only admissible donation is the whole donor
         st5 = rng.standard_normal((5, 50))
-        u = rng.standard_normal(50) * 10
-        out = mp_limit_departure_average(u, np.float64(1.0), st5)
-        assert np.allclose(out, st5[2], atol=1e-5)
+        phi = rng.standard_normal(50) * 10
+        out = mp_limit_flux(phi, np.float64(1.0), st5)
+        assert np.array_equal(out, st5[2:3])  # one plane of 50 donors
 
     def test_identity_for_in_bounds_values(self, rng):
         st5 = np.sort(rng.standard_normal((5, 50)), axis=0)  # monotone stencils
-        # donor average itself is always admissible
-        f0 = st5[2]
-        out = mp_limit_departure_average(f0.copy(), np.float64(0.4), st5)
-        assert np.allclose(out, f0, atol=1e-10)
+        # donating the donor average itself is always admissible
+        phi = 0.4 * st5[2]
+        out = mp_limit_flux(phi.copy(), np.float64(0.4), st5)
+        assert np.allclose(out, phi, atol=1e-10)
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.01, 0.99))
     @settings(max_examples=50, deadline=None)
     def test_update_stays_in_mp_envelope(self, seed, alpha):
-        """The defining invariant: with u_j limited, both the departure
+        """The defining invariant: with phi_j limited, both the departure
         average and the remainder average stay inside the MP interval."""
         r = np.random.default_rng(seed)
         st5 = r.standard_normal((5, 20))
-        u = r.standard_normal(20) * 5
-        out = mp_limit_departure_average(u, np.float64(alpha), st5)
+        phi = r.standard_normal(20) * 5
+        out = mp_limit_flux(phi, np.float64(alpha), st5)
         f0 = st5[2]
-        b_lo, b_hi = mp_bounds(st5)
-        bm_lo, bm_hi = mp_bounds(st5[::-1])
-        w = (f0 - alpha * out) / (1.0 - alpha)
+        b_lo, b_hi, bm_lo, bm_hi = both_bounds(st5)
+        u = out / alpha
+        w = (f0 - out) / (1.0 - alpha)
         eps = 1e-7 * (1 + np.abs(st5).max())
-        assert np.all(out >= b_lo - eps) and np.all(out <= b_hi + eps)
+        assert np.all(u >= b_lo - eps) and np.all(u <= b_hi + eps)
         assert np.all(w >= bm_lo - eps) and np.all(w <= bm_hi + eps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 1.0])
+    def test_flux_form_keeps_both_averages_in_their_intervals(
+        self, rng, alpha, dtype
+    ):
+        """No division and no special case: for any alpha in [0, 1] the
+        donated average ``phi / alpha`` and the remainder ``(f0 - phi) /
+        (1 - alpha)`` stay inside their MP intervals, wherever each is
+        defined, and alpha = 0 donates exactly nothing."""
+        st5 = rng.standard_normal((5, 400)).astype(dtype)
+        st5[:, ::7] = np.sort(st5[:, ::7], axis=0)  # monotone stencils too
+        phi = (rng.standard_normal(400) * 3).astype(dtype)
+        a = dtype(alpha)
+        out = mp_limit_flux(phi, a, st5)
+        assert out.dtype == dtype
+        f0 = st5[2]
+        b_lo, b_hi, bm_lo, bm_hi = both_bounds(st5)
+        if alpha == 0.0:
+            assert np.all(out == 0.0)
+        eps = 8 * np.finfo(dtype).eps * (1 + np.abs(st5).max())
+        if alpha > 0.0:
+            # phi's bounds round at the scale of f0, phi / alpha's at that
+            # scale over alpha
+            u = out.astype(np.float64) / alpha
+            slack = eps / alpha
+            assert np.all(u >= b_lo - slack) and np.all(u <= b_hi + slack)
+        if alpha < 1.0:
+            w = (f0.astype(np.float64) - out) / (1.0 - alpha)
+            assert np.all(w >= bm_lo - eps) and np.all(w <= bm_hi + eps)
 
 
 class TestPositivityClamp:
