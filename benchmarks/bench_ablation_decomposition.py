@@ -17,9 +17,10 @@ from repro.core import moments
 from repro.core.advection import SCHEMES, advect, ghost_width
 from repro.core.mesh import PhaseSpaceGrid
 from repro.parallel import (
-    DomainDecomposition,
+    BlockDecomposition,
     VirtualComm,
     decomposed_spatial_advect,
+    exchange_ghosts,
 )
 
 from benchmarks.conftest import record, run_report
@@ -36,7 +37,7 @@ def test_ablation_report(benchmark, rng):
         )
 
         # --- paper's strategy: decompose (x, y), velocity local ------------
-        decomp = DomainDecomposition((nx, nx), (2, 2))
+        decomp = BlockDecomposition((nx, nx), (2, 2))
         comm = VirtualComm(4)
         blocks = decomp.scatter(f)
         u = np.linspace(-0.9, 0.9, nu).reshape(1, 1, nu, 1).astype(np.float32)
@@ -51,7 +52,7 @@ def test_ablation_report(benchmark, rng):
         # density needs an allreduce of the full spatial mesh, and the kick
         # (advection along ux) needs velocity-axis ghost exchanges.
         comm2 = VirtualComm(4)
-        vdecomp = DomainDecomposition((nu, nu), (2, 2))
+        vdecomp = BlockDecomposition((nu, nu), (2, 2))
         # per-rank partial densities -> allreduce of nx*nx float64
         partial = [rng.random((nx, nx)) for _ in range(4)]
         comm2.allreduce_sum(partial, tag="density")
@@ -64,8 +65,6 @@ def test_ablation_report(benchmark, rng):
             )
             for r in range(4)
         ]
-        from repro.parallel import exchange_ghosts
-
         for axis in range(2):
             exchange_ghosts(v_blocks, vdecomp, axis, ghost, comm2)
         velocity_bytes = comm2.log.total_p2p_bytes()
@@ -92,8 +91,6 @@ def test_ablation_report(benchmark, rng):
         assert velocity_bytes + allreduce_bytes > 0
         assert spatial_bytes > 0
 
-
-
     run_report(benchmark, _report)
 
 def test_bench_local_moment_reduction(benchmark, rng):
@@ -108,7 +105,7 @@ def test_bench_local_moment_reduction(benchmark, rng):
 def test_bench_ghost_exchange(benchmark, rng):
     """Per-step ghost-exchange cost under the virtual runtime."""
     f = rng.random((16, 16, 12, 12)).astype(np.float32)
-    decomp = DomainDecomposition((16, 16), (2, 2))
+    decomp = BlockDecomposition((16, 16), (2, 2))
     u = np.linspace(-0.9, 0.9, 12).reshape(1, 1, 12, 1).astype(np.float32)
 
     def run():

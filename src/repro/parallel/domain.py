@@ -42,13 +42,12 @@ This is the package's one supervised process transport
 worker tears the fleet down and retries on fresh processes (the
 parent-owned segments survive, so the current-role buffers are the
 recovery state — SIGKILL loses no data); an exhausted retry budget
-degrades permanently down the ladder **domain → pencil(threads)**.  A
-degraded engine *is* its base class: the state is gathered into the
-host array and every protocol method falls through to
-:class:`repro.core.engine.SweepEngine`, with a threads ``PencilEngine``
-as the per-sweep kernel — so the failing step finishes host-side,
-bitwise.  All segments register with the :mod:`repro.perf.substrate`
-atexit leak sweep.
+degrades permanently down the ladder **domain → serial**.  A degraded
+engine *is* its base class: the state is gathered into the host array
+and every protocol method falls through to
+:class:`repro.core.engine.SweepEngine` — so the failing step finishes
+host-side, bitwise.  All segments register with the
+:mod:`repro.perf.substrate` atexit leak sweep.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ import numpy as np
 from ..core.advection import SCHEMES, ghost_width, stencil_reach
 from ..core.engine import Sweep, SweepEngine, sweep_shift
 from ..core.mesh import PhaseSpaceGrid
-from ..perf.pencil import PencilEngine
 from ..perf.substrate import (
     available_cores,
     emit,
@@ -189,7 +187,6 @@ class DomainEngine(SweepEngine):
         self._conns: list = []
         self._victim = 0
         self._started = False
-        self._fallback: PencilEngine | None = None  # kernel once degraded
         self._partials_key: int | None = None  # f_version of the replies
         self._partials_replies: list | None = None
 
@@ -367,8 +364,6 @@ class DomainEngine(SweepEngine):
         had_workers = bool(self._procs)
         self._teardown_workers(graceful=True)
         self._release_segments()
-        if self._fallback is not None:
-            self._fallback.close()
         if had_workers:
             emit("domain_closed")
         self.grid = None
@@ -454,10 +449,9 @@ class DomainEngine(SweepEngine):
             self._gather_into_host()
         self.degradations.append("domain")
         self.degraded = True
-        self._fallback = PencilEngine(n_workers=self.size)
         emit(
             "domain_degraded",
-            from_engine="domain", to_backend="pencil-threads", reason=reason,
+            from_engine="domain", to_backend="serial", reason=reason,
         )
         self._teardown_workers()
         self._release_segments()
@@ -503,12 +497,6 @@ class DomainEngine(SweepEngine):
         self._host_stale = False
 
     # -- sweeps ----------------------------------------------------------
-
-    def advect(self, f, shift, axis, **kwargs) -> np.ndarray:
-        """Host kernel: serial, or the ladder's pencil rung once degraded."""
-        if self._fallback is not None:
-            return self._fallback.advect(f, shift, axis, **kwargs)
-        return super().advect(f, shift, axis, **kwargs)
 
     def run(self, plan, accel) -> None:
         """Run the plan on the workers; whatever a mid-plan degradation

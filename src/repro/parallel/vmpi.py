@@ -9,10 +9,14 @@ the simulation needs (point-to-point ghost exchange, allreduce, alltoall)
 by direct memory copies, logging every message as a
 :class:`MessageRecord`.
 
-The cost model in :mod:`repro.machine` replays these logs against the
-Tofu-D network model to produce communication-time estimates; the
+The logs are byte accounts, not timings: the cost model in
+:mod:`repro.machine` computes its own message sizes from the run
+configuration and the kernel's ghost width, and reads no log.  The
+real-transport :class:`repro.parallel.domain.DomainEngine` tallies its
+halo traffic in the same (src, dst, tag) form, and the tests hold it to
+a replay through :func:`repro.parallel.exchange.exchange_ghosts`; the
 *correctness* of the decomposed algorithms (same answer as the
-single-domain code) is validated directly in the tests.
+single-domain code) is validated directly in the tests too.
 """
 
 from __future__ import annotations

@@ -130,8 +130,8 @@ class EngineConfig:
     or timed-out worker round (``task_timeout`` seconds; null waits
     forever) is retried on fresh workers ``max_retries`` times with
     exponential backoff from ``backoff_base`` seconds, then the engine
-    degrades permanently to host sweeps on a threads ``PencilEngine``
-    (domain → pencil(threads); same bits, only slower).
+    degrades permanently to host sweeps on its serial base engine
+    (domain → serial; same bits, only slower).
     """
 
     engine: str = "pencil"
@@ -151,17 +151,12 @@ class DiagnosticsConfig:
     disables the tier entirely — TOML has no null, so a missing key and
     the default agree).  The background worker computes moment fields
     and binned spectra and stores each product as one checksummed
-    ``.npz`` snapshot under the run directory's ``diagnostics/``;
-    ``queue_max``/``on_full`` bound the submit queue and pick the
-    full-queue policy (``"block"`` never loses a product, ``"drop"``
-    never stalls the step loop).
+    ``.npz`` snapshot under the run directory's ``diagnostics/``; a
+    full submit queue blocks the step loop, so no product is lost.
     """
 
     every_steps: int | None = None
     n_bins: int = 16
-    queue_max: int = 2
-    on_full: str = "block"
-    spectra: bool = True
 
 
 @dataclass
@@ -288,10 +283,6 @@ class RunConfig:
             raise ValueError("diagnostics.every_steps must be >= 1 or null")
         if d.n_bins < 1:
             raise ValueError("diagnostics.n_bins must be >= 1")
-        if d.queue_max < 1:
-            raise ValueError("diagnostics.queue_max must be >= 1")
-        if d.on_full not in ("block", "drop"):
-            raise ValueError("diagnostics.on_full must be 'block' or 'drop'")
         r = self.recovery
         if r.max_attempts < 1:
             raise ValueError("recovery.max_attempts must be >= 1")

@@ -228,9 +228,6 @@ class SimulationRunner:
                 self.run_dir / DIAGNOSTICS_DIR,
                 stepper.grid,
                 n_bins=diag_cfg.n_bins,
-                queue_max=diag_cfg.queue_max,
-                on_full=diag_cfg.on_full,
-                spectra=diag_cfg.spectra,
                 event_sink=telemetry.event,
             )
 
@@ -361,19 +358,16 @@ class SimulationRunner:
                     # the submit copies f on this thread; moments, FFTs
                     # and disk I/O happen on the worker.  The carried f
                     # owes a half kick: the velocities are corrected by
-                    # its shift, f itself is not kicked.  A dropped
-                    # submission (on_full="drop", queue full) leaves
-                    # last_diag_step alone so the next step retries.
+                    # its shift, f itself is not kicked.
                     with self.timer.section("diagnostics_submit"):
                         dv, dv_particles = stepper.pending_velocity()
-                        accepted = pipeline.submit(
+                        pipeline.submit(
                             stepper.index, stepper.coordinate(),
                             stepper.f, stepper.particles,
                             velocity_shift=dv,
                             particle_velocity_shift=dv_particles,
                         )
-                    if accepted:
-                        last_diag_step = stepper.index
+                    last_diag_step = stepper.index
                 due = not done and (
                     on_step_cadence(stepper.index)
                     or (ck_cfg.every_seconds is not None

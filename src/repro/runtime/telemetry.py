@@ -35,8 +35,8 @@ schema documented in ``docs/RUNTIME.md``; the tests assert the match):
 Besides the per-step records the stream also carries **event records**
 (fault injections, worker-pool degradations, checkpoint quarantines,
 rollback attempts, and the serving tier's ``diagnostics_enqueued`` /
-``diagnostics_written`` / ``diagnostics_dropped`` /
-``diagnostics_error`` / ``diagnostics_closed`` lifecycle): one JSON
+``diagnostics_written`` / ``diagnostics_error`` /
+``diagnostics_closed`` lifecycle): one JSON
 object per event with an ``"event"`` key naming the kind plus
 free-form fields.  Events interleave with step
 records in arrival order; :func:`read_events` filters them back out and

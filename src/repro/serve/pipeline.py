@@ -11,17 +11,16 @@ defensive copy of ``f`` at submit time — moments, FFTs and disk I/O all
 happen off the critical path (the end-to-end benchmark reports the tax
 as ``serve.pipeline.submit_s``).
 
-Backpressure is explicit: the submit queue is bounded, and ``on_full``
-picks the failure mode — ``"block"`` (default; the step loop waits, no
-product is ever lost) or ``"drop"`` (the submission is discarded with a
-``diagnostics_dropped`` telemetry event; step latency is protected).
+Backpressure is explicit: the submit queue holds :data:`QUEUE_MAX`
+states, and a submit to a full queue blocks the step loop until the
+worker catches up — no product is ever lost.
 
 The worker publishes telemetry through the ``event_sink`` callable the
 runner hands it (its own ``TelemetryWriter.event``), *not* through the
 context-local :func:`repro.runtime.telemetry.emit_event` — the sink
 contextvar installed on the runner's thread is invisible from the
 worker thread.  Events: ``diagnostics_enqueued`` / ``diagnostics_written``
-/ ``diagnostics_dropped`` / ``diagnostics_error``.
+/ ``diagnostics_error``.
 """
 
 from __future__ import annotations
@@ -45,6 +44,9 @@ __all__ = ["DiagnosticsPipeline", "PRODUCTS_NAME", "read_products", "snapshot_na
 
 #: Per-snapshot product records, one JSON object per line.
 PRODUCTS_NAME = "products.jsonl"
+
+#: Submissions the queue holds before ``submit`` blocks.
+QUEUE_MAX = 2
 
 
 def snapshot_name(step: int) -> str:
@@ -71,12 +73,8 @@ class DiagnosticsPipeline:
         created on first use.
     grid:
         The run's phase-space grid (moment kernels need the geometry).
-    n_bins, spectra:
-        Spectral binning resolution, and whether to compute spectra at
-        all (moment fields are always written).
-    queue_max, on_full:
-        Submit-queue bound and the full-queue policy (``"block"`` /
-        ``"drop"``).
+    n_bins:
+        Spectral binning resolution of the stored spectra.
     event_sink:
         Optional ``sink(kind, **fields)`` the worker publishes telemetry
         events through (the runner passes its ``TelemetryWriter.event``,
@@ -88,25 +86,17 @@ class DiagnosticsPipeline:
         out_dir: str | Path,
         grid: PhaseSpaceGrid,
         n_bins: int = 16,
-        queue_max: int = 2,
-        on_full: str = "block",
-        spectra: bool = True,
         event_sink: Callable[..., None] | None = None,
     ) -> None:
-        if on_full not in ("block", "drop"):
-            raise ValueError("on_full must be 'block' or 'drop'")
         self.out_dir = Path(out_dir)
         self.grid = grid
         self.n_bins = int(n_bins)
-        self.on_full = on_full
-        self.spectra = bool(spectra)
         self.io_timer = IOTimer()
         self._event_sink = event_sink
-        self._queue: queue.Queue = queue.Queue(maxsize=int(queue_max))
+        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_MAX)
         self._closed = False
         self.submitted = 0
         self.written = 0
-        self.dropped = 0
         self.errors = 0
         self._thread = threading.Thread(
             target=self._worker, name="repro-diagnostics", daemon=True
@@ -125,8 +115,8 @@ class DiagnosticsPipeline:
         particles: ParticleSet | None = None,
         velocity_shift: np.ndarray | None = None,
         particle_velocity_shift: np.ndarray | None = None,
-    ) -> bool:
-        """Enqueue one run state; returns whether it was accepted.
+    ) -> None:
+        """Enqueue one run state, blocking while the queue is full.
 
         The state is copied *here*, on the caller's thread — the stepper
         mutates ``f`` and the particle arrays in place, so the worker
@@ -154,23 +144,13 @@ class DiagnosticsPipeline:
             particles,
             None if velocity_shift is None else np.array(velocity_shift),
         )
-        if self.on_full == "drop":
-            try:
-                self._queue.put_nowait(item)
-            except queue.Full:
-                self.dropped += 1
-                self._emit("diagnostics_dropped", step=int(step),
-                           queue_depth=self._queue.qsize())
-                return False
-        else:
-            self._queue.put(item)
+        self._queue.put(item)
         self.submitted += 1
         self._emit("diagnostics_enqueued", step=int(step),
                    queue_depth=self._queue.qsize())
-        return True
 
     def drain(self) -> None:
-        """Block until every accepted submission has been processed."""
+        """Block until every submission has been processed."""
         self._queue.join()
 
     def close(self) -> None:
@@ -187,7 +167,6 @@ class DiagnosticsPipeline:
         return {
             "submitted": self.submitted,
             "written": self.written,
-            "dropped": self.dropped,
             "errors": self.errors,
             "io_write_seconds": self.io_timer.write_seconds,
             "io_bytes_written": self.io_timer.bytes_written,
@@ -302,9 +281,8 @@ class DiagnosticsPipeline:
                 ["positions", "velocities", "masses"] if particles is not None
                 else []
             ),
+            "spectra": self._spectra(fields),
         }
-        if self.spectra:
-            record["spectra"] = self._spectra(fields)
         record["wall_s"] = time.perf_counter() - t0
         with open(self.out_dir / PRODUCTS_NAME, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")

@@ -17,8 +17,14 @@ dependency is installed, as ``python tests/test_architecture.py``.
   mirrored flux, no arena scope sizing a row subset;
 * so does the domain worker's overlap machinery: halos are ghost planes
   the kernel lands (``advect(halo=)``, passed by the worker's one sweep
-  call alone), so no halo thread, no slab or pad scratch, no sweep mode,
-  no ``overlap`` option;
+  call and the virtual exchange's drift alone), so no halo thread, no
+  slab or pad scratch, no sweep mode, no ``overlap`` option;
+* so does the second block decomposition and the virtual exchange's
+  concatenate-and-crop drift: ``BlockDecomposition`` is the one layout,
+  and the virtual drift lands its received slabs as ``halo=`` with no
+  CFL cap of its own;
+* the domain engine degrades to its own serial base class: it does not
+  import the pencil engine;
 * so does the pencil engine's process transport: ``perf/pencil.py`` is a
   thread pool with no pool of processes, no retry loop, no timeout and
   no shard knobs — the domain engine is the one supervised transport;
@@ -73,6 +79,11 @@ RETIRED = (
     "write_snapshot" + "_chunked", "read_snapshot" + "_field",
     "snapshot" + "_manifest", "n_" + "chunks",
     "REPRO_SNAPSHOT" + "_CRC", "CHECKSUMS" + "_ENABLED",
+    # the even-only decomposition, the padded exchange and its CFL cap
+    "Domain" + "Decomposition", "exchange_ghosts" + "_full",
+    "decomposed_velocity" + "_advect", "cfl" + "_max",
+    # the diagnostics queue policy: block, a queue of 2, spectra always
+    "on" + "_full", "queue" + "_max", "diagnostics" + "_dropped",
 )
 
 
@@ -304,7 +315,17 @@ def test_halo_is_passed_by_the_domain_worker_alone():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call) and any(kw.arg == "halo" for kw in node.keywords)
     ]
-    assert callers == ["repro/parallel/workers.py"], callers
+    assert sorted(callers) == ["repro/parallel/exchange.py",
+                               "repro/parallel/workers.py"], callers
+
+
+def test_the_domain_engine_does_not_import_the_pencil_engine():
+    path = SRC / "repro" / "parallel" / "domain.py"
+    offenders = [f"domain.py:{line} imports {module}.{imported}"
+                 for module, imported, line in imports("repro.parallel.domain", path)
+                 if f"{module}.{imported}".startswith("repro.perf.pencil")
+                 or imported == "PencilEngine"]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_the_pencil_engine_is_threads_only():

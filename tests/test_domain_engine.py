@@ -18,18 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import SweepEngine
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
 from repro.core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
 from repro.diagnostics import ConservationLedger, StepTimer
-from repro.parallel import (
-    DomainDecomposition,
-    DomainEngine,
-    exchange_ghosts,
-    exchange_ghosts_full,
-)
+from repro.parallel import BlockDecomposition, DomainEngine, exchange_ghosts
 from repro.parallel.vmpi import VirtualComm
-from repro.perf.pencil import PencilEngine
 from repro.runtime import RunConfig
 from repro.runtime.config import EngineConfig, GridConfig, ScheduleConfig
 from repro.runtime.guards import GuardSuite
@@ -300,7 +295,7 @@ class TestVmpiParity:
         # sweeps — no spatial halo); only partitioned axes exchange the
         # ghost width the kernel reads
         assert ghost == 3
-        decomp = DomainDecomposition(grid.nx, (2, 2, 1))
+        decomp = BlockDecomposition(grid.nx, (2, 2, 1))
         comm = VirtualComm(decomp.size)
         blocks = decomp.scatter(f0)
         for d in reversed(range(len(grid.nx))):
@@ -341,49 +336,6 @@ class TestVmpiParity:
                 == engine.halo_bytes
         finally:
             engine.close()
-
-
-class TestCornerGhosts:
-    """Satellite 1: full halo exchange fills edge/corner (diagonal)
-    ghost regions, verified against a periodic np.pad reference."""
-
-    @pytest.mark.parametrize("shape,procs", [
-        ((4, 4), (2, 2)),
-        ((4, 4, 4), (2, 2, 1)),
-        ((4, 4, 4), (2, 2, 2)),
-    ])
-    def test_full_exchange_matches_wrap_pad(self, shape, procs):
-        ghost = 2
-        rng = np.random.default_rng(11)
-        global_f = rng.random(shape)
-        decomp = DomainDecomposition(shape, procs)
-        blocks = decomp.scatter(global_f)
-        comm = VirtualComm(decomp.size)
-        padded = exchange_ghosts_full(blocks, decomp, ghost, comm)
-        ref = np.pad(global_f, ghost, mode="wrap")
-        nl = decomp.local_shape
-        for r in range(decomp.size):
-            coords = decomp.coords_of(r)
-            sel = tuple(
-                slice(c * n, c * n + n + 2 * ghost)
-                for c, n in zip(coords, nl)
-            )
-            assert np.array_equal(padded[r], ref[sel]), f"rank {r}"
-
-    def test_face_only_exchange_leaves_corners_out(self):
-        """exchange_ghosts (single-axis) is the split-sweep primitive;
-        exchange_ghosts_full is strictly wider per message."""
-        shape, procs, ghost = (4, 4), (2, 2), 1
-        decomp = DomainDecomposition(shape, procs)
-        blocks = decomp.scatter(np.ones(shape))
-        comm_face = VirtualComm(decomp.size)
-        exchange_ghosts(blocks, decomp, 0, ghost, comm_face)
-        exchange_ghosts(blocks, decomp, 1, ghost, comm_face)
-        comm_full = VirtualComm(decomp.size)
-        exchange_ghosts_full(blocks, decomp, ghost, comm_full)
-        # the two-hop fill relays corner layers through face neighbors,
-        # so the full exchange moves strictly more bytes
-        assert comm_full.log.total_p2p_bytes() > comm_face.log.total_p2p_bytes()
 
 
 class TestDistributedFFT:
@@ -447,7 +399,7 @@ class TestTelemetryDomainBlock:
         path = tmp_path / "t.jsonl"
         with telemetry.TelemetryWriter(path) as w:
             w.event("domain_degraded", from_engine="domain",
-                    to_backend="threads", reason="worker lost")
+                    to_backend="serial", reason="worker lost")
         s = telemetry.summarize(path)
         assert s["domain"]["degradations"] == 1
 
@@ -534,7 +486,7 @@ class TestDegradedEngineIsItsBaseClass:
     bitwise, and everything after (sweeps, reductions, health probe)
     answers from there."""
 
-    def test_strang_step_finishes_through_base_path_bitwise(self):
+    def test_strang_step_finishes_through_base_path_bitwise(self, monkeypatch):
         grid = make_grid()
         accel = np.random.default_rng(9).standard_normal((3,) + grid.nx)
 
@@ -547,22 +499,33 @@ class TestDegradedEngineIsItsBaseClass:
 
         serial = VlasovSolver(grid)
         step(serial)
+        # every host sweep goes through the base class's kernel call
+        host_sweeps = []
+        base_advect = SweepEngine.advect
+
+        def counting_advect(self, *args, **kwargs):
+            host_sweeps.append(type(self))
+            return base_advect(self, *args, **kwargs)
+
+        monkeypatch.setattr(SweepEngine, "advect", counting_advect)
         engine = DomainEngine(topology=(2, 1, 1), max_retries=0,
                               backoff_base=0.01)
         engine.fault_hook = _kill_hook(at_sweep=5)  # inside the first drift
         try:
             solver = VlasovSolver(grid, engine=engine)
             step(solver)
+            monkeypatch.undo()
             assert engine.degraded
             assert engine.degradations == ["domain"]
+            # the ladder's next rung is the serial base engine: of the
+            # 18 sweeps, the failed fifth and the 13 after it ran there
+            assert host_sweeps == [DomainEngine] * 14
             assert engine.retries == 1
             assert solver.f.tobytes() == serial.f.tobytes()
             assert solver.density().tobytes() == serial.density().tobytes()
             assert solver.total_mass() == serial.total_mass()
             assert solver.kinetic_energy() == serial.kinetic_energy()
             assert solver.f_stats() == serial.f_stats()
-            # the ladder's next rung is now the host sweeps' kernel
-            assert type(engine._fallback) is PencilEngine
         finally:
             engine.close()
 
@@ -571,7 +534,7 @@ class TestDegradedEngineIsItsBaseClass:
 class TestChaosDrills:
     """SIGKILL a live domain worker mid-step; the run must finish with
     output bitwise-identical to serial either way — via respawn when
-    retries remain, via the domain->pencil degradation ladder when not."""
+    retries remain, via the domain->serial degradation ladder when not."""
 
     def test_worker_kill_recovers_bitwise(self):
         f_serial = run_plasma(None)

@@ -324,8 +324,7 @@ def test_diagnostics_velocity_is_the_synchronized_one(scenario, tmp_path):
     match bit for bit.
     """
     k = 2
-    cfg = config(scenario, diagnostics=DiagnosticsConfig(every_steps=k,
-                                                         spectra=False))
+    cfg = config(scenario, diagnostics=DiagnosticsConfig(every_steps=k))
     assert SimulationRunner.create(cfg, tmp_path / "run").run(max_steps=k + 1) \
         == EXIT_RESUMABLE
     stored = read_snapshot(tmp_path / "run" / DIAGNOSTICS_DIR / snapshot_name(k))

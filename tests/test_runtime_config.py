@@ -128,11 +128,15 @@ class TestRoundTrips:
         data["guards"]["nan_polcy"] = "warn"
         with pytest.raises(ValueError, match="GuardConfig"):
             RunConfig.from_dict(data)
-        # a retired key (the chunked snapshot format's) is refused alike
-        data = small_config().as_dict()
-        data["diagnostics"] = {"every_steps": 2, "n_chunks": 2}
-        with pytest.raises(ValueError, match="unknown DiagnosticsConfig keys"):
-            RunConfig.from_dict(data)
+        # retired keys (the chunked snapshot format's, the queue policy's)
+        # are refused alike
+        for key, value in [("n_chunks", 2), ("on_full", "drop"),
+                           ("queue_max", 4), ("spectra", False)]:
+            data = small_config().as_dict()
+            data["diagnostics"] = {"every_steps": 2, key: value}
+            with pytest.raises(ValueError,
+                               match="unknown DiagnosticsConfig keys"):
+                RunConfig.from_dict(data)
 
     def test_retired_engine_layout_key_rejected(self):
         """``engine.layout`` left the schema with the layout runtime: a

@@ -162,7 +162,7 @@ def _diagnostics_snapshot(tmp_path):
     grid = PhaseSpaceGrid(nx=(8,), nu=(8,), box_size=1.0, v_max=2.0,
                           dtype=np.float64)
     f = np.random.default_rng(0).random(grid.shape)
-    with DiagnosticsPipeline(tmp_path / "diag", grid, spectra=False) as pipe:
+    with DiagnosticsPipeline(tmp_path / "diag", grid) as pipe:
         pipe.submit(1, {"t": 0.0}, f)
     return tmp_path / "diag" / snapshot_name(1)
 

@@ -34,7 +34,7 @@ class TestDiagnosticsPipeline:
         )
         with pipe:
             for step in (1, 2, 3):
-                assert pipe.submit(step, {"t": 0.1 * step}, f * step)
+                pipe.submit(step, {"t": 0.1 * step}, f * step)
         records = list(read_products(tmp_path / "diag"))
         assert [r["step"] for r in records] == [1, 2, 3]
         for step, record in zip((1, 2, 3), records):
@@ -54,29 +54,10 @@ class TestDiagnosticsPipeline:
         assert events[-1] == "diagnostics_closed"
         assert pipe.stats()["written"] == 3
 
-    def test_drop_mode_sheds_load(self, grid, f, tmp_path):
-        release = threading.Event()
-        pipe = DiagnosticsPipeline(tmp_path / "diag", grid, queue_max=1,
-                                   on_full="drop", spectra=False)
-        original = pipe._process
-
-        def slow_process(*item):
-            release.wait(timeout=10.0)
-            original(*item)
-
-        pipe._process = slow_process
-        accepted = [pipe.submit(s, {"t": 0.0}, f) for s in range(4)]
-        release.set()
-        pipe.close()
-        # the worker holds one item, the queue one more: later submits drop
-        assert accepted[0] and not all(accepted)
-        assert pipe.dropped == accepted.count(False)
-        assert pipe.written == accepted.count(True)
-
     def test_worker_owns_a_frozen_copy(self, grid, f, tmp_path):
         """Mutating f after submit must not leak into the stored product."""
         release = threading.Event()
-        pipe = DiagnosticsPipeline(tmp_path / "diag", grid, spectra=False)
+        pipe = DiagnosticsPipeline(tmp_path / "diag", grid)
         original = pipe._process
 
         def gated(*item):
