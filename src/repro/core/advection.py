@@ -79,10 +79,11 @@ Allocation discipline
 ``arena=``
     A :class:`repro.perf.arena.ScratchArena` holding the plane, flux
     and limiter scratch buffers.  Repeated calls reuse the same
-    memory, so steady-state sweeps stop churning the allocator.  The
-    arithmetic is identical with or without an arena (same operations,
-    same order — only the buffer placement changes), so results are
-    bitwise-equal.
+    memory, and the arena keeps them with every fixed view of them as
+    one :func:`_workspace` per call geometry: a warm call makes one
+    lookup and its ufunc passes.  The arithmetic is identical with or
+    without an arena (same operations, same order — only the buffer
+    placement changes), so results are bitwise-equal.
 
 Cache blocking
 --------------
@@ -112,12 +113,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .limiters import (
+    clamp_scratch,
     minmod_into,
     mp_limit_flux,
+    mp_scratch,
     positivity_clamp_fraction,
     weno_smoothness,
 )
@@ -157,9 +162,9 @@ _LAYOUTS = (None, "in_place", "packed")
 #: block-sized temporaries of a call stay cache-resident instead of
 #: streaming through memory at full-array size.  Counted in cells, not
 #: bytes: the scratch per cell (float64 flux beside the storage-dtype
-#: planes) barely depends on f's dtype, and a kernel call (64 block-sized
-#: ufunc passes for SL-MPP5) costs ~0.5 ms of Python/ufunc dispatch,
-#: which sets the floor — see
+#: planes) barely depends on f's dtype, and a kernel call's fixed cost
+#: (~80 ufunc dispatches, 64 of them block-sized passes for SL-MPP5;
+#: 130-230 us for 1024 cells) sets the floor — see
 #: docs/PERFORMANCE.md ("Cache-blocked sweeps") for the measured table.
 BLOCK_CELLS = 1 << 16
 
@@ -196,6 +201,15 @@ def _uniform_int(k: np.ndarray) -> int | None:
         return int(k.reshape(-1)[0])
     kmin = k.min()
     return int(kmin) if kmin == k.max() else None
+
+
+@lru_cache
+def _move(ndim: int, src: tuple, dst: tuple) -> tuple[int, ...]:
+    """``np.moveaxis(a, src, dst)`` as a ``transpose`` order (~0.4 us, not ~7)."""
+    order = [a for a in range(ndim) if a not in src]
+    for d, a in sorted(zip(dst, src)):
+        order.insert(d, a)
+    return tuple(order)
 
 
 def _scratch(arena, key, shape, dtype) -> np.ndarray:
@@ -293,21 +307,24 @@ def advect(
     spec = SCHEMES[scheme]
     order = spec.order
 
-    fw = np.moveaxis(f, axis, -1)
+    if not -f.ndim <= axis < f.ndim:
+        raise ValueError(f"axis {axis} is out of bounds for f of ndim {f.ndim}")
+    ax = axis if axis >= 0 else axis + f.ndim
+    last = _move(f.ndim, (ax,), (f.ndim - 1,))
+    fw = f.transpose(last)
     n = fw.shape[-1]
     if n < order and halo is None:
         raise ValueError(f"axis length {n} too short for order-{order} stencil")
 
-    sh = _normalize_shift(sh=shift, f=f, fw=fw, axis=axis)
+    sh = _normalize_shift(shift, f, last)
 
     if layout not in _LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; choose from {_LAYOUTS}")
 
-    ax = axis if axis >= 0 else axis + f.ndim
     if halo is not None:
         if bc != "periodic":
             raise ValueError(f"halo= continues a periodic row; got bc={bc!r}")
-        halo = tuple(np.moveaxis(h, ax, -1) for h in halo)
+        halo = tuple(h.transpose(last) for h in halo)
         g = ghost_width(spec, np.abs(sh).max())
         if any(h.shape[:-1] != fw.shape[:-1] or h.shape[-1] < g for h in halo):
             raise ValueError(
@@ -315,7 +332,9 @@ def advect(
                 f"ghost width {g} planes along it; got {[h.shape for h in halo]}"
             )
 
-    res_shape_w = np.broadcast_shapes(fw.shape, sh.shape[:-1] + (n,))
+    res_shape_w = sh.shape[:-1] + (n,)
+    if res_shape_w != fw.shape:
+        res_shape_w = np.broadcast_shapes(fw.shape, res_shape_w)
     res_shape = res_shape_w[:-1][:ax] + (res_shape_w[-1],) + res_shape_w[:-1][ax:]
     if out is None:
         out = np.empty(res_shape, dtype=fw.dtype)
@@ -324,7 +343,7 @@ def advect(
             f"out has shape {out.shape}/{out.dtype}, "
             f"result needs {res_shape}/{fw.dtype}"
         )
-    out_w = np.moveaxis(out, ax, -1)
+    out_w = out.transpose(last)
 
     if (
         fw.size <= BLOCK_CELLS
@@ -405,75 +424,123 @@ def _advect_block(fw, sh, out_w, spec, bc, arena, halo=None) -> None:
     extended row reversed, and the flux on the ``zero`` window).  The
     landing is the transpose a strided axis needs, the ghost pad, and
     what makes ``out`` free to alias ``f``; from here on cell ``j + m``
-    of every row is the view ``planes[lo + m : lo + m + count]``.
+    of every row is the view ``planes[lo + m : lo + m + count]``, held
+    with every other buffer and view of the call in its :func:`_workspace`.
     """
     n = fw.shape[-1]
-    sh = np.moveaxis(sh, -1, 0)
+    front = _move(fw.ndim, (fw.ndim - 1,), (0,))
+    sh = sh.transpose(front)
     neg = sh < 0.0
     some, every = bool(neg.any()), bool(neg.all())
     if every:
         sh = -sh
     elif some:
         sh = np.where(neg, -sh, sh)
+    k = np.floor(sh).astype(np.int64)
+    kc = _uniform_int(k)
+    k_min, k_max = (kc, kc) if kc is not None else (int(k.min()), int(k.max()))
     if bc == "periodic" and halo is None:
         g_l = g_r = stencil_reach(spec)
-    else:
-        g_l = ghost_width(spec, sh.max())
+        count = n
+    else:  # the window: donors of interfaces -1 .. n-1, cells -1 - k_max ..
+        g_l = ghost_width(spec, k_max)
         g_r = stencil_reach(spec) if halo is None else g_l
-    planes = _scratch(
-        arena, ("plane", "f"), (g_l + n + g_r,) + out_w.shape[:-1], fw.dtype
-    )
-    cells = planes[g_l : g_l + n]
-    src = np.moveaxis(fw, -1, 0)
+        count = n + 1 + k_max - k_min
+    key = (out_w.shape[:-1], n, fw.dtype, spec, bc, halo is not None,
+           g_l, g_r, count, sh.shape, some and not every)
+    ws = _workspace(None, *key) if arena is None else arena.workspace(key, _workspace)
+
+    src = fw.transpose(front)
     signs = (neg, some, every)
-    _land(cells, src, src[::-1], *signs)
+    _land(ws.cells, src, src[::-1], *signs)
     if halo is not None:
-        left, right = (np.moveaxis(h, -1, 0) for h in halo)
+        left, right = (h.transpose(front) for h in halo)
         left, right = left[left.shape[0] - g_l :], right[:g_r]
-        _land(planes[:g_l], left, right[::-1], *signs)
-        _land(planes[g_l + n :], right, left[::-1], *signs)
-        bc = "zero"  # the window reads only landed planes: it must not wrap
+        _land(ws.ghost_l, left, right[::-1], *signs)
+        _land(ws.ghost_r, right, left[::-1], *signs)
     elif bc == "zero":
-        planes[:g_l] = 0
-        planes[g_l + n :] = 0
+        ws.ghost_l[...] = 0
+        ws.ghost_r[...] = 0
     else:
-        planes[:g_l] = cells[n - g_l :]
-        planes[g_l + n :] = cells[:g_r]
+        ws.ghost_l[...] = ws.wrap_l
+        ws.ghost_r[...] = ws.wrap_r
 
-    flux = _flux_positive(planes, g_l, n, sh, spec, bc, arena)
+    alpha = (sh - k).astype(fw.dtype)
+    _flux_positive(ws, alpha, k, kc, k_min, k_max, spec, arena)
 
-    d = _scratch(arena, ("upd", "delta"), cells.shape, flux.dtype)
-    np.subtract(flux[1:], flux[:-1], out=d)
-    dst = np.moveaxis(out_w, -1, 0)
+    d = ws.delta
+    np.subtract(ws.flux_hi, ws.flux_lo, out=d)
+    dst = out_w.transpose(front)
     if not some:
-        np.subtract(cells, d, out=dst)
+        np.subtract(ws.cells, d, out=dst)
     elif every:
-        np.subtract(cells, d, out=dst[::-1])
+        np.subtract(ws.cells, d, out=dst[::-1])
     else:
-        res = _scratch(arena, ("upd", "res"), cells.shape, dst.dtype)
-        np.subtract(cells, d, out=res)
-        np.copyto(dst, res, where=~neg)
-        np.copyto(dst, res[::-1], where=neg)
+        np.subtract(ws.cells, d, out=ws.res)
+        np.copyto(dst, ws.res, where=~neg)
+        np.copyto(dst, ws.res[::-1], where=neg)
 
 
-def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
-    """Validate and move the shift onto the axis-last layout.
+def _workspace(arena, rows, n, dtype, spec, bc, halo, g_l, g_r, count, ashape, mixed):
+    """Every buffer of one kernel call and every fixed view of them, for
+    the call geometry after ``arena`` (``ScratchArena.workspace`` keeps
+    one per geometry; without an arena it is a throwaway)."""
+    ws = SimpleNamespace()
+    reach, order, half = stencil_reach(spec), spec.order, (spec.order - 1) // 2
+    ws.periodic = bc == "periodic" and not halo
+    # donor cells first .. first + count - 1, read by the m interfaces
+    # n - m .. n - 1; interface p of them is cell off + p of the cells
+    # first .. n - 1, which wrap (periodic) with that period
+    first = reach - g_l  # 0, or -1 - k_max
+    ws.n, ws.lo, ws.count = n, g_l, count
+    ws.m = m = n if ws.periodic else n + 1
+    ws.off, ws.period = n - m - first, n - first
+    ws.planes = planes = _scratch(arena, ("plane", "f"), (g_l + n + g_r,) + rows, dtype)
+    ws.cells = cells = planes[g_l : g_l + n]
+    ws.ghost_l, ws.ghost_r = planes[:g_l], planes[g_l + n :]
+    ws.wrap_l, ws.wrap_r = cells[n - g_l :], cells[:g_r]
+    window = planes[: count + 2 * reach]  # the donors and their stencils
+    ws.st = st = tuple(
+        window[reach + c : reach + c + count] for c in range(-half, half + 1)
+    )
+    if not (spec.use_weno or spec.use_pfc):
+        poly = flux_coefficient_polynomials(order)
+        col = (order,) + (1,) * len(ashape)  # one polynomial per c_m
+        ws.coef = tuple(poly[:, dgr].reshape(col) for dgr in range(order + 1))
+        ws.c_work = _scratch(arena, "phi_cw", (order,) + ashape, dtype)
+        ws.c_acc = _scratch(arena, "phi_ca", (order,) + ashape, np.float64)
+        ws.c_rows = tuple(ws.c_work)
+        ws.phi = _scratch(arena, "phi", st[0].shape, dtype)
+        ws.term = _scratch(arena, "phi_term", st[0].shape, dtype)
+    if spec.use_mp:
+        ws.mp = mp_scratch(window[reach - 2 : reach + count + 2], arena)
+    if spec.use_pos:  # phi has the donors' shape and dtype
+        ws.clamp = clamp_scratch(st[half], st[half], arena)
+    ws.flux = flux = _scratch(arena, "flux", (n + 1,) + rows, np.float64)
+    ws.flux_out, ws.flux_hi, ws.flux_lo = flux[n + 1 - m :], flux[1:], flux[:-1]
+    ws.delta = _scratch(arena, ("upd", "delta"), cells.shape, np.float64)
+    if mixed:
+        ws.res = _scratch(arena, ("upd", "res"), cells.shape, dtype)
+    return ws
+
+
+def _normalize_shift(shift, f, last) -> np.ndarray:
+    """Validate and move the shift onto the axis-last layout ``last``.
 
     The shift always carries float64: it encodes the departure points,
     and rounding it to float32 storage perturbs them by |shift| * eps32
     cells — ~3e-5 cells at a 450-cell kick, orders of magnitude above
     the cell-scale rounding the storage cast is allowed to introduce.
     Only the *fractional* part (a cell-scale quantity) is cast to the
-    working dtype, inside :func:`_flux_positive`.
+    working dtype, inside :func:`_advect_block`.
     """
-    sh = np.asarray(sh, dtype=np.float64)
+    sh = np.asarray(shift, dtype=np.float64)
     if sh.ndim:
-        ax = axis if axis >= 0 else axis + f.ndim
         if sh.ndim != f.ndim:
             raise ValueError(
                 f"shift must be scalar or have ndim == f.ndim ({f.ndim}), got {sh.ndim}"
             )
-        sh = np.moveaxis(sh, ax, -1)
+        sh = sh.transpose(last)
         if sh.shape[-1] != 1:
             raise ValueError(
                 "shift must have size 1 along the advected axis "
@@ -484,17 +551,17 @@ def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
         # scalar: carry the full dimensionality so every downstream
         # shape (window, flux planes) broadcasts against f
         sh = sh.reshape((1,) * max(f.ndim, 1))
-    if not np.all(np.isfinite(sh)):
+    if not np.isfinite(sh).all():
         raise ValueError("shift contains non-finite values")
     return sh
 
 
-def _flux_positive(planes, lo, n, sh, spec, bc, arena=None):
+def _flux_positive(ws, alpha, k, kc, k_min, k_max, spec, arena=None):
     """Flux for shifts >= 0 everywhere: ``S(i, k) + phi[i - k]``.
 
-    ``planes[lo : lo + n]`` are the cells (see :func:`_advect_block`) and
-    entry ``i + 1`` of the result is interface ``i + 1/2``, ``i = -1 ..
-    n - 1``.
+    ``ws.planes[lo : lo + n]`` are the cells (see :func:`_advect_block`)
+    and entry ``i + 1`` of the result ``ws.flux`` is interface ``i +
+    1/2``, ``i = -1 .. n - 1``.
 
     Neither the integer shift ``k`` nor the fraction ``alpha`` varies
     along the advected axis, so the fractional flux ``phi`` is a function
@@ -524,31 +591,15 @@ def _flux_positive(planes, lo, n, sh, spec, bc, arena=None):
     indexed lookup (:func:`_add_lookup`) — the same adds on the same
     values, bitwise-identical.
     """
-    k = np.floor(sh).astype(np.int64)
-    alpha = (sh - k).astype(planes.dtype)
-
-    kc = _uniform_int(k)
     _FASTPATH["uniform_k" if kc is not None else "gather_k"] += 1
-    k_min, k_max = (kc, kc) if kc is not None else (int(k.min()), int(k.max()))
+    phi = _fractional_flux(ws, alpha, spec, arena)
 
-    # the window: donor cells first .. first + count - 1, read by the m
-    # interfaces n - m .. n - 1; interface p of them is cell off + p of
-    # the cells first .. n - 1, which wrap (periodic) with that period
-    periodic = bc == "periodic"
-    first, count = (0, n) if periodic else (-1 - k_max, n + 1 + k_max - k_min)
-    m = n if periodic else n + 1
-    off, period = n - m - first, n - first
-    reach = stencil_reach(spec)
-    phi = _fractional_flux(
-        planes[lo + first - reach : lo + first + count + reach], alpha, spec, arena
-    )
-
-    flux = _scratch(arena, "flux", (n + 1,) + planes.shape[1:], np.float64)
-    out = flux[n + 1 - m :]
+    planes, lo, n, m, count = ws.planes, ws.lo, ws.n, ws.m, ws.count
+    out = ws.flux_out
     out[...] = 0
     for j in range(k_max):  # S: cell i - j joins the rows with k > j
         where = True if j < k_min else k > j
-        if periodic:  # cell (p - j) mod n, split where it wraps
+        if ws.periodic:  # cell (p - j) mod n, split where it wraps
             s = j % n
             np.add(out[:s], planes[lo + n - s : lo + n], out=out[:s], where=where)
             np.add(out[s:], planes[lo : lo + n - s], out=out[s:], where=where)
@@ -556,15 +607,15 @@ def _flux_positive(planes, lo, n, sh, spec, bc, arena=None):
             np.add(out, planes[lo - 1 - j : lo + n - j], out=out, where=where)
     if kc is not None:
         # donor index off + p - kc wraps below p = r
-        r = (kc - off) % period
+        r = (kc - ws.off) % ws.period
         out[:r] += phi[count - r :]
         out[r:] += phi[: m - r]
     else:
-        idx = np.arange(off, off + m).reshape((m,) + (1,) * (planes.ndim - 1)) - k
-        _add_lookup(out, phi, idx % period)
-    if periodic:
-        flux[0] = flux[n]  # interface -1 is interface n-1
-    return flux
+        idx = np.arange(ws.off, ws.off + m).reshape((m,) + (1,) * (planes.ndim - 1)) - k
+        _add_lookup(out, phi, idx % ws.period)
+    if ws.periodic:
+        ws.flux[0] = ws.flux[n]  # interface -1 is interface n-1
+    return ws.flux
 
 
 def _add_lookup(out, planes, idx) -> None:
@@ -577,37 +628,30 @@ def _add_lookup(out, planes, idx) -> None:
     cheaper than a ``take_along_axis`` with ``idx`` broadcast to every
     element when a 512-cell run shares each index.
     """
-    vary = [a for a in range(1, idx.ndim) if idx.shape[a] > 1]
-    front = range(1, 1 + len(vary))
-    which = np.moveaxis(idx, vary, front)
+    vary = tuple(a for a in range(1, idx.ndim) if idx.shape[a] > 1)
+    front = _move(idx.ndim, vary, tuple(range(1, 1 + len(vary))))
+    which = idx.transpose(front)
     which = which.reshape(which.shape[: 1 + len(vary)])
     rows = np.ix_(*map(range, which.shape))[1:]  # open mesh, plane axis dropped
-    out = np.moveaxis(out, vary, front)
-    np.add(out, np.moveaxis(planes, vary, front)[(which, *rows)], out=out)
+    out = out.transpose(front)
+    np.add(out, planes.transpose(front)[(which, *rows)], out=out)
 
 
-def _fractional_flux(cells, alpha, spec, arena=None):
+def _fractional_flux(ws, alpha, spec, arena=None):
     """phi of every donor cell: mass donated from its right alpha-fraction.
 
-    ``cells`` holds the donor cells as planes with ``stencil_reach(spec)``
-    neighbor planes on each side; ``st[m]`` below is cell ``j + m - r`` of
-    all donors at once, a view.  ``alpha`` has their dtype and one value
-    per row: it broadcasts into ``st[m]``'s shape along the leading axis.
+    ``ws.st[m]`` is cell ``j + m - r`` of all donors at once, a view of
+    the landed planes (:func:`_workspace`).  ``alpha`` has their dtype
+    and one value per row: it broadcasts into ``st[m]``'s shape along the
+    leading axis.
     """
     order, use_mp, use_pos, use_weno, use_pfc = spec
-    reach = stencil_reach(spec)
-    count = cells.shape[0] - 2 * reach
-    half = (order - 1) // 2
-    st = tuple(
-        cells[reach + m : reach + m + count] for m in range(-half, half + 1)
-    )
+    st = ws.st
     if use_weno:
         phi = _weno_fractional(st, alpha, arena)
     elif use_pfc:
         phi = _pfc_fractional(st, alpha, arena)
     else:
-        poly = flux_coefficient_polynomials(order)
-        col = (order,) + (1,) * alpha.ndim  # one polynomial per c_m
         # One Horner pass over the (order,) + alpha.shape stack of all
         # coefficient polynomials c_m(alpha).  Elementwise it replays
         # evaluate_flux_coefficients bit for bit: with float32 alpha the
@@ -615,30 +659,26 @@ def _fractional_flux(cells, alpha, spec, arena=None):
         # float64 (a float64 operand, as the scalar coefficient was under
         # NEP 50), the remaining steps stay float64, and one cast back to
         # the working dtype precedes the stencil multiply.
-        c_work = _scratch(arena, "phi_cw", (order,) + alpha.shape, alpha.dtype)
-        c_acc = _scratch(arena, "phi_ca", (order,) + alpha.shape, np.float64)
-        c_work[...] = poly[:, -1].reshape(col)
+        c_work, c_acc, coef = ws.c_work, ws.c_acc, ws.coef
+        c_work[...] = coef[order]
         np.multiply(c_work, alpha, out=c_work)
-        np.add(c_work, poly[:, order - 1].reshape(col), out=c_acc)
+        np.add(c_work, coef[order - 1], out=c_acc)
         for dgr in range(order - 2, -1, -1):
             np.multiply(c_acc, alpha, out=c_acc)
-            np.add(c_acc, poly[:, dgr].reshape(col), out=c_acc)
+            np.add(c_acc, coef[dgr], out=c_acc)
         c_work[...] = c_acc
         # phi starts at +0 and adds every term: starting from c_0 * st[0]
         # would keep a -0.0 term that 0 + term turns into +0.0
-        phi = _scratch(arena, "phi", st[0].shape, cells.dtype)
-        term = _scratch(arena, "phi_term", st[0].shape, cells.dtype)
+        phi, term = ws.phi, ws.term
         phi[...] = 0
-        for m in range(order):
-            np.multiply(c_work[m], st[m], out=term)
+        for c_m, st_m in zip(ws.c_rows, st):
+            np.multiply(c_m, st_m, out=term)
             phi += term
 
     if use_mp:
-        phi = mp_limit_flux(
-            phi, alpha, cells[reach - 2 : reach + count + 2], arena=arena
-        )
+        phi = mp_limit_flux(phi, alpha, ws.mp)
     if use_pos:
-        phi = positivity_clamp_fraction(phi, st[half], arena=arena)
+        phi = positivity_clamp_fraction(phi, ws.clamp)
     return phi
 
 

@@ -21,6 +21,8 @@ mirrored intervals share every interface term (:func:`_window_bounds`).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -170,13 +172,39 @@ def mp_bounds(stencil: np.ndarray, alpha_mp: float = 4.0) -> tuple[np.ndarray, n
     return f_min, f_max
 
 
-def _window_bounds(cells, alpha_mp=4.0, arena=None, tag="mp"):
+def mp_scratch(cells, arena=None, tag="mp") -> SimpleNamespace:
+    """Every buffer of :func:`mp_limit_flux` on the planes ``cells`` and
+    every fixed view the limiter reads, made once (see :func:`_window_bounds`)."""
+    if cells.shape[0] < 5:
+        raise ValueError("MP limiter needs a 5-cell stencil")
+    count, shape, dt = cells.shape[0] - 4, cells.shape[1:], cells.dtype
+    d, t = (_take(arena, (tag, name), (count + 2,) + shape, dt) for name in ("d", "t"))
+    a, b, m4, w1, w2, e, e4, fmd = (
+        _take(arena, (tag, name), (count + 1,) + shape, dt)
+        for name in ("a", "b", "m4", "w1", "w2", "e", "e4", "md")
+    )
+    s = SimpleNamespace(d=d, t=t, a=a, b=b, m4=m4, w1=w1, w2=w2, e=e, e4=e4, fmd=fmd)
+    s.f0, s.mid, s.lo, s.hi = cells[2:-2], cells[1:-1], cells[:-2], cells[2:]
+    s.left, s.right = cells[1:-2], cells[2:-1]  # the two cells of each interface
+    s.d_lo, s.d_hi, s.t_lo, s.t_hi = d[:-1], d[1:], t[:-1], t[1:]
+    s.flc = t[:count]
+    # per side: f_ul and f_lc terms, (4/3) dM4, the far interface's
+    # min/max (in a, b), and the spent buffers that take f_min, f_max
+    s.sides = (
+        (np.add, e4[:count], e[:count], m4[:count], a[1:], b[1:], w1[:count], d[:count]),
+        (np.subtract, e4[1:], e[1:], m4[1:], a[:count], b[:count], fmd[:count], w2[:count]),
+    )
+    return s
+
+
+def _window_bounds(s, alpha_mp=4.0):
     """Both MP intervals of the donor cells ``cells[2:-2]``, plane-wise.
 
-    ``cells`` holds ``L + 4`` planes: the ``L`` donors and two neighbors
-    on each side.  Returns ``(b_min, b_max, bm_min, bm_max)``: the
-    interval of each donor's right interface (:func:`mp_bounds` of its
-    stencil) and of its left one (``mp_bounds`` of the mirrored stencil).
+    ``s`` is the :func:`mp_scratch` of ``cells``, ``L + 4`` planes: the
+    ``L`` donors and two neighbors on each side.  Returns ``(b_min, b_max,
+    bm_min, bm_max)``: the interval of each donor's right interface
+    (:func:`mp_bounds` of its stencil) and of its left one (``mp_bounds``
+    of the mirrored stencil).
 
     The two share their terms.  The curvature ``d_c = (f_{c-1} + f_{c+1})
     - 2 f_c`` is evaluated once on the ``L + 2`` cells that border a donor
@@ -196,22 +224,17 @@ def _window_bounds(cells, alpha_mp=4.0, arena=None, tag="mp"):
     overwrites them); the bounds are bitwise-identical with or without an
     arena.
     """
-    count, shape, dt = cells.shape[0] - 4, cells.shape[1:], cells.dtype
-    d, t = (_take(arena, (tag, name), (count + 2,) + shape, dt) for name in ("d", "t"))
-    a, b, m4, w1, w2, e, e4, fmd = (
-        _take(arena, (tag, name), (count + 1,) + shape, dt)
-        for name in ("a", "b", "m4", "w1", "w2", "e", "e4", "md")
-    )
-    np.add(cells[:-2], cells[2:], out=d)
-    np.multiply(cells[1:-1], 2.0, out=t)
+    d, t, a, b, m4, e, e4, fmd = s.d, s.t, s.a, s.b, s.m4, s.e, s.e4, s.fmd
+    left, right, f0, flc = s.left, s.right, s.f0, s.flc
+    np.add(s.lo, s.hi, out=d)
+    np.multiply(s.mid, 2.0, out=t)
     np.subtract(d, t, out=d)
     np.multiply(d, 4.0, out=t)
     # dM4 between cells c, c+1: minmod4(4 d_c - d_c+1, 4 d_c+1 - d_c, d_c, d_c+1)
-    np.subtract(t[:-1], d[1:], out=a)
-    np.subtract(t[1:], d[:-1], out=b)
-    minmod4_into(m4, a, b, d[:-1], d[1:], w1, w2)
+    np.subtract(s.t_lo, s.d_hi, out=a)
+    np.subtract(s.t_hi, s.d_lo, out=b)
+    minmod4_into(m4, a, b, s.d_lo, s.d_hi, s.w1, s.w2)
 
-    left, right = cells[1:-2], cells[2:-1]  # the two cells of each interface
     np.subtract(right, left, out=e)
     np.multiply(e, alpha_mp, out=e4)
     np.multiply(e, 0.5, out=e)  # e / 2 from here on
@@ -226,22 +249,18 @@ def _window_bounds(cells, alpha_mp=4.0, arena=None, tag="mp"):
     np.maximum(left, right, out=a_max)
     np.maximum(a_max, fmd, out=a_max)
 
-    # the rest is donor-sized, in the spent buffers; t holds f_lc per side
-    f0, flc = cells[2:-2], t[:count]
+    # the rest is donor-sized, in the spent buffers; flc holds f_lc per side
     bounds = []
-    for near, far, op, f_min, f_max in (
-        (slice(0, count), slice(1, None), np.add, w1[:count], d[:count]),
-        (slice(1, None), slice(0, count), np.subtract, fmd[:count], w2[:count]),
-    ):
-        op(f0, e4[near], out=f_max)  # f_ul
-        op(f0, e[near], out=flc)
-        np.add(flc, m4[near], out=flc)  # f_lc
+    for op, ul, lc, m4_near, min_far, max_far, f_min, f_max in s.sides:
+        op(f0, ul, out=f_max)  # f_ul
+        op(f0, lc, out=flc)
+        np.add(flc, m4_near, out=flc)  # f_lc
         np.minimum(f0, f_max, out=f_min)
         np.minimum(f_min, flc, out=f_min)
-        np.maximum(a_min[far], f_min, out=f_min)
+        np.maximum(min_far, f_min, out=f_min)
         np.maximum(f0, f_max, out=f_max)
         np.maximum(f_max, flc, out=f_max)
-        np.minimum(a_max[far], f_max, out=f_max)
+        np.minimum(max_far, f_max, out=f_max)
         bounds += [f_min, f_max]
     return tuple(bounds)
 
@@ -249,10 +268,8 @@ def _window_bounds(cells, alpha_mp=4.0, arena=None, tag="mp"):
 def mp_limit_flux(
     phi: np.ndarray,
     alpha: np.ndarray,
-    cells: np.ndarray,
+    s: SimpleNamespace,
     alpha_mp: float = 4.0,
-    arena=None,
-    tag="mp",
 ) -> np.ndarray:
     """MP limiting of the semi-Lagrangian fractional flux.
 
@@ -281,19 +298,17 @@ def mp_limit_flux(
     at ``alpha = 0`` the interval is ``[0, 0]`` (``bm_min <= f_j <=
     bm_max``), so the limited flux is exactly zero with no special case.
 
-    ``cells`` holds the ``L`` donor cells ``cells[2:-2]`` that ``phi``
-    belongs to, as planes, with two neighbor planes on each side (a
-    five-array stencil is ``L = 1``); ``phi`` has the donors' shape and
-    ``alpha`` broadcasts into it.  Both intervals come from
-    :func:`_window_bounds`.  Every temporary lives in pooled scratch when
-    an ``arena`` is given (the returned array too — it is overwritten by
-    the next same-tag call); with or without one the result is
-    bitwise-identical.
+    ``s`` is the :func:`mp_scratch` of ``cells``: the ``L`` donor cells
+    ``cells[2:-2]`` that ``phi`` belongs to, as planes, with two neighbor
+    planes on each side (a five-array stencil is ``L = 1``); ``phi`` has
+    the donors' shape and ``alpha`` broadcasts into it.  Both intervals
+    come from :func:`_window_bounds`.  Every temporary is a buffer of
+    ``s`` (the returned array too — the next call on ``s`` overwrites
+    it), pooled when ``mp_scratch`` had an ``arena``; with or without one
+    the result is bitwise-identical.
     """
-    if cells.shape[0] < 5:
-        raise ValueError("MP limiter needs a 5-cell stencil")
-    b_min, b_max, bm_min, bm_max = _window_bounds(cells, alpha_mp, arena, tag)
-    f0 = cells[2:-2]
+    b_min, b_max, bm_min, bm_max = _window_bounds(s, alpha_mp)
+    f0 = s.f0
     rest = 1.0 - alpha  # alpha-shaped: cheap
     # lo = max(alpha b_min, f0 - (1 - alpha) bm_max), into b_min
     np.multiply(b_min, alpha, out=b_min)
@@ -311,9 +326,16 @@ def mp_limit_flux(
     return bm_max
 
 
-def positivity_clamp_fraction(
-    phi: np.ndarray, donor: np.ndarray, arena=None, tag="clamp"
-) -> np.ndarray:
+def clamp_scratch(phi, donor, arena=None, tag="clamp") -> SimpleNamespace:
+    """The ``donor`` cells and the buffers of :func:`positivity_clamp_fraction`
+    for a ``phi`` of this shape and dtype."""
+    hi = _take(arena, (tag, "hi"), donor.shape, donor.dtype)
+    shape = np.broadcast_shapes(phi.shape, hi.shape)
+    out = _take(arena, (tag, "phi"), shape, np.result_type(phi, hi))
+    return SimpleNamespace(donor=donor, hi=hi, out=out)
+
+
+def positivity_clamp_fraction(phi: np.ndarray, s: SimpleNamespace) -> np.ndarray:
     """Clamp the donated fractional mass into [0, donor-cell mass].
 
     ``phi`` is the fractional part of the semi-Lagrangian flux — the mass
@@ -321,13 +343,12 @@ def positivity_clamp_fraction(
     departure intervals of consecutive interfaces tile the grid exactly,
     enforcing ``0 <= phi <= fbar_j`` guarantees the updated averages stay
     non-negative for *any* CFL number (see DESIGN.md and the tests in
-    ``tests/test_advection_properties.py``).  With an ``arena`` the
-    bound and the result live in pooled scratch (same bits).
+    ``tests/test_advection_properties.py``).  ``s`` is the
+    :func:`clamp_scratch` of ``phi`` and the donor cells; the bound and
+    the result are its buffers, pooled when it had an ``arena`` (same bits).
     """
-    hi = _take(arena, (tag, "hi"), donor.shape, donor.dtype)
-    np.maximum(donor, 0.0, out=hi)
-    shape = np.broadcast_shapes(phi.shape, hi.shape)
-    out = _take(arena, (tag, "phi"), shape, np.result_type(phi, hi))
+    hi, out = s.hi, s.out
+    np.maximum(s.donor, 0.0, out=hi)
     # clip(phi, 0, hi) as two passes: np.clip costs ~3x their sum
     np.maximum(phi, 0.0, out=out)
     np.minimum(out, hi, out=out)

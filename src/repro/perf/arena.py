@@ -31,6 +31,11 @@ Discipline
   shapes: same ``(key, dtype)`` means same memory.
 * An arena pins its high-water memory until :meth:`clear` — size it to
   the workload by simply letting the workload make its requests.
+* A kernel call's ~20 buffers and ~40 fixed views of them are one
+  *workspace* per call geometry (:meth:`ScratchArena.workspace`), made
+  of :meth:`take` views and so sharing the one set of slots.  A slot
+  that grows drops every cached workspace (they view the buffer it let
+  go), and the cache is bounded like the views.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ __all__ = ["ScratchArena"]
 class ScratchArena:
     """Keyed pool of reusable uninitialized NumPy work buffers."""
 
-    __slots__ = ("_pool", "hits", "misses")
+    __slots__ = ("_pool", "_workspaces", "hits", "misses")
 
     #: Cached views per slot.  A workload cycling through a few shapes
     #: (the six axis-last block shapes of a Strang step) stays inside
@@ -54,9 +59,17 @@ class ScratchArena:
     #: instead of growing it without bound.
     MAX_VIEWS = 8
 
+    #: Cached workspaces.  The benchmark workloads hold at most five per
+    #: arena (their distinct sweep geometries; docs/PERFORMANCE.md, "One
+    #: workspace per call geometry").  A run whose ``zero``-BC windows
+    #: follow the data resets the cache, and a rebuilt workspace costs
+    #: about the takes and slices a call made before there was a cache.
+    MAX_WORKSPACES = 8
+
     def __init__(self) -> None:
         #: (key, dtype) -> (flat buffer, {shape: view of its head})
         self._pool: dict[tuple, tuple[np.ndarray, dict]] = {}
+        self._workspaces: dict = {}
         self.hits = 0
         self.misses = 0
 
@@ -87,12 +100,25 @@ class ScratchArena:
             flat, views = held
         else:
             self.misses += 1
+            self._workspaces.clear()  # they may hold views of the old buffer
             flat, views = np.empty(n, dtype=dt), {}
             self._pool[slot] = (flat, views)
         if len(views) >= self.MAX_VIEWS:
             views.clear()
         view = views[shape] = flat[:n].reshape(shape)
         return view
+
+    def workspace(self, key, build):
+        """``build(self, *key)``, built once per ``key`` from :meth:`take`
+        views; a cached workspace is one hit."""
+        ws = self._workspaces.get(key)
+        if ws is not None:
+            self.hits += 1
+            return ws
+        if len(self._workspaces) >= self.MAX_WORKSPACES:
+            self._workspaces.clear()
+        ws = self._workspaces[key] = build(self, *key)
+        return ws
 
     @property
     def nbytes(self) -> int:
@@ -105,8 +131,9 @@ class ScratchArena:
         return len(self._pool)
 
     def clear(self) -> None:
-        """Drop every pooled buffer (and reset the hit/miss counters)."""
+        """Drop every pooled buffer and workspace (and reset the counters)."""
         self._pool.clear()
+        self._workspaces.clear()
         self.hits = 0
         self.misses = 0
 

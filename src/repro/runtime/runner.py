@@ -205,84 +205,87 @@ class SimulationRunner:
         # The telemetry stream opens first so that *everything* below —
         # quarantines during the resume scan, engine degradations,
         # fault injections, rollbacks — lands in it as event records.
+        # The ``finally`` below restores the sink and closes what was
+        # opened whether or not the run started: a refused resume too.
         telemetry = TelemetryWriter(self.run_dir / TELEMETRY_NAME)
         prev_sink = set_event_sink(telemetry.event)
-
-        engine = build_engine(config)
-        if fault_plan is not None:
-            engine.fault_hook = fault_plan.worker_fault
-
-        stepper = build_stepper(config, timer=self.timer, engine=engine)
-
-        # The serving tier: a background worker storing moment fields
-        # and spectra under diagnostics/ at its own cadence.  It gets
-        # the telemetry writer's *bound method* as its sink, not the
-        # contextual emit_event — the contextvar installed above is
-        # invisible from the worker thread.
-        pipeline = None
-        diag_cfg = config.diagnostics
-        if diag_cfg.every_steps is not None:
-            from ..serve.pipeline import DiagnosticsPipeline
-
-            pipeline = DiagnosticsPipeline(
-                self.run_dir / DIAGNOSTICS_DIR,
-                stepper.grid,
-                n_bins=diag_cfg.n_bins,
-                event_sink=telemetry.event,
-            )
-
-        state = find_latest_valid_checkpoint(
-            ck_dir, timer=self.io_timer, quarantine_corrupt=True
-        )
-        if state is not None:
-            for path, reason in state.skipped:
-                print(f"runner: skipping unreadable checkpoint {path.name}: "
-                      f"{reason}", file=sys.stderr)
-            if state.f is not None:
-                if state.grid != stepper.grid:
-                    raise RuntimeError(
-                        f"checkpoint {state.path.name} was written for a "
-                        "different grid than this config builds — refusing "
-                        "to resume"
-                    )
-                stepper.restore(state.f, state.particles, state.header)
-                print(f"runner: resumed from {state.path.name} "
-                      f"(step {stepper.index}/{stepper.n_steps})",
-                      file=sys.stderr)
-            else:
-                print("runner: no valid checkpoint survives in "
-                      f"{ck_dir.name}/ — restarting from step 0",
-                      file=sys.stderr)
-
-        last_diag_step = stepper.index
-        recovery = RecoveryManager(ck_dir, config.recovery,
-                                   timer=self.io_timer)
-        self.ledger = ConservationLedger()
-        self.ledger.register(**stepper.conserved())
-        guard_suite = GuardSuite(config.guards, self.ledger)
-
-        interrupts: list[str] = []
-
-        def _drain(signum, frame):  # noqa: ARG001 - signal handler shape
-            interrupts.append(signal.Signals(signum).name)
-
+        engine = pipeline = None
         old_handlers: dict[int, object] = {}
+        started = False
         try:
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                old_handlers[sig] = signal.signal(sig, _drain)
-        except ValueError:
-            pass  # not the main thread; rely on budget/max_steps draining
+            engine = build_engine(config)
+            if fault_plan is not None:
+                engine.fault_hook = fault_plan.worker_fault
 
-        start = time.monotonic()
-        last_ck_time = next_drain_poll = start
-        drain_flag = self.run_dir / DRAIN_NAME
-        prev_sections: dict[str, float] = {}
-        steps_taken = 0
-        status, exit_code, reason = "running", EXIT_COMPLETE, ""
-        self._write_manifest(status="running", exit_code=None,
-                             last_step=stepper.index)
+            stepper = build_stepper(config, timer=self.timer, engine=engine)
 
-        try:
+            # The serving tier: a background worker storing moment fields
+            # and spectra under diagnostics/ at its own cadence.  It gets
+            # the telemetry writer's *bound method* as its sink, not the
+            # contextual emit_event — the contextvar installed above is
+            # invisible from the worker thread.
+            diag_cfg = config.diagnostics
+            if diag_cfg.every_steps is not None:
+                from ..serve.pipeline import DiagnosticsPipeline
+
+                pipeline = DiagnosticsPipeline(
+                    self.run_dir / DIAGNOSTICS_DIR,
+                    stepper.grid,
+                    n_bins=diag_cfg.n_bins,
+                    event_sink=telemetry.event,
+                )
+
+            state = find_latest_valid_checkpoint(
+                ck_dir, timer=self.io_timer, quarantine_corrupt=True
+            )
+            if state is not None:
+                for path, reason in state.skipped:
+                    print(f"runner: skipping unreadable checkpoint {path.name}: "
+                          f"{reason}", file=sys.stderr)
+                if state.f is not None:
+                    if state.grid != stepper.grid:
+                        raise RuntimeError(
+                            f"checkpoint {state.path.name} was written for a "
+                            "different grid than this config builds — refusing "
+                            "to resume"
+                        )
+                    stepper.restore(state.f, state.particles, state.header)
+                    print(f"runner: resumed from {state.path.name} "
+                          f"(step {stepper.index}/{stepper.n_steps})",
+                          file=sys.stderr)
+                else:
+                    print("runner: no valid checkpoint survives in "
+                          f"{ck_dir.name}/ — restarting from step 0",
+                          file=sys.stderr)
+
+            last_diag_step = stepper.index
+            recovery = RecoveryManager(ck_dir, config.recovery,
+                                       timer=self.io_timer)
+            self.ledger = ConservationLedger()
+            self.ledger.register(**stepper.conserved())
+            guard_suite = GuardSuite(config.guards, self.ledger)
+
+            interrupts: list[str] = []
+
+            def _drain(signum, frame):  # noqa: ARG001 - signal handler shape
+                interrupts.append(signal.Signals(signum).name)
+
+            try:
+                for sig in (signal.SIGINT, signal.SIGTERM):
+                    old_handlers[sig] = signal.signal(sig, _drain)
+            except ValueError:
+                pass  # not the main thread; rely on budget/max_steps draining
+
+            start = time.monotonic()
+            last_ck_time = next_drain_poll = start
+            drain_flag = self.run_dir / DRAIN_NAME
+            prev_sections: dict[str, float] = {}
+            steps_taken = 0
+            status, exit_code, reason = "running", EXIT_COMPLETE, ""
+            self._write_manifest(status="running", exit_code=None,
+                                 last_step=stepper.index)
+            started = True
+
             while stepper.index < stepper.n_steps:
                 if fault_plan is not None:
                     fault_plan.begin_step(stepper.index + 1)
@@ -434,10 +437,12 @@ class SimulationRunner:
                 pipeline.close()
             set_event_sink(prev_sink)
             telemetry.close()
-            engine.close()
-            self._write_manifest(status=status, exit_code=exit_code,
-                                 last_step=stepper.index, reason=reason,
-                                 rollbacks=recovery.attempts)
+            if engine is not None:
+                engine.close()
+            if started:
+                self._write_manifest(status=status, exit_code=exit_code,
+                                     last_step=stepper.index, reason=reason,
+                                     rollbacks=recovery.attempts)
         return exit_code
 
     # ------------------------------------------------------------------

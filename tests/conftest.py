@@ -6,6 +6,20 @@ import numpy as np
 import pytest
 
 from repro.cosmology import Cosmology
+from repro.runtime.telemetry import set_event_sink
+
+
+@pytest.fixture(autouse=True)
+def no_event_sink_left_installed():
+    """Fail the test that leaves a contextual event sink installed.
+
+    The sink is a context variable of the test thread, so a leak sends
+    every later test's events to a closed run's telemetry and fails
+    whichever test next looks — this fixture names the leaker.
+    """
+    yield
+    leaked = set_event_sink(None)
+    assert leaked is None, f"the test left event sink {leaked!r} installed"
 
 
 @pytest.fixture

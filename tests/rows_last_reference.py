@@ -24,7 +24,7 @@ from repro.core.advection import (
     _weno_fractional,
     stencil_reach,
 )
-from repro.core.limiters import minmod4, positivity_clamp_fraction
+from repro.core.limiters import clamp_scratch, minmod4, positivity_clamp_fraction
 from repro.core.stencil import evaluate_flux_coefficients
 
 
@@ -88,7 +88,7 @@ def _fractional_flux(st, alpha, spec):
     if use_mp:
         phi = limit_flux_rolled(phi, alpha, st[center - 2 : center + 3])
     if use_pos:
-        phi = positivity_clamp_fraction(phi, st[center])
+        phi = positivity_clamp_fraction(phi, clamp_scratch(phi, st[center]))
     return phi
 
 

@@ -17,7 +17,9 @@ the alternatives exist only here, as oracles it is compared against:
   uniform shift;
 * a warm Strang step is re-served entirely from the
   :class:`ScratchArena` pool (hit-rate assertion);
-* an ``slmpp5`` kernel call makes a pinned number of full-size passes.
+* an ``slmpp5`` kernel call makes a pinned number of full-size passes;
+* a warm call is one cached workspace lookup, and the cache neither
+  changes a bit nor outlives the buffers it views.
 
 The float64 cases deliberately include blocks whose planes are 8 cells
 (64 bytes) — the stride class where float64 ``np.negative`` has
@@ -302,3 +304,104 @@ class TestPassBudget:
                 f"{bc} {name}: {counter.passes} full-size passes, "
                 f"pinned at {self.BUDGET[name]}"
             )
+
+
+_moveaxis = np.moveaxis  # the real one, behind the counting stand-in
+
+
+class _CountingArena(ScratchArena):
+    """An arena that counts its lookups: ``take`` and ``workspace`` calls."""
+
+    __slots__ = ("lookups",)
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def take(self, key, shape, dtype):
+        self.lookups += 1
+        return super().take(key, shape, dtype)
+
+    def workspace(self, key, build):
+        self.lookups += 1
+        return super().workspace(key, build)
+
+
+class TestWorkspace:
+    """A kernel call's buffers and views are one cached workspace per call
+    geometry: a warm call looks it up once and makes no other arena
+    request, and cycling through geometries changes no bit."""
+
+    @pytest.mark.smoke
+    @pytest.mark.parametrize("bc", ["periodic", "zero"])
+    def test_warm_call_is_one_lookup(self, bc, monkeypatch):
+        rng = np.random.default_rng(4)
+        f = rng.uniform(0.5, 1.0, (32, 32))
+        back = np.empty_like(f)
+        profile = ((np.arange(32) + 0.5) / 16.0 - 1.0).reshape(1, 32)
+        moves = []
+        monkeypatch.setattr(np, "moveaxis",
+                            lambda *a, **kw: moves.append(a) or _moveaxis(*a, **kw))
+        for sh in (0.29 * profile, 0.4, -1.3, 2.5 * profile):
+            arena = _CountingArena()
+            advect(f, sh, 0, scheme="slmpp5", bc=bc, out=back, arena=arena)
+            cold = back.tobytes()
+            misses, lookups, hits = arena.misses, arena.lookups, arena.hits
+            del moves[:]
+            advect(f, sh, 0, scheme="slmpp5", bc=bc, out=back, arena=arena)
+            assert back.tobytes() == cold
+            assert moves == []
+            assert arena.misses == misses
+            assert (arena.lookups - lookups, arena.hits - hits) == (1, 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_arena_through_every_geometry_is_bitwise(self, dtype, monkeypatch):
+        """Drift- and kick-shaped shifts on every axis, sign flips, ``k``
+        ranges that grow and shrink, both boundaries, a halo and blocked
+        calls: one arena's cached workspaces give the bits of none."""
+        monkeypatch.setattr(advection, "BLOCK_CELLS", 300)
+        rng = np.random.default_rng(7)
+        f = (0.5 + rng.random(SHAPE)).astype(dtype)
+        arena = ScratchArena()
+        for lap in range(2):
+            for axis in range(f.ndim):
+                wide = np.concatenate([f] * 3, axis=axis)  # ghosts for any peak
+                rows = [1 if a == axis else n for a, n in enumerate(SHAPE)]
+                drift = [1] * f.ndim
+                drift[(axis + 1) % f.ndim] = SHAPE[(axis + 1) % f.ndim]
+                for peak in (0.4, 6.0, 2.2, -0.9):
+                    for sh in (peak * (rng.random(drift) - 0.3),
+                               peak * (rng.random(rows) - 0.5), -peak):
+                        for kw in ({"bc": "periodic"}, {"bc": "zero"},
+                                   {"halo": (wide, wide)}):
+                            want = advect(f, sh, axis, **kw)
+                            got = advect(f, sh, axis, arena=arena, **kw)
+                            assert got.tobytes() == want.tobytes(), (
+                                f"lap {lap} axis {axis} peak {peak} {kw.get('bc', 'halo')}"
+                            )
+        assert 0 < len(arena._workspaces) <= ScratchArena.MAX_WORKSPACES
+
+    def test_a_growing_slot_drops_the_workspaces_and_the_cache_is_bounded(self):
+        rng = np.random.default_rng(8)
+        big = 0.5 + rng.random((40, 9))
+        arena = ScratchArena()
+        advect(big[:4], 0.7, 1, bc="zero", arena=arena)
+        assert len(arena._workspaces) == 1
+        # a larger block regrows the slots: the workspace holding views of
+        # the old buffers goes, and the one built now views the new ones
+        advect(big, 0.7, 1, bc="zero", arena=arena)
+        (ws,) = arena._workspaces.values()
+        (planes, _), = (held for key, held in arena._pool.items()
+                        if key[0] == ("plane", "f"))
+        assert ws.planes.base is planes
+        # every smaller row count fits those slots: each is a geometry of
+        # its own, served without a miss, and the cache stays bounded
+        misses = arena.misses
+        for rows in range(39, 0, -1):
+            got = advect(big[:rows], 0.7, 1, bc="zero", arena=arena)
+            assert got.tobytes() == advect(big[:rows], 0.7, 1, bc="zero").tobytes()
+            assert len(arena._workspaces) <= ScratchArena.MAX_WORKSPACES
+        assert arena.misses == misses
+        arena.clear()
+        assert arena._workspaces == {}
+

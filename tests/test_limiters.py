@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.limiters import (
     _window_bounds,
+    clamp_scratch,
     median3,
     minmod,
     minmod4,
@@ -29,6 +30,7 @@ from repro.core.limiters import (
     mp_bounds,
     mp_limit_flux,
     mp_limit_interface,
+    mp_scratch,
     positivity_clamp_fraction,
     weno_smoothness,
 )
@@ -78,7 +80,7 @@ class TestSignFreeForms:
         st5 = np.stack([np.roll(row, -m, axis=-1) for m in range(-2, 3)])
         cells = np.concatenate([row[:, -2:], row, row[:, :2]], axis=1).T
         rolled = mp_bounds_rolled(st5)
-        windowed = _window_bounds(cells)
+        windowed = _window_bounds(mp_scratch(cells))
         for got, want in zip(rolled, both_bounds(st5)):
             assert got.tobytes() == want.tobytes()
         for got, want in zip(windowed, rolled):
@@ -100,8 +102,8 @@ class TestSignFreeForms:
             rolled = mp_bounds_rolled(
                 np.stack([np.roll(ring, -m, axis=-1) for m in range(-2, 3)])
             )
-            plain = [b.tobytes() for b in _window_bounds(f)]
-            pooled = _window_bounds(f, arena=arena)
+            plain = [b.tobytes() for b in _window_bounds(mp_scratch(f))]
+            pooled = _window_bounds(mp_scratch(f, arena))
             for got, bits, want, ref in zip(pooled, plain, general, rolled):
                 assert got.tobytes() == bits, name
                 assert np.array_equal(got, want), name
@@ -174,14 +176,14 @@ class TestDepartureAverageLimiter:
         # at alpha = 1 the only admissible donation is the whole donor
         st5 = rng.standard_normal((5, 50))
         phi = rng.standard_normal(50) * 10
-        out = mp_limit_flux(phi, np.float64(1.0), st5)
+        out = mp_limit_flux(phi, np.float64(1.0), mp_scratch(st5))
         assert np.array_equal(out, st5[2:3])  # one plane of 50 donors
 
     def test_identity_for_in_bounds_values(self, rng):
         st5 = np.sort(rng.standard_normal((5, 50)), axis=0)  # monotone stencils
         # donating the donor average itself is always admissible
         phi = 0.4 * st5[2]
-        out = mp_limit_flux(phi.copy(), np.float64(0.4), st5)
+        out = mp_limit_flux(phi.copy(), np.float64(0.4), mp_scratch(st5))
         assert np.allclose(out, phi, atol=1e-10)
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.01, 0.99))
@@ -192,7 +194,7 @@ class TestDepartureAverageLimiter:
         r = np.random.default_rng(seed)
         st5 = r.standard_normal((5, 20))
         phi = r.standard_normal(20) * 5
-        out = mp_limit_flux(phi, np.float64(alpha), st5)
+        out = mp_limit_flux(phi, np.float64(alpha), mp_scratch(st5))
         f0 = st5[2]
         b_lo, b_hi, bm_lo, bm_hi = both_bounds(st5)
         u = out / alpha
@@ -214,7 +216,7 @@ class TestDepartureAverageLimiter:
         st5[:, ::7] = np.sort(st5[:, ::7], axis=0)  # monotone stencils too
         phi = (rng.standard_normal(400) * 3).astype(dtype)
         a = dtype(alpha)
-        out = mp_limit_flux(phi, a, st5)
+        out = mp_limit_flux(phi, a, mp_scratch(st5))
         assert out.dtype == dtype
         f0 = st5[2]
         b_lo, b_hi, bm_lo, bm_hi = both_bounds(st5)
@@ -236,11 +238,12 @@ class TestPositivityClamp:
     def test_clamps_to_donor_mass(self):
         phi = np.array([-0.5, 0.3, 2.0])
         donor = np.array([1.0, 1.0, 1.0])
-        out = positivity_clamp_fraction(phi, donor)
+        out = positivity_clamp_fraction(phi, clamp_scratch(phi, donor))
         assert np.allclose(out, [0.0, 0.3, 1.0])
 
     def test_negative_donor_gives_zero(self):
-        out = positivity_clamp_fraction(np.array([0.5]), np.array([-1.0]))
+        phi, donor = np.array([0.5]), np.array([-1.0])
+        out = positivity_clamp_fraction(phi, clamp_scratch(phi, donor))
         assert out[0] == 0.0
 
     @given(st.integers(0, 2**31 - 1))
@@ -249,7 +252,7 @@ class TestPositivityClamp:
         r = np.random.default_rng(seed)
         phi = r.standard_normal(50)
         donor = np.abs(r.standard_normal(50))
-        out = positivity_clamp_fraction(phi, donor)
+        out = positivity_clamp_fraction(phi, clamp_scratch(phi, donor))
         assert np.all(out >= 0.0)
         assert np.all(out <= donor + 1e-12)
 

@@ -37,6 +37,7 @@ from repro.runtime.config import (
     ScheduleConfig,
 )
 from repro.runtime.runner import CHECKPOINT_DIR, TELEMETRY_NAME, checkpoint_name
+from repro.runtime.telemetry import set_event_sink
 
 
 def plasma_config(n_steps=8, **overrides) -> RunConfig:
@@ -277,6 +278,16 @@ class TestResumeRobustness:
         with pytest.raises(RuntimeError, match="different grid"):
             clash.run()
         del manifest
+
+    def test_refused_resume_restores_the_event_sink(self, tmp_path):
+        """A run that raises during set-up removes the event sink it
+        installed."""
+        SimulationRunner.create(plasma_config(4), tmp_path / "run").run(max_steps=2)
+        other = plasma_config(4, grid=GridConfig(nx=(32,), nu=(32,),
+                                                 box_size=4 * np.pi, v_max=6.0))
+        with pytest.raises(RuntimeError, match="different grid"):
+            SimulationRunner(other, tmp_path / "run").run()
+        assert set_event_sink(None) is None
 
 
 class TestGuardsInTheLoop:
