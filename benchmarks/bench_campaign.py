@@ -7,13 +7,16 @@ This job prices that tax on a sweep whose runs are long enough for the
 physics to dominate, and gates it: a scheduler that costs more than a
 few percent of the work it schedules is overhead, not infrastructure.
 
-The comparison holds the execution substrate fixed — campaign at K=1
-with the in-process thread executor vs the same N configs driven
-directly through ``SimulationRunner`` in a plain loop — so the delta is
-*scheduling* cost only, not process spawning or parallel speedup.  The
-K>1 wall clock is reported (not gated): on a multi-core host it shows
-the fan-out paying for itself, on the 1-core CI box it just shows the
-semaphore serializing correctly.
+The comparison holds the execution substrate fixed — the supervised
+campaign at K=1 with the in-process thread executor vs the same N
+configs driven directly through ``SimulationRunner`` in a plain loop —
+so the delta is scheduling *and* supervision cost (leases, watchdog
+ticks, ``supervisor.jsonl``), not process spawning or parallel speedup.
+There is one dispatch path, so there is no unsupervised campaign to
+price supervision against separately.  The K>1 wall clock is reported
+(not gated): on a multi-core host it shows the fan-out paying for
+itself, on a 1-core box it just shows the semaphore serializing
+correctly.
 
 Opt-in job: skipped unless ``REPRO_BENCH=1`` (keeps tier-1 fast);
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload to seconds and disables
@@ -48,13 +51,10 @@ pytestmark = [
 NX, NU = (32, 64) if SMOKE else (96, 192)
 N_STEPS = 4 if SMOKE else 20
 DT = 0.1
-#: Acceptance ceiling on the scheduling tax: campaign-at-K=1 wall clock
-#: over the identical configs run serially by hand.
+#: Acceptance ceiling on the scheduling and supervision tax: the
+#: supervised campaign-at-K=1 wall clock over the identical configs run
+#: serially by hand.
 MAX_SCHED_OVERHEAD = 0.10
-#: Acceptance ceiling on the supervision tax: the fully supervised
-#: fault-free K=3 campaign (leases, watchdog ticks, supervisor.jsonl)
-#: over the bare direct-dispatch scheduler on the same sweep.
-MAX_SUPERVISION_TAX = 0.05
 
 
 def _campaign_config(concurrency: int):
@@ -91,14 +91,12 @@ def _serial_reference(config) -> float:
         return time.perf_counter() - t0
 
 
-def _campaign(concurrency: int, supervise: bool = False) -> float:
-    """The sweep through the campaign scheduler at the given K.
+def _campaign(concurrency: int) -> float:
+    """The sweep through the supervised campaign scheduler at the given K.
 
-    ``supervise=False`` is the direct-dispatch scheduler (the pre-
-    supervision baseline); ``supervise=True`` adds the full supervision
-    tier — lease per attempt, watchdog monitor ticks, the retry policy,
-    and the ``supervisor.jsonl`` event stream — on a fault-free sweep,
-    which is exactly the tax :data:`MAX_SUPERVISION_TAX` gates.
+    Every point runs under the supervisor — lease per attempt, watchdog
+    monitor ticks, the retry policy and the ``supervisor.jsonl`` event
+    stream — on a fault-free sweep.
     """
     from repro.campaign import Campaign
 
@@ -106,13 +104,13 @@ def _campaign(concurrency: int, supervise: bool = False) -> float:
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         campaign = Campaign.create(config, Path(tmp) / "c")
         t0 = time.perf_counter()
-        code = campaign.run(supervise=supervise)
+        code = campaign.run()
         elapsed = time.perf_counter() - t0
     assert code == 0
     return elapsed
 
 
-def report() -> tuple[str, float, float]:
+def report() -> tuple[str, float]:
     config = _campaign_config(1)
     n_points = len(config.points())
     reps = 1 if SMOKE else 2
@@ -120,27 +118,22 @@ def report() -> tuple[str, float, float]:
     serial = min(_serial_reference(config) for _ in range(reps))
     k1 = min(_campaign(1) for _ in range(reps))
     k3 = min(_campaign(3) for _ in range(reps))
-    k3_sup = min(_campaign(3, supervise=True) for _ in range(reps))
 
     overhead = k1 / serial - 1.0
-    tax = k3_sup / k3 - 1.0
     lines = [
         f"workload: {n_points}-point plasma sweep, {NX}x{NU}, "
         f"{N_STEPS} steps each (slmpp5)",
         f"serial runner loop    : {serial:8.3f} s",
         f"campaign K=1 (threads) : {k1:7.3f} s",
-        f"campaign K=3 direct    : {k3:7.3f} s",
-        f"campaign K=3 supervised: {k3_sup:7.3f} s",
+        f"campaign K=3 (threads) : {k3:7.3f} s",
         f"scheduling overhead   : {overhead:+8.2%}  (ceiling "
         f"{MAX_SCHED_OVERHEAD:.0%})",
-        f"supervision tax (K=3) : {tax:+8.2%}  (ceiling "
-        f"{MAX_SUPERVISION_TAX:.0%})",
     ]
-    return "\n".join(lines), overhead, tax
+    return "\n".join(lines), overhead
 
 
 def test_campaign_scheduling_overhead_small():
-    text, overhead, tax = report()
+    text, overhead = report()
     print("\n===== campaign_overhead =====\n" + text)
     if SMOKE:
         print("smoke mode: overhead gates skipped")
@@ -151,12 +144,7 @@ def test_campaign_scheduling_overhead_small():
         f"campaign scheduling overhead {overhead:.1%} exceeds "
         f"{MAX_SCHED_OVERHEAD:.0%}"
     )
-    assert tax < MAX_SUPERVISION_TAX, (
-        f"campaign supervision tax {tax:.1%} exceeds "
-        f"{MAX_SUPERVISION_TAX:.0%}"
-    )
     payload = {"overhead": overhead,
-               "supervision_tax": tax,
                "workload": f"4x{NX}x{NU}x{N_STEPS}"}
     (RESULTS_DIR / "BENCH_campaign.json").write_text(
         json.dumps(payload, indent=2) + "\n"

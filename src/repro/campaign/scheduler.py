@@ -15,11 +15,12 @@ A :class:`Campaign` owns one **campaign directory**::
 
 Scheduling is an asyncio fan-out: every pending point becomes a task,
 a semaphore admits ``effective_concurrency()`` of them at once (K
-clamped by the shared CPU budget), and each task hands its run to the
-executor on a worker thread.  All manifest mutations happen on the
-event-loop thread, one atomic rewrite per transition — kill the
-scheduler at any instant and ``campaign.json`` is complete and at worst
-one transition stale.
+clamped by the shared CPU budget), and each task hands its run to
+:meth:`Supervisor.attempt` on a worker thread — one dispatch path, whose
+retries stay on the campaign's one executor.  All manifest mutations
+happen on the event-loop thread, one atomic rewrite per transition —
+kill the scheduler at any instant and ``campaign.json`` is complete and
+at worst one transition stale.
 
 Resume is a property of the layers below, composed: the manifest says
 which points are not ``done`` (those are re-dispatched; done runs are
@@ -55,10 +56,6 @@ RUN_CONFIG_NAME = "config.json"
 #: Campaign-level supervision event stream (``lease_*`` /
 #: ``supervision_*`` records), next to ``campaign.json``.
 SUPERVISOR_LOG = "supervisor.jsonl"
-
-#: Executor degradation order: when a backend keeps failing to spawn,
-#: the scheduler falls back to the next entry that still works.
-DEGRADE_CHAIN = ("processes", "threads")
 
 
 class Campaign:
@@ -120,23 +117,21 @@ class Campaign:
     # ------------------------------------------------------------------
 
     def run(self, executor: Executor | None = None,
-            max_steps: int | None = None, supervise: bool = True) -> int:
+            max_steps: int | None = None) -> int:
         """Dispatch every non-done point; return the campaign exit code.
 
         ``executor`` overrides the spec's choice (tests inject chaos
         through exactly this seam); ``max_steps`` caps the steps each
         run takes this invocation (defaults to the spec's, usually
-        unset).  ``supervise`` (the default) runs every point through
-        the :class:`~repro.campaign.supervision.Supervisor` — lease,
-        watchdog budgets, failure-classified retries with backoff, and
-        the ``supervisor.jsonl`` event stream; ``supervise=False`` is
-        the bare direct-dispatch path (the scheduling-overhead
-        benchmark's baseline).
+        unset).  Every point runs through the
+        :class:`~repro.campaign.supervision.Supervisor` — lease,
+        watchdog budgets, failure-classified retries with backoff on
+        the same executor, and the ``supervisor.jsonl`` event stream.
         """
-        return asyncio.run(self._run_async(executor, max_steps, supervise))
+        return asyncio.run(self._run_async(executor, max_steps))
 
     async def _run_async(self, executor: Executor | None,
-                         max_steps: int | None, supervise: bool) -> int:
+                         max_steps: int | None) -> int:
         owns_executor = executor is None
         if executor is None:
             executor = build_executor(self.config.executor)
@@ -153,34 +148,9 @@ class Campaign:
               f"{len(self.manifest.runs)} runs pending, {k} in flight "
               f"({executor.name} executor)", file=sys.stderr)
         semaphore = asyncio.Semaphore(k)
-        if not supervise:
-            return await self._direct(executor, owns_executor, max_steps,
-                                      pending, semaphore)
-
         writer = TelemetryWriter(self.campaign_dir / SUPERVISOR_LOG)
         supervisor = Supervisor(self.campaign_dir, self.config.limits,
                                 self.config.retry, sink=writer.event)
-        # mutated only on the event-loop thread; ``closers`` also keeps
-        # degraded-away executors alive until the finally reaps them
-        state = {"executor": executor, "owned": owns_executor}
-        closers: list[Executor] = [executor] if owns_executor else []
-
-        def degrade() -> bool:
-            current = state["executor"]
-            tail = (DEGRADE_CHAIN[DEGRADE_CHAIN.index(current.name) + 1:]
-                    if current.name in DEGRADE_CHAIN
-                    else DEGRADE_CHAIN[1:])
-            if not tail:
-                return False
-            replacement = build_executor(tail[0])
-            closers.append(replacement)
-            state["executor"] = replacement
-            supervisor.emit("supervision_degrade",
-                            from_executor=current.name,
-                            to_executor=replacement.name)
-            print(f"campaign: executor {current.name!r} unavailable — "
-                  f"degrading to {replacement.name!r}", file=sys.stderr)
-            return True
 
         async def dispatch(run_id: str) -> int | None:
             async with semaphore:
@@ -190,15 +160,10 @@ class Campaign:
                     attempt = self.manifest.runs[run_id]["attempts"] + 1
                     self.manifest.mark(run_id, "running",
                                        owner=supervisor.owner)
-                    current = state["executor"]
                     outcome = await asyncio.to_thread(
-                        supervisor.attempt, current, run_id, run_dir,
+                        supervisor.attempt, executor, run_id, run_dir,
                         config_path, max_steps, attempt,
                     )
-                    if (outcome.spawn_failure
-                            and supervisor.should_degrade(current)
-                            and state["executor"] is current):
-                        degrade()
                     if outcome.cls == "done":
                         self.manifest.mark(run_id, "done",
                                            exit_code=outcome.exit_code,
@@ -226,35 +191,9 @@ class Campaign:
         try:
             await asyncio.gather(*(dispatch(rid) for rid in pending))
         finally:
-            for ex in closers:
-                ex.close()
-            writer.close()
-        return self.exit_code()
-
-    async def _direct(self, executor: Executor, owns_executor: bool,
-                      max_steps: int | None, pending: list[str],
-                      semaphore: asyncio.Semaphore) -> int:
-        """The unsupervised dispatch path: one attempt per point."""
-
-        async def dispatch(run_id: str) -> int:
-            async with semaphore:
-                run_dir = self.manifest.run_dir(run_id)
-                self.manifest.mark(run_id, "running")
-                code = await asyncio.to_thread(
-                    executor.execute, run_dir, run_dir / RUN_CONFIG_NAME,
-                    max_steps,
-                )
-                state = "done" if code == EXIT_COMPLETE else "failed"
-                self.manifest.mark(run_id, state, exit_code=code)
-                print(f"campaign: {run_id} {state} (exit {code})",
-                      file=sys.stderr)
-                return code
-
-        try:
-            await asyncio.gather(*(dispatch(rid) for rid in pending))
-        finally:
             if owns_executor:
                 executor.close()
+            writer.close()
         return self.exit_code()
 
     def exit_code(self) -> int:

@@ -82,10 +82,6 @@ LEASE_NAME = "lease.json"
 #: Every failure class an attempt can land in.
 FAILURE_CLASSES = ("done", "transient", "resumable", "permanent")
 
-#: Consecutive spawn failures of one executor before the scheduler
-#: degrades to the next backend in the chain (processes→threads).
-DEGRADE_AFTER = 2
-
 
 def classify_exit(exit_code: int | None) -> str:
     """Map one terminal exit code onto its failure class.
@@ -112,7 +108,6 @@ class Outcome:
     exit_code: int | None
     cls: str
     reason: str = ""
-    spawn_failure: bool = False
 
     @property
     def final(self) -> bool:
@@ -341,10 +336,13 @@ class Supervisor:
     """The scheduler-side watchdog: leases, budgets, classification.
 
     One supervisor lives for one scheduler invocation; it owns the
-    campaign's retry policy, the degradation counters, and the event
-    stream (``sink(kind, **fields)``, normally the campaign's
-    ``supervisor.jsonl`` writer).  :meth:`attempt` blocks (it runs on a
-    scheduler worker thread) for the duration of one supervised run.
+    campaign's retry policy and the event stream (``sink(kind,
+    **fields)``, normally the campaign's ``supervisor.jsonl`` writer).
+    :meth:`attempt` blocks (it runs on a scheduler worker thread) for
+    the duration of one supervised run.  A run that cannot be spawned
+    is a ``transient`` outcome, retried on the same executor: falling
+    back to an in-process executor would drop the process isolation,
+    the RSS budget and the kill rung without a word.
     """
 
     def __init__(self, campaign_dir: str | Path,
@@ -357,8 +355,6 @@ class Supervisor:
         self.policy = RetryPolicy(self.retry)
         self.owner = owner or f"sched-{os.getpid()}"
         self._sink = sink
-        self._spawn_failures: dict[int, int] = {}  # id(executor) -> streak
-        self._lock = threading.Lock()
 
     # -- events ---------------------------------------------------------
 
@@ -370,23 +366,6 @@ class Supervisor:
             self._sink(kind, **fields)
         except Exception:  # pragma: no cover - defensive
             pass
-
-    # -- degradation ----------------------------------------------------
-
-    def note_spawn_result(self, executor, failed: bool) -> int:
-        """Track consecutive spawn failures per executor instance."""
-        with self._lock:
-            key = id(executor)
-            if failed:
-                self._spawn_failures[key] = self._spawn_failures.get(key, 0) + 1
-            else:
-                self._spawn_failures[key] = 0
-            return self._spawn_failures[key]
-
-    def should_degrade(self, executor) -> bool:
-        """Whether this executor's spawn-failure streak warrants swapping."""
-        with self._lock:
-            return self._spawn_failures.get(id(executor), 0) >= DEGRADE_AFTER
 
     # -- the supervised attempt -----------------------------------------
 
@@ -425,7 +404,7 @@ class Supervisor:
             try:
                 result["code"] = executor.execute(run_dir, config_path,
                                                   max_steps)
-            except Exception as exc:  # spawn/backend failure
+            except Exception as exc:  # spawn failure: retried as transient
                 result["error"] = f"{type(exc).__name__}: {exc}"
             finally:
                 done.set()
@@ -441,7 +420,7 @@ class Supervisor:
         finally:
             lease.release()
             self.emit("lease_released", run_id=run_id, owner=self.owner)
-        return self._classify(executor, state, result, attempt)
+        return self._classify(state, result, attempt)
 
     # -- monitor internals ----------------------------------------------
 
@@ -500,15 +479,12 @@ class Supervisor:
                 self.emit("supervision_kill", run_id=state.run_id,
                           reason=violation)
 
-    def _classify(self, executor, state: _Attempt, result: dict,
+    def _classify(self, state: _Attempt, result: dict,
                   attempt: int) -> Outcome:
         """Fold the execute thread's result into a classified Outcome."""
         if "error" in result:
-            self.note_spawn_result(executor, failed=True)
-            outcome = Outcome(None, "transient", reason=result["error"],
-                              spawn_failure=True)
+            outcome = Outcome(None, "transient", reason=result["error"])
         else:
-            self.note_spawn_result(executor, failed=False)
             code = result.get("code")
             reason = "exit"
             if state.killed:

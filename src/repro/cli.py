@@ -5,7 +5,6 @@ without writing a script:
 
 * ``info``     — version, subsystem inventory, paper reference;
 * ``landau``   — run the Landau-damping validation and report the rate;
-* ``hybrid``   — run a mini cosmological hybrid simulation;
 * ``run``      — start a production run from a config file;
 * ``resume``   — continue an interrupted run from its run directory;
 * ``campaign`` — run/resume/watch a parameter-sweep campaign from a
@@ -21,7 +20,10 @@ both accept ``--faults`` (inline JSON or a file path) to drive a chaos
 drill against a real run.  ``campaign`` rolls the same contract up over
 a whole sweep (0 all done, 70 any guard abort, else 75 — resume until
 0; see ``docs/CAMPAIGN.md``).  A config or spec path that names no file
-is a usage error (exit 2), reported in one line.
+is a usage error (exit 2), reported in one line.  The hybrid Vlasov +
+N-body workload has no command of its own: it is a ``scenario =
+"hybrid"`` config for ``run`` (``examples/cosmic_neutrinos.py`` builds
+one).
 """
 
 from __future__ import annotations
@@ -86,21 +88,6 @@ def cmd_landau(args: argparse.Namespace) -> int:
     print(f"scheme={args.scheme} k={args.k}: gamma = {gamma:+.4f} "
           "(theory -0.1533 at k=0.5)")
     return 0
-
-
-def cmd_hybrid(args: argparse.Namespace) -> int:
-    """Mini cosmological hybrid run (the packaged demo).
-
-    The workload lives in :func:`repro.runtime.scenarios.hybrid_demo`,
-    so this works however the package is installed — no examples tree,
-    no ``sys.argv`` mutation, no ``exec``.
-    """
-    from repro.runtime.scenarios import hybrid_demo
-
-    return hybrid_demo([
-        "--nx", str(args.nx), "--nu", str(args.nu),
-        "--steps", str(args.steps), "--m-nu", str(args.m_nu),
-    ])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -181,8 +168,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             config.executor = args.executor
         campaign_dir = args.dir or args.arg or f"{config.name}.campaign"
         campaign = Campaign.create(config, campaign_dir)
-    code = campaign.run(max_steps=args.max_steps,
-                        supervise=not args.no_supervise)
+    code = campaign.run(max_steps=args.max_steps)
     print(format_table(campaign.aggregate()))
     return code
 
@@ -285,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=160)
     p.add_argument("--scheme", default="slmpp5")
 
-    p = sub.add_parser("hybrid", help="mini cosmological hybrid run")
-    p.add_argument("--nx", type=int, default=8)
-    p.add_argument("--nu", type=int, default=8)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--m-nu", type=float, default=0.4)
-
     p = sub.add_parser("run", help="production run from a config file")
     p.add_argument("config", help="RunConfig file (.json or .toml)")
     p.add_argument("--run-dir", default=None,
@@ -321,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the spec's executor backend")
     p.add_argument("--max-steps", type=int, default=None,
                    help="cap steps per run this invocation (runs exit 75)")
-    p.add_argument("--no-supervise", action="store_true",
-                   help="bare dispatch: no leases, watchdogs, or retries")
     p.add_argument("--watch", action="store_true",
                    help="status: refresh the table until done/interrupted")
 
@@ -341,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "info": cmd_info,
     "landau": cmd_landau,
-    "hybrid": cmd_hybrid,
     "run": cmd_run,
     "resume": cmd_resume,
     "campaign": cmd_campaign,

@@ -147,6 +147,8 @@ class DomainEngine(SweepEngine):
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.topology = tuple(int(p) for p in topology) if topology else None

@@ -35,7 +35,6 @@ from .scenarios import (
     build_engine,
     build_hybrid_simulation,
     build_stepper,
-    hybrid_demo,
 )
 from .telemetry import (
     TELEMETRY_FIELDS,
@@ -72,7 +71,6 @@ __all__ = [
     "build_engine",
     "build_stepper",
     "build_hybrid_simulation",
-    "hybrid_demo",
     "TELEMETRY_FIELDS",
     "TelemetryWriter",
     "emit_event",

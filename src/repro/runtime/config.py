@@ -251,12 +251,19 @@ class RunConfig:
             raise ValueError("checkpoint.every_seconds must be positive or null")
         if c.keep_last < 1:
             raise ValueError("checkpoint.keep_last must be >= 1")
+        gd = self.guards
         for guard in ("nan", "negative_f", "conservation", "stall"):
-            policy = getattr(self.guards, guard)
+            policy = getattr(gd, guard)
             if policy not in POLICIES:
                 raise ValueError(
                     f"guards.{guard} policy {policy!r} not in {POLICIES}"
                 )
+        # a negative threshold trips its guard on every healthy step
+        for key in ("negative_f_tol", "max_mass_drift", "max_energy_drift"):
+            if getattr(gd, key) < 0.0:
+                raise ValueError(f"guards.{key} must be >= 0")
+        if gd.max_step_seconds <= 0.0:
+            raise ValueError("guards.max_step_seconds must be positive")
         e = self.engine
         if e.engine not in ENGINES:
             raise ValueError(f"engine.engine {e.engine!r} not in {ENGINES}")
@@ -276,6 +283,8 @@ class RunConfig:
                 raise ValueError("engine.topology entries must be >= 1")
         if e.max_retries < 0:
             raise ValueError("engine.max_retries must be >= 0")
+        if e.backoff_base < 0.0:
+            raise ValueError("engine.backoff_base must be >= 0")
         if e.task_timeout is not None and e.task_timeout <= 0.0:
             raise ValueError("engine.task_timeout must be positive or null")
         d = self.diagnostics

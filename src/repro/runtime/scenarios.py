@@ -36,15 +36,14 @@ from its config file alone, so ICs cannot live in an ad-hoc script):
   (Fermi-Dirac cutoff that *derives* ``v_max``; the grid config's
   ``v_max`` is ignored for this scenario).
 
-:func:`hybrid_demo` is the former ``examples/cosmic_neutrinos.py`` body,
-moved into the package so ``repro hybrid`` works without the examples
-tree; the example is now a thin wrapper around it.
+Every scenario, the hybrid one included, is driven by
+:class:`~repro.runtime.runner.SimulationRunner`
+(``examples/cosmic_neutrinos.py`` builds a hybrid :class:`RunConfig`
+and runs it through the runner).
 """
 
 from __future__ import annotations
 
-import argparse
-import time as _time
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,6 @@ __all__ = [
     "build_engine",
     "build_stepper",
     "build_hybrid_simulation",
-    "hybrid_demo",
 ]
 
 
@@ -433,8 +431,7 @@ def build_engine(config: RunConfig):
 
 
 # ----------------------------------------------------------------------
-# the hybrid workload builder (shared by the stepper, the CLI, and
-# examples/cosmic_neutrinos.py)
+# the hybrid workload, fully initialized
 # ----------------------------------------------------------------------
 
 
@@ -508,65 +505,3 @@ def build_hybrid_simulation(
         grid, cosmo, delta_nu=delta_nu, bulk_velocity=bulk
     )
     return sim
-
-
-def hybrid_demo(argv: list[str] | None = None) -> int:
-    """The mini cosmological hybrid run (``repro hybrid`` / the example).
-
-    Evolves neutrinos + CDM from z = 10 to z = 0 and prints the Fig.
-    4-style statistics per step; importable, so it works with or without
-    the examples tree on disk.
-    """
-    from ..cosmology import Cosmology, RelicNeutrinoDistribution
-    from ..diagnostics import ConservationLedger, StepTimer
-
-    ap = argparse.ArgumentParser(description=hybrid_demo.__doc__)
-    ap.add_argument("--nx", type=int, default=8, help="spatial cells per axis")
-    ap.add_argument("--nu", type=int, default=8, help="velocity cells per axis")
-    ap.add_argument("--box", type=float, default=200.0, help="box size [Mpc/h]")
-    ap.add_argument("--steps", type=int, default=6, help="leapfrog steps z=10 -> 0")
-    ap.add_argument("--m-nu", type=float, default=0.4, help="total nu mass [eV]")
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--tree", action="store_true", help="enable the tree force")
-    args = ap.parse_args(argv)
-
-    cosmo = Cosmology(m_nu_total_ev=args.m_nu)
-    fd = RelicNeutrinoDistribution(args.m_nu / 3.0, cosmo.units)
-    print(f"cosmology: Omega_m={cosmo.omega_m}, M_nu={args.m_nu} eV "
-          f"(f_nu={cosmo.f_nu:.3f}), u_thermal={fd.mean_speed:.0f} km/s")
-
-    a_start = 1.0 / 11.0  # z = 10, the paper's starting epoch
-    timer = StepTimer()
-    sim = build_hybrid_simulation(
-        nx=args.nx, nu=args.nu, box_size=args.box, m_nu=args.m_nu,
-        seed=args.seed, a_start=a_start, use_tree=args.tree, timer=timer,
-    )
-    print(sim.grid)
-    print(f"CDM: {sim.cdm.n} particles, total mass {sim.cdm.total_mass:.3e}")
-
-    ledger = ConservationLedger()
-    ledger.register(nu_mass=sim.neutrino_mass())
-
-    schedule = scale_factor_steps(a_start, 1.0, args.steps)
-    print(f"\n{'a':>6} {'z':>6} {'sigma_cdm':>10} {'sigma_nu':>9} "
-          f"{'cross':>6} {'s/step':>7}")
-    for a_next in schedule[1:]:
-        t0 = _time.perf_counter()
-        with timer.section("step"):
-            sim.step(float(a_next))
-        ledger.update(nu_mass=sim.neutrino_mass())
-        rho_c, rho_n = sim.cdm_density(), sim.neutrino_density()
-        cc = np.corrcoef(rho_c.ravel(), rho_n.ravel())[0, 1]
-        print(
-            f"{sim.a:6.3f} {sim.redshift():6.2f} "
-            f"{(rho_c / rho_c.mean() - 1).std():10.4f} "
-            f"{(rho_n / rho_n.mean() - 1).std():9.4f} {cc:6.3f} "
-            f"{_time.perf_counter() - t0:7.2f}"
-        )
-
-    sim.synchronize()
-    print(f"\nneutrino mass drift over the run: "
-          f"{ledger.relative_drift('nu_mass'):.2e}")
-    print(f"min f at z=0: {sim.neutrinos.f.min():+.3e}")
-    print(timer.report())
-    return 0

@@ -46,7 +46,7 @@ strict.  The campaign tier reuses this writer for its own stream —
 (``lease_acquired`` / ``lease_released`` / ``lease_expired`` /
 ``lease_reclaimed``) and ``supervision_*`` (``dispatch`` / ``stalled``
 / ``over_wall`` / ``over_rss`` / ``drain`` / ``kill`` / ``retry`` /
-``outcome`` / ``degrade``) event kinds emitted by
+``outcome``) event kinds emitted by
 :class:`repro.campaign.supervision.Supervisor`.  Subsystems that cannot hold a writer (the pencil engine, the
 FFT backend) publish through the **contextual** sink installed by the
 runner (:func:`set_event_sink` / :func:`emit_event`); with no sink

@@ -84,6 +84,10 @@ RETIRED = (
     "decomposed_velocity" + "_advect", "cfl" + "_max",
     # the diagnostics queue policy: block, a queue of 2, spectra always
     "on" + "_full", "queue" + "_max", "diagnostics" + "_dropped",
+    # the campaign's executor ladder, its unsupervised dispatch and the
+    # hand-rolled hybrid loop beside the runner
+    "DEGRADE" + "_CHAIN", "should" + "_degrade", "supervision" + "_degrade",
+    "hybrid" + "_demo", "no" + "_supervise",
 )
 
 

@@ -3,7 +3,7 @@
 Tier-1 covers the protocol pieces in isolation (lease semantics,
 failure classification, retry budgets) and fast thread-executor
 integrations (transient retry, permanent no-retry, stale-``running``
-reconciliation, executor degradation).  The ``chaos``-marked drill runs
+reconciliation, spawn failures retried on the same executor).  The ``chaos``-marked drill runs
 the acceptance scenario for real: an 8-point processes campaign
 surviving kill/freeze/oom injections bitwise-identically.
 """
@@ -206,14 +206,12 @@ class TestSupervisedRetries:
     def test_attempt_exhaustion_leaves_point_failed(self, tmp_path):
         campaign = small_campaign(tmp_path)
         flaky = FlakyExecutor(failures=99)
-        # a flaky "threads" backend can only degrade once; pin the
-        # chain off by exhausting attempts (max_attempts=2)
         campaign.config.retry = fast_retry(max_attempts=2)
         code = campaign.run(executor=flaky)
         assert code == EXIT_RESUMABLE
         entry = campaign.manifest.runs["p0000"]
         assert entry["state"] == "failed"
-        assert entry["attempts"] >= 2
+        assert entry["attempts"] == 2
 
 
 class TestDrainFlag:
@@ -354,15 +352,22 @@ class BrokenProcessesExecutor(ThreadExecutor):
         raise OSError("cannot fork")
 
 
-class TestDegradation:
-    def test_broken_backend_degrades_to_threads(self, tmp_path):
+class TestSpawnFailure:
+    def test_unspawnable_backend_retried_in_place(self, tmp_path):
+        """A backend that cannot spawn is retried on itself, never
+        swapped for an in-process one: the point ends transient."""
         campaign = small_campaign(tmp_path)
         campaign.config.retry = fast_retry(max_attempts=3)
-        assert campaign.run(executor=BrokenProcessesExecutor()) == EXIT_COMPLETE
-        degrade = supervisor_events(campaign, "supervision_degrade")
-        assert degrade and degrade[0]["from_executor"] == "processes"
-        assert degrade[0]["to_executor"] == "threads"
-        assert campaign.manifest.runs["p0000"]["attempts"] == 3
+        code = campaign.run(executor=BrokenProcessesExecutor())
+        assert code == EXIT_RESUMABLE
+        dispatches = supervisor_events(campaign, "supervision_dispatch")
+        assert len(dispatches) == 3
+        assert {d["executor"] for d in dispatches} == {"processes"}
+        assert not supervisor_events(campaign, "supervision_degrade")
+        entry = campaign.manifest.runs["p0000"]
+        assert entry["state"] == "failed" and entry["attempts"] == 3
+        assert [h["class"] for h in entry["history"]] == ["transient"] * 3
+        assert "cannot fork" in entry["history"][-1]["reason"]
 
 
 # ----------------------------------------------------------------------

@@ -433,6 +433,13 @@ class TestEngineConfig:
         assert engine.topology == (2, 2, 1)
         engine.close()
 
+    def test_constructor_rejects_negative_backoff(self):
+        """A negative backoff would make the first retry raise from
+        ``time.sleep``; 0 (retry at once) stays legal."""
+        with pytest.raises(ValueError, match="backoff_base"):
+            DomainEngine(topology=(2, 1, 1), backoff_base=-0.05)
+        DomainEngine(topology=(2, 1, 1), backoff_base=0.0).close()
+
     def test_bind_rejects_blocks_thinner_than_the_ghost_width(self):
         """4 cells over 2 blocks leaves 2 < the 3-plane slmpp5 halo; the
         engine must refuse at bind time, before any worker exists."""

@@ -26,9 +26,30 @@ def small_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+#: ``(section, key, value)`` past each limit's floor; ``None`` is the
+#: config's top level.  A negative guard threshold trips on every
+#: healthy step, and a negative backoff makes the first worker retry
+#: raise from ``time.sleep`` instead of retrying.
+BAD_LIMITS = [
+    (None, "wall_clock_budget", -1.0),
+    ("guards", "negative_f_tol", -1e-12),
+    ("guards", "max_mass_drift", -1e-6),
+    ("guards", "max_energy_drift", -0.1),
+    ("guards", "max_step_seconds", 0.0),
+    ("guards", "max_step_seconds", -5.0),
+    ("engine", "backoff_base", -0.05),
+]
+
+
 class TestValidation:
     def test_valid_config_passes(self):
         assert small_config().validate() is not None
+        # a zero threshold is a floor, not past it
+        cfg = small_config()
+        cfg.engine.backoff_base = 0.0
+        cfg.guards.max_energy_drift = 0.0  # trips on purpose in the runner
+        cfg.guards.max_mass_drift = cfg.guards.negative_f_tol = 0.0
+        assert cfg.validate() is cfg
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="scenario"):
@@ -77,8 +98,13 @@ class TestValidation:
             cfg.validate()
 
     def test_negative_budget(self):
-        with pytest.raises(ValueError, match="wall_clock_budget"):
-            small_config(wall_clock_budget=-1.0).validate()
+        # every budget and threshold below its floor, one config each
+        # (a loop, not parametrize, so this test keeps its id)
+        for section, key, value in BAD_LIMITS:
+            cfg = small_config()
+            setattr(getattr(cfg, section) if section else cfg, key, value)
+            with pytest.raises(ValueError, match=key):
+                cfg.validate()
 
 
 class TestRoundTrips:
