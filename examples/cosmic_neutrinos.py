@@ -15,6 +15,9 @@ step) are read back from those stored products.
 
 Run:  python examples/cosmic_neutrinos.py [--nx 8] [--nu 8] [--steps 6]
           [--tree] [--run-dir cosmic_neutrinos.run]
+
+``--tree`` adds the short-range tree force, which needs ``--nx 12`` or
+more (its cutoff, 4.5 x 1.25 cells, must fit in half the box).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.io.snapshot import read_snapshot
+from repro.nbody.treepm import min_tree_mesh
 from repro.runtime import RunConfig, SimulationRunner, summarize
 from repro.serve import read_products
 
@@ -63,6 +67,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="run directory; an existing one is re-entered "
                          "(resumed), so change parameters in a new one")
     args = ap.parse_args(argv)
+    if args.tree and args.nx < min_tree_mesh():
+        ap.error(f"--tree needs --nx {min_tree_mesh()} or more: at --nx "
+                 f"{args.nx} the short-range cutoff exceeds half the box")
 
     run_dir = Path(args.run_dir)
     runner = SimulationRunner.create(build_config(args), run_dir)

@@ -20,6 +20,31 @@ See README.md and the examples/ directory.
 
 __version__ = "1.0.0"
 
+import sys
+from importlib import import_module
+
 from . import constants, units
 
-__all__ = ["constants", "units", "__version__"]
+__all__ = ["constants", "units", "lazy_exports", "__version__"]
+
+
+def lazy_exports(package: str, exports: dict[str, str]):
+    """``(__getattr__, __dir__)`` for a package that imports nothing of
+    its own (PEP 562): each public name in ``exports`` maps to the
+    submodule of ``package`` that defines it, imported on first use, so
+    a run loads only the modules its names reach."""
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(import_module(f"{package}.{module}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*vars(sys.modules[package]), *exports})
+
+    return __getattr__, __dir__

@@ -96,7 +96,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     from repro.runtime import FaultPlan, RunConfig, SimulationRunner
 
-    config = RunConfig.load(args.config)
+    try:
+        config = RunConfig.load(args.config)
+    except ValueError as exc:
+        print(f"run: invalid config {args.config}: {exc}")
+        return 2
     run_dir = args.run_dir if args.run_dir else f"{config.name}.run"
     runner = SimulationRunner.create(config, run_dir)
     return runner.run(max_steps=args.max_steps,

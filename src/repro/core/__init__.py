@@ -1,25 +1,23 @@
 """The paper's primary contribution: the 6-D phase-space Vlasov solver."""
 
-from .advection import SCHEMES, advect
-from .mesh import PhaseSpaceGrid
-from .schemes import Mp5Rk3Advector
-from .splitting import COMPOSITIONS, SplitStepper, lie_step, ruth_step, strang_step
-from .vlasov import VlasovSolver
-from .vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
-from . import moments
+from .. import lazy_exports
 
-__all__ = [
-    "SCHEMES",
-    "advect",
-    "PhaseSpaceGrid",
-    "Mp5Rk3Advector",
-    "COMPOSITIONS",
-    "SplitStepper",
-    "lie_step",
-    "ruth_step",
-    "strang_step",
-    "VlasovSolver",
-    "GravitationalVlasovPoisson",
-    "PlasmaVlasovPoisson",
-    "moments",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "SCHEMES": "advection",
+    "advect": "advection",
+    "PhaseSpaceGrid": "mesh",
+    "Mp5Rk3Advector": "schemes",
+    "COMPOSITIONS": "splitting",
+    "SplitStepper": "splitting",
+    "lie_step": "splitting",
+    "ruth_step": "splitting",
+    "strang_step": "splitting",
+    "VlasovSolver": "vlasov",
+    "GravitationalVlasovPoisson": "vlasov_poisson",
+    "PlasmaVlasovPoisson": "vlasov_poisson",
+}
+
+__all__ = [*_EXPORTS, "moments"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

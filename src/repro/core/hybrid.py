@@ -50,7 +50,7 @@ from ..cosmology.background import Cosmology
 from ..cosmology.neutrino import RelicNeutrinoDistribution
 from ..diagnostics.timers import section
 from ..nbody.particles import ParticleSet
-from ..nbody.treepm import TreePMSolver
+from ..nbody.treepm import R_SPLIT_CELLS, LongRangePM, TreePMSolver
 from .mesh import PhaseSpaceGrid
 from .vlasov import VlasovSolver
 
@@ -78,8 +78,11 @@ class HybridSimulation:
     scheme:
         Vlasov advection scheme.
     use_tree:
-        Include the short-range tree force for the particles (TreePM);
-        False runs PM-only (cheaper, adequate for smoke tests).
+        Include the short-range tree force for the particles (TreePM,
+        which needs ``grid.nx`` of at least
+        :func:`~repro.nbody.treepm.min_tree_mesh`); False runs PM-only
+        (:class:`~repro.nbody.treepm.LongRangePM`: cheaper, adequate for
+        smoke tests).
     engine, timer:
         Forwarded to the neutrino :class:`VlasovSolver`, exactly as the
         Vlasov-Poisson drivers do; the PM transforms run on the
@@ -95,7 +98,7 @@ class HybridSimulation:
     use_tree: bool = True
     softening: float | None = None
     theta: float = 0.5
-    r_split_cells: float = 1.25
+    r_split_cells: float = R_SPLIT_CELLS
     engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
     step_count: int = field(default=0, init=False)
@@ -114,13 +117,14 @@ class HybridSimulation:
             self.grid, scheme=self.scheme, engine=self.engine,
             timer=self.timer,
         )
-        self.gravity = TreePMSolver(
-            n_mesh=self.grid.nx,
-            box_size=self.grid.box_size,
-            g_newton=self.cosmology.units.G,
-            eps=self.softening,
-            theta=self.theta,
-            r_split_cells=self.r_split_cells,
+        # PM-only runs take the long-range half alone: the tree refuses
+        # meshes coarser than min_tree_mesh, which PM is fine on
+        pm = dict(n_mesh=self.grid.nx, box_size=self.grid.box_size,
+                  g_newton=self.cosmology.units.G,
+                  r_split_cells=self.r_split_cells)
+        self.gravity = (
+            TreePMSolver(**pm, eps=self.softening, theta=self.theta)
+            if self.use_tree else LongRangePM(**pm)
         )
 
     # ------------------------------------------------------------------

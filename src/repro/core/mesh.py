@@ -14,7 +14,8 @@ the standard validation problems of the Vlasov literature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -78,30 +79,38 @@ class PhaseSpaceGrid:
         """Total number of phase-space cells ('grids' in the paper's count)."""
         return int(np.prod(self.shape, dtype=np.int64))
 
-    @property
+    # The derived geometry below is fixed for the grid's lifetime, so it
+    # is computed on first read and kept (``cached_property`` stores it
+    # in the instance ``__dict__``; ``__getstate__`` leaves it out, so
+    # pickles, equality and hashing see the six fields alone).
+
+    @cached_property
     def dx(self) -> tuple[float, ...]:
         """Spatial cell widths."""
         return tuple(self.box_size / n for n in self.nx)
 
-    @property
+    @cached_property
     def du(self) -> tuple[float, ...]:
         """Velocity cell widths."""
         return tuple(2.0 * self.v_max / n for n in self.nu)
 
-    @property
+    @cached_property
     def cell_volume_x(self) -> float:
         """Spatial cell volume."""
         return float(np.prod(self.dx))
 
-    @property
+    @cached_property
     def cell_volume_u(self) -> float:
         """Velocity cell volume."""
         return float(np.prod(self.du))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         """Phase-space cell volume."""
         return self.cell_volume_x * self.cell_volume_u
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def memory_bytes(self) -> int:
         """Bytes required to store one copy of f."""
@@ -120,14 +129,30 @@ class PhaseSpaceGrid:
         return -self.v_max + (np.arange(n) + 0.5) * (2.0 * self.v_max / n)
 
     def u_center_broadcast(self, axis: int) -> np.ndarray:
-        """u_centers shaped to broadcast over the full f array.
+        """u_centers in the storage dtype, shaped to broadcast over the
+        full f array (read-only, built once per grid).
 
         Velocity axis ``axis`` occupies array axis ``dim + axis``.
         """
-        u = self.u_centers(axis).astype(self.dtype)
-        shape = [1] * (2 * self.dim)
-        shape[self.dim + axis] = self.nu[axis]
-        return u.reshape(shape)
+        return self._u_broadcast[axis][0]
+
+    def u_squared_broadcast(self, axis: int) -> np.ndarray:
+        """The float64 square of :meth:`u_center_broadcast` — the
+        kinetic-energy weights (read-only, built once per grid)."""
+        return self._u_broadcast[axis][1]
+
+    @cached_property
+    def _u_broadcast(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        out = []
+        for axis in range(self.dim):
+            shape = [1] * (2 * self.dim)
+            shape[self.dim + axis] = self.nu[axis]
+            u = self.u_centers(axis).astype(self.dtype).reshape(shape)
+            u2 = u.astype(np.float64) ** 2
+            u.setflags(write=False)
+            u2.setflags(write=False)
+            out.append((u, u2))
+        return tuple(out)
 
     def x_center_broadcast(self, axis: int) -> np.ndarray:
         """x_centers shaped to broadcast over the full f array."""

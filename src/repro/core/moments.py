@@ -20,6 +20,8 @@ the Poisson solve where systematic bias matters (this mirrors the paper's
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mesh import PhaseSpaceGrid
@@ -136,11 +138,9 @@ def l2_norm(f: np.ndarray, grid: PhaseSpaceGrid) -> float:
 def kinetic_energy(f: np.ndarray, grid: PhaseSpaceGrid) -> float:
     """Kinetic energy (1/2) int u^2 f d^dx d^du (canonical velocity)."""
     _check(f, grid)
-    vel_axes = tuple(range(grid.dim, 2 * grid.dim))
     total = 0.0
     for d in range(grid.dim):
-        u = grid.u_center_broadcast(d).astype(np.float64)
-        total += float((f * u**2).sum(dtype=np.float64))
+        total += float((f * grid.u_squared_broadcast(d)).sum(dtype=np.float64))
     return 0.5 * total * grid.cell_volume
 
 
@@ -174,9 +174,15 @@ def finite_stats(f: np.ndarray) -> tuple[int, float]:
     """(non-finite cell count, min of f) — the guards' health probe.
 
     Both are exact under aggregation over blocks (summed counts, min of
-    minima), so guard decisions do not depend on where f lives.
+    minima), so guard decisions do not depend on where f lives.  A
+    healthy f costs two reductions: min and max are both finite only
+    when every cell is (a NaN propagates into the min); the count is
+    taken when one of them is not.
     """
-    return (int(f.size - np.count_nonzero(np.isfinite(f))), float(f.min()))
+    fmin = float(f.min())
+    if math.isfinite(fmin) and math.isfinite(f.max()):
+        return 0, fmin
+    return int(f.size - np.count_nonzero(np.isfinite(f))), fmin
 
 
 def _check(f: np.ndarray, grid: PhaseSpaceGrid) -> None:

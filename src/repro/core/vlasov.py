@@ -89,6 +89,18 @@ class VlasovSolver:
             self.engine = SweepEngine(arena=self.arena)
         self.arena = self.engine.arena
         self.engine.bind(self.grid, self.scheme, self.velocity_bc, self.timer)
+        # what a plan's sweeps take from the geometry, fixed for the run:
+        # (section name, direction, array axis, cell width)
+        g = self.grid
+        self._drift_plan = tuple(
+            (f"vlasov/drift/{AXIS_NAMES[d]}", d, g.spatial_axis(d), g.dx[d])
+            for d in reversed(range(g.dim))
+        )
+        self._kick_plan = tuple(
+            (f"vlasov/kick/u{AXIS_NAMES[d]}", d, g.velocity_axis(d), g.du[d])
+            for d in range(g.dim)
+        )
+        self._accel_shape = (g.dim,) + g.nx
 
     @property
     def f(self) -> np.ndarray:
@@ -121,11 +133,9 @@ class VlasovSolver:
         Following Eq. (5) the drifts are applied in z, y, x order (the
         rightmost operator acts first).
         """
-        g = self.grid
         self.engine.run([
-            Sweep(f"vlasov/drift/{AXIS_NAMES[d]}", "x", d, g.spatial_axis(d),
-                  dt_drift / g.dx[d], "periodic")
-            for d in reversed(range(g.dim))
+            Sweep(name, "x", d, axis, dt_drift / dx, "periodic")
+            for name, d, axis, dx in self._drift_plan
         ], None)
 
     def kick(self, accel: np.ndarray, dt_kick: float) -> None:
@@ -142,16 +152,15 @@ class VlasovSolver:
 
         Applied in x, y, z order (rightmost first in Eq. 5).
         """
-        g = self.grid
         accel = np.asarray(accel)
-        if accel.shape != (g.dim,) + g.nx:
+        if accel.shape != self._accel_shape:
             raise ValueError(
-                f"accel shape {accel.shape} != {(g.dim,) + g.nx}"
+                f"accel shape {accel.shape} != {self._accel_shape}"
             )
+        bc = self.velocity_bc
         self.engine.run([
-            Sweep(f"vlasov/kick/u{AXIS_NAMES[d]}", "v", d, g.velocity_axis(d),
-                  dt_kick / g.du[d], self.velocity_bc)
-            for d in range(g.dim)
+            Sweep(name, "v", d, axis, dt_kick / du, bc)
+            for name, d, axis, du in self._kick_plan
         ], accel)
 
     # ------------------------------------------------------------------

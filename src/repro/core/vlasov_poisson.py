@@ -44,15 +44,22 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from ..cosmology.background import Cosmology
 from ..diagnostics.timers import section
 from ..gravity.poisson import PeriodicPoissonSolver
 from .mesh import PhaseSpaceGrid
 from .vlasov import VlasovSolver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cosmology.background import Cosmology
     from ..diagnostics.timers import StepTimer
     from .engine import SweepEngine
+
+
+def _mean(rho: np.ndarray) -> np.floating:
+    """``rho.mean()`` of a float64 density, bit for bit — the same
+    pairwise sum divided by the same count — without ``np.mean``'s
+    wrapper, which costs more than the reduction on a small mesh."""
+    return rho.sum() / rho.size
 
 
 class _Slot(NamedTuple):
@@ -71,6 +78,8 @@ class _OneSolvePerF:
     f still owes (see the module docstring)."""
 
     _slot = _Slot(None, None, None, None)
+    #: -1 flips the solved force (the electrons' charge)
+    _force_sign: float = 1.0
     #: kick time the next step (or :meth:`synchronize`) adds; 0: f is
     #: synchronous
     pending_kick: float = 0.0
@@ -98,22 +107,24 @@ class _OneSolvePerF:
             return None
         return self.pending_kick * self._timed_accel()
 
-    def _field_solve(self, key, need_phi: bool, density_source,
-                     sign: float = 1.0) -> _Slot:
+    def _field_solve(self, key, need_phi: bool, *args) -> _Slot:
         """The slot when it answers ``key``, else a fresh solve of
-        ``density_source() -> (rho, source)`` (timed as ``moments``)
-        that replaces it; ``sign=-1`` flips the force."""
+        ``self._density_source(*args) -> (rho, source)`` (timed as
+        ``moments``) that replaces it; a negative ``_force_sign`` flips
+        the force."""
         slot = self._slot
         if key is not None and key == slot.key and (slot.phi is not None or not need_phi):
             return slot
-        with section(self.timer, "moments"):
-            rho, source = density_source()
-        kw = {"method": self.gradient_method, "timer": self.timer}
+        timer = self.timer
+        with section(timer, "moments"):
+            rho, source = self._density_source(*args)
         if need_phi:
-            phi, accel = self.poisson.solve_fields(source, **kw)
+            phi, accel = self.poisson.solve_fields(
+                source, self.gradient_method, timer=timer)
         else:
-            phi, accel = None, self.poisson.acceleration(source, **kw)
-        if sign < 0:
+            phi, accel = None, self.poisson.acceleration(
+                source, self.gradient_method, timer=timer)
+        if self._force_sign < 0:
             np.negative(accel, out=accel)
         for x in (rho, phi, accel):
             if x is not None:
@@ -170,14 +181,15 @@ class PlasmaVlasovPoisson(_OneSolvePerF):
     def f(self, value: np.ndarray) -> None:
         self.solver.f = value
 
-    def _fields(self, need_phi: bool) -> _Slot:
-        def contrast():
-            rho = self.solver.density()
-            return rho, rho - rho.mean()
+    # solver returns -grad(phi); electrons (charge -1) feel +grad(phi)
+    _force_sign = -1.0
 
-        # solver returns -grad(phi); electrons (charge -1) feel +grad(phi)
-        return self._field_solve((self.solver.engine.f_version,), need_phi,
-                                 contrast, sign=-1.0)
+    def _density_source(self) -> tuple[np.ndarray, np.ndarray]:
+        rho = self.solver.density()
+        return rho, rho - _mean(rho)
+
+    def _fields(self, need_phi: bool) -> _Slot:
+        return self._field_solve((self.solver.engine.f_version,), need_phi)
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """Fused field solve: ``(phi, electron acceleration)``.
@@ -204,7 +216,7 @@ class PlasmaVlasovPoisson(_OneSolvePerF):
 
     def field_energy(self) -> float:
         """Electrostatic field energy (1/2) int E^2 dx."""
-        e = self.electric_field()
+        e = self.acceleration()  # -E: squared, the sign drops out exactly
         return 0.5 * float((e**2).sum()) * self.grid.cell_volume_x
 
     def total_energy(self) -> float:
@@ -290,17 +302,16 @@ class GravitationalVlasovPoisson(_OneSolvePerF):
             rho = rho + self.external_density()
         return rho
 
+    def _density_source(self, a: float) -> tuple[np.ndarray, np.ndarray]:
+        rho = self.total_density()
+        return rho, (4.0 * np.pi * self.g_newton / a) * (rho - _mean(rho))
+
     def _fields(self, a: float | None, need_phi: bool) -> _Slot:
         a = self.a if a is None else a
-
-        def source():
-            rho = self.total_density()
-            return rho, (4.0 * np.pi * self.g_newton / a) * (rho - rho.mean())
-
         # an external density is not part of f's state: nothing is reused
         key = None if self.external_density is not None \
             else (self.solver.engine.f_version, a)
-        return self._field_solve(key, need_phi, source)
+        return self._field_solve(key, need_phi, a)
 
     def potential(self, a: float | None = None) -> np.ndarray:
         """Peculiar potential of Eq. (2) at scale factor a."""

@@ -9,9 +9,10 @@ median/percentile reporting.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,22 +84,22 @@ class StepTimer:
     def __init__(self) -> None:
         self.sections: dict[str, SectionStats] = {}
         self._stack: list[str] = []
+        #: (parent, name) -> qualified name; a run enters the same few
+        #: sections every step, so each is qualified once
+        self._names: dict[tuple[str, str], str] = {}
 
-    @contextmanager
-    def section(self, name: str):
+    def section(self, name: str) -> "_Section":
         """Time a code block under ``name`` (qualified as parent/name
-        when nested inside another section)."""
-        if self._stack:
-            parent = self._stack[-1]
-            if not name.startswith(parent + "/"):
-                name = f"{parent}/{name}"
-        self._stack.append(name)
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - t0)
-            self._stack.pop()
+        when nested inside another section).  The lap is recorded when
+        the block exits, also when it raises."""
+        parent = self._stack[-1] if self._stack else ""
+        qualified = self._names.get((parent, name))
+        if qualified is None:
+            qualified = name
+            if parent and not name.startswith(parent + "/"):
+                qualified = f"{parent}/{name}"
+            self._names[parent, name] = qualified
+        return _Section(self, qualified)
 
     def add(self, name: str, seconds: float) -> None:
         """Record one externally measured lap under ``name`` (verbatim).
@@ -128,6 +129,30 @@ class StepTimer:
                 f"{name:<28} {s.count:>5} {s.median:>10.4f} {s.total:>10.3f}"
             )
         return "\n".join(lines)
+
+
+class _Section:
+    """One timed block of a :class:`StepTimer` (a plain context manager:
+    no generator frame to build and resume per block)."""
+
+    __slots__ = ("timer", "name", "t0")
+
+    def __init__(self, timer: StepTimer, name: str) -> None:
+        self.timer = timer
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.timer._stack.append(self.name)
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        self.timer.add(self.name, time.perf_counter() - self.t0)
+        self.timer._stack.pop()
+
+
+def _finite_or_inf(drift: float) -> float:
+    """``drift``, with NaN read as an infinite drift."""
+    return drift if drift <= math.inf else math.inf
 
 
 @dataclass
@@ -166,7 +191,12 @@ class ConservationLedger:
             self._worst_abs[key] = 0.0
 
     def update(self, **quantities: float) -> None:
-        """Record current values."""
+        """Record current values.
+
+        A non-finite value is recorded as it is and makes both worst
+        drifts infinite: a NaN compares false against every threshold,
+        so left as a drift it would never trip a guard.
+        """
         for key, value in quantities.items():
             if key not in self.initial:
                 raise KeyError(f"{key!r} was never registered")
@@ -174,15 +204,15 @@ class ConservationLedger:
             drift = self._one_drift(key, value)
             if drift > self._worst[key]:
                 self._worst[key] = drift
-            drift = abs(value - self.initial[key])
+            drift = _finite_or_inf(abs(value - self.initial[key]))
             if drift > self._worst_abs[key]:
                 self._worst_abs[key] = drift
 
     def _one_drift(self, key: str, value: float) -> float:
         q0 = self.initial[key]
         if q0 == 0.0:
-            return abs(value)
-        return abs(value / q0 - 1.0)
+            return _finite_or_inf(abs(value))
+        return _finite_or_inf(abs(value / q0 - 1.0))
 
     def is_relative(self, key: str) -> bool:
         """Whether this key's drift is relative (q0 != 0) or absolute."""

@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..diagnostics.timers import section
+from ..perf.fft import get_default_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
@@ -107,7 +108,7 @@ class PeriodicPoissonSolver:
         """Number of axes."""
         return len(self.nx)
 
-    @property
+    @cached_property
     def dx(self) -> tuple[float, ...]:
         """Mesh spacings."""
         return tuple(self.box_size / n for n in self.nx)
@@ -116,10 +117,6 @@ class PeriodicPoissonSolver:
     def _backend(self) -> "SpectralBackend":
         if self.backend is not None:
             return self.backend
-        # deferred: repro.perf pulls in the pencil engine, whose import
-        # of repro.core would cycle back into this module at load time
-        from ..perf.fft import get_default_backend
-
         return get_default_backend()
 
     @cached_property

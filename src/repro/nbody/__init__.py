@@ -1,28 +1,29 @@
 """TreePM N-body substrate for the CDM component."""
 
-from .direct import direct_accel_minimum_image, direct_accel_open, ewald_accel
-from .integrator import LeapfrogKDK, scale_factor_steps
-from .particles import ParticleSet
-from .phantom import InteractionCounter, accel_batched, accel_scalar, shortrange_factor
-from .pm import PMSolver, assign_mass, interpolate_mesh
-from .tree import BarnesHutTree
-from .treepm import TreePMSolver, pm_mesh_for_particles
+from .. import lazy_exports
 
-__all__ = [
-    "direct_accel_minimum_image",
-    "direct_accel_open",
-    "ewald_accel",
-    "LeapfrogKDK",
-    "scale_factor_steps",
-    "ParticleSet",
-    "InteractionCounter",
-    "accel_batched",
-    "accel_scalar",
-    "shortrange_factor",
-    "PMSolver",
-    "assign_mass",
-    "interpolate_mesh",
-    "BarnesHutTree",
-    "TreePMSolver",
-    "pm_mesh_for_particles",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "direct_accel_minimum_image": "direct",
+    "direct_accel_open": "direct",
+    "ewald_accel": "direct",
+    "LeapfrogKDK": "integrator",
+    "scale_factor_steps": "integrator",
+    "ParticleSet": "particles",
+    "InteractionCounter": "phantom",
+    "accel_batched": "phantom",
+    "accel_scalar": "phantom",
+    "shortrange_factor": "phantom",
+    "PMSolver": "pm",
+    "assign_mass": "pm",
+    "interpolate_mesh": "pm",
+    "BarnesHutTree": "tree",
+    "LongRangePM": "treepm",
+    "TreePMSolver": "treepm",
+    "min_tree_mesh": "treepm",
+    "pm_mesh_for_particles": "treepm",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

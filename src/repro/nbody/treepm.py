@@ -19,7 +19,8 @@ is the sum of CDM and massive neutrinos").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,9 +49,28 @@ def pm_mesh_for_particles(n_cdm: int, dim: int = 3) -> int:
     return max(2, int(round(n_side / 3.0)))
 
 
+#: The splitting scale r_s in PM cells (a small multiple of the cell).
+R_SPLIT_CELLS = 1.25
+#: The short-range cutoff in splitting scales: r_cut = 4.5 r_s.
+CUTOFF_SPLITS = 4.5
+
+
+def min_tree_mesh(r_split_cells: float = R_SPLIT_CELLS) -> int:
+    """The coarsest PM mesh (points per axis) the tree walk accepts.
+
+    The minimum-image walk needs r_cut = 4.5 · r_split_cells · L / n
+    <= L / 2, i.e. n >= 9 · r_split_cells — 12 at the default 1.25,
+    whatever the box.
+    """
+    return math.ceil(2.0 * CUTOFF_SPLITS * r_split_cells)
+
+
 @dataclass
-class TreePMSolver:
-    """Full-force gravity for a particle set on a periodic box.
+class LongRangePM:
+    """The PM half of the TreePM split on its own: the Gaussian-cut mesh
+    force (exp(-k^2 r_s^2), window deconvolved) of a particle set plus an
+    external density mesh.  What a PM-only run uses; :class:`TreePMSolver`
+    adds the tree's short-range complement.
 
     Parameters
     ----------
@@ -60,16 +80,10 @@ class TreePMSolver:
         Periodic box size.
     g_newton:
         Gravitational constant (caller's units).
-    eps:
-        Plummer softening of the short-range force.
     r_split_cells:
         Splitting scale in PM-cell units (typical 1-1.5).
-    theta:
-        Tree opening angle.
     window:
         PM mass-assignment window.
-    leaf_size:
-        Tree bucket size.
     fft_backend:
         Optional :class:`repro.perf.fft.SpectralBackend` shared by the
         PM transforms (the Gaussian cut and deconvolution multiply into
@@ -80,20 +94,14 @@ class TreePMSolver:
     n_mesh: tuple[int, ...]
     box_size: float
     g_newton: float
-    eps: float
-    r_split_cells: float = 1.25
-    theta: float = 0.5
+    r_split_cells: float = R_SPLIT_CELLS
     window: str = "tsc"
-    leaf_size: int = 32
     fft_backend: "SpectralBackend | None" = None
 
     def __post_init__(self) -> None:
         self.n_mesh = tuple(int(n) for n in self.n_mesh)
         self.r_split = self.r_split_cells * self.box_size / self.n_mesh[0]
-        self.r_cut = 4.5 * self.r_split
-        # validity of the minimum-image tree walk (r_cut <= L/2) is
-        # checked when the tree force is actually requested — PM-only
-        # users (e.g. the hybrid driver on a coarse Vlasov mesh) are fine
+        self.r_cut = CUTOFF_SPLITS * self.r_split
         self.pm = PMSolver(
             self.n_mesh,
             self.box_size,
@@ -104,7 +112,6 @@ class TreePMSolver:
             deconvolve=True,
             fft_backend=self.fft_backend,
         )
-        self.counter = InteractionCounter()
 
     # ------------------------------------------------------------------
 
@@ -162,15 +169,47 @@ class TreePMSolver:
         :meth:`long_range` without the interpolation."""
         return self._mesh_field(particles, a, external_density, None)[1]
 
+@dataclass
+class TreePMSolver(LongRangePM):
+    """Full-force gravity for a particle set on a periodic box: the
+    long-range PM half plus the tree's erfc-cut short-range complement.
+
+    Takes :class:`LongRangePM`'s parameters, and keyword-only:
+
+    eps:
+        Plummer softening of the short-range force.
+    theta:
+        Tree opening angle.
+    leaf_size:
+        Tree bucket size.
+
+    A mesh coarser than :func:`min_tree_mesh` is refused here: its
+    short-range cutoff would exceed half the box, where the
+    minimum-image tree walk is invalid.  PM-only users take
+    :class:`LongRangePM`.
+    """
+
+    eps: float = field(kw_only=True)
+    theta: float = field(default=0.5, kw_only=True)
+    leaf_size: int = field(default=32, kw_only=True)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        n_min = min_tree_mesh(self.r_split_cells)
+        if self.n_mesh[0] < n_min:
+            raise ValueError(
+                f"short-range cutoff exceeds half the box: r_cut = "
+                f"{CUTOFF_SPLITS:g} x {self.r_split_cells:g} cells > "
+                f"{self.n_mesh[0]}/2 cells; the tree needs a PM mesh of "
+                f"at least {n_min} points per axis (or use LongRangePM, "
+                "the PM-only half)"
+            )
+        self.counter = InteractionCounter()
+
     def short_range(
         self, particles: ParticleSet, a: float = 1.0, kernel_dtype=np.float64
     ) -> np.ndarray:
         """The tree half of the split: erfc-cut pair forces per particle."""
-        if self.r_cut > 0.5 * self.box_size:
-            raise ValueError(
-                "short-range cutoff exceeds half the box; enlarge the PM "
-                "mesh (or use the PM-only path)"
-            )
         tree = BarnesHutTree(particles, leaf_size=self.leaf_size, theta=self.theta)
         # the 4 pi G / a prefactor of the mesh source corresponds to a
         # plain G/a prefactor of the pairwise short-range force

@@ -3,23 +3,24 @@ and the real-transport :class:`~repro.parallel.domain.DomainEngine`
 (persistent shared-memory domain workers whose halos are the kernel's
 ghost planes — see ``docs/PARALLEL.md``)."""
 
-from .decomposition import BlockDecomposition, pencil_slices
-from .domain import DomainEngine, DomainWorkerError
-from .exchange import decomposed_spatial_advect, exchange_ghosts
-from .fft_decomp import PencilGrid, pencil_fft3d
-from .vmpi import CollectiveRecord, CommLog, MessageRecord, VirtualComm
+from .. import lazy_exports
 
-__all__ = [
-    "BlockDecomposition",
-    "DomainEngine",
-    "DomainWorkerError",
-    "pencil_slices",
-    "decomposed_spatial_advect",
-    "exchange_ghosts",
-    "PencilGrid",
-    "pencil_fft3d",
-    "CollectiveRecord",
-    "CommLog",
-    "MessageRecord",
-    "VirtualComm",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "BlockDecomposition": "decomposition",
+    "DomainEngine": "domain",
+    "DomainWorkerError": "domain",
+    "pencil_slices": "decomposition",
+    "decomposed_spatial_advect": "exchange",
+    "exchange_ghosts": "exchange",
+    "PencilGrid": "fft_decomp",
+    "pencil_fft3d": "fft_decomp",
+    "CollectiveRecord": "vmpi",
+    "CommLog": "vmpi",
+    "MessageRecord": "vmpi",
+    "VirtualComm": "vmpi",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

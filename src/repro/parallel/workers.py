@@ -165,8 +165,7 @@ def _reduce(state: _WorkerState, role: int) -> dict:
     blk = state.block(state.spec.rank, role)
     ke = []
     for d in range(grid.dim):
-        u = grid.u_center_broadcast(d).astype(np.float64)
-        ke.append(float((blk * u**2).sum(dtype=np.float64)))
+        ke.append(float((blk * grid.u_squared_broadcast(d)).sum(dtype=np.float64)))
     return {"mass": float(blk.sum(dtype=np.float64)), "ke": ke,
             "stats": finite_stats(blk)}
 

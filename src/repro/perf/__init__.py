@@ -22,14 +22,17 @@ See docs/PERFORMANCE.md ("The pencil engine", "The fused spectral
 pipeline") for when each one pays.
 """
 
-from .arena import ScratchArena
-from .fft import SpectralBackend, get_default_backend, set_default_backend
-from .pencil import PencilEngine
+from .. import lazy_exports
 
-__all__ = [
-    "PencilEngine",
-    "ScratchArena",
-    "SpectralBackend",
-    "get_default_backend",
-    "set_default_backend",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "PencilEngine": "pencil",
+    "ScratchArena": "arena",
+    "SpectralBackend": "fft",
+    "get_default_backend": "fft",
+    "set_default_backend": "fft",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

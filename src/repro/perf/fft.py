@@ -62,7 +62,7 @@ class SpectralBackend:
         time (same discipline as :class:`~repro.perf.arena.ScratchArena`).
     """
 
-    __slots__ = ("arena", "n_forward", "n_inverse", "_plans")
+    __slots__ = ("arena", "n_forward", "n_inverse", "_plans", "_products")
 
     def __init__(self, arena: ScratchArena | None = None) -> None:
         self.arena = ScratchArena() if arena is None else arena
@@ -71,6 +71,10 @@ class SpectralBackend:
         #: (kind, shape) signatures executed at least once — the plans
         #: pocketfft has built and cached for this process.
         self._plans: set[tuple] = set()
+        #: (a.shape, b.shape) -> their broadcast shape: a solve repeats
+        #: the same few products, and the broadcast rule costs more than
+        #: a small product
+        self._products: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -112,7 +116,10 @@ class SpectralBackend:
         solve; the result is only valid until the next request with the
         same signature.
         """
-        shape = np.broadcast_shapes(a.shape, b.shape)
+        shapes = (a.shape, b.shape)
+        shape = self._products.get(shapes)
+        if shape is None:
+            shape = self._products[shapes] = np.broadcast_shapes(*shapes)
         out = self.arena.take(("fft", key), shape, np.complex128)
         return np.multiply(a, b, out=out)
 

@@ -245,6 +245,17 @@ class RunConfig:
             raise ValueError("schedule.spacing must be 'log' or 'linear'")
         if self.scenario == "hybrid" and s.kind != "scale_factor":
             raise ValueError("hybrid runs need a scale_factor schedule")
+        if self.scenario == "hybrid" and self.params.get("use_tree"):
+            # imported here: a run without the tree never loads it
+            from ..nbody.treepm import min_tree_mesh
+
+            n_min = min_tree_mesh()
+            if min(g.nx) < n_min:
+                raise ValueError(
+                    f"params.use_tree needs grid.nx >= {n_min}: the tree's "
+                    f"short-range cutoff exceeds half the box at nx = "
+                    f"{min(g.nx)}"
+                )
         if c.every_steps is not None and c.every_steps < 1:
             raise ValueError("checkpoint.every_steps must be >= 1 or null")
         if c.every_seconds is not None and c.every_seconds <= 0.0:

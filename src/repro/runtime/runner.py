@@ -320,7 +320,7 @@ class SimulationRunner:
                 telemetry.append(self._record(stepper, dt, wall, reports,
                                               prev_sections))
 
-                if GuardSuite.should_abort(reports):
+                if reports and GuardSuite.should_abort(reports):
                     self._checkpoint(stepper, ck_dir)
                     worst = next(r for r in reports if r.policy == "abort")
                     status, exit_code = "aborted", EXIT_GUARD_ABORT
@@ -329,7 +329,7 @@ class SimulationRunner:
                           file=sys.stderr)
                     break
 
-                if GuardSuite.should_rollback(reports):
+                if reports and GuardSuite.should_rollback(reports):
                     worst = next(r for r in reports
                                  if r.policy == "rollback")
                     if recovery.exhausted:
@@ -486,20 +486,19 @@ class SimulationRunner:
     def _record(self, stepper: Stepper, dt: float, wall: float,
                 reports, prev_sections: dict[str, float]) -> dict:
         """Build one telemetry record (and roll the section deltas)."""
-        totals = {name: s.total for name, s in self.timer.sections.items()}
-        deltas = {
-            name: totals[name] - prev_sections.get(name, 0.0)
-            for name in totals
-            if totals[name] - prev_sections.get(name, 0.0) > 0.0
-        }
-        prev_sections.clear()
-        prev_sections.update(totals)
+        deltas = {}
+        for name, stats in self.timer.sections.items():
+            total = stats.total
+            delta = total - prev_sections.get(name, 0.0)
+            if delta > 0.0:
+                deltas[name] = delta
+            prev_sections[name] = total
         return {
             "step": stepper.index,
             "coord": stepper.coordinate(),
             "dt": dt,
             "wall_s": wall,
-            "conserved": {k: self.ledger.current(k) for k in self.ledger.initial},
+            "conserved": dict(self.ledger.latest),
             "drifts": self.ledger.as_dict(),
             "sections": deltas,
             "fft": get_default_backend().counters(),

@@ -45,16 +45,18 @@ and runs it through the runner).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.engine import SweepEngine
-from ..core.hybrid import HybridSimulation, build_neutrino_component
 from ..core.mesh import PhaseSpaceGrid
 from ..core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
 from ..io.snapshot import write_checkpoint
-from ..nbody.integrator import scale_factor_steps
 from .config import RunConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.hybrid import HybridSimulation
 
 __all__ = [
     "Stepper",
@@ -321,6 +323,10 @@ class HybridStepper(Stepper):
     coord_key = "a"
 
     def __init__(self, config: RunConfig, timer=None, engine=None) -> None:
+        # the hybrid stack (TreePM, particles, cosmology ICs) is imported
+        # by the runs that use it, not with the runtime
+        from ..nbody.integrator import scale_factor_steps
+
         s = config.schedule
         p = config.params
         g = config.grid
@@ -448,7 +454,7 @@ def build_hybrid_simulation(
     v_max_quantile: float = 0.997,
     engine=None,
     timer=None,
-) -> HybridSimulation:
+) -> "HybridSimulation":
     """The paper's headline workload, fully initialized and deterministic.
 
     Planck cosmology with total neutrino mass ``m_nu`` [eV]; one Gaussian
@@ -459,6 +465,7 @@ def build_hybrid_simulation(
     which is what makes config-only resume possible.
     ``engine``/``timer`` go to the simulation's Vlasov solver.
     """
+    from ..core.hybrid import HybridSimulation, build_neutrino_component
     from ..cosmology import (
         Cosmology,
         LinearPower,

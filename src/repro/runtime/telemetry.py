@@ -91,20 +91,30 @@ TELEMETRY_FIELDS = (
 )
 
 
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX
+    resource = None
+
+#: ru_maxrss is KiB on Linux, bytes on macOS
+_RSS_SCALE = 1.0 / 1024.0 if sys.platform != "darwin" else 1.0 / (1024.0 * 1024.0)
+
+
 def peak_rss_mb() -> float:
     """Peak resident set size of this process [MB] (0.0 if unavailable)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
+    if resource is None:  # pragma: no cover - non-POSIX
         return 0.0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KiB on Linux, bytes on macOS
-    scale = 1.0 / 1024.0 if sys.platform != "darwin" else 1.0 / (1024.0 * 1024.0)
-    return float(peak) * scale
+    return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * _RSS_SCALE
 
 
 class _JsonSanitizer(json.JSONEncoder):
-    """Make numpy scalars and non-finite floats JSON-safe."""
+    """Encode numpy scalars as plain numbers.
+
+    Non-finite floats are written as ``NaN`` / ``Infinity`` /
+    ``-Infinity`` (``allow_nan``): not strict JSON, but what
+    :func:`json.loads` — and so :func:`read_telemetry` — reads back, and
+    a NaN conserved quantity is exactly what the stream must show.
+    """
 
     def default(self, o):
         if isinstance(o, (np.integer,)):
@@ -182,6 +192,9 @@ class TelemetryWriter:
         self.path = Path(path)
         self._fh = open(self.path, "a", encoding="utf-8")
         self._lock = threading.Lock()
+        # one encoder for every line: json.dumps(cls=...) builds one per
+        # call, with the same (default) options
+        self._encode = _JsonSanitizer().encode
 
     def event(self, kind: str, /, **fields) -> None:
         """Write one event record (``{"event": kind, ...fields}``).
@@ -192,7 +205,7 @@ class TelemetryWriter:
         diagnostics worker calls this concurrently with :meth:`append`.
         """
         record = {"event": kind, "when": time.time(), **fields}
-        line = json.dumps(record, cls=_JsonSanitizer) + "\n"
+        line = self._encode(record) + "\n"
         with self._lock:
             if self._fh.closed:  # worker outliving the stream loses the event
                 return
@@ -200,16 +213,18 @@ class TelemetryWriter:
             self._fh.flush()
 
     def append(self, record: dict) -> None:
-        """Write one record (keys must match :data:`TELEMETRY_FIELDS`)."""
-        missing = set(TELEMETRY_FIELDS) - set(record)
-        extra = set(record) - set(TELEMETRY_FIELDS)
-        if missing or extra:
-            raise ValueError(
-                f"telemetry record schema mismatch: missing={sorted(missing)} "
-                f"extra={sorted(extra)}"
-            )
-        ordered = {key: record[key] for key in TELEMETRY_FIELDS}
-        line = json.dumps(ordered, cls=_JsonSanitizer) + "\n"
+        """Write one record (keys must match :data:`TELEMETRY_FIELDS`;
+        the line lists them in that order)."""
+        if tuple(record) != TELEMETRY_FIELDS:
+            missing = set(TELEMETRY_FIELDS) - set(record)
+            extra = set(record) - set(TELEMETRY_FIELDS)
+            if missing or extra:
+                raise ValueError(
+                    f"telemetry record schema mismatch: "
+                    f"missing={sorted(missing)} extra={sorted(extra)}"
+                )
+            record = {key: record[key] for key in TELEMETRY_FIELDS}
+        line = self._encode(record) + "\n"
         with self._lock:
             self._fh.write(line)
             self._fh.flush()

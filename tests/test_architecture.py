@@ -46,7 +46,11 @@ dependency is installed, as ``python tests/test_architecture.py``.
 * every module is reached: the CLI, a benchmark or an example imports
   it, following a name imported from a package to the submodule that
   defines it — tests and package re-exports do not count, so code that
-  no run reaches is deleted rather than kept alive by its own tests.
+  no run reaches is deleted rather than kept alive by its own tests;
+* the ``__init__`` of ``repro.core``, ``repro.perf``, ``repro.parallel``
+  and ``repro.nbody`` imports no submodule at module level: a package
+  name resolves through the ``_EXPORTS`` table on first use, so a launch
+  loads only the stack its run uses.
 """
 
 from __future__ import annotations
@@ -352,6 +356,38 @@ def test_the_pencil_engine_is_threads_only():
     assert params == ["self", "n_workers"] and not (args.vararg or args.kwarg), params
 
 
+#: Packages whose ``__init__`` imports nothing of its own: their names
+#: resolve through ``_EXPORTS`` on first use, so a plasma run does not
+#: load the domain engine, the pencil engine, the tree or the hybrid.
+LAZY_PACKAGES = ("core", "perf", "parallel", "nbody")
+
+
+def test_lazy_packages_import_no_submodule_at_module_level():
+    offenders = []
+    for package in LAZY_PACKAGES:
+        path = SRC / "repro" / package / "__init__.py"
+        tree = ast.parse(path.read_text(), str(path))
+        for node in _module_level(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = _from_module(f"repro.{package}", path, node)
+                modules = [f"{base}.{a.name}" if _source(f"{base}.{a.name}")
+                           else base for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            # the root package (its lazy_exports helper) is no submodule
+            offenders += [f"{package}/__init__.py:{node.lineno} imports {m}"
+                          for m in modules
+                          if m.split(".")[0] == "repro" and m != "repro"]
+        exports = _lazy_exports(tree)
+        offenders += [f"{package}/__init__.py: _EXPORTS names {name} from "
+                      f"{sub}, which has no such module"
+                      for name, sub in exports.items()
+                      if _source(f"repro.{package}.{sub}") is None]
+    assert not offenders, "\n".join(offenders)
+
+
 #: The package's own entry points; benchmarks and examples are the rest.
 ENTRY = ("repro.cli", "repro.__main__")
 
@@ -373,9 +409,21 @@ def _source(module: str) -> Path | None:
     return None
 
 
+def _lazy_exports(tree: ast.Module) -> dict[str, str]:
+    """A lazy package's ``_EXPORTS`` table: public name -> the submodule
+    (relative to the package) that defines it, imported on first use."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]):
+            return {k.value: v.value for k, v in zip(node.value.keys,
+                                                     node.value.values)}
+    return {}
+
+
 def _defined_in(module: str, imported: str | None) -> str | None:
     """The plain module an import lands in: a package's name is followed
-    through its ``__init__`` to the submodule that defines it, and a bare
+    through its ``__init__`` (a re-export, or an entry of its lazy
+    ``_EXPORTS`` table) to the submodule that defines it, and a bare
     package import lands nowhere."""
     path = _source(module)
     if path is None or path.name != "__init__.py":
@@ -384,7 +432,11 @@ def _defined_in(module: str, imported: str | None) -> str | None:
         return None
     if _source(f"{module}.{imported}"):
         return _defined_in(f"{module}.{imported}", None)
-    for node in ast.parse(path.read_text(), str(path)).body:
+    tree = ast.parse(path.read_text(), str(path))
+    lazy = _lazy_exports(tree)
+    if imported in lazy:
+        return _defined_in(f"{module}.{lazy[imported]}", imported)
+    for node in tree.body:
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 if (alias.asname or alias.name) == imported:

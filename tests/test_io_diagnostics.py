@@ -281,6 +281,31 @@ class TestStepTimer:
         assert "warmup/drift" in t.sections
         assert "drift" not in t.sections
 
+    def test_lap_recorded_when_the_body_raises(self):
+        t = StepTimer()
+        with pytest.raises(RuntimeError):
+            with t.section("outer"):
+                with t.section("inner"):
+                    raise RuntimeError("boom")
+        assert t.sections["outer"].count == 1
+        assert t.sections["outer/inner"].count == 1
+        # the stack unwound: a new section is top level again
+        with t.section("after"):
+            pass
+        assert "after" in t.sections
+
+    def test_qualified_name_is_cached_per_parent(self):
+        t = StepTimer()
+        for _ in range(3):
+            with t.section("step"):
+                with t.section("drift"):
+                    pass
+            with t.section("drift"):
+                pass
+        assert t.sections["step/drift"].count == 3
+        assert t.sections["drift"].count == 3
+        assert t.sections["step"].count == 3
+
     def test_deep_nesting_chains_prefixes(self):
         t = StepTimer()
         with t.section("a"):

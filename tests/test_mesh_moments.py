@@ -146,3 +146,140 @@ class TestMoments:
     def test_shape_mismatch_raises(self, grid1d):
         with pytest.raises(ValueError):
             moments.density(np.ones((3, 3)), grid1d)
+
+
+def _uncached_geometry(grid):
+    """The derived geometry as the grid computed it on every read before
+    it was cached: the reference the cache must equal bit for bit."""
+    dx = tuple(grid.box_size / n for n in grid.nx)
+    du = tuple(2.0 * grid.v_max / n for n in grid.nu)
+    cvx, cvu = float(np.prod(dx)), float(np.prod(du))
+    ub = []
+    for axis in range(grid.dim):
+        shape = [1] * (2 * grid.dim)
+        shape[grid.dim + axis] = grid.nu[axis]
+        ub.append(grid.u_centers(axis).astype(grid.dtype).reshape(shape))
+    return dx, du, cvx, cvu, cvx * cvu, ub
+
+
+GEOMETRY_GRIDS = [
+    dict(nx=(32,), nu=(32,), box_size=4 * np.pi, v_max=6.0),
+    dict(nx=(6, 5), nu=(7, 9), box_size=3.3, v_max=1.7, dtype=np.float64),
+    dict(nx=(16, 8, 8), nu=(8, 8, 8), box_size=1.0, v_max=6.0),
+    dict(nx=(8, 8, 8), nu=(8, 8, 8), box_size=100.0, v_max=2345.6789),
+]
+
+
+class TestCachedGeometry:
+    """dx, du, the three cell volumes and the velocity broadcasts are
+    built once per grid; every read returns the same bits as the
+    per-read formulas did, and the arrays are read-only."""
+
+    @pytest.mark.parametrize("kw", GEOMETRY_GRIDS)
+    def test_equals_the_per_read_formulas_bitwise(self, kw):
+        grid = PhaseSpaceGrid(**kw)
+        dx, du, cvx, cvu, cv, ub = _uncached_geometry(grid)
+        for _ in range(2):  # the first read builds, the second is cached
+            assert grid.dx == dx and grid.du == du
+            assert np.float64(grid.cell_volume_x).tobytes() == np.float64(cvx).tobytes()
+            assert np.float64(grid.cell_volume_u).tobytes() == np.float64(cvu).tobytes()
+            assert np.float64(grid.cell_volume).tobytes() == np.float64(cv).tobytes()
+            for d in range(grid.dim):
+                u = grid.u_center_broadcast(d)
+                assert u.dtype == ub[d].dtype and u.shape == ub[d].shape
+                assert u.tobytes() == ub[d].tobytes()
+                u2 = grid.u_squared_broadcast(d)
+                assert u2.tobytes() == (ub[d].astype(np.float64) ** 2).tobytes()
+
+    def test_arrays_are_read_only(self, grid3d):
+        for d in range(grid3d.dim):
+            for arr in (grid3d.u_center_broadcast(d),
+                        grid3d.u_squared_broadcast(d)):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    arr += 1.0
+        # every read hands out the one cached array
+        assert grid3d.u_center_broadcast(1) is grid3d.u_center_broadcast(1)
+
+    def test_equality_hashing_and_pickling_unchanged(self):
+        import copy
+        import pickle
+
+        kw = GEOMETRY_GRIDS[2]
+        warm, cold = PhaseSpaceGrid(**kw), PhaseSpaceGrid(**kw)
+        before = pickle.dumps(warm)
+        _uncached_geometry(warm)
+        for d in range(warm.dim):
+            warm.u_center_broadcast(d), warm.u_squared_broadcast(d)
+        warm.cell_volume
+        assert warm == cold and hash(warm) == hash(cold)
+        assert warm != PhaseSpaceGrid(**{**kw, "v_max": 5.0})
+        # the cache rides in no pickle: a warm grid pickles to the bytes
+        # of a cold one, which is how the domain workers receive it
+        assert pickle.dumps(warm) == before == pickle.dumps(cold)
+        for clone in (pickle.loads(before), copy.deepcopy(warm), copy.copy(warm)):
+            assert clone == warm and hash(clone) == hash(warm)
+            u = clone.u_center_broadcast(0)
+            assert u.tobytes() == warm.u_center_broadcast(0).tobytes()
+            assert not u.flags.writeable
+
+    def test_steady_plasma_steps_rebuild_no_geometry(self, monkeypatch):
+        """Count the builders: past the first step nothing of the grid's
+        geometry is computed again — steps, ledger, guards and record."""
+        import functools
+
+        from repro.runtime.config import (
+            GridConfig,
+            GuardConfig,
+            RunConfig,
+            ScheduleConfig,
+        )
+        from repro.runtime.guards import GuardSuite
+        from repro.runtime.scenarios import build_stepper
+        from repro.diagnostics import ConservationLedger, StepTimer
+
+        calls = {}
+
+        def counted(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("dx", "du", "cell_volume_x", "cell_volume_u",
+                     "cell_volume", "_u_broadcast"):
+            prop = functools.cached_property(
+                counted(name, PhaseSpaceGrid.__dict__[name].func))
+            prop.__set_name__(PhaseSpaceGrid, name)
+            monkeypatch.setattr(PhaseSpaceGrid, name, prop)
+        for name in ("u_centers", "x_centers"):
+            monkeypatch.setattr(PhaseSpaceGrid, name,
+                                counted(name, PhaseSpaceGrid.__dict__[name]))
+
+        config = RunConfig(
+            scenario="plasma",
+            grid=GridConfig(nx=(16,), nu=(16,), box_size=4 * np.pi, v_max=6.0),
+            schedule=ScheduleConfig(kind="time", dt=0.1, n_steps=8),
+        ).validate()
+        stepper = build_stepper(config, timer=StepTimer())
+        ledger = ConservationLedger()
+        ledger.register(**stepper.conserved())
+        guards = GuardSuite(GuardConfig(), ledger)
+
+        def step():
+            stepper.advance()
+            ledger.update(**stepper.conserved())
+            assert guards.check_step(stepper, 0.0) == []
+
+        step()
+        # each cached piece is built once per grid (the ICs also read
+        # u_centers / x_centers, which are not cached)
+        cached = {k: v for k, v in calls.items() if not k.endswith("_centers")}
+        assert cached and max(cached.values()) == 1
+        calls.clear()
+        for _ in range(5):
+            step()
+        stepper.synchronize()
+        assert calls == {}

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +110,67 @@ class TestValidation:
             setattr(getattr(cfg, section) if section else cfg, key, value)
             with pytest.raises(ValueError, match=key):
                 cfg.validate()
+
+
+def tree_config(nx: int, use_tree: bool = True) -> RunConfig:
+    return small_config(
+        scenario="hybrid",
+        grid=GridConfig(nx=(nx,) * 3, nu=(4,) * 3, box_size=200.0),
+        schedule=ScheduleConfig(kind="scale_factor", n_steps=2,
+                                a_start=0.1, a_end=0.2),
+        params={"use_tree": use_tree},
+    )
+
+
+class TestTreeGeometry:
+    """A hybrid with the tree below nx = 12 would fail inside its first
+    step (the short-range cutoff exceeds half the box): the config, the
+    CLI and the example refuse it before any step."""
+
+    def test_validate_refuses_a_tree_below_its_mesh(self):
+        with pytest.raises(ValueError, match=r"use_tree needs grid.nx >= 12"):
+            tree_config(8).validate()
+        with pytest.raises(ValueError, match=r"nx = 11"):
+            tree_config(11).validate()
+        assert tree_config(12).validate() is not None
+        assert tree_config(8, use_tree=False).validate() is not None
+
+    def test_validate_imports_no_tree_for_a_run_without_one(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "from repro.runtime.config import RunConfig\n"
+            "for scenario, params in (('plasma', {}),"
+            " ('hybrid', {'use_tree': False})):\n"
+            "    RunConfig.from_dict({'scenario': scenario, 'params': params,"
+            " 'grid': {'nx': [8, 8, 8], 'nu': [4, 4, 4]},"
+            " 'schedule': {'kind': 'scale_factor', 'a_start': 0.1,"
+            " 'a_end': 0.2}})\n"
+            "assert 'repro.nbody.treepm' not in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+
+    def test_repro_run_exits_2_before_any_step(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tree_config(8).dump(tmp_path / "tree.json")
+        assert main(["run", str(path), "--run-dir", str(tmp_path / "run")]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("run: invalid config") and "nx >= 12" in out
+        assert not (tmp_path / "run").exists()
+
+    def test_the_example_names_nx_12(self, tmp_path, capsys):
+        path = (Path(__file__).resolve().parent.parent / "examples"
+                / "cosmic_neutrinos.py")
+        example = runpy.run_path(str(path), run_name="cosmic_neutrinos")
+        with pytest.raises(SystemExit) as exc:
+            example["main"](["--tree", "--run-dir", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "--tree needs --nx 12" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestRoundTrips:

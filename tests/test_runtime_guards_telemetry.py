@@ -13,6 +13,7 @@ from repro.runtime.guards import GuardSuite
 from repro.runtime.telemetry import (
     TELEMETRY_FIELDS,
     TelemetryWriter,
+    _JsonSanitizer,
     emit_event,
     event_sink,
     iter_records,
@@ -99,6 +100,36 @@ class TestGuards:
         reports = suite().check_step(FakeStepper([np.nan]), 0.01)
         json.dumps(reports[0].as_dict())  # must not raise
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_conserved_quantity_trips_the_guard(self, bad):
+        """A NaN compares false against every threshold: the ledger reads
+        it as an infinite drift, so the conservation guard fires even
+        with the nan guard off."""
+        ledger = ConservationLedger()
+        ledger.register(mass=1.0, energy=2.0)
+        ledger.update(mass=bad, energy=2.0)
+        assert ledger.relative_drift("mass") == np.inf
+        assert ledger.absolute_drift("mass") == np.inf
+        assert np.array_equal(ledger.current("mass"), bad, equal_nan=True)
+        ledger.update(mass=1.0, energy=2.0)  # the worst stays infinite
+        assert ledger.relative_drift("mass") == np.inf
+        assert ledger.relative_drift("energy") == 0.0
+        reports = suite(ledger, nan="off", conservation="abort").check_step(
+            FakeStepper([0.1]), 0.01)
+        assert [r.guard for r in reports] == ["conservation"]
+        assert "mass relative drift inf" in reports[0].message
+        assert GuardSuite.should_abort(reports)
+
+    def test_non_finite_initial_value_is_an_infinite_drift(self):
+        ledger = ConservationLedger()
+        ledger.register(mass=np.nan, momentum=0.0)
+        assert ledger.relative_drift("mass") == np.inf
+        ledger.update(mass=1.0, momentum=np.nan)
+        assert ledger.relative_drift("mass") == np.inf
+        assert ledger.absolute_drift("mass") == np.inf
+        assert ledger.relative_drift("momentum") == np.inf
+        assert ledger.absolute_drift("momentum") == np.inf
+
 
 def full_record(step=1) -> dict:
     return {
@@ -135,6 +166,56 @@ class TestTelemetry:
         with pytest.raises(ValueError, match="surprise"):
             w.append(bad)
         w.close()
+
+    def test_schema_mismatch_message(self, tmp_path):
+        w = TelemetryWriter(tmp_path / "t.jsonl")
+        bad = full_record()
+        bad.pop("rss_mb")
+        bad["surprise"] = 1
+        with pytest.raises(ValueError) as err:
+            w.append(bad)
+        assert str(err.value) == ("telemetry record schema mismatch: "
+                                  "missing=['rss_mb'] extra=['surprise']")
+        w.close()
+        assert (tmp_path / "t.jsonl").read_text() == ""
+
+    def test_append_writes_the_json_dumps_bytes(self, tmp_path):
+        """One reused encoder: the line is ``json.dumps`` of the record in
+        schema order, numpy scalars included, whatever order the keys
+        were built in."""
+        record = full_record(np.int64(7))
+        record["dt"] = np.float64(0.1)
+        record["wall_s"] = np.float32(0.015625)
+        record["conserved"] = {"mass": np.float64(1.0) / 3.0,
+                               "energy": np.float32(2.5)}
+        record["fft"]["n_forward"] = np.int32(3)
+        shuffled = {key: record[key] for key in reversed(TELEMETRY_FIELDS)}
+        path = tmp_path / "t.jsonl"
+        with TelemetryWriter(path) as w:
+            w.append(record)
+            w.append(shuffled)
+        ordered = {key: record[key] for key in TELEMETRY_FIELDS}
+        want = json.dumps(ordered, cls=_JsonSanitizer) + "\n"
+        assert path.read_text() == want + want
+
+    def test_non_finite_values_round_trip(self, tmp_path):
+        """NaN and infinities are written as ``NaN`` / ``Infinity`` (not
+        strict JSON) and read back as floats."""
+        record = full_record(1)
+        record["conserved"] = {"mass": np.float64(np.nan), "energy": -np.inf}
+        record["drifts"] = {"mass": {"initial": 1.0, "latest": np.nan,
+                                     "drift": np.inf, "relative": True}}
+        path = tmp_path / "t.jsonl"
+        with TelemetryWriter(path) as w:
+            w.append(record)
+        line = path.read_text()
+        assert '"mass": NaN' in line and "-Infinity" in line
+        assert '"drift": Infinity' in line
+        (back,) = read_telemetry(path)
+        assert np.isnan(back["conserved"]["mass"])
+        assert back["conserved"]["energy"] == -np.inf
+        assert back["drifts"]["mass"]["drift"] == np.inf
+        assert summarize(path)["max_drifts"]["mass"] == np.inf
 
     def test_partial_trailing_line_skipped(self, tmp_path):
         path = tmp_path / "t.jsonl"

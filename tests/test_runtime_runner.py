@@ -113,6 +113,54 @@ class TestImportDiet:
         assert (tmp_path / "run" / "diagnostics").is_dir()
 
 
+    def test_a_plasma_launch_loads_only_its_stack(self, tmp_path):
+        """A one-step serial plasma run imports neither an engine it does
+        not run nor the hybrid stack: the package ``__init__``s resolve
+        their names on first use."""
+        path = plasma_config(n_steps=1).dump(tmp_path / "run.json")
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['run', sys.argv[1], '--run-dir', sys.argv[2]]) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path), str(tmp_path / "run")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        loaded = set(done.stdout.strip().splitlines()[-1].split())
+        assert "repro.core.vlasov_poisson" in loaded  # the run did run
+        forbidden = {"repro.perf.pencil", "repro.core.hybrid"} | {
+            f"repro.nbody.{m}" for m in ("pm", "tree", "treepm", "phantom",
+                                         "direct")}
+        assert not loaded & forbidden, sorted(loaded & forbidden)
+        assert not [m for m in loaded if m.startswith("repro.parallel")]
+
+    def test_package_names_resolve_on_first_use(self):
+        from repro.core import PhaseSpaceGrid as core_grid
+        from repro.core import moments as core_moments
+        from repro.core.mesh import PhaseSpaceGrid
+        from repro.nbody import ParticleSet, TreePMSolver
+        from repro.parallel import BlockDecomposition, DomainEngine
+        from repro.perf import PencilEngine, ScratchArena
+
+        import repro.core
+        import repro.parallel.domain
+
+        assert core_grid is PhaseSpaceGrid
+        assert core_moments is repro.core.moments
+        assert DomainEngine is repro.parallel.domain.DomainEngine
+        assert all(callable(x) for x in (ParticleSet, TreePMSolver,
+                                         BlockDecomposition, PencilEngine,
+                                         ScratchArena))
+        assert "VlasovSolver" in dir(repro.core)
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            repro.core.Nope
+
+
 class TestCompleteRun:
     def test_plasma_completes_with_full_telemetry(self, tmp_path):
         cfg = plasma_config(n_steps=6)

@@ -232,10 +232,11 @@ class TestEquivalence:
         """An explicit backend handed to TreePM carries every PM
         transform (and still performs one forward per solve)."""
         backend = SpectralBackend()
-        tp = TreePMSolver((8, 8, 8), 10.0, g_newton=1.0, eps=0.05,
+        # 12^3: the coarsest mesh the tree accepts (min_tree_mesh)
+        tp = TreePMSolver((12, 12, 12), 10.0, g_newton=1.0, eps=0.05,
                           fft_backend=backend)
         rng = np.random.default_rng(6)
-        src = rng.standard_normal((8, 8, 8))
+        src = rng.standard_normal((12, 12, 12))
         src -= src.mean()
         tp.pm.acceleration_mesh(src)
         assert backend.n_forward == 1

@@ -10,7 +10,12 @@ from repro.nbody.particles import ParticleSet
 from repro.nbody.phantom import InteractionCounter
 from repro.nbody.pm import PMSolver
 from repro.nbody.tree import BarnesHutTree
-from repro.nbody.treepm import TreePMSolver, pm_mesh_for_particles
+from repro.nbody.treepm import (
+    LongRangePM,
+    TreePMSolver,
+    min_tree_mesh,
+    pm_mesh_for_particles,
+)
 
 
 @pytest.fixture(scope="module")
@@ -157,14 +162,41 @@ class TestTreePM:
             solver.accelerations(p, external_density=np.zeros((8, 8, 8)))
 
     def test_rcut_exceeding_halfbox_rejected_on_tree_use(self):
-        solver = TreePMSolver((4,) * 3, 10.0, g_newton=1.0, eps=0.0)
+        """The tree refuses a mesh whose cutoff exceeds half the box when
+        it is built, not inside a step; the PM-only half takes it."""
+        with pytest.raises(ValueError, match="cutoff exceeds half the box"):
+            TreePMSolver((4,) * 3, 10.0, g_newton=1.0, eps=0.0)
+        pm_only = LongRangePM((4,) * 3, 10.0, g_newton=1.0)
         rng = np.random.default_rng(0)
         p = ParticleSet(rng.uniform(0, 10, (5, 3)), np.zeros((5, 3)), np.ones(5), 10.0)
-        with pytest.raises(ValueError, match="cutoff exceeds"):
-            solver.accelerations(p)
-        # the PM-only path still works
-        src = solver.pm_source(p)
-        assert solver.pm.accelerations(p.positions, src).shape == (5, 3)
+        src = pm_only.pm_source(p)
+        assert pm_only.pm.accelerations(p.positions, src).shape == (5, 3)
+
+    @pytest.mark.parametrize("r_split_cells, n_min", [(1.25, 12), (0.8, 8), (1.0, 9)])
+    def test_min_tree_mesh_is_where_the_cutoff_fits(self, r_split_cells, n_min):
+        """r_cut = 4.5 r_s fits in L/2 from n = 9 r_split_cells on: the
+        tree builds at ``min_tree_mesh`` and refuses one point below."""
+        assert min_tree_mesh(r_split_cells) == n_min
+        for box in (1.0, 200.0):
+            ok = TreePMSolver((n_min,) * 3, box, g_newton=1.0, eps=0.0,
+                              r_split_cells=r_split_cells)
+            assert ok.r_cut <= 0.5 * box
+            with pytest.raises(ValueError, match=f"at least {n_min} points"):
+                TreePMSolver((n_min - 1,) * 3, box, g_newton=1.0, eps=0.0,
+                             r_split_cells=r_split_cells)
+
+    def test_long_range_half_is_the_treepm_long_range(self):
+        """PM-only runs use LongRangePM: bitwise TreePM's PM half."""
+        rng = np.random.default_rng(3)
+        L = 100.0
+        p = ParticleSet(rng.uniform(0, L, (40, 3)), np.zeros((40, 3)),
+                        np.ones(40), L)
+        ext = rng.uniform(0.0, 1.0, (16, 16, 16))
+        tree = TreePMSolver((16,) * 3, L, g_newton=1.0, eps=0.0)
+        pm_only = LongRangePM((16,) * 3, L, g_newton=1.0)
+        for got, want in zip(pm_only.long_range(p, 0.5, ext),
+                             tree.long_range(p, 0.5, ext)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPmMeshRule:
