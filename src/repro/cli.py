@@ -19,11 +19,12 @@ without writing a script:
 both accept ``--faults`` (inline JSON or a file path) to drive a chaos
 drill against a real run.  ``campaign`` rolls the same contract up over
 a whole sweep (0 all done, 70 any guard abort, else 75 — resume until
-0; see ``docs/CAMPAIGN.md``).  A config or spec path that names no file
-is a usage error (exit 2), reported in one line.  The hybrid Vlasov +
-N-body workload has no command of its own: it is a ``scenario =
-"hybrid"`` config for ``run`` (``examples/cosmic_neutrinos.py`` builds
-one).
+0; see ``docs/CAMPAIGN.md``).  A config or spec path that names no file,
+and a config, spec or manifest that fails validation, is a usage error
+(exit 2) reported in one line, before anything runs or is written.  The
+hybrid Vlasov + N-body workload has no command of its own: it is a
+``scenario = "hybrid"`` config for ``run`` (``examples/cosmic_neutrinos.py``
+builds one).
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ def _no_config_file(command: str, path: str) -> bool:
         return False
     print(f"{command}: no such config file: {path}")
     return True
+
+
+def _refused(command: str, path, load):
+    """``load()``, or ``None`` once a ``ValueError`` from it has been
+    reported in one line as an invalid config (the command exits 2)."""
+    try:
+        return load()
+    except ValueError as exc:
+        print(f"{command}: invalid config {path}: {exc}")
+        return None
 
 
 def cmd_info(_: argparse.Namespace) -> int:
@@ -96,10 +107,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     from repro.runtime import FaultPlan, RunConfig, SimulationRunner
 
-    try:
-        config = RunConfig.load(args.config)
-    except ValueError as exc:
-        print(f"run: invalid config {args.config}: {exc}")
+    config = _refused("run", args.config, lambda: RunConfig.load(args.config))
+    if config is None:
         return 2
     run_dir = args.run_dir if args.run_dir else f"{config.name}.run"
     runner = SimulationRunner.create(config, run_dir)
@@ -111,7 +120,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
     """Continue an interrupted run from its run directory."""
     from repro.runtime import FaultPlan, SimulationRunner
 
-    runner = SimulationRunner.resume(args.run_dir)
+    runner = _refused("resume", args.run_dir,
+                      lambda: SimulationRunner.resume(args.run_dir))
+    if runner is None:
+        return 2
     return runner.run(max_steps=args.max_steps,
                       fault_plan=FaultPlan.from_spec(args.faults))
 
@@ -159,17 +171,27 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.arg is None:
             print(f"campaign {args.target}: campaign directory required")
             return 2
-        campaign = Campaign.resume(args.arg)
+        campaign = _refused(f"campaign {args.target}", args.arg,
+                            lambda: Campaign.resume(args.arg))
+        if campaign is None:
+            return 2
         if args.target == "status":
             return _campaign_status(campaign, args.watch)
     else:
         if _no_config_file("campaign", args.target):
             return 2
-        config = CampaignConfig.load(args.target)
-        if args.concurrency is not None:
-            config.concurrency = args.concurrency
-        if args.executor is not None:
-            config.executor = args.executor
+
+        def load():
+            config = CampaignConfig.load(args.target)
+            if args.concurrency is not None:
+                config.concurrency = args.concurrency
+            if args.executor is not None:
+                config.executor = args.executor
+            return config.validate()
+
+        config = _refused("campaign", args.target, load)
+        if config is None:
+            return 2
         campaign_dir = args.dir or args.arg or f"{config.name}.campaign"
         campaign = Campaign.create(config, campaign_dir)
     code = campaign.run(max_steps=args.max_steps)

@@ -28,6 +28,16 @@ the donors of the ``n + 1`` interfaces the update reads) and looked up
 per interface.  docs/PERFORMANCE.md ("Cell space on ghost-extended
 planes") has the pass counts and the measurements.
 
+Every call orders its rows the same way (``_row_order``): the axes the
+shift varies along lead, in their own order, then the other
+non-advected axes, then the advected axis.  A broadcast of the shift's
+profile — alpha, the coefficients c_m(alpha), the sign mask — then runs
+over long contiguous inner loops, and the block plan, which cuts the
+leading axes first, cuts the profile's axes first: a drift block of the
+reference grid holds one velocity index, so one sign and one ``k``
+(docs/PERFORMANCE.md, "The shift profile leads the rows").  A kick's
+profile is the spatial axes, which lead anyway.
+
 The landing copy also carries the sign of the shift: a row flowing left
 is landed reversed and advanced rightward by ``-shift`` (the reversal
 symmetry of the flux), and its update is written back reversed.  Every
@@ -212,6 +222,21 @@ def _move(ndim: int, src: tuple, dst: tuple) -> tuple[int, ...]:
     return tuple(order)
 
 
+@lru_cache
+def _row_order(ndim: int, axis: int, sshape: tuple) -> tuple[tuple, tuple]:
+    """The axis-last ``transpose`` order of a call and its inverse: the
+    axes the shift varies along (size > 1 in ``sshape``) in their own
+    order, the other non-advected axes, the advected axis (module
+    docstring, "Kernel layout").  A shift of the wrong ndim keeps the
+    natural order; :func:`_normalize_shift` refuses it."""
+    vary = ()
+    if len(sshape) == ndim:
+        vary = tuple(a for a in range(ndim) if a != axis and sshape[a] > 1)
+    rest = tuple(a for a in range(ndim) if a != axis and a not in vary)
+    order = vary + rest + (axis,)
+    return order, tuple(order.index(a) for a in range(ndim))
+
+
 def _scratch(arena, key, shape, dtype) -> np.ndarray:
     """Uninitialized work buffer — pooled when an arena is supplied."""
     if arena is None:
@@ -310,13 +335,14 @@ def advect(
     if not -f.ndim <= axis < f.ndim:
         raise ValueError(f"axis {axis} is out of bounds for f of ndim {f.ndim}")
     ax = axis if axis >= 0 else axis + f.ndim
-    last = _move(f.ndim, (ax,), (f.ndim - 1,))
+    sh = np.asarray(shift, dtype=np.float64)
+    last, back = _row_order(f.ndim, ax, sh.shape)
     fw = f.transpose(last)
     n = fw.shape[-1]
     if n < order and halo is None:
         raise ValueError(f"axis length {n} too short for order-{order} stencil")
 
-    sh = _normalize_shift(shift, f, last)
+    sh = _normalize_shift(sh, f, last)
 
     if layout not in _LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; choose from {_LAYOUTS}")
@@ -335,7 +361,7 @@ def advect(
     res_shape_w = sh.shape[:-1] + (n,)
     if res_shape_w != fw.shape:
         res_shape_w = np.broadcast_shapes(fw.shape, res_shape_w)
-    res_shape = res_shape_w[:-1][:ax] + (res_shape_w[-1],) + res_shape_w[:-1][ax:]
+    res_shape = tuple(res_shape_w[i] for i in back)
     if out is None:
         out = np.empty(res_shape, dtype=fw.dtype)
     elif out.shape != res_shape or out.dtype != fw.dtype:
@@ -404,6 +430,12 @@ def _land(dst, fwd, rev, neg, some, every) -> None:
 
 def _advect_block(fw, sh, out_w, spec, bc, arena, halo=None) -> None:
     """One kernel call: land an axis-last block as planes, flux, update.
+
+    ``fw``'s rows are in the call's row order (:func:`_row_order`): the
+    axes ``sh`` varies along first, the advected axis last, so ``sh``'s
+    profile and its sign mask broadcast along contiguous rows, and a
+    block cut within one index of the profile's axis has one sign, one
+    ``k`` and a scalar ``alpha``.
 
     The block is copied once into ``planes[ghosts + n + ghosts, *rows]`` —
     advected axis first, every plane contiguous — and the copy carries the
@@ -524,8 +556,9 @@ def _workspace(arena, rows, n, dtype, spec, bc, halo, g_l, g_r, count, ashape, m
     return ws
 
 
-def _normalize_shift(shift, f, last) -> np.ndarray:
-    """Validate and move the shift onto the axis-last layout ``last``.
+def _normalize_shift(sh, f, last) -> np.ndarray:
+    """Validate the float64 shift and move it onto the axis-last layout
+    ``last``.
 
     The shift always carries float64: it encodes the departure points,
     and rounding it to float32 storage perturbs them by |shift| * eps32
@@ -534,7 +567,6 @@ def _normalize_shift(shift, f, last) -> np.ndarray:
     Only the *fractional* part (a cell-scale quantity) is cast to the
     working dtype, inside :func:`_advect_block`.
     """
-    sh = np.asarray(shift, dtype=np.float64)
     if sh.ndim:
         if sh.ndim != f.ndim:
             raise ValueError(

@@ -173,6 +173,87 @@ class TestTreeGeometry:
         assert not (tmp_path / "run").exists()
 
 
+class TestCleanRefusal:
+    """``resume`` and ``campaign`` (spec, ``resume``, ``status``) refuse a
+    config that fails validation as ``run`` does: one line, exit 2, and
+    nothing run or written."""
+
+    def _run_dir(self, tmp_path):
+        from repro.runtime import SimulationRunner
+
+        run_dir = tmp_path / "run"
+        SimulationRunner.create(small_config(), run_dir)
+        manifest = run_dir / "run.json"
+        data = json.loads(manifest.read_text())
+        data["config"]["schedule"]["n_steps"] = 0
+        manifest.write_text(json.dumps(data))
+        return run_dir
+
+    def test_repro_resume_exits_2_before_any_step(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run_dir = self._run_dir(tmp_path)
+        before = sorted((p.name, p.read_bytes()) for p in run_dir.rglob("*")
+                        if p.is_file())
+        assert main(["resume", str(run_dir)]) == 2
+        out = capsys.readouterr().out
+        assert out == (f"resume: invalid config {run_dir}: "
+                       "schedule.n_steps must be >= 1\n"), out
+        after = sorted((p.name, p.read_bytes()) for p in run_dir.rglob("*")
+                       if p.is_file())
+        assert after == before  # no step, checkpoint or telemetry line
+        assert not list((run_dir / "checkpoints").iterdir())
+
+    @staticmethod
+    def _spec(tmp_path, **overrides):
+        spec = dict(name="refused", concurrency=1,
+                    base=small_config().as_dict(),
+                    sweep={"params": {"mode": [1, 2]}})
+        spec.update(overrides)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return path
+
+    def test_repro_campaign_exits_2_before_anything_is_written(self, tmp_path,
+                                                               capsys):
+        from repro.cli import main
+
+        bad = self._spec(tmp_path, concurrency=0)
+        where = tmp_path / "c"
+        assert main(["campaign", str(bad), "--dir", str(where)]) == 2
+        out = capsys.readouterr().out
+        assert out == (f"campaign: invalid config {bad}: "
+                       "concurrency must be >= 1\n"), out
+        assert not where.exists()
+        # a valid spec made invalid by its override is refused the same way
+        good = self._spec(tmp_path)
+        assert main(["campaign", str(good), "--dir", str(where), "-k", "0"]) == 2
+        assert "campaign: invalid config" in capsys.readouterr().out
+        assert not where.exists()
+
+    @pytest.mark.parametrize("verb", ["resume", "status"])
+    def test_repro_campaign_manifest_exits_2_before_any_run(self, tmp_path,
+                                                            capsys, verb):
+        from repro.campaign import Campaign, CampaignConfig
+        from repro.cli import main
+
+        good = self._spec(tmp_path)
+        where = tmp_path / "c"
+        Campaign.create(CampaignConfig.load(good), where)
+        manifest = where / "campaign.json"
+        data = json.loads(manifest.read_text())
+        data["spec"]["concurrency"] = 0
+        manifest.write_text(json.dumps(data))
+        before = manifest.read_bytes()
+        assert main(["campaign", verb, str(where)]) == 2
+        out = capsys.readouterr().out
+        assert out == (f"campaign {verb}: invalid config {where}: "
+                       "concurrency must be >= 1\n"), out
+        assert manifest.read_bytes() == before
+        assert not list(where.glob("runs/*/run.json"))  # no run started
+        assert not (where / "supervisor.jsonl").exists()
+
+
 class TestRoundTrips:
     def test_dict_roundtrip(self):
         cfg = small_config(params={"amplitude": 0.05, "mode": 2})
