@@ -7,7 +7,7 @@ phase-space distribution rolls up into the famous vortex ("phase-space
 hole") — a structure a particle code can only resolve noisily, but the
 distribution function represents smoothly.
 
-Also demonstrates the scheme zoo: run with --scheme slmpp5 / slweno5 /
+Also compares the scheme family: run with --scheme slmpp5 / slp5 /
 upwind1 to see dissipation differences at saturation.
 
 Run:  python examples/twostream_instability.py [--scheme slmpp5]

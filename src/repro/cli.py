@@ -42,13 +42,16 @@ def _no_config_file(command: str, path: str) -> bool:
 
 
 def _refused(command: str, path, load):
-    """``load()``, or ``None`` once a ``ValueError`` from it has been
-    reported in one line as an invalid config (the command exits 2)."""
+    """``load()``, or ``None`` once its refusal has been reported in one
+    line (the command exits 2): a ``ValueError`` as an invalid config, a
+    ``FileNotFoundError`` (a directory without its manifest) as itself."""
     try:
         return load()
     except ValueError as exc:
         print(f"{command}: invalid config {path}: {exc}")
-        return None
+    except FileNotFoundError as exc:
+        print(f"{command}: {exc}")
+    return None
 
 
 def cmd_info(_: argparse.Namespace) -> int:
@@ -63,7 +66,7 @@ def cmd_info(_: argparse.Namespace) -> int:
     )
     print(f"advection schemes: {', '.join(sorted(SCHEMES))}")
     print("subsystems: core gravity nbody cosmology ic parallel simd machine")
-    print("            scaling io analysis diagnostics plasma runtime campaign")
+    print("            scaling io analysis diagnostics runtime campaign")
     print("see README.md / DESIGN.md / EXPERIMENTS.md")
     return 0
 
@@ -270,12 +273,11 @@ def cmd_schemes(_: argparse.Namespace) -> int:
     """List the advection schemes and their guarantees."""
     from repro.core.advection import SCHEMES
 
-    print(f"{'name':>10} {'order':>5} {'MP':>4} {'positive':>8} {'type':>10}")
+    print(f"{'name':>10} {'order':>5} {'MP':>4} {'positive':>8}")
     for name, spec in sorted(SCHEMES.items()):
-        kind = "weno" if spec.use_weno else "pfc" if spec.use_pfc else "linear"
         print(
             f"{name:>10} {spec.order:>5} {'yes' if spec.use_mp else '-':>4} "
-            f"{'yes' if spec.use_pos else '-':>8} {kind:>10}"
+            f"{'yes' if spec.use_pos else '-':>8}"
         )
     print("\nslmpp5 is the paper's production scheme.")
     return 0

@@ -57,14 +57,10 @@ Schemes
 ``slmpp3`` / ``slmpp7``
     MP-limited + positive variants of the order-3/7 flux (the MP bounds are
     always evaluated on the 5-cell neighborhood of the donor cell).
-``slweno5``
-    Conservative semi-Lagrangian WENO-5 (Qiu & Christlieb 2010, paper
-    ref. [19]): nonlinear smoothness weights with alpha-dependent ideal
-    weights, positivity-clamped.
-``pfc2``
-    Filbet-style positive-flux-conservative scheme: minmod piecewise-
-    linear reconstruction — the robust 2nd-order baseline the SL-MPP5
-    family improves upon.
+
+Every scheme is a :class:`SchemeSpec` row over one flux path: the
+polynomial flux of its order, then the MP limiter and the positivity
+clamp where the row asks for them.
 
 Shift convention
 ----------------
@@ -100,7 +96,7 @@ Cache blocking
 An SL-MPP5 kernel call makes 64 ufunc passes over temporaries the size
 of its block, 67 when the block mixes shift signs (docs/PERFORMANCE.md,
 "Flux-form limiting, one shared interval", counts them;
-``tests/test_layout_engine.py::TestPassBudget`` pins them).
+``tests/test_advection_kernel.py::TestPassBudget`` pins them).
 ``advect`` therefore validates once and then works through arrays above
 :data:`BLOCK_CELLS` one block of non-advected rows at a time (see
 :func:`_block_plan`), so the temporaries are block-sized and stay in
@@ -130,13 +126,11 @@ import numpy as np
 
 from .limiters import (
     clamp_scratch,
-    minmod_into,
     mp_limit_flux,
     mp_scratch,
     positivity_clamp_fraction,
-    weno_smoothness,
 )
-from .stencil import flux_coefficient_polynomials, weno_substencil_polynomials
+from .stencil import flux_coefficient_polynomials
 
 from typing import NamedTuple
 
@@ -147,21 +141,17 @@ class SchemeSpec(NamedTuple):
     order: int          # formal spatial order / stencil width
     use_mp: bool        # Suresh-Huynh MP limiting of the fractional flux
     use_pos: bool       # positivity clamp of the fractional flux
-    use_weno: bool      # nonlinear WENO-5 sub-stencil weighting
-    use_pfc: bool = False  # minmod piecewise-linear flux (Filbet PFC)
 
 
 #: scheme registry
 SCHEMES: dict[str, SchemeSpec] = {
-    "upwind1": SchemeSpec(1, False, True, False),
-    "pfc2": SchemeSpec(3, False, True, False, True),
-    "slp3": SchemeSpec(3, False, False, False),
-    "slp5": SchemeSpec(5, False, False, False),
-    "slp7": SchemeSpec(7, False, False, False),
-    "slmpp3": SchemeSpec(3, True, True, False),
-    "slmpp5": SchemeSpec(5, True, True, False),
-    "slmpp7": SchemeSpec(7, True, True, False),
-    "slweno5": SchemeSpec(5, False, True, True),
+    "upwind1": SchemeSpec(1, False, True),
+    "slp3": SchemeSpec(3, False, False),
+    "slp5": SchemeSpec(5, False, False),
+    "slp7": SchemeSpec(7, False, False),
+    "slmpp3": SchemeSpec(3, True, True),
+    "slmpp5": SchemeSpec(5, True, True),
+    "slmpp7": SchemeSpec(7, True, True),
 }
 
 _BCS = ("periodic", "zero")
@@ -251,7 +241,7 @@ def stencil_reach(spec: SchemeSpec) -> int:
     neighborhood; every other scheme touches exactly ``order`` cells.
     This is the per-scheme bound ghost sizing honors — ghosts as wide as
     the widest reach of the family would over-allocate every
-    ``upwind1``/``pfc2``/``slp3`` sweep.
+    ``upwind1``/``slp3`` sweep.
     """
     width = max(spec.order, 5) if spec.use_mp else spec.order
     return (width - 1) // 2
@@ -498,7 +488,7 @@ def _advect_block(fw, sh, out_w, spec, bc, arena, halo=None) -> None:
         ws.ghost_r[...] = ws.wrap_r
 
     alpha = (sh - k).astype(fw.dtype)
-    _flux_positive(ws, alpha, k, kc, k_min, k_max, spec, arena)
+    _flux_positive(ws, alpha, k, kc, k_min, k_max, spec)
 
     d = ws.delta
     np.subtract(ws.flux_hi, ws.flux_lo, out=d)
@@ -535,15 +525,14 @@ def _workspace(arena, rows, n, dtype, spec, bc, halo, g_l, g_r, count, ashape, m
     ws.st = st = tuple(
         window[reach + c : reach + c + count] for c in range(-half, half + 1)
     )
-    if not (spec.use_weno or spec.use_pfc):
-        poly = flux_coefficient_polynomials(order)
-        col = (order,) + (1,) * len(ashape)  # one polynomial per c_m
-        ws.coef = tuple(poly[:, dgr].reshape(col) for dgr in range(order + 1))
-        ws.c_work = _scratch(arena, "phi_cw", (order,) + ashape, dtype)
-        ws.c_acc = _scratch(arena, "phi_ca", (order,) + ashape, np.float64)
-        ws.c_rows = tuple(ws.c_work)
-        ws.phi = _scratch(arena, "phi", st[0].shape, dtype)
-        ws.term = _scratch(arena, "phi_term", st[0].shape, dtype)
+    poly = flux_coefficient_polynomials(order)
+    col = (order,) + (1,) * len(ashape)  # one polynomial per c_m
+    ws.coef = tuple(poly[:, dgr].reshape(col) for dgr in range(order + 1))
+    ws.c_work = _scratch(arena, "phi_cw", (order,) + ashape, dtype)
+    ws.c_acc = _scratch(arena, "phi_ca", (order,) + ashape, np.float64)
+    ws.c_rows = tuple(ws.c_work)
+    ws.phi = _scratch(arena, "phi", st[0].shape, dtype)
+    ws.term = _scratch(arena, "phi_term", st[0].shape, dtype)
     if spec.use_mp:
         ws.mp = mp_scratch(window[reach - 2 : reach + count + 2], arena)
     if spec.use_pos:  # phi has the donors' shape and dtype
@@ -588,7 +577,7 @@ def _normalize_shift(sh, f, last) -> np.ndarray:
     return sh
 
 
-def _flux_positive(ws, alpha, k, kc, k_min, k_max, spec, arena=None):
+def _flux_positive(ws, alpha, k, kc, k_min, k_max, spec):
     """Flux for shifts >= 0 everywhere: ``S(i, k) + phi[i - k]``.
 
     ``ws.planes[lo : lo + n]`` are the cells (see :func:`_advect_block`)
@@ -624,7 +613,7 @@ def _flux_positive(ws, alpha, k, kc, k_min, k_max, spec, arena=None):
     values, bitwise-identical.
     """
     _FASTPATH["uniform_k" if kc is not None else "gather_k"] += 1
-    phi = _fractional_flux(ws, alpha, spec, arena)
+    phi = _fractional_flux(ws, alpha, spec)
 
     planes, lo, n, m, count = ws.planes, ws.lo, ws.n, ws.m, ws.count
     out = ws.flux_out
@@ -669,7 +658,7 @@ def _add_lookup(out, planes, idx) -> None:
     np.add(out, planes.transpose(front)[(which, *rows)], out=out)
 
 
-def _fractional_flux(ws, alpha, spec, arena=None):
+def _fractional_flux(ws, alpha, spec):
     """phi of every donor cell: mass donated from its right alpha-fraction.
 
     ``ws.st[m]`` is cell ``j + m - r`` of all donors at once, a view of
@@ -677,35 +666,29 @@ def _fractional_flux(ws, alpha, spec, arena=None):
     and one value per row: it broadcasts into ``st[m]``'s shape along the
     leading axis.
     """
-    order, use_mp, use_pos, use_weno, use_pfc = spec
-    st = ws.st
-    if use_weno:
-        phi = _weno_fractional(st, alpha, arena)
-    elif use_pfc:
-        phi = _pfc_fractional(st, alpha, arena)
-    else:
-        # One Horner pass over the (order,) + alpha.shape stack of all
-        # coefficient polynomials c_m(alpha).  Elementwise it replays
-        # evaluate_flux_coefficients bit for bit: with float32 alpha the
-        # leading product rounds in float32, the first add promotes to
-        # float64 (a float64 operand, as the scalar coefficient was under
-        # NEP 50), the remaining steps stay float64, and one cast back to
-        # the working dtype precedes the stencil multiply.
-        c_work, c_acc, coef = ws.c_work, ws.c_acc, ws.coef
-        c_work[...] = coef[order]
-        np.multiply(c_work, alpha, out=c_work)
-        np.add(c_work, coef[order - 1], out=c_acc)
-        for dgr in range(order - 2, -1, -1):
-            np.multiply(c_acc, alpha, out=c_acc)
-            np.add(c_acc, coef[dgr], out=c_acc)
-        c_work[...] = c_acc
-        # phi starts at +0 and adds every term: starting from c_0 * st[0]
-        # would keep a -0.0 term that 0 + term turns into +0.0
-        phi, term = ws.phi, ws.term
-        phi[...] = 0
-        for c_m, st_m in zip(ws.c_rows, st):
-            np.multiply(c_m, st_m, out=term)
-            phi += term
+    order, use_mp, use_pos = spec
+    # One Horner pass over the (order,) + alpha.shape stack of all
+    # coefficient polynomials c_m(alpha).  Elementwise it replays
+    # evaluate_flux_coefficients bit for bit: with float32 alpha the
+    # leading product rounds in float32, the first add promotes to
+    # float64 (a float64 operand, as the scalar coefficient was under
+    # NEP 50), the remaining steps stay float64, and one cast back to
+    # the working dtype precedes the stencil multiply.
+    c_work, c_acc, coef = ws.c_work, ws.c_acc, ws.coef
+    c_work[...] = coef[order]
+    np.multiply(c_work, alpha, out=c_work)
+    np.add(c_work, coef[order - 1], out=c_acc)
+    for dgr in range(order - 2, -1, -1):
+        np.multiply(c_acc, alpha, out=c_acc)
+        np.add(c_acc, coef[dgr], out=c_acc)
+    c_work[...] = c_acc
+    # phi starts at +0 and adds every term: starting from c_0 * st[0]
+    # would keep a -0.0 term that 0 + term turns into +0.0
+    phi, term = ws.phi, ws.term
+    phi[...] = 0
+    for c_m, st_m in zip(ws.c_rows, ws.st):
+        np.multiply(c_m, st_m, out=term)
+        phi += term
 
     if use_mp:
         phi = mp_limit_flux(phi, alpha, ws.mp)
@@ -713,103 +696,3 @@ def _fractional_flux(ws, alpha, spec, arena=None):
         phi = positivity_clamp_fraction(phi, ws.clamp)
     return phi
 
-
-def _pfc_fractional(st, alpha, arena=None):
-    """Filbet-style positive-flux-conservative fractional flux.
-
-    Piecewise-linear reconstruction with the minmod slope: 2nd-order,
-    TVD, and positive after the clamp — the robust workhorse scheme the
-    SL-MPP5 family improves upon (used as an ablation baseline).
-
-    phi(alpha) = alpha * (f_j + (1 - alpha)/2 * slope).
-
-    Every temporary of the expression (and of its
-    :func:`~repro.core.limiters.minmod`) lives in pooled scratch.
-    """
-    fm1, f0, fp1 = st
-    sshape = f0.shape
-    a = _scratch(arena, "pfc_a", sshape, f0.dtype)
-    b = _scratch(arena, "pfc_b", sshape, f0.dtype)
-    slope = _scratch(arena, "pfc_slope", sshape, f0.dtype)
-    sb = _scratch(arena, "pfc_sb", sshape, f0.dtype)
-    np.subtract(fp1, f0, out=a)
-    np.subtract(f0, fm1, out=b)
-    minmod_into(slope, a, b, sb)
-    # phi = alpha * (f0 + 0.5*(1 - alpha) * slope)
-    w = _scratch(arena, "pfc_w", alpha.shape, alpha.dtype)
-    np.subtract(1.0, alpha, out=w)
-    np.multiply(w, 0.5, out=w)
-    phi = _scratch(arena, "phi", sshape, f0.dtype)
-    np.multiply(w, slope, out=phi)
-    np.add(f0, phi, out=phi)
-    np.multiply(alpha, phi, out=phi)
-    return phi
-
-
-def _weno_fractional(st, alpha, arena=None):
-    """Semi-Lagrangian WENO-5 fractional flux (Qiu & Christlieb 2010).
-
-    The full-array float64 temporaries — three sub-stencil fluxes, the
-    per-term products, the smoothness/weight fields and the final blend
-    — run through pooled scratch; each pooled ufunc replays the
-    allocating expression's operation order exactly, so the result is
-    bitwise-identical.  (The small alpha-shaped polynomial evaluations
-    stay plain allocations: the shift profile is tiny next to f.)
-    """
-    polyval = np.polynomial.polynomial.polyval
-    sub = weno_substencil_polynomials()  # (3, 5, 4)
-    p5 = flux_coefficient_polynomials(5)  # (5, 6)
-
-    a = alpha.astype(np.float64)
-    bshape = st[0].shape
-    term = _scratch(arena, "weno_term", bshape, np.float64)
-    phis = []
-    for s in range(3):
-        acc = _scratch(arena, ("weno_acc", s), bshape, np.float64)
-        acc[...] = 0.0
-        for m in range(5):
-            if np.any(sub[s, m] != 0.0):
-                np.multiply(polyval(a, sub[s, m]), st[m], out=term)
-                acc += term
-        phis.append(acc)
-
-    # alpha-dependent ideal weights: match the outermost-cell coefficients
-    # of the order-5 flux.  Both numerator and denominator have a zero
-    # constant term, so divide the polynomials by alpha for stability.
-    num0 = polyval(a, p5[0, 1:])
-    den0 = polyval(a, sub[0, 0, 1:])
-    num2 = polyval(a, p5[4, 1:])
-    den2 = polyval(a, sub[2, 4, 1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d0 = np.where(np.abs(den0) > 1e-300, num0 / den0, 0.1)
-        d2 = np.where(np.abs(den2) > 1e-300, num2 / den2, 0.3)
-    d0 = np.clip(d0, 0.0, 1.0)
-    d2 = np.clip(d2, 0.0, 1.0)
-    d1 = np.clip(1.0 - d0 - d2, 0.0, 1.0)
-
-    beta32 = weno_smoothness(st)
-    beta = _scratch(arena, "weno_beta", beta32.shape, np.float64)
-    beta[...] = beta32
-    eps = 1.0e-6
-    wden = _scratch(arena, "weno_wden", bshape, np.float64)
-    ws = []
-    for idx, dd in enumerate((d0, d1, d2)):
-        w = _scratch(arena, ("weno_w", idx), bshape, np.float64)
-        np.add(eps, beta[idx], out=wden)
-        np.power(wden, 2, out=wden)
-        np.divide(dd, wden, out=w)
-        ws.append(w)
-    w0, w1, w2 = ws
-    wsum = _scratch(arena, "weno_wsum", w0.shape, np.float64)
-    np.add(w0, w1, out=wsum)
-    np.add(wsum, w2, out=wsum)
-    num = _scratch(arena, "weno_num", bshape, np.float64)
-    np.multiply(w0, phis[0], out=num)
-    np.multiply(w1, phis[1], out=term)
-    num += term
-    np.multiply(w2, phis[2], out=term)
-    num += term
-    np.divide(num, wsum, out=num)
-    phi = _scratch(arena, "phi", bshape, st[0].dtype)
-    phi[...] = num
-    return phi

@@ -59,19 +59,6 @@ def minmod4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.nd
     return np.maximum(lo, 0.0) + np.minimum(hi, 0.0)
 
 
-def minmod_into(out, a, b, w) -> np.ndarray:
-    """:func:`minmod` replayed into caller scratch, term for term.
-
-    ``out`` and ``w`` must not alias ``a`` or ``b``.
-    """
-    np.minimum(a, b, out=out)
-    np.maximum(a, b, out=w)
-    np.maximum(out, 0.0, out=out)
-    np.minimum(w, 0.0, out=w)
-    np.add(out, w, out=out)
-    return out
-
-
 def minmod4_into(out, a, b, c, d, w1, w2) -> np.ndarray:
     """:func:`minmod4` replayed into caller scratch, term for term.
 
@@ -354,24 +341,3 @@ def positivity_clamp_fraction(phi: np.ndarray, s: SimpleNamespace) -> np.ndarray
     np.minimum(out, hi, out=out)
     return out
 
-
-def weno_smoothness(stencil: np.ndarray) -> np.ndarray:
-    """Jiang-Shu smoothness indicators of the three quadratic sub-stencils.
-
-    ``stencil`` is five equal-shape arrays (stacked, or a tuple of
-    views); returns array of shape ``(3,) + stencil[0].shape``.  The
-    nonlinear WENO weights are formed in :mod:`repro.core.advection`,
-    where the *ideal* (linear) weights are known — in the semi-Lagrangian
-    setting they depend on the shift fraction alpha.
-    """
-    if len(stencil) != 5:
-        raise ValueError("WENO-5 smoothness needs a 5-cell stencil")
-    fm2, fm1, f0, fp1, fp2 = stencil
-    beta0 = (13.0 / 12.0) * (fm2 - 2 * fm1 + f0) ** 2 + 0.25 * (
-        fm2 - 4 * fm1 + 3 * f0
-    ) ** 2
-    beta1 = (13.0 / 12.0) * (fm1 - 2 * f0 + fp1) ** 2 + 0.25 * (fm1 - fp1) ** 2
-    beta2 = (13.0 / 12.0) * (f0 - 2 * fp1 + fp2) ** 2 + 0.25 * (
-        3 * f0 - 4 * fp1 + fp2
-    ) ** 2
-    return np.stack([beta0, beta1, beta2])

@@ -159,58 +159,3 @@ def evaluate_flux_coefficients(order: int, alpha: np.ndarray) -> np.ndarray:
         out[mi] = acc
     return out
 
-
-@lru_cache(maxsize=None)
-def weno_substencil_polynomials() -> np.ndarray:
-    """c_m(alpha) polynomials of the three quadratic WENO sub-stencils.
-
-    For donor cell j, sub-stencil r in {0,1,2} reconstructs from cells
-    {j-2+r .. j+r}.  Returns array of shape (3, 5, 4): for each sub-stencil,
-    the degree-3 alpha-polynomials of the weights of fbar_{j-2}..fbar_{j+2}
-    (weights outside the sub-stencil are identically zero) — laid out on the
-    full 5-cell index so sub-stencil fluxes combine directly with the
-    5-point gather used by the order-5 scheme.
-    """
-    base = flux_coefficient_polynomials(3)  # (3 cells, degree<=... shape (3,4))
-    out = np.zeros((3, 5, 4), dtype=np.float64)
-    for sub in range(3):
-        # sub-stencil covers offsets (sub-2, sub-1, sub) relative to j,
-        # but the in-cell reconstruction of *cell j* from a shifted stencil
-        # needs the average-matrix built around the shifted center.
-        out[sub, sub : sub + 3, :] = _shifted_quadratic_poly(sub - 1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _shifted_quadratic_poly(center_offset: int) -> np.ndarray:
-    """c_m(alpha) for a quadratic reconstruction on cells centered at
-    ``j + center_offset`` (offset -1, 0, +1), integrating over the right
-    ``alpha`` of cell j.  Returns shape (3, 4) ascending alpha powers.
-    """
-    from math import comb
-
-    size = 3
-    # averages over cells (center_offset + m) for m=-1,0,1
-    m_mat: list[list[Fraction]] = []
-    for m in range(-1, 2):
-        cell = center_offset + m
-        hi = Fraction(2 * cell + 1, 2)
-        lo = Fraction(2 * cell - 1, 2)
-        m_mat.append(
-            [(hi ** (p + 1) - lo ** (p + 1)) / (p + 1) for p in range(size)]
-        )
-    minv = _invert_exact(m_mat)
-    half = Fraction(1, 2)
-    poly = [[Fraction(0)] * (size + 1) for _ in range(size)]
-    for p in range(size):
-        bp = [Fraction(0)] * (size + 1)
-        bp[0] += half ** (p + 1)
-        for q in range(p + 2):
-            bp[q] -= comb(p + 1, q) * half ** (p + 1 - q) * (Fraction(-1) ** q)
-        bp = [x / (p + 1) for x in bp]
-        for mi in range(size):
-            w = minv[p][mi]
-            if w != 0:
-                for q in range(size + 1):
-                    poly[mi][q] += w * bp[q]
-    return np.array([[float(x) for x in row] for row in poly], dtype=np.float64)

@@ -228,6 +228,14 @@ class RunConfig:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
+        # imported here, as the tree check below: importing this module
+        # loads no kernel
+        from ..core.advection import SCHEMES
+
+        if self.scheme not in SCHEMES:
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}"
+            )
         g, s, c = self.grid, self.schedule, self.checkpoint
         if len(g.nx) != len(g.nu):
             raise ValueError("grid.nx and grid.nu must have the same length")

@@ -10,20 +10,14 @@ bounds -> the flux-form limit and the clamp in interface space -> ``flux
 agree to the byte.
 
 The elementwise pieces whose arithmetic did not move (``minmod4``, the
-positivity clamp, the PFC and WENO fluxes, the coefficient polynomials)
-are the library's; everything that says *where* a neighbor lives is here.
+positivity clamp, the coefficient polynomials) are the library's; everything that says *where* a neighbor lives is here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.advection import (
-    SCHEMES,
-    _pfc_fractional,
-    _weno_fractional,
-    stencil_reach,
-)
+from repro.core.advection import SCHEMES, stencil_reach
 from repro.core.limiters import clamp_scratch, minmod4, positivity_clamp_fraction
 from repro.core.stencil import evaluate_flux_coefficients
 
@@ -74,17 +68,12 @@ def limit_flux_rolled(phi, alpha, stencil):
 
 def _fractional_flux(st, alpha, spec):
     """phi per interface from the stencil gathered around its donor."""
-    order, use_mp, use_pos, use_weno, use_pfc = spec
+    order, use_mp, use_pos = spec
     center = (st.shape[0] - 1) // 2
-    if use_weno:
-        phi = _weno_fractional(st, alpha)
-    elif use_pfc:
-        phi = _pfc_fractional(st, alpha)
-    else:
-        coef = evaluate_flux_coefficients(order, alpha)
-        phi = np.zeros(np.broadcast_shapes(st.shape[1:], alpha.shape), st.dtype)
-        for m in range(order):
-            phi += coef[m] * st[center - (order - 1) // 2 + m]
+    coef = evaluate_flux_coefficients(order, alpha)
+    phi = np.zeros(np.broadcast_shapes(st.shape[1:], alpha.shape), st.dtype)
+    for m in range(order):
+        phi += coef[m] * st[center - (order - 1) // 2 + m]
     if use_mp:
         phi = limit_flux_rolled(phi, alpha, st[center - 2 : center + 3])
     if use_pos:

@@ -39,7 +39,6 @@ class TestConvergenceOrder:
             ("slmpp3", 3.5),
             ("slmpp5", 5.5),
             ("slmpp7", 7.0),
-            ("slweno5", 5.0),
         ],
     )
     def test_measured_order(self, scheme, min_order):
@@ -48,7 +47,7 @@ class TestConvergenceOrder:
         order = math.log2(e1 / e2)
         assert order >= min_order, f"{scheme}: measured order {order:.2f}"
 
-    @pytest.mark.parametrize("scheme", ["slmpp5", "slp5", "slweno5"])
+    @pytest.mark.parametrize("scheme", ["slmpp5", "slp5"])
     def test_negative_shift_same_accuracy(self, scheme):
         e_pos = one_step_error(48, scheme, 0.37)
         e_neg = one_step_error(48, scheme, -0.37)

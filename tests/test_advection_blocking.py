@@ -11,10 +11,10 @@ reference 6-D grid, together with the memory the blocking is for.
 
 A block whose shifts mix signs lands its rows with ``sh < 0`` reversed,
 advances every row rightward by ``|sh|`` in one kernel run and writes
-the reversed rows back reversed.  The result must equal advecting the
-rows of each sign in two single-sign calls, bit for bit; a call must
-run the flux kernel once per block; and the arena must not follow the
-sign pattern.
+the reversed rows back reversed.  The result must equal the rows-last
+reference (``tests/rows_last_reference.py``), which advances the rows of
+each sign on their own, bit for bit; a call must run the flux kernel
+once per block; and the arena must not follow the sign pattern.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.parallel import DomainEngine
 from repro.perf import PencilEngine, ScratchArena, pencil
 
 from .conftest import mixed_sign_shifts
+from .rows_last_reference import reference_advect
 
 SHAPE = (7, 5, 9, 11)  # no extent divides another; 3465 cells
 ONE_BLOCK = 1 << 62
@@ -135,22 +136,6 @@ def test_out_aliasing_contract(monkeypatch, bc):
 # ----------------------------------------------------------------------
 
 
-def _by_sign(f, sh, axis, scheme, bc):
-    """The rows with ``sh >= 0`` and the rows with ``sh < 0``, advected
-    in (up to) two single-sign calls on flat ``(rows, n)`` arrays."""
-    shape = list(np.broadcast_shapes(f.shape, np.shape(sh)))
-    shape[axis] = f.shape[axis]
-    rows = np.moveaxis(np.broadcast_to(f, shape), axis, -1)
-    sh_shape = shape[:axis] + [1] + shape[axis + 1:]
-    sh_rows = np.moveaxis(np.broadcast_to(sh, sh_shape), axis, -1).reshape(-1, 1)
-    out = np.empty((sh_rows.size, f.shape[axis]), dtype=f.dtype)
-    flat = rows.reshape(out.shape)
-    for mask in (sh_rows[:, 0] >= 0.0, sh_rows[:, 0] < 0.0):
-        if mask.any():
-            out[mask] = advect(flat[mask], sh_rows[mask], 1, scheme=scheme, bc=bc)
-    return np.moveaxis(out.reshape(rows.shape), -1, axis)
-
-
 def _sign_profiles(shape, axis):
     """``mixed_sign_shifts``, plus a field with every shift negative and
     one where only the negative rows cross whole cells (|shift| > 1 on
@@ -179,7 +164,7 @@ def test_mixed_signs_bitwise_equal_rows_advected_by_sign(scheme, bc, dtype):
         if f.shape[axis] < SCHEMES[scheme].order:
             continue
         for name, sh in _sign_profiles(f.shape, axis):
-            ref = _by_sign(f, sh, axis, scheme, bc).tobytes()
+            ref = reference_advect(f, sh, axis, scheme, bc).tobytes()
             where = f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} {name}"
             arena = ScratchArena()
             assert advect(f, sh, axis, scheme=scheme, bc=bc,
@@ -196,7 +181,8 @@ def test_mixed_signs_bitwise_equal_rows_advected_by_sign(scheme, bc, dtype):
         _, sh = next(mixed_sign_shifts(f.shape, axis))
         got = advect(thin, sh, axis, scheme=scheme, bc=bc)
         assert got.shape == f.shape
-        assert got.tobytes() == _by_sign(thin, sh, axis, scheme, bc).tobytes()
+        ref = reference_advect(thin, sh, axis, scheme, bc)
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.smoke

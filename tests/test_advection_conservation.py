@@ -90,7 +90,7 @@ class TestFloat32MassDrift:
 class TestZeroPadPerCallBound:
     """Zero ghosts are sized from the scheme + shifts actually used."""
 
-    @pytest.mark.parametrize("scheme", ["upwind1", "pfc2", "slp3", "slmpp5", "slp7"])
+    @pytest.mark.parametrize("scheme", ["upwind1", "slp3", "slmpp5", "slp7"])
     @pytest.mark.parametrize("cfl", [2.4, 3.9])
     def test_zero_bc_exact_at_cfl_above_2(self, scheme, cfl):
         """Interior result must equal a manually over-padded reference:
@@ -120,13 +120,11 @@ class TestZeroPadPerCallBound:
 
     def test_stencil_reach_per_scheme(self):
         assert stencil_reach(SCHEMES["upwind1"]) == 0
-        assert stencil_reach(SCHEMES["pfc2"]) == 1
         assert stencil_reach(SCHEMES["slp3"]) == 1
         assert stencil_reach(SCHEMES["slmpp3"]) == 2  # MP widens to 5 cells
         assert stencil_reach(SCHEMES["slp5"]) == 2
-        assert stencil_reach(SCHEMES["slweno5"]) == 2
         assert stencil_reach(SCHEMES["slmpp7"]) == 3
-        assert stencil_reach(SchemeSpec(7, False, False, False)) == 3
+        assert stencil_reach(SchemeSpec(7, False, False)) == 3
 
 
 class TestOutAndArenaFastPath:

@@ -92,6 +92,12 @@ RETIRED = (
     # hand-rolled hybrid loop beside the runner
     "DEGRADE" + "_CHAIN", "should" + "_degrade", "supervision" + "_degrade",
     "hybrid" + "_demo", "no" + "_supervise",
+    # the two off-family schemes, their helpers, and the section 8
+    # Vlasov-Maxwell package
+    "slweno" + "5", "pfc" + "2", "use" + "_weno", "use" + "_pfc",
+    "_weno" + "_fractional", "_pfc" + "_fractional",
+    "weno" + "_smoothness", "weno" + "_substencil", "minmod" + "_into",
+    "Vlasov" + "Maxwell",
 )
 
 
@@ -152,6 +158,7 @@ def test_core_does_not_import_parallel():
 
 
 def test_retired_identifiers_stay_retired():
+    assert not (SRC / "repro" / "plasma").exists()
     offenders = [
         f"{path.relative_to(SRC)} mentions {word}"
         for _, path in modules() for word in RETIRED

@@ -28,8 +28,10 @@ class TestCli:
 
     def test_schemes(self, capsys):
         assert main(["schemes"]) == 0
-        out = capsys.readouterr().out
-        assert "slmpp5" in out and "weno" in out
+        table = capsys.readouterr().out.split("\n\n")[0].splitlines()
+        assert table[0].split() == ["name", "order", "MP", "positive"]
+        assert [row.split()[0] for row in table[1:]] == [
+            "slmpp3", "slmpp5", "slmpp7", "slp3", "slp5", "slp7", "upwind1"]
 
     def test_memory(self, capsys):
         assert main(["memory"]) == 0

@@ -5,7 +5,7 @@ intervals of a donor (its right interface's and the mirrored one of its
 left) on a window of planes with every interface term formed once, and
 limits the donated mass ``phi = alpha * u`` itself.  The kernel built on
 them is held bitwise to ``tests/rows_last_reference.py``
-(``tests/test_layout_engine.py``); here the pieces are held to the
+(``tests/test_advection_kernel.py``); here the pieces are held to the
 five-array :func:`mp_bounds` and to the properties the scheme rests on:
 the interval contains the donor, and the limited flux keeps both the
 donated and the remaining average inside their MP intervals for any
@@ -26,13 +26,11 @@ from repro.core.limiters import (
     minmod,
     minmod4,
     minmod4_into,
-    minmod_into,
     mp_bounds,
     mp_limit_flux,
     mp_limit_interface,
     mp_scratch,
     positivity_clamp_fraction,
-    weno_smoothness,
 )
 from repro.perf.arena import ScratchArena
 
@@ -60,8 +58,6 @@ class TestSignFreeForms:
         for name, f in adversarial_fields((4, 6, 40), dtype):
             a, b, c, d = f
             out, w1, w2 = (np.empty_like(a) for _ in range(3))
-            assert minmod_into(out, a, b, w1) is out
-            assert out.tobytes() == minmod(a, b).tobytes(), name
             assert minmod4_into(out, a, b, c, d, w1, w2) is out
             assert out.tobytes() == minmod4(a, b, c, d).tobytes(), name
 
@@ -256,21 +252,3 @@ class TestPositivityClamp:
         assert np.all(out >= 0.0)
         assert np.all(out <= donor + 1e-12)
 
-
-class TestWenoSmoothness:
-    def test_zero_for_constant_data(self):
-        st5 = np.ones((5, 10))
-        assert np.allclose(weno_smoothness(st5), 0.0)
-
-    def test_detects_discontinuity(self):
-        smooth = np.linspace(0, 1, 5).reshape(5, 1)
-        jump = np.array([0.0, 0.0, 0.0, 1.0, 1.0]).reshape(5, 1)
-        b_smooth = weno_smoothness(smooth)
-        b_jump = weno_smoothness(jump)
-        # the sub-stencil containing the jump is much rougher (linear data
-        # carries only the small first-derivative term of beta)
-        assert b_jump[2] > 30 * b_smooth[2] + 1e-12
-
-    def test_requires_five_cells(self):
-        with pytest.raises(ValueError):
-            weno_smoothness(np.ones((3, 4)))

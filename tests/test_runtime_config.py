@@ -173,36 +173,83 @@ class TestTreeGeometry:
         assert not (tmp_path / "run").exists()
 
 
-class TestCleanRefusal:
-    """``resume`` and ``campaign`` (spec, ``resume``, ``status``) refuse a
-    config that fails validation as ``run`` does: one line, exit 2, and
-    nothing run or written."""
+#: ``(key, value, reason)``: a run config each of which refuses.  The
+#: schemes are two that the kernel no longer carries and a typo.
+BAD_RUNS = [
+    ("schedule", {"n_steps": 0}, "schedule.n_steps must be >= 1"),
+    ("scheme", "slweno5", "unknown scheme 'slweno5'"),
+    ("scheme", "pfc2", "unknown scheme 'pfc2'"),
+    ("scheme", "nosuch", "unknown scheme 'nosuch'"),
+]
 
-    def _run_dir(self, tmp_path):
+
+def _files(where):
+    """Every file under ``where`` with its bytes."""
+    return sorted((str(p), p.read_bytes()) for p in Path(where).rglob("*")
+                  if p.is_file())
+
+
+class TestCleanRefusal:
+    """``run``, ``resume`` and ``campaign`` (spec, ``resume``, ``status``)
+    refuse a config that fails validation, and ``resume`` and ``campaign
+    resume|status`` a directory without its manifest: one line, exit 2,
+    and nothing run or written."""
+
+    def _run_dir(self, tmp_path, key, value):
         from repro.runtime import SimulationRunner
 
-        run_dir = tmp_path / "run"
+        run_dir = tmp_path / f"run-{key}-{value}"
         SimulationRunner.create(small_config(), run_dir)
         manifest = run_dir / "run.json"
         data = json.loads(manifest.read_text())
-        data["config"]["schedule"]["n_steps"] = 0
+        if isinstance(value, dict):
+            data["config"][key].update(value)
+        else:
+            data["config"][key] = value
         manifest.write_text(json.dumps(data))
         return run_dir
+
+    def test_repro_run_refuses_an_unknown_scheme(self, tmp_path, capsys):
+        from repro.cli import main
+
+        for _, scheme, reason in BAD_RUNS[1:]:
+            path = small_config(scheme=scheme).dump(tmp_path / f"{scheme}.toml")
+            where = tmp_path / f"{scheme}.run"
+            assert main(["run", str(path), "--run-dir", str(where)]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"run: invalid config {path}: {reason}")
+            assert out.count("\n") == 1, out
+            assert not where.exists()
 
     def test_repro_resume_exits_2_before_any_step(self, tmp_path, capsys):
         from repro.cli import main
 
-        run_dir = self._run_dir(tmp_path)
-        before = sorted((p.name, p.read_bytes()) for p in run_dir.rglob("*")
-                        if p.is_file())
-        assert main(["resume", str(run_dir)]) == 2
-        out = capsys.readouterr().out
-        assert out == (f"resume: invalid config {run_dir}: "
-                       "schedule.n_steps must be >= 1\n"), out
-        after = sorted((p.name, p.read_bytes()) for p in run_dir.rglob("*")
-                       if p.is_file())
-        assert after == before  # no step, checkpoint or telemetry line
-        assert not list((run_dir / "checkpoints").iterdir())
+        for key, value, reason in BAD_RUNS:
+            run_dir = self._run_dir(tmp_path, key, value)
+            before = _files(run_dir)
+            assert main(["resume", str(run_dir)]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"resume: invalid config {run_dir}: {reason}")
+            assert out.count("\n") == 1, out
+            assert _files(run_dir) == before  # no step, checkpoint or telemetry
+            assert not list((run_dir / "checkpoints").iterdir())
+
+    @pytest.mark.parametrize("argv", [["resume"], ["campaign", "resume"],
+                                      ["campaign", "status"]],
+                             ids=["resume", "campaign-resume", "campaign-status"])
+    def test_a_directory_without_its_manifest_exits_2(self, tmp_path, capsys,
+                                                      argv):
+        from repro.cli import main
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        manifest = "run.json" if argv == ["resume"] else "campaign.json"
+        for where in (empty, tmp_path / "missing"):
+            assert main([*argv, str(where)]) == 2
+            assert capsys.readouterr().out == (
+                f"{' '.join(argv)}: {where} has no {manifest} manifest\n")
+        assert list(tmp_path.iterdir()) == [empty]
+        assert not list(empty.iterdir())
 
     @staticmethod
     def _spec(tmp_path, **overrides):
@@ -230,6 +277,18 @@ class TestCleanRefusal:
         assert main(["campaign", str(good), "--dir", str(where), "-k", "0"]) == 2
         assert "campaign: invalid config" in capsys.readouterr().out
         assert not where.exists()
+        # a base naming a scheme the kernel lacks, and a sweep over one
+        base = small_config().as_dict()
+        for _, scheme, reason in BAD_RUNS[1:]:
+            for spec in (
+                self._spec(tmp_path, base=dict(base, scheme=scheme)),
+                self._spec(tmp_path, sweep={"scheme": ["slmpp5", scheme]}),
+            ):
+                assert main(["campaign", str(spec), "--dir", str(where)]) == 2
+                out = capsys.readouterr().out
+                assert out.startswith(f"campaign: invalid config {spec}: ")
+                assert reason in out and out.count("\n") == 1, out
+                assert not where.exists()
 
     @pytest.mark.parametrize("verb", ["resume", "status"])
     def test_repro_campaign_manifest_exits_2_before_any_run(self, tmp_path,
@@ -242,16 +301,22 @@ class TestCleanRefusal:
         Campaign.create(CampaignConfig.load(good), where)
         manifest = where / "campaign.json"
         data = json.loads(manifest.read_text())
-        data["spec"]["concurrency"] = 0
-        manifest.write_text(json.dumps(data))
-        before = manifest.read_bytes()
-        assert main(["campaign", verb, str(where)]) == 2
-        out = capsys.readouterr().out
-        assert out == (f"campaign {verb}: invalid config {where}: "
-                       "concurrency must be >= 1\n"), out
-        assert manifest.read_bytes() == before
-        assert not list(where.glob("runs/*/run.json"))  # no run started
-        assert not (where / "supervisor.jsonl").exists()
+        for edit, reason in (
+            (lambda spec: spec.update(concurrency=0), "concurrency must be >= 1"),
+            *((lambda spec, s=scheme: spec["base"].update(scheme=s), reason)
+              for _, scheme, reason in BAD_RUNS[1:]),
+        ):
+            spec = json.loads(json.dumps(data["spec"]))
+            edit(spec)
+            manifest.write_text(json.dumps(dict(data, spec=spec)))
+            before = _files(where)
+            assert main(["campaign", verb, str(where)]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"campaign {verb}: invalid config {where}: ")
+            assert reason in out and out.count("\n") == 1, out
+            assert _files(where) == before
+            assert not list(where.glob("runs/*/run.json"))  # no run started
+            assert not (where / "supervisor.jsonl").exists()
 
 
 class TestRoundTrips:

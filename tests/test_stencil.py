@@ -10,7 +10,6 @@ from repro.core.stencil import (
     edge_value_coefficients,
     evaluate_flux_coefficients,
     flux_coefficient_polynomials,
-    weno_substencil_polynomials,
 )
 
 
@@ -92,47 +91,3 @@ class TestFluxCoefficients:
             ci = evaluate_flux_coefficients(5, np.array(a))
             assert np.allclose(c[:, i, 0], ci)
 
-
-class TestWenoSubstencils:
-    def test_ideal_weights_at_alpha_zero(self):
-        # combining the three quadratic edge values with (0.1, 0.6, 0.3)
-        # must give the order-5 edge value: classic WENO-5 identity
-        sub = weno_substencil_polynomials()
-        edge5 = edge_value_coefficients(5)
-        combo = 0.1 * sub[0, :, 1] + 0.6 * sub[1, :, 1] + 0.3 * sub[2, :, 1]
-        assert np.allclose(combo, edge5, atol=1e-12)
-
-    def test_substencils_select_donor_at_alpha_one(self):
-        sub = weno_substencil_polynomials()
-        for s in range(3):
-            total = np.array(
-                [np.polynomial.polynomial.polyval(1.0, sub[s, m]) for m in range(5)]
-            )
-            expected = np.zeros(5)
-            expected[2] = 1.0
-            assert np.allclose(total, expected, atol=1e-12)
-
-    def test_constant_preservation_each_substencil(self):
-        sub = weno_substencil_polynomials()
-        for s in range(3):
-            for alpha in (0.2, 0.5, 0.8):
-                total = sum(
-                    np.polynomial.polynomial.polyval(alpha, sub[s, m])
-                    for m in range(5)
-                )
-                assert total == pytest.approx(alpha, abs=1e-13)
-
-    def test_ideal_weights_positive_on_unit_interval(self):
-        # the alpha-dependent ideal weights used by slweno5 stay in [0,1]
-        from repro.core.stencil import flux_coefficient_polynomials
-
-        p5 = flux_coefficient_polynomials(5)
-        sub = weno_substencil_polynomials()
-        polyval = np.polynomial.polynomial.polyval
-        a = np.linspace(0.0, 0.999, 200)
-        d0 = polyval(a, p5[0, 1:]) / polyval(a, sub[0, 0, 1:])
-        d2 = polyval(a, p5[4, 1:]) / polyval(a, sub[2, 4, 1:])
-        d1 = 1.0 - d0 - d2
-        assert np.all(d0 > -1e-10) and np.all(d0 < 1 + 1e-10)
-        assert np.all(d2 > -1e-10) and np.all(d2 < 1 + 1e-10)
-        assert np.all(d1 > -1e-10) and np.all(d1 < 1 + 1e-10)
