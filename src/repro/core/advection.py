@@ -96,7 +96,7 @@ Cache blocking
 An SL-MPP5 kernel call makes 64 ufunc passes over temporaries the size
 of its block, 67 when the block mixes shift signs (docs/PERFORMANCE.md,
 "Flux-form limiting, one shared interval", counts them;
-``tests/test_advection_kernel.py::TestPassBudget`` pins them).
+``tests/test_layout_engine.py::TestPassBudget`` pins them).
 ``advect`` therefore validates once and then works through arrays above
 :data:`BLOCK_CELLS` one block of non-advected rows at a time (see
 :func:`_block_plan`), so the temporaries are block-sized and stay in

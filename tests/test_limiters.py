@@ -5,7 +5,7 @@ intervals of a donor (its right interface's and the mirrored one of its
 left) on a window of planes with every interface term formed once, and
 limits the donated mass ``phi = alpha * u`` itself.  The kernel built on
 them is held bitwise to ``tests/rows_last_reference.py``
-(``tests/test_advection_kernel.py``); here the pieces are held to the
+(``tests/test_layout_engine.py``); here the pieces are held to the
 five-array :func:`mp_bounds` and to the properties the scheme rests on:
 the interval contains the donor, and the limited flux keeps both the
 donated and the remaining average inside their MP intervals for any
