@@ -10,8 +10,9 @@ few percent of the work it schedules is overhead, not infrastructure.
 The comparison holds the execution substrate fixed — the supervised
 campaign at K=1 with the in-process thread executor vs the same N
 configs driven directly through ``SimulationRunner`` in a plain loop —
-so the delta is scheduling *and* supervision cost (leases, watchdog
-ticks, ``supervisor.jsonl``), not process spawning or parallel speedup.
+so the delta is scheduling *and* supervision cost (the campaign and run
+directory locks, watchdog ticks, ``supervisor.jsonl``), not process
+spawning or parallel speedup.
 There is one dispatch path, so there is no unsupervised campaign to
 price supervision against separately.  The K>1 wall clock is reported
 (not gated): on a multi-core host it shows the fan-out paying for
@@ -94,9 +95,9 @@ def _serial_reference(config) -> float:
 def _campaign(concurrency: int) -> float:
     """The sweep through the supervised campaign scheduler at the given K.
 
-    Every point runs under the supervisor — lease per attempt, watchdog
-    monitor ticks, the retry policy and the ``supervisor.jsonl`` event
-    stream — on a fault-free sweep.
+    Every point runs under the supervisor — watchdog monitor ticks, the
+    retry policy and the ``supervisor.jsonl`` event stream — and holds
+    its run directory's lock, on a fault-free sweep.
     """
     from repro.campaign import Campaign
 

@@ -119,7 +119,7 @@ def local_velocity_distribution(
     # phase-space volume per bin (cells falling in the bin x du^dim):
     # dividing it out turns the binned mass into the *average f* per bin,
     # which is the smooth curve Fig. 5 plots (raw binned mass inherits
-    # combinatorial jitter from the discrete |u| values)
+    # combinatorial noise from the discrete |u| values)
     counts, _ = np.histogram(speed.ravel(), bins=bins)
     volume = counts * grid.cell_volume_u
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,8 +4,8 @@ The campaign layer turns the single-run orchestration of
 :mod:`repro.runtime` into the paper's actual operating mode — a *suite*
 of runs (mass hierarchies × resolutions × schemes, Table 2) executed
 concurrently under a shared CPU budget, with a persistent per-run state
-manifest, campaign-level resume, and a supervision tier (leases,
-failure-classified retries, resource watchdogs — see
+manifest, campaign-level resume, and a supervision tier
+(failure-classified retries, resource watchdogs — see
 :mod:`repro.campaign.supervision`) that keeps a multi-day sweep alive
 through worker deaths and stalled runs.  Exposed on the CLI as ``repro
 campaign <spec>`` / ``repro campaign resume <dir>`` / ``repro campaign
@@ -26,10 +26,8 @@ from .manifest import MANIFEST_NAME, RUN_STATES, CampaignManifest
 from .scheduler import RUN_CONFIG_NAME, RUNS_DIR, SUPERVISOR_LOG, Campaign
 from .supervision import (
     FAILURE_CLASSES,
-    LEASE_NAME,
     Outcome,
     RetryPolicy,
-    RunLease,
     Supervisor,
     classify_exit,
 )
@@ -47,14 +45,12 @@ __all__ = [
     "format_table",
     "LimitsConfig",
     "RetryConfig",
-    "RunLease",
     "RetryPolicy",
     "Supervisor",
     "Outcome",
     "classify_exit",
     "EXECUTOR_NAMES",
     "FAILURE_CLASSES",
-    "LEASE_NAME",
     "MANIFEST_NAME",
     "RUN_STATES",
     "RUNS_DIR",

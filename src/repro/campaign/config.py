@@ -84,10 +84,9 @@ class LimitsConfig:
     (a ``DRAIN`` flag in its run directory plus SIGTERM when the
     executor holds a process handle → the runner checkpoints and exits
     75) and SIGKILLed after ``grace_seconds`` if the drain does not
-    land.  ``lease_seconds`` is the heartbeat horizon: a run whose
-    telemetry shows no progress for this long is declared stalled
-    and reclaimed.  ``poll_seconds`` paces the supervisor's monitor
-    loop.
+    land.  ``stall_seconds`` is the heartbeat horizon: a run whose
+    telemetry shows no progress for this long is declared stalled and
+    drained.  ``poll_seconds`` paces the supervisor's monitor loop.
 
     RSS is read from the run's own telemetry (``rss_mb`` is peak RSS of
     the *run process*), so the budget is meaningful for the process
@@ -97,7 +96,7 @@ class LimitsConfig:
 
     wall_seconds: float | None = None
     rss_mb: float | None = None
-    lease_seconds: float = 30.0
+    stall_seconds: float = 30.0
     grace_seconds: float = 5.0
     poll_seconds: float = 0.25
 
@@ -111,14 +110,12 @@ class RetryConfig:
     fresh ``repro campaign resume`` always gets a fresh budget).
     ``campaign_budget`` additionally caps the *total* retries across
     the whole invocation (``None`` = unbounded).  Only ``transient``
-    outcomes (signal death, lease expiry, spawn failure) are retried by
-    default; ``resumable`` drains (exit 75 — an orderly max-steps/
-    budget drain that the next resume pass owns) are retried in-pass
-    only with ``retry_resumable = true``.  ``permanent`` outcomes
+    outcomes (signal death, a held run directory, spawn failure) are
+    retried by default; ``resumable`` drains (exit 75 — an orderly
+    max-steps/budget drain that the next resume pass owns) are retried
+    in-pass only with ``retry_resumable = true``.  ``permanent`` outcomes
     (guard aborts, exit 70) are never retried.  Backoff between
-    attempts is capped exponential — ``min(cap, base * 2**(n-1))`` —
-    with deterministic seeded jitter so two schedulers sharing a
-    filesystem do not retry in lockstep.
+    attempts is capped exponential: ``min(cap, base * 2**(n-1))``.
     """
 
     max_attempts: int = 3
@@ -126,8 +123,6 @@ class RetryConfig:
     retry_resumable: bool = False
     backoff_base: float = 0.2
     backoff_cap: float = 5.0
-    jitter: float = 0.1
-    seed: int = 0
 
 
 @dataclass
@@ -189,8 +184,8 @@ class CampaignConfig:
             raise ValueError("limits.wall_seconds must be positive or null")
         if lim.rss_mb is not None and lim.rss_mb <= 0.0:
             raise ValueError("limits.rss_mb must be positive or null")
-        if lim.lease_seconds <= 0.0:
-            raise ValueError("limits.lease_seconds must be positive")
+        if lim.stall_seconds <= 0.0:
+            raise ValueError("limits.stall_seconds must be positive")
         if lim.grace_seconds <= 0.0:
             raise ValueError("limits.grace_seconds must be positive")
         if lim.poll_seconds <= 0.0:
@@ -202,8 +197,6 @@ class CampaignConfig:
             raise ValueError("retry.campaign_budget must be >= 0 or null")
         if r.backoff_base < 0.0 or r.backoff_cap < 0.0:
             raise ValueError("retry backoff values must be >= 0")
-        if r.jitter < 0.0:
-            raise ValueError("retry.jitter must be >= 0")
         for key, values in self.sweep.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(

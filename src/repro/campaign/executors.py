@@ -103,8 +103,8 @@ class ProcessExecutor(Executor):
     :meth:`request_drain`/:meth:`request_kill` deliver SIGTERM/SIGKILL
     for the supervisor, and :meth:`close` terminates and reaps whatever
     is still running — a scheduler that is interrupted must not leave
-    orphans appending to run directories (and corrupting a subsequent
-    resume's lease assumptions).
+    orphans appending to run directories (and holding their locks
+    against a later resume).
     """
 
     name = "processes"

@@ -12,8 +12,10 @@ Per-run states (:data:`RUN_STATES`):
 ``queued``
     Materialized on disk, not yet handed to an executor.
 ``running``
-    Handed to an executor; a manifest found in this state was
-    interrupted mid-run (scheduler killed) and is retried on resume.
+    Handed to an executor.  Only the scheduler holding the campaign
+    directory's lock writes the manifest, so a ``running`` entry that a
+    new scheduler finds was interrupted mid-run (its scheduler died)
+    and is retried.
 ``failed``
     The executor returned nonzero; ``exit_code`` records the runtime
     layer's contract value (75 resumable drain, 70 guard abort) or the
@@ -38,19 +40,6 @@ __all__ = ["MANIFEST_NAME", "RUN_STATES", "CampaignManifest"]
 MANIFEST_NAME = "campaign.json"
 
 RUN_STATES = ("queued", "running", "failed", "done")
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process we could signal."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    return True
 
 
 class CampaignManifest:
@@ -116,15 +105,13 @@ class CampaignManifest:
         return self.campaign_dir / self.runs[run_id]["run_dir"]
 
     def mark(self, run_id: str, state: str,
-             exit_code: int | None = None, owner: str | None = None,
+             exit_code: int | None = None,
              outcome: dict | None = None) -> None:
         """One state transition, persisted atomically before returning.
 
-        ``owner`` stamps who is executing (the supervising scheduler's
-        identity, recorded on ``running``); ``outcome`` is the
-        supervisor's classified result, appended to the entry's
-        ``history`` so ``campaign.json`` carries the full attempt
-        record (class + reason per attempt) a post-mortem needs.
+        ``outcome`` is the supervisor's classified result, appended to
+        the entry's ``history`` so ``campaign.json`` carries the full
+        attempt record (class + reason per attempt) a post-mortem needs.
         """
         if state not in RUN_STATES:
             raise ValueError(f"unknown run state {state!r}; not in {RUN_STATES}")
@@ -134,8 +121,6 @@ class CampaignManifest:
             entry["exit_code"] = exit_code
             if state == "running":
                 entry["attempts"] += 1
-                entry["owner"] = owner
-                entry["pid"] = os.getpid()
             if outcome is not None:
                 entry.setdefault("history", []).append(
                     {"attempt": entry["attempts"], "state": state,
@@ -161,26 +146,19 @@ class CampaignManifest:
             self.save()
 
     def reset_stale_running(self) -> list[str]:
-        """Re-queue ``running`` entries whose recorded process is gone.
+        """Re-queue every ``running`` entry; returns their run ids.
 
-        A manifest can show ``running`` for two reasons: a live
-        scheduler owns the point right now, or a previous scheduler
-        died between transitions.  The recorded ``pid`` distinguishes
-        them — when that process no longer exists the state is a lie
-        and resume must treat the point as interrupted.  Returns the
-        run ids that were reset.
+        Called by the scheduler holding the campaign directory's lock:
+        no other scheduler is alive, so each ``running`` entry is a
+        point whose scheduler died between transitions.
         """
         reset = []
         with self._lock:
             for run_id, entry in self.runs.items():
                 if entry["state"] != "running":
                     continue
-                pid = entry.get("pid")
-                if pid is not None and _pid_alive(int(pid)):
-                    continue
                 entry["state"] = "queued"
                 entry["exit_code"] = None
-                entry["owner"] = None
                 entry["updated"] = time.time()
                 reset.append(run_id)
             if reset:

@@ -29,6 +29,11 @@ through ``SimulationRunner``'s auto-resume — newest valid checkpoint,
 quarantine scan, rollback budget and all.  ``repro campaign resume``
 is therefore idempotent: run it until the exit code is 0.
 
+One scheduler drives a campaign at a time: :meth:`Campaign.run` holds
+the campaign directory's lock (:func:`~repro.io.atomic.directory_lock`)
+and raises :class:`~repro.io.atomic.DirectoryLocked` without touching
+``campaign.json`` while another live process holds it.
+
 Campaign exit codes extend the single-run contract upward: 0 when every
 point is done; 70 when any point failed with a guard abort (someone
 must look); else 75 (everything outstanding is resumable — requeue).
@@ -40,6 +45,7 @@ import asyncio
 import sys
 from pathlib import Path
 
+from ..io.atomic import directory_lock
 from ..runtime.runner import EXIT_COMPLETE, EXIT_GUARD_ABORT, EXIT_RESUMABLE
 from ..runtime.telemetry import TelemetryWriter
 from .aggregate import aggregate_rows
@@ -53,8 +59,8 @@ __all__ = ["RUNS_DIR", "RUN_CONFIG_NAME", "SUPERVISOR_LOG", "Campaign"]
 RUNS_DIR = "runs"
 RUN_CONFIG_NAME = "config.json"
 
-#: Campaign-level supervision event stream (``lease_*`` /
-#: ``supervision_*`` records), next to ``campaign.json``.
+#: Campaign-level supervision event stream (``supervision_*``
+#: records), next to ``campaign.json``.
 SUPERVISOR_LOG = "supervisor.jsonl"
 
 
@@ -124,11 +130,16 @@ class Campaign:
         through exactly this seam); ``max_steps`` caps the steps each
         run takes this invocation (defaults to the spec's, usually
         unset).  Every point runs through the
-        :class:`~repro.campaign.supervision.Supervisor` — lease,
-        watchdog budgets, failure-classified retries with backoff on
-        the same executor, and the ``supervisor.jsonl`` event stream.
+        :class:`~repro.campaign.supervision.Supervisor` — watchdog
+        budgets, failure-classified retries with backoff on the same
+        executor, and the ``supervisor.jsonl`` event stream.  The
+        campaign directory's lock is held throughout, and the manifest
+        is re-read under it: another scheduler may have moved it on
+        since this one loaded it.
         """
-        return asyncio.run(self._run_async(executor, max_steps))
+        with directory_lock(self.campaign_dir):
+            self.manifest = CampaignManifest.load(self.campaign_dir)
+            return asyncio.run(self._run_async(executor, max_steps))
 
     async def _run_async(self, executor: Executor | None,
                          max_steps: int | None) -> int:
@@ -149,8 +160,8 @@ class Campaign:
               f"({executor.name} executor)", file=sys.stderr)
         semaphore = asyncio.Semaphore(k)
         writer = TelemetryWriter(self.campaign_dir / SUPERVISOR_LOG)
-        supervisor = Supervisor(self.campaign_dir, self.config.limits,
-                                self.config.retry, sink=writer.event)
+        supervisor = Supervisor(self.config.limits, self.config.retry,
+                                sink=writer.event)
 
         async def dispatch(run_id: str) -> int | None:
             async with semaphore:
@@ -158,8 +169,7 @@ class Campaign:
                 config_path = run_dir / RUN_CONFIG_NAME
                 while True:
                     attempt = self.manifest.runs[run_id]["attempts"] + 1
-                    self.manifest.mark(run_id, "running",
-                                       owner=supervisor.owner)
+                    self.manifest.mark(run_id, "running")
                     outcome = await asyncio.to_thread(
                         supervisor.attempt, executor, run_id, run_dir,
                         config_path, max_steps, attempt,

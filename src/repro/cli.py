@@ -20,8 +20,9 @@ both accept ``--faults`` (inline JSON or a file path) to drive a chaos
 drill against a real run.  ``campaign`` rolls the same contract up over
 a whole sweep (0 all done, 70 any guard abort, else 75 — resume until
 0; see ``docs/CAMPAIGN.md``).  A config or spec path that names no file,
-and a config, spec or manifest that fails validation, is a usage error
-(exit 2) reported in one line, before anything runs or is written.  The
+a config, spec or manifest that fails validation, and a run or campaign
+directory another live process holds, is a usage error (exit 2)
+reported in one line, before anything runs or is written.  The
 hybrid Vlasov + N-body workload has no command of its own: it is a
 ``scenario = "hybrid"`` config for ``run`` (``examples/cosmic_neutrinos.py``
 builds one).
@@ -52,6 +53,18 @@ def _refused(command: str, path, load):
     except FileNotFoundError as exc:
         print(f"{command}: {exc}")
     return None
+
+
+def _locked(command: str, run) -> int:
+    """``run()``, or 2 once a directory held by another live process has
+    been reported in one line (nothing in it touched)."""
+    from repro.io.atomic import DirectoryLocked
+
+    try:
+        return run()
+    except DirectoryLocked as exc:
+        print(f"{command}: {exc}")
+        return 2
 
 
 def cmd_info(_: argparse.Namespace) -> int:
@@ -115,8 +128,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     run_dir = args.run_dir if args.run_dir else f"{config.name}.run"
     runner = SimulationRunner.create(config, run_dir)
-    return runner.run(max_steps=args.max_steps,
-                      fault_plan=FaultPlan.from_spec(args.faults))
+    return _locked("run", lambda: runner.run(
+        max_steps=args.max_steps, fault_plan=FaultPlan.from_spec(args.faults)))
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
@@ -127,16 +140,16 @@ def cmd_resume(args: argparse.Namespace) -> int:
                       lambda: SimulationRunner.resume(args.run_dir))
     if runner is None:
         return 2
-    return runner.run(max_steps=args.max_steps,
-                      fault_plan=FaultPlan.from_spec(args.faults))
+    return _locked("resume", lambda: runner.run(
+        max_steps=args.max_steps, fault_plan=FaultPlan.from_spec(args.faults)))
 
 
 def _campaign_status(campaign, watch: bool) -> int:
     """Print the aggregate table (once, or refreshed until interrupted).
 
     The watch loop reloads the manifest each tick, so it tracks a
-    campaign another process is executing — attempts and lease-driven
-    retries show up live.
+    campaign another process is executing — attempts and retries show
+    up live.
     """
     import time
 
@@ -197,7 +210,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             return 2
         campaign_dir = args.dir or args.arg or f"{config.name}.campaign"
         campaign = Campaign.create(config, campaign_dir)
-    code = campaign.run(max_steps=args.max_steps)
+    command = "campaign resume" if args.target == "resume" else "campaign"
+    code = _locked(command, lambda: campaign.run(max_steps=args.max_steps))
+    if code == 2:
+        return code
     print(format_table(campaign.aggregate()))
     return code
 

@@ -104,7 +104,7 @@ GHOST_PACK_PASSES = 3.0
 
 #: Network contention growth with job size: messaging slows by
 #: (1 + CONTENTION_SLOPE * log2(nodes / 288)) relative to the S2-size
-#: partition — adaptive-routing congestion and OS jitter at scale.
+#: partition — adaptive-routing congestion and OS noise at scale.
 CONTENTION_SLOPE = 0.03
 
 #: FFT flop count constant: 5 N log2(N) per complex length-N transform.

@@ -301,14 +301,18 @@ class DomainEngine(SweepEngine):
             return
         import multiprocessing as mp
 
-        ctx = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
+        fork = "fork" in mp.get_all_start_methods()
+        ctx = mp.get_context("fork" if fork else "spawn")
         procs, conns = [], []
         for r in range(self.decomp.size):
             parent, child = ctx.Pipe()
+            # a forked worker closes the parent's pipe ends it inherited,
+            # its own among them: otherwise no worker reads EOF when the
+            # parent dies, and the fleet outlives a SIGKILLed run
+            inherited = (*conns, parent) if fork else ()
             proc = ctx.Process(
-                target=worker_main, args=(child, self._worker_spec(r)),
+                target=worker_main,
+                args=(child, self._worker_spec(r), inherited),
                 daemon=True, name=f"domain-{r}",
             )
             proc.start()

@@ -173,14 +173,19 @@ def _reduce(state: _WorkerState, role: int) -> dict:
 # -- main loop --------------------------------------------------------------
 
 
-def worker_main(conn, spec: WorkerSpec) -> None:
+def worker_main(conn, spec: WorkerSpec, inherited=()) -> None:
     """Serve commands over ``conn`` until 'close' or EOF.
+
+    ``inherited`` (the parent's pipe ends a forked worker holds copies
+    of) are closed first, so that the parent's death reads as EOF.
 
     Protocol: every command gets exactly one ``("ok", value)`` or
     ``("err", traceback)`` reply, except ``"call"`` (fire-and-forget —
     the chaos harness injects ``_kill_self`` through it, which never
     returns) and ``"close"``.
     """
+    for end in inherited:
+        end.close()
     state = _WorkerState(spec)
     try:
         while True:

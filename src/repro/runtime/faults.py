@@ -36,8 +36,8 @@ Fault kinds (``FAULT_KINDS``):
 ``freeze_run``
     Actually sleep (up to ``magnitude`` seconds) at a step boundary
     without appending telemetry — a hung run.  Exercises heartbeat
-    stall detection and lease reclaim; the sleep is bounded so a drill
-    whose supervision is broken still terminates.
+    stall detection and the drain→kill ladder; the sleep is bounded so
+    a drill whose supervision is broken still terminates.
 ``oom_run``
     Allocate and hold ``magnitude`` MB of ballast, pushing the run's
     RSS over a campaign ``[limits]`` budget.  Exercises the resource

@@ -3,6 +3,7 @@
 A :class:`SimulationRunner` owns one **run directory**::
 
     <run_dir>/
+        lock                # flock'd by the one live runner
         run.json            # manifest: config + status + last step
         telemetry.jsonl     # one record per step (runtime.telemetry)
         checkpoints/
@@ -74,7 +75,7 @@ import time
 from pathlib import Path
 
 from ..diagnostics.timers import ConservationLedger, StepTimer
-from ..io.atomic import atomic_write_json
+from ..io.atomic import atomic_write_json, directory_lock
 from ..io.snapshot import IOTimer
 from ..perf.fft import get_default_backend
 from .config import RunConfig
@@ -110,7 +111,7 @@ DIAGNOSTICS_DIR = "diagnostics"
 #: another host sharing the filesystem) touches this file in the run
 #: directory and the runner drains resumable at a step boundary — the
 #: filesystem analog of SIGTERM, and the only drain channel that
-#: reaches in-process (thread-executor) and remote (queue-worker) runs.
+#: reaches in-process (thread-executor) runs.
 DRAIN_NAME = "DRAIN"
 #: The flag is looked for after the first step and then at most this
 #: often: a ``stat`` per step costs ~20 us inside a run of 1 ms steps
@@ -182,7 +183,18 @@ class SimulationRunner:
         ``fault_plan`` injects chaos (tests/drills); when omitted, the
         config's ``[faults]`` section and then the ``REPRO_FAULTS``
         environment variable are consulted.
+
+        The run holds the run directory's lock throughout; a directory
+        another live process is running raises
+        :class:`~repro.io.atomic.DirectoryLocked` before anything in it
+        is touched.
         """
+        self.run_dir.mkdir(parents=True, exist_ok=True)
+        with directory_lock(self.run_dir):
+            return self._run(max_steps, fault_plan)
+
+    def _run(self, max_steps: int | None,
+             fault_plan: "FaultPlan | None") -> int:
         config = self.config
         ck_cfg = config.checkpoint
         ck_dir = self.run_dir / CHECKPOINT_DIR

@@ -42,11 +42,9 @@ free-form fields.  Events interleave with step
 records in arrival order; :func:`read_events` filters them back out and
 :func:`summarize` reports them separately, so the per-step schema stays
 strict.  The campaign tier reuses this writer for its own stream —
-``<campaign_dir>/supervisor.jsonl`` carries the ``lease_*``
-(``lease_acquired`` / ``lease_released`` / ``lease_expired`` /
-``lease_reclaimed``) and ``supervision_*`` (``dispatch`` / ``stalled``
-/ ``over_wall`` / ``over_rss`` / ``drain`` / ``kill`` / ``retry`` /
-``outcome``) event kinds emitted by
+``<campaign_dir>/supervisor.jsonl`` carries the ``supervision_*``
+(``dispatch`` / ``stalled`` / ``over_wall`` / ``over_rss`` / ``drain``
+/ ``kill`` / ``retry`` / ``outcome``) event kinds emitted by
 :class:`repro.campaign.supervision.Supervisor`.  Subsystems that cannot hold a writer (the pencil engine, the
 FFT backend) publish through the **contextual** sink installed by the
 runner (:func:`set_event_sink` / :func:`emit_event`); with no sink

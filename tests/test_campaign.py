@@ -8,6 +8,7 @@ and the aggregate table matches a serial reference bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -18,6 +19,8 @@ from repro.campaign import (
     Campaign,
     CampaignConfig,
     CampaignManifest,
+    LimitsConfig,
+    RetryConfig,
     ThreadExecutor,
     build_executor,
     format_table,
@@ -130,6 +133,23 @@ class TestCampaignConfig:
         with pytest.raises(ValueError, match=f"unknown {cls_name} keys"):
             CampaignConfig.from_dict({"name": "x", "base": plasma_base(),
                                       section: {"max_atempts": 3}})
+
+    @pytest.mark.parametrize("section, key", [
+        ("limits", "lease_seconds"), ("retry", "seed"),
+    ])
+    def test_retired_supervision_keys_rejected(self, section, key):
+        """The lease's duration became ``limits.stall_seconds``, and the
+        backoff lost its seeded spread with the second scheduler it
+        served: old specs are refused like any typo, with no alias."""
+        assert [f.name for f in dataclasses.fields(LimitsConfig)] == [
+            "wall_seconds", "rss_mb", "stall_seconds", "grace_seconds",
+            "poll_seconds"]
+        assert [f.name for f in dataclasses.fields(RetryConfig)] == [
+            "max_attempts", "campaign_budget", "retry_resumable",
+            "backoff_base", "backoff_cap"]
+        with pytest.raises(ValueError, match=f"unknown .* keys: \\['{key}'\\]"):
+            CampaignConfig.from_dict({"name": "x", "base": plasma_base(),
+                                      section: {key: 1}})
 
     def test_typoed_sweep_path_rejected_at_load(self):
         with pytest.raises(ValueError, match="p0000"):

@@ -1,9 +1,10 @@
-"""Campaign supervision tier: leases, retries, watchdogs.
+"""Campaign supervision tier: retries, watchdogs, one scheduler.
 
-Tier-1 covers the protocol pieces in isolation (lease semantics,
-failure classification, retry budgets) and fast thread-executor
-integrations (transient retry, permanent no-retry, stale-``running``
-reconciliation, spawn failures retried on the same executor).  The ``chaos``-marked drill runs
+Tier-1 covers the protocol pieces in isolation (failure classification,
+retry budgets) and fast thread-executor integrations (transient retry,
+permanent no-retry, stale-``running`` reconciliation, spawn failures
+retried on the same executor, a second scheduler refused while the
+first holds the campaign directory).  The ``chaos``-marked drill runs
 the acceptance scenario for real: an 8-point processes campaign
 surviving kill/freeze/oom injections bitwise-identically.
 """
@@ -15,7 +16,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ from repro.campaign import (
     Outcome,
     RetryConfig,
     RetryPolicy,
-    RunLease,
     ThreadExecutor,
     classify_exit,
 )
@@ -44,6 +43,8 @@ from repro.runtime import (
 from repro.runtime.runner import CHECKPOINT_DIR, DRAIN_NAME, checkpoint_name
 from repro.runtime.telemetry import read_events, read_telemetry
 
+from .test_runtime_config import _files, stopped_repro
+
 
 def plasma_base(n_steps=3, nx=16, nu=16) -> dict:
     return {
@@ -55,7 +56,7 @@ def plasma_base(n_steps=3, nx=16, nu=16) -> dict:
 
 def fast_retry(**kw) -> RetryConfig:
     """Retry config with test-speed backoff."""
-    base = dict(backoff_base=0.01, backoff_cap=0.05, jitter=0.0)
+    base = dict(backoff_base=0.01, backoff_cap=0.05)
     base.update(kw)
     return RetryConfig(**base)
 
@@ -81,39 +82,6 @@ def dead_pid() -> int:
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
     proc.wait()
     return proc.pid
-
-
-class TestRunLease:
-    def test_exclusive_acquire(self, tmp_path):
-        first = RunLease.acquire(tmp_path, "a", duration=30.0)
-        assert first is not None and first.owner == "a"
-        assert RunLease.acquire(tmp_path, "b", duration=30.0) is None
-        loaded = RunLease.load(tmp_path)
-        assert loaded.owner == "a" and not loaded.expired()
-
-    def test_expired_lease_broken_and_retaken(self, tmp_path):
-        first = RunLease.acquire(tmp_path, "a", duration=0.01)
-        time.sleep(0.05)
-        second = RunLease.acquire(tmp_path, "b", duration=30.0, attempt=2)
-        assert second is not None and second.owner == "b"
-        assert second.attempt == 2
-        # the stalled previous holder can neither renew nor release
-        assert first.renew() is False
-        first.release()
-        assert RunLease.load(tmp_path).owner == "b"
-
-    def test_renew_pushes_deadline(self, tmp_path):
-        lease = RunLease.acquire(tmp_path, "a", duration=0.2)
-        before = lease.data["deadline"]
-        time.sleep(0.05)
-        assert lease.renew() is True
-        assert RunLease.load(tmp_path).data["deadline"] > before
-
-    def test_release_and_missing_load(self, tmp_path):
-        lease = RunLease.acquire(tmp_path, "a", duration=30.0)
-        lease.release()
-        assert RunLease.load(tmp_path) is None
-        lease.release()  # idempotent
 
 
 class TestClassification:
@@ -151,14 +119,11 @@ class TestClassification:
         assert not policy.should_retry(trans, 1)  # budget spent
 
     def test_backoff_deterministic_and_capped(self):
-        a = RetryPolicy(RetryConfig(backoff_base=0.1, backoff_cap=0.5,
-                                    jitter=0.2, seed=7))
-        b = RetryPolicy(RetryConfig(backoff_base=0.1, backoff_cap=0.5,
-                                    jitter=0.2, seed=7))
-        delays = [a.delay(n) for n in range(1, 6)]
-        assert delays == [b.delay(n) for n in range(1, 6)]
-        assert delays[0] < delays[1] < delays[2]
-        assert max(delays) <= 0.5 * 1.2  # cap * (1 + jitter)
+        policy = RetryPolicy(RetryConfig(backoff_base=0.1, backoff_cap=0.5))
+        delays = [policy.delay(n) for n in range(1, 6)]
+        # min(cap, base * 2**(n-1)), the same on every call
+        assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
+        assert delays == [policy.delay(n) for n in range(1, 6)]
 
 
 class FlakyExecutor(ThreadExecutor):
@@ -234,28 +199,57 @@ class TestDrainFlag:
 
 class TestStaleRunning:
     def test_dead_pid_running_entries_requeued(self, tmp_path):
+        """Whoever wrote a ``running`` entry, dead or alive, it is not
+        the scheduler now holding the campaign lock: all are re-queued."""
         campaign = small_campaign(tmp_path, n_points=2)
-        campaign.manifest.mark("p0000", "running", owner="ghost")
+        campaign.manifest.mark("p0000", "running")
         campaign.manifest.runs["p0000"]["pid"] = dead_pid()
+        campaign.manifest.mark("p0001", "running")
+        campaign.manifest.runs["p0001"]["pid"] = os.getpid()
         campaign.manifest.save()
         resumed = Campaign.resume(campaign.campaign_dir)
-        assert resumed.manifest.reset_stale_running() == ["p0000"]
-        assert resumed.manifest.runs["p0000"]["state"] == "queued"
-
-    def test_live_pid_running_entries_kept(self, tmp_path):
-        campaign = small_campaign(tmp_path)
-        campaign.manifest.mark("p0000", "running", owner="me")
-        assert campaign.manifest.reset_stale_running() == []
-        assert campaign.manifest.runs["p0000"]["state"] == "running"
+        assert resumed.manifest.reset_stale_running() == ["p0000", "p0001"]
+        assert {e["state"] for e in resumed.manifest.runs.values()} == {"queued"}
 
     def test_resume_after_scheduler_death_completes(self, tmp_path):
         campaign = small_campaign(tmp_path, n_points=2)
-        campaign.manifest.mark("p0001", "running", owner="ghost")
-        campaign.manifest.runs["p0001"]["pid"] = dead_pid()
-        campaign.manifest.save()
+        campaign.manifest.mark("p0001", "running")
         resumed = Campaign.resume(campaign.campaign_dir)
         assert resumed.run() == EXIT_COMPLETE
         assert resumed.manifest.status == "complete"
+
+
+class TestOneScheduler:
+    def test_second_resume_exits_2_and_no_point_runs_twice(self, tmp_path,
+                                                           capsys):
+        """A second ``repro campaign resume`` while the first is running
+        is refused in one line with ``campaign.json`` untouched; the
+        first then dispatches each point exactly once."""
+        from repro.cli import main
+
+        base = plasma_base(n_steps=6)
+        base["step_delay"] = 0.05
+        campaign = small_campaign(tmp_path, n_points=3, base=base,
+                                  concurrency=1)
+        where = campaign.campaign_dir
+
+        def dispatched() -> bool:
+            return bool(json.loads((where / "campaign.json").read_text())
+                        .get("dispatch"))
+
+        with stopped_repro("campaign", "resume", str(where),
+                           ready=dispatched) as first:
+            before = _files(where)
+            assert main(["campaign", "resume", str(where)]) == 2
+            assert capsys.readouterr().out == (
+                f"campaign resume: {where} is locked by another process\n")
+            assert _files(where) == before
+        assert first.returncode == EXIT_COMPLETE
+        manifest = CampaignManifest.load(where)
+        assert len(manifest.data["dispatch"]) == 1
+        assert [e["attempts"] for e in manifest.runs.values()] == [1, 1, 1]
+        dispatches = supervisor_events(campaign, "supervision_dispatch")
+        assert sorted(d["run_id"] for d in dispatches) == list(manifest.runs)
 
 
 class TestDispatchRecorded:
@@ -413,12 +407,11 @@ class TestCampaignChaosDrill:
             concurrency=3, cpu_budget=3, executor="processes",
             # the stall threshold must clear a child's import time, or
             # a slow interpreter startup reads as a frozen run
-            limits=LimitsConfig(lease_seconds=8.0, grace_seconds=1.0,
+            limits=LimitsConfig(stall_seconds=8.0, grace_seconds=1.0,
                                 poll_seconds=0.1,
                                 rss_mb=baseline + 250.0),
             retry=RetryConfig(max_attempts=4, retry_resumable=True,
-                              backoff_base=0.05, backoff_cap=0.2,
-                              jitter=0.0),
+                              backoff_base=0.05, backoff_cap=0.2),
         ).validate()
         campaign = Campaign.create(config, tmp_path / "c")
 

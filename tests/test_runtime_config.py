@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import os
 import runpy
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -189,10 +192,41 @@ def _files(where):
                   if p.is_file())
 
 
+@contextmanager
+def stopped_repro(*argv, ready, timeout=60.0):
+    """A ``repro`` subprocess, SIGSTOPped once ``ready()`` holds: it
+    keeps its directory's lock while its own writes hold still.  On
+    exit it is continued, and its exit code is ``proc.returncode``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "repro", *argv],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + timeout
+        while not ready():
+            assert proc.poll() is None, f"repro exited {proc.returncode}"
+            assert time.monotonic() < deadline, "repro never got ready"
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGSTOP)
+        _, status = os.waitpid(proc.pid, os.WUNTRACED)  # stopped, not reaped
+        assert os.WIFSTOPPED(status)
+        yield proc
+    finally:
+        proc.send_signal(signal.SIGCONT)
+        try:
+            proc.wait(timeout=timeout)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
 class TestCleanRefusal:
     """``run``, ``resume`` and ``campaign`` (spec, ``resume``, ``status``)
-    refuse a config that fails validation, and ``resume`` and ``campaign
-    resume|status`` a directory without its manifest: one line, exit 2,
+    refuse a config that fails validation, ``resume`` and ``campaign
+    resume|status`` a directory without its manifest, and ``run`` and
+    ``resume`` a run directory a live runner holds: one line, exit 2,
     and nothing run or written."""
 
     def _run_dir(self, tmp_path, key, value):
@@ -233,6 +267,28 @@ class TestCleanRefusal:
             assert out.count("\n") == 1, out
             assert _files(run_dir) == before  # no step, checkpoint or telemetry
             assert not list((run_dir / "checkpoints").iterdir())
+
+    def test_a_run_directory_a_live_runner_holds_exits_2(self, tmp_path,
+                                                         capsys):
+        from repro.cli import main
+
+        config = small_config(step_delay=0.05, schedule=ScheduleConfig(
+            kind="time", dt=0.1, n_steps=20))
+        path = config.dump(tmp_path / "cfg.json")
+        run_dir = tmp_path / "live.run"
+        telemetry = run_dir / "telemetry.jsonl"
+        with stopped_repro("run", str(path), "--run-dir", str(run_dir),
+                           ready=lambda: telemetry.exists()
+                           and telemetry.stat().st_size > 0) as runner:
+            before = _files(run_dir)
+            assert main(["resume", str(run_dir)]) == 2
+            assert main(["run", str(path), "--run-dir", str(run_dir)]) == 2
+            assert capsys.readouterr().out == (
+                f"resume: {run_dir} is locked by another process\n"
+                f"run: {run_dir} is locked by another process\n")
+            assert _files(run_dir) == before
+        assert runner.returncode == 0  # the holder finished undisturbed
+        assert json.loads((run_dir / "run.json").read_text())["last_step"] == 20
 
     @pytest.mark.parametrize("argv", [["resume"], ["campaign", "resume"],
                                       ["campaign", "status"]],

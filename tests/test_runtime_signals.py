@@ -20,11 +20,22 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.io.snapshot import read_checkpoint
-from repro.runtime import EXIT_RESUMABLE, RunConfig, read_telemetry
-from repro.runtime.config import CheckpointConfig, GridConfig, ScheduleConfig
+from repro.runtime import (
+    EXIT_RESUMABLE,
+    RunConfig,
+    SimulationRunner,
+    read_telemetry,
+)
+from repro.runtime.config import (
+    CheckpointConfig,
+    EngineConfig,
+    GridConfig,
+    ScheduleConfig,
+)
 from repro.runtime.runner import CHECKPOINT_DIR, TELEMETRY_NAME, checkpoint_name
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -154,3 +165,51 @@ def test_cli_run_completes_and_reports_summary(tmp_path):
     manifest = json.loads((run_dir / "run.json").read_text())
     assert manifest["status"] == "complete"
     assert manifest["last_step"] == 4
+
+
+def test_sigkilled_domain_run_resumes_bitwise(tmp_path):
+    """SIGKILL a ``repro run`` on the domain engine mid-run: its forked
+    workers must not keep the run directory's lock, so ``repro resume``
+    completes at once, bitwise equal to an uninterrupted run."""
+    n_steps = 12
+    cfg = RunConfig(
+        scenario="plasma",
+        name="kill-domain",
+        grid=GridConfig(nx=(32,), nu=(16,), box_size=12.0, v_max=6.0),
+        schedule=ScheduleConfig(kind="time", dt=0.05, n_steps=n_steps),
+        checkpoint=CheckpointConfig(every_steps=1, keep_last=3),
+        engine=EngineConfig(engine="domain", topology=[2]),
+        step_delay=0.1,
+    )
+    cfg_path = cfg.dump(tmp_path / "cfg.json")
+    run_dir = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "run", str(cfg_path),
+         "--run-dir", str(run_dir)],
+        env=repro_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        wait_for_lines(run_dir / TELEMETRY_NAME, 3)
+        proc.kill()
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    killed_at = json.loads((run_dir / "run.json").read_text())["last_step"]
+    assert killed_at < n_steps
+
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "resume", str(run_dir)],
+        env=repro_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+    reference = tmp_path / "reference"
+    cfg.step_delay = 0.0
+    assert SimulationRunner.create(cfg, reference).run() == 0
+    final = checkpoint_name(n_steps)
+    _, f_resumed, _, _ = read_checkpoint(run_dir / CHECKPOINT_DIR / final)
+    _, f_reference, _, _ = read_checkpoint(reference / CHECKPOINT_DIR / final)
+    assert np.array_equal(f_resumed, f_reference)
