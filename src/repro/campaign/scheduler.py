@@ -91,24 +91,39 @@ class Campaign:
         Every point gets its run directory and a ``config.json`` the
         executors (and a human with ``repro run``) can drive directly.
         An existing manifest is preserved — creating over a partially
-        executed campaign re-enters it rather than resetting state.
+        executed campaign re-enters it rather than resetting state — and
+        must hold the spec's points: a spec whose base or sweep differs
+        is a ``ValueError``, with nothing written (the spec's
+        ``concurrency`` and ``executor`` may differ).  All of it happens
+        under the directory's lock (:class:`~repro.io.atomic.DirectoryLocked`
+        when another process holds it), released before :meth:`run`
+        takes it again.
         """
         config.validate()
         campaign_dir = Path(campaign_dir)
         points = config.points()
-        (campaign_dir / RUNS_DIR).mkdir(parents=True, exist_ok=True)
-        for point in points:
-            run_dir = campaign_dir / RUNS_DIR / point.run_id
-            run_dir.mkdir(exist_ok=True)
-            config_path = run_dir / RUN_CONFIG_NAME
-            if not config_path.exists():
-                point.config.dump(config_path)
-        if (campaign_dir / "campaign.json").exists():
-            manifest = CampaignManifest.load(campaign_dir)
-        else:
-            manifest = CampaignManifest.create(
-                campaign_dir, config.as_dict(), points
-            )
+        campaign_dir.mkdir(parents=True, exist_ok=True)
+        with directory_lock(campaign_dir):
+            manifest = None
+            if (campaign_dir / "campaign.json").exists():
+                manifest = CampaignManifest.load(campaign_dir)
+                held = CampaignConfig.from_dict(manifest.data["spec"]).points()
+                if [(p.run_id, p.config) for p in held] != \
+                        [(p.run_id, p.config) for p in points]:
+                    raise ValueError(
+                        f"its {len(points)} points differ from the "
+                        f"{len(held)} of {campaign_dir}'s manifest"
+                    )
+            for point in points:
+                run_dir = campaign_dir / RUNS_DIR / point.run_id
+                run_dir.mkdir(parents=True, exist_ok=True)
+                config_path = run_dir / RUN_CONFIG_NAME
+                if not config_path.exists():
+                    point.config.dump(config_path)
+            if manifest is None:
+                manifest = CampaignManifest.create(
+                    campaign_dir, config.as_dict(), points
+                )
         return cls(config, campaign_dir, manifest)
 
     @classmethod

@@ -16,13 +16,14 @@ without writing a script:
 
 ``run``/``resume`` return the runtime subsystem's exit-code contract
 (0 complete, 75 resumable, 70 guard abort — see ``docs/RUNTIME.md``);
-both accept ``--faults`` (inline JSON or a file path) to drive a chaos
-drill against a real run.  ``campaign`` rolls the same contract up over
-a whole sweep (0 all done, 70 any guard abort, else 75 — resume until
-0; see ``docs/CAMPAIGN.md``).  A config or spec path that names no file,
-a config, spec or manifest that fails validation, and a run or campaign
-directory another live process holds, is a usage error (exit 2)
-reported in one line, before anything runs or is written.  The
+a chaos drill is a config with a ``[faults]`` section.  ``campaign``
+rolls the same contract up over a whole sweep (0 all done, 70 any guard
+abort, else 75 — resume until 0; see ``docs/CAMPAIGN.md``).  A config
+or spec path that names no file, a config, spec or manifest that fails
+validation, a spec whose points differ from an existing campaign's
+manifest, and a run or campaign directory another live process holds,
+is a usage error (exit 2) reported in one line, before anything runs or
+is written.  The
 hybrid Vlasov + N-body workload has no command of its own: it is a
 ``scenario = "hybrid"`` config for ``run`` (``examples/cosmic_neutrinos.py``
 builds one).
@@ -45,12 +46,15 @@ def _no_config_file(command: str, path: str) -> bool:
 def _refused(command: str, path, load):
     """``load()``, or ``None`` once its refusal has been reported in one
     line (the command exits 2): a ``ValueError`` as an invalid config, a
-    ``FileNotFoundError`` (a directory without its manifest) as itself."""
+    ``FileNotFoundError`` (a directory without its manifest) and a
+    directory another live process holds as themselves."""
+    from repro.io.atomic import DirectoryLocked
+
     try:
         return load()
     except ValueError as exc:
         print(f"{command}: invalid config {path}: {exc}")
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, DirectoryLocked) as exc:
         print(f"{command}: {exc}")
     return None
 
@@ -121,27 +125,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Start (or re-enter) a production run from a config file."""
     if _no_config_file("run", args.config):
         return 2
-    from repro.runtime import FaultPlan, RunConfig, SimulationRunner
+    from repro.runtime import RunConfig, SimulationRunner
 
     config = _refused("run", args.config, lambda: RunConfig.load(args.config))
     if config is None:
         return 2
     run_dir = args.run_dir if args.run_dir else f"{config.name}.run"
     runner = SimulationRunner.create(config, run_dir)
-    return _locked("run", lambda: runner.run(
-        max_steps=args.max_steps, fault_plan=FaultPlan.from_spec(args.faults)))
+    return _locked("run", lambda: runner.run(max_steps=args.max_steps))
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
     """Continue an interrupted run from its run directory."""
-    from repro.runtime import FaultPlan, SimulationRunner
+    from repro.runtime import SimulationRunner
 
     runner = _refused("resume", args.run_dir,
                       lambda: SimulationRunner.resume(args.run_dir))
     if runner is None:
         return 2
-    return _locked("resume", lambda: runner.run(
-        max_steps=args.max_steps, fault_plan=FaultPlan.from_spec(args.faults)))
+    return _locked("resume", lambda: runner.run(max_steps=args.max_steps))
 
 
 def _campaign_status(campaign, watch: bool) -> int:
@@ -203,13 +205,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 config.concurrency = args.concurrency
             if args.executor is not None:
                 config.executor = args.executor
-            return config.validate()
+            config.validate()
+            return Campaign.create(
+                config, args.dir or args.arg or f"{config.name}.campaign")
 
-        config = _refused("campaign", args.target, load)
-        if config is None:
+        campaign = _refused("campaign", args.target, load)
+        if campaign is None:
             return 2
-        campaign_dir = args.dir or args.arg or f"{config.name}.campaign"
-        campaign = Campaign.create(config, campaign_dir)
     command = "campaign resume" if args.target == "resume" else "campaign"
     code = _locked(command, lambda: campaign.run(max_steps=args.max_steps))
     if code == 2:
@@ -321,15 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run directory (default: <config name>.run)")
     p.add_argument("--max-steps", type=int, default=None,
                    help="cap steps this invocation (exits resumable)")
-    p.add_argument("--faults", default=None,
-                   help="chaos drill: fault-plan JSON (inline or a path)")
 
     p = sub.add_parser("resume", help="continue an interrupted run")
     p.add_argument("run_dir", help="run directory holding run.json")
     p.add_argument("--max-steps", type=int, default=None,
                    help="cap steps this invocation (exits resumable)")
-    p.add_argument("--faults", default=None,
-                   help="chaos drill: fault-plan JSON (inline or a path)")
 
     p = sub.add_parser("campaign", help="parameter-sweep campaign over runs")
     p.add_argument("target",

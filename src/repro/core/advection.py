@@ -78,10 +78,10 @@ Allocation discipline
 ``advect`` accepts two optional fast-path arguments:
 
 ``out=``
-    Preallocated destination with the result shape/dtype (aliasing the
-    input is allowed — every flux of a block is fully computed before
-    its output write, and blocks share no rows).  Callers stepping in a
-    loop double-buffer instead of allocating a fresh f every sweep.
+    Preallocated destination with the result shape/dtype.  ``out=f``
+    sweeps in place — every block lands in scratch and its fluxes are
+    fully computed before its output write, and blocks share no rows —
+    which is how the engines step one f without a second copy.
 ``arena=``
     A :class:`repro.perf.arena.ScratchArena` holding the plane, flux
     and limiter scratch buffers.  Repeated calls reuse the same

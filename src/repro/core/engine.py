@@ -72,8 +72,9 @@ class SweepEngine:
     """Serial engine: f on the host, one plain ``advect`` per sweep.
 
     ``arena`` is the scratch pool its sweeps reuse (created when not
-    given), so steady-state stepping is allocation-free; f is double
-    buffered — each sweep writes a spare array and swaps.
+    given), so steady-state stepping is allocation-free.  f is one array,
+    allocated at :meth:`bind` and never replaced: each sweep advects it
+    in place (``advect(..., out=f)``) and assigning f copies into it.
     """
 
     grid: PhaseSpaceGrid | None = None
@@ -108,7 +109,6 @@ class SweepEngine:
         self.velocity_bc = velocity_bc
         self.timer = timer
         self._f = grid.zeros_f()
-        self._back: np.ndarray | None = None
         self.mark_mutated()
 
     # -- the distribution function --------------------------------------
@@ -119,11 +119,17 @@ class SweepEngine:
 
     @f.setter
     def f(self, value: np.ndarray) -> None:
-        self._f = np.asarray(value, dtype=self.grid.dtype)
+        """Copy ``value`` into f (cast to the storage dtype); the caller's
+        array is never adopted, so later sweeps cannot overwrite it."""
+        if np.shape(value) != self.grid.shape:
+            raise ValueError(
+                f"f has shape {self.grid.shape}; got {np.shape(value)}"
+            )
+        self._f[...] = value
         self.mark_mutated()
 
     def mark_mutated(self) -> None:
-        """The array behind :attr:`f` was written (in place, or replaced)."""
+        """The array behind :attr:`f` was written."""
         self.f_version += 1
 
     # -- sweeps ----------------------------------------------------------
@@ -146,14 +152,10 @@ class SweepEngine:
 
     def _host_sweep(self, sweep: Sweep, accel) -> None:
         f = self._f
-        if self._back is None or self._back.shape != f.shape \
-                or self._back.dtype != f.dtype:
-            self._back = np.empty_like(f)
         self.advect(
             f, sweep_shift(self.grid, sweep, accel), sweep.axis,
-            scheme=self.scheme, bc=sweep.bc, out=self._back,
+            scheme=self.scheme, bc=sweep.bc, out=f,
         )
-        self._f, self._back = self._back, f
 
     # -- reductions (no communication by construction, §5.1.3) -----------
 

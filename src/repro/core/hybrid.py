@@ -283,16 +283,20 @@ def build_neutrino_component(
     cosmo: Cosmology,
     delta_nu: np.ndarray | None = None,
     bulk_velocity: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convenience: the initial neutrino f for a given cosmology.
 
     Uses the degenerate-mass approximation (each eigenstate carries
-    M_nu / 3) and the comoving mean density Omega_nu * rho_crit.
+    M_nu / 3) and the comoving mean density Omega_nu * rho_crit.  ``out``
+    is the destination (a solver's f: call its ``notify_f_mutated()``
+    after); a new array when omitted.
     """
     from ..ic.neutrino_ic import neutrino_distribution_function
 
     fd = RelicNeutrinoDistribution(cosmo.m_nu_total_ev / 3.0, cosmo.units)
     mean_rho = cosmo.omega_nu * cosmo.units.rho_crit
     return neutrino_distribution_function(
-        grid, fd, mean_rho, delta=delta_nu, bulk_velocity=bulk_velocity
+        grid, fd, mean_rho, delta=delta_nu, bulk_velocity=bulk_velocity,
+        out=out,
     )

@@ -54,8 +54,11 @@ class VlasovSolver:
     scheme:
         Advection scheme name (default the paper's ``slmpp5``).
     f:
-        The distribution function, allocated zero; load initial conditions
-        by assigning into it (``solver.f[...] = ...``) or over it.
+        The distribution function, allocated zero by the engine and never
+        replaced.  Load initial conditions with ``solver.f = value`` (a
+        copy into f), or write into ``solver.f`` and then call
+        :meth:`notify_f_mutated` — a write alone leaves ``f_version``,
+        and every field solved from the old f, current.
     velocity_bc:
         Boundary condition along the velocity axes; the paper truncates at
         [-V, V) which is the ``zero`` (outflow) condition.
@@ -112,8 +115,9 @@ class VlasovSolver:
         self.engine.f = value
 
     def notify_f_mutated(self) -> None:
-        """:attr:`f` was written in place (fault injection); engines
-        holding f elsewhere re-sync from it."""
+        """:attr:`f` was written in place (an IC, fault injection):
+        cached fields go stale and engines holding f elsewhere re-sync
+        from it."""
         self.engine.mark_mutated()
 
     # ------------------------------------------------------------------

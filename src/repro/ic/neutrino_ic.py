@@ -35,6 +35,7 @@ def neutrino_distribution_function(
     mean_density: float,
     delta: np.ndarray | None = None,
     bulk_velocity: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Discretized f(x, u) on the phase-space grid.
 
@@ -52,11 +53,14 @@ def neutrino_distribution_function(
         Optional density contrast on ``grid.nx`` (zero if omitted).
     bulk_velocity:
         Optional bulk flow, shape ``(dim,) + grid.nx``.
+    out:
+        Optional destination of shape ``grid.shape`` (e.g. a solver's
+        ``f``; a new ``grid.dtype`` array if omitted).
 
     Returns
     -------
     numpy.ndarray
-        f array of shape ``grid.shape`` in ``grid.dtype``.
+        f array of shape ``grid.shape`` (``out`` when given).
 
     Notes
     -----
@@ -65,6 +69,9 @@ def neutrino_distribution_function(
     discretization error, which the tests bound.  For a *d*-dimensional
     reduction (1D1V, 2D2V) the isotropic 3-D Fermi-Dirac is replaced by
     its d-dimensional marginal so that velocity moments stay physical.
+    f is built one slab of the first spatial axis at a time, each cell in
+    float64 and rounded once into ``out``, so no full-grid float64
+    temporary exists.
     """
     if delta is not None and delta.shape != grid.nx:
         raise ValueError(f"delta shape {delta.shape} != {grid.nx}")
@@ -72,36 +79,31 @@ def neutrino_distribution_function(
         raise ValueError("bulk_velocity must be (dim,) + nx")
     if mean_density <= 0.0:
         raise ValueError("mean_density must be positive")
+    rho = mean_density
+    if delta is not None:
+        rho = mean_density * (1.0 + np.asarray(delta, dtype=np.float64))
+        if np.any(rho < 0.0):
+            raise ValueError(
+                "1 + delta went negative; the linear IC amplitude is too large"
+            )
+    if out is None:
+        out = np.empty(grid.shape, dtype=grid.dtype)
 
     dim = grid.dim
-    # velocity part
-    if bulk_velocity is None:
+    rho = np.broadcast_to(rho, grid.nx).reshape(grid.nx + (1,) * dim)
+    u = [grid.u_center_broadcast(d).astype(np.float64) for d in range(dim)]
+    bulk_shape = (1,) + grid.nx[1:] + (1,) * dim
+    for i in range(grid.nx[0]):
         u_sq = np.zeros((1,) * dim + grid.nu)
         for d in range(dim):
-            u = grid.u_center_broadcast(d).astype(np.float64)
-            u_sq = u_sq + u**2
-        fv = _fd_profile(np.sqrt(u_sq), fd, dim)
-    else:
-        u_sq = np.zeros(grid.shape, dtype=np.float64)
-        for d in range(dim):
-            u = grid.u_center_broadcast(d).astype(np.float64)
-            ub = bulk_velocity[d].reshape(grid.nx + (1,) * dim)
-            u_sq = u_sq + (u - ub) ** 2
-        fv = _fd_profile(np.sqrt(u_sq), fd, dim)
-
-    # spatial modulation
-    if delta is None:
-        rho = mean_density
-        out = rho * fv
-        out = np.broadcast_to(out, grid.shape).astype(grid.dtype)
-        return np.ascontiguousarray(out)
-    rho = mean_density * (1.0 + np.asarray(delta, dtype=np.float64))
-    if np.any(rho < 0.0):
-        raise ValueError(
-            "1 + delta went negative; the linear IC amplitude is too large"
-        )
-    out = rho.reshape(grid.nx + (1,) * dim) * fv
-    return out.astype(grid.dtype)
+            if bulk_velocity is None:
+                u_sq = u_sq + u[d] ** 2
+            else:
+                ub = bulk_velocity[d, i].reshape(bulk_shape)
+                u_sq = u_sq + (u[d] - ub) ** 2
+        np.multiply(rho[i : i + 1], _fd_profile(np.sqrt(u_sq), fd, dim),
+                    out=out[i : i + 1], casting="unsafe")
+    return out
 
 
 def _fd_profile(speed: np.ndarray, fd: RelicNeutrinoDistribution, dim: int) -> np.ndarray:

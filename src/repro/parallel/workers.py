@@ -2,8 +2,9 @@
 
 One worker per spatial block, alive for the whole run: the block's slab
 of the distribution function lives in two ``multiprocessing.shared_memory``
-segments (the double buffer of :class:`repro.core.vlasov.VlasovSolver`,
-made cross-process), and every command from the parent addresses those
+segments (a double buffer: neighbours read a block's planes as halos
+while it sweeps, so unlike the host engines' in-place f a block cannot
+be overwritten mid-round), and every command from the parent addresses those
 segments by *role* index — the worker itself is stateless about which
 buffer currently holds f, so a killed-and-respawned worker resumes from
 the untouched current-role segment without any re-scatter.

@@ -50,9 +50,9 @@ checkpoint behind the fault's step re-reads the same config but does
 not re-fire the fault — without the ledger a ``kill_run`` would kill
 every retry forever.
 
-Plans load from a config section, an environment variable
-(``REPRO_FAULTS`` — inline JSON or a path to a JSON file), or the CLI
-(``repro run --faults ...``); see :meth:`FaultPlan.from_spec`.
+A plan comes from the run config's ``[faults]`` section
+(:class:`repro.runtime.config.FaultsConfig`), or is handed to
+``SimulationRunner.run(fault_plan=)`` directly.
 
 Every fired fault is published as a ``fault_injected`` telemetry event
 and recorded in :attr:`FaultPlan.log`, so a chaos run's telemetry shows
@@ -93,9 +93,6 @@ RUN_LEVEL_KINDS = ("oom_run", "freeze_run", "kill_run")
 
 #: The persistent one-shot ledger for run-level faults.
 FIRED_LEDGER = "faults_fired.jsonl"
-
-#: Environment variable the CLI/runner consult for an ambient plan.
-FAULTS_ENV = "REPRO_FAULTS"
 
 
 # -- picklable worker payloads (module-level: sent to worker processes) --
@@ -176,43 +173,6 @@ class FaultPlan:
         #: Held ballast buffers (``oom_run``) — alive for the process's
         #: lifetime so the inflated RSS stays visible to the watchdog.
         self._ballast: list[bytearray] = []
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_spec(cls, spec) -> "FaultPlan | None":
-        """Build a plan from any accepted spec form (``None`` passes through).
-
-        Accepts a :class:`FaultPlan`, a list of event dicts, a dict
-        ``{"seed": ..., "events": [...]}``, inline JSON text, or a path
-        to a JSON file holding either of the JSON forms.
-        """
-        if spec is None:
-            return None
-        if isinstance(spec, FaultPlan):
-            return spec
-        if isinstance(spec, (str, Path)):
-            text = str(spec)
-            if text.lstrip().startswith(("{", "[")):
-                spec = json.loads(text)
-            else:
-                spec = json.loads(Path(text).read_text())
-        if isinstance(spec, (list, tuple)):
-            spec = {"events": list(spec)}
-        if not isinstance(spec, dict):
-            raise ValueError(f"cannot build a FaultPlan from {type(spec).__name__}")
-        unknown = set(spec) - {"seed", "events"}
-        if unknown:
-            raise ValueError(f"unknown fault-plan keys: {sorted(unknown)}")
-        return cls(spec.get("events", []), seed=spec.get("seed", 0))
-
-    @classmethod
-    def from_env(cls) -> "FaultPlan | None":
-        """Plan from ``REPRO_FAULTS`` (inline JSON or a file path), if set."""
-        spec = os.environ.get(FAULTS_ENV, "").strip()
-        return cls.from_spec(spec) if spec else None
 
     # ------------------------------------------------------------------
     # arming and firing

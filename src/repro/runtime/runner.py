@@ -48,9 +48,9 @@ operational discipline:
   telemetry stream as ``diagnostics_*`` events and the stored products
   read back through :func:`repro.serve.read_products`;
 * **chaos injection** — an optional :class:`~repro.runtime.faults.FaultPlan`
-  (``[faults]`` config section, ``REPRO_FAULTS`` env, or the ``run()``
-  argument) fires deterministic worker kills, checkpoint corruption,
-  NaN/negative-f injection, and step stalls against the machinery above;
+  (``[faults]`` config section, or the ``run()`` argument) fires
+  deterministic worker kills, checkpoint corruption, NaN/negative-f
+  injection, and step stalls against the machinery above;
   every injection and recovery lands in the telemetry stream as an
   event record.
 
@@ -181,8 +181,7 @@ class SimulationRunner:
         deterministic stand-in for the wall-clock budget; the run exits
         resumable when the cap lands before the schedule's end).
         ``fault_plan`` injects chaos (tests/drills); when omitted, the
-        config's ``[faults]`` section and then the ``REPRO_FAULTS``
-        environment variable are consulted.
+        config's ``[faults]`` section is the plan.
 
         The run holds the run directory's lock throughout; a directory
         another live process is running raises
@@ -206,13 +205,8 @@ class SimulationRunner:
             return (ck_cfg.every_steps is not None
                     and index % ck_cfg.every_steps == 0)
 
-        if fault_plan is None:
-            if config.faults.events:
-                fault_plan = FaultPlan(
-                    config.faults.events, seed=config.faults.seed
-                )
-            else:
-                fault_plan = FaultPlan.from_env()
+        if fault_plan is None and config.faults.events:
+            fault_plan = FaultPlan(config.faults.events, seed=config.faults.seed)
 
         # The telemetry stream opens first so that *everything* below —
         # quarantines during the resume scan, engine degradations,

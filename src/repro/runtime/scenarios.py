@@ -78,8 +78,8 @@ def _make_grid(config: RunConfig) -> PhaseSpaceGrid:
 
 
 def _maxwellian(grid: PhaseSpaceGrid, sigma: float = 1.0) -> np.ndarray:
-    """Product Gaussian over the velocity axes, broadcast to grid.shape."""
-    out = np.ones(grid.shape, dtype=np.float64)
+    """Product Gaussian over the velocity axes, broadcastable to grid.shape."""
+    out = np.ones((1,) * grid.dim + grid.nu, dtype=np.float64)
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     for axis in range(grid.dim):
         u = grid.u_centers(axis)
@@ -92,7 +92,8 @@ def _maxwellian(grid: PhaseSpaceGrid, sigma: float = 1.0) -> np.ndarray:
 def _cosine_perturbation(
     grid: PhaseSpaceGrid, amplitude: float, mode: int
 ) -> np.ndarray:
-    """1 + A cos(k x) along the first spatial axis, broadcast to grid.shape."""
+    """1 + A cos(k x) along the first spatial axis, broadcastable to
+    grid.shape."""
     k = 2.0 * np.pi * mode / grid.box_size
     x = grid.x_centers(0)
     shape = [1] * (2 * grid.dim)
@@ -240,10 +241,10 @@ class PlasmaStepper(_VlasovPoissonStepper):
             self.grid, scheme=config.scheme, timer=timer, engine=engine,
         )
         p = config.params
-        f0 = _maxwellian(self.grid) * _cosine_perturbation(
+        np.multiply(_maxwellian(self.grid), _cosine_perturbation(
             self.grid, float(p.get("amplitude", 0.01)), int(p.get("mode", 1))
-        )
-        self.driver.f = f0
+        ), out=self.f, casting="unsafe")
+        self.notify_f_mutated()
         self.dt = config.schedule.dt
         self.n_steps = config.schedule.n_steps
         self.index = 0
@@ -284,14 +285,14 @@ class GravitationalStepper(_VlasovPoissonStepper):
         )
         sigma = float(p.get("sigma_v", 1.0))
         rho0 = float(p.get("rho0", 1.0))
-        f0 = (
-            rho0
-            * _maxwellian(self.grid, sigma=sigma)
-            * _cosine_perturbation(
+        np.multiply(
+            rho0 * _maxwellian(self.grid, sigma=sigma),
+            _cosine_perturbation(
                 self.grid, float(p.get("amplitude", 0.01)), int(p.get("mode", 1))
-            )
+            ),
+            out=self.f, casting="unsafe",
         )
-        self.driver.f = f0
+        self.notify_f_mutated()
         self.dt = config.schedule.dt
         self.n_steps = config.schedule.n_steps
         self.index = 0
@@ -508,7 +509,8 @@ def build_hybrid_simulation(
         grid, cdm, cosmo, a=a_start, scheme=scheme, use_tree=use_tree,
         engine=engine, timer=timer,
     )
-    sim.neutrinos.f = build_neutrino_component(
-        grid, cosmo, delta_nu=delta_nu, bulk_velocity=bulk
+    build_neutrino_component(
+        grid, cosmo, delta_nu=delta_nu, bulk_velocity=bulk, out=sim.neutrinos.f
     )
+    sim.neutrinos.notify_f_mutated()
     return sim

@@ -24,8 +24,15 @@ PARTICLE_STATE_BYTES = 56
 
 #: Extra working fraction of f the advection engine holds concurrently.
 #: The production kernel updates pencil-by-pencil in place, needing only
-#: a flux sliver per pencil batch — not a full copy.  (The NumPy engine
-#: in this repository is more memory-hungry; this models the paper's.)
+#: a flux sliver per pencil batch — not a full copy.  This models the
+#: paper's engine.  Measured here (``tests/test_one_f.py``, tracemalloc
+#: over the IC build and two steps): the serial and pencil engines sweep
+#: their one f in place, 0.20 f beyond f on a 16³×12³ float32
+#: gravitational run (arena, field, moments); 1.31 f on a hybrid at
+#: nx 8³, nu 16³, where one x slab of float64 IC temporaries and the
+#: block-sized arena are large against an 8 MiB f.  The domain engine
+#: keeps two f-sized shared segments per block beside the host f,
+#: because neighbours read a block's planes while it sweeps.
 F_WORKING_COPIES = 0.5
 
 #: Ghost exchanges are streamed in chunks (the full 6-D ghost shell of

@@ -313,7 +313,7 @@ class TestCleanRefusal:
                     base=small_config().as_dict(),
                     sweep={"params": {"mode": [1, 2]}})
         spec.update(overrides)
-        path = tmp_path / "spec.json"
+        path = tmp_path / f"spec{len(list(tmp_path.glob('spec*.json')))}.json"
         path.write_text(json.dumps(spec))
         return path
 
@@ -345,6 +345,38 @@ class TestCleanRefusal:
                 assert out.startswith(f"campaign: invalid config {spec}: ")
                 assert reason in out and out.count("\n") == 1, out
                 assert not where.exists()
+
+    def test_a_spec_that_grows_an_existing_campaign_exits_2(self, tmp_path,
+                                                             capsys):
+        """Re-entering a campaign with points its manifest lacks (or with
+        a different base) is refused, held or not; ``-k``/``--executor``
+        overrides still re-enter."""
+        from repro.campaign import Campaign, CampaignConfig
+        from repro.cli import main
+        from repro.io.atomic import directory_lock
+
+        good = self._spec(tmp_path)
+        where = tmp_path / "c"
+        Campaign.create(CampaignConfig.load(good), where)
+        grown = self._spec(tmp_path, sweep={"params": {"mode": [1, 2, 3]}})
+        with directory_lock(where):  # held: refused before reading anything
+            before = _files(where)
+            assert main(["campaign", str(grown), "--dir", str(where)]) == 2
+            assert capsys.readouterr().out == (
+                f"campaign: {where} is locked by another process\n")
+        assert _files(where) == before
+        rebased = small_config(params={"amplitude": 0.02}).as_dict()
+        for spec in (grown, self._spec(tmp_path, base=rebased)):
+            assert main(["campaign", str(spec), "--dir", str(where)]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"campaign: invalid config {spec}: ")
+            assert "differ from" in out and out.count("\n") == 1, out
+            assert _files(where) == before
+        config = CampaignConfig.load(self._spec(tmp_path))
+        config.concurrency, config.executor = 2, "threads"
+        assert Campaign.create(config, where).manifest.runs.keys() == {
+            "p0000", "p0001"}
+        assert _files(where) == before
 
     @pytest.mark.parametrize("verb", ["resume", "status"])
     def test_repro_campaign_manifest_exits_2_before_any_run(self, tmp_path,

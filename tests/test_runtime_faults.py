@@ -107,18 +107,6 @@ class TestFaultPlan:
         assert plan.stall_seconds() == 0.25
         assert plan.stall_seconds() == 0.0  # one-shot
 
-    def test_from_spec_accepts_json_path_and_none(self, tmp_path):
-        assert FaultPlan.from_spec(None) is None
-        inline = FaultPlan.from_spec('[{"kind": "inject_nan", "step": 2}]')
-        assert inline.events[0].kind == "inject_nan"
-        spec = tmp_path / "plan.json"
-        spec.write_text(json.dumps(
-            {"seed": 9, "events": [{"kind": "kill_worker", "step": 1}]}
-        ))
-        loaded = FaultPlan.from_spec(spec)
-        assert loaded.seed == 9 and loaded.events[0].kind == "kill_worker"
-        assert FaultPlan.from_spec(loaded) is loaded
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             FaultPlan([{"kind": "set_on_fire", "step": 1}])
