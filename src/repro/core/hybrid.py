@@ -11,25 +11,27 @@ potential:
   neutrino components share the common gravitational potential".
 
 One step advances both components through the same scale-factor interval
-with the KDK structure of Eq. (5) in its merged (leapfrog) form.  Step
-n's closing half kick and step n+1's opening half kick use the same
-potential, the one solved from the *drifted* densities at a_n, so they
-are one kick by one integral:
+with the merged leapfrog of :mod:`repro.core.leapfrog`.  Step n's closing
+half kick and step n+1's opening half kick use the same potential, the
+one solved from the *drifted* densities at a_n, so they are one kick by
+one integral:
 
     kick both by kick_factor(am_{n-1}, am_n) -> drift both over [a_n, a_{n+1}]
 
 with am the interval midpoints.  Between steps both components owe the
-half kick kick_factor(am, a) (``kick_from`` holds am; None: synchronous);
-:meth:`HybridSimulation.synchronize` applies it, and checkpoints carry it.
+half kick kick_factor(am, a): the driver keeps its start, ``kick_from``
+(None: synchronous), because kick_factor(kick_from, am) is one integral
+where a sum of two factors would change bits; checkpoints carry it as
+``kick_from_a``.
 
 Each kick solves the common potential once (:meth:`HybridSimulation.
 kick_fields`): one neutrino moment, one CDM window stencil for the
 deposit and the interpolation, one PM solve; the Vlasov kick takes the
 mesh field, the CDM kick the same field at the particles (plus the tree
-term).  The last solve is kept, keyed like the Vlasov-Poisson drivers'
-slot by the engine's ``f_version`` and a, and recomputed lazily after a
-restore; a kick moves neither the density nor the particles, so the
-bits are the same.  A timer records it as
+term).  The solve sits in the drivers' one field slot, keyed by the
+engine's ``f_version`` and a, and is recomputed lazily after a restore;
+a kick moves neither the density nor the particles, so the bits are the
+same.  A timer records it as
 ``pm/{moments,deposit,fft,grad,interp}``, ``tree`` and
 ``cdm/{kick,drift}``: the paper's per-part split (Tables 3-4).
 
@@ -51,6 +53,7 @@ from ..cosmology.neutrino import RelicNeutrinoDistribution
 from ..diagnostics.timers import section
 from ..nbody.particles import ParticleSet
 from ..nbody.treepm import R_SPLIT_CELLS, LongRangePM, TreePMSolver
+from .leapfrog import Fields, LeapfrogDriver
 from .mesh import PhaseSpaceGrid
 from .vlasov import VlasovSolver
 
@@ -60,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass
-class HybridSimulation:
+class HybridSimulation(LeapfrogDriver):
     """Self-consistent CDM (N-body) + neutrino (Vlasov) evolution.
 
     Parameters
@@ -101,10 +104,9 @@ class HybridSimulation:
     r_split_cells: float = R_SPLIT_CELLS
     engine: "SweepEngine | None" = None
     timer: "StepTimer | None" = None
-    step_count: int = field(default=0, init=False)
     #: start of the owed kick interval [kick_from, a]; None: synchronous
     kick_from: float | None = field(default=None, init=False)
-    _fields: tuple = field(default=(None, None), init=False, repr=False)
+    OWED = ("kick_from", "kick_from_a")
 
     def __post_init__(self) -> None:
         if abs(self.cdm.box_size - self.grid.box_size) > 1e-9 * self.grid.box_size:
@@ -113,7 +115,7 @@ class HybridSimulation:
             # 1/30 of the mean interparticle spacing, a common N-body choice
             spacing = self.grid.box_size / max(round(self.cdm.n ** (1 / 3)), 1)
             self.softening = spacing / 30.0
-        self.neutrinos = VlasovSolver(
+        self.solver = VlasovSolver(
             self.grid, scheme=self.scheme, engine=self.engine,
             timer=self.timer,
         )
@@ -126,6 +128,15 @@ class HybridSimulation:
             TreePMSolver(**pm, eps=self.softening, theta=self.theta)
             if self.use_tree else LongRangePM(**pm)
         )
+
+    @property
+    def neutrinos(self) -> VlasovSolver:
+        """The neutrino component's Vlasov solver."""
+        return self.solver
+
+    @property
+    def particles(self) -> ParticleSet:
+        return self.cdm
 
     # ------------------------------------------------------------------
     # densities and forces
@@ -173,54 +184,41 @@ class HybridSimulation:
     # time stepping
     # ------------------------------------------------------------------
 
-    def _current_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`kick_fields` at the current state, solved once."""
-        key = (self.neutrinos.engine.f_version, self.a)
-        if self._fields[0] != key:
-            self._fields = (key, self.kick_fields(self.a))
-        return self._fields[1]
+    def _solve(self, need_phi: bool) -> Fields:
+        acc_mesh, acc = self.kick_fields(self.a)
+        return Fields(accel=acc_mesh, particles=acc)
+
+    def _kick_accel(self) -> tuple[np.ndarray, np.ndarray]:
+        fields = self._fields()
+        return fields.accel, fields.particles
 
     def _kick(self, factor: float) -> None:
-        acc_mesh, acc = self._current_fields()
-        self.neutrinos.kick(acc_mesh, factor)
+        acc_mesh, acc = self._kick_accel()
+        self.solver.kick(acc_mesh, factor)
         with section(self.timer, "cdm/kick"):
             self.cdm.kick(acc, factor)
 
+    def _drift(self, factor: float) -> None:
+        self.solver.drift(factor)
+        with section(self.timer, "cdm/drift"):
+            self.cdm.drift(factor)
+
+    def _owed_factor(self) -> float:
+        return self.cosmology.kick_factor(self.kick_from, self.a)
+
     def step(self, a_next: float) -> None:
         """Advance both components from the current a to a_next: one
-        merged kick (the pending half plus the opening half, one
-        integral), the drift, the closing half left pending."""
+        merged kick (the owed half plus the opening half, one integral),
+        the drift, the closing half left owed."""
         if a_next <= self.a:
             raise ValueError("a_next must exceed the current scale factor")
         cosmo = self.cosmology
         a0, a1 = self.a, a_next
         am = 0.5 * (a0 + a1)
-        self._kick(cosmo.kick_factor(
-            a0 if self.kick_from is None else self.kick_from, am))
-        drift = cosmo.drift_factor(a0, a1)
-        self.neutrinos.drift(drift)
-        with section(self.timer, "cdm/drift"):
-            self.cdm.drift(drift)
-        self.kick_from = am
+        self._advance(
+            cosmo.kick_factor(a0 if self.kick_from is None else self.kick_from, am),
+            cosmo.drift_factor(a0, a1), am)
         self.a = a_next
-        self.step_count += 1
-
-    def synchronize(self) -> None:
-        """Apply the pending half kick kick_factor(kick_from, a) to both
-        components in place.  A no-op when nothing is pending."""
-        if self.kick_from is not None:
-            self._kick(self.cosmology.kick_factor(self.kick_from, self.a))
-            self.kick_from = None
-
-    def pending_velocity(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(mesh, particles)``: the velocity shifts the pending kick
-        applies to the neutrinos' mesh and to the CDM particles; both
-        None when synchronous."""
-        if self.kick_from is None:
-            return None, None
-        factor = self.cosmology.kick_factor(self.kick_from, self.a)
-        acc_mesh, acc = self._current_fields()
-        return factor * acc_mesh, factor * acc
 
     def run(self, schedule: np.ndarray, observer=None) -> None:
         """Advance through a scale-factor schedule (first entry = current a).
@@ -238,44 +236,25 @@ class HybridSimulation:
         self.synchronize()
 
     # ------------------------------------------------------------------
-    # convenience diagnostics
+    # the runner's view: clock, conserved mass, restart
     # ------------------------------------------------------------------
 
     def neutrino_mass(self) -> float:
         """Total neutrino mass on the grid."""
         return self.neutrinos.total_mass()
 
-    def redshift(self) -> float:
-        """Current redshift."""
-        return 1.0 / self.a - 1.0
+    def coordinate(self) -> dict[str, float]:
+        return {"a": self.a}
 
-    # ------------------------------------------------------------------
-    # checkpoint / restart
-    # ------------------------------------------------------------------
-
-    def save_checkpoint(self, path, timer=None, extra=None):
-        """Write the full state (f + particles + epoch) for bit-exact restart."""
-        from ..io.snapshot import write_checkpoint
-
-        extra = dict(extra or {})
-        if self.kick_from is not None:
-            extra["kick_from_a"] = self.kick_from
-        return write_checkpoint(
-            path, self.grid, self.neutrinos.f, self.cdm,
-            a=self.a, step=self.step_count, extra=extra, timer=timer,
-        )
+    def conserved(self) -> dict[str, float]:
+        return {"nu_mass": self.neutrino_mass()}
 
     def restore(self, f: np.ndarray, particles: ParticleSet | None,
                 header: dict) -> None:
-        """Adopt a checkpoint's state; a header without ``kick_from_a``
-        (written synchronous) owes no kick."""
         if particles is None:
             raise ValueError("checkpoint carries no particles")
-        self.neutrinos.f = f
         self.cdm = particles
-        self.a = float(header["a"])
-        self.step_count = int(header["step"])
-        self.kick_from = header.get("extra", {}).get("kick_from_a")
+        super().restore(f, particles, header)
 
 
 def build_neutrino_component(

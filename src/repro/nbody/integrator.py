@@ -26,7 +26,7 @@ class LeapfrogKDK:
     ----------
     cosmology:
         Supplies the kick/drift integrals; None freezes the expansion
-        (a = 1, plain dt steps via :meth:`step_static`).
+        (a = 1, plain dt steps via :meth:`step`).
     accel_fn:
         Callable ``(particles, a) -> (N, dim) accelerations``.
     """
@@ -39,7 +39,7 @@ class LeapfrogKDK:
     ) -> None:
         """KDK step advancing the scale factor from a0 to a1."""
         if self.cosmology is None:
-            raise ValueError("no cosmology attached; use step_static")
+            raise ValueError("no cosmology attached; use step")
         if a1 <= a0:
             raise ValueError("a1 must exceed a0")
         cosmo = self.cosmology
@@ -48,7 +48,7 @@ class LeapfrogKDK:
         particles.drift(cosmo.drift_factor(a0, a1))
         particles.kick(self.accel_fn(particles, a1), cosmo.kick_factor(am, a1))
 
-    def step_static(self, particles: ParticleSet, dt: float) -> None:
+    def step(self, particles: ParticleSet, dt: float) -> None:
         """KDK step with frozen expansion."""
         particles.kick(self.accel_fn(particles, 1.0), 0.5 * dt)
         particles.drift(dt)

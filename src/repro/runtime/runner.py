@@ -124,6 +124,17 @@ def checkpoint_name(step: int) -> str:
     return f"ck_{step:08d}.npz"
 
 
+def _adopt(stepper: Stepper, state: CheckpointState) -> None:
+    """Restore ``stepper`` from a recovered checkpoint (resume and
+    rollback alike), refusing one written for a different grid."""
+    if state.grid != stepper.grid:
+        raise RuntimeError(
+            f"checkpoint {state.path.name} was written for a different "
+            "grid than this config builds — refusing to restore it"
+        )
+    stepper.restore(state.f, state.particles, state.header)
+
+
 class SimulationRunner:
     """Drives one configured run inside one run directory.
 
@@ -249,13 +260,7 @@ class SimulationRunner:
                     print(f"runner: skipping unreadable checkpoint {path.name}: "
                           f"{reason}", file=sys.stderr)
                 if state.f is not None:
-                    if state.grid != stepper.grid:
-                        raise RuntimeError(
-                            f"checkpoint {state.path.name} was written for a "
-                            "different grid than this config builds — refusing "
-                            "to resume"
-                        )
-                    stepper.restore(state.f, state.particles, state.header)
+                    _adopt(stepper, state)
                     print(f"runner: resumed from {state.path.name} "
                           f"(step {stepper.index}/{stepper.n_steps})",
                           file=sys.stderr)
@@ -473,13 +478,7 @@ class SimulationRunner:
         )
         stepper = build_stepper(self.config, timer=self.timer, engine=engine)
         if state is not None and state.f is not None:
-            if state.grid != stepper.grid:
-                raise RuntimeError(
-                    f"checkpoint {state.path.name} was written for a "
-                    "different grid than this config builds — cannot "
-                    "roll back onto it"
-                )
-            stepper.restore(state.f, state.particles, state.header)
+            _adopt(stepper, state)
         if recovery.config.dt_scale != 1.0:
             if not stepper.rescale_dt(recovery.dt_factor):
                 print("runner: this scenario cannot rescale dt — "

@@ -3,21 +3,24 @@
 The library has three closed-loop drivers with three different clocks
 (:class:`~repro.core.vlasov_poisson.PlasmaVlasovPoisson` in plasma time,
 :class:`~repro.core.vlasov_poisson.GravitationalVlasovPoisson` in proper
-time, :class:`~repro.core.hybrid.HybridSimulation` in scale factor).
-This module wraps each behind the uniform :class:`Stepper` interface the
-runner drives: advance one schedule slot, expose conserved quantities
-and the current coordinate, checkpoint, restore.  Restores are
+time, :class:`~repro.core.hybrid.HybridSimulation` in scale factor), all
+on one protocol, :class:`~repro.core.leapfrog.LeapfrogDriver`: the
+merged-leapfrog step, the owed half kick, conserved quantities and the
+checkpoint pair.  :func:`build_stepper` constructs the scenario's driver
+with its initial conditions and puts it on its schedule in a
+:class:`Stepper`, which the runner drives: advance one schedule slot,
+rescale dt, and the driver's protocol for the rest.  Restores are
 **bit-exact**: a stepper rebuilt from the same config and fed a
 checkpoint reproduces the uninterrupted run's ``f`` (and particles)
 exactly, which is the runtime subsystem's headline guarantee.
 
-The drivers step in the merged leapfrog form, so between steps f owes a
-half kick (:mod:`repro.core.vlasov_poisson`).  A checkpoint stores that
-state as it is, with the pending kick in its header's ``extra``
-(``pending_kick``, or the hybrid's ``kick_from_a``); a header without
-the key is synchronous, which is how :meth:`Stepper.synchronize` leaves
-the runner's sync points (the step cadence's multiples and the
-schedule's end) and how checkpoints written before the merge read.
+Between steps f owes a half kick (:mod:`repro.core.leapfrog`).  A
+checkpoint stores that state as it is, with the owed kick in its
+header's ``extra`` (``pending_kick``, or the hybrid's ``kick_from_a``);
+a header without the key is synchronous, which is how
+:meth:`Stepper.synchronize` leaves the runner's sync points (the step
+cadence's multiples and the schedule's end) and how checkpoints written
+before the merge read.
 
 Initial conditions are part of the scenario (a run must be resumable
 from its config file alone, so ICs cannot live in an ad-hoc script):
@@ -52,17 +55,14 @@ import numpy as np
 from ..core.engine import SweepEngine
 from ..core.mesh import PhaseSpaceGrid
 from ..core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
-from ..io.snapshot import write_checkpoint
 from .config import RunConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.hybrid import HybridSimulation
+    from ..core.leapfrog import LeapfrogDriver
 
 __all__ = [
     "Stepper",
-    "PlasmaStepper",
-    "GravitationalStepper",
-    "HybridStepper",
     "build_engine",
     "build_stepper",
     "build_hybrid_simulation",
@@ -102,238 +102,115 @@ def _cosine_perturbation(
 
 
 # ----------------------------------------------------------------------
-# the Stepper interface
+# the Stepper
 # ----------------------------------------------------------------------
 
 
 class Stepper:
-    """Uniform stepping interface over the three drivers.
+    """One driver on its schedule: the interface the runner drives.
 
-    State contract: ``index`` counts completed schedule slots; a stepper
+    The schedule is a fixed ``dt`` (rescalable on rollback) or the
+    hybrid's scale-factor ladder ``schedule``.  ``index`` counts
+    completed schedule slots (the driver's ``step_count``); a stepper
     with ``index == n_steps`` is done.  ``save``/``restore`` round-trip
-    the *entire* mutable state bit-exactly (f, particles, clock, index).
+    the *entire* mutable state bit-exactly (f, particles, clock, index,
+    owed kick).
     """
 
-    scenario: str = ""
-    coord_key: str = "t"
-    n_steps: int = 0
-    index: int = 0
-    grid: PhaseSpaceGrid
+    def __init__(self, scenario: str, driver: LeapfrogDriver, n_steps: int,
+                 dt: float | None = None, schedule: np.ndarray | None = None):
+        self.scenario = scenario
+        self.n_steps = n_steps
+        self.dt = dt
+        self.schedule = schedule
+        self.grid = driver.grid
+        # benchmarks/e2e/e2e_trace.py wraps advance, conserved, save and
+        # restore, and reads ``driver`` (plasma, gravitational) or ``sim``
+        # (hybrid; None elsewhere)
+        self.driver = driver
+        self.sim = driver if scenario == "hybrid" else None
+
+    @property
+    def index(self) -> int:
+        return self.driver.step_count
 
     def advance(self) -> float:
         """Execute one step; returns the step size (dt or da)."""
-        raise NotImplementedError
+        if self.schedule is None:
+            self.driver.step(self.dt)
+            return self.dt
+        a_prev = self.driver.a
+        self.driver.step(float(self.schedule[self.index + 1]))
+        return self.driver.a - a_prev
+
+    def rescale_dt(self, factor: float) -> bool:
+        """Multiply the step size by ``factor`` (rollback recovery).
+
+        Returns whether the stepper honored it; a scale-factor ladder
+        cannot rescale and returns False.
+        """
+        if self.schedule is not None:
+            return False
+        self.dt *= float(factor)
+        return True
 
     def coordinate(self) -> dict[str, float]:
-        """The driver's clock, e.g. ``{"t": 1.2}`` or ``{"a": 0.5}``."""
-        raise NotImplementedError
+        return self.driver.coordinate()
 
     def conserved(self) -> dict[str, float]:
-        """Conserved quantities for the ledger/guards (read on the
-        carried f: the pending half kick is not applied)."""
-        raise NotImplementedError
+        return self.driver.conserved()
 
     def synchronize(self) -> None:
-        """Apply the pending half kick in place (a sync point)."""
-        raise NotImplementedError
+        """Apply the owed half kick in place (a sync point)."""
+        self.driver.synchronize()
 
     def pending_velocity(self) -> tuple:
-        """``(mesh, particles)`` velocity shifts of the pending half
-        kick, for the diagnostics' velocity moment; None when none."""
-        raise NotImplementedError
-
-    @property
-    def solver(self):
-        """The stepper's own :class:`~repro.core.vlasov.VlasovSolver`."""
-        raise NotImplementedError
+        return self.driver.pending_velocity()
 
     @property
     def f(self) -> np.ndarray:
         """The distribution function (for guards and restores)."""
-        return self.solver.f
+        return self.driver.f
 
     @property
     def particles(self):
-        """The particle component, or None."""
-        return None
+        return self.driver.particles
 
     def f_stats(self) -> tuple[int, float]:
         """(non-finite cell count, min of f) — the guards' health probe,
         answered by the solver's engine without materializing f when f
         lives in workers (exact under aggregation, so guard decisions
         are engine-independent)."""
-        return self.solver.f_stats()
+        return self.driver.solver.f_stats()
 
     def notify_f_mutated(self) -> None:
         """Tell the solver :attr:`f` was mutated *in place* (fault
         injection) so engines holding f elsewhere re-sync it."""
-        self.solver.notify_f_mutated()
+        self.driver.solver.notify_f_mutated()
 
     def save(self, path: str | Path, timer=None) -> Path:
         """Write a restart checkpoint at the current state."""
-        raise NotImplementedError
+        return self.driver.save(path, timer, {"scenario": self.scenario,
+                                              "schedule_index": self.index})
 
     def restore(self, f: np.ndarray, particles, header: dict) -> None:
         """Adopt a checkpoint's state (inverse of :meth:`save`)."""
-        raise NotImplementedError
-
-    def rescale_dt(self, factor: float) -> bool:
-        """Multiply the step size by ``factor`` (rollback recovery).
-
-        Returns whether the stepper honored it; schedules that are a
-        fixed coordinate ladder (the hybrid scale-factor schedule)
-        cannot rescale and return False.
-        """
-        return False
-
-    def _extra(self) -> dict:
-        return {"scenario": self.scenario, "schedule_index": self.index}
+        self.driver.restore(f, particles, header)
 
 
-class _VlasovPoissonStepper(Stepper):
-    """What the two Vlasov-Poisson scenarios share: a ``driver`` owning
-    the solver, a time coordinate, and a rescalable fixed ``dt``."""
-
-    coord_key = "t"
-
-    def coordinate(self) -> dict[str, float]:
-        return {"t": self.driver.time}
-
-    def conserved(self) -> dict[str, float]:
-        return {
-            "mass": self.driver.solver.total_mass(),
-            "energy": self.driver.total_energy(),
-        }
-
-    @property
-    def solver(self):
-        return self.driver.solver
-
-    def synchronize(self) -> None:
-        self.driver.synchronize()
-
-    def pending_velocity(self) -> tuple:
-        return self.driver.pending_velocity(), None
-
-    def rescale_dt(self, factor: float) -> bool:
-        self.dt *= float(factor)
-        return True
-
-    def _extra(self) -> dict:
-        extra = super()._extra()
-        if self.driver.pending_kick:
-            extra["pending_kick"] = self.driver.pending_kick
-        return extra
-
-    def _restore_pending(self, header: dict) -> None:
-        self.driver.pending_kick = float(
-            header.get("extra", {}).get("pending_kick", 0.0))
-
-
-class PlasmaStepper(_VlasovPoissonStepper):
-    """Electrostatic plasma driver on a fixed-dt schedule."""
-
-    scenario = "plasma"
-
-    def __init__(self, config: RunConfig, timer=None, engine=None) -> None:
-        self.grid = _make_grid(config)
-        self.driver = PlasmaVlasovPoisson(
-            self.grid, scheme=config.scheme, timer=timer, engine=engine,
-        )
-        p = config.params
-        np.multiply(_maxwellian(self.grid), _cosine_perturbation(
-            self.grid, float(p.get("amplitude", 0.01)), int(p.get("mode", 1))
-        ), out=self.f, casting="unsafe")
-        self.notify_f_mutated()
-        self.dt = config.schedule.dt
-        self.n_steps = config.schedule.n_steps
-        self.index = 0
-
-    def advance(self) -> float:
-        self.driver.step(self.dt)
-        self.index += 1
-        return self.dt
-
-    def save(self, path: str | Path, timer=None) -> Path:
-        return write_checkpoint(
-            path, self.grid, self.driver.f, None,
-            a=1.0, step=self.index, sim_time=self.driver.time,
-            extra=self._extra(), timer=timer,
-        )
-
-    def restore(self, f: np.ndarray, particles, header: dict) -> None:
-        self.driver.f = f
-        self.driver.time = float(header["time"])
-        self._restore_pending(header)
-        self.index = int(header["step"])
-
-
-class GravitationalStepper(_VlasovPoissonStepper):
-    """Static self-gravitating matter on a fixed-dt schedule."""
-
-    scenario = "gravitational"
-
-    def __init__(self, config: RunConfig, timer=None, engine=None) -> None:
-        self.grid = _make_grid(config)
-        p = config.params
-        self.driver = GravitationalVlasovPoisson(
-            self.grid,
-            g_newton=float(p.get("g_newton", 1.0)),
-            scheme=config.scheme,
-            timer=timer,
-            engine=engine,
-        )
-        sigma = float(p.get("sigma_v", 1.0))
-        rho0 = float(p.get("rho0", 1.0))
-        np.multiply(
-            rho0 * _maxwellian(self.grid, sigma=sigma),
-            _cosine_perturbation(
-                self.grid, float(p.get("amplitude", 0.01)), int(p.get("mode", 1))
-            ),
-            out=self.f, casting="unsafe",
-        )
-        self.notify_f_mutated()
-        self.dt = config.schedule.dt
-        self.n_steps = config.schedule.n_steps
-        self.index = 0
-
-    def advance(self) -> float:
-        self.driver.step_static(self.dt)
-        self.index += 1
-        return self.dt
-
-    def save(self, path: str | Path, timer=None) -> Path:
-        return write_checkpoint(
-            path, self.grid, self.driver.f, None,
-            a=self.driver.a, step=self.index, sim_time=self.driver.time,
-            extra=self._extra(), timer=timer,
-        )
-
-    def restore(self, f: np.ndarray, particles, header: dict) -> None:
-        self.driver.f = f
-        self.driver.time = float(header["time"])
-        self.driver.a = float(header["a"])
-        self._restore_pending(header)
-        self.index = int(header["step"])
-
-
-class HybridStepper(Stepper):
-    """Hybrid Vlasov + N-body driver on a scale-factor ladder."""
-
-    scenario = "hybrid"
-    coord_key = "a"
-
-    def __init__(self, config: RunConfig, timer=None, engine=None) -> None:
+def build_stepper(config: RunConfig, timer=None, engine=None) -> Stepper:
+    """The scenario's driver, with its initial conditions, on its
+    schedule (``timer``/``engine`` go to the driver)."""
+    s, p = config.schedule, config.params
+    if config.scenario == "hybrid":
         # the hybrid stack (TreePM, particles, cosmology ICs) is imported
         # by the runs that use it, not with the runtime
         from ..nbody.integrator import scale_factor_steps
 
-        s = config.schedule
-        p = config.params
         g = config.grid
         if not (len(g.nx) == 3 and len(set(g.nx)) == 1 and len(set(g.nu)) == 1):
             raise ValueError("hybrid runs need cubic 3-D nx and nu")
-        self.sim = build_hybrid_simulation(
+        sim = build_hybrid_simulation(
             nx=g.nx[0],
             nu=g.nu[0],
             box_size=g.box_size,
@@ -347,64 +224,27 @@ class HybridStepper(Stepper):
             engine=engine,
             timer=timer,
         )
-        self.grid = self.sim.grid
-        self.schedule = scale_factor_steps(s.a_start, s.a_end, s.n_steps, s.spacing)
-        self.n_steps = s.n_steps
-
-    @property
-    def index(self) -> int:
-        return self.sim.step_count
-
-    @index.setter
-    def index(self, value: int) -> None:
-        self.sim.step_count = int(value)
-
-    def advance(self) -> float:
-        a_prev = self.sim.a
-        self.sim.step(float(self.schedule[self.index + 1]))
-        return self.sim.a - a_prev
-
-    def coordinate(self) -> dict[str, float]:
-        return {"a": self.sim.a}
-
-    def conserved(self) -> dict[str, float]:
-        return {"nu_mass": self.sim.neutrino_mass()}
-
-    def synchronize(self) -> None:
-        self.sim.synchronize()
-
-    def pending_velocity(self) -> tuple:
-        return self.sim.pending_velocity()
-
-    @property
-    def solver(self):
-        return self.sim.neutrinos
-
-    @property
-    def particles(self):
-        return self.sim.cdm
-
-    def save(self, path: str | Path, timer=None) -> Path:
-        return self.sim.save_checkpoint(path, timer=timer, extra=self._extra())
-
-    def restore(self, f: np.ndarray, particles, header: dict) -> None:
-        self.sim.restore(f, particles, header)
-
-
-_STEPPERS = {
-    "plasma": PlasmaStepper,
-    "gravitational": GravitationalStepper,
-    "hybrid": HybridStepper,
-}
-
-
-def build_stepper(config: RunConfig, timer=None, engine=None) -> Stepper:
-    """Instantiate the stepper for a validated config."""
-    try:
-        cls = _STEPPERS[config.scenario]
-    except KeyError:
-        raise ValueError(f"unknown scenario {config.scenario!r}") from None
-    return cls(config, timer=timer, engine=engine)
+        return Stepper("hybrid", sim, s.n_steps, schedule=scale_factor_steps(
+            s.a_start, s.a_end, s.n_steps, s.spacing))
+    grid = _make_grid(config)
+    if config.scenario == "plasma":
+        driver = PlasmaVlasovPoisson(
+            grid, scheme=config.scheme, timer=timer, engine=engine)
+        velocity = _maxwellian(grid)
+    elif config.scenario == "gravitational":
+        driver = GravitationalVlasovPoisson(
+            grid, g_newton=float(p.get("g_newton", 1.0)),
+            scheme=config.scheme, timer=timer, engine=engine,
+        )
+        velocity = float(p.get("rho0", 1.0)) * _maxwellian(
+            grid, sigma=float(p.get("sigma_v", 1.0)))
+    else:
+        raise ValueError(f"unknown scenario {config.scenario!r}")
+    np.multiply(velocity, _cosine_perturbation(
+        grid, float(p.get("amplitude", 0.01)), int(p.get("mode", 1))
+    ), out=driver.f, casting="unsafe")
+    driver.solver.notify_f_mutated()
+    return Stepper(config.scenario, driver, s.n_steps, dt=s.dt)
 
 
 def build_engine(config: RunConfig):

@@ -43,6 +43,10 @@ dependency is installed, as ``python tests/test_architecture.py``.
 * so does unmerged KDK: the drivers step Eq. (5) as a leapfrog with the
   pending half kick carried, and the solver has no two-kick step taking
   a second field callback;
+* so do the per-scenario steppers and the drivers' own copies of that
+  leapfrog: the three drivers extend ``core.leapfrog.LeapfrogDriver``
+  (the owed kick, the field slot, the checkpoint), and
+  ``runtime/scenarios.py`` has one ``Stepper``;
 * every module is reached: the CLI, a benchmark or an example imports
   it, following a name imported from a package to the submodule that
   defines it — tests and package re-exports do not count, so code that
@@ -98,6 +102,10 @@ RETIRED = (
     "_weno" + "_fractional", "_pfc" + "_fractional",
     "weno" + "_smoothness", "weno" + "_substencil", "minmod" + "_into",
     "Vlasov" + "Maxwell",
+    # the per-scenario steppers and the drivers' second copies of the
+    # leapfrog protocol: one driver base, one Stepper
+    "Plasma" + "Stepper", "Gravitational" + "Stepper", "Hybrid" + "Stepper",
+    "_OneSolve" + "PerF", "save" + "_checkpoint", "step" + "_static",
 )
 
 

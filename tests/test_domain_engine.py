@@ -68,7 +68,7 @@ def run_gravity(engine, *, nx=NX, dtype=np.float64, steps=STEPS, dt=DT):
     vp = GravitationalVlasovPoisson(grid, g_newton=1.0, engine=engine)
     vp.f = initial_f(grid)
     for _ in range(steps):
-        vp.step_static(dt)
+        vp.step(dt)
     f = np.array(vp.f, copy=True)
     if engine is not None:
         engine.close()

@@ -175,7 +175,7 @@ class TestCheckpointRestart:
 
         sim = mini_setup
         sim.step(0.12)
-        path = sim.save_checkpoint(tmp_path / "ck.npz")
+        path = sim.save(tmp_path / "ck.npz")
         f_ref = sim.neutrinos.f.copy()
         pos_ref = sim.cdm.positions.copy()
         vel_ref = sim.cdm.velocities.copy()
@@ -196,7 +196,7 @@ class TestCheckpointRestart:
 
         sim = mini_setup
         sim.step(0.12)
-        path = sim.save_checkpoint(tmp_path / "ck.npz")
+        path = sim.save(tmp_path / "ck.npz")
         sim.step(0.15)
         f_straight = sim.neutrinos.f.copy()
         _, f, particles, header = read_checkpoint(path)

@@ -130,7 +130,7 @@ class TestSelfGravitatingEquilibrium:
         gvp.f = prof[:, None] * maxwell
         rho_start = gvp.solver.density()
         for _ in range(40):
-            gvp.step_static(0.05)
+            gvp.step(0.05)
         rho_end = gvp.solver.density()
         drift_eq = np.abs(rho_end - rho_start).max() / rho_start.max()
 
@@ -142,7 +142,7 @@ class TestSelfGravitatingEquilibrium:
         ) / 0.1
         rho2_start = gvp2.solver.density()
         for _ in range(40):
-            gvp2.step_static(0.05)
+            gvp2.step(0.05)
         drift_control = (
             np.abs(gvp2.solver.density() - rho2_start).max() / rho2_start.max()
         )
@@ -170,7 +170,7 @@ class TestSelfGravitatingEquilibrium:
         t_dyn = 1.0 / np.sqrt(4 * np.pi * 1.0 * rho_blob)
         steps = int(round(t_dyn / 0.02))
         for _ in range(steps):
-            gvp.step_static(0.02)
+            gvp.step(0.02)
         # within one dynamical time the blob contracts noticeably
         assert _density_width(gvp) < 0.9 * width0
 

@@ -91,7 +91,7 @@ class TestLeapfrog:
         stepper = LeapfrogKDK(accel_fn=accel)
         energies = []
         for _ in range(500):
-            stepper.step_static(p, 0.05)
+            stepper.step(p, 0.05)
             e = p.kinetic_energy() + 0.5 * k_spring * (
                 (p.positions[0] - 5.0) ** 2
             ).sum()
@@ -111,7 +111,7 @@ class TestLeapfrog:
             stepper = LeapfrogKDK(accel_fn=accel)
             n = int(round(2.0 / dt))
             for _ in range(n):
-                stepper.step_static(p, dt)
+                stepper.step(p, dt)
             return p.positions[0, 0]
 
         exact = 5.0 + np.cos(2.0)

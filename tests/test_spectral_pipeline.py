@@ -171,11 +171,10 @@ class TestFFTBudget:
                                   v_max=3.0, dtype=np.float64)
             if driver == "plasma":
                 sim = PlasmaVlasovPoisson(grid, engine=engine)
-                step = lambda: sim.step(0.05)  # noqa: E731
             else:
                 sim = GravitationalVlasovPoisson(grid, g_newton=0.1,
                                                  engine=engine)
-                step = lambda: sim.step_static(0.05)  # noqa: E731
+            step = lambda: sim.step(0.05)  # noqa: E731
             x = grid.x_centers(0)[:, None, None, None, None, None]
             u = grid.u_centers(0)[None, None, None, :, None, None]
             sim.f = np.broadcast_to(
@@ -283,7 +282,7 @@ class TestTimerSections:
         gvp = GravitationalVlasovPoisson(grid, g_newton=1.0, timer=timer)
         u = grid.u_centers(0)[None, :]
         gvp.f = np.broadcast_to(np.exp(-(u**2) / 2), grid.shape).copy()
-        gvp.step_static(0.05)
+        gvp.step(0.05)
         for name in ("poisson", "poisson/moments", "poisson/fft", "poisson/grad"):
             assert name in timer.sections, name
 

@@ -13,7 +13,6 @@ from scipy.signal import argrelmax
 
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
-from repro.cosmology import Cosmology
 from repro.perf import pencil
 from repro.perf.fft import get_default_backend
 from repro.runtime import EXIT_COMPLETE, RunConfig, SimulationRunner, read_telemetry
@@ -132,7 +131,7 @@ class TestGravitationalVP:
         gvp.f = np.broadcast_to(maxwellian(v), grid.shape).copy()
         f0 = gvp.f.copy()
         for _ in range(5):
-            gvp.step_static(0.05)
+            gvp.step(0.05)
         assert np.allclose(gvp.f, f0, atol=1e-10)
 
     def test_jeans_instability_cold_medium(self):
@@ -148,52 +147,9 @@ class TestGravitationalVP:
         gvp.f = (1 + 0.01 * np.cos(k * x)) * maxwellian(v, 0.1)
         amp0 = (gvp.solver.density() / gvp.solver.density().mean() - 1).std()
         for _ in range(20):
-            gvp.step_static(0.05)
+            gvp.step(0.05)
         amp1 = (gvp.solver.density() / gvp.solver.density().mean() - 1).std()
         assert amp1 > 2.0 * amp0
-
-    def test_external_density_is_felt(self):
-        """The hybrid hook: an external (CDM) overdensity accelerates the
-        Vlasov matter even when the Vlasov matter itself is uniform."""
-        grid = PhaseSpaceGrid(
-            nx=(16,), nu=(32,), box_size=10.0, v_max=3.0, dtype=np.float64
-        )
-        blob = np.zeros(grid.nx)
-        blob[4] = 5.0
-
-        gvp = GravitationalVlasovPoisson(
-            grid, g_newton=1.0, external_density=lambda: blob
-        )
-        v = grid.u_centers(0)[None, :]
-        gvp.f = np.broadcast_to(maxwellian(v), grid.shape).copy()
-        acc = gvp.acceleration()
-        assert np.abs(acc).max() > 0
-        # acceleration points toward the blob from both sides
-        assert acc[0][2] > 0 and acc[0][7] < 0
-
-    def test_cosmological_step_advances(self, cosmo):
-        grid = PhaseSpaceGrid(
-            nx=(8,), nu=(16,), box_size=100.0, v_max=4000.0, dtype=np.float32
-        )
-        gvp = GravitationalVlasovPoisson(
-            grid, g_newton=cosmo.units.G, cosmology=cosmo, a=0.1
-        )
-        v = grid.u_centers(0)[None, :]
-        gvp.f = np.broadcast_to(
-            maxwellian(v, 1000.0).astype(np.float32), grid.shape
-        ).copy()
-        m0 = gvp.solver.total_mass()
-        gvp.step_cosmological(0.12)
-        assert gvp.a == pytest.approx(0.12)
-        assert gvp.solver.total_mass() == pytest.approx(m0, rel=1e-5)
-        with pytest.raises(ValueError):
-            gvp.step_cosmological(0.05)  # backwards
-
-    def test_static_requires_no_cosmology_for_cosmo_step(self):
-        grid = PhaseSpaceGrid(nx=(8,), nu=(16,), box_size=1.0, v_max=1.0)
-        gvp = GravitationalVlasovPoisson(grid, g_newton=1.0)
-        with pytest.raises(ValueError):
-            gvp.step_cosmological(0.5)
 
 
 class TestEnergyDiagnostics:
@@ -226,7 +182,7 @@ class TestEnergyDiagnostics:
         ke0 = gvp.solver.kinetic_energy()
         e0 = gvp.total_energy()
         for _ in range(60):
-            gvp.step_static(0.025)
+            gvp.step(0.025)
         assert gvp.solver.kinetic_energy() > 1.1 * ke0  # collapse heats it
         assert gvp.total_energy() == pytest.approx(e0, rel=5e-3)
 
@@ -366,17 +322,3 @@ class TestFieldSlot:
             for array in (phi, accel, driver.acceleration()):
                 with pytest.raises(ValueError):
                     array[0] = 1.0
-
-    def test_external_density_is_never_reused(self):
-        """An external density is not part of f's state: every request
-        re-solves, so a changed external field is always felt."""
-        grid = PhaseSpaceGrid(nx=(16,), nu=(16,), box_size=10.0, v_max=3.0,
-                              dtype=np.float64)
-        blob = np.zeros(grid.nx)
-        gvp = GravitationalVlasovPoisson(grid, g_newton=1.0,
-                                         external_density=lambda: blob)
-        u = grid.u_centers(0)[None, :]
-        gvp.f = np.broadcast_to(maxwellian(u), grid.shape).copy()
-        flat = gvp.acceleration()
-        blob[4] = 5.0
-        assert not np.array_equal(gvp.acceleration(), flat)
