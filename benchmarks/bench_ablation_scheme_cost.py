@@ -81,22 +81,3 @@ def test_bench_limiter_overhead(benchmark, smooth_field):
     """MP+positivity limiting vs the unlimited linear flux."""
     benchmark(advect, smooth_field, 0.37, 1, "slp5")
 
-
-def test_bench_splitting_compositions(benchmark):
-    """Cost of one Strang step vs the 4th-order Yoshida composition
-    (3 Strang sub-steps — temporal order by composition, not stages)."""
-    import numpy as np
-
-    from repro.core.mesh import PhaseSpaceGrid
-    from repro.core.splitting import SplitStepper
-    from repro.core.vlasov_poisson import PlasmaVlasovPoisson
-
-    grid = PhaseSpaceGrid(
-        nx=(32,), nu=(64,), box_size=4 * np.pi, v_max=6.0, dtype=np.float64
-    )
-    vp = PlasmaVlasovPoisson(grid, scheme="slmpp5")
-    x = grid.x_centers(0)[:, None]
-    v = grid.u_centers(0)[None, :]
-    vp.f = (1 + 0.05 * np.cos(0.5 * x)) * np.exp(-(v**2) / 2)
-    stepper = SplitStepper(vp, "ruth4")
-    benchmark.pedantic(stepper.step, args=(0.1,), rounds=3, iterations=1)

@@ -112,7 +112,7 @@ def _legacy_fields(solver: PeriodicPoissonSolver, source, method):
             grad_k = np.fft.rfftn(phi) * (1j * solver._k_axes[d])
             accel[d] = -np.fft.irfftn(grad_k, s=solver.nx, axes=dims)
         else:
-            accel[d] = -solver._fd_gradient(phi, d, method)
+            accel[d] = -solver._fd4_gradient(phi, d)
     return phi, accel
 
 

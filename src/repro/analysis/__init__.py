@@ -2,9 +2,7 @@
 
 from ..core.moments import (
     density,
-    dispersion_tensor,
     kinetic_energy,
-    l1_norm,
     l2_norm,
     mean_velocity,
     momentum,
@@ -29,7 +27,6 @@ from .halos import (
 from .spectra import (
     correlation_coefficient,
     cross_power,
-    dimensionless_power,
     transfer_ratio,
 )
 from .shotnoise import (
@@ -42,9 +39,7 @@ from .shotnoise import (
 
 __all__ = [
     "density",
-    "dispersion_tensor",
     "kinetic_energy",
-    "l1_norm",
     "l2_norm",
     "mean_velocity",
     "momentum",
@@ -63,7 +58,6 @@ __all__ = [
     "halo_neutrino_overdensity",
     "correlation_coefficient",
     "cross_power",
-    "dimensionless_power",
     "transfer_ratio",
     "effective_resolution",
     "expected_density_rms",

@@ -171,11 +171,3 @@ def transfer_ratio(
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.sqrt(np.abs(p_n) / np.abs(p_d))
     return k[keep], t[keep]
-
-
-def dimensionless_power(
-    field: np.ndarray, box_size: float, n_bins: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
-    """Delta^2(k) = k^3 P(k) / (2 pi^2): the per-log-k variance."""
-    k, p, _ = cross_power(field, field, box_size, n_bins)
-    return k, k**3 * p / (2.0 * np.pi**2)

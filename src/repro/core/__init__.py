@@ -8,11 +8,6 @@ _EXPORTS = {
     "advect": "advection",
     "PhaseSpaceGrid": "mesh",
     "Mp5Rk3Advector": "schemes",
-    "COMPOSITIONS": "splitting",
-    "SplitStepper": "splitting",
-    "lie_step": "splitting",
-    "ruth_step": "splitting",
-    "strang_step": "splitting",
     "VlasovSolver": "vlasov",
     "GravitationalVlasovPoisson": "vlasov_poisson",
     "PlasmaVlasovPoisson": "vlasov_poisson",

@@ -150,10 +150,6 @@ class HybridSimulation(LeapfrogDriver):
         """Comoving CDM mass density on the mesh (mass assignment)."""
         return self.gravity.pm.density(self.cdm.positions, self.cdm.masses)
 
-    def total_density(self) -> np.ndarray:
-        """rho_CDM + rho_nu — the source of the common potential."""
-        return self.cdm_density() + self.neutrino_density()
-
     def kick_fields(self, a: float) -> tuple[np.ndarray, np.ndarray]:
         """One solve of the common potential at ``a``: ``(acc_mesh,
         acc_particles)`` — the mesh field, shape (dim,) + nx, for the

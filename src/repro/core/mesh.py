@@ -154,30 +154,7 @@ class PhaseSpaceGrid:
             out.append((u, u2))
         return tuple(out)
 
-    def x_center_broadcast(self, axis: int) -> np.ndarray:
-        """x_centers shaped to broadcast over the full f array."""
-        x = self.x_centers(axis).astype(self.dtype)
-        shape = [1] * (2 * self.dim)
-        shape[axis] = self.nx[axis]
-        return x.reshape(shape)
-
-    def x_mesh(self) -> tuple[np.ndarray, ...]:
-        """Spatial meshgrid (indexing='ij') of cell centers."""
-        return tuple(
-            np.meshgrid(*(self.x_centers(d) for d in range(self.dim)), indexing="ij")
-        )
-
-    def u_mesh(self) -> tuple[np.ndarray, ...]:
-        """Velocity meshgrid (indexing='ij') of cell centers."""
-        return tuple(
-            np.meshgrid(*(self.u_centers(d) for d in range(self.dim)), indexing="ij")
-        )
-
     # -- allocation -------------------------------------------------------
-
-    def empty_f(self) -> np.ndarray:
-        """Allocate an uninitialized distribution-function array."""
-        return np.empty(self.shape, dtype=self.dtype)
 
     def zeros_f(self) -> np.ndarray:
         """Allocate a zero distribution-function array."""

@@ -10,7 +10,7 @@ Moments are returned on the spatial grid:
 * ``density``    — mass density rho(x)        = m_unit int f d^3u
 * ``momentum``   — momentum density rho*<u>   = int u f d^3u
 * ``mean_velocity`` — bulk velocity <u>(x)
-* ``velocity_dispersion`` — sigma^2 tensor (or its trace)
+* ``velocity_dispersion`` — the isotropized 1-D dispersion sigma(x)
 
 Accumulations are done in float64 even for float32 f: reductions over up to
 64^3 velocity cells would otherwise lose ~3 digits, and the density feeds
@@ -88,41 +88,11 @@ def velocity_dispersion(
     return np.sqrt(trace / grid.dim)
 
 
-def dispersion_tensor(
-    f: np.ndarray, grid: PhaseSpaceGrid, rho: np.ndarray | None = None
-) -> np.ndarray:
-    """Full velocity-dispersion tensor sigma_ij^2, shape (dim, dim) + nx."""
-    _check(f, grid)
-    if rho is None:
-        rho = density(f, grid)
-    vel_axes = tuple(range(grid.dim, 2 * grid.dim))
-    vbar = mean_velocity(f, grid, rho)
-    out = np.empty((grid.dim, grid.dim) + grid.nx, dtype=np.float64)
-    for i in range(grid.dim):
-        ui = grid.u_center_broadcast(i).astype(np.float64)
-        for j in range(i, grid.dim):
-            uj = grid.u_center_broadcast(j).astype(np.float64)
-            uij = (f * (ui * uj)).sum(axis=vel_axes, dtype=np.float64)
-            uij *= grid.cell_volume_u
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean_ij = uij / rho
-            mean_ij = np.where(rho > 0.0, mean_ij, 0.0)
-            out[i, j] = mean_ij - vbar[i] * vbar[j]
-            out[j, i] = out[i, j]
-    return out
-
-
 def total_mass(f: np.ndarray, grid: PhaseSpaceGrid) -> float:
     """Total mass int f d^dx d^du — conserved exactly by the SL fluxes
     (up to velocity-boundary outflow with the 'zero' BC)."""
     _check(f, grid)
     return float(f.sum(dtype=np.float64) * grid.cell_volume)
-
-
-def l1_norm(f: np.ndarray, grid: PhaseSpaceGrid) -> float:
-    """L1 norm int |f| — equals total mass iff f >= 0 everywhere."""
-    _check(f, grid)
-    return float(np.abs(f).sum(dtype=np.float64) * grid.cell_volume)
 
 
 def l2_norm(f: np.ndarray, grid: PhaseSpaceGrid) -> float:
@@ -142,32 +112,6 @@ def kinetic_energy(f: np.ndarray, grid: PhaseSpaceGrid) -> float:
     for d in range(grid.dim):
         total += float((f * grid.u_squared_broadcast(d)).sum(dtype=np.float64))
     return 0.5 * total * grid.cell_volume
-
-
-def entropy(f: np.ndarray, grid: PhaseSpaceGrid, floor: float = 1.0e-30) -> float:
-    """Gibbs entropy -int f ln f — a Casimir of the exact Vlasov flow.
-
-    Exactly conserved by the continuous equation; numerically it drifts
-    at the rate of the scheme's dissipation, making it (with the L2 norm)
-    the standard coarse-graining diagnostic.
-    """
-    _check(f, grid)
-    fa = np.asarray(f, dtype=np.float64)
-    positive = np.maximum(fa, floor)
-    return float(-(fa * np.log(positive)).sum() * grid.cell_volume)
-
-
-def casimir(f: np.ndarray, grid: PhaseSpaceGrid, power: float = 2.0) -> float:
-    """int f^p — the family of Casimir invariants (p = 2: the L2 norm^2).
-
-    Monotonically non-increasing for the limited schemes on f >= 0
-    (dissipation), exactly conserved by the ideal flow.
-    """
-    _check(f, grid)
-    if power <= 0:
-        raise ValueError("power must be positive")
-    fa = np.asarray(f, dtype=np.float64)
-    return float((np.abs(fa) ** power).sum() * grid.cell_volume)
 
 
 def finite_stats(f: np.ndarray) -> tuple[int, float]:

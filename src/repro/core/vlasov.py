@@ -171,23 +171,6 @@ class VlasovSolver:
     # CFL bookkeeping (informational: the SL scheme has no stability limit,
     # but accuracy and the splitting error still favor moderate shifts)
     # ------------------------------------------------------------------
-
-    def max_drift_cfl(self, dt_drift: float) -> float:
-        """Largest spatial shift in cells for a given effective drift time."""
-        return max(
-            self.grid.v_max * abs(dt_drift) / self.grid.dx[d]
-            for d in range(self.grid.dim)
-        )
-
-    def max_kick_cfl(self, accel: np.ndarray, dt_kick: float) -> float:
-        """Largest velocity shift in cells for a given acceleration field."""
-        accel = np.asarray(accel)
-        return max(
-            float(np.abs(accel[d]).max()) * abs(dt_kick) / self.grid.du[d]
-            for d in range(self.grid.dim)
-        )
-
-    # ------------------------------------------------------------------
     # moments and health (delegated to wherever f lives)
     # ------------------------------------------------------------------
 

@@ -96,11 +96,6 @@ class Cosmology:
         """Neutrino fraction of total matter, Omega_nu / Omega_m."""
         return self.omega_nu / self.omega_m
 
-    @property
-    def rho_mean_matter(self) -> float:
-        """Comoving mean matter density [internal mass / (h^-1 Mpc)^3]."""
-        return self.omega_m * self.units.rho_crit
-
     # ------------------------------------------------------------------
     # expansion history
     # ------------------------------------------------------------------
@@ -119,45 +114,6 @@ class Cosmology:
     def hubble(self, a):
         """Hubble rate H(a) in internal units (km/s per h^-1 Mpc)."""
         return self.units.H0 * self.e_of_a(a)
-
-    def omega_m_of_a(self, a):
-        """Matter density parameter at scale factor a."""
-        a = np.asarray(a, dtype=np.float64)
-        return self.omega_m / a**3 / self.e_of_a(a) ** 2
-
-    # ------------------------------------------------------------------
-    # times and redshift
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def a_of_z(z):
-        """Scale factor from redshift."""
-        z = np.asarray(z, dtype=np.float64)
-        if np.any(z <= -1.0):
-            raise ValueError("redshift must be > -1")
-        return 1.0 / (1.0 + z)
-
-    @staticmethod
-    def z_of_a(a):
-        """Redshift from scale factor."""
-        a = np.asarray(a, dtype=np.float64)
-        return 1.0 / a - 1.0
-
-    def cosmic_time(self, a: float) -> float:
-        """Proper time since the Big Bang at scale factor a [internal units].
-
-        t(a) = int_0^a dx / (x H(x)), with x = a s^2: the integrand goes
-        as x^(1/2) at 0, and as a polynomial in s.
-        """
-        if a <= 0.0:
-            raise ValueError("scale factor must be positive")
-        return float(gauss_legendre(
-            lambda s: 2.0 / (s * self.hubble(a * s**2)), 0.0, 1.0
-        ))
-
-    def cosmic_time_gyr(self, a: float) -> float:
-        """Proper time since the Big Bang at scale factor a [Gyr]."""
-        return self.units.time_in_gyr(self.cosmic_time(a))
 
     # ------------------------------------------------------------------
     # integrals used by the comoving leapfrog / splitting operators

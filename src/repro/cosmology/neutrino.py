@@ -109,24 +109,10 @@ class RelicNeutrinoDistribution:
         out = norm / (np.exp(np.minimum(u_arr / self.u0, 500.0)) + 1.0)
         return out if np.ndim(u) else float(out)
 
-    def f_of_velocity(self, ux, uy, uz) -> np.ndarray:
-        """Unit-normalized distribution at Cartesian velocity (ux,uy,uz)."""
-        speed = np.sqrt(
-            np.asarray(ux, dtype=np.float64) ** 2
-            + np.asarray(uy, dtype=np.float64) ** 2
-            + np.asarray(uz, dtype=np.float64) ** 2
-        )
-        return self.f_of_speed(speed)
-
     @property
     def mean_speed(self) -> float:
         """Mean speed <|u|> = 3.15137 u0 [km/s]."""
         return FD_MEAN_Y * self.u0
-
-    @property
-    def velocity_dispersion_1d(self) -> float:
-        """1-D velocity dispersion sigma with sigma^2 = <u^2>/3 [km/s]."""
-        return math.sqrt(_fd_mom2() / _FD_NORM / 3.0) * self.u0
 
     def velocity_cutoff(self, coverage: float = 0.999) -> float:
         """Grid half-width V enclosing the given fraction of neutrinos.

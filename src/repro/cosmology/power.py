@@ -129,8 +129,3 @@ class LinearPower:
             integrand, math.log(1.0e-5), math.log(1.0e3), n=16, panels=1024
         )
         return float(val) / (2.0 * math.pi**2)
-
-    def sigma_r(self, r: float, a: float = 1.0) -> float:
-        """RMS linear fluctuation in spheres of radius r [h^-1 Mpc]."""
-        var = self.amplitude * self._sigma_r_squared_unnormalized(r)
-        return math.sqrt(var) * float(growth_factor(self.cosmo, a))

@@ -172,15 +172,14 @@ class ConservationLedger:
     thresholds are never compared against the wrong kind silently.
 
     Nothing grows with the run: per quantity the ledger keeps the
-    initial and latest values and two running worsts (the drift above
-    and ``|q - q0|``), so every read is O(1) and a thousand-step run
-    holds as much as a one-step run.
+    initial and latest values and the running worst drift, so every
+    read is O(1) and a thousand-step run holds as much as a one-step
+    run.
     """
 
     initial: dict[str, float] = field(default_factory=dict)
     latest: dict[str, float] = field(default_factory=dict)
     _worst: dict[str, float] = field(default_factory=dict, repr=False)
-    _worst_abs: dict[str, float] = field(default_factory=dict, repr=False)
 
     def register(self, **quantities: float) -> None:
         """Record initial values."""
@@ -188,13 +187,12 @@ class ConservationLedger:
             value = float(value)
             self.initial[key] = self.latest[key] = value
             self._worst[key] = self._one_drift(key, value)
-            self._worst_abs[key] = 0.0
 
     def update(self, **quantities: float) -> None:
         """Record current values.
 
-        A non-finite value is recorded as it is and makes both worst
-        drifts infinite: a NaN compares false against every threshold,
+        A non-finite value is recorded as it is and makes the worst
+        drift infinite: a NaN compares false against every threshold,
         so left as a drift it would never trip a guard.
         """
         for key, value in quantities.items():
@@ -204,9 +202,6 @@ class ConservationLedger:
             drift = self._one_drift(key, value)
             if drift > self._worst[key]:
                 self._worst[key] = drift
-            drift = _finite_or_inf(abs(value - self.initial[key]))
-            if drift > self._worst_abs[key]:
-                self._worst_abs[key] = drift
 
     def _one_drift(self, key: str, value: float) -> float:
         q0 = self.initial[key]
@@ -220,12 +215,6 @@ class ConservationLedger:
             raise KeyError(f"{key!r} was never registered")
         return self.initial[key] != 0.0
 
-    def current(self, key: str) -> float:
-        """Most recently recorded value of one quantity."""
-        if key not in self.initial:
-            raise KeyError(f"{key!r} was never registered")
-        return self.latest[key]
-
     def relative_drift(self, key: str) -> float:
         """Largest |q/q0 - 1| seen (|q| when q0 == 0 — see class docs)."""
         if key not in self.initial:
@@ -234,12 +223,6 @@ class ConservationLedger:
 
     #: Alias making the mixed semantics visible at call sites.
     drift = relative_drift
-
-    def absolute_drift(self, key: str) -> float:
-        """Largest |q - q0| seen for one quantity."""
-        if key not in self.initial:
-            raise KeyError(f"{key!r} was never registered")
-        return self._worst_abs[key]
 
     def as_dict(self) -> dict[str, dict]:
         """Machine-readable export (the telemetry stream's ``drifts``).

@@ -1,5 +1,5 @@
 """Shared gravitational substrate: the periodic FFT Poisson solver."""
 
-from .poisson import PeriodicPoissonSolver, gravity_source
+from .poisson import PeriodicPoissonSolver
 
-__all__ = ["PeriodicPoissonSolver", "gravity_source"]
+__all__ = ["PeriodicPoissonSolver"]

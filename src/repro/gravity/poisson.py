@@ -16,16 +16,15 @@ periodic box; the physics prefactors live in the callers:
   Eq. 2 with the proper density rho_proper = rho_com / a^3.)
 * electrostatic plasma (normalized units): source = rho_e - rho_ion.
 
-Green's functions
------------------
-``spectral``   exact continuum kernel -1/k^2.
-``discrete``   eigenvalues of the 2nd-order finite-difference Laplacian,
-               -(2/dx^2)(1 - cos k dx) summed over axes; consistent with
-               finite-difference gradients and the classic PM choice.
+The Green's function is the exact continuum kernel -1/k^2; the k = 0
+mode of the source is discarded (periodic boxes only admit solutions for
+zero-mean sources; callers subtract the mean density — the paper's Eq. 2
+subtracts rho_bar for exactly this reason), so the mean of phi is zero.
 
-Gradients: ``spectral`` (ik), ``fd2``, ``fd4`` (2nd/4th-order centered
-differences) — the paper's PM force interpolation differentiates the mesh
-potential with finite differences.
+Gradients: ``spectral`` (ik; the plasma driver) and ``fd4`` (4th-order
+centered differences; the gravitational driver and the PM force, as the
+paper's PM force interpolation differentiates the mesh potential with
+finite differences).
 
 The fused pipeline
 ------------------
@@ -36,10 +35,8 @@ deconvolution), and derives *both* the potential and the acceleration
 from that single spectrum: spectral gradients are ``ik * phi_k`` (one
 extra inverse transform per axis, zero extra forward transforms),
 finite-difference gradients are centered differences of the single
-inverse ``phi``.  The historical composition ``potential()`` followed by
-per-axis ``gradient(..., "spectral")`` paid ``1 + dim`` forward
-transforms per solve because each gradient re-transformed phi; the
-FFT-budget tests pin the fused path to exactly one.
+inverse ``phi``.  The FFT-budget tests pin a solve to exactly one forward
+transform.
 :meth:`PeriodicPoissonSolver.acceleration` is the force-only variant:
 with spectral gradients it also skips the inverse transform of phi
 itself (the kick never reads the potential).
@@ -64,8 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
     from ..perf.fft import SpectralBackend
 
-_GREENS = ("spectral", "discrete")
-_GRADIENTS = ("spectral", "fd2", "fd4")
+_GRADIENTS = ("spectral", "fd4")
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,6 @@ class PeriodicPoissonSolver:
         Mesh points per axis (1 to 3 axes).
     box_size:
         Physical box size per axis (cubic box: same L each axis).
-    green:
-        Green's function variant (see module docstring).
     backend:
         FFT executor; ``None`` uses the process-wide default
         (:func:`repro.perf.fft.get_default_backend`).
@@ -87,7 +81,6 @@ class PeriodicPoissonSolver:
 
     nx: tuple[int, ...]
     box_size: float
-    green: str = "spectral"
     backend: "SpectralBackend | None" = field(
         default=None, compare=False, repr=False
     )
@@ -100,8 +93,6 @@ class PeriodicPoissonSolver:
             raise ValueError("need at least 2 mesh points per axis")
         if self.box_size <= 0.0:
             raise ValueError("box_size must be positive")
-        if self.green not in _GREENS:
-            raise ValueError(f"green must be one of {_GREENS}")
 
     @property
     def dim(self) -> int:
@@ -140,15 +131,8 @@ class PeriodicPoissonSolver:
 
     @cached_property
     def _inv_laplacian(self) -> np.ndarray:
-        """-1/k^2 (or discrete equivalent), with the k=0 mode zeroed."""
-        if self.green == "spectral":
-            k2 = sum(k**2 for k in self._k_axes)
-        else:
-            k2 = np.zeros((), dtype=np.float64)
-            for d, k in enumerate(self._k_axes):
-                h = self.dx[d]
-                k2 = k2 + (2.0 / h**2) * (1.0 - np.cos(k * h))
-        k2 = np.asarray(k2, dtype=np.float64)
+        """-1/k^2, with the k=0 mode zeroed."""
+        k2 = np.asarray(sum(k**2 for k in self._k_axes), dtype=np.float64)
         with np.errstate(divide="ignore"):
             inv = -1.0 / k2
         inv[(0,) * self.dim] = 0.0
@@ -168,46 +152,9 @@ class PeriodicPoissonSolver:
             phi_k *= kernel
         return phi_k
 
-    def potential(
-        self, source: np.ndarray, kernel: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Solve laplacian(phi) = source; the mean of phi is gauged to zero.
-
-        The k = 0 mode of the source is discarded (periodic boxes only
-        admit solutions for zero-mean sources; callers subtract the mean
-        density — the paper's Eq. 2 subtracts rho_bar for exactly this
-        reason).  ``kernel`` is an optional extra k-space multiplier in
-        rfft layout (the PM Gaussian cut / window deconvolution).
-        """
-        phi_k = self._phi_k(source, kernel)
-        return self._backend.irfftn(phi_k, s=self.nx)
-
-    def gradient(self, phi: np.ndarray, axis: int, method: str = "fd4") -> np.ndarray:
-        """d(phi)/dx_axis on the mesh.
-
-        Note: the ``spectral`` method transforms phi on every call —
-        differentiating along all axes this way costs ``dim`` forward
-        transforms.  Production field solves use :meth:`solve_fields`,
-        which differentiates the already-available spectrum instead.
-        """
-        if method not in _GRADIENTS:
-            raise ValueError(f"method must be one of {_GRADIENTS}")
-        if phi.shape != self.nx:
-            raise ValueError(f"phi shape {phi.shape} != mesh {self.nx}")
-        if method == "spectral":
-            be = self._backend
-            phi_k = be.rfftn(phi)
-            return be.irfftn(
-                be.kspace_product("grad", phi_k, self._ik_axes[axis]), s=self.nx
-            )
-        return self._fd_gradient(phi, axis, method)
-
-    def _fd_gradient(self, phi: np.ndarray, axis: int, method: str) -> np.ndarray:
-        """Centered finite-difference d(phi)/dx_axis (fd2 / fd4)."""
+    def _fd4_gradient(self, phi: np.ndarray, axis: int) -> np.ndarray:
+        """4th-order centered finite-difference d(phi)/dx_axis."""
         h = self.dx[axis]
-        if method == "fd2":
-            return (np.roll(phi, -1, axis) - np.roll(phi, 1, axis)) / (2.0 * h)
-        # fd4
         return (
             -np.roll(phi, -2, axis)
             + 8.0 * np.roll(phi, -1, axis)
@@ -233,10 +180,10 @@ class PeriodicPoissonSolver:
         Parameters
         ----------
         source:
-            Poisson source on the mesh (zero mode discarded as in
-            :meth:`potential`).
+            Poisson source on the mesh (zero mode discarded, see the
+            module docstring).
         method:
-            Gradient method (``spectral``, ``fd2``, ``fd4``).
+            Gradient method (``spectral`` or ``fd4``).
         kernel:
             Optional k-space multiplier folded into ``phi_k`` (rfft
             layout) — the PM Gaussian cut / window deconvolution ride
@@ -280,7 +227,7 @@ class PeriodicPoissonSolver:
                     np.negative(be.irfftn(grad_k, s=self.nx), out=accel[d])
             else:
                 for d in range(self.dim):
-                    np.negative(self._fd_gradient(phi, d, method), out=accel[d])
+                    np.negative(self._fd4_gradient(phi, d), out=accel[d])
         return phi, accel
 
     def acceleration(
@@ -299,29 +246,3 @@ class PeriodicPoissonSolver:
         ``2 + dim``.
         """
         return self._solve(source, method, kernel, timer, need_phi=False)[1]
-
-
-def gravity_source(
-    rho_com: np.ndarray, g_newton: float, a: float
-) -> np.ndarray:
-    """Source term of the comoving Poisson equation (paper Eq. 2).
-
-    Parameters
-    ----------
-    rho_com:
-        Comoving mass density (mass per comoving volume).
-    g_newton:
-        Gravitational constant in the caller's unit system.
-    a:
-        Scale factor.
-
-    Returns
-    -------
-    numpy.ndarray
-        (4 pi G / a) * (rho_com - mean), ready for
-        :meth:`PeriodicPoissonSolver.potential`.
-    """
-    if a <= 0.0:
-        raise ValueError("scale factor must be positive")
-    rho = np.asarray(rho_com, dtype=np.float64)
-    return (4.0 * np.pi * g_newton / a) * (rho - rho.mean())

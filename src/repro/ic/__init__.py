@@ -3,7 +3,6 @@
 from .gaussian_field import (
     FourierGrid,
     filter_field_fourier,
-    gaussian_field,
     gaussian_field_fourier,
     measure_power,
 )
@@ -13,7 +12,6 @@ from .zeldovich import displacement_field, linear_velocity_field, zeldovich_part
 __all__ = [
     "FourierGrid",
     "filter_field_fourier",
-    "gaussian_field",
     "gaussian_field_fourier",
     "measure_power",
     "neutrino_distribution_function",

@@ -89,17 +89,6 @@ def gaussian_field_fourier(
     return delta_k
 
 
-def gaussian_field(
-    grid: FourierGrid,
-    power: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Real-space Gaussian density contrast delta(x) with spectrum P(k)."""
-    return np.fft.irfftn(
-        gaussian_field_fourier(grid, power, rng), s=grid.n_mesh, axes=range(grid.dim)
-    )
-
-
 def filter_field_fourier(
     delta_k: np.ndarray,
     grid: FourierGrid,

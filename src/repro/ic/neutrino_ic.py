@@ -26,7 +26,6 @@ import numpy as np
 from ..cosmology.neutrino import RelicNeutrinoDistribution
 from ..core.mesh import PhaseSpaceGrid
 from ..nbody.particles import ParticleSet
-from .gaussian_field import FourierGrid
 
 
 def neutrino_distribution_function(

@@ -1,4 +1,4 @@
-"""Fugaku machine model: A64FX roofline, Tofu-D network, step cost model."""
+"""Fugaku machine model: A64FX constants, Tofu-D network, step cost model."""
 
 from . import a64fx, tofu
 from .costmodel import StepBreakdown, predict_io_time, predict_step

@@ -76,13 +76,3 @@ def sustained_fraction(direction: str, variant: str = "best") -> float:
     t = TABLE1[direction]
     value = {"no_simd": t.no_simd, "simd": t.simd, "best": t.best()}[variant]
     return value * 1.0e9 / PEAK_SP_PER_CMG
-
-
-def roofline_time(flops: float, bytes_moved: float, n_cmg: float = 1.0,
-                  peak: float = PEAK_SP_PER_CMG) -> float:
-    """max(compute, memory) execution time on ``n_cmg`` CMGs [s]."""
-    if flops < 0 or bytes_moved < 0:
-        raise ValueError("flops and bytes must be non-negative")
-    t_flops = flops / (peak * n_cmg)
-    t_mem = bytes_moved / (BANDWIDTH_PER_CMG * n_cmg)
-    return max(t_flops, t_mem)

@@ -157,17 +157,3 @@ def allreduce_time(nbytes: int, n_ranks: int) -> float:
         raise ValueError("need at least one rank")
     stages = max(1, math.ceil(math.log2(n_ranks)))
     return stages * (LATENCY_NEAR + nbytes / LINK_BANDWIDTH)
-
-
-def alltoall_time(nbytes_per_rank: int, n_ranks: int, streams: int = TNI_PER_NODE) -> float:
-    """Alltoall within an n-rank group.
-
-    Each rank injects (n-1) messages of nbytes_per_rank/(n) each; the
-    aggregate is bisection-limited, modeled as serialized injection over
-    the available TNIs plus a per-peer latency sweep.
-    """
-    if n_ranks < 2:
-        return 0.0
-    per_peer = nbytes_per_rank / n_ranks
-    inject = (n_ranks - 1) * per_peer / (LINK_BANDWIDTH * streams)
-    return (n_ranks - 1) * LATENCY_NEAR / TNI_PER_NODE + inject

@@ -7,7 +7,6 @@ _EXPORTS = {
     "direct_accel_minimum_image": "direct",
     "direct_accel_open": "direct",
     "ewald_accel": "direct",
-    "LeapfrogKDK": "integrator",
     "scale_factor_steps": "integrator",
     "ParticleSet": "particles",
     "InteractionCounter": "phantom",

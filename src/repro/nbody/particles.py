@@ -9,7 +9,7 @@ u = a^2 dx/dt in km/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,31 +55,6 @@ class ParticleSet:
             raise ValueError("box_size must be positive")
         self.wrap()
 
-    @classmethod
-    def uniform_random(
-        cls,
-        n: int,
-        box_size: float,
-        total_mass: float,
-        rng: np.random.Generator,
-        dim: int = 3,
-    ) -> "ParticleSet":
-        """n equal-mass particles at uniform random positions, at rest."""
-        pos = rng.uniform(0.0, box_size, size=(n, dim))
-        vel = np.zeros((n, dim))
-        return cls(pos, vel, np.full(n, total_mass / n), box_size)
-
-    @classmethod
-    def uniform_lattice(
-        cls, n_side: int, box_size: float, total_mass: float, dim: int = 3
-    ) -> "ParticleSet":
-        """A regular n_side^dim lattice of equal-mass particles at rest."""
-        axes = [(np.arange(n_side) + 0.5) * (box_size / n_side)] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pos = np.column_stack([m.ravel() for m in mesh])
-        n = pos.shape[0]
-        return cls(pos, np.zeros((n, dim)), np.full(n, total_mass / n), box_size)
-
     # ------------------------------------------------------------------
 
     @property
@@ -117,8 +92,3 @@ class ParticleSet:
     def kinetic_energy(self) -> float:
         """(1/2) sum m u^2 in canonical velocity."""
         return 0.5 * float((self.masses * (self.velocities**2).sum(axis=1)).sum())
-
-    def minimum_image(self, displacement: np.ndarray) -> np.ndarray:
-        """Map displacement vectors into the nearest periodic image."""
-        half = 0.5 * self.box_size
-        return (displacement + half) % self.box_size - half

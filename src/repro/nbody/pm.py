@@ -248,22 +248,6 @@ class PMSolver:
         """Assigned density mesh."""
         return self.stencil(positions).deposit(masses)
 
-    def potential_mesh(self, source: np.ndarray) -> np.ndarray:
-        """Solve laplacian(phi) = source with the PM extras applied.
-
-        The Gaussian cut / deconvolution kernel multiplies straight into
-        ``phi_k`` inside the shared solver — no second transform path.
-        """
-        return self.poisson.potential(source, kernel=self._kernel_extra)
-
-    def fields_mesh(
-        self, source: np.ndarray, method: str = "fd4"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused mesh solve: ``(phi, -grad phi)`` from one forward FFT."""
-        return self.poisson.solve_fields(
-            source, method=method, kernel=self._kernel_extra
-        )
-
     def acceleration_mesh(
         self,
         source: np.ndarray,
@@ -286,8 +270,7 @@ class PMSolver:
         """PM acceleration interpolated to the given positions.
 
         ``source`` is the Poisson source term (the caller multiplies the
-        density contrast by 4 pi G / a, see
-        :func:`repro.gravity.poisson.gravity_source`).
+        density contrast by 4 pi G / a, the comoving source of Eq. 2).
         """
         acc_mesh = self.acceleration_mesh(source, method)
         return self.stencil(positions).interpolate(acc_mesh)

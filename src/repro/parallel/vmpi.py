@@ -58,14 +58,6 @@ class CommLog:
         """Sum of all point-to-point payloads."""
         return sum(m.nbytes for m in self.messages)
 
-    def p2p_bytes_by_pair(self) -> dict[tuple[int, int], int]:
-        """Aggregate payload per (src, dst) pair."""
-        out: dict[tuple[int, int], int] = {}
-        for m in self.messages:
-            key = (m.src, m.dst)
-            out[key] = out.get(key, 0) + m.nbytes
-        return out
-
     def clear(self) -> None:
         """Drop all records."""
         self.messages.clear()
@@ -123,19 +115,6 @@ class VirtualComm:
             CollectiveRecord("allreduce", self.size, nbytes, tag)
         )
         return [np.copy(total) if isinstance(total, np.ndarray) else total] * self.size
-
-    def allreduce_max(self, values: list, tag: str = "") -> list:
-        """Max across ranks, result replicated."""
-        if len(values) != self.size:
-            raise ValueError("one value per rank required")
-        total = values[0]
-        for v in values[1:]:
-            total = np.maximum(total, v)
-        nbytes = np.asarray(values[0]).nbytes
-        self.log.collectives.append(
-            CollectiveRecord("allreduce", self.size, nbytes, tag)
-        )
-        return [total] * self.size
 
     def alltoall(
         self, chunks_by_rank: list[list[np.ndarray]], tag: str = ""

@@ -70,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .telemetry import emit_event
+from .telemetry import emit_event, iter_records
 
 __all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan"]
 
@@ -265,17 +265,10 @@ class FaultPlan:
         """
         run_dir = Path(run_dir)
         ledger = run_dir / FIRED_LEDGER
-        already: set[str] = set()
-        if ledger.exists():
-            for line in ledger.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:  # torn tail: fault still fired
-                    continue
-                already.add(f"{entry.get('kind')}@{entry.get('step')}")
+        # a torn tail is skipped: its fault fired all the same
+        already = ({f"{entry.get('kind')}@{entry.get('step')}"
+                    for entry in iter_records(ledger)}
+                   if ledger.exists() else set())
         for kind in RUN_LEVEL_KINDS:
             for event in self.events:
                 if (event.kind != kind or event.fired

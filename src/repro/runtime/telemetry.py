@@ -241,12 +241,14 @@ class TelemetryWriter:
 
 
 def iter_records(path: str | Path) -> Iterator[dict]:
-    """Yield every parseable record of a telemetry stream, in order.
+    """Yield every parseable record of a JSONL stream, in order.
 
-    Streams the file line by line (a week-long run's telemetry never
-    needs to fit in memory) and skips anything torn: a line that does
-    not decode (the process died mid-write, the exact case the format
-    exists for) or decodes to something other than an object.  A *step*
+    The one reader of the run directory's append-only JSONL files (the
+    telemetry stream, the diagnostics products index, the fired-fault
+    ledger).  Streams the file line by line (a week-long run's telemetry
+    never needs to fit in memory) and skips anything torn: a line that
+    does not decode (the process died mid-write, the exact case the
+    format exists for) or decodes to something other than an object.  A *step*
     record that decodes but is missing schema fields — a truncation that
     happened to land on a ``}`` — is yielded as-is; step-record
     consumers filter with :func:`_is_complete_step`.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..machine.costmodel import StepBreakdown, predict_step
-from .runs import TABLE2, RunConfig, by_id, group_runs
+from .runs import TABLE2, by_id, group_runs
 
 #: The paper's weak-scaling sequence: identical per-node work.
 WEAK_SEQUENCE = ("S2", "M16", "L128", "H1024")

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..machine import a64fx
 from ..core.advection import SCHEMES, ghost_width
 from .runs import RunConfig
@@ -66,11 +64,6 @@ class MemoryBudget:
     def node_capacity(self) -> int:
         """32 GB of HBM2 per node."""
         return a64fx.MEMORY_PER_CMG * a64fx.CMGS_PER_NODE
-
-    @property
-    def fits(self) -> bool:
-        """Whether the footprint fits the node."""
-        return self.total <= self.node_capacity
 
     @property
     def utilization(self) -> float:

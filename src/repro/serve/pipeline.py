@@ -39,6 +39,7 @@ from ..core import moments
 from ..core.mesh import PhaseSpaceGrid
 from ..io.snapshot import IOTimer, write_snapshot
 from ..nbody.particles import ParticleSet
+from ..runtime.telemetry import iter_records
 
 __all__ = ["DiagnosticsPipeline", "PRODUCTS_NAME", "read_products", "snapshot_name"]
 
@@ -148,10 +149,6 @@ class DiagnosticsPipeline:
         self.submitted += 1
         self._emit("diagnostics_enqueued", step=int(step),
                    queue_depth=self._queue.qsize())
-
-    def drain(self) -> None:
-        """Block until every submission has been processed."""
-        self._queue.join()
 
     def close(self) -> None:
         """Drain, stop the worker, and emit the run-level summary event."""
@@ -302,16 +299,5 @@ def read_products(path: str | Path) -> Iterator[dict]:
     path = Path(path)
     if path.is_dir():
         path = path / PRODUCTS_NAME
-    if not path.exists():
-        return
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                yield record
+    if path.exists():
+        yield from iter_records(path)

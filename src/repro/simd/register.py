@@ -73,15 +73,6 @@ class InstructionCount:
             + self.shuffle
         )
 
-    def memory_ops(self) -> int:
-        """Loads + stores of any kind."""
-        return (
-            self.load_contiguous
-            + self.load_gather
-            + self.store_contiguous
-            + self.store_scatter
-        )
-
 
 @dataclass
 class SimdMachine:
@@ -157,21 +148,6 @@ class SimdMachine:
         """Lane-wise subtraction."""
         return self._binary(a, b, np.subtract)
 
-    def mul(self, a: SimdRegister, b: SimdRegister) -> SimdRegister:
-        """Lane-wise multiplication."""
-        return self._binary(a, b, np.multiply)
-
-    def fma(self, a: SimdRegister, b: SimdRegister, c: SimdRegister) -> SimdRegister:
-        """Fused multiply-add a*b + c (one instruction)."""
-        self._check(a), self._check(b), self._check(c)
-        self.counts.arithmetic += 1
-        return SimdRegister((a.data * b.data + c.data).astype(self.dtype))
-
-    def broadcast(self, value: float) -> SimdRegister:
-        """Splat a scalar across lanes (one instruction)."""
-        self.counts.arithmetic += 1
-        return SimdRegister(np.full(self.width, value, dtype=self.dtype))
-
     def minimum(self, a: SimdRegister, b: SimdRegister) -> SimdRegister:
         """Lane-wise minimum."""
         return self._binary(a, b, np.minimum)
@@ -181,24 +157,6 @@ class SimdMachine:
         return self._binary(a, b, np.maximum)
 
     # -- shuffles -----------------------------------------------------------
-
-    def shuffle_pair(
-        self, a: SimdRegister, b: SimdRegister, take_from_a: np.ndarray, lane_index: np.ndarray
-    ) -> SimdRegister:
-        """General two-source lane permute (one shuffle instruction).
-
-        Output lane i takes ``a.data[lane_index[i]]`` where
-        ``take_from_a[i]`` is True, else ``b.data[lane_index[i]]`` — the
-        SVE TBL/ZIP/EXT family abstracted.
-        """
-        self._check(a), self._check(b)
-        take_from_a = np.asarray(take_from_a, dtype=bool)
-        lane_index = np.asarray(lane_index)
-        if take_from_a.shape != (self.width,) or lane_index.shape != (self.width,):
-            raise ValueError("need one selector and index per lane")
-        self.counts.shuffle += 1
-        out = np.where(take_from_a, a.data[lane_index], b.data[lane_index])
-        return SimdRegister(out.astype(self.dtype))
 
     def blend_halves(
         self, a: SimdRegister, b: SimdRegister, block: int, take_high_of_b: bool

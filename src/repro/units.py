@@ -37,15 +37,12 @@ class UnitSystem:
         One internal velocity unit (km/s) in cm/s.
     mass_cgs:
         One internal mass unit (1e10 h^-1 M_sun) in g.
-    time_cgs:
-        One internal time unit (length/velocity) in s.
     """
 
     h: float = 0.6774
     length_cgs: float = field(init=False)
     velocity_cgs: float = field(init=False)
     mass_cgs: float = field(init=False)
-    time_cgs: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.h < 2.0:
@@ -53,7 +50,6 @@ class UnitSystem:
         object.__setattr__(self, "length_cgs", cst.MPC / self.h)
         object.__setattr__(self, "velocity_cgs", 1.0e5)
         object.__setattr__(self, "mass_cgs", 1.0e10 * cst.M_SUN / self.h)
-        object.__setattr__(self, "time_cgs", self.length_cgs / self.velocity_cgs)
 
     # -- derived constants ---------------------------------------------------
 
@@ -82,26 +78,6 @@ class UnitSystem:
         return 3.0 * self.H0**2 / (8.0 * math.pi * self.G)
 
     # -- conversions ----------------------------------------------------------
-
-    def to_cgs_length(self, x: float) -> float:
-        """Convert internal length -> cm."""
-        return x * self.length_cgs
-
-    def to_cgs_velocity(self, v: float) -> float:
-        """Convert internal velocity -> cm/s."""
-        return v * self.velocity_cgs
-
-    def to_cgs_mass(self, m: float) -> float:
-        """Convert internal mass -> g."""
-        return m * self.mass_cgs
-
-    def to_cgs_time(self, t: float) -> float:
-        """Convert internal time -> s."""
-        return t * self.time_cgs
-
-    def time_in_gyr(self, t: float) -> float:
-        """Convert internal time -> Gyr."""
-        return self.to_cgs_time(t) / cst.GYR
 
     def neutrino_velocity_kms(self, m_nu_ev: float, a: float = 1.0) -> float:
         """Thermal velocity of a relic neutrino eigenstate in km/s."""

@@ -51,6 +51,13 @@ dependency is installed, as ``python tests/test_architecture.py``.
   it, following a name imported from a package to the submodule that
   defines it — tests and package re-exports do not count, so code that
   no run reaches is deleted rather than kept alive by its own tests;
+* so is every public name: each public top-level function or class and
+  each public method of ``src/repro`` is named outside ``tests/`` — as an
+  identifier, an attribute, an imported name or a string constant, in
+  the package, a benchmark or an example — other than in ``__all__``,
+  an ``_EXPORTS`` table, a package re-export or its own body; a name
+  that stays unread on purpose is listed in ``NAMES_KEPT_BY_DESIGN``
+  with its reader, and the deleted ones are in ``RETIRED``;
 * the ``__init__`` of ``repro.core``, ``repro.perf``, ``repro.parallel``
   and ``repro.nbody`` imports no submodule at module level: a package
   name resolves through the ``_EXPORTS`` table on first use, so a launch
@@ -60,6 +67,7 @@ dependency is installed, as ``python tests/test_architecture.py``.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -106,6 +114,27 @@ RETIRED = (
     # leapfrog protocol: one driver base, one Stepper
     "Plasma" + "Stepper", "Gravitational" + "Stepper", "Hybrid" + "Stepper",
     "_OneSolve" + "PerF", "save" + "_checkpoint", "step" + "_static",
+    # the unmerged splitting path beside the drivers' leapfrog, and the
+    # particle integrator no run constructs
+    "Split" + "Stepper", "Split" + "table", "COMPOSI" + "TIONS",
+    "lie" + "_step", "strang" + "_step", "ruth" + "_step",
+    "Leapfrog" + "KDK", "step" + "_cosmological",
+    # names no run, benchmark or example read, and the option values no
+    # caller passed
+    "gravity" + "_source", "potential" + "_mesh", "fields" + "_mesh",
+    "def potential" + "(", "def gradient" + "(", "_GREEN" + "S", '"fd' + '2"',
+    "max_drift" + "_cfl", "max_kick" + "_cfl", "x_center" + "_broadcast",
+    "x" + "_mesh", "u" + "_mesh", "empty" + "_f", "total" + "_density",
+    "rho_mean" + "_matter", "omega_m" + "_of_a", "a" + "_of_z", "z" + "_of_a",
+    "cosmic" + "_time", "time_in" + "_gyr", "time" + "_cgs", "to" + "_cgs_",
+    "f_of" + "_velocity", "velocity_dispersion" + "_1d", "sigma" + "_r(",
+    "absolute" + "_drift", "_worst" + "_abs", "roofline" + "_time",
+    "alltoall" + "_time", "p2p_bytes" + "_by_pair", "allreduce" + "_max",
+    "memory" + "_ops", "shuffle" + "_pair", "dimensionless" + "_power",
+    "def drain" + "(", ".minimum" + "_image(",
+    # helpers only tests read: they live in tests/helpers.py
+    "l1" + "_norm", "casi" + "mir", "entro" + "py", "dispersion" + "_tensor",
+    "gaussian" + "_field(", "uniform" + "_random", "uniform" + "_lattice",
 )
 
 
@@ -484,6 +513,116 @@ def test_every_module_is_reached_from_an_entry_point():
     assert unreached == set(UNREACHED_BY_DESIGN), (
         f"no entry point imports {sorted(unreached - set(UNREACHED_BY_DESIGN))}; "
         f"reached after all: {sorted(set(UNREACHED_BY_DESIGN) - unreached)}")
+
+
+#: Public names no reader outside ``tests/`` names that stay anyway:
+#: qualified name -> who reads it and why it stays.
+NAMES_KEPT_BY_DESIGN = {
+    "repro.nbody.direct.direct_accel_open":
+        "the tree tests' reference: the exact open-boundary pair sum",
+    "repro.nbody.direct.direct_accel_minimum_image":
+        "the tree tests' reference: the exact minimum-image pair sum",
+    "repro.machine.tofu.TorusMapping":
+        "test_machine_scaling::test_neighbor_mapping_single_hop pins the "
+        "single-hop rank mapping behind the cost model's hops=1",
+    "repro.machine.tofu.TorusMapping.max_neighbor_hops":
+        "test_machine_scaling::test_neighbor_mapping_single_hop: the hop "
+        "count it pins",
+    "repro.machine.tofu.TorusMapping.fits_fugaku":
+        "test_machine_scaling::test_h1024_fits: the H1024 mapping fits "
+        "Fugaku's torus",
+    "repro.machine.a64fx.sustained_fraction":
+        "the Table 1 sustained-fraction row in EXPERIMENTS.md",
+    "repro.runtime.telemetry.read_telemetry":
+        "the run-directory telemetry reader documented in docs/RUNTIME.md",
+    "repro.runtime.telemetry.read_events":
+        "the run-directory event reader documented in docs/RUNTIME.md",
+    "repro.core.advection.fastpath_counters":
+        "tests pin that row order gives uniform-k blocks",
+    "repro.core.advection.reset_fastpath_counters":
+        "tests zero the fast-path counters before a sweep they count",
+    "repro.perf.fft.set_default_backend":
+        "tests substitute the process-wide spectral backend",
+    "repro.perf.fft.SpectralBackend.reset_counts":
+        "tests zero the transform counts before a solve they count",
+    "repro.cosmology.neutrino.RelicNeutrinoDistribution.mean_speed":
+        "test_ic's oracle for the sampled relic-neutrino IC",
+}
+
+
+def definitions():
+    """``(qualified name, node)`` of every public top-level function or
+    class of the package and every public method of such a class,
+    modules kept by design left out (their names stay with them)."""
+    for name, path in modules():
+        if name in UNREACHED_BY_DESIGN:
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield f"{name}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from (
+                    (f"{name}.{node.name}.{member.name}", member)
+                    for member in node.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not member.name.startswith("_"))
+
+
+def _is_listing(node: ast.AST, package: bool) -> bool:
+    """``__all__``, an ``_EXPORTS`` table or a package re-export: a name
+    listed there is offered, not read."""
+    if isinstance(node, ast.Assign):
+        return any(getattr(t, "id", None) in ("__all__", "_EXPORTS")
+                   for t in node.targets)
+    return package and isinstance(node, ast.ImportFrom)
+
+
+def named(tree: ast.AST, package: bool = False):
+    """Every name ``tree`` reads: identifiers, attributes, imported names
+    and their aliases, and identifier-shaped string constants (a name
+    looked up with ``getattr`` or wrapped by name)."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if _is_listing(node, package):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def unnamed_names() -> dict[str, int]:
+    """Qualified public names no reader outside ``tests/`` names -> their
+    length in lines. A name read only inside its own body is unnamed."""
+    readers = [path for _, path in modules()]
+    readers += [*ROOT.glob("benchmarks/**/*.py"), *ROOT.glob("examples/*.py")]
+    counts = Counter(word for path in readers
+                     for word in named(ast.parse(path.read_text(), str(path)),
+                                       path.name == "__init__.py"))
+    return {qualified: node.end_lineno - node.lineno + 1
+            for qualified, node in definitions()
+            if counts[node.name] <= sum(w == node.name for w in named(node))}
+
+
+def test_every_public_name_is_named_outside_the_tests():
+    unnamed = unnamed_names()
+    kept = set(NAMES_KEPT_BY_DESIGN)
+    assert set(unnamed) == kept, (
+        "no reader outside tests/ names:\n" + "\n".join(
+            f"  {name} ({unnamed[name]} lines)" for name in sorted(set(unnamed) - kept))
+        + f"\nnamed after all: {sorted(kept - set(unnamed))}")
+    assert all(NAMES_KEPT_BY_DESIGN.values())
 
 
 if __name__ == "__main__":

@@ -13,11 +13,12 @@ import pytest
 from repro.analysis.spectra import (
     correlation_coefficient,
     cross_power,
-    dimensionless_power,
     transfer_ratio,
 )
 from repro.cli import build_parser, main
-from repro.ic import FourierGrid, gaussian_field, measure_power
+from repro.ic import FourierGrid, measure_power
+
+from .helpers import gaussian_field
 
 
 class TestCli:
@@ -163,10 +164,3 @@ class TestCrossPower:
         # (Parseval); dropping the corner mode leaves a ~5e-4 deficit
         var = float(delta.var()) * box**3
         assert (p * w).sum() == pytest.approx(var, rel=1e-10)
-
-    def test_dimensionless_power_scaling(self, rng):
-        grid = FourierGrid((24, 24, 24), 50.0)
-        delta = gaussian_field(grid, lambda k: 10.0 * np.ones_like(k), rng)
-        k, d2 = dimensionless_power(delta, 50.0, n_bins=6)
-        # flat P: Delta^2 grows as k^3
-        assert d2[-1] > d2[0] * (k[-1] / k[0]) ** 2.5

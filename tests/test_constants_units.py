@@ -79,18 +79,6 @@ class TestUnitSystem:
         # 27.7536627 in 1e10 h^-1 Msun / (h^-1 Mpc)^3
         assert DEFAULT_UNITS.rho_crit == pytest.approx(27.7536627, rel=1e-3)
 
-    def test_time_unit_hubble_time(self):
-        # 1/H0 in internal units = 0.01; in Gyr ~ 9.78/h
-        u = UnitSystem(h=0.7)
-        t_hubble_gyr = u.time_in_gyr(1.0 / u.H0)
-        assert t_hubble_gyr == pytest.approx(9.78 / 0.7, rel=1e-2)
-
-    def test_conversion_roundtrip(self):
-        u = DEFAULT_UNITS
-        assert u.to_cgs_length(2.0) == pytest.approx(2.0 * u.length_cgs)
-        assert u.to_cgs_mass(3.0) == pytest.approx(3.0 * u.mass_cgs)
-        assert u.to_cgs_velocity(4.0) == pytest.approx(4.0e5)
-
     def test_neutrino_velocity_kms(self):
         # 0.4/3 eV eigenstate: ~1190 km/s today
         v = DEFAULT_UNITS.neutrino_velocity_kms(0.4 / 3.0)

@@ -94,11 +94,6 @@ class TestQuadratureAgainstTightReference:
         each = [growth_factor_unnormalized(cosmo, float(x)) for x in a]
         assert growth_factor_unnormalized(cosmo, a).tolist() == each
 
-    @pytest.mark.parametrize("a", [1.0 / 11.0, 0.5, 1.0])
-    def test_cosmic_time(self, cosmo, a):
-        ref = tight_quad(lambda x: 1.0 / (x * cosmo.hubble(x)), 0.0, a)
-        assert cosmo.cosmic_time(a) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
     def test_sigma8_normalisation(self, cosmo):
         """An adaptive ``quad(limit=400)`` lands 7.9e-5 off this, with no
         warning."""
@@ -162,21 +157,6 @@ class TestBackground:
             np.sqrt(cosmo.omega_m / a**3), rel=1e-3
         )
 
-    def test_omega_m_of_a_limits(self, cosmo):
-        assert cosmo.omega_m_of_a(1.0) == pytest.approx(cosmo.omega_m)
-        assert cosmo.omega_m_of_a(0.01) == pytest.approx(1.0, abs=1e-3)
-
-    def test_age_of_universe(self, cosmo):
-        assert cosmo.cosmic_time_gyr(1.0) == pytest.approx(13.8, abs=0.1)
-
-    def test_age_at_z10(self, cosmo):
-        # the paper's starting epoch: z=10 is ~0.47 Gyr after the Big Bang
-        assert cosmo.cosmic_time_gyr(1.0 / 11.0) == pytest.approx(0.47, abs=0.05)
-
-    def test_redshift_scale_factor_roundtrip(self, cosmo):
-        z = np.array([0.0, 1.0, 10.0, 99.0])
-        assert np.allclose(cosmo.z_of_a(cosmo.a_of_z(z)), z)
-
     def test_kick_drift_integrals_match_quadrature(self, cosmo):
         # trivially small interval: integrand ~ constant
         a0, a1 = 0.5, 0.5001
@@ -218,8 +198,8 @@ class TestGrowth:
     def test_growth_rate_matches_omega_power(self, cosmo):
         # f ~ Omega_m(a)^0.55 to ~1%
         for a in (0.3, 0.6, 1.0):
-            f = growth_rate(cosmo, a)
-            assert f == pytest.approx(cosmo.omega_m_of_a(a) ** 0.55, rel=0.02)
+            omega_m_of_a = cosmo.omega_m / a**3 / cosmo.e_of_a(a) ** 2
+            assert growth_rate(cosmo, a) == pytest.approx(omega_m_of_a**0.55, rel=0.02)
 
     def test_free_streaming_scale(self, cosmo):
         # k_fs(a=1) ~ 0.1 h/Mpc for M_nu = 0.4 eV
@@ -245,7 +225,8 @@ class TestGrowth:
 class TestPower:
     def test_sigma8_normalization(self, cosmo):
         p = LinearPower(cosmo)
-        assert p.sigma_r(8.0) == pytest.approx(cosmo.sigma8, rel=1e-3)
+        sigma8 = np.sqrt(p.amplitude * p._sigma_r_squared_unnormalized(8.0))
+        assert sigma8 == pytest.approx(cosmo.sigma8, rel=1e-3)
 
     def test_transfer_normalized_at_large_scales(self, cosmo):
         assert eisenstein_hu_transfer(cosmo, 1e-5) == pytest.approx(1.0, abs=1e-2)
@@ -308,11 +289,9 @@ class TestRelicNeutrinos:
         speeds = np.sqrt((v**2).sum(axis=1))
         assert speeds.mean() == pytest.approx(fd.mean_speed, rel=0.01)
         assert v.mean(axis=0) == pytest.approx([0.0] * 3, abs=5 * fd.u0 / np.sqrt(2e5))
-        # 1-D dispersion
-        assert v[:, 0].std() == pytest.approx(fd.velocity_dispersion_1d, rel=0.02)
-        assert np.sqrt(FD_MEANSQ_Y / 3) * fd.u0 == pytest.approx(
-            fd.velocity_dispersion_1d
-        )
+        # 1-D dispersion: sigma^2 = <u^2>/3
+        sigma_1d = np.sqrt(FD_MEANSQ_Y / 3) * fd.u0
+        assert v[:, 0].std() == pytest.approx(sigma_1d, rel=0.02)
 
     def test_isotropy(self, fd, rng):
         v = fd.sample_velocities(100_000, rng)

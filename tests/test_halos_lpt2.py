@@ -14,6 +14,8 @@ from repro.core import moments
 from repro.core.mesh import PhaseSpaceGrid
 from repro.nbody.particles import ParticleSet
 
+from .helpers import casimir, entropy, uniform_random_particles
+
 
 class TestFoF:
     @pytest.fixture
@@ -57,7 +59,7 @@ class TestFoF:
         assert np.all(dist < 0.5)
 
     def test_uniform_particles_no_halos(self, rng):
-        p = ParticleSet.uniform_random(400, 100.0, 1.0, rng)
+        p = uniform_random_particles(400, 100.0, 1.0, rng)
         halos = fof_halos(p, b=0.2, min_members=30)
         assert len(halos) == 0  # Poisson field: no big groups at b=0.2
 
@@ -113,11 +115,11 @@ class TestCasimirs:
         f = np.full(grid.shape, 2.0)
         # -int f ln f = -2 ln 2 * phase-space volume
         vol = grid.box_size * 2 * grid.v_max
-        assert moments.entropy(f, grid) == pytest.approx(-2 * np.log(2) * vol)
+        assert entropy(f, grid) == pytest.approx(-2 * np.log(2) * vol)
 
     def test_casimir_p2_is_l2_squared(self, grid, rng):
         f = rng.random(grid.shape)
-        assert moments.casimir(f, grid, 2.0) == pytest.approx(
+        assert casimir(f, grid, 2.0) == pytest.approx(
             moments.l2_norm(f, grid) ** 2
         )
 
@@ -129,18 +131,18 @@ class TestCasimirs:
         x = grid.x_centers(0)[:, None]
         v = grid.u_centers(0)[None, :]
         f = (1 + 0.9 * np.sin(2 * np.pi * x / 10.0)) * np.exp(-(v**2))
-        c_prev = moments.casimir(f, grid, 2.0)
-        s_prev = moments.entropy(f, grid)
+        c_prev = casimir(f, grid, 2.0)
+        s_prev = entropy(f, grid)
         for _ in range(5):
             for _ in range(10):
                 f = advect(f, 0.37, 0, scheme="slmpp5")
-            c_now = moments.casimir(f, grid, 2.0)
-            s_now = moments.entropy(f, grid)
+            c_now = casimir(f, grid, 2.0)
+            s_now = entropy(f, grid)
             assert c_now <= c_prev * (1 + 1e-12)
             assert s_now >= s_prev - 1e-9 * abs(s_prev)
             c_prev, s_prev = c_now, s_now
 
     def test_casimir_power_validation(self, grid):
         with pytest.raises(ValueError):
-            moments.casimir(np.zeros(grid.shape), grid, 0.0)
+            casimir(np.zeros(grid.shape), grid, 0.0)
 

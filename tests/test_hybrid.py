@@ -9,6 +9,8 @@ from repro.core.hybrid import HybridSimulation, build_neutrino_component
 from repro.core.mesh import PhaseSpaceGrid
 from repro.nbody.particles import ParticleSet
 
+from .helpers import uniform_random_particles
+
 
 @pytest.fixture
 def mini_setup(cosmo, rng):
@@ -16,7 +18,7 @@ def mini_setup(cosmo, rng):
     L = 200.0
     grid = PhaseSpaceGrid(nx=(8, 8, 8), nu=(8, 8, 8), box_size=L, v_max=4000.0)
     cdm_mass = (cosmo.omega_cdm + cosmo.omega_b) * cosmo.units.rho_crit * L**3
-    cdm = ParticleSet.uniform_random(512, L, cdm_mass, rng)
+    cdm = uniform_random_particles(512, L, cdm_mass, rng)
     sim = HybridSimulation(grid, cdm, cosmo, a=0.1, use_tree=False)
     sim.neutrinos.f = build_neutrino_component(grid, cosmo)
     return sim
@@ -31,18 +33,19 @@ class TestConstruction:
     def test_total_density_budget(self, mini_setup, cosmo):
         """rho_CDM + rho_nu averages to Omega_m * rho_crit."""
         sim = mini_setup
-        rho = sim.total_density()
+        rho = sim.cdm_density() + sim.neutrino_density()
         expected = cosmo.omega_m * cosmo.units.rho_crit
         assert rho.mean() == pytest.approx(expected, rel=0.02)
 
     def test_neutrino_mass_fraction(self, mini_setup, cosmo):
         sim = mini_setup
-        f_nu = sim.neutrino_density().mean() / sim.total_density().mean()
+        rho_nu = sim.neutrino_density()
+        f_nu = rho_nu.mean() / (sim.cdm_density() + rho_nu).mean()
         assert f_nu == pytest.approx(cosmo.f_nu, rel=0.05)
 
     def test_box_mismatch_rejected(self, cosmo, rng):
         grid = PhaseSpaceGrid(nx=(4,) * 3, nu=(4,) * 3, box_size=100.0, v_max=1000.0)
-        cdm = ParticleSet.uniform_random(8, 50.0, 1.0, rng)
+        cdm = uniform_random_particles(8, 50.0, 1.0, rng)
         with pytest.raises(ValueError):
             HybridSimulation(grid, cdm, cosmo, a=0.1)
 
@@ -215,7 +218,7 @@ class TestTreePathInHybrid:
         L = 40.0
         grid = PhaseSpaceGrid(nx=(8,) * 3, nu=(6,) * 3, box_size=L, v_max=4000.0)
         cdm_mass = (cosmo.omega_cdm + cosmo.omega_b) * cosmo.units.rho_crit * L**3
-        cdm = ParticleSet.uniform_random(512, L, cdm_mass, rng)
+        cdm = uniform_random_particles(512, L, cdm_mass, rng)
         sim = HybridSimulation(
             grid, cdm, cosmo, a=0.2, use_tree=True, r_split_cells=0.8
         )
@@ -303,7 +306,7 @@ class TestOneKickField:
         cdm_mass = (cosmo.omega_cdm + cosmo.omega_b) * cosmo.units.rho_crit * L**3
         sims = []
         for _ in range(2):
-            cdm = ParticleSet.uniform_random(
+            cdm = uniform_random_particles(
                 512, L, cdm_mass, np.random.default_rng(11))
             sim = HybridSimulation(grid, cdm, cosmo, a=0.2, use_tree=use_tree,
                                    r_split_cells=0.8)
@@ -365,7 +368,7 @@ class TestOneKickField:
 
         L = 200.0
         grid = PhaseSpaceGrid(nx=(8,) * 3, nu=(6,) * 3, box_size=L, v_max=4000.0)
-        cdm = ParticleSet.uniform_random(512, L, 1.0, rng)
+        cdm = uniform_random_particles(512, L, 1.0, rng)
         timer = StepTimer()
         sim = HybridSimulation(grid, cdm, cosmo, a=0.1, use_tree=False, timer=timer)
         sim.neutrinos.f = build_neutrino_component(grid, cosmo)

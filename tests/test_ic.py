@@ -11,13 +11,14 @@ from repro.ic import (
     FourierGrid,
     displacement_field,
     filter_field_fourier,
-    gaussian_field,
     gaussian_field_fourier,
     measure_power,
     neutrino_distribution_function,
     sample_neutrino_particles,
     zeldovich_particles,
 )
+
+from .helpers import gaussian_field
 
 
 class TestGaussianField:

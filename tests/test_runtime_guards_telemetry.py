@@ -109,8 +109,7 @@ class TestGuards:
         ledger.register(mass=1.0, energy=2.0)
         ledger.update(mass=bad, energy=2.0)
         assert ledger.relative_drift("mass") == np.inf
-        assert ledger.absolute_drift("mass") == np.inf
-        assert np.array_equal(ledger.current("mass"), bad, equal_nan=True)
+        assert np.array_equal(ledger.latest["mass"], bad, equal_nan=True)
         ledger.update(mass=1.0, energy=2.0)  # the worst stays infinite
         assert ledger.relative_drift("mass") == np.inf
         assert ledger.relative_drift("energy") == 0.0
@@ -126,9 +125,7 @@ class TestGuards:
         assert ledger.relative_drift("mass") == np.inf
         ledger.update(mass=1.0, momentum=np.nan)
         assert ledger.relative_drift("mass") == np.inf
-        assert ledger.absolute_drift("mass") == np.inf
         assert ledger.relative_drift("momentum") == np.inf
-        assert ledger.absolute_drift("momentum") == np.inf
 
 
 def full_record(step=1) -> dict:
@@ -372,17 +369,8 @@ class TestLedgerExport:
             seen.append(float(value))
         recomputed = max(abs(q / 2.0 - 1.0) for q in seen)
         assert ledger.relative_drift("q") == pytest.approx(recomputed, rel=0)
-        assert ledger.absolute_drift("q") == max(abs(q - 2.0) for q in seen)
-        assert ledger.current("q") == seen[-1]
+        assert ledger.latest["q"] == seen[-1]
         assert not hasattr(ledger, "history")  # nothing grows with the run
-
-    def test_current_and_absolute_drift(self):
-        ledger = ConservationLedger()
-        ledger.register(energy=10.0)
-        ledger.update(energy=9.0)
-        ledger.update(energy=10.5)
-        assert ledger.current("energy") == 10.5
-        assert ledger.absolute_drift("energy") == pytest.approx(1.0)
 
     def test_report_renders_both_kinds(self):
         ledger = ConservationLedger()
@@ -393,7 +381,6 @@ class TestLedgerExport:
 
     def test_unregistered_key_everywhere(self):
         ledger = ConservationLedger()
-        for method in (ledger.current, ledger.relative_drift,
-                       ledger.absolute_drift, ledger.is_relative):
+        for method in (ledger.relative_drift, ledger.is_relative):
             with pytest.raises(KeyError):
                 method("ghost")

@@ -1,14 +1,13 @@
 """The fused spectral field pipeline: FFT budget, equivalence, timers.
 
-Issue regression: the spectral-gradient field solve used to pay
-``1 + dim`` forward transforms per solve (``gradient(..., "spectral")``
-re-transformed phi inside the per-axis loop, and ``PMSolver`` duplicated
-the transform logic again).  These tests pin the fused
-``solve_fields`` path to **exactly one** forward transform per solve —
-via a counting backend installed as the process default — and pin its
-output to the historical ``potential`` + per-axis ``gradient``
-composition at float64 round-off for both Green's functions and all
-three gradient methods.
+Regression: the spectral-gradient field solve used to pay ``1 + dim``
+forward transforms per solve (a per-axis spectral gradient re-transformed
+phi inside the loop, and ``PMSolver`` duplicated the transform logic
+again).  These tests pin the fused ``solve_fields`` path to **exactly
+one** forward transform per solve — via a counting backend installed as
+the process default — and pin its output to the historical potential +
+per-axis gradient composition at float64 round-off for both gradient
+methods.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from repro.perf.fft import SpectralBackend, set_default_backend
 from repro.runtime import EXIT_COMPLETE, RunConfig, SimulationRunner, read_telemetry
 from repro.runtime.config import EngineConfig, GridConfig, ScheduleConfig
 from repro.runtime.runner import TELEMETRY_NAME
+
+from .helpers import uniform_random_particles
 
 
 @pytest.fixture
@@ -56,15 +57,17 @@ def legacy_compose(solver, source, method, kernel=None):
         if method == "spectral":
             grad_k = np.fft.rfftn(phi) * (1j * solver._k_axes[d])
             accel[d] = -np.fft.irfftn(grad_k, s=solver.nx, axes=dims)
-        else:
-            accel[d] = -solver._fd_gradient(phi, d, method)
+        else:  # fd4
+            h = solver.dx[d]
+            accel[d] = -(-np.roll(phi, -2, d) + 8.0 * np.roll(phi, -1, d)
+                         - 8.0 * np.roll(phi, 1, d) + np.roll(phi, 2, d)) / (12.0 * h)
     return phi, accel
 
 
 class TestFFTBudget:
     """Exactly one forward transform per field solve."""
 
-    @pytest.mark.parametrize("method", ["spectral", "fd2", "fd4"])
+    @pytest.mark.parametrize("method", ["spectral", "fd4"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_solve_fields_single_forward(self, counting_backend, dim, method):
         n = 16
@@ -78,11 +81,11 @@ class TestFFTBudget:
         expected_inv = 1 + dim if method == "spectral" else 1
         assert counting_backend.n_inverse == expected_inv
 
-    @pytest.mark.parametrize("method", ["spectral", "fd2", "fd4"])
+    @pytest.mark.parametrize("method", ["spectral", "fd4"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_acceleration_skips_phi_inverse(self, counting_backend, dim, method):
         """The force-only solve never inverts phi on the spectral route:
-        1 + dim transforms total (the fd methods still need phi)."""
+        1 + dim transforms total (fd4 still needs phi)."""
         n = 16
         solver = PeriodicPoissonSolver((n,) * dim, box_size=1.0)
         rng = np.random.default_rng(dim)
@@ -127,15 +130,6 @@ class TestFFTBudget:
         assert counting_backend.n_forward == 1
         assert counting_backend.n_inverse == (2 if method == "spectral" else 1)
 
-    def test_pm_potential_mesh_single_forward(self, counting_backend):
-        pm = PMSolver((12, 12, 12), 1.0, r_split=0.1)
-        rng = np.random.default_rng(3)
-        src = rng.standard_normal((12, 12, 12))
-        counting_backend.reset_counts()
-        pm.potential_mesh(src)
-        assert counting_backend.n_forward == 1
-        assert counting_backend.n_inverse == 1
-
     @pytest.mark.parametrize("driver", ["plasma", "gravitational", "hybrid"])
     def test_steady_step_is_costmodel_step(
             self, counting_backend, driver, cosmo):
@@ -145,7 +139,6 @@ class TestFFTBudget:
         from repro.core.engine import SweepEngine
         from repro.core.hybrid import HybridSimulation, build_neutrino_component
         from repro.machine.costmodel import SWEEPS_PER_STEP
-        from repro.nbody.particles import ParticleSet
 
         class CountingEngine(SweepEngine):
             sweeps = 0
@@ -159,8 +152,8 @@ class TestFFTBudget:
             grid = PhaseSpaceGrid(nx=(6,) * 3, nu=(6,) * 3, box_size=200.0,
                                   v_max=4000.0)
             mass = cosmo.omega_m * cosmo.units.rho_crit * 200.0**3
-            cdm = ParticleSet.uniform_random(216, 200.0, mass,
-                                             np.random.default_rng(0))
+            cdm = uniform_random_particles(216, 200.0, mass,
+                                           np.random.default_rng(0))
             sim = HybridSimulation(grid, cdm, cosmo, a=0.1, use_tree=False,
                                    engine=engine)
             sim.neutrinos.f = build_neutrino_component(grid, cosmo)
@@ -194,14 +187,13 @@ class TestFFTBudget:
 
 class TestEquivalence:
     """solve_fields == the old potential+gradient composition, float64
-    round-off, for both Green's functions and all gradient methods."""
+    round-off, for both gradient methods."""
 
-    @pytest.mark.parametrize("green", ["spectral", "discrete"])
-    @pytest.mark.parametrize("method", ["spectral", "fd2", "fd4"])
+    @pytest.mark.parametrize("method", ["spectral", "fd4"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_legacy_composition(self, green, method, dim):
+    def test_matches_legacy_composition(self, method, dim):
         n = {1: 64, 2: 24, 3: 12}[dim]
-        solver = PeriodicPoissonSolver((n,) * dim, box_size=3.7, green=green)
+        solver = PeriodicPoissonSolver((n,) * dim, box_size=3.7)
         rng = np.random.default_rng(dim * 7 + len(method))
         src = rng.standard_normal((n,) * dim)
         src -= src.mean()
@@ -213,8 +205,8 @@ class TestEquivalence:
         assert np.allclose(acc, acc_ref, atol=1e-12 * ascale, rtol=1e-12)
 
     def test_pm_kernel_folds_into_same_spectrum(self):
-        """The Gaussian cut + deconvolution multiply into phi_k; the
-        result equals the legacy duplicated-transform PM path."""
+        """The Gaussian cut + deconvolution multiply into phi_k; the PM
+        force equals the legacy duplicated-transform PM path."""
         pm = PMSolver((16, 16), 2.0, window="tsc", r_split=0.2, deconvolve=True)
         rng = np.random.default_rng(5)
         src = rng.standard_normal((16, 16))
@@ -222,10 +214,10 @@ class TestEquivalence:
         phi_ref, acc_ref = legacy_compose(
             pm.poisson, src, "fd4", kernel=pm._kernel_extra
         )
-        assert np.allclose(pm.potential_mesh(src), phi_ref, atol=1e-12)
-        phi, acc = pm.fields_mesh(src, "fd4")
+        phi, acc = pm.poisson.solve_fields(src, "fd4", kernel=pm._kernel_extra)
         assert np.allclose(phi, phi_ref, atol=1e-12)
         assert np.allclose(acc, acc_ref, atol=1e-12)
+        assert np.allclose(pm.acceleration_mesh(src, "fd4"), acc_ref, atol=1e-12)
 
     def test_treepm_threads_backend(self):
         """An explicit backend handed to TreePM carries every PM
@@ -250,8 +242,9 @@ class TestEquivalence:
 
     def test_invalid_method_rejected(self):
         solver = PeriodicPoissonSolver((8,), box_size=1.0)
-        with pytest.raises(ValueError):
-            solver.solve_fields(np.ones(8), "magic")
+        for method in ("magic", "fd2"):
+            with pytest.raises(ValueError):
+                solver.solve_fields(np.ones(8), method)
         with pytest.raises(ValueError):
             solver.solve_fields(np.ones(4), "fd4")
 

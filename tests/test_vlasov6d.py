@@ -11,6 +11,8 @@ from repro.core import moments
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
 
+from .helpers import dispersion_tensor
+
 
 @pytest.fixture
 def grid6d():
@@ -23,7 +25,9 @@ def gaussian_f(grid, x0, u0, sx=2.0, su=0.5):
     """A Gaussian blob in all six dimensions."""
     f = np.ones(grid.shape, dtype=np.float64)
     for d in range(3):
-        x = grid.x_center_broadcast(d).astype(np.float64)
+        shape = [1] * (2 * grid.dim)
+        shape[d] = grid.nx[d]
+        x = grid.x_centers(d).astype(grid.dtype).astype(np.float64).reshape(shape)
         f = f * np.exp(-((x - x0[d]) ** 2) / (2 * sx**2))
         u = grid.u_center_broadcast(d).astype(np.float64)
         f = f * np.exp(-((u - u0[d]) ** 2) / (2 * su**2))
@@ -109,7 +113,7 @@ class Test6DDynamics:
     def test_velocity_dispersion_isotropic_blob(self, grid6d):
         solver = VlasovSolver(grid6d)
         solver.f = gaussian_f(grid6d, (6.0, 6.0, 6.0), (0.0, 0.0, 0.0), su=0.5)
-        tensor = moments.dispersion_tensor(solver.f, grid6d)
+        tensor = dispersion_tensor(solver.f, grid6d)
         center = (3, 3, 3)
         assert tensor[0, 0][center] == pytest.approx(tensor[1, 1][center], rel=1e-3)
         assert tensor[0, 1][center] == pytest.approx(0.0, abs=1e-4)

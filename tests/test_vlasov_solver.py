@@ -128,16 +128,6 @@ class TestStrangStep:
                          ("K", 0.2), ("D", 0.2), ("K", 0.1)]
         assert vp.pending_kick == 0.0
 
-    def test_cfl_helpers(self, grid):
-        solver = VlasovSolver(grid)
-        assert solver.max_drift_cfl(0.1) == pytest.approx(
-            grid.v_max * 0.1 / grid.dx[0]
-        )
-        accel = np.full((1,) + grid.nx, 3.0)
-        assert solver.max_kick_cfl(accel, 0.2) == pytest.approx(
-            3.0 * 0.2 / grid.du[0]
-        )
-
     def test_unknown_scheme(self, grid):
         with pytest.raises(ValueError):
             VlasovSolver(grid, scheme="nope")
