@@ -21,7 +21,8 @@ may gather the full distribution).
 Opt-in job: skipped unless ``REPRO_BENCH=1`` (keeps tier-1 fast).
 ``REPRO_BENCH_SMOKE=1`` shrinks the grids and disables the timing gates
 (CI keeps every entry point executable; bitwise + residency still gate).
-The JSON artifact is written in both modes, flagged with ``"smoke"``.
+The JSON artifact is written in full mode only; a smoke run prints it
+(flagged with ``"smoke"``) and leaves ``results/`` alone.
 
 Run standalone with ``REPRO_BENCH=1 python benchmarks/bench_domain.py``
 or via ``REPRO_BENCH=1 pytest benchmarks/bench_domain.py -s``.
@@ -177,9 +178,11 @@ def run_domain_bench(steps: int | None = None, repeats: int | None = None) -> di
 
 
 def _write(result: dict) -> str:
+    """The result as JSON, kept under results/ unless this is a smoke run."""
     text = json.dumps(result, indent=2)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_domain.json").write_text(text + "\n")
+    if not SMOKE:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "BENCH_domain.json").write_text(text + "\n")
     return text
 
 

@@ -89,10 +89,11 @@ def particle_moments_on_grid(
 def vlasov_moments_on_grid(f: np.ndarray, grid: PhaseSpaceGrid) -> dict[str, np.ndarray]:
     """The matching moment set from the distribution function."""
     rho = moments.density(f, grid)
+    vbar = moments.mean_velocity(f, grid, rho)
     return {
         "density": rho,
-        "velocity": moments.mean_velocity(f, grid, rho),
-        "dispersion": moments.velocity_dispersion(f, grid, rho),
+        "velocity": vbar,
+        "dispersion": moments.velocity_dispersion(f, grid, rho, vbar),
     }
 
 

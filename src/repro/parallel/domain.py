@@ -645,8 +645,9 @@ class DomainEngine(SweepEngine):
         return replies
 
     # Mass and kinetic energy are summed per block then across blocks —
-    # not bitwise against the serial full-array ``np.sum`` (pairwise
-    # order differs), but exact to the ledger's drift tolerances.
+    # not bitwise against the serial engine's sums in general (the
+    # summation order differs), but exact to the ledger's drift
+    # tolerances.
 
     def total_mass(self) -> float:
         replies = self._partials()

@@ -37,7 +37,7 @@ import numpy as np
 from ..core.advection import advect
 from ..core.engine import Sweep, sweep_shift
 from ..core.mesh import PhaseSpaceGrid
-from ..core.moments import finite_stats
+from ..core.moments import finite_stats, kinetic_sums
 from ..perf.arena import ScratchArena
 from ..perf.substrate import attach_shm
 
@@ -162,12 +162,9 @@ def _reduce(state: _WorkerState, role: int) -> dict:
     """This block's partials for the ledger (mass, kinetic) and the
     guards (non-finite count, min) — everything a step's bookkeeping
     asks of f, in one reply."""
-    grid = state.spec.grid
     blk = state.block(state.spec.rank, role)
-    ke = []
-    for d in range(grid.dim):
-        ke.append(float((blk * grid.u_squared_broadcast(d)).sum(dtype=np.float64)))
-    return {"mass": float(blk.sum(dtype=np.float64)), "ke": ke,
+    return {"mass": float(blk.sum(dtype=np.float64)),
+            "ke": kinetic_sums(blk, state.spec.grid),
             "stats": finite_stats(blk)}
 
 

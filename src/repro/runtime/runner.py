@@ -369,8 +369,9 @@ class SimulationRunner:
                     stepper.index - last_diag_step >= diag_cfg.every_steps
                     or (done and stepper.index != last_diag_step)
                 ):
-                    # the submit copies f on this thread; moments, FFTs
-                    # and disk I/O happen on the worker.  The carried f
+                    # the submit reduces f to its moments on this
+                    # thread, block by block (no copy of f); FFTs and
+                    # disk I/O happen on the worker.  The carried f
                     # owes a half kick: the velocities are corrected by
                     # its shift, f itself is not kicked.
                     with self.timer.section("diagnostics_submit"):

@@ -1,18 +1,21 @@
 """Incremental diagnostics on a background worker.
 
-The runner submits ``(step, coord, f, particles)`` tuples at its
-snapshot cadence; a single worker thread computes the moment fields
-(:meth:`DiagnosticsPipeline._moment_fields`, the one place the stored
-set is decided), writes them as one checksummed ``.npz`` snapshot
-(:func:`repro.io.snapshot.write_snapshot`), runs the spectral
-estimators from :mod:`repro.analysis`, and appends one JSON line per
-snapshot to ``products.jsonl``.  The step loop pays only for the
-defensive copy of ``f`` at submit time — moments, FFTs and disk I/O all
-happen off the critical path (the end-to-end benchmark reports the tax
-as ``serve.pipeline.submit_s``).
+The runner submits ``(step, coord, f, particles)`` at its snapshot
+cadence.  The submit reduces f to the stored moment fields on the
+caller's thread (:meth:`DiagnosticsPipeline._moment_fields`, the one
+place the stored set is decided; the moments read f block by block, so
+no copy of f is made) and enqueues only those mesh-sized fields and a
+copy of the particles.  A single worker thread writes them as one
+checksummed ``.npz`` snapshot (:func:`repro.io.snapshot.write_snapshot`),
+runs the spectral estimators from :mod:`repro.analysis`, and appends one
+JSON line per snapshot to ``products.jsonl``.  The step loop pays for
+the moment reductions — a few passes over f, the cost of a fraction of
+one sweep — while the FFTs and the disk I/O happen off the critical
+path (the end-to-end benchmark reports the tax as
+``serve.pipeline.submit_s``).
 
 Backpressure is explicit: the submit queue holds :data:`QUEUE_MAX`
-states, and a submit to a full queue blocks the step loop until the
+snapshots, and a submit to a full queue blocks the step loop until the
 worker catches up — no product is ever lost.
 
 The worker publishes telemetry through the ``event_sink`` callable the
@@ -99,6 +102,7 @@ class DiagnosticsPipeline:
         self.submitted = 0
         self.written = 0
         self.errors = 0
+        self._errors_lock = threading.Lock()
         self._thread = threading.Thread(
             target=self._worker, name="repro-diagnostics", daemon=True
         )
@@ -117,18 +121,22 @@ class DiagnosticsPipeline:
         velocity_shift: np.ndarray | None = None,
         particle_velocity_shift: np.ndarray | None = None,
     ) -> None:
-        """Enqueue one run state, blocking while the queue is full.
+        """Reduce one run state and enqueue it, blocking while the
+        queue is full.
 
-        The state is copied *here*, on the caller's thread — the stepper
-        mutates ``f`` and the particle arrays in place, so the worker
-        must own frozen bytes.  ``velocity_shift`` (on the mesh) and
+        The moments are taken *here*, on the caller's thread, and the
+        particles copied — the stepper mutates ``f`` and the particle
+        arrays in place, so the worker must own frozen values; it never
+        sees ``f``.  ``velocity_shift`` (on the mesh) and
         ``particle_velocity_shift`` are a pending half kick's: they are
         added to the stored ``velocity`` moment and particle velocities.
         The density is exact without it, and the dispersion does not
-        change under a per-cell shift.
+        change under a per-cell shift.  A failed reduction is counted
+        and reported like a failed write; the run goes on.
         """
         if self._closed:
             raise RuntimeError("pipeline is closed")
+        step = int(step)
         coord = {k: float(v) for k, v in coord.items()}
         if particles is not None:
             velocities = particles.velocities.copy()
@@ -138,16 +146,14 @@ class DiagnosticsPipeline:
                 particles.positions.copy(), velocities,
                 particles.masses.copy(), particles.box_size,
             )
-        item = (
-            int(step),
-            coord,
-            np.array(f, copy=True),
-            particles,
-            None if velocity_shift is None else np.array(velocity_shift),
-        )
-        self._queue.put(item)
         self.submitted += 1
-        self._emit("diagnostics_enqueued", step=int(step),
+        try:
+            fields = self._moment_fields(f, particles, velocity_shift)
+        except Exception as exc:  # noqa: BLE001 - report, keep stepping
+            self._fail(step, exc)
+            return
+        self._queue.put((step, coord, fields, particles))
+        self._emit("diagnostics_enqueued", step=step,
                    queue_depth=self._queue.qsize())
 
     def close(self) -> None:
@@ -196,11 +202,15 @@ class DiagnosticsPipeline:
             try:
                 self._process(*item)
             except Exception as exc:  # noqa: BLE001 - report, keep serving
-                self.errors += 1
-                self._emit("diagnostics_error", step=item[0],
-                           error=f"{type(exc).__name__}: {exc}")
+                self._fail(item[0], exc)
             finally:
                 self._queue.task_done()
+
+    def _fail(self, step: int, exc: Exception) -> None:
+        with self._errors_lock:  # the submit and the worker both fail
+            self.errors += 1
+        self._emit("diagnostics_error", step=step,
+                   error=f"{type(exc).__name__}: {exc}")
 
     def _moment_fields(
         self, f: np.ndarray, particles: ParticleSet | None,
@@ -210,15 +220,14 @@ class DiagnosticsPipeline:
         the pending kick) and dispersion, plus the CDM density mesh of a
         hybrid run.  Never f itself."""
         rho = moments.density(f, self.grid)
-        velocity = moments.mean_velocity(f, self.grid, rho)
+        vbar = moments.mean_velocity(f, self.grid, rho)
+        dispersion = moments.velocity_dispersion(f, self.grid, rho, vbar)
         if velocity_shift is not None:
-            velocity = velocity + np.where(rho > 0.0, velocity_shift, 0.0)
+            vbar = vbar + np.where(rho > 0.0, velocity_shift, 0.0)
         fields = {
             "density": rho.astype(np.float32),
-            "velocity": velocity.astype(np.float32),
-            "dispersion": moments.velocity_dispersion(
-                f, self.grid, rho
-            ).astype(np.float32),
+            "velocity": vbar.astype(np.float32),
+            "dispersion": dispersion.astype(np.float32),
         }
         if particles is not None:
             from ..nbody.pm import assign_mass
@@ -258,12 +267,10 @@ class DiagnosticsPipeline:
         self,
         step: int,
         coord: dict[str, float],
-        f: np.ndarray,
+        fields: dict[str, np.ndarray],
         particles: ParticleSet | None,
-        velocity_shift: np.ndarray | None,
     ) -> None:
         t0 = time.perf_counter()
-        fields = self._moment_fields(f, particles, velocity_shift)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         snap_path = write_snapshot(
             self.out_dir / snapshot_name(step), self.grid, fields,

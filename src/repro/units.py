@@ -6,9 +6,9 @@ simulations (and used implicitly by the paper):
 * length  — comoving h^-1 Mpc
 * velocity — km/s (canonical velocity u = a^2 dx/dt, in km/s)
 * mass    — 10^10 h^-1 M_sun
-* the Hubble constant is H0 = 100 h km/s/Mpc, i.e. H0 = 0.1 h in
-  internal (km/s per h^-1 Mpc) units — but because lengths carry h^-1,
-  H0 = 0.1 in internal units *independent of h*.
+* the Hubble constant is H0 = 100 h km/s/Mpc; because lengths carry
+  h^-1, that is H0 = 100 in internal (km/s per h^-1 Mpc) units
+  *independent of h* (``UnitSystem.H0``).
 
 With this choice the gravitational constant is a fixed number
 (``UnitSystem.G``), and the critical density today is rho_crit =

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import moments
+from repro.core import advection, moments
 from repro.core.mesh import PhaseSpaceGrid
 
 from .helpers import dispersion_tensor, l1_norm
@@ -284,3 +286,135 @@ class TestCachedGeometry:
             step()
         stepper.synchronize()
         assert calls == {}
+
+
+# -- block-wise reductions ----------------------------------------------------
+
+#: (nx, nu) of the bit checks: a one-block 1-D grid, the grav6d reference
+#: grid, 8^6, 12^3 x 8^3 and an odd-sized 3-D grid.
+BLOCK_SHAPES = [
+    ((32,), (32,)),
+    ((16, 8, 8), (8, 8, 8)),
+    ((8, 8, 8), (8, 8, 8)),
+    ((12, 12, 12), (8, 8, 8)),
+    ((7, 5, 3), (6, 10, 4)),
+]
+
+
+def full_momentum(f, grid):
+    """The full-temporary formula: one f-sized float64 product per axis."""
+    vel_axes = tuple(range(grid.dim, 2 * grid.dim))
+    return np.stack([
+        (f * grid.u_center_broadcast(d).astype(np.float64)).sum(
+            axis=vel_axes, dtype=np.float64) * grid.cell_volume_u
+        for d in range(grid.dim)
+    ])
+
+
+def full_dispersion(f, grid):
+    vel_axes = tuple(range(grid.dim, 2 * grid.dim))
+    rho = moments.density(f, grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vbar = np.where(rho > 0.0, full_momentum(f, grid) / rho, 0.0)
+    trace = np.zeros(grid.nx)
+    for d in range(grid.dim):
+        u = grid.u_center_broadcast(d).astype(np.float64)
+        u2 = (f * u**2).sum(axis=vel_axes, dtype=np.float64) * grid.cell_volume_u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean_sq = np.where(rho > 0.0, u2 / rho, 0.0)
+        trace += np.maximum(mean_sq - vbar[d] ** 2, 0.0)
+    return np.sqrt(trace / grid.dim)
+
+
+def full_kinetic_energy(f, grid):
+    total = 0.0
+    for d in range(grid.dim):
+        total += float((f * grid.u_squared_broadcast(d)).sum(dtype=np.float64))
+    return 0.5 * total * grid.cell_volume
+
+
+def random_f(nx, nu, dtype, seed=0):
+    grid = PhaseSpaceGrid(nx=nx, nu=nu, box_size=2.0, v_max=3.0, dtype=dtype)
+    f = np.random.default_rng(seed).random(grid.shape).astype(dtype)
+    f[(0,) * grid.dim] = 0.0  # an empty cell: zero density, zero velocity
+    return grid, f
+
+
+class TestBlockedReductions:
+    """The weighted moments read f in blocks of whole spatial cells:
+    per-cell sums are bitwise the full-temporary formula's, totals are
+    summed per block."""
+
+    @pytest.mark.parametrize("block_cells", [None, 200, 7],
+                             ids=["default", "200", "one-cell"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nx, nu", BLOCK_SHAPES)
+    def test_per_cell_moments_are_bitwise(self, nx, nu, dtype, block_cells,
+                                          monkeypatch):
+        if block_cells is not None:  # small blocks: the multi-block path
+            monkeypatch.setattr(advection, "BLOCK_CELLS", block_cells)
+        grid, f = random_f(nx, nu, dtype)
+        assert (moments.momentum(f, grid).tobytes()
+                == full_momentum(f, grid).tobytes())
+        assert (moments.velocity_dispersion(f, grid).tobytes()
+                == full_dispersion(f, grid).tobytes())
+
+    @pytest.mark.parametrize("block_cells", [None, 200, 7],
+                             ids=["default", "200", "one-cell"])
+    @pytest.mark.parametrize("nx, nu", BLOCK_SHAPES)
+    def test_kinetic_energy_matches_the_full_sum(self, nx, nu, block_cells,
+                                                 monkeypatch):
+        if block_cells is not None:
+            monkeypatch.setattr(advection, "BLOCK_CELLS", block_cells)
+        grid, f = random_f(nx, nu, np.float32)
+        blocked = moments.kinetic_energy(f, grid)
+        full = full_kinetic_energy(f, grid)
+        assert blocked == pytest.approx(full, rel=1e-12, abs=0.0)
+        if f.size <= advection.BLOCK_CELLS:  # one block: the same sum
+            assert blocked == full
+
+    def test_one_block_kinetic_energy_is_bitwise(self, monkeypatch):
+        monkeypatch.setattr(advection, "BLOCK_CELLS", 1 << 62)
+        grid, f = random_f((12, 12, 12), (8, 8, 8), np.float32)
+        assert moments.kinetic_energy(f, grid) == full_kinetic_energy(f, grid)
+
+    @pytest.mark.parametrize("block_cells", [None, 200],
+                             ids=["default", "200"])
+    @pytest.mark.parametrize("nx", [(16, 8, 8), (8, 8, 8)])
+    def test_power_of_two_blocks_are_bitwise(self, nx, block_cells,
+                                             monkeypatch):
+        """Equal power-of-two blocks summed halves first are NumPy's own
+        pairwise order: the grav6d grid's ledger energy keeps its bits."""
+        if block_cells is not None:
+            monkeypatch.setattr(advection, "BLOCK_CELLS", block_cells)
+        grid, f = random_f(nx, (8, 8, 8), np.float32)
+        assert moments.kinetic_energy(f, grid) == full_kinetic_energy(f, grid)
+
+    def test_dispersion_takes_the_callers_velocity(self, monkeypatch):
+        """Handed ``vbar``, the dispersion does not take the momentum again."""
+        grid, f = random_f((16, 8, 8), (8, 8, 8), np.float32)
+        rho = moments.density(f, grid)
+        vbar = moments.mean_velocity(f, grid, rho)
+        expected = moments.velocity_dispersion(f, grid, rho)
+
+        def refused(*args):
+            raise AssertionError("momentum taken twice")
+
+        monkeypatch.setattr(moments, "momentum", refused)
+        got = moments.velocity_dispersion(f, grid, rho, vbar)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_no_f_sized_temporary(self):
+        """The three weighted reductions trace one block beside f."""
+        grid, f = random_f((16, 8, 8), (8, 8, 8), np.float32)
+        tracemalloc.start()
+        try:
+            moments.momentum(f, grid)
+            moments.velocity_dispersion(f, grid)
+            moments.kinetic_energy(f, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 block of BLOCK_CELLS cells (0.5 MiB) plus the
+        # mesh-sized outputs; the full-temporary formula traced 2 f
+        assert peak < 8 * advection.BLOCK_CELLS + 0.1 * f.nbytes

@@ -2,9 +2,10 @@
 on assignment, and written directly by the IC builders.
 
 The memory pins measure ``tracemalloc`` peaks (NumPy reports its
-buffers to it) over ``build_stepper`` plus two steps, against
-``f.nbytes``, at grids where f dominates everything else the build
-allocates.
+buffers to it) against ``f.nbytes``, at grids where f dominates
+everything else the build allocates: over ``build_stepper`` plus two
+steps, and over a whole ``SimulationRunner.run()`` with its ledger,
+diagnostics and checkpoints.
 """
 
 from __future__ import annotations
@@ -21,7 +22,18 @@ from repro.parallel import DomainEngine
 from repro.perf import pencil
 from repro.perf.pencil import PencilEngine
 from repro.runtime import RunConfig
+from repro.runtime.runner import SimulationRunner
 from repro.runtime.scenarios import build_stepper
+
+#: The gravitational 16³ × 12³ float32 grid, f = 27 MiB.
+GRAV_16_12 = {
+    "scenario": "gravitational",
+    "grid": {"nx": [16, 16, 16], "nu": [12, 12, 12], "box_size": 1.0,
+             "v_max": 6.0, "dtype": "float32"},
+    "schedule": {"kind": "time", "n_steps": 2, "dt": 0.004},
+    "engine": {"backend": "off"},
+    "params": {"sigma_v": 1.0},
+}
 
 
 def peak_over_f(config: dict) -> float:
@@ -40,14 +52,7 @@ def peak_over_f(config: dict) -> float:
 class TestPeakMemory:
     def test_gravitational_peak_is_f_plus_a_sliver(self):
         """16³ × 12³ float32, f = 27 MiB."""
-        ratio = peak_over_f({
-            "scenario": "gravitational",
-            "grid": {"nx": [16, 16, 16], "nu": [12, 12, 12], "box_size": 1.0,
-                     "v_max": 6.0, "dtype": "float32"},
-            "schedule": {"kind": "time", "n_steps": 2, "dt": 0.004},
-            "engine": {"backend": "off"},
-            "params": {"sigma_v": 1.0},
-        })
+        ratio = peak_over_f(GRAV_16_12)
         # measured 1.20 (build 1.00, steps 1.20: f, the arena and the
         # field); 5.00 while the IC was a float64 product and the sweep
         # double-buffered f
@@ -70,6 +75,31 @@ class TestPeakMemory:
         # arena, the field); 9.27 while the builder made full-grid
         # float64 arrays and the sweep double-buffered f
         assert ratio < 2.6
+
+
+    def test_run_path_peak(self, tmp_path):
+        """The same grid through ``repro run``: the ledger every step,
+        diagnostics and a checkpoint at step 2."""
+        config = RunConfig.from_dict({
+            **GRAV_16_12,
+            "checkpoint": {"every_steps": 2},
+            "diagnostics": {"every_steps": 2},
+        })
+        tracemalloc.start()
+        try:
+            runner = SimulationRunner.create(config, tmp_path / "run")
+            assert runner.run() == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = config.grid
+        ratio = peak / (np.prod(grid.nx + grid.nu)
+                        * np.dtype(grid.dtype).itemsize)
+        # measured 1.80: f, numpy's 16 MiB write chunk of the checkpoint
+        # (0.59 f at this size, fixed), the arena and the field.  4.81
+        # while the diagnostics submit copied f and the moments and the
+        # kinetic energy made f-sized float64 products
+        assert ratio < 2.0
 
 
 ENGINES = {

@@ -11,6 +11,7 @@ import pytest
 from repro.core import moments
 from repro.core.mesh import PhaseSpaceGrid
 from repro.io.snapshot import read_snapshot
+from repro.nbody.particles import ParticleSet
 from repro.serve import DiagnosticsPipeline, read_products
 from repro.serve.pipeline import snapshot_name
 
@@ -55,7 +56,9 @@ class TestDiagnosticsPipeline:
         assert pipe.stats()["written"] == 3
 
     def test_worker_owns_a_frozen_copy(self, grid, f, tmp_path):
-        """Mutating f after submit must not leak into the stored product."""
+        """Mutating f after submit must not leak into the stored product:
+        the submit reduces f to its moments before it returns, so the
+        worker owns the fields, not f."""
         release = threading.Event()
         pipe = DiagnosticsPipeline(tmp_path / "diag", grid)
         original = pipe._process
@@ -72,6 +75,36 @@ class TestDiagnosticsPipeline:
         pipe.close()
         stored = read_snapshot(tmp_path / "diag" / snapshot_name(1))["density"]
         np.testing.assert_array_equal(stored, expected)
+
+    def test_queued_item_holds_no_f(self, grid, f, tmp_path, rng):
+        """The queue carries mesh-sized fields and particle copies only."""
+        release = threading.Event()
+        pipe = DiagnosticsPipeline(tmp_path / "diag", grid)
+        original = pipe._process
+
+        def gated(*item):
+            release.wait(timeout=10.0)
+            original(*item)
+
+        pipe._process = gated
+        particles = ParticleSet(rng.random((16, 2)) * grid.box_size,
+                                rng.random((16, 2)), np.ones(16),
+                                grid.box_size)
+        try:
+            for step in (1, 2, 3):  # the worker holds one, the queue two
+                pipe.submit(step, {"t": 0.0}, f, particles,
+                            velocity_shift=np.zeros((2,) + grid.nx))
+            queued = list(pipe._queue.queue)
+        finally:
+            release.set()
+            pipe.close()
+        assert len(queued) == 2
+        for step, coord, fields, held in queued:
+            arrays = [*fields.values(), held.positions, held.velocities,
+                      held.masses]
+            assert all(a.size < f.size for a in arrays)
+            assert held.positions is not particles.positions
+        assert pipe.written == 3
 
     def test_worker_error_is_contained(self, grid, f, tmp_path):
         events = []
