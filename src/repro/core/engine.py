@@ -3,7 +3,7 @@
 :class:`repro.core.vlasov.VlasovSolver` is the only solver.  It turns
 ``drift``/``kick`` into a *plan* — a list of :class:`Sweep` records —
 and hands plan plus acceleration mesh to one engine protocol: ``bind``,
-``run(plan, accel)``, the host ``f`` (get / set / ``mark_mutated``), the
+``run(plan, accel)``, ``f`` (get / set / ``mark_mutated``), the
 reductions (``density``, ``total_mass``, ``kinetic_energy``,
 ``f_stats``), ``fault_hook`` and ``close`` — see the method-by-method
 table in docs/PERFORMANCE.md ("One engine seam").  The field solve is
@@ -13,8 +13,8 @@ not part of it: every driver's Poisson solver runs on the process-default
 :class:`SweepEngine` is that protocol's serial implementation and the
 base of the two parallel ones: ``PencilEngine`` overrides the per-sweep
 kernel (:meth:`SweepEngine.advect`), ``DomainEngine`` overrides ``run``,
-the reductions and the f sync, and falls through to this class once it
-has degraded.  :func:`sweep_shift` is the one place the departure shift
+the reductions and where f lives, and falls through to this class once
+it has degraded.  :func:`sweep_shift` is the one place the departure shift
 is computed — it is bitwise-load-bearing, so the domain workers call it
 on their own slab rather than restating it.
 """
@@ -75,11 +75,13 @@ class SweepEngine:
     given), so steady-state stepping is allocation-free.  f is one array,
     allocated at :meth:`bind` and never replaced: each sweep advects it
     in place (``advect(..., out=f)``) and assigning f copies into it.
+    ``DomainEngine`` swaps :attr:`f` between two shared buffers instead,
+    so read f through the property and hold it across no sweep.
     """
 
     grid: PhaseSpaceGrid | None = None
     timer: "StepTimer | None" = None
-    #: chaos-harness hook, ``hook(engine, pool)``; only engines with
+    #: chaos-harness hook, ``hook(engine)``; only engines with
     #: workers to sabotage ever call it.
     fault_hook = None
     #: bumped by everything that may change f — ``run``, ``mark_mutated``
@@ -108,8 +110,12 @@ class SweepEngine:
         self.scheme = scheme
         self.velocity_bc = velocity_bc
         self.timer = timer
-        self._f = grid.zeros_f()
+        self._f = self._zeroed_f(grid)
         self.mark_mutated()
+
+    def _zeroed_f(self, grid: PhaseSpaceGrid) -> np.ndarray:
+        """The all-zero f a bind starts from."""
+        return grid.zeros_f()
 
     # -- the distribution function --------------------------------------
 

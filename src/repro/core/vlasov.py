@@ -54,11 +54,14 @@ class VlasovSolver:
     scheme:
         Advection scheme name (default the paper's ``slmpp5``).
     f:
-        The distribution function, allocated zero by the engine and never
-        replaced.  Load initial conditions with ``solver.f = value`` (a
-        copy into f), or write into ``solver.f`` and then call
-        :meth:`notify_f_mutated` — a write alone leaves ``f_version``,
-        and every field solved from the old f, current.
+        The distribution function, allocated zero by the engine at bind.
+        Read it through this property: the domain engine's f is
+        whichever of its two shared buffers the last sweep wrote, so an
+        array held across a sweep may no longer be f.  Load initial
+        conditions with ``solver.f = value`` (a copy into f), or write
+        into ``solver.f`` and then call :meth:`notify_f_mutated` — a
+        write alone leaves ``f_version``, and every field solved from
+        the old f, current.
     velocity_bc:
         Boundary condition along the velocity axes; the paper truncates at
         [-V, V) which is the ``zero`` (outflow) condition.
@@ -67,8 +70,9 @@ class VlasovSolver:
         ``None`` (default) is the serial :class:`SweepEngine`; a
         :class:`repro.perf.pencil.PencilEngine` pencil-shards every
         sweep, a :class:`repro.parallel.domain.DomainEngine` keeps f in
-        persistent block workers.  All are bitwise-identical.  An engine
-        serves one solver at a time: binding restarts its f.
+        shared memory that persistent block workers sweep.  All are
+        bitwise-identical.  An engine serves one solver at a time:
+        binding restarts its f.
     timer:
         Optional :class:`repro.diagnostics.StepTimer`; when set, every
         sweep is recorded as ``vlasov/drift/x`` ... ``vlasov/kick/uz``,
@@ -116,8 +120,7 @@ class VlasovSolver:
 
     def notify_f_mutated(self) -> None:
         """:attr:`f` was written in place (an IC, fault injection):
-        cached fields go stale and engines holding f elsewhere re-sync
-        from it."""
+        fields and reductions derived from the old f go stale."""
         self.engine.mark_mutated()
 
     # ------------------------------------------------------------------

@@ -3,17 +3,17 @@
 This is the production promotion of the virtual layout in
 :mod:`repro.parallel.vmpi`: the spatial grid is partitioned into 3-D
 blocks (paper §5.1.3 — velocity space is never split), each block is
-pinned to a **persistent worker process** that holds its subdomain in
+pinned to a **persistent worker process** that sweeps its subdomain in
 ``multiprocessing.shared_memory`` across *all* steps, and halo exchange
 is the kernel's landing copy reading the neighbors' edge planes straight
 out of shared memory as the block's ghost planes (see
-:mod:`repro.parallel.workers`).  Unlike
-:class:`repro.perf.pencil.PencilEngine`, whose threads sweep the host
-array, the distribution function lives in the workers'
-segments for the lifetime of the run, and the parent only gathers when
-someone actually asks for the full array (checkpoints, diagnostics) —
-the ``gather_count`` counter makes that observable and the benchmarks
-assert it stays zero across steps.
+:mod:`repro.parallel.workers`).  f lives in two whole-f shared buffers
+for the lifetime of the run: each worker sweeps its block of the
+current buffer into its block of the other, and ``engine.f`` is
+whichever buffer holds the current state.  The parent reads and writes
+that buffer directly (checkpoints, diagnostics, initial conditions), so
+f is never gathered or scattered; the halo planes are the only data
+that move.
 
 Bitwise identity with the serial solver is a hard invariant, inherited
 from two empirically pinned facts (asserted by the test suite):
@@ -40,11 +40,11 @@ paper's pencil-FFT traffic is modelled by
 This is the package's one supervised process transport
 (:func:`repro.perf.substrate.retry_with_backoff`): a dead or wedged
 worker tears the fleet down and retries on fresh processes (the
-parent-owned segments survive, so the current-role buffers are the
-recovery state — SIGKILL loses no data); an exhausted retry budget
-degrades permanently down the ladder **domain → serial**.  A degraded
-engine *is* its base class: the state is gathered into the host array
-and every protocol method falls through to
+parent-owned segments survive, and no round writes the current buffer,
+so it is the recovery state — SIGKILL loses no data); an exhausted retry
+budget degrades permanently down the ladder **domain → serial**.  A
+degraded engine *is* its base class: f is copied out of the buffers
+into private memory and every protocol method falls through to
 :class:`repro.core.engine.SweepEngine` — so the failing step finishes
 host-side, bitwise.  All segments register with the
 :mod:`repro.perf.substrate` atexit leak sweep.
@@ -100,21 +100,6 @@ def _auto_topology(nx: tuple[int, ...], n_workers: int) -> tuple[int, ...]:
     return tuple(topo)
 
 
-class _FaultPool:
-    """Pool facade handed to ``FaultPlan.worker_fault``.
-
-    The chaos harness calls ``pool.submit(_kill_self)`` /
-    ``pool.submit(_occupy, seconds)``; here a submit becomes a
-    fire-and-forget ``"call"`` command to one worker, round-robin.
-    """
-
-    def __init__(self, engine: "DomainEngine") -> None:
-        self._engine = engine
-
-    def submit(self, fn, *args) -> None:
-        self._engine._inject_call(fn, args)
-
-
 class DomainEngine(SweepEngine):
     """Persistent-worker spatial domain decomposition (see module doc).
 
@@ -160,12 +145,10 @@ class DomainEngine(SweepEngine):
         self.task_timeout = task_timeout
         super().__init__()
 
-        # supervision / residency counters (observable by tests & bench)
+        # supervision counters (observable by tests & bench)
         self.retries = 0
         self.degradations: list[str] = []
         self.degraded = False
-        self.gather_count = 0
-        self.scatter_count = 0
         self.halo_bytes = 0
         #: halo accounting, ``(src, dst, tag) -> [messages, nbytes]`` —
         #: the VirtualComm log's messages, aggregated (bounded by the
@@ -179,12 +162,10 @@ class DomainEngine(SweepEngine):
         self.decomp: BlockDecomposition | None = None
 
         # runtime state
-        self._cur = 0  # role index of the current-f segments
-        self._host_dirty = False  # host f has writes the segments lack
-        self._host_stale = False  # segments have writes the host f lacks
+        self._cur = 0  # which of the two f buffers holds the current f
+        self._bufs: tuple[np.ndarray, ...] = ()  # the two f buffers
+        #: the shared segments by role: "f0", "f1", "rho", "accel"
         self._segments: dict[str, object] = {}
-        self._seg_names: list[tuple[str, str]] = []
-        self._mesh_names: dict[str, str] = {}
         self._procs: list = []
         self._conns: list = []
         self._victim = 0
@@ -209,7 +190,9 @@ class DomainEngine(SweepEngine):
 
         Rebinding to a different grid/scheme tears everything down
         first; rebinding to the same one (a rollback's fresh solver)
-        keeps workers and segments.
+        keeps the workers and the buffers.  The segments are created
+        here, so a bind that cannot create them raises (``close()``
+        then releases the ones that were made).
         """
         if not (self.grid == grid and self.scheme == scheme
                 and self.velocity_bc == velocity_bc):
@@ -237,43 +220,50 @@ class DomainEngine(SweepEngine):
             self.ghost = ghost
             self.decomp = decomp
             self.topology = topo
+            self._create_segments(grid)
         super().bind(grid, scheme, velocity_bc, timer)  # marks f mutated
+
+    def _zeroed_f(self, grid: PhaseSpaceGrid) -> np.ndarray:
+        """The current buffer, zeroed (private memory once degraded).
+
+        The other buffer needs no zeroing: the next sweep writes every
+        block of it before anything reads it."""
+        if not self._bufs:
+            return super()._zeroed_f(grid)
+        f = self._bufs[self._cur]
+        f[...] = 0
+        return f
 
     # -- segments & workers ---------------------------------------------
 
-    def _create_segment(self, nbytes: int):
+    def _create_segments(self, grid: PhaseSpaceGrid) -> None:
+        """The two f buffers and the float64 ``rho`` and ``accel`` meshes.
+
+        Each segment is registered as soon as it exists, so a creation
+        that fails (``/dev/shm`` full) leaves the ones before it for
+        :meth:`close` to release."""
         from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        register_segment(shm)
-        self._segments[shm.name] = shm
-        return shm
-
-    def _ensure_segments(self) -> None:
-        if self._seg_names:
-            return
-        grid, decomp = self.grid, self.decomp
-        nu_cells = int(np.prod(grid.nu, dtype=np.int64))
-        itemsize = np.dtype(grid.dtype).itemsize
-        for r in range(decomp.size):
-            cells = int(np.prod(decomp.local_shape(r), dtype=np.int64))
-            nbytes = cells * nu_cells * itemsize
-            self._seg_names.append(
-                (self._create_segment(nbytes).name,
-                 self._create_segment(nbytes).name)
-            )
+        f_bytes = int(np.prod(grid.shape, dtype=np.int64)) \
+            * np.dtype(grid.dtype).itemsize
         nx_cells = int(np.prod(grid.nx, dtype=np.int64))
-        self._mesh_names = {
-            "rho": self._create_segment(nx_cells * 8).name,
-            "accel": self._create_segment(grid.dim * nx_cells * 8).name,
-        }
+        for role, nbytes in (("f0", f_bytes), ("f1", f_bytes),
+                             ("rho", nx_cells * 8),
+                             ("accel", grid.dim * nx_cells * 8)):
+            shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+            register_segment(shm)
+            self._segments[role] = shm
+        self._bufs = (self._view("f0", grid.shape, grid.dtype),
+                      self._view("f1", grid.shape, grid.dtype))
 
-    def _view(self, name: str, shape, dtype) -> np.ndarray:
-        return np.ndarray(shape, dtype=dtype, buffer=self._segments[name].buf)
-
-    def _block_view(self, rank: int, role: int) -> np.ndarray:
-        shape = self.decomp.local_shape(rank) + self.grid.nu
-        return self._view(self._seg_names[rank][role], shape, self.grid.dtype)
+    def _view(self, role: str, shape, dtype) -> np.ndarray:
+        """A view of one segment.  ``frombuffer`` holds a buffer export,
+        so a view that outlives :meth:`close` keeps its mapping alive
+        (``ndarray(buffer=)`` holds none: the unmap would leave it
+        dangling)."""
+        count = int(np.prod(shape, dtype=np.int64))
+        return np.frombuffer(self._segments[role].buf, dtype=dtype,
+                             count=count).reshape(shape)
 
     def _worker_spec(self, rank: int) -> WorkerSpec:
         decomp, grid = self.decomp, self.grid
@@ -281,19 +271,17 @@ class DomainEngine(SweepEngine):
             rank=rank,
             grid=grid,
             scheme=self.scheme,
-            seg_names=tuple(self._seg_names),
-            block_shapes=tuple(
-                decomp.local_shape(r) for r in range(decomp.size)
-            ),
-            own_bounds=tuple(
-                (sl.start, sl.stop) for sl in decomp.local_slice(rank)
+            f_names=(self._segments["f0"].name, self._segments["f1"].name),
+            bounds=tuple(
+                tuple((sl.start, sl.stop) for sl in decomp.local_slice(r))
+                for r in range(decomp.size)
             ),
             neighbors=tuple(
                 (decomp.neighbor(rank, d, -1), decomp.neighbor(rank, d, +1))
                 for d in range(grid.dim)
             ),
-            rho_name=self._mesh_names["rho"],
-            accel_name=self._mesh_names["accel"],
+            rho_name=self._segments["rho"].name,
+            accel_name=self._segments["accel"].name,
         )
 
     def _ensure_workers(self) -> None:
@@ -332,12 +320,7 @@ class DomainEngine(SweepEngine):
     def _ensure_ready(self) -> None:
         if self.grid is None:
             raise RuntimeError("DomainEngine.bind() was never called")
-        self._ensure_segments()
         self._ensure_workers()
-        if self._host_dirty:
-            self._scatter_host()
-            self._host_dirty = False
-            self.scatter_count += 1
 
     def _teardown_workers(self, graceful: bool = False) -> None:
         procs, self._procs = self._procs, []
@@ -358,15 +341,20 @@ class DomainEngine(SweepEngine):
                 proc.kill()
                 proc.join(timeout=1.0)
 
-    def _release_segments(self) -> None:
-        for shm in list(self._segments.values()):
+    def _release_segments(self, keep_f: bool = True) -> None:
+        """Unlink every segment.  ``keep_f`` copies f out of its buffer
+        first, so :attr:`f` still reads back and a degraded engine
+        sweeps the copy."""
+        if self._bufs:
+            self._f = np.array(self._f) if keep_f else None
+            self._bufs = ()
+        for shm in self._segments.values():
             release_segment(shm)
         self._segments.clear()
-        self._seg_names = []
-        self._mesh_names = {}
 
     def close(self) -> None:
-        """Stop workers and unlink segments (engine stays re-bindable)."""
+        """Stop workers and unlink segments (engine stays re-bindable;
+        :attr:`f` still reads the last state)."""
         had_workers = bool(self._procs)
         self._teardown_workers(graceful=True)
         self._release_segments()
@@ -380,7 +368,7 @@ class DomainEngine(SweepEngine):
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:
             self._teardown_workers()
-            self._release_segments()
+            self._release_segments(keep_f=False)
         except Exception:
             pass
 
@@ -419,10 +407,10 @@ class DomainEngine(SweepEngine):
         """A command round under the retry → degrade supervision policy.
 
         Worker death tears the fleet down and retries on fresh processes
-        (segments survive — the current-role buffers are authoritative);
-        an exhausted budget degrades the engine permanently, after
-        syncing the host array from the surviving segments, and
-        re-raises for the caller to fall through to the base engine.
+        (segments survive, and no round writes the current buffer); an
+        exhausted budget degrades the engine permanently, f copied out
+        of the current buffer, and re-raises for the caller to fall
+        through to the base engine.
         """
         if self.degraded:
             raise DomainWorkerError("engine is permanently degraded")
@@ -448,21 +436,20 @@ class DomainEngine(SweepEngine):
     def _permanent_degrade(self, reason: str) -> None:
         if self.degraded:
             return
-        # the parent created the segments: they outlive any worker death,
-        # so the current-role blocks are intact recovery state (unless the
-        # host mirror is the newer of the two — then it already wins)
-        if self._seg_names and not self._host_dirty:
-            self._gather_into_host()
         self.degradations.append("domain")
         self.degraded = True
         emit(
             "domain_degraded",
             from_engine="domain", to_backend="serial", reason=reason,
         )
+        # the parent created the segments: they outlive any worker
+        # death, so the current buffer is intact recovery state
         self._teardown_workers()
         self._release_segments()
 
-    def _inject_call(self, fn, args) -> None:
+    def inject(self, fn, *args) -> None:
+        """Have one worker, round-robin, call ``fn(*args)`` without a
+        reply (the chaos harness's kill and stall)."""
         if not self._conns:
             return
         r = self._victim % len(self._conns)
@@ -472,41 +459,11 @@ class DomainEngine(SweepEngine):
         except (BrokenPipeError, OSError):  # pragma: no cover - racing death
             pass
 
-    # -- host f --------------------------------------------------------
-
-    def _gather_into_host(self) -> None:
-        for r in range(self.decomp.size):
-            self._f[self.decomp.local_slice(r)] = \
-                self._block_view(r, self._cur)
-        self._host_stale = False
-
-    def _scatter_host(self) -> None:
-        for r in range(self.decomp.size):
-            self._block_view(r, self._cur)[...] = \
-                self._f[self.decomp.local_slice(r)]
-        self._host_stale = False
-        emit("domain_scatter", nbytes=int(self._f.nbytes))
-
-    @SweepEngine.f.getter
-    def f(self) -> np.ndarray:
-        """The host array, gathered from the workers first if stale."""
-        if self._host_stale and not self.degraded:
-            self._gather_into_host()
-            self.gather_count += 1
-            emit("domain_gather", nbytes=int(self._f.nbytes), reason="host")
-        return self._f
-
-    def mark_mutated(self) -> None:
-        """The host array is now the newer copy; re-scatter before use."""
-        super().mark_mutated()
-        self._host_dirty = True
-        self._host_stale = False
-
     # -- sweeps ----------------------------------------------------------
 
     def run(self, plan, accel) -> None:
         """Run the plan on the workers; whatever a mid-plan degradation
-        leaves over finishes on the host array through the base engine
+        leaves over finishes on the copy of f through the base engine
         (bitwise, only slower); that call also bumps ``f_version``.
 
         A plan whose halo would not fit the blocks is refused up front
@@ -552,8 +509,7 @@ class DomainEngine(SweepEngine):
             return 0
         if accel is not None:
             self._view(
-                self._mesh_names["accel"],
-                (self.grid.dim,) + self.grid.nx, np.float64,
+                "accel", (self.grid.dim,) + self.grid.nx, np.float64,
             )[...] = accel
         for k, sweep in enumerate(plan):
             try:
@@ -566,12 +522,12 @@ class DomainEngine(SweepEngine):
         d, spatial = sweep.d, sweep.kind == "x"
         with self._section(sweep.name):
             if self.fault_hook is not None:
-                self.fault_hook(self, _FaultPool(self))
+                self.fault_hook(self)
             replies = self._supervised_round(
                 [("sweep", sweep, self._cur, 1 - self._cur)] * self.decomp.size
             )
             self._cur = 1 - self._cur
-            self._host_stale = True
+            self._f = self._bufs[self._cur]
             if self.timer is not None:
                 self.timer.add("domain/interior", max(replies))
             if spatial and self.topology[d] > 1:
@@ -611,8 +567,8 @@ class DomainEngine(SweepEngine):
 
     def _reduce_on_workers(self, command: str) -> list | None:
         """One reduction command on every block; None once the engine
-        is (or just became) degraded — the host array is then current
-        and the base engine answers from it."""
+        is (or just became) degraded — the base engine then answers
+        from the copy of f."""
         if self.degraded:
             return None
         try:
@@ -626,9 +582,7 @@ class DomainEngine(SweepEngine):
         """The density mesh assembled from worker slabs (bitwise serial)."""
         if self._reduce_on_workers("density") is None:
             return super().density()
-        return np.array(
-            self._view(self._mesh_names["rho"], self.grid.nx, np.float64)
-        )
+        return np.array(self._view("rho", self.grid.nx, np.float64))
 
     def _partials(self) -> list | None:
         """Every block's ledger and guard partials of the current f.

@@ -1,16 +1,16 @@
 """Persistent domain-decomposition worker processes (paper §5 layout).
 
-One worker per spatial block, alive for the whole run: the block's slab
-of the distribution function lives in two ``multiprocessing.shared_memory``
-segments (a double buffer: neighbours read a block's planes as halos
-while it sweeps, so unlike the host engines' in-place f a block cannot
-be overwritten mid-round), and every command from the parent addresses those
-segments by *role* index — the worker itself is stateless about which
-buffer currently holds f, so a killed-and-respawned worker resumes from
-the untouched current-role segment without any re-scatter.
+One worker per spatial block, alive for the whole run.  The distribution
+function lives in two whole-f ``multiprocessing.shared_memory`` buffers
+(a double buffer: neighbours read a block's planes as halos while it
+sweeps, so unlike the host engines' in-place f a block cannot be
+overwritten mid-round); a worker's block is a slice of each, and every
+command from the parent names the buffers by *role* index — the worker
+itself is stateless about which buffer currently holds f, so a
+killed-and-respawned worker resumes from the untouched current buffer.
 
 The sweep command is one kernel call.  On a partitioned spatial axis the
-neighbor blocks' source-role segments are ``advect``'s ``halo``: the
+neighbor blocks of the source buffer are ``advect``'s ``halo``: the
 landing copy reads their edge planes out of shared memory into the
 block's ghost planes (§5.1.3's stencil-sized ghosts, filled once per
 sweep).  That is bitwise the serial sweep's slab at any CFL; the engine
@@ -48,20 +48,18 @@ __all__ = ["WorkerSpec", "worker_main"]
 class WorkerSpec:
     """Everything one worker needs to attach and serve (picklable).
 
-    ``seg_names`` / ``block_shapes`` cover *all* ranks: halo exchange
-    reads the neighbors' current-role segments directly, so every worker
-    can attach every block segment (attachment is an mmap, not a copy).
+    ``bounds`` covers *all* ranks: halo exchange reads the neighbors'
+    blocks of the source buffer directly (attachment is an mmap, not a
+    copy).
     """
 
     rank: int
     grid: PhaseSpaceGrid
     scheme: str
-    #: per-rank (role-0 name, role-1 name) block segments
-    seg_names: tuple[tuple[str, str], ...]
-    #: per-rank spatial block shape (trailing velocity axes are grid.nu)
-    block_shapes: tuple[tuple[int, ...], ...]
-    #: this rank's (start, stop) per spatial axis in the global mesh
-    own_bounds: tuple[tuple[int, int], ...]
+    #: the (role-0, role-1) whole-f buffer segments
+    f_names: tuple[str, str]
+    #: each rank's (start, stop) per spatial axis in the global mesh
+    bounds: tuple[tuple[tuple[int, int], ...], ...]
     #: this rank's (left, right) neighbor rank per spatial axis
     neighbors: tuple[tuple[int, int], ...]
     rho_name: str
@@ -74,6 +72,8 @@ class _WorkerState:
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
         self.grid = spec.grid
+        #: this rank's block of the spatial mesh, as slices
+        self.own = _slices(spec.bounds[spec.rank])
         self.arena = ScratchArena()
         self._shm: dict[str, object] = {}
         self._views: dict = {}
@@ -85,12 +85,14 @@ class _WorkerState:
         return shm
 
     def block(self, rank: int, role: int) -> np.ndarray:
+        """Rank ``rank``'s block of the role-``role`` buffer (a view)."""
         key = ("block", rank, role)
         view = self._views.get(key)
         if view is None:
-            shape = self.spec.block_shapes[rank] + self.grid.nu
-            shm = self._segment(self.spec.seg_names[rank][role])
-            view = np.ndarray(shape, dtype=self.grid.dtype, buffer=shm.buf)
+            shm = self._segment(self.spec.f_names[role])
+            whole = np.ndarray(self.grid.shape, dtype=self.grid.dtype,
+                               buffer=shm.buf)
+            view = whole[_slices(self.spec.bounds[rank])]
             self._views[key] = view
         return view
 
@@ -113,6 +115,10 @@ class _WorkerState:
         self._shm.clear()
 
 
+def _slices(bounds) -> tuple[slice, ...]:
+    return tuple(slice(lo, hi) for lo, hi in bounds)
+
+
 # -- sweep ------------------------------------------------------------------
 
 
@@ -130,8 +136,7 @@ def _sweep(state: _WorkerState, sweep: Sweep, src: int, dst_role: int) -> float:
     # the serial solver's shift, this block's slab of the shared
     # acceleration mesh standing in for the full one
     accel = state.mesh(spec.accel_name, (grid.dim,) + grid.nx, np.float64)
-    own = tuple(slice(lo, hi) for lo, hi in spec.own_bounds)
-    shift = sweep_shift(grid, sweep, accel[(slice(None),) + own])
+    shift = sweep_shift(grid, sweep, accel[(slice(None),) + state.own])
     left, right = spec.neighbors[sweep.d]
     partitioned = sweep.kind == "x" and left != spec.rank
     halo = (state.block(left, src), state.block(right, src)) if partitioned else None
@@ -153,9 +158,8 @@ def _density(state: _WorkerState, role: int) -> None:
     grid = state.spec.grid
     blk = state.block(state.spec.rank, role)
     rho = state.mesh(state.spec.rho_name, grid.nx, np.float64)
-    own = tuple(slice(lo, hi) for lo, hi in state.spec.own_bounds)
     vel_axes = tuple(range(grid.dim, 2 * grid.dim))
-    rho[own] = blk.sum(axis=vel_axes, dtype=np.float64) * grid.cell_volume_u
+    rho[state.own] = blk.sum(axis=vel_axes, dtype=np.float64) * grid.cell_volume_u
 
 
 def _reduce(state: _WorkerState, role: int) -> dict:

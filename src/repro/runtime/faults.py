@@ -200,20 +200,6 @@ class FaultPlan:
 
     # -- injection points, one per failure domain ----------------------
 
-    def wants_state(self) -> bool:
-        """Whether any unfired event still needs access to f.
-
-        The runner consults this before materializing the distribution
-        function for :meth:`mutate_state` — under the domain engine,
-        reading ``stepper.f`` gathers the worker-resident state, a
-        full-domain copy that must not happen every step just to offer
-        an injection point no event will ever take.
-        """
-        return any(
-            e.kind in ("inject_nan", "inject_negative") and not e.fired
-            for e in self.events
-        )
-
     def mutate_state(self, f: np.ndarray) -> list[dict]:
         """Poison cells of f (NaN / negative), in place; returns firings."""
         fired = []
@@ -293,19 +279,19 @@ class FaultPlan:
                 elif kind == "kill_run":  # pragma: no cover - dies here
                     os.kill(os.getpid(), signal.SIGKILL)
 
-    def worker_fault(self, engine, pool) -> None:
+    def worker_fault(self, engine) -> None:
         """Domain-engine fault hook: sabotage the worker fleet mid-step.
 
         Wired by the runner as ``engine.fault_hook``; called by the
         engine at the start of each sweep, before its command round, so
-        the kill/stall lands *mid-step*.  ``pool.submit`` hands the call
-        to one worker, round-robin.  Drains every due event (two
+        the kill/stall lands *mid-step*.  ``engine.inject`` hands the
+        call to one worker, round-robin.  Drains every due event (two
         ``stall_worker`` events occupy two workers).
         """
         while self._take("kill_worker") is not None:
-            pool.submit(_kill_self)
+            engine.inject(_kill_self)
         while (event := self._take("stall_worker")) is not None:
-            pool.submit(_occupy, float(event.magnitude))
+            engine.inject(_occupy, float(event.magnitude))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         fired = sum(e.fired for e in self.events)

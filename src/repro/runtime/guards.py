@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.moments import finite_stats
 from ..diagnostics.timers import ConservationLedger
 from .config import GuardConfig
 
@@ -69,12 +68,10 @@ class GuardSuite:
         reports: list[GuardReport] = []
 
         if cfg.nan != "off" or cfg.negative_f != "off":
-            # steppers may answer from distributed partials (the domain
-            # engine never gathers f for this); summed counts and min of
-            # minima are exact, so both paths fire identically
-            stats = getattr(stepper, "f_stats", None)
-            n_bad, fmin = stats() if stats is not None \
-                else finite_stats(stepper.f)
+            # the domain engine answers from per-block partials; summed
+            # counts and min of minima are exact, so every engine fires
+            # identically
+            n_bad, fmin = stepper.f_stats()
             if cfg.nan != "off" and n_bad:
                 reports.append(GuardReport(
                     "nan", cfg.nan,

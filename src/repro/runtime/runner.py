@@ -311,14 +311,10 @@ class SimulationRunner:
                 wall = time.monotonic() - t0
                 steps_taken += 1
                 if fault_plan is not None:
-                    # reading stepper.f can be a full gather (domain
-                    # engine), so only materialize it while an unfired
-                    # state-injection event still needs the target —
-                    # and tell the stepper about in-place mutations so
-                    # worker-resident copies of f re-sync
-                    if fault_plan.wants_state():
-                        if fault_plan.mutate_state(stepper.f):
-                            stepper.notify_f_mutated()
+                    # an injection poisons f in place: tell the stepper,
+                    # so the fields and reductions of the old f go stale
+                    if fault_plan.mutate_state(stepper.f):
+                        stepper.notify_f_mutated()
                     # A stall is simulated by inflating the measured
                     # wall clock — deterministic, and it exercises the
                     # stall guard without actually sleeping.

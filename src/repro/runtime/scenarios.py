@@ -185,7 +185,7 @@ class Stepper:
 
     def notify_f_mutated(self) -> None:
         """Tell the solver :attr:`f` was mutated *in place* (fault
-        injection) so engines holding f elsewhere re-sync it."""
+        injection), so what it derived from the old f goes stale."""
         self.driver.solver.notify_f_mutated()
 
     def save(self, path: str | Path, timer=None) -> Path:

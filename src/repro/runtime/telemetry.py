@@ -312,10 +312,8 @@ def summarize(path: str | Path) -> dict:
     ``recoveries`` counts completed rollback restores.
     When the run used the domain engine (any ``domain_*`` event or
     ``domain/*`` timer section), ``domain`` rolls them up: halo
-    exchanges and bytes, gathers/scatters (residency violations when
-    nonzero mid-run), worker failures and degradations,
-    and the cumulative seconds of every ``domain/*`` section
-    (``interior``).
+    exchanges and bytes, worker failures and degradations, and the
+    cumulative seconds of every ``domain/*`` section (``interior``).
 
     The stream is folded in a single line-by-line pass — full records
     are never accumulated — and a torn tail (SIGKILL mid-write, whether
@@ -360,8 +358,6 @@ def summarize(path: str | Path) -> dict:
         domain = {
             "halo_exchanges": domain_halo_exchanges,
             "halo_bytes": domain_halo_bytes,
-            "gathers": by_kind.get("domain_gather", 0),
-            "scatters": by_kind.get("domain_scatter", 0),
             "worker_failures": by_kind.get("domain_worker_failure", 0),
             "degradations": by_kind.get("domain_degraded", 0),
             "section_seconds": domain_sections,

@@ -29,7 +29,7 @@ PARTICLE_STATE_BYTES = 56
 #: gravitational run (arena, field, moments); 1.31 f on a hybrid at
 #: nx 8³, nu 16³, where one x slab of float64 IC temporaries and the
 #: block-sized arena are large against an 8 MiB f.  The domain engine
-#: keeps two f-sized shared segments per block beside the host f,
+#: holds 2 f, two whole-f shared buffers with no host copy beside them,
 #: because neighbours read a block's planes while it sweeps.
 F_WORKING_COPIES = 0.5
 

@@ -132,6 +132,13 @@ RETIRED = (
     "alltoall" + "_time", "p2p_bytes" + "_by_pair", "allreduce" + "_max",
     "memory" + "_ops", "shuffle" + "_pair", "dimensionless" + "_power",
     "def drain" + "(", ".minimum" + "_image(",
+    # the domain engine's host mirror of f and its sync protocol: f is
+    # one of two shared buffers, read in place
+    "gather" + "_count", "scatter" + "_count", "_gather_into" + "_host",
+    "_scatter" + "_host", "_host" + "_dirty", "_host" + "_stale",
+    "_block" + "_view", "seg" + "_names", "block" + "_shapes",
+    "own" + "_bounds", "domain" + "_gather", "domain" + "_scatter",
+    "wants" + "_state", "_Fault" + "Pool", "_inject" + "_call",
     # helpers only tests read: they live in tests/helpers.py
     "l1" + "_norm", "casi" + "mir", "entro" + "py", "dispersion" + "_tensor",
     "gaussian" + "_field(", "uniform" + "_random", "uniform" + "_lattice",

@@ -7,7 +7,8 @@ topologies, uneven grids, dtypes, drifts past one cell, and worker
 deaths; a plan whose halo does not fit the blocks is refused untouched.
 These tests hold it to that, plus the vMPI accounting parity (the real
 halo bytes must equal what the virtual-communicator model predicts) and
-the no-full-gather residency guarantee.
+the residency of f: two shared buffers, ``engine.f`` the current one,
+four segments in all, none left after ``close()``.
 
 Chaos drills (SIGKILL of a live worker mid-step) are marked
 ``@pytest.mark.chaos`` and run by the dedicated CI chaos job.
@@ -78,6 +79,11 @@ def run_gravity(engine, *, nx=NX, dtype=np.float64, steps=STEPS, dt=DT):
 TOPOLOGIES = [(2, 1, 1), (2, 2, 1)]
 
 
+def in_buffers(engine) -> bool:
+    """Whether ``engine.f`` is one of the engine's two shared buffers."""
+    return any(np.shares_memory(engine.f, buf) for buf in engine._bufs)
+
+
 class TestBitwiseIdentity:
     """Acceptance: bitwise-identical to serial for both drivers at >= 2
     worker topologies."""
@@ -112,7 +118,7 @@ class TestBitwiseIdentity:
     def test_drift_past_one_cell_bitwise(self, cfl):
         """Drifts of several cells run on the workers like any other: the
         halo is ``ghost_width`` of the sweep's shift (6 planes at 3.7,
-        the blocks' width here), and no step gathers f."""
+        the blocks' width here), and f stays in the shared buffers."""
         nx = (12, 12, 6)
         grid = make_grid(nx=nx)
         max_u = float(np.abs(grid.u_centers(0)).max())
@@ -124,7 +130,7 @@ class TestBitwiseIdentity:
             vp.f = initial_f(grid)
             for _ in range(2):
                 vp.step(dt)
-            assert engine.gather_count == 0 and engine.scatter_count == 1
+            assert in_buffers(engine)
             assert not engine.degraded and engine.retries == 0
             assert vp.f.tobytes() == f_serial.tobytes()
         finally:
@@ -135,7 +141,7 @@ class TestBitwiseIdentity:
         A drift at CFL 2.3 needs 5: ``run`` refuses the whole plan before
         any worker round — the z and y sweeps ahead of x included — and
         names the largest dt/dx that fits, (4 - 2) / max|u| = 0.8.  It is
-        not a worker failure: no retry, no degradation, no gather."""
+        not a worker failure: no retry, no degradation, no buffer flip."""
         from repro.runtime import telemetry
 
         grid = make_grid()
@@ -146,17 +152,14 @@ class TestBitwiseIdentity:
             solver.f = initial_f(grid)
             solver.drift(DT)
             before = solver.f.tobytes()
-            counts = (engine.f_version, engine.gather_count,
-                      engine.scatter_count, engine.retries)
+            counts = (engine.f_version, engine._cur, engine.retries)
             max_u = float(np.abs(grid.u_centers(0)).max())
             with telemetry.event_sink(lambda kind, **_: events.append(kind)):
                 with pytest.raises(ValueError, match=r"axis 0: .*CFL 2\.3.*"
                                    r"dt/dx must stay below 0\.8 "):
                     solver.drift(2.3 * grid.dx[0] / max_u)
-            assert (engine.f_version, engine.gather_count,
-                    engine.scatter_count, engine.retries) == counts
+            assert (engine.f_version, engine._cur, engine.retries) == counts
             assert solver.f.tobytes() == before
-            assert engine.gather_count == counts[1]  # no sweep left f stale
             assert not engine.degraded and "domain_worker_failure" not in events
             solver.drift(DT)  # the fleet still serves
             assert engine.retries == 0
@@ -188,43 +191,169 @@ class TestNonDivisibleGrids:
 
 
 class TestWorkerResidency:
-    """No step may do a full-domain gather: f stays worker-resident."""
+    """f lives in two shared buffers: ``engine.f`` is the current one,
+    read and written by the parent in place, never gathered."""
 
     def test_no_gather_during_steps(self):
+        """After steps, ``engine.f`` is one of the two buffers and equals
+        the serial f bitwise."""
         grid = make_grid()
+        f_serial = run_plasma(None)
         engine = DomainEngine(topology=(2, 2, 1))
         try:
             vp = PlasmaVlasovPoisson(grid, engine=engine)
             vp.f = initial_f(grid)
             for _ in range(STEPS):
                 vp.step(DT)
-            # density/moments are distributed reductions, not gathers
-            assert engine.gather_count == 0
-            # first host read *is* the gather — exactly one
-            _ = vp.f
-            assert engine.gather_count == 1
-            # a second read hits the refreshed mirror
-            _ = vp.f
-            assert engine.gather_count == 1
+            assert len(engine._bufs) == 2 and in_buffers(engine)
+            assert vp.f is engine.f
+            assert vp.f.tobytes() == f_serial.tobytes()
         finally:
             engine.close()
 
-    def test_guard_stats_distributed(self):
-        """Guard inputs (non-finite count, min) come from worker-side
-        partial reductions without gathering f."""
+    def test_guard_stats_distributed(self, monkeypatch):
+        """Guard inputs (non-finite count, min) are one ``reduce`` round
+        of per-block partials, exact against f itself."""
         grid = make_grid()
         engine = DomainEngine(topology=(2, 1, 1))
         try:
             vp = PlasmaVlasovPoisson(grid, engine=engine)
             vp.f = initial_f(grid)
             vp.step(DT)
+            rounds = []
+            real_round = engine._round
+            monkeypatch.setattr(engine, "_round",
+                                lambda payloads: rounds.append(payloads[0][0])
+                                or real_round(payloads))
             n_bad, fmin = vp.solver.f_stats()
-            assert engine.gather_count == 0
+            assert rounds == ["reduce"]
             assert n_bad == 0
-            f_host = np.array(vp.f, copy=True)
-            assert fmin == float(f_host.min())
+            assert fmin == float(vp.f.min())
         finally:
             engine.close()
+
+    def test_poisoned_f_reaches_the_workers(self):
+        """A write into ``engine.f`` is a write into the buffer the next
+        round reads: after ``mark_mutated()`` the reductions see it and
+        the next step equals the serial step on the same poisoned f."""
+        grid = make_grid()
+        cells = np.array([5, 700, 9000, 20000])
+
+        def poisoned_step(engine):
+            vp = PlasmaVlasovPoisson(grid, engine=engine)
+            vp.f = initial_f(grid)
+            vp.step(DT)
+            vp.f.reshape(-1)[cells] = -0.5
+            vp.solver.notify_f_mutated()
+            stats = vp.solver.f_stats()
+            vp.step(DT)
+            return stats, vp.f.tobytes()
+
+        serial = poisoned_step(None)
+        engine = DomainEngine(topology=(2, 2, 1))
+        try:
+            stats, f_bytes = poisoned_step(engine)
+            assert not engine.degraded and in_buffers(engine)
+        finally:
+            engine.close()
+        assert stats == serial[0] == (0, -0.5)
+        assert f_bytes == serial[1]
+
+    # the view held across close() keeps its segment mapped: the segment's
+    # own close then fails with a BufferError its finalizer reports
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_f_reads_back_after_close(self):
+        """``close()`` copies f out before it unlinks the buffers; an
+        array taken from ``engine.f`` before it still reads (its mapping
+        outlives the unlink) instead of pointing at unmapped memory."""
+        grid = make_grid()
+        engine = DomainEngine(topology=(2, 1, 1))
+        vp = PlasmaVlasovPoisson(grid, engine=engine)
+        vp.f = initial_f(grid)
+        vp.step(DT)
+        before = vp.f.tobytes()
+        held = vp.f
+        engine.close()
+        assert not engine._bufs and not engine._segments
+        assert vp.f.tobytes() == before
+        assert not np.shares_memory(vp.f, held)
+        assert held.tobytes() == before
+
+    def test_f_reads_back_after_a_forced_degrade(self):
+        """A degrade copies f out of the buffers before it unlinks them;
+        the degraded engine then steps that copy on its base class,
+        bitwise with serial."""
+        grid = make_grid()
+        serial = PlasmaVlasovPoisson(grid)
+        serial.f = initial_f(grid)
+        engine = DomainEngine(topology=(2, 2, 1))
+        try:
+            vp = PlasmaVlasovPoisson(grid, engine=engine)
+            vp.f = initial_f(grid)
+            for solver in (serial, vp):
+                solver.step(DT)
+            before = vp.f.tobytes()
+            engine._permanent_degrade("forced")
+            assert engine.degraded and not engine._segments
+            assert vp.f.tobytes() == before == serial.f.tobytes()
+            for solver in (serial, vp):
+                solver.step(DT)
+            assert vp.f.tobytes() == serial.f.tobytes()
+        finally:
+            engine.close()
+
+    def test_bound_engine_holds_four_segments(self):
+        """Two whole-f buffers, ``rho`` and ``accel``, created at bind,
+        whatever the worker count; a rebind to another grid replaces
+        them, and none is left registered after ``close()``."""
+        from repro.perf.substrate import LIVE_SEGMENTS
+
+        engine = DomainEngine(topology=(2, 2, 1))
+        try:
+            for grid in (make_grid(), make_grid(nx=(12, 8, 6))):
+                engine.bind(grid, "slmpp5")
+                assert sorted(engine._segments) == ["accel", "f0", "f1", "rho"]
+                assert not engine._procs  # workers start at the first round
+                assert set(LIVE_SEGMENTS) \
+                    == {id(s) for s in engine._segments.values()}
+                nbytes = grid.zeros_f().nbytes
+                assert [b.nbytes for b in engine._bufs] == [nbytes, nbytes]
+                assert in_buffers(engine) and not engine.f.any()
+        finally:
+            engine.close()
+        assert not LIVE_SEGMENTS
+
+    def test_segment_exhaustion_at_bind_leaves_nothing(self, monkeypatch):
+        """``/dev/shm`` full at the third segment: ``bind`` raises the
+        ``OSError`` and ``close()`` releases the two made before it."""
+        import errno
+        from multiprocessing import shared_memory
+
+        from repro.perf.substrate import LIVE_SEGMENTS
+
+        real = shared_memory.SharedMemory
+        made = []
+
+        def exhausting(*args, **kwargs):
+            if len(made) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            shm = real(*args, **kwargs)
+            made.append(shm.name)
+            return shm
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", exhausting)
+        engine = DomainEngine(topology=(2, 1, 1))
+        with pytest.raises(OSError) as info:
+            engine.bind(make_grid(), "slmpp5")
+        assert info.value.errno == errno.ENOSPC
+        assert len(engine._segments) == 2
+        engine.close()
+        monkeypatch.undo()
+        assert not engine._segments and not LIVE_SEGMENTS
+        for name in made:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_one_reduction_round_per_f_state(self, monkeypatch):
         """A step's bookkeeping — the ledger's mass and kinetic energy,
@@ -363,8 +492,6 @@ class TestTelemetryDomainBlock:
             w.event("domain_started", workers=4)
             w.event("domain_halo_exchange", axis=0, nbytes=1024, messages=8)
             w.event("domain_halo_exchange", axis=1, nbytes=512, messages=8)
-            w.event("domain_gather", reason="host")
-            w.event("domain_scatter", reason="host")
             w.event("domain_worker_failure", attempt=1, error="killed")
             rec = {
                 "step": 1, "coord": {"t": 0.1}, "dt": 0.1, "wall_s": 0.01,
@@ -383,12 +510,10 @@ class TestTelemetryDomainBlock:
         dom = s["domain"]
         assert dom["halo_exchanges"] == 2
         assert dom["halo_bytes"] == 1536
-        assert dom["gathers"] == 1
-        assert dom["scatters"] == 1
-        assert "cfl_fallbacks" not in dom
+        assert set(dom) == {"halo_exchanges", "halo_bytes", "worker_failures",
+                            "degradations", "section_seconds"}
         assert dom["worker_failures"] == 1
         assert dom["degradations"] == 0
-        assert "fft_fallbacks" not in dom
         assert dom["section_seconds"]["halo"] == pytest.approx(0.002)
         assert dom["section_seconds"]["interior"] == pytest.approx(0.005)
 
@@ -479,10 +604,10 @@ def _kill_hook(at_sweep):
 
     calls = {"n": 0}
 
-    def hook(engine, pool):
+    def hook(engine):
         calls["n"] += 1
         if calls["n"] == at_sweep:
-            pool.submit(_kill_self)
+            engine.inject(_kill_self)
 
     return hook
 

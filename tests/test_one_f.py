@@ -125,10 +125,13 @@ class TestAssignmentCopies:
             held = vp.f
             vp.f = f0
             vp.step(0.1)
-            after = vp.f  # the domain engine gathers here
+            after = vp.f
             assert np.array_equal(f0, before)
             assert after is held  # one array, bound once
             assert not np.array_equal(after, before)
+            # the domain engine's f is a view of a shared segment: hold
+            # none across close()
+            del held, after
         finally:
             if engine is not None:
                 engine.close()

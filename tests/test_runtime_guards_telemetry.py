@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.moments import finite_stats
 from repro.diagnostics import ConservationLedger
 from repro.runtime.config import GuardConfig
 from repro.runtime.guards import GuardSuite
@@ -33,9 +34,8 @@ class FakeStepper:
     def __init__(self, f):
         self._f = np.asarray(f, dtype=np.float64)
 
-    @property
-    def f(self):
-        return self._f
+    def f_stats(self):
+        return finite_stats(self._f)
 
 
 def suite(ledger=None, **overrides) -> GuardSuite:
