@@ -13,8 +13,9 @@ including its communication) for any Table 2 run configuration.  The
   interaction count that grows logarithmically with the global particle
   count (deeper trees), plus boundary-shell particle exchange;
 * PM — scalable assignment/interpolation plus an FFT whose parallelism is
-  capped at n_x * n_y processes (the 2-D pencil decomposition of SSL II,
-  see :mod:`repro.parallel.fft_decomp`) plus the layout-change alltoalls.
+  capped at n_x * n_y processes (the 2-D pencil decomposition of SSL II:
+  :attr:`repro.scaling.runs.RunConfig.fft_parallelism`) plus the
+  layout-change alltoalls.
 
 Absolute constants (flops/cell, interactions/particle) are calibrated so
 the S2 part fractions match the paper's Figure 7 (Vlasov ~ 70% of the

@@ -1,7 +1,7 @@
-"""Parallel runtime: decomposition, vMPI, ghost exchange, pencil FFT —
-and the real-transport :class:`~repro.parallel.domain.DomainEngine`
-(persistent shared-memory domain workers whose halos are the kernel's
-ghost planes — see ``docs/PARALLEL.md``)."""
+"""Parallel runtime: the block decomposition and the real-transport
+:class:`~repro.parallel.domain.DomainEngine` (persistent shared-memory
+domain workers whose halos are the kernel's ghost planes — see
+``docs/PARALLEL.md``)."""
 
 from .. import lazy_exports
 
@@ -11,14 +11,6 @@ _EXPORTS = {
     "DomainEngine": "domain",
     "DomainWorkerError": "domain",
     "pencil_slices": "decomposition",
-    "decomposed_spatial_advect": "exchange",
-    "exchange_ghosts": "exchange",
-    "PencilGrid": "fft_decomp",
-    "pencil_fft3d": "fft_decomp",
-    "CollectiveRecord": "vmpi",
-    "CommLog": "vmpi",
-    "MessageRecord": "vmpi",
-    "VirtualComm": "vmpi",
 }
 
 __all__ = list(_EXPORTS)

@@ -8,9 +8,8 @@ without any data transfer among MPI processes".
 
 This module is pure geometry: rank <-> block mapping, local slices and
 neighbor ranks (ghost widths come from the kernel,
-:func:`repro.core.advection.ghost_width`).  The execution layer lives in
-:mod:`repro.parallel.vmpi`, :mod:`repro.parallel.exchange` and
-:mod:`repro.parallel.domain`.
+:func:`repro.core.advection.ghost_width`).  The execution layer is
+:class:`repro.parallel.domain.DomainEngine`.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ class BlockDecomposition:
     each axis is split with :func:`pencil_slices`, so the first
     ``n % parts`` blocks along an axis carry one extra cell; on a mesh
     that divides evenly every block has the same shape (the paper's MPI
-    layout).  This is the shard geometry of both the virtual exchange
-    (:mod:`repro.parallel.exchange`) and the real-transport
+    layout).  This is the shard geometry of the real-transport
     :class:`repro.parallel.domain.DomainEngine`, which must accept
     production grid shapes that do not divide evenly across the worker
     topology.

@@ -1,9 +1,8 @@
 """Real-transport 3-D domain decomposition: the ``DomainEngine``.
 
-This is the production promotion of the virtual layout in
-:mod:`repro.parallel.vmpi`: the spatial grid is partitioned into 3-D
-blocks (paper §5.1.3 — velocity space is never split), each block is
-pinned to a **persistent worker process** that sweeps its subdomain in
+The spatial grid is partitioned into 3-D blocks (paper §5.1.3 —
+velocity space is never split), each block is pinned to a **persistent
+worker process** that sweeps its subdomain in
 ``multiprocessing.shared_memory`` across *all* steps, and halo exchange
 is the kernel's landing copy reading the neighbors' edge planes straight
 out of shared memory as the block's ghost planes (see
@@ -34,8 +33,8 @@ The field solve itself runs on the parent, on the process-default
 :class:`repro.perf.fft.SpectralBackend` like every other engine's: the
 parent holds the whole density mesh anyway, so a worker-staged
 transform would move the mesh twice and distribute nothing.  The
-paper's pencil-FFT traffic is modelled by
-:mod:`repro.parallel.fft_decomp` and :mod:`repro.machine.costmodel`.
+paper's pencil-FFT traffic, and its n_x·n_y cap on FFT ranks, is
+modelled by :mod:`repro.machine.costmodel`.
 
 This is the package's one supervised process transport
 (:func:`repro.perf.substrate.retry_with_backoff`): a dead or wedged
@@ -65,6 +64,7 @@ from ..perf.substrate import (
     register_segment,
     release_segment,
     retry_with_backoff,
+    segment_view,
 )
 from .decomposition import BlockDecomposition
 from .workers import WorkerSpec, worker_main
@@ -150,10 +150,6 @@ class DomainEngine(SweepEngine):
         self.degradations: list[str] = []
         self.degraded = False
         self.halo_bytes = 0
-        #: halo accounting, ``(src, dst, tag) -> [messages, nbytes]`` —
-        #: the VirtualComm log's messages, aggregated (bounded by the
-        #: topology, not the step count); the vmpi parity test diffs them.
-        self.halo_traffic: dict[tuple[int, int, str], list[int]] = {}
 
         # bound geometry (set by bind)
         self.scheme = ""
@@ -257,13 +253,9 @@ class DomainEngine(SweepEngine):
                       self._view("f1", grid.shape, grid.dtype))
 
     def _view(self, role: str, shape, dtype) -> np.ndarray:
-        """A view of one segment.  ``frombuffer`` holds a buffer export,
-        so a view that outlives :meth:`close` keeps its mapping alive
-        (``ndarray(buffer=)`` holds none: the unmap would leave it
-        dangling)."""
-        count = int(np.prod(shape, dtype=np.int64))
-        return np.frombuffer(self._segments[role].buf, dtype=dtype,
-                             count=count).reshape(shape)
+        """A view of one segment; one that outlives :meth:`close` keeps
+        its mapping alive (:func:`repro.perf.substrate.segment_view`)."""
+        return segment_view(self._segments[role], shape, dtype)
 
     def _worker_spec(self, rank: int) -> WorkerSpec:
         decomp, grid = self.decomp, self.grid
@@ -534,34 +526,19 @@ class DomainEngine(SweepEngine):
                 self._log_halo(d, self._ghost(sweep))
 
     def _log_halo(self, d: int, g: int) -> None:
-        """Account the sweep's ``g`` ghost planes per side as the
-        messages they replace.
-
-        Reading the left neighbor's high slab is the message that
-        neighbor would have sent rightward (``ghost+{axis}``), and
-        symmetrically — identical pairs, sizes and tags to
-        :func:`repro.parallel.exchange.exchange_ghosts`, which the vmpi
-        parity test holds us to.  Self-sends (single block on the axis)
-        are never logged, matching ``VirtualComm.sendrecv``.
-        """
-        grid, decomp = self.grid, self.decomp
-        nu_cells = int(np.prod(grid.nu, dtype=np.int64))
-        itemsize = np.dtype(grid.dtype).itemsize
-        swept = 0
-        for r in range(decomp.size):
-            shape = decomp.local_shape(r)
-            transverse = int(np.prod(shape, dtype=np.int64)) // shape[d]
-            nbytes = g * transverse * nu_cells * itemsize
-            left = decomp.neighbor(r, d, -1)
-            right = decomp.neighbor(r, d, +1)
-            for key in ((left, r, f"ghost+{d}"), (right, r, f"ghost-{d}")):
-                tally = self.halo_traffic.setdefault(key, [0, 0])
-                tally[0] += 1
-                tally[1] += nbytes
-            swept += 2 * nbytes
-        self.halo_bytes += swept
-        emit("domain_halo_exchange", axis=d, nbytes=swept,
-             messages=2 * decomp.size)
+        """Account the ``g`` ghost planes per side a sweep along
+        partitioned axis ``d`` lands: every block reads ``g`` planes of
+        its transverse face from each neighbour, and the faces summed
+        over the blocks are ``n_proc[d]`` whole cross-sections of the
+        mesh, even or uneven."""
+        grid = self.grid
+        cross_section = int(np.prod(grid.nx, dtype=np.int64)) // grid.nx[d]
+        nbytes = (2 * g * self.topology[d] * cross_section
+                  * int(np.prod(grid.nu, dtype=np.int64))
+                  * np.dtype(grid.dtype).itemsize)
+        self.halo_bytes += nbytes
+        emit("domain_halo_exchange", axis=d, nbytes=nbytes,
+             messages=2 * self.decomp.size)
 
     # -- moments / guards ------------------------------------------------
 

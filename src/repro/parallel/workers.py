@@ -19,8 +19,9 @@ block.
 
 There are no FFT commands: the field solve runs on the parent, which
 holds the whole density mesh the ``density`` command assembles (the
-paper's pencil-FFT traffic is modelled by
-:mod:`repro.parallel.fft_decomp`, not run here).
+paper's pencil-FFT traffic is modelled by :mod:`repro.machine.costmodel`,
+not run here).  The worker's one sweep call is the package's one
+``halo=`` caller.
 
 Everything here must stay importable under the ``spawn`` start method:
 module-level functions only, specs picklable.
@@ -39,7 +40,7 @@ from ..core.engine import Sweep, sweep_shift
 from ..core.mesh import PhaseSpaceGrid
 from ..core.moments import finite_stats, kinetic_sums
 from ..perf.arena import ScratchArena
-from ..perf.substrate import attach_shm
+from ..perf.substrate import attach_shm, segment_view
 
 __all__ = ["WorkerSpec", "worker_main"]
 
@@ -89,9 +90,8 @@ class _WorkerState:
         key = ("block", rank, role)
         view = self._views.get(key)
         if view is None:
-            shm = self._segment(self.spec.f_names[role])
-            whole = np.ndarray(self.grid.shape, dtype=self.grid.dtype,
-                               buffer=shm.buf)
+            whole = segment_view(self._segment(self.spec.f_names[role]),
+                                 self.grid.shape, self.grid.dtype)
             view = whole[_slices(self.spec.bounds[rank])]
             self._views[key] = view
         return view
@@ -100,9 +100,8 @@ class _WorkerState:
         key = ("mesh", name)
         view = self._views.get(key)
         if view is None:
-            shm = self._segment(name)
-            view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-            self._views[key] = view
+            view = self._views[key] = segment_view(self._segment(name),
+                                                   shape, dtype)
         return view
 
     def close(self) -> None:

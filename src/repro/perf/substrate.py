@@ -14,6 +14,8 @@ import atexit
 import os
 import time
 
+import numpy as np
+
 __all__ = [
     "LIVE_SEGMENTS",
     "attach_shm",
@@ -22,6 +24,7 @@ __all__ = [
     "register_segment",
     "release_segment",
     "retry_with_backoff",
+    "segment_view",
 ]
 
 
@@ -62,7 +65,10 @@ def release_segment(shm) -> None:
     LIVE_SEGMENTS.pop(id(shm), None)
     try:
         shm.close()
-    except BufferError:  # a view still alive; unlink still detaches the name
+    except BufferError:
+        # a live ``np.frombuffer`` view holds an export of ``shm.buf``:
+        # the mapping stays until that view dies (an ``ndarray(buffer=)``
+        # view holds none, and would dangle); unlink still drops the name
         pass
     try:
         shm.unlink()
@@ -74,6 +80,15 @@ def release_segment(shm) -> None:
 def _cleanup_leaked_segments() -> None:  # pragma: no cover - exit path
     for shm in list(LIVE_SEGMENTS.values()):
         release_segment(shm)
+
+
+def segment_view(shm, shape, dtype) -> np.ndarray:
+    """An array over the head of one segment.  ``frombuffer`` holds a
+    buffer export, so closing the segment under a live view raises
+    ``BufferError`` instead of unmapping memory the view still reads
+    (an ``ndarray(buffer=)`` view holds none, and would dangle)."""
+    count = int(np.prod(shape, dtype=np.int64))
+    return np.frombuffer(shm.buf, dtype=dtype, count=count).reshape(shape)
 
 
 def attach_shm(name: str):

@@ -58,7 +58,6 @@ class InstructionCount:
     load_contiguous: int = 0
     load_gather: int = 0
     store_contiguous: int = 0
-    store_scatter: int = 0
     arithmetic: int = 0
     shuffle: int = 0
 
@@ -68,7 +67,6 @@ class InstructionCount:
             self.load_contiguous
             + self.load_gather
             + self.store_contiguous
-            + self.store_scatter
             + self.arithmetic
             + self.shuffle
         )
@@ -127,16 +125,6 @@ class SimdMachine:
             raise IndexError("contiguous store out of bounds")
         self.counts.store_contiguous += 1
         flat[offset : offset + self.width] = reg.data
-
-    def scatter(self, reg: SimdRegister, memory: np.ndarray, indices: np.ndarray) -> None:
-        """Scatter store — ``width`` memory operations, like gather."""
-        self._check(reg)
-        indices = np.asarray(indices)
-        if indices.shape != (self.width,):
-            raise ValueError("need one index per lane")
-        flat = memory.reshape(-1)
-        self.counts.store_scatter += self.width
-        flat[indices] = reg.data
 
     # -- arithmetic -------------------------------------------------------
 

@@ -220,11 +220,17 @@ def test_one_kernel_run_per_block(monkeypatch, bc):
 HALO_SHAPE = (8, 9, 6, 10)  # even halves on 8 and 10, 5 + 4 on 9
 
 
-def _row_blocks(f, axis, cut):
-    """``f`` cut in two along ``axis`` at ``cut``: ``[(lo, hi, block)]``."""
-    n = f.shape[axis]
+def _row_blocks(f, axis, *cuts):
+    """``f`` cut along ``axis`` at ``cuts``: ``[(lo, hi, block)]``."""
+    edges = (0, *cuts, f.shape[axis])
     return [(lo, hi, np.take(f, range(lo, hi), axis=axis))
-            for lo, hi in ((0, cut), (cut, n))]
+            for lo, hi in zip(edges, edges[1:])]
+
+
+def _neighbours(blocks, i):
+    """Block ``i``'s ``halo``: its left and right periodic neighbours
+    (one block both sides of a two-way cut, two distinct ones past)."""
+    return blocks[i - 1][2], blocks[(i + 1) % len(blocks)][2]
 
 
 def _below_one(shape, axis):
@@ -246,8 +252,9 @@ def _below_one(shape, axis):
 def test_halo_bitwise_equals_the_serial_slab(monkeypatch, scheme, dtype):
     """Below one cell of shift, a block advected with its two neighbours
     as ``halo`` is the slab of the periodic sweep of the whole row, bit
-    for bit: the ``zero`` window reads only landed planes, and with
-    ``k == 0`` its flux is the periodic one, donor cell by donor cell."""
+    for bit, cut in two or in three: the ``zero`` window reads only
+    landed planes, and with ``k == 0`` its flux is the periodic one,
+    donor cell by donor cell."""
     rng = np.random.default_rng(12)
     f = (0.5 + rng.random(HALO_SHAPE)).astype(dtype)
     g = advection.ghost_width(SCHEMES[scheme])
@@ -258,15 +265,15 @@ def test_halo_bitwise_equals_the_serial_slab(monkeypatch, scheme, dtype):
         for name, sh in _below_one(f.shape, axis):
             monkeypatch.setattr(advection, "BLOCK_CELLS", 1 << 16)
             ref = advect(f, sh, axis, scheme=scheme)
-            for cut in {n // 2, n // 2 + 1}:
-                if min(cut, n - cut) < g:
+            for cuts in {(n // 2,), (n // 2 + 1,), (n // 3, 2 * n // 3)}:
+                blocks = _row_blocks(f, axis, *cuts)
+                if min(hi - lo for lo, hi, _ in blocks) < g:
                     continue
-                blocks = _row_blocks(f, axis, cut)
                 for cells in (1 << 16, 200):
                     monkeypatch.setattr(advection, "BLOCK_CELLS", cells)
                     for i, (lo, hi, blk) in enumerate(blocks):
-                        halo = (blocks[i - 1][2], blocks[1 - i][2])
-                        got = advect(blk, sh, axis, scheme=scheme, halo=halo,
+                        got = advect(blk, sh, axis, scheme=scheme,
+                                     halo=_neighbours(blocks, i),
                                      arena=ScratchArena())
                         assert got.tobytes() == np.take(
                             ref, range(lo, hi), axis=axis
@@ -277,31 +284,34 @@ def test_halo_bitwise_equals_the_serial_slab(monkeypatch, scheme, dtype):
 
 
 @pytest.mark.parametrize("sh", [2.3, "field"])
-def test_halo_past_one_cell_conserves_and_matches_to_rounding(sh):
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_halo_past_one_cell_conserves_and_matches_to_rounding(scheme, sh):
     """Past one cell a block landed with its neighbours is still the slab
     of the whole row's sweep, to the last rounding: S(i, k) adds the
     same k cells in the same order wherever the block starts.  ``2.3`` is
     a uniform shift, ``field`` the mixed-sign fields; both run at CFL 2.3
-    and 3.7, on every cut that leaves both blocks the ghost width."""
+    and 3.7, on every two-way cut that leaves both blocks the ghost
+    width, and on 9 + 8 + 8, three blocks with distinct neighbours."""
     axis = 3
     rng = np.random.default_rng(8)
     for dtype, rtol in ((np.float32, 1e-5), (np.float64, 1e-12)):
-        f = (0.5 + rng.random((4, 5, 3, 14))).astype(dtype)
+        f = (0.5 + rng.random((4, 5, 3, 25))).astype(dtype)
+        n = f.shape[axis]
         for cfl in (2.3, 3.7):
             shifts = [cfl] if sh != "field" else [
                 s * (cfl / np.abs(s).max()) for _, s in mixed_sign_shifts(f.shape, axis)
             ]
-            g = advection.ghost_width(SCHEMES["slmpp5"], cfl)
+            g = advection.ghost_width(SCHEMES[scheme], cfl)
             for shift in shifts:
-                ref = advect(f, shift, axis)
-                for cut in range(g, f.shape[axis] - g + 1):
-                    blocks = _row_blocks(f, axis, cut)
+                ref = advect(f, shift, axis, scheme=scheme)
+                for cuts in [(cut,) for cut in range(g, n - g + 1)] + [(9, 17)]:
+                    blocks = _row_blocks(f, axis, *cuts)
                     got = np.concatenate([
-                        advect(blk, shift, axis,
-                               halo=(blocks[i - 1][2], blocks[1 - i][2]))
+                        advect(blk, shift, axis, scheme=scheme,
+                               halo=_neighbours(blocks, i))
                         for i, (_, _, blk) in enumerate(blocks)
                     ], axis=axis)
-                    assert got.tobytes() == ref.tobytes(), (dtype, cfl, cut)
+                    assert got.tobytes() == ref.tobytes(), (dtype, cfl, cuts)
                 np.testing.assert_allclose(got.sum(dtype=np.float64),
                                            f.sum(dtype=np.float64), rtol=rtol)
 
@@ -311,6 +321,16 @@ def test_halo_rejects_thin_neighbours_and_a_zero_bc():
     thin = f[:, :, :, :2]  # slmpp5 at |shift| < 1 reads 3 planes
     with pytest.raises(ValueError, match="ghost width 3 planes"):
         advect(f, 0.5, 3, halo=(f, thin))
+    # the ghost is the stencil's reach, one cell, and the whole cells of
+    # the shift: 9 for slmpp5 at 6.0, which fits the first block of
+    # 9 + 8 + 8, not the two neighbours it would land
+    assert [advection.ghost_width(SCHEMES[s], c) for s, c in (
+        ("slmpp5", 1.0), ("slp5", 0.9), ("upwind1", 0.5), ("slmpp5", 6.0)
+    )] == [4, 3, 1, 9]
+    row = np.ones((4, 25))
+    blocks = _row_blocks(row, 1, 9, 17)
+    with pytest.raises(ValueError, match="ghost width 9 planes"):
+        advect(blocks[0][2], 6.0, 1, halo=_neighbours(blocks, 0))
     with pytest.raises(ValueError, match="periodic"):
         advect(f, 0.5, 3, bc="zero", halo=(f, f))
 

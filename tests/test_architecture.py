@@ -17,12 +17,12 @@ dependency is installed, as ``python tests/test_architecture.py``.
   mirrored flux, no arena scope sizing a row subset;
 * so does the domain worker's overlap machinery: halos are ghost planes
   the kernel lands (``advect(halo=)``, passed by the worker's one sweep
-  call and the virtual exchange's drift alone), so no halo thread, no
-  slab or pad scratch, no sweep mode, no ``overlap`` option;
-* so does the second block decomposition and the virtual exchange's
-  concatenate-and-crop drift: ``BlockDecomposition`` is the one layout,
-  and the virtual drift lands its received slabs as ``halo=`` with no
-  CFL cap of its own;
+  call alone), so no halo thread, no slab or pad scratch, no sweep mode,
+  no ``overlap`` option;
+* so does the second block decomposition and the virtual-MPI replay of
+  the halos: ``BlockDecomposition`` is the one layout, the domain worker
+  is the one ``halo=`` caller, and the engine counts its halo bytes in
+  closed form with no per-pair message table;
 * the domain engine degrades to its own serial base class: it does not
   import the pencil engine;
 * so does the pencil engine's process transport: ``perf/pencil.py`` is a
@@ -95,8 +95,8 @@ RETIRED = (
     "write_snapshot" + "_chunked", "read_snapshot" + "_field",
     "snapshot" + "_manifest", "n_" + "chunks",
     "REPRO_SNAPSHOT" + "_CRC", "CHECKSUMS" + "_ENABLED",
-    # the even-only decomposition, the padded exchange and its CFL cap
-    "Domain" + "Decomposition", "exchange_ghosts" + "_full",
+    # the even-only decomposition, its velocity drift and the exchange's CFL cap
+    "Domain" + "Decomposition",
     "decomposed_velocity" + "_advect", "cfl" + "_max",
     # the diagnostics queue policy: block, a queue of 2, spectra always
     "on" + "_full", "queue" + "_max", "diagnostics" + "_dropped",
@@ -139,6 +139,11 @@ RETIRED = (
     "_block" + "_view", "seg" + "_names", "block" + "_shapes",
     "own" + "_bounds", "domain" + "_gather", "domain" + "_scatter",
     "wants" + "_state", "_Fault" + "Pool", "_inject" + "_call",
+    # the virtual-MPI replay: its communicator, log, exchange, drift and
+    # pencil FFT, and the engine's per-pair halo table it was diffed with
+    "Virtual" + "Comm", "Comm" + "Log", "exchange" + "_ghosts",
+    "decomposed_spatial" + "_advect", "pencil" + "_fft3d", "Pencil" + "Grid",
+    "halo" + "_traffic",
     # helpers only tests read: they live in tests/helpers.py
     "l1" + "_norm", "casi" + "mir", "entro" + "py", "dispersion" + "_tensor",
     "gaussian" + "_field(", "uniform" + "_random", "uniform" + "_lattice",
@@ -374,8 +379,7 @@ def test_halo_is_passed_by_the_domain_worker_alone():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call) and any(kw.arg == "halo" for kw in node.keywords)
     ]
-    assert sorted(callers) == ["repro/parallel/exchange.py",
-                               "repro/parallel/workers.py"], callers
+    assert callers == ["repro/parallel/workers.py"], callers
 
 
 def test_the_domain_engine_does_not_import_the_pencil_engine():
@@ -446,8 +450,6 @@ ENTRY = ("repro.cli", "repro.__main__")
 UNREACHED_BY_DESIGN = (
     # the Eqs. 9-10 shot-noise algebra the N-body comparator's S/N rests on
     "repro.analysis.shotnoise",
-    # the virtual 2-D pencil FFT that DESIGN.md and EXPERIMENTS.md cite
-    "repro.parallel.fft_decomp",
 )
 
 
@@ -544,6 +546,9 @@ NAMES_KEPT_BY_DESIGN = {
         "the run-directory telemetry reader documented in docs/RUNTIME.md",
     "repro.runtime.telemetry.read_events":
         "the run-directory event reader documented in docs/RUNTIME.md",
+    "repro.parallel.decomposition.BlockDecomposition.scatter":
+        "test_parallel's scatter/gather round trip: the blocks local_slice "
+        "hands the domain workers tile the mesh exactly once",
     "repro.core.advection.fastpath_counters":
         "tests pin that row order gives uniform-k blocks",
     "repro.core.advection.reset_fastpath_counters":
