@@ -3,7 +3,7 @@ the velocity space.
 
 With the spatial-only decomposition, every velocity moment is a local
 reduction (zero communication); the alternative — splitting the velocity
-axes across ranks — would turn every density evaluation (two per step!)
+axes across ranks — would turn every density evaluation (one per step)
 into a global reduction of the full spatial mesh.  This bench counts the
 bytes both strategies move per step for a Table 2-like configuration:
 the spatial-only count is what one real :class:`DomainEngine` step
@@ -70,9 +70,9 @@ def test_ablation_report(benchmark, rng):
         velocity_bytes = halo_bytes(
             grid.nu, (2, 2), nx * nx, ghost_width(SCHEMES["slmpp5"], 1.0), itemsize
         )
-        # two float64 density allreduces, log2(P) stages moving the mesh
-        # each time, on every rank
-        allreduce_bytes = 2 * (nx * nx * 8) * math.ceil(math.log2(ranks)) * ranks
+        # one float64 density allreduce (a step evaluates the density
+        # once), log2(P) stages moving the mesh, on every rank
+        allreduce_bytes = (nx * nx * 8) * math.ceil(math.log2(ranks)) * ranks
 
         lines = [
             "Decomposition ablation (2D2V, 4 ranks, one step):",

@@ -15,18 +15,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record, run_report
-from benchmarks.workloads import build_hybrid, evolve
+from repro.runtime import build_hybrid_simulation
+
+from benchmarks.conftest import hybrid_run, record, run_mass_sweep, run_report
 
 
 @pytest.fixture(scope="module")
-def evolved_pair():
-    sims = {}
-    for m_nu in (0.4, 0.2):
-        sim = build_hybrid(m_nu_ev=m_nu, nx=8, nu=8, n_side_cdm=16, seed=2021)
-        evolve(sim, 1.0, n_steps=6)
-        sims[m_nu] = sim
-    return sims
+def evolved_pair(tmp_path_factory):
+    base = hybrid_run("fig4", 0.4, nx=8, nu=8, box=200.0, seed=2021, n_steps=6)
+    return run_mass_sweep(base, (0.4, 0.2), tmp_path_factory.mktemp("fig4"))
 
 
 def _contrast(rho: np.ndarray) -> float:
@@ -77,7 +74,7 @@ def test_fig4_report(benchmark, evolved_pair):
 
 def test_bench_hybrid_step(benchmark):
     """Cost of one full hybrid KDK step at the mini scale."""
-    sim = build_hybrid(nx=8, nu=8, n_side_cdm=16)
+    sim = build_hybrid_simulation(nx=8, nu=8, seed=2021)
 
     state = {"a": sim.a}
 

@@ -16,18 +16,19 @@ import pytest
 from repro.analysis import local_velocity_distribution, particle_velocity_histogram
 from repro.cosmology import RelicNeutrinoDistribution
 from repro.ic import sample_neutrino_particles
+from repro.nbody.integrator import scale_factor_steps
 from repro.nbody.pm import interpolate_mesh
+from repro.runtime import build_hybrid_simulation
 
 from benchmarks.conftest import record, run_report
-from benchmarks.workloads import build_hybrid
-from repro.nbody.integrator import scale_factor_steps
 
 
 @pytest.fixture(scope="module")
 def matched_evolution():
     """Evolve the Vlasov neutrinos and a particle sampling side by side
-    in the same gravitational field."""
-    sim = build_hybrid(m_nu_ev=0.4, nx=8, nu=10, n_side_cdm=16, seed=7)
+    in the same gravitational field.  The particle kicks interleave with
+    the hybrid steps, so the simulation is built and stepped directly."""
+    sim = build_hybrid_simulation(nx=8, nu=10, seed=7)
     cosmo = sim.cosmology
     fd = RelicNeutrinoDistribution(cosmo.m_nu_total_ev / 3.0, cosmo.units)
     rng = np.random.default_rng(7)

@@ -11,17 +11,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record, run_report
-from benchmarks.workloads import build_hybrid, evolve
+from repro.runtime import EXIT_COMPLETE, RunConfig, SimulationRunner
+
+from benchmarks.conftest import final_state, hybrid_run, record, run_report
 
 
 @pytest.fixture(scope="module")
-def largest_run():
-    sim = build_hybrid(
-        m_nu_ev=0.4, nx=12, nu=8, box=1200.0, n_side_cdm=24, seed=1024
-    )
-    evolve(sim, 1.0, n_steps=6)
-    return sim
+def largest_run(tmp_path_factory):
+    config = RunConfig.from_dict(hybrid_run(
+        "fig8", 0.4, nx=12, nu=8, box=1200.0, seed=1024, n_steps=6))
+    run_dir = tmp_path_factory.mktemp("fig8")
+    exit_code = SimulationRunner.create(config, run_dir).run()
+    assert exit_code == EXIT_COMPLETE
+    return final_state(run_dir)
 
 
 def test_fig8_report(benchmark, largest_run):

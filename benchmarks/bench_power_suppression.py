@@ -15,22 +15,18 @@ import pytest
 
 from repro.analysis import transfer_ratio
 from repro.cosmology import Cosmology, growth_suppression_factor
-from repro.nbody.integrator import scale_factor_steps
 
-from benchmarks.conftest import record, run_report
-from benchmarks.workloads import build_hybrid
+from benchmarks.conftest import hybrid_run, record, run_mass_sweep, run_report
 
 
 @pytest.fixture(scope="module")
-def matched_runs():
+def matched_runs(tmp_path_factory):
+    # a 40 Mpc/h box probes k = 0.2-0.8 h/Mpc, well above the
+    # free-streaming scale where the suppression lives
+    base = hybrid_run("power", 0.4, nx=8, nu=8, box=40.0, seed=314, n_steps=5)
+    sims = run_mass_sweep(base, (1.0e-4, 0.4), tmp_path_factory.mktemp("power"))
     fields = {}
-    for m_nu in (1.0e-4, 0.4):
-        # a 40 Mpc/h box probes k = 0.2-0.8 h/Mpc, well above the
-        # free-streaming scale where the suppression lives
-        sim = build_hybrid(
-            m_nu_ev=m_nu, nx=8, nu=8, box=40.0, n_side_cdm=16, seed=314
-        )
-        sim.run(scale_factor_steps(sim.a, 1.0, 5))
+    for m_nu, sim in sims.items():
         rho = sim.cdm_density()
         fields[m_nu] = (rho / rho.mean() - 1.0, sim.grid.box_size)
     return fields

@@ -8,47 +8,54 @@ at each halo from the *noise-free* Vlasov density mesh.  Heavier halos
 capture more neutrinos ("differential condensation"); with particles this
 measurement fights shot noise, with f it is a table lookup.
 
-Run:  python examples/neutrino_condensation.py [--nx 10] [--steps 6]
+The TreePM run goes through the production runner, in a temporary run
+directory, and its z = 0 state is read back from the final checkpoint.
+
+Run:  python examples/neutrino_condensation.py [--nx 12] [--steps 6]
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
+import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from repro.analysis import (
     condensation_report,
     fof_halos,
     halo_neutrino_overdensity,
 )
-from repro.nbody.integrator import scale_factor_steps
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from workloads import build_hybrid  # noqa: E402
+from repro.runtime import (RunConfig, SimulationRunner, build_stepper,
+                           find_latest_valid_checkpoint)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nx", type=int, default=10)
+    ap.add_argument("--nx", type=int, default=12)
     ap.add_argument("--nu", type=int, default=8)
-    ap.add_argument("--n-side-cdm", type=int, default=24)
     ap.add_argument("--steps", type=int, default=6)
     ap.add_argument("--seed", type=int, default=27)
     ap.add_argument("--box", type=float, default=40.0,
                     help="small box = nonlinear by z=0 = real halos")
     args = ap.parse_args()
 
-    sim = build_hybrid(
-        m_nu_ev=0.4, nx=args.nx, nu=args.nu, box=args.box,
-        n_side_cdm=args.n_side_cdm, seed=args.seed,
-        use_tree=True, r_split_cells=0.8,
-    )
-    print(f"evolving {sim.cdm.n} CDM particles + {sim.grid.n_cells:,} "
-          f"phase-space cells, z=10 -> 0 ...")
-    sim.run(scale_factor_steps(sim.a, 1.0, args.steps))
+    config = RunConfig.from_dict({
+        "scenario": "hybrid", "name": "condensation",
+        "grid": {"nx": [args.nx] * 3, "nu": [args.nu] * 3,
+                 "box_size": args.box, "dtype": "float32"},
+        "schedule": {"kind": "scale_factor", "n_steps": args.steps},
+        "params": {"m_nu": 0.4, "seed": args.seed, "use_tree": True},
+    })
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        print(f"evolving {(2 * args.nx) ** 3} CDM particles + "
+              f"{args.nx ** 3 * args.nu ** 3:,} phase-space cells ...")
+        if SimulationRunner.create(config, run_dir).run() != 0:
+            raise SystemExit("the run did not complete")
+        stepper = build_stepper(config)
+        state = find_latest_valid_checkpoint(run_dir / "checkpoints")
+        stepper.restore(state.f, state.particles, state.header)
+    sim = stepper.sim
 
     halos = fof_halos(sim.cdm, b=0.25, min_members=16)
     print(f"\nFoF (b=0.25): {len(halos)} halos with >= 16 particles")

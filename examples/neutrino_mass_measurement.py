@@ -5,7 +5,9 @@ overview section).
 Runs matched hybrid simulations at M_nu = 0.0, 0.2 and 0.4 eV from the
 same random realization and measures the small-scale suppression of the
 CDM power spectrum — the collisionless-damping signature galaxy surveys
-will use to weigh the neutrino.
+will use to weigh the neutrino.  The three runs are one campaign swept
+over ``params.m_nu`` (run directories in a temporary directory); each
+run's z = 0 state is read back from its final checkpoint.
 
 Run:  python examples/neutrino_mass_measurement.py [--nx 8] [--steps 5]
 """
@@ -13,18 +15,25 @@ Run:  python examples/neutrino_mass_measurement.py [--nx 8] [--steps 5]
 from __future__ import annotations
 
 import argparse
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+from repro.campaign import Campaign, CampaignConfig
 from repro.cosmology import Cosmology, growth_suppression_factor
 from repro.ic import measure_power
-from repro.nbody.integrator import scale_factor_steps
+from repro.runtime import (SimulationRunner, build_stepper,
+                           find_latest_valid_checkpoint)
 
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from workloads import build_hybrid  # noqa: E402  (reuses the IC pipeline)
+def final_cdm_density(run_dir: Path) -> np.ndarray:
+    """The CDM density of a run's final checkpoint, restored into the
+    config's stepper as ``repro resume`` does."""
+    stepper = build_stepper(SimulationRunner.resume(run_dir).config)
+    state = find_latest_valid_checkpoint(run_dir / "checkpoints")
+    stepper.restore(state.f, state.particles, state.header)
+    return stepper.sim.cdm_density()
 
 
 def main() -> None:
@@ -38,19 +47,34 @@ def main() -> None:
                          "scale, where the suppression lives")
     args = ap.parse_args()
 
+    # one hybrid config swept over the mass; ~0 eV is a tiny mass, whose
+    # first step takes ~100 s: the stall heartbeat is an hour, not 30 s
+    spec = CampaignConfig.from_dict({
+        "name": "nu-mass",
+        "base": {
+            "scenario": "hybrid",
+            "grid": {"nx": [args.nx] * 3, "nu": [args.nu] * 3,
+                     "box_size": args.box, "dtype": "float32"},
+            "schedule": {"kind": "scale_factor", "n_steps": args.steps},
+            "params": {"seed": args.seed},
+        },
+        "sweep": {"params.m_nu": [1e-4, 0.2, 0.4]},
+        "executor": "threads", "concurrency": 1,
+        "limits": {"stall_seconds": 3600.0},
+    })
     spectra = {}
-    for m_nu in (1e-4, 0.2, 0.4):  # ~0 eV handled as a tiny mass
-        sim = build_hybrid(
-            m_nu_ev=m_nu, nx=args.nx, nu=args.nu, box=args.box,
-            n_side_cdm=2 * args.nx, seed=args.seed,
-        )
-        sim.run(scale_factor_steps(sim.a, 1.0, args.steps))
-        rho = sim.cdm_density()
-        delta = rho / rho.mean() - 1.0
-        k, p, _ = measure_power(delta, sim.grid.box_size, n_bins=6)
-        spectra[m_nu] = (k, p)
-        print(f"M_nu = {m_nu:5.4f} eV: z=0 CDM power measured "
-              f"({len(k)} k-bins, sigma_delta = {delta.std():.3f})")
+    with tempfile.TemporaryDirectory() as tmp:
+        campaign = Campaign.create(spec, tmp)
+        if campaign.run() != 0:
+            raise SystemExit("a run of the mass sweep did not complete")
+        for point in spec.points():
+            m_nu = point.overrides["params.m_nu"]
+            rho = final_cdm_density(campaign.manifest.run_dir(point.run_id))
+            delta = rho / rho.mean() - 1.0
+            k, p, _ = measure_power(delta, args.box, n_bins=6)
+            spectra[m_nu] = (k, p)
+            print(f"M_nu = {m_nu:5.4f} eV: z=0 CDM power measured "
+                  f"({len(k)} k-bins, sigma_delta = {delta.std():.3f})")
 
     k0, p0 = spectra[1e-4]
     print(f"\n{'k [h/Mpc]':>10} {'P(0.2)/P(0)':>12} {'P(0.4)/P(0)':>12} "

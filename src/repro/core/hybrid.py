@@ -216,21 +216,6 @@ class HybridSimulation(LeapfrogDriver):
             cosmo.drift_factor(a0, a1), am)
         self.a = a_next
 
-    def run(self, schedule: np.ndarray, observer=None) -> None:
-        """Advance through a scale-factor schedule (first entry = current a).
-
-        ``observer(sim)`` is called after every step when given (on the
-        carried state); the schedule ends synchronized.
-        """
-        schedule = np.asarray(schedule, dtype=np.float64)
-        if abs(schedule[0] - self.a) > 1e-12:
-            raise ValueError("schedule must start at the current scale factor")
-        for a_next in schedule[1:]:
-            self.step(float(a_next))
-            if observer is not None:
-                observer(self)
-        self.synchronize()
-
     # ------------------------------------------------------------------
     # the runner's view: clock, conserved mass, restart
     # ------------------------------------------------------------------

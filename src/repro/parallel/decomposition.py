@@ -136,26 +136,3 @@ class BlockDecomposition:
     def local_shape(self, rank: int) -> tuple[int, ...]:
         """Mesh points per axis of one rank's block (blocks may differ)."""
         return tuple(sl.stop - sl.start for sl in self.local_slice(rank))
-
-    def scatter(self, global_array: np.ndarray) -> list[np.ndarray]:
-        """Split a global array (spatial axes leading) into rank blocks."""
-        if global_array.shape[: self.dim] != self.n_mesh:
-            raise ValueError(
-                f"leading axes {global_array.shape[:self.dim]} != mesh {self.n_mesh}"
-            )
-        return [
-            np.ascontiguousarray(global_array[self.local_slice(r)])
-            for r in range(self.size)
-        ]
-
-    def gather(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """Reassemble rank blocks into the global array."""
-        if len(blocks) != self.size:
-            raise ValueError(f"expected {self.size} blocks, got {len(blocks)}")
-        trailing = blocks[0].shape[self.dim :]
-        out = np.empty(self.n_mesh + trailing, dtype=blocks[0].dtype)
-        for r, blk in enumerate(blocks):
-            if blk.shape != self.local_shape(r) + trailing:
-                raise ValueError(f"block {r} has shape {blk.shape}")
-            out[self.local_slice(r)] = blk
-        return out

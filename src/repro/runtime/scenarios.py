@@ -40,9 +40,9 @@ from its config file alone, so ICs cannot live in an ad-hoc script):
   ``v_max`` is ignored for this scenario).
 
 Every scenario, the hybrid one included, is driven by
-:class:`~repro.runtime.runner.SimulationRunner`
-(``examples/cosmic_neutrinos.py`` builds a hybrid :class:`RunConfig`
-and runs it through the runner).
+:class:`~repro.runtime.runner.SimulationRunner`: the hybrid
+``examples/`` and the paper's figure benches (Figs. 4 and 8, the power
+suppression) build hybrid run configs and run them through the runner.
 """
 
 from __future__ import annotations

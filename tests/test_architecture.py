@@ -144,6 +144,11 @@ RETIRED = (
     "Virtual" + "Comm", "Comm" + "Log", "exchange" + "_ghosts",
     "decomposed_spatial" + "_advect", "pencil" + "_fft3d", "Pencil" + "Grid",
     "halo" + "_traffic",
+    # the block decomposition's copy into rank blocks (and its inverse):
+    # the workers take local_slice bounds, f never leaves its buffers
+    "def scatter" + "(",
+    # the hybrid's own schedule loop beside the runner's
+    "def run(self, sched" + "ule",
     # helpers only tests read: they live in tests/helpers.py
     "l1" + "_norm", "casi" + "mir", "entro" + "py", "dispersion" + "_tensor",
     "gaussian" + "_field(", "uniform" + "_random", "uniform" + "_lattice",
@@ -546,9 +551,6 @@ NAMES_KEPT_BY_DESIGN = {
         "the run-directory telemetry reader documented in docs/RUNTIME.md",
     "repro.runtime.telemetry.read_events":
         "the run-directory event reader documented in docs/RUNTIME.md",
-    "repro.parallel.decomposition.BlockDecomposition.scatter":
-        "test_parallel's scatter/gather round trip: the blocks local_slice "
-        "hands the domain workers tile the mesh exactly once",
     "repro.core.advection.fastpath_counters":
         "tests pin that row order gives uniform-k blocks",
     "repro.core.advection.reset_fastpath_counters":

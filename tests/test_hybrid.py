@@ -131,11 +131,6 @@ class TestEvolution:
         )[0, 1]
         assert cc > 0.2
 
-    def test_run_schedule_validation(self, mini_setup):
-        sim = mini_setup
-        with pytest.raises(ValueError):
-            sim.run(np.array([0.5, 0.6]))  # doesn't start at current a
-
     def test_backwards_step_rejected(self, mini_setup):
         with pytest.raises(ValueError):
             mini_setup.step(0.05)

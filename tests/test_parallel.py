@@ -1,10 +1,11 @@
 """The block decomposition the domain engine partitions with: rank <->
-coordinates, periodic neighbours, balanced uneven splits, and
-scatter/gather."""
+coordinates, periodic neighbours, balanced uneven splits, and blocks
+that tile the mesh."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.parallel import BlockDecomposition
 
@@ -26,17 +27,20 @@ class TestDecomposition:
         assert d.neighbor(r, 0, -1) == d.rank_of((3, 0))
         assert d.neighbor(r, 1, +1) == d.rank_of((0, 1))
 
-    def test_scatter_gather_roundtrip(self, rng):
-        d = BlockDecomposition((12, 8), (3, 2))
-        f = rng.random((12, 8, 5))  # trailing velocity axis
-        assert np.array_equal(d.gather(d.scatter(f)), f)
+    @pytest.mark.parametrize("n_mesh", [(12, 8), (10, 7)], ids=["even", "uneven"])
+    def test_local_slices_tile_the_mesh_once(self, n_mesh):
+        """The blocks ``local_slice`` hands the domain workers cover
+        every cell exactly once, on even and uneven splits."""
+        d = BlockDecomposition(n_mesh, (3, 2))
+        owners = np.zeros(n_mesh, dtype=int)
+        for rank in range(d.size):
+            owners[d.local_slice(rank)] += 1
+        assert np.all(owners == 1)
 
-    def test_uneven_split_is_balanced(self, rng):
+    def test_uneven_split_is_balanced(self):
         """The first ``n % parts`` blocks along an axis carry one extra
-        cell, and scatter/gather still round-trip."""
+        cell."""
         d = BlockDecomposition((10, 7), (3, 2))
         assert [d.local_shape(r) for r in range(d.size)] == [
             (4, 4), (4, 3), (3, 4), (3, 3), (3, 4), (3, 3)
         ]
-        f = rng.random((10, 7, 3))
-        assert np.array_equal(d.gather(d.scatter(f)), f)
