@@ -119,9 +119,11 @@ def l2_norm(f: np.ndarray, grid: PhaseSpaceGrid) -> float:
     Vlasov flow; its decay measures numerical (and physical filamentation)
     diffusion."""
     _check(f, grid)
-    return float(
-        np.sqrt((f.astype(np.float64) ** 2).sum(dtype=np.float64) * grid.cell_volume)
-    )
+    partials = []
+    for _, blk, tmp in _cell_blocks(f, grid.dim):
+        np.square(blk, out=tmp, dtype=np.float64)
+        partials.append(float(tmp.sum()))
+    return float(np.sqrt(_pairwise(partials) * grid.cell_volume))
 
 
 def kinetic_energy(f: np.ndarray, grid: PhaseSpaceGrid) -> float:

@@ -36,11 +36,13 @@ from __future__ import annotations
 import json
 import os
 import time
+import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from ..core.mesh import PhaseSpaceGrid
 from ..nbody.particles import ParticleSet
@@ -132,10 +134,24 @@ def _atomic_savez(path: Path, payload: dict) -> Path:
     Mirrors ``np.savez``'s suffix behavior explicitly (append ``.npz``
     when missing) so the caller gets the path that exists — a crash
     mid-write leaves either the old file or no file, never a truncated
-    container.
+    container.  Each member is the ``.npy`` bytes ``np.savez`` stores (a
+    version 1.0 header, then the C-order data), but the data is written
+    straight from the array's memory: ``np.savez`` stages it through
+    ``tobytes`` copies of up to 16 MiB, the largest transient of a
+    checkpoint.
     """
     final = path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
-    atomic_write(final, lambda fh: np.savez(fh, **payload))
+
+    def write(fh) -> None:
+        with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for name, arr in payload.items():
+                arr = np.asarray(arr, order="C")  # keeps a 0-d array 0-d
+                with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                    npy.write_array_header_1_0(
+                        member, npy.header_data_from_array_1_0(arr))
+                    member.write(arr.reshape(-1).view(np.uint8))
+
+    atomic_write(final, write)
     return final
 
 
@@ -159,6 +175,46 @@ class IOTimer:
         self.bytes_read += nbytes
 
 
+def _write(path: str | Path, kind: str, payload: dict, header: dict,
+           particles: ParticleSet | None, timer: IOTimer | None) -> Path:
+    """Store ``payload`` (+ the particles) under a checksummed ``kind``
+    header, which follows the version and kind keys; the one body of
+    :func:`write_snapshot` and :func:`write_checkpoint`."""
+    t0 = time.perf_counter()
+    if particles is not None:
+        payload["positions"] = particles.positions
+        payload["velocities"] = particles.velocities
+        payload["masses"] = particles.masses
+    header = {"version": FORMAT_VERSION, "kind": kind, **header}
+    header["checksums"] = _array_checksums(payload)
+    payload["header"] = np.frombuffer(
+        json.dumps(header).encode(), dtype=np.uint8
+    )
+    path = _atomic_savez(Path(path), payload)
+    if timer is not None:
+        timer.record_write(time.perf_counter() - t0, path.stat().st_size)
+    return path
+
+
+def _read(path: str | Path, kind: str,
+          timer: IOTimer | None) -> tuple[dict, dict[str, np.ndarray]]:
+    """Load a ``kind`` container as ``(header, arrays)``, every array
+    verified against its checksum; the one body of :func:`read_snapshot`
+    and :func:`read_checkpoint`."""
+    path = Path(path)
+    t0 = time.perf_counter()
+    with np.load(path) as data:
+        header = json.loads(bytes(data["header"]).decode())
+        if header.get("kind") != kind:
+            raise ValueError(f"{path} is not a {kind} (kind={header.get('kind')})")
+        _check_version(path, header)
+        arrays = {key: data[key] for key in data.files if key != "header"}
+    _verify_checksums(path, header, arrays)
+    if timer is not None:
+        timer.record_read(time.perf_counter() - t0, path.stat().st_size)
+    return header, arrays
+
+
 def write_snapshot(
     path: str | Path,
     grid: PhaseSpaceGrid,
@@ -174,16 +230,7 @@ def write_snapshot(
     full next to them.  Returns the path actually written (``.npz``
     appended when the caller's name lacks it); the write is atomic.
     """
-    path = Path(path)
-    t0 = time.perf_counter()
-    payload = dict(fields)
-    if particles is not None:
-        payload["positions"] = particles.positions
-        payload["velocities"] = particles.velocities
-        payload["masses"] = particles.masses
     header = {
-        "version": FORMAT_VERSION,
-        "kind": "snapshot",
         "a": a,
         "nx": grid.nx,
         "nu": grid.nu,
@@ -192,15 +239,7 @@ def write_snapshot(
         "has_particles": particles is not None,
         "extra": extra or {},
     }
-    header["checksums"] = _array_checksums(payload)
-    payload["header"] = np.frombuffer(
-        json.dumps(header).encode(), dtype=np.uint8
-    )
-    path = _atomic_savez(path, payload)
-    elapsed = time.perf_counter() - t0
-    if timer is not None:
-        timer.record_write(elapsed, path.stat().st_size)
-    return path
+    return _write(path, "snapshot", dict(fields), header, particles, timer)
 
 
 def read_snapshot(path: str | Path, timer: IOTimer | None = None) -> dict:
@@ -209,22 +248,8 @@ def read_snapshot(path: str | Path, timer: IOTimer | None = None) -> dict:
     Every array is verified against its stored CRC32
     (:class:`SnapshotIntegrityError` on mismatch).
     """
-    path = Path(path)
-    t0 = time.perf_counter()
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("kind") != "snapshot":
-            raise ValueError(f"{path} is not a snapshot (kind={header.get('kind')})")
-        _check_version(path, header)
-        out = {"header": header}
-        for key in data.files:
-            if key != "header":
-                out[key] = data[key]
-        _verify_checksums(path, header, out)
-    elapsed = time.perf_counter() - t0
-    if timer is not None:
-        timer.record_read(elapsed, path.stat().st_size)
-    return out
+    header, arrays = _read(path, "snapshot", timer)
+    return {"header": header, **arrays}
 
 
 def write_checkpoint(
@@ -247,16 +272,7 @@ def write_checkpoint(
     when missing); the write is atomic, so an interrupted checkpoint
     never corrupts the restart chain.
     """
-    path = Path(path)
-    t0 = time.perf_counter()
-    payload = {"f": f}
-    if particles is not None:
-        payload["positions"] = particles.positions
-        payload["velocities"] = particles.velocities
-        payload["masses"] = particles.masses
     header = {
-        "version": FORMAT_VERSION,
-        "kind": "checkpoint",
         "a": a,
         "step": step,
         "time": sim_time,
@@ -268,15 +284,7 @@ def write_checkpoint(
         "dtype": grid.dtype.name,
         "has_particles": particles is not None,
     }
-    header["checksums"] = _array_checksums(payload)
-    payload["header"] = np.frombuffer(
-        json.dumps(header).encode(), dtype=np.uint8
-    )
-    path = _atomic_savez(path, payload)
-    elapsed = time.perf_counter() - t0
-    if timer is not None:
-        timer.record_write(elapsed, path.stat().st_size)
-    return path
+    return _write(path, "checkpoint", {"f": f}, header, particles, timer)
 
 
 def read_checkpoint(
@@ -290,37 +298,23 @@ def read_checkpoint(
     lost its checksums — a silent bit-flip must not become a resumed
     state.
     """
-    path = Path(path)
-    t0 = time.perf_counter()
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("kind") != "checkpoint":
-            raise ValueError(f"{path} is not a checkpoint")
-        _check_version(path, header)
-        grid = PhaseSpaceGrid(
-            nx=tuple(header["nx"]),
-            nu=tuple(header["nu"]),
-            box_size=header["box_size"],
-            v_max=header["v_max"],
-            dtype=np.dtype(header["dtype"]),
+    header, arrays = _read(path, "checkpoint", timer)
+    grid = PhaseSpaceGrid(
+        nx=tuple(header["nx"]),
+        nu=tuple(header["nu"]),
+        box_size=header["box_size"],
+        v_max=header["v_max"],
+        dtype=np.dtype(header["dtype"]),
+    )
+    particles = None
+    if header["has_particles"]:
+        particles = ParticleSet(
+            arrays["positions"],
+            arrays["velocities"],
+            arrays["masses"],
+            header["box_size"],
         )
-        arrays = {"f": data["f"]}
-        particles = None
-        if header["has_particles"]:
-            arrays["positions"] = data["positions"]
-            arrays["velocities"] = data["velocities"]
-            arrays["masses"] = data["masses"]
-            particles = ParticleSet(
-                arrays["positions"],
-                arrays["velocities"],
-                arrays["masses"],
-                header["box_size"],
-            )
-        _verify_checksums(path, header, arrays)
-        f = arrays["f"]
-    elapsed = time.perf_counter() - t0
-    if timer is not None:
-        timer.record_read(elapsed, path.stat().st_size)
+    f = arrays["f"]
     if f.shape != grid.shape:
         raise ValueError("checkpoint f shape does not match its header")
     return grid, f, particles, header

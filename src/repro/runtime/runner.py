@@ -42,11 +42,12 @@ operational discipline:
   after which it escalates to the abort path
   (:mod:`repro.runtime.recovery`);
 * **always-on analysis** — with ``diagnostics.every_steps`` set, a
-  :class:`~repro.serve.pipeline.DiagnosticsPipeline` worker stores
-  moment fields and binned spectra under ``diagnostics/`` at that
-  cadence, off the step critical path; its lifecycle lands in the
-  telemetry stream as ``diagnostics_*`` events and the stored products
-  read back through :func:`repro.serve.read_products`;
+  :class:`~repro.serve.pipeline.DiagnosticsPipeline` stores moment
+  fields and binned spectra under ``diagnostics/`` at that cadence, on
+  the step thread inside the ``diagnostics_submit`` timer section; its
+  lifecycle lands in the telemetry stream as ``diagnostics_*`` events
+  and the stored products read back through
+  :func:`repro.serve.read_products`;
 * **chaos injection** — an optional :class:`~repro.runtime.faults.FaultPlan`
   (``[faults]`` config section, or the ``run()`` argument) fires
   deterministic worker kills, checkpoint corruption, NaN/negative-f
@@ -236,11 +237,8 @@ class SimulationRunner:
 
             stepper = build_stepper(config, timer=self.timer, engine=engine)
 
-            # The serving tier: a background worker storing moment fields
-            # and spectra under diagnostics/ at its own cadence.  It gets
-            # the telemetry writer's *bound method* as its sink, not the
-            # contextual emit_event — the contextvar installed above is
-            # invisible from the worker thread.
+            # The serving tier: moment fields and spectra stored under
+            # diagnostics/ at its own cadence.
             diag_cfg = config.diagnostics
             if diag_cfg.every_steps is not None:
                 from ..serve.pipeline import DiagnosticsPipeline
@@ -249,7 +247,6 @@ class SimulationRunner:
                     self.run_dir / DIAGNOSTICS_DIR,
                     stepper.grid,
                     n_bins=diag_cfg.n_bins,
-                    event_sink=telemetry.event,
                 )
 
             state = find_latest_valid_checkpoint(
@@ -365,11 +362,11 @@ class SimulationRunner:
                     stepper.index - last_diag_step >= diag_cfg.every_steps
                     or (done and stepper.index != last_diag_step)
                 ):
-                    # the submit reduces f to its moments on this
-                    # thread, block by block (no copy of f); FFTs and
-                    # disk I/O happen on the worker.  The carried f
-                    # owes a half kick: the velocities are corrected by
-                    # its shift, f itself is not kicked.
+                    # the whole product — moments of f (block by block,
+                    # no copy of f), snapshot, spectra — is stored before
+                    # the submit returns.  The carried f owes a half
+                    # kick: the velocities are corrected by its shift,
+                    # f itself is not kicked.
                     with self.timer.section("diagnostics_submit"):
                         dv, dv_particles = stepper.pending_velocity()
                         pipeline.submit(
@@ -438,9 +435,8 @@ class SimulationRunner:
         finally:
             for sig, handler in old_handlers.items():
                 signal.signal(sig, handler)
-            # The pipeline drains and closes BEFORE the telemetry stream:
-            # its worker publishes diagnostics_* events through
-            # telemetry.event right up to the closing summary.
+            # The pipeline closes BEFORE the sink is restored: its
+            # closing summary lands in this run's telemetry.
             if pipeline is not None:
                 pipeline.close()
             set_event_sink(prev_sink)

@@ -34,9 +34,8 @@ schema documented in ``docs/RUNTIME.md``; the tests assert the match):
 
 Besides the per-step records the stream also carries **event records**
 (fault injections, worker-pool degradations, checkpoint quarantines,
-rollback attempts, and the serving tier's ``diagnostics_enqueued`` /
-``diagnostics_written`` / ``diagnostics_error`` /
-``diagnostics_closed`` lifecycle): one JSON
+rollback attempts, and the serving tier's ``diagnostics_written`` /
+``diagnostics_error`` / ``diagnostics_closed`` lifecycle): one JSON
 object per event with an ``"event"`` key naming the kind plus
 free-form fields.  Events interleave with step
 records in arrival order; :func:`read_events` filters them back out and
@@ -45,10 +44,12 @@ strict.  The campaign tier reuses this writer for its own stream —
 ``<campaign_dir>/supervisor.jsonl`` carries the ``supervision_*``
 (``dispatch`` / ``stalled`` / ``over_wall`` / ``over_rss`` / ``drain``
 / ``kill`` / ``retry`` / ``outcome``) event kinds emitted by
-:class:`repro.campaign.supervision.Supervisor`.  Subsystems that cannot hold a writer (the pencil engine, the
-FFT backend) publish through the **contextual** sink installed by the
-runner (:func:`set_event_sink` / :func:`emit_event`); with no sink
-installed events are dropped, which keeps library use dependency-free.
+:class:`repro.campaign.supervision.Supervisor`.  Subsystems that
+cannot hold a writer (the pencil engine, the FFT backend, the
+diagnostics pipeline) publish through the **contextual** sink installed
+by the runner (:func:`set_event_sink` / :func:`emit_event`); with no
+sink installed events are dropped, which keeps library use
+dependency-free.
 
 The sink is a :class:`contextvars.ContextVar`, not a module global:
 each thread (and each ``asyncio`` task) sees only the sink installed in
@@ -180,10 +181,9 @@ def emit_event(kind: str, /, **fields) -> None:
 class TelemetryWriter:
     """Append-only JSONL writer with per-record flush.
 
-    Writes are serialized by a lock: the diagnostics pipeline's worker
-    thread publishes ``diagnostics_*`` events through :meth:`event`
-    while the runner's thread appends step records, and two interleaved
-    ``write`` calls would tear both lines.
+    Writes are serialized by a lock: the campaign supervisor's attempt
+    threads publish events through one writer's :meth:`event`, and two
+    interleaved ``write`` calls would tear both lines.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -199,13 +199,12 @@ class TelemetryWriter:
 
         Events are schema-free apart from the ``event`` key and a
         wall-clock ``when`` stamp; they interleave with step records and
-        are filtered back out by :func:`read_events`.  Thread-safe — the
-        diagnostics worker calls this concurrently with :meth:`append`.
+        are filtered back out by :func:`read_events`.  Thread-safe.
         """
         record = {"event": kind, "when": time.time(), **fields}
         line = self._encode(record) + "\n"
         with self._lock:
-            if self._fh.closed:  # worker outliving the stream loses the event
+            if self._fh.closed:  # an event after close() is lost
                 return
             self._fh.write(line)
             self._fh.flush()

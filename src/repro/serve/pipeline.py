@@ -1,39 +1,31 @@
-"""Incremental diagnostics on a background worker.
+"""Incremental diagnostics, on the step thread.
 
 The runner submits ``(step, coord, f, particles)`` at its snapshot
-cadence.  The submit reduces f to the stored moment fields on the
-caller's thread (:meth:`DiagnosticsPipeline._moment_fields`, the one
-place the stored set is decided; the moments read f block by block, so
-no copy of f is made) and enqueues only those mesh-sized fields and a
-copy of the particles.  A single worker thread writes them as one
-checksummed ``.npz`` snapshot (:func:`repro.io.snapshot.write_snapshot`),
-runs the spectral estimators from :mod:`repro.analysis`, and appends one
-JSON line per snapshot to ``products.jsonl``.  The step loop pays for
-the moment reductions — a few passes over f, the cost of a fraction of
-one sweep — while the FFTs and the disk I/O happen off the critical
-path (the end-to-end benchmark reports the tax as
-``serve.pipeline.submit_s``).
+cadence, and the submit stores the whole product before it returns: it
+reduces f to the stored moment fields
+(:meth:`DiagnosticsPipeline._moment_fields`, the one place the stored
+set is decided; the moments read f block by block, so no copy of f is
+made), writes them as one checksummed ``.npz`` snapshot
+(:func:`repro.io.snapshot.write_snapshot`), runs the spectral
+estimators from :mod:`repro.analysis`, and appends one JSON line per
+snapshot to ``products.jsonl``.  The runner times the call as its
+``diagnostics_submit`` section, so the product's cost, I/O included,
+lands in the step's wall-clock decomposition (the end-to-end benchmark
+reports it as ``serve.pipeline.submit_s``).
 
-Backpressure is explicit: the submit queue holds :data:`QUEUE_MAX`
-snapshots, and a submit to a full queue blocks the step loop until the
-worker catches up — no product is ever lost.
-
-The worker publishes telemetry through the ``event_sink`` callable the
-runner hands it (its own ``TelemetryWriter.event``), *not* through the
-context-local :func:`repro.runtime.telemetry.emit_event` — the sink
-contextvar installed on the runner's thread is invisible from the
-worker thread.  Events: ``diagnostics_enqueued`` / ``diagnostics_written``
-/ ``diagnostics_error``.
+Events go through the context's sink,
+:func:`repro.runtime.telemetry.emit_event` (the runner installs its
+telemetry stream there): ``diagnostics_written`` /
+``diagnostics_error`` / ``diagnostics_closed``.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-import queue
-import threading
 import time
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -42,15 +34,12 @@ from ..core import moments
 from ..core.mesh import PhaseSpaceGrid
 from ..io.snapshot import IOTimer, write_snapshot
 from ..nbody.particles import ParticleSet
-from ..runtime.telemetry import iter_records
+from ..runtime.telemetry import emit_event, iter_records
 
 __all__ = ["DiagnosticsPipeline", "PRODUCTS_NAME", "read_products", "snapshot_name"]
 
 #: Per-snapshot product records, one JSON object per line.
 PRODUCTS_NAME = "products.jsonl"
-
-#: Submissions the queue holds before ``submit`` blocks.
-QUEUE_MAX = 2
 
 
 def snapshot_name(step: int) -> str:
@@ -68,7 +57,7 @@ def _overdensity(rho: np.ndarray) -> np.ndarray:
 
 
 class DiagnosticsPipeline:
-    """One background worker turning run states into stored products.
+    """Turns run states into stored products, one per :meth:`submit`.
 
     Parameters
     ----------
@@ -79,38 +68,19 @@ class DiagnosticsPipeline:
         The run's phase-space grid (moment kernels need the geometry).
     n_bins:
         Spectral binning resolution of the stored spectra.
-    event_sink:
-        Optional ``sink(kind, **fields)`` the worker publishes telemetry
-        events through (the runner passes its ``TelemetryWriter.event``,
-        which is thread-safe).
     """
 
     def __init__(
-        self,
-        out_dir: str | Path,
-        grid: PhaseSpaceGrid,
-        n_bins: int = 16,
-        event_sink: Callable[..., None] | None = None,
+        self, out_dir: str | Path, grid: PhaseSpaceGrid, n_bins: int = 16
     ) -> None:
         self.out_dir = Path(out_dir)
         self.grid = grid
         self.n_bins = int(n_bins)
         self.io_timer = IOTimer()
-        self._event_sink = event_sink
-        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_MAX)
         self._closed = False
         self.submitted = 0
         self.written = 0
         self.errors = 0
-        self._errors_lock = threading.Lock()
-        self._thread = threading.Thread(
-            target=self._worker, name="repro-diagnostics", daemon=True
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    # the producer side (the runner's step loop)
-    # ------------------------------------------------------------------
 
     def submit(
         self,
@@ -121,49 +91,35 @@ class DiagnosticsPipeline:
         velocity_shift: np.ndarray | None = None,
         particle_velocity_shift: np.ndarray | None = None,
     ) -> None:
-        """Reduce one run state and enqueue it, blocking while the
-        queue is full.
+        """Store the product of one run state before returning.
 
-        The moments are taken *here*, on the caller's thread, and the
-        particles copied — the stepper mutates ``f`` and the particle
-        arrays in place, so the worker must own frozen values; it never
-        sees ``f``.  ``velocity_shift`` (on the mesh) and
+        Nothing of ``f`` or of the particle arrays is held past the
+        call.  ``velocity_shift`` (on the mesh) and
         ``particle_velocity_shift`` are a pending half kick's: they are
-        added to the stored ``velocity`` moment and particle velocities.
-        The density is exact without it, and the dispersion does not
-        change under a per-cell shift.  A failed reduction is counted
-        and reported like a failed write; the run goes on.
+        added to the stored ``velocity`` moment and particle velocities
+        (in a new array; the caller's are not touched).  The density is
+        exact without it, and the dispersion does not change under a
+        per-cell shift.  A failed product is counted and reported as
+        ``diagnostics_error``; the run goes on.
         """
         if self._closed:
             raise RuntimeError("pipeline is closed")
         step = int(step)
-        coord = {k: float(v) for k, v in coord.items()}
-        if particles is not None:
-            velocities = particles.velocities.copy()
-            if particle_velocity_shift is not None:
-                velocities += particle_velocity_shift
-            particles = ParticleSet(
-                particles.positions.copy(), velocities,
-                particles.masses.copy(), particles.box_size,
-            )
         self.submitted += 1
         try:
-            fields = self._moment_fields(f, particles, velocity_shift)
+            self._process(step, {k: float(v) for k, v in coord.items()}, f,
+                          particles, velocity_shift, particle_velocity_shift)
         except Exception as exc:  # noqa: BLE001 - report, keep stepping
-            self._fail(step, exc)
-            return
-        self._queue.put((step, coord, fields, particles))
-        self._emit("diagnostics_enqueued", step=step,
-                   queue_depth=self._queue.qsize())
+            self.errors += 1
+            emit_event("diagnostics_error", step=step,
+                       error=f"{type(exc).__name__}: {exc}")
 
     def close(self) -> None:
-        """Drain, stop the worker, and emit the run-level summary event."""
+        """Refuse later submits and emit the run-level summary event."""
         if self._closed:
             return
         self._closed = True
-        self._queue.put(None)
-        self._thread.join()
-        self._emit("diagnostics_closed", **self.stats())
+        emit_event("diagnostics_closed", **self.stats())
 
     def stats(self) -> dict:
         """Counters for telemetry and tests."""
@@ -180,37 +136,6 @@ class DiagnosticsPipeline:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # the worker side
-    # ------------------------------------------------------------------
-
-    def _emit(self, kind: str, **fields) -> None:
-        if self._event_sink is None:
-            return
-        try:
-            self._event_sink(kind, **fields)
-        except Exception:  # pragma: no cover - telemetry must not kill us
-            pass
-
-    def _worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            try:
-                self._process(*item)
-            except Exception as exc:  # noqa: BLE001 - report, keep serving
-                self._fail(item[0], exc)
-            finally:
-                self._queue.task_done()
-
-    def _fail(self, step: int, exc: Exception) -> None:
-        with self._errors_lock:  # the submit and the worker both fail
-            self.errors += 1
-        self._emit("diagnostics_error", step=step,
-                   error=f"{type(exc).__name__}: {exc}")
 
     def _moment_fields(
         self, f: np.ndarray, particles: ParticleSet | None,
@@ -267,10 +192,18 @@ class DiagnosticsPipeline:
         self,
         step: int,
         coord: dict[str, float],
-        fields: dict[str, np.ndarray],
+        f: np.ndarray,
         particles: ParticleSet | None,
+        velocity_shift: np.ndarray | None,
+        particle_velocity_shift: np.ndarray | None,
     ) -> None:
         t0 = time.perf_counter()
+        if particles is not None and particle_velocity_shift is not None:
+            # a shallow copy shares positions and masses: a new
+            # ParticleSet would re-wrap the caller's positions in place
+            particles = copy.copy(particles)
+            particles.velocities = particles.velocities + particle_velocity_shift
+        fields = self._moment_fields(f, particles, velocity_shift)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         snap_path = write_snapshot(
             self.out_dir / snapshot_name(step), self.grid, fields,
@@ -290,11 +223,8 @@ class DiagnosticsPipeline:
         record["wall_s"] = time.perf_counter() - t0
         with open(self.out_dir / PRODUCTS_NAME, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
-            fh.flush()
         self.written += 1
-        self._emit("diagnostics_written", step=step,
-                   wall_s=record["wall_s"],
-                   queue_depth=self._queue.qsize())
+        emit_event("diagnostics_written", step=step, wall_s=record["wall_s"])
 
 
 def read_products(path: str | Path) -> Iterator[dict]:

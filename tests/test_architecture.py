@@ -28,6 +28,9 @@ dependency is installed, as ``python tests/test_architecture.py``.
 * so does the pencil engine's process transport: ``perf/pencil.py`` is a
   thread pool with no pool of processes, no retry loop, no timeout and
   no shard knobs — the domain engine is the one supervised transport;
+* so do the diagnostics worker and its queue: ``repro.serve`` imports
+  no ``threading`` or ``queue``, and a product is stored on the step
+  thread, inside the runner's ``diagnostics_submit`` section;
 * so does the domain engine's staged mesh FFT: field solves run on the
   parent's default backend, the engine protocol has no FFT hook, and the
   domain worker imports no FFT library;
@@ -98,8 +101,11 @@ RETIRED = (
     # the even-only decomposition, its velocity drift and the exchange's CFL cap
     "Domain" + "Decomposition",
     "decomposed_velocity" + "_advect", "cfl" + "_max",
-    # the diagnostics queue policy: block, a queue of 2, spectra always
+    # the diagnostics queue policy: block, a queue of 2, spectra always;
+    # then the queue and its worker (the product is stored on the step
+    # thread)
     "on" + "_full", "queue" + "_max", "diagnostics" + "_dropped",
+    "QUEUE" + "_MAX", "diagnostics_" + "enqueued",
     # the campaign's executor ladder, its unsupervised dispatch and the
     # hand-rolled hybrid loop beside the runner
     "DEGRADE" + "_CHAIN", "should" + "_degrade", "supervision" + "_degrade",
@@ -304,6 +310,14 @@ def test_the_domain_worker_runs_no_helper_thread():
     assert not [line for module, _, line
                 in imports("repro.parallel.workers", path)
                 if module.split(".")[0] == "threading"]
+
+
+def test_the_diagnostics_tier_runs_no_thread():
+    offenders = [f"{path.relative_to(SRC)}:{line} imports {module}"
+                 for name, path in modules() if name.startswith("repro.serve")
+                 for module, _, line in imports(name, path)
+                 if module.split(".")[0] in ("threading", "queue")]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_the_domain_worker_runs_no_fft():
@@ -551,6 +565,9 @@ NAMES_KEPT_BY_DESIGN = {
         "the run-directory telemetry reader documented in docs/RUNTIME.md",
     "repro.runtime.telemetry.read_events":
         "the run-directory event reader documented in docs/RUNTIME.md",
+    "repro.runtime.telemetry.event_sink":
+        "the scoped event sink documented in docs/RUNTIME.md; tests "
+        "capture a block's events with it",
     "repro.core.advection.fastpath_counters":
         "tests pin that row order gives uniform-k blocks",
     "repro.core.advection.reset_fastpath_counters":

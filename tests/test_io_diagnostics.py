@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
 from repro.core.mesh import PhaseSpaceGrid
 from repro.diagnostics import ConservationLedger, StepTimer
@@ -116,7 +117,8 @@ class TestAtomicWrites:
         def boom(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(np, "savez", boom)
+        # the first member's .npy header write
+        monkeypatch.setattr(npy, "write_array_header_1_0", boom)
         with pytest.raises(KeyboardInterrupt):
             write_checkpoint(tmp_path / "ck.npz", grid, f)
         assert list(tmp_path.iterdir()) == []  # no final file, no temp litter
@@ -128,13 +130,13 @@ class TestAtomicWrites:
         checkpoint is replaced only after the new bytes are complete."""
         path = write_checkpoint(tmp_path / "ck.npz", grid, f, step=1)
 
-        real_savez = np.savez
+        real_header = npy.write_array_header_1_0
 
-        def truncating(fh, **payload):
-            real_savez(fh, **payload)  # bytes hit the temp file...
+        def truncating(fh, header):
+            real_header(fh, header)  # bytes hit the temp file...
             raise OSError("disk gone")  # ...but the write "crashes"
 
-        monkeypatch.setattr(np, "savez", truncating)
+        monkeypatch.setattr(npy, "write_array_header_1_0", truncating)
         f2 = f + 1.0
         with pytest.raises(OSError):
             write_checkpoint(tmp_path / "ck.npz", grid, f2, step=2)
@@ -144,6 +146,34 @@ class TestAtomicWrites:
         assert header["step"] == 1
         assert np.array_equal(f_read, f)
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_members_are_savez_bytes(self, tmp_path, rng):
+        """The container is written member by member straight from the
+        arrays' memory, and each member holds what np.savez stores."""
+        import zipfile
+
+        from repro.io.snapshot import _atomic_savez
+
+        payload = {
+            "f": rng.random((4, 3, 5)).astype(np.float32),
+            "positions": rng.random((6, 3)),
+            "masses": np.ones(6),
+            "scalar": np.array(2.5),
+            "empty": np.zeros((0, 3)),
+            "header": np.frombuffer(b'{"kind": "x"}', dtype=np.uint8),
+        }
+        ours = _atomic_savez(tmp_path / "ours", payload)
+        np.savez(tmp_path / "theirs.npz", **payload)
+        with zipfile.ZipFile(ours) as a, \
+                zipfile.ZipFile(tmp_path / "theirs.npz") as b:
+            assert a.namelist() == b.namelist()
+            for name in a.namelist():
+                assert a.read(name) == b.read(name), name
+        with np.load(ours) as data:
+            for name, arr in payload.items():
+                assert data[name].shape == arr.shape
+                assert data[name].dtype == arr.dtype
+                np.testing.assert_array_equal(data[name], arr)
 
     @pytest.mark.parametrize("form", ["json", "npz"])
     def test_failed_write_keeps_previous_file_and_leaves_no_tmp(

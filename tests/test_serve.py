@@ -3,7 +3,9 @@ the snapshots it stores."""
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.core import moments
 from repro.core.mesh import PhaseSpaceGrid
 from repro.io.snapshot import read_snapshot
 from repro.nbody.particles import ParticleSet
+from repro.runtime.telemetry import event_sink
 from repro.serve import DiagnosticsPipeline, read_products
 from repro.serve.pipeline import snapshot_name
 
@@ -29,13 +32,12 @@ def f(grid, rng) -> np.ndarray:
 class TestDiagnosticsPipeline:
     def test_products_and_events(self, grid, f, tmp_path):
         events = []
-        pipe = DiagnosticsPipeline(
-            tmp_path / "diag", grid, n_bins=5,
-            event_sink=lambda kind, **kw: events.append(kind),
-        )
-        with pipe:
+        pipe = DiagnosticsPipeline(tmp_path / "diag", grid, n_bins=5)
+        with event_sink(lambda kind, **kw: events.append(kind)), pipe:
             for step in (1, 2, 3):
                 pipe.submit(step, {"t": 0.1 * step}, f * step)
+                # the product is on disk when the submit returns
+                assert pipe.written == step
         records = list(read_products(tmp_path / "diag"))
         assert [r["step"] for r in records] == [1, 2, 3]
         for step, record in zip((1, 2, 3), records):
@@ -50,74 +52,69 @@ class TestDiagnosticsPipeline:
             )
         assert records[0]["fields"] == ["density", "dispersion", "velocity"]
         assert len(records[0]["spectra"]["k"]) > 0
-        assert events.count("diagnostics_enqueued") == 3
-        assert events.count("diagnostics_written") == 3
-        assert events[-1] == "diagnostics_closed"
+        assert events == ["diagnostics_written"] * 3 + ["diagnostics_closed"]
         assert pipe.stats()["written"] == 3
+        with pytest.raises(RuntimeError, match="closed"):
+            pipe.submit(4, {"t": 0.4}, f)
 
     def test_worker_owns_a_frozen_copy(self, grid, f, tmp_path):
         """Mutating f after submit must not leak into the stored product:
-        the submit reduces f to its moments before it returns, so the
-        worker owns the fields, not f."""
-        release = threading.Event()
+        the product is stored before the submit returns."""
         pipe = DiagnosticsPipeline(tmp_path / "diag", grid)
-        original = pipe._process
-
-        def gated(*item):
-            release.wait(timeout=10.0)
-            original(*item)
-
-        pipe._process = gated
         expected = moments.density(f, grid).astype(np.float32)
         pipe.submit(1, {"t": 0.0}, f)
         f[:] = 0.0  # the stepper advancing in place
-        release.set()
         pipe.close()
         stored = read_snapshot(tmp_path / "diag" / snapshot_name(1))["density"]
         np.testing.assert_array_equal(stored, expected)
 
-    def test_queued_item_holds_no_f(self, grid, f, tmp_path, rng):
-        """The queue carries mesh-sized fields and particle copies only."""
-        release = threading.Event()
+    def test_submit_holds_no_f_or_particles(self, grid, f, tmp_path, rng):
+        """Nothing of the caller's f or particle arrays outlives a submit,
+        and the caller's particles come back untouched."""
         pipe = DiagnosticsPipeline(tmp_path / "diag", grid)
-        original = pipe._process
-
-        def gated(*item):
-            release.wait(timeout=10.0)
-            original(*item)
-
-        pipe._process = gated
         particles = ParticleSet(rng.random((16, 2)) * grid.box_size,
                                 rng.random((16, 2)), np.ones(16),
                                 grid.box_size)
-        try:
-            for step in (1, 2, 3):  # the worker holds one, the queue two
-                pipe.submit(step, {"t": 0.0}, f, particles,
-                            velocity_shift=np.zeros((2,) + grid.nx))
-            queued = list(pipe._queue.queue)
-        finally:
-            release.set()
-            pipe.close()
-        assert len(queued) == 2
-        for step, coord, fields, held in queued:
-            arrays = [*fields.values(), held.positions, held.velocities,
-                      held.masses]
-            assert all(a.size < f.size for a in arrays)
-            assert held.positions is not particles.positions
-        assert pipe.written == 3
+        def arrays():
+            return [particles.positions, particles.velocities,
+                    particles.masses]
+
+        before = [a.copy() for a in arrays()]
+        state = f.copy()  # the fixture keeps f itself alive
+        refs = [weakref.ref(obj) for obj in [state, particles, *arrays()]]
+        pipe.submit(1, {"t": 0.0}, state, particles,
+                    velocity_shift=np.zeros((2,) + grid.nx),
+                    particle_velocity_shift=np.full(2, 0.5))
+        assert all(map(np.array_equal, before, arrays()))
+        stored = read_snapshot(tmp_path / "diag" / snapshot_name(1))
+        np.testing.assert_array_equal(stored["velocities"],
+                                      particles.velocities + 0.5)
+        del state, particles
+        gc.collect()
+        assert [ref() is None for ref in refs] == [True] * len(refs)
+        assert pipe.written == 1
+        pipe.close()
 
     def test_worker_error_is_contained(self, grid, f, tmp_path):
         events = []
-        pipe = DiagnosticsPipeline(
-            tmp_path / "diag", grid,
-            event_sink=lambda kind, **kw: events.append((kind, kw)),
-        )
+        pipe = DiagnosticsPipeline(tmp_path / "diag", grid)
         pipe._moment_fields = lambda *a: (_ for _ in ()).throw(RuntimeError("boom"))
-        pipe.submit(1, {"t": 0.0}, f)
-        pipe.close()
-        assert pipe.errors == 1 and pipe.written == 0
-        kinds = [k for k, _ in events]
-        assert "diagnostics_error" in kinds
+        with event_sink(lambda kind, **kw: events.append((kind, kw))):
+            pipe.submit(1, {"t": 0.0}, f)
+            pipe._moment_fields = DiagnosticsPipeline._moment_fields.__get__(pipe)
+            pipe.submit(2, {"t": 0.1}, f)  # the next state is still served
+            pipe.close()
+        assert pipe.errors == 1 and pipe.written == 1
+        assert events[0] == ("diagnostics_error",
+                             {"step": 1, "error": "RuntimeError: boom"})
+        assert [k for k, _ in events[1:]] == ["diagnostics_written",
+                                              "diagnostics_closed"]
+
+    def test_no_thread_is_started(self, grid, f, tmp_path):
+        before = threading.active_count()
+        with DiagnosticsPipeline(tmp_path / "diag", grid) as pipe:
+            pipe.submit(1, {"t": 0.0}, f)
+            assert threading.active_count() == before
 
 
 class TestRunnerIntegration:
@@ -150,7 +147,7 @@ class TestRunnerIntegration:
         closed = read_events(run_dir / "telemetry.jsonl",
                              "diagnostics_closed")
         assert len(closed) == 1 and closed[0]["written"] == 2
-        # the worker's interleaved events must not tear step records
+        # the interleaved events must not tear step records
         assert len(read_telemetry(run_dir / "telemetry.jsonl")) == 4
 
     def test_disabled_by_default(self, tmp_path):
