@@ -25,7 +25,7 @@ from .halos import (
     halo_neutrino_overdensity,
 )
 from .spectra import (
-    correlation_coefficient,
+    joint_power,
     cross_power,
     transfer_ratio,
 )
@@ -56,7 +56,7 @@ __all__ = [
     "condensation_report",
     "fof_halos",
     "halo_neutrino_overdensity",
-    "correlation_coefficient",
+    "joint_power",
     "cross_power",
     "transfer_ratio",
     "effective_resolution",

@@ -5,8 +5,9 @@ cosmology program the paper serves: the neutrino-mass signature is a
 *ratio* of spectra (suppression), and the neutrino-CDM cross-correlation
 measures how faithfully the hot component traces the potential wells.
 
-Ratio estimators (:func:`transfer_ratio`, :func:`correlation_coefficient`)
-bin every spectrum onto **one shared set of k edges** before dividing.
+Ratio estimators (:func:`transfer_ratio`, and the correlation taken from
+:func:`joint_power`) bin every spectrum onto **one shared set of k
+edges** before dividing.
 Binning each field with its own auto-derived edges — the original
 behavior — silently broke as soon as the two fields lived on different
 meshes: each mesh has a different maximum |k|, so the per-field edges
@@ -82,15 +83,19 @@ def _mode_weights(grid: FourierGrid) -> np.ndarray:
     return w
 
 
-def _spectrum_modes(
-    field_a: np.ndarray, field_b: np.ndarray, box_size: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unbinned cross-spectrum modes: ``(|k|, P_ab(k), multiplicity)``."""
+def _transforms(field_a, field_b, box_size: float):
+    """``(mesh, rfftn(a), rfftn(b))``: one transform when a is b."""
     if field_a.shape != field_b.shape:
         raise ValueError("fields must share a mesh")
-    grid = FourierGrid(field_a.shape, box_size)
     a_k = np.fft.rfftn(field_a)
     b_k = a_k if field_b is field_a else np.fft.rfftn(field_b)
+    return FourierGrid(field_a.shape, box_size), a_k, b_k
+
+
+def _spectrum_modes(
+    grid: FourierGrid, a_k: np.ndarray, b_k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unbinned cross-spectrum modes: ``(|k|, P_ab(k), multiplicity)``."""
     p_raw = np.real(a_k * np.conj(b_k)) * grid.volume / grid.n_cells**2
     w = _mode_weights(grid)
     k = grid.k_magnitude().ravel()
@@ -110,40 +115,39 @@ def cross_power(
     Returns ``(k, P_ab, mode_counts)``.  For field_a == field_b this
     reduces to :func:`repro.ic.measure_power`.
     """
-    k, p, w = _spectrum_modes(field_a, field_b, box_size)
+    k, p, w = _spectrum_modes(*_transforms(field_a, field_b, box_size))
     return _binned(k, p, w, box_size, n_bins, k_range)
 
 
-def _shared_edges(k_a, k_b, box_size, n_bins, k_range):
-    """One edge set both meshes can populate: up to the coarser k_max."""
-    return _bin_edges(box_size, min(k_a.max(), k_b.max()), n_bins, k_range)
-
-
-def correlation_coefficient(
+def joint_power(
     field_a: np.ndarray,
     field_b: np.ndarray,
     box_size: float,
     n_bins: int = 16,
     k_range: tuple[float, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scale-dependent correlation r(k) = P_ab / sqrt(P_aa P_bb).
+) -> tuple[np.ndarray, ...]:
+    """P_aa, P_bb and P_ab of two fields on one mesh, on one edge set.
 
-    r -> 1 where the fields share phases (the neutrinos tracing CDM on
-    large scales), dropping where free streaming decouples them.  All
-    three spectra are binned onto the same explicit edges, so the ratio
-    is taken bin-by-bin on one aligned k array.
+    Returns ``(k, P_aa, P_bb, P_ab, mode_counts)``.  Each field is
+    transformed once, and every bin is populated by all three spectra,
+    so their ratios — the correlation r(k) = P_ab / sqrt(P_aa P_bb) and
+    the transfer sqrt(P_aa / P_bb) — are taken bin by bin.  Each
+    spectrum equals :func:`cross_power` of the same pair.
     """
-    k_m, p_ab_m, w = _spectrum_modes(field_a, field_b, box_size)
-    edges = _shared_edges(k_m, k_m, box_size, n_bins, k_range)
-    _, p_aa_m, _ = _spectrum_modes(field_a, field_a, box_size)
-    _, p_bb_m, _ = _spectrum_modes(field_b, field_b, box_size)
-    k, p_ab, w_sum = _binned_full(k_m, p_ab_m, w, edges)
-    _, p_aa, _ = _binned_full(k_m, p_aa_m, w, edges)
-    _, p_bb, _ = _binned_full(k_m, p_bb_m, w, edges)
+    grid, a_k, b_k = _transforms(field_a, field_b, box_size)
+    modes = [_spectrum_modes(grid, x, y)
+             for x, y in ((a_k, a_k), (b_k, b_k), (a_k, b_k))]
+    k, _, w = modes[0]
+    edges = _bin_edges(box_size, k.max(), n_bins, k_range)
+    binned = [_binned_full(k, p, w, edges) for _, p, _ in modes]
+    k_mean, _, w_sum = binned[0]
     keep = w_sum > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(keep, p_ab / np.sqrt(np.abs(p_aa * p_bb)), 0.0)
-    return k[keep], r[keep]
+    return (k_mean[keep], *(p[keep] for _, p, _ in binned), w_sum[keep])
+
+
+def _shared_edges(k_a, k_b, box_size, n_bins, k_range):
+    """One edge set both meshes can populate: up to the coarser k_max."""
+    return _bin_edges(box_size, min(k_a.max(), k_b.max()), n_bins, k_range)
 
 
 def transfer_ratio(
@@ -162,8 +166,8 @@ def transfer_ratio(
     k_max, and only bins populated by both fields are returned.  The k
     array is the numerator field's weighted mean mode per bin.
     """
-    k_n, p_n_m, w_n = _spectrum_modes(field_num, field_num, box_size)
-    k_d, p_d_m, w_d = _spectrum_modes(field_den, field_den, box_size)
+    k_n, p_n_m, w_n = _spectrum_modes(*_transforms(field_num, field_num, box_size))
+    k_d, p_d_m, w_d = _spectrum_modes(*_transforms(field_den, field_den, box_size))
     edges = _shared_edges(k_n, k_d, box_size, n_bins, k_range)
     k, p_n, w_n_sum = _binned_full(k_n, p_n_m, w_n, edges)
     _, p_d, w_d_sum = _binned_full(k_d, p_d_m, w_d, edges)

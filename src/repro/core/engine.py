@@ -13,10 +13,9 @@ not part of it: every driver's Poisson solver runs on the process-default
 :class:`SweepEngine` is that protocol's serial implementation and the
 base of the two parallel ones: ``PencilEngine`` overrides the per-sweep
 kernel (:meth:`SweepEngine.advect`), ``DomainEngine`` overrides ``run``,
-the reductions and where f lives, and falls through to this class once
-it has degraded.  :func:`sweep_shift` is the one place the departure shift
-is computed — it is bitwise-load-bearing, so the domain workers call it
-on their own slab rather than restating it.
+the reductions and where f lives.  :func:`sweep_shift` is the one place
+the departure shift is computed — it is bitwise-load-bearing, so the
+domain workers call it on their own slab rather than restating it.
 """
 
 from __future__ import annotations

@@ -36,17 +36,15 @@ transform would move the mesh twice and distribute nothing.  The
 paper's pencil-FFT traffic, and its n_x·n_y cap on FFT ranks, is
 modelled by :mod:`repro.machine.costmodel`.
 
-This is the package's one supervised process transport
-(:func:`repro.perf.substrate.retry_with_backoff`): a dead or wedged
-worker tears the fleet down and retries on fresh processes (the
-parent-owned segments survive, and no round writes the current buffer,
-so it is the recovery state — SIGKILL loses no data); an exhausted retry
-budget degrades permanently down the ladder **domain → serial**.  A
-degraded engine *is* its base class: f is copied out of the buffers
-into private memory and every protocol method falls through to
-:class:`repro.core.engine.SweepEngine` — so the failing step finishes
-host-side, bitwise.  All segments register with the
-:mod:`repro.perf.substrate` atexit leak sweep.
+This is the package's one supervised process transport: a dead or
+wedged worker tears the fleet down and the round is retried on fresh
+processes (the parent-owned segments survive, and no round writes the
+current buffer, so it is the recovery state — SIGKILL loses no data).
+A worker still lost after ``max_retries`` raises
+:class:`DomainWorkerError` and ends the run, as a Fugaku job that loses
+a rank ends: the checkpoint chain is the recovery past that point
+(``repro resume``, or a campaign retry).  All segments register with
+the :mod:`repro.perf.substrate` atexit leak sweep.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ from ..perf.substrate import (
     emit,
     register_segment,
     release_segment,
-    retry_with_backoff,
     segment_view,
 )
 from .decomposition import BlockDecomposition
@@ -114,7 +111,7 @@ class DomainEngine(SweepEngine):
         are not cheap threads).
     max_retries:
         How many times a failed command round is retried on a fresh
-        fleet before the engine degrades.
+        fleet before :class:`DomainWorkerError` ends the run.
     backoff_base:
         First retry delay [s]; doubles per retry (bounded exponential).
     task_timeout:
@@ -147,8 +144,6 @@ class DomainEngine(SweepEngine):
 
         # supervision counters (observable by tests & bench)
         self.retries = 0
-        self.degradations: list[str] = []
-        self.degraded = False
         self.halo_bytes = 0
 
         # bound geometry (set by bind)
@@ -220,12 +215,10 @@ class DomainEngine(SweepEngine):
         super().bind(grid, scheme, velocity_bc, timer)  # marks f mutated
 
     def _zeroed_f(self, grid: PhaseSpaceGrid) -> np.ndarray:
-        """The current buffer, zeroed (private memory once degraded).
+        """The current buffer, zeroed.
 
         The other buffer needs no zeroing: the next sweep writes every
         block of it before anything reads it."""
-        if not self._bufs:
-            return super()._zeroed_f(grid)
         f = self._bufs[self._cur]
         f[...] = 0
         return f
@@ -335,8 +328,7 @@ class DomainEngine(SweepEngine):
 
     def _release_segments(self, keep_f: bool = True) -> None:
         """Unlink every segment.  ``keep_f`` copies f out of its buffer
-        first, so :attr:`f` still reads back and a degraded engine
-        sweeps the copy."""
+        first, so :attr:`f` still reads back."""
         if self._bufs:
             self._f = np.array(self._f) if keep_f else None
             self._bufs = ()
@@ -396,48 +388,26 @@ class DomainEngine(SweepEngine):
         return replies
 
     def _supervised_round(self, payloads: list) -> list:
-        """A command round under the retry → degrade supervision policy.
+        """A command round, retried on a fresh fleet.
 
-        Worker death tears the fleet down and retries on fresh processes
-        (segments survive, and no round writes the current buffer); an
-        exhausted budget degrades the engine permanently, f copied out
-        of the current buffer, and re-raises for the caller to fall
-        through to the base engine.
+        Worker death tears the fleet down, waits ``backoff_base * 2**n``
+        seconds and runs the round again on fresh processes (segments
+        survive, and no round writes the current buffer).  The
+        ``max_retries + 1``-th failure re-raises: the run ends there.
         """
-        if self.degraded:
-            raise DomainWorkerError("engine is permanently degraded")
-
-        def attempt() -> list:
-            self._ensure_ready()
-            return self._round(payloads)
-
-        def failed(n: int, exc: Exception) -> None:
-            self.retries += 1
-            self._teardown_workers()
-            emit("domain_worker_failure", attempt=n, error=repr(exc))
-
-        try:
-            return retry_with_backoff(
-                attempt, DomainWorkerError,
-                self.max_retries, self.backoff_base, failed,
-            )
-        except DomainWorkerError as exc:
-            self._permanent_degrade(repr(exc))
-            raise
-
-    def _permanent_degrade(self, reason: str) -> None:
-        if self.degraded:
-            return
-        self.degradations.append("domain")
-        self.degraded = True
-        emit(
-            "domain_degraded",
-            from_engine="domain", to_backend="serial", reason=reason,
-        )
-        # the parent created the segments: they outlive any worker
-        # death, so the current buffer is intact recovery state
-        self._teardown_workers()
-        self._release_segments()
+        attempt = 0
+        while True:
+            try:
+                self._ensure_ready()
+                return self._round(payloads)
+            except DomainWorkerError as exc:
+                self.retries += 1
+                self._teardown_workers()
+                emit("domain_worker_failure", attempt=attempt, error=repr(exc))
+                if attempt == self.max_retries:
+                    raise
+            time.sleep(self.backoff_base * 2.0 ** attempt)
+            attempt += 1
 
     def inject(self, fn, *args) -> None:
         """Have one worker, round-robin, call ``fn(*args)`` without a
@@ -454,17 +424,21 @@ class DomainEngine(SweepEngine):
     # -- sweeps ----------------------------------------------------------
 
     def run(self, plan, accel) -> None:
-        """Run the plan on the workers; whatever a mid-plan degradation
-        leaves over finishes on the copy of f through the base engine
-        (bitwise, only slower); that call also bumps ``f_version``.
+        """Run the plan on the workers, one command round per sweep.
 
         A plan whose halo would not fit the blocks is refused up front
         (:meth:`_check_ghosts`), with f, ``f_version`` and the fleet
-        untouched."""
-        if not self.degraded:
-            self._check_ghosts(plan)
-            plan = plan[self._run_on_workers(plan, accel):]
-        super().run(plan, accel)
+        untouched.  A worker lost past its retries raises
+        :class:`DomainWorkerError` mid-plan: f then holds the sweeps
+        before the failed one."""
+        self._check_ghosts(plan)
+        self.f_version += 1
+        if accel is not None:
+            self._view(
+                "accel", (self.grid.dim,) + self.grid.nx, np.float64,
+            )[...] = accel
+        for sweep in plan:
+            self._one_sweep(sweep)
 
     def _ghost(self, sweep: Sweep) -> int:
         """Planes a spatial sweep lands from each neighbour: the kernel's
@@ -491,24 +465,6 @@ class DomainEngine(SweepEngine):
                     f"has {thin}; dt/dx must stay below {limit:.6g} on this "
                     "topology (or use fewer blocks along the axis)"
                 )
-
-    def _run_on_workers(self, plan: list[Sweep], accel) -> int:
-        """How many leading sweeps of ``plan`` completed on the fleet."""
-        try:
-            self._ensure_ready()
-        except DomainWorkerError:
-            self._permanent_degrade("fleet unavailable")
-            return 0
-        if accel is not None:
-            self._view(
-                "accel", (self.grid.dim,) + self.grid.nx, np.float64,
-            )[...] = accel
-        for k, sweep in enumerate(plan):
-            try:
-                self._one_sweep(sweep)
-            except DomainWorkerError:
-                return k
-        return len(plan)
 
     def _one_sweep(self, sweep: Sweep) -> None:
         d, spatial = sweep.d, sweep.kind == "x"
@@ -542,38 +498,26 @@ class DomainEngine(SweepEngine):
 
     # -- moments / guards ------------------------------------------------
 
-    def _reduce_on_workers(self, command: str) -> list | None:
-        """One reduction command on every block; None once the engine
-        is (or just became) degraded — the base engine then answers
-        from the copy of f."""
-        if self.degraded:
-            return None
-        try:
-            return self._supervised_round(
-                [(command, self._cur)] * self.decomp.size
-            )
-        except DomainWorkerError:
-            return None
+    def _reduce(self, command: str) -> list:
+        """One reduction command on every block of the current f."""
+        return self._supervised_round([(command, self._cur)] * self.decomp.size)
 
     def density(self) -> np.ndarray:
         """The density mesh assembled from worker slabs (bitwise serial)."""
-        if self._reduce_on_workers("density") is None:
-            return super().density()
+        self._reduce("density")
         return np.array(self._view("rho", self.grid.nx, np.float64))
 
-    def _partials(self) -> list | None:
+    def _partials(self) -> list:
         """Every block's ledger and guard partials of the current f.
 
         One worker round per f state: the replies are kept under
         ``f_version`` (the key rule of the drivers' field slot), so a
         step's mass, kinetic energy and guard probe share one round.
         """
-        if self._partials_key == self.f_version:
-            return self._partials_replies
-        replies = self._reduce_on_workers("reduce")
-        if replies is not None:
-            self._partials_key, self._partials_replies = self.f_version, replies
-        return replies
+        if self._partials_key != self.f_version:
+            self._partials_replies = self._reduce("reduce")
+            self._partials_key = self.f_version
+        return self._partials_replies
 
     # Mass and kinetic energy are summed per block then across blocks —
     # not bitwise against the serial engine's sums in general (the
@@ -582,14 +526,10 @@ class DomainEngine(SweepEngine):
 
     def total_mass(self) -> float:
         replies = self._partials()
-        if replies is None:
-            return super().total_mass()
         return float(sum(r["mass"] for r in replies) * self.grid.cell_volume)
 
     def kinetic_energy(self) -> float:
         replies = self._partials()
-        if replies is None:
-            return super().kinetic_energy()
         ke = 0.0
         for d in range(self.grid.dim):
             ke += sum(r["ke"][d] for r in replies)
@@ -598,15 +538,10 @@ class DomainEngine(SweepEngine):
     def f_stats(self) -> tuple[int, float]:
         """(non-finite count, global min) of f — exact under aggregation."""
         replies = self._partials()
-        if replies is None:
-            return super().f_stats()
         return (
             int(sum(r["stats"][0] for r in replies)),
             float(min(r["stats"][1] for r in replies)),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DomainEngine(topology={self.topology}, "
-            f"ghost={self.ghost}, degraded={self.degraded})"
-        )
+        return f"DomainEngine(topology={self.topology}, ghost={self.ghost})"

@@ -26,9 +26,8 @@ kernel.
 There is no supervision here: a thread cannot die apart from its
 process, and a stalled one cannot be stopped, so a retry or a timeout
 would only race the stuck thread for the same arena and output.  The
-process transport, with its retry → degrade ladder, is
-:class:`repro.parallel.domain.DomainEngine`, whose ladder steps down to
-this engine.
+process transport, with its in-round retry on a fresh fleet, is
+:class:`repro.parallel.domain.DomainEngine`.
 
 The engine is a :class:`repro.core.engine.SweepEngine` whose per-sweep
 kernel is the sharded :meth:`PencilEngine.advect`; f, plans, reductions

@@ -4,15 +4,13 @@ What the sweep engines and the domain workers need from the host, in
 one place: the core count (:class:`repro.perf.pencil.PencilEngine`'s
 default thread count, the domain engine's default fleet), the telemetry
 hook, and — for the domain engine (:mod:`repro.parallel.domain`), the
-one process transport — the shared-memory leak guard and the
-retry-with-backoff supervision loop.
+one process transport — the shared-memory leak guard.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import time
 
 import numpy as np
 
@@ -23,7 +21,6 @@ __all__ = [
     "emit",
     "register_segment",
     "release_segment",
-    "retry_with_backoff",
     "segment_view",
 ]
 
@@ -100,27 +97,3 @@ def attach_shm(name: str):
     except TypeError:  # pragma: no cover - older interpreters
         return shared_memory.SharedMemory(name=name)
 
-
-# -- supervision -------------------------------------------------------------
-
-
-def retry_with_backoff(attempt, retryable, max_retries: int,
-                       backoff_base: float, on_failure):
-    """Call ``attempt()`` until it returns, rebuilding between failures.
-
-    Each ``retryable`` exception is reported as ``on_failure(n, exc)``
-    (the engine counts it, tears its workers down and publishes the
-    event); the ``max_retries + 1``-th failure re-raises for the caller
-    to degrade on, the others sleep ``backoff_base * 2**n`` seconds and
-    try again on whatever ``attempt`` rebuilds.
-    """
-    delay = backoff_base
-    for n in range(max_retries + 1):
-        try:
-            return attempt()
-        except retryable as exc:
-            on_failure(n, exc)
-            if n >= max_retries:
-                raise
-            time.sleep(delay)
-            delay *= 2.0

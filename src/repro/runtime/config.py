@@ -126,12 +126,13 @@ class EngineConfig:
     halos land as the kernel's ghost planes, and the field solve runs
     on the parent.  ``topology`` is its workers-per-spatial-axis grid
     (e.g. ``[2, 2, 1]``; null auto-factors ``n_workers`` over the
-    longest axes); ``backend`` is pencil-only and ignored.  The supervision knobs tune the domain engine alone: a dead
-    or timed-out worker round (``task_timeout`` seconds; null waits
-    forever) is retried on fresh workers ``max_retries`` times with
-    exponential backoff from ``backoff_base`` seconds, then the engine
-    degrades permanently to host sweeps on its serial base engine
-    (domain → serial; same bits, only slower).
+    longest axes); ``backend`` is pencil-only and ignored.  The
+    supervision knobs tune the domain engine alone: a dead or timed-out
+    worker round (``task_timeout`` seconds; null waits forever) is
+    retried on fresh workers ``max_retries`` times with exponential
+    backoff from ``backoff_base`` seconds; one more failure ends the run
+    (``run.json`` reads ``failed``), and ``repro resume`` continues it
+    from its newest checkpoint, bitwise.
     """
 
     engine: str = "pencil"
@@ -149,10 +150,10 @@ class DiagnosticsConfig:
 
     ``every_steps`` is the submission cadence (``None``, the default,
     disables the tier entirely — TOML has no null, so a missing key and
-    the default agree).  The background worker computes moment fields
-    and binned spectra and stores each product as one checksummed
-    ``.npz`` snapshot under the run directory's ``diagnostics/``; a
-    full submit queue blocks the step loop, so no product is lost.
+    the default agree).  Each submit, on the step thread, reduces f to
+    moment fields and binned spectra and stores the product as one
+    checksummed ``.npz`` snapshot under the run directory's
+    ``diagnostics/`` before it returns, so no product is lost.
     """
 
     every_steps: int | None = None

@@ -17,7 +17,8 @@ Fault kinds (``FAULT_KINDS``):
 ``kill_worker``
     SIGKILL one **domain worker** process mid-sweep (the engine's fault
     hook sends it a suicide call).  Exercises the domain engine's
-    supervision: retry on a respawned fleet, then degrade.
+    supervision: retry on a respawned fleet, and past ``max_retries``
+    a run that fails and resumes from its checkpoint.
 ``stall_worker``
     Occupy a domain worker with a sleep longer than the engine's
     ``task_timeout``.  Exercises the command-round timeout path.

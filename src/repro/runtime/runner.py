@@ -65,6 +65,12 @@ EXIT_RESUMABLE           75  interrupted/budget/max_steps; resume continues
 EXIT_GUARD_ABORT         70  a guard tripped at abort; state checkpointed
                              (also: rollback budget exhausted)
 ====================  =====  ==============================================
+
+An exception that escapes the step loop (a domain worker lost past its
+retries, a full disk under a checkpoint) is re-raised after ``run.json``
+records ``status: "failed"``, ``exit_code: null`` and ``reason:
+"error:<ExceptionType>"``; the newest valid checkpoint is where
+``repro resume`` continues.
 """
 
 from __future__ import annotations
@@ -221,7 +227,7 @@ class SimulationRunner:
             fault_plan = FaultPlan(config.faults.events, seed=config.faults.seed)
 
         # The telemetry stream opens first so that *everything* below —
-        # quarantines during the resume scan, engine degradations,
+        # quarantines during the resume scan, worker failures,
         # fault injections, rollbacks — lands in it as event records.
         # The ``finally`` below restores the sink and closes what was
         # opened whether or not the run started: a refused resume too.
@@ -432,6 +438,11 @@ class SimulationRunner:
                 status, exit_code, reason = "complete", EXIT_COMPLETE, "schedule"
                 print(f"runner: complete — {stepper.index} steps "
                       f"in {self.run_dir}")
+        except BaseException as exc:
+            # the manifest says the run died of it; the caller sees it
+            status, exit_code = "failed", None
+            reason = f"error:{type(exc).__name__}"
+            raise
         finally:
             for sig, handler in old_handlers.items():
                 signal.signal(sig, handler)

@@ -33,7 +33,7 @@ schema documented in ``docs/RUNTIME.md``; the tests assert the match):
     Guard reports fired this step (empty list when healthy).
 
 Besides the per-step records the stream also carries **event records**
-(fault injections, worker-pool degradations, checkpoint quarantines,
+(fault injections, domain worker failures, checkpoint quarantines,
 rollback attempts, and the serving tier's ``diagnostics_written`` /
 ``diagnostics_error`` / ``diagnostics_closed`` lifecycle): one JSON
 object per event with an ``"event"`` key naming the kind plus
@@ -56,8 +56,8 @@ each thread (and each ``asyncio`` task) sees only the sink installed in
 its own context, so two :class:`~repro.runtime.runner.SimulationRunner`
 instances driving concurrent campaign runs in one process cannot
 interleave each other's events into the wrong ``telemetry.jsonl``.
-Subsystem code is unaffected — engine degradations, worker failures
-and rollbacks are emitted from the thread driving that run, which is
+Subsystem code is unaffected — worker failures and rollbacks are
+emitted from the thread driving that run, which is
 exactly the context whose sink points at that run's stream.
 """
 
@@ -291,7 +291,7 @@ def read_events(path: str | Path, kind: str | None = None) -> list[dict]:
     """Load the event records of a telemetry stream, oldest first.
 
     ``kind`` filters to one event kind (``"fault_injected"``,
-    ``"rollback"``, ``"domain_degraded"``, ...).
+    ``"rollback"``, ``"domain_worker_failure"``, ...).
     """
     events = [r for r in iter_records(path) if "event" in r]
     if kind is not None:
@@ -307,11 +307,11 @@ def summarize(path: str | Path) -> dict:
     transform counts — the shape of the paper's per-run reporting
     (end-to-end time *including I/O*).  Fault-tolerance activity is
     reported alongside: ``events`` counts every event record by kind
-    (fault injections, engine degradations, quarantines) and
+    (fault injections, worker failures, quarantines) and
     ``recoveries`` counts completed rollback restores.
     When the run used the domain engine (any ``domain_*`` event or
     ``domain/*`` timer section), ``domain`` rolls them up: halo
-    exchanges and bytes, worker failures and degradations, and the
+    exchanges and bytes, worker failures, and the
     cumulative seconds of every ``domain/*`` section (``interior``).
 
     The stream is folded in a single line-by-line pass — full records
@@ -358,7 +358,6 @@ def summarize(path: str | Path) -> dict:
             "halo_exchanges": domain_halo_exchanges,
             "halo_bytes": domain_halo_bytes,
             "worker_failures": by_kind.get("domain_worker_failure", 0),
-            "degradations": by_kind.get("domain_degraded", 0),
             "section_seconds": domain_sections,
         }
     if last is None:

@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..analysis.spectra import correlation_coefficient, cross_power, transfer_ratio
+from ..analysis.spectra import cross_power, joint_power
 from ..core import moments
 from ..core.mesh import PhaseSpaceGrid
 from ..io.snapshot import IOTimer, write_snapshot
@@ -164,29 +164,23 @@ class DiagnosticsPipeline:
         return fields
 
     def _spectra(self, fields: dict[str, np.ndarray]) -> dict:
-        """Binned auto/cross/transfer spectra of the moment fields."""
+        """Binned auto/cross/transfer spectra of the moment fields: each
+        overdensity is transformed once, every spectrum binned on one
+        edge set, and the ratios are taken from those bins."""
         box = self.grid.box_size
         delta_nu = _overdensity(fields["density"])
-        k, p_nu, counts = cross_power(delta_nu, delta_nu, box, self.n_bins)
-        out = {
-            "k": k.tolist(),
-            "p_density": p_nu.tolist(),
-            "mode_counts": counts.tolist(),
-        }
-        if "cdm_density" in fields:
-            delta_c = _overdensity(fields["cdm_density"])
-            _, p_c, _ = cross_power(delta_c, delta_c, box, self.n_bins)
-            _, p_x, _ = cross_power(delta_nu, delta_c, box, self.n_bins)
-            k_r, r = correlation_coefficient(delta_nu, delta_c, box, self.n_bins)
-            k_t, t = transfer_ratio(delta_nu, delta_c, box, self.n_bins)
-            out.update(
-                p_cdm=p_c.tolist(),
-                p_cross=p_x.tolist(),
-                k_ratio=k_t.tolist(),
-                correlation=r.tolist(),
-                transfer_nu_cdm=t.tolist(),
-            )
-        return out
+        if "cdm_density" not in fields:
+            k, p_nu, counts = cross_power(delta_nu, delta_nu, box, self.n_bins)
+            out = {"k": k, "p_density": p_nu, "mode_counts": counts}
+        else:
+            k, p_nu, p_c, p_x, counts = joint_power(
+                delta_nu, _overdensity(fields["cdm_density"]), box, self.n_bins)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = {"k": k, "p_density": p_nu, "mode_counts": counts,
+                       "p_cdm": p_c, "p_cross": p_x, "k_ratio": k,
+                       "correlation": p_x / np.sqrt(np.abs(p_nu * p_c)),
+                       "transfer_nu_cdm": np.sqrt(np.abs(p_nu) / np.abs(p_c))}
+        return {name: value.tolist() for name, value in out.items()}
 
     def _process(
         self,

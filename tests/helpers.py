@@ -2,14 +2,17 @@
 
 Each of these is read only by tests that check something else (the
 advection's dissipation, the moments, the Poisson and PM solves, the
-spectra), so it lives with them rather than in the package.
+spectra, the runs that fail), so it lives with them rather than in the
+package.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import pytest
 
 from repro.core.mesh import PhaseSpaceGrid
 from repro.core.moments import density, mean_velocity
@@ -92,3 +95,29 @@ def uniform_lattice_particles(
     pos = np.column_stack([m.ravel() for m in mesh])
     n = pos.shape[0]
     return ParticleSet(pos, np.zeros((n, dim)), np.full(n, total_mass / n), box_size)
+
+
+# -- runs that fail ------------------------------------------------------
+
+
+def failed_run_resumes(config, run_dir: Path, error: type, fault_plan=None):
+    """Run ``config`` in ``run_dir``, which must raise ``error``; check the
+    run left a clean directory — ``run.json`` at ``failed``, no staged
+    ``.tmp`` file, every checkpoint whole, no shared-memory segment — then
+    resume it without ``fault_plan`` and return the final f."""
+    from repro.io.snapshot import read_checkpoint
+    from repro.perf.substrate import LIVE_SEGMENTS
+    from repro.runtime import EXIT_COMPLETE, SimulationRunner
+
+    runner = SimulationRunner.create(config, run_dir)
+    with pytest.raises(error):
+        runner.run(fault_plan=fault_plan)
+    manifest = runner.manifest()
+    assert (manifest["status"], manifest["exit_code"], manifest["reason"]) \
+        == ("failed", None, f"error:{error.__name__}")
+    assert not list(run_dir.rglob("*.tmp*"))
+    for path in (run_dir / "checkpoints").glob("ck_*.npz"):
+        read_checkpoint(path)  # CRC-verified: a torn file raises
+    assert not LIVE_SEGMENTS
+    assert SimulationRunner.resume(run_dir).run() == EXIT_COMPLETE
+    return read_checkpoint(max((run_dir / "checkpoints").glob("ck_*.npz")))[1]

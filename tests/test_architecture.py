@@ -23,11 +23,13 @@ dependency is installed, as ``python tests/test_architecture.py``.
   the halos: ``BlockDecomposition`` is the one layout, the domain worker
   is the one ``halo=`` caller, and the engine counts its halo bytes in
   closed form with no per-pair message table;
-* the domain engine degrades to its own serial base class: it does not
-  import the pencil engine;
+* the domain engine does not import the pencil engine, and it has no
+  degrade rung: a worker lost past its retries ends the run, and the
+  checkpoint chain is the recovery;
 * so does the pencil engine's process transport: ``perf/pencil.py`` is a
   thread pool with no pool of processes, no retry loop, no timeout and
-  no shard knobs — the domain engine is the one supervised transport;
+  no shard knobs — the domain engine is the one supervised transport,
+  and its retry is a plain loop in its command round;
 * so do the diagnostics worker and its queue: ``repro.serve`` imports
   no ``threading`` or ``queue``, and a product is stored on the step
   thread, inside the runner's ``diagnostics_submit`` section;
@@ -138,6 +140,9 @@ RETIRED = (
     "alltoall" + "_time", "p2p_bytes" + "_by_pair", "allreduce" + "_max",
     "memory" + "_ops", "shuffle" + "_pair", "dimensionless" + "_power",
     "def drain" + "(", ".minimum" + "_image(",
+    # the domain engine's domain -> serial degrade rung and the retry
+    # helper it had to itself
+    "_permanent" + "_degrade", "domain" + "_degraded", "retry_with" + "_backoff",
     # the domain engine's host mirror of f and its sync protocol: f is
     # one of two shared buffers, read in place
     "gather" + "_count", "scatter" + "_count", "_gather_into" + "_host",
@@ -416,7 +421,6 @@ def test_the_pencil_engine_is_threads_only():
         f"pencil.py:{line} imports {imported or module}"
         for module, imported, line in imports("repro.perf.pencil", path)
         if module.split(".")[0] == "multiprocessing"
-        or "retry_with_backoff" in (module.split(".")[-1], imported)
     ]
     assert not offenders, "\n".join(offenders)
     (init,) = [

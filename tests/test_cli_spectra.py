@@ -10,11 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.spectra import (
-    correlation_coefficient,
-    cross_power,
-    transfer_ratio,
-)
+from repro.analysis.spectra import cross_power, joint_power, transfer_ratio
 from repro.cli import build_parser, main
 from repro.ic import FourierGrid, measure_power
 
@@ -84,6 +80,12 @@ class TestCli:
         assert (done.returncode, done.stdout + done.stderr) == (2, line + "\n")
 
 
+def correlation(field_a, field_b, box_size, n_bins):
+    """r(k) = P_ab / sqrt(P_aa P_bb), as the diagnostics pipeline takes it."""
+    _, p_aa, p_bb, p_ab, _ = joint_power(field_a, field_b, box_size, n_bins)
+    return p_ab / np.sqrt(np.abs(p_aa * p_bb))
+
+
 class TestCrossPower:
     def test_auto_matches_measure_power(self, rng):
         grid = FourierGrid((24, 24, 24), 100.0)
@@ -96,14 +98,14 @@ class TestCrossPower:
     def test_identical_fields_fully_correlated(self, rng):
         grid = FourierGrid((16, 16), 10.0)
         delta = gaussian_field(grid, lambda k: np.ones_like(k), rng)
-        _, r = correlation_coefficient(delta, delta, 10.0, n_bins=5)
+        r = correlation(delta, delta, 10.0, n_bins=5)
         assert np.allclose(r, 1.0, atol=1e-10)
 
     def test_independent_fields_uncorrelated(self, rng):
         grid = FourierGrid((32, 32, 32), 10.0)
         a = gaussian_field(grid, lambda k: np.ones_like(k), rng)
         b = gaussian_field(grid, lambda k: np.ones_like(k), rng)
-        _, r = correlation_coefficient(a, b, 10.0, n_bins=4)
+        r = correlation(a, b, 10.0, n_bins=4)
         # many modes per bin: |r| << 1
         assert np.all(np.abs(r) < 0.2)
 
@@ -147,9 +149,21 @@ class TestCrossPower:
         assert np.allclose(t_same, 0.5, rtol=1e-10)
 
     def test_cross_mesh_correlation_same_mesh_required(self, rng):
-        """correlation/cross need one mesh; transfer is the cross-mesh API."""
+        """joint/cross need one mesh; transfer is the cross-mesh API."""
         with pytest.raises(ValueError):
-            correlation_coefficient(np.zeros((8, 8)), np.zeros((12, 12)), 1.0)
+            joint_power(np.zeros((8, 8)), np.zeros((12, 12)), 1.0)
+
+    def test_joint_power_is_three_cross_powers(self, rng):
+        """One transform per field, one edge set: each of the three
+        spectra is bitwise the ``cross_power`` of its pair."""
+        grid = FourierGrid((12, 12, 12), 10.0)
+        a = gaussian_field(grid, lambda k: np.ones_like(k), rng)
+        b = gaussian_field(grid, lambda k: np.ones_like(k), rng)
+        k, p_aa, p_bb, p_ab, w = joint_power(a, b, 10.0, n_bins=6)
+        for x, y, p in ((a, a, p_aa), (b, b, p_bb), (a, b, p_ab)):
+            k_x, p_x, w_x = cross_power(x, y, 10.0, n_bins=6)
+            assert k.tobytes() == k_x.tobytes() and w.tobytes() == w_x.tobytes()
+            assert p.tobytes() == p_x.tobytes()
 
     def test_top_edge_mode_not_dropped(self, rng):
         """Regression: an explicit k_range whose max *is* a grid mode lost

@@ -16,6 +16,8 @@ Chaos drills (SIGKILL of a live worker mid-step) are marked
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,19 @@ from repro.core.mesh import PhaseSpaceGrid
 from repro.core.vlasov import VlasovSolver
 from repro.core.vlasov_poisson import GravitationalVlasovPoisson, PlasmaVlasovPoisson
 from repro.diagnostics import ConservationLedger, StepTimer
+from repro.io.snapshot import read_checkpoint
 from repro.parallel import DomainEngine
 from repro.runtime import RunConfig
-from repro.runtime.config import EngineConfig, GridConfig, ScheduleConfig
+from repro.runtime.config import (
+    CheckpointConfig,
+    EngineConfig,
+    GridConfig,
+    ScheduleConfig,
+)
 from repro.runtime.guards import GuardSuite
 from repro.runtime.scenarios import build_engine, build_stepper
+
+from .helpers import failed_run_resumes
 
 # nu axes must fit the order-5 stencil (>= 5 cells); 6 keeps the kick
 # sweeps legal while the problem stays small enough for CI
@@ -92,7 +102,6 @@ class TestBitwiseIdentity:
         f_serial = run_plasma(None)
         engine = DomainEngine(topology=topology)
         f_domain = run_plasma(engine)
-        assert not engine.degraded
         assert np.array_equal(f_domain, f_serial)
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -100,7 +109,6 @@ class TestBitwiseIdentity:
         f_serial = run_gravity(None)
         engine = DomainEngine(topology=topology)
         f_domain = run_gravity(engine)
-        assert not engine.degraded
         assert np.array_equal(f_domain, f_serial)
 
     def test_overlap_path_bitwise(self):
@@ -130,7 +138,7 @@ class TestBitwiseIdentity:
             for _ in range(2):
                 vp.step(dt)
             assert in_buffers(engine)
-            assert not engine.degraded and engine.retries == 0
+            assert engine.retries == 0
             assert vp.f.tobytes() == f_serial.tobytes()
         finally:
             engine.close()
@@ -140,7 +148,7 @@ class TestBitwiseIdentity:
         A drift at CFL 2.3 needs 5: ``run`` refuses the whole plan before
         any worker round — the z and y sweeps ahead of x included — and
         names the largest dt/dx that fits, (4 - 2) / max|u| = 0.8.  It is
-        not a worker failure: no retry, no degradation, no buffer flip."""
+        not a worker failure: no retry, no buffer flip."""
         from repro.runtime import telemetry
 
         grid = make_grid()
@@ -159,7 +167,7 @@ class TestBitwiseIdentity:
                     solver.drift(2.3 * grid.dx[0] / max_u)
             assert (engine.f_version, engine._cur, engine.retries) == counts
             assert solver.f.tobytes() == before
-            assert not engine.degraded and "domain_worker_failure" not in events
+            assert "domain_worker_failure" not in events
             solver.drift(DT)  # the fleet still serves
             assert engine.retries == 0
         finally:
@@ -177,7 +185,6 @@ class TestNonDivisibleGrids:
         f_serial = run_plasma(None, nx=nx, dtype=dtype)
         engine = DomainEngine(topology=(2, 2, 1))
         f_domain = run_plasma(engine, nx=nx, dtype=dtype)
-        assert not engine.degraded
         assert f_domain.dtype == np.dtype(dtype)
         assert np.array_equal(f_domain, f_serial)
 
@@ -252,7 +259,7 @@ class TestWorkerResidency:
         engine = DomainEngine(topology=(2, 2, 1))
         try:
             stats, f_bytes = poisoned_step(engine)
-            assert not engine.degraded and in_buffers(engine)
+            assert in_buffers(engine)
         finally:
             engine.close()
         assert stats == serial[0] == (0, -0.5)
@@ -278,29 +285,6 @@ class TestWorkerResidency:
         assert vp.f.tobytes() == before
         assert not np.shares_memory(vp.f, held)
         assert held.tobytes() == before
-
-    def test_f_reads_back_after_a_forced_degrade(self):
-        """A degrade copies f out of the buffers before it unlinks them;
-        the degraded engine then steps that copy on its base class,
-        bitwise with serial."""
-        grid = make_grid()
-        serial = PlasmaVlasovPoisson(grid)
-        serial.f = initial_f(grid)
-        engine = DomainEngine(topology=(2, 2, 1))
-        try:
-            vp = PlasmaVlasovPoisson(grid, engine=engine)
-            vp.f = initial_f(grid)
-            for solver in (serial, vp):
-                solver.step(DT)
-            before = vp.f.tobytes()
-            engine._permanent_degrade("forced")
-            assert engine.degraded and not engine._segments
-            assert vp.f.tobytes() == before == serial.f.tobytes()
-            for solver in (serial, vp):
-                solver.step(DT)
-            assert vp.f.tobytes() == serial.f.tobytes()
-        finally:
-            engine.close()
 
     def test_bound_engine_holds_four_segments(self):
         """Two whole-f buffers, ``rho`` and ``accel``, created at bind,
@@ -526,9 +510,8 @@ class TestTelemetryDomainBlock:
         assert dom["halo_exchanges"] == 2
         assert dom["halo_bytes"] == 1536
         assert set(dom) == {"halo_exchanges", "halo_bytes", "worker_failures",
-                            "degradations", "section_seconds"}
+                            "section_seconds"}
         assert dom["worker_failures"] == 1
-        assert dom["degradations"] == 0
         assert dom["section_seconds"]["halo"] == pytest.approx(0.002)
         assert dom["section_seconds"]["interior"] == pytest.approx(0.005)
 
@@ -538,10 +521,9 @@ class TestTelemetryDomainBlock:
 
         path = tmp_path / "t.jsonl"
         with telemetry.TelemetryWriter(path) as w:
-            w.event("domain_degraded", from_engine="domain",
-                    to_backend="serial", reason="worker lost")
+            w.event("domain_worker_failure", attempt=0, error="worker lost")
         s = telemetry.summarize(path)
-        assert s["domain"]["degradations"] == 1
+        assert s["domain"]["worker_failures"] == 1
 
     def test_summarize_without_domain_events_has_no_block(self, tmp_path):
         from repro.runtime import telemetry
@@ -627,13 +609,29 @@ def _kill_hook(at_sweep):
     return hook
 
 
-class TestDegradedEngineIsItsBaseClass:
-    """A worker killed past ``max_retries`` mid-plan: the step finishes
-    on the host array through the inherited ``SweepEngine`` path,
-    bitwise, and everything after (sweeps, reductions, health probe)
-    answers from there."""
+class FirstSweeps(SweepEngine):
+    """Serial engine that runs only the first ``n`` sweeps handed to it:
+    the state a plan cut short at sweep ``n + 1`` leaves."""
 
-    def test_strang_step_finishes_through_base_path_bitwise(self, monkeypatch):
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.left = n
+
+    def run(self, plan, accel) -> None:
+        take = plan[:self.left]
+        self.left -= len(take)
+        super().run(take, accel)
+
+
+class TestWorkerLostPastRetries:
+    """A worker killed past ``max_retries`` mid-plan ends the run: the
+    round raises ``DomainWorkerError`` and f holds the sweeps before the
+    failed one, none after it: no other code path finishes the plan."""
+
+    def test_raises_with_the_completed_sweeps_in_f(self):
+        from repro.parallel.domain import DomainWorkerError
+        from repro.perf.substrate import LIVE_SEGMENTS
+
         grid = make_grid()
         accel = np.random.default_rng(9).standard_normal((3,) + grid.nx)
 
@@ -644,44 +642,44 @@ class TestDegradedEngineIsItsBaseClass:
                 solver.drift(DT)
                 solver.kick(accel, 0.01)
 
-        serial = VlasovSolver(grid)
+        serial = VlasovSolver(grid, engine=FirstSweeps(4))
         step(serial)
-        # every host sweep goes through the base class's kernel call
-        host_sweeps = []
-        base_advect = SweepEngine.advect
-
-        def counting_advect(self, *args, **kwargs):
-            host_sweeps.append(type(self))
-            return base_advect(self, *args, **kwargs)
-
-        monkeypatch.setattr(SweepEngine, "advect", counting_advect)
         engine = DomainEngine(topology=(2, 1, 1), max_retries=0,
                               backoff_base=0.01)
         engine.fault_hook = _kill_hook(at_sweep=5)  # inside the first drift
+        solver = VlasovSolver(grid, engine=engine)
         try:
-            solver = VlasovSolver(grid, engine=engine)
-            step(solver)
-            monkeypatch.undo()
-            assert engine.degraded
-            assert engine.degradations == ["domain"]
-            # the ladder's next rung is the serial base engine: of the
-            # 18 sweeps, the failed fifth and the 13 after it ran there
-            assert host_sweeps == [DomainEngine] * 14
-            assert engine.retries == 1
+            with pytest.raises(DomainWorkerError):
+                step(solver)
+            assert engine.retries == 1 and not engine._procs
+            # the three kick sweeps and the first drift sweep landed
             assert solver.f.tobytes() == serial.f.tobytes()
-            assert solver.density().tobytes() == serial.density().tobytes()
-            assert solver.total_mass() == serial.total_mass()
-            assert solver.kinetic_energy() == serial.kinetic_energy()
-            assert solver.f_stats() == serial.f_stats()
+            assert in_buffers(engine)
         finally:
             engine.close()
+        assert not engine._segments and not LIVE_SEGMENTS
+        assert solver.f.tobytes() == serial.f.tobytes()
+
+
+def chaos_config(n_steps=4, **engine) -> RunConfig:
+    """A gravitational run on two domain workers, a checkpoint per step."""
+    return RunConfig(
+        scenario="gravitational", name="t-domain-chaos",
+        grid=GridConfig(nx=(8, 6, 6), nu=(6, 6, 6), box_size=1.0,
+                        v_max=3.0, dtype="float32"),
+        schedule=ScheduleConfig(kind="time", dt=0.02, n_steps=n_steps),
+        checkpoint=CheckpointConfig(every_steps=1, keep_last=8),
+        engine=EngineConfig(engine="domain", topology=[2, 1, 1],
+                            backoff_base=0.01, **engine),
+    )
 
 
 @pytest.mark.chaos
 class TestChaosDrills:
-    """SIGKILL a live domain worker mid-step; the run must finish with
-    output bitwise-identical to serial either way — via respawn when
-    retries remain, via the domain->serial degradation ladder when not."""
+    """SIGKILL a live domain worker mid-step.  With retries left the
+    fleet respawns and the step finishes bitwise-identical to serial;
+    past them the run fails, leaves a clean run directory, and its
+    resume ends bitwise on the serial run."""
 
     def test_worker_kill_recovers_bitwise(self):
         f_serial = run_plasma(None)
@@ -690,15 +688,22 @@ class TestChaosDrills:
         engine.fault_hook = _kill_hook(at_sweep=6)
         f_domain = run_plasma(engine)
         assert engine.retries >= 1
-        assert not engine.degraded
         assert np.array_equal(f_domain, f_serial)
 
-    def test_worker_kill_degrades_bitwise(self):
-        f_serial = run_plasma(None)
-        engine = DomainEngine(topology=(2, 1, 1), max_retries=0,
-                              backoff_base=0.01)
-        engine.fault_hook = _kill_hook(at_sweep=6)
-        f_domain = run_plasma(engine)
-        assert engine.degraded
-        assert engine.degradations
-        assert np.array_equal(f_domain, f_serial)
+    def test_worker_lost_past_retries_fails_and_resumes_bitwise(self, tmp_path):
+        from repro.parallel.domain import DomainWorkerError
+        from repro.runtime import FaultPlan, SimulationRunner, read_events
+
+        serial = dataclasses.replace(chaos_config(), engine=EngineConfig())
+        assert SimulationRunner.create(serial, tmp_path / "ref").run() == 0
+        ref_ck = tmp_path / "ref" / "checkpoints" / "ck_00000004.npz"
+        # the plan goes to the first attempt only: the resume re-runs
+        # step 2, where a config [faults] kill would fire again
+        f_final = failed_run_resumes(
+            chaos_config(max_retries=0), tmp_path / "kill", DomainWorkerError,
+            FaultPlan([{"kind": "kill_worker", "step": 2}]),
+        )
+        assert f_final.tobytes() == read_checkpoint(ref_ck)[1].tobytes()
+        kinds = [e["event"] for e in read_events(tmp_path / "kill"
+                                                 / "telemetry.jsonl")]
+        assert kinds.count("domain_worker_failure") == 1
