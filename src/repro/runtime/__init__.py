@@ -22,7 +22,6 @@ from .config import (
 )
 from .faults import FaultEvent, FaultPlan
 from .guards import GuardReport, GuardSuite
-from .recovery import RecoveryManager
 from .runner import (
     EXIT_COMPLETE,
     EXIT_GUARD_ABORT,
@@ -61,7 +60,6 @@ __all__ = [
     "FaultPlan",
     "GuardReport",
     "GuardSuite",
-    "RecoveryManager",
     "SimulationRunner",
     "find_latest_valid_checkpoint",
     "EXIT_COMPLETE",

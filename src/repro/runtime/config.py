@@ -164,14 +164,18 @@ class DiagnosticsConfig:
 class RecoveryConfig:
     """The ``rollback`` guard policy's budget and aggressiveness.
 
-    ``max_attempts`` bounds how many rollbacks one run may perform
-    before the trip escalates to the abort path (exit 70).  Each
-    rollback multiplies the stepper's dt by ``dt_scale``; the default
-    1.0 re-runs with identical arithmetic, which keeps recovery
+    ``max_attempts`` bounds how many rollbacks one ``run()`` invocation
+    may perform before the trip escalates to the abort path (exit 70).
+    A rollback restores the newest valid checkpoint with the dt it was
+    written at, then multiplies that dt by ``dt_scale``; checkpoints
+    carry the scaled dt, so a resumed run keeps it.  ``n_steps`` does
+    not change, so a rescaled run ends earlier in time.  The default 1.0
+    re-runs with identical arithmetic, which keeps recovery
     **bitwise-identical** to a fault-free run when the underlying cause
     was transient (an injected fault, a cosmic-ray flip).  Set it below
     1.0 to trade that reproducibility for stability when the trip is a
-    genuine timestep problem.
+    genuine timestep problem.  Hybrid runs step a scale-factor ladder
+    and cannot rescale.
     """
 
     max_attempts: int = 3

@@ -44,16 +44,17 @@ Fault kinds (``FAULT_KINDS``):
     RSS over a campaign ``[limits]`` budget.  Exercises the resource
     watchdog's drain→kill ladder.
 
-The three run-level kinds fire through :meth:`FaultPlan.run_level`,
-which persists a fired ledger (``faults_fired.jsonl``) in the run
-directory *before* acting: a retried attempt that resumes from a
-checkpoint behind the fault's step re-reads the same config but does
-not re-fire the fault — without the ledger a ``kill_run`` would kill
-every retry forever.
+A fault fires **once per run directory**, resumes included.  A plan
+is built on a run directory: it appends every firing to the directory's
+fired ledger (``faults_fired.jsonl``) *before* the fault acts, and reads
+the ledger back when built: a resumed or retried attempt re-reads the same
+config but does not re-fire what an earlier attempt fired — without the
+ledger a ``kill_run`` would kill every retry forever, and a NaN
+re-injected on resume would force a second rollback.
 
 A plan comes from the run config's ``[faults]`` section
-(:class:`repro.runtime.config.FaultsConfig`), or is handed to
-``SimulationRunner.run(fault_plan=)`` directly.
+(:class:`repro.runtime.config.FaultsConfig`); the runner builds it on
+the run directory.
 
 Every fired fault is published as a ``fault_injected`` telemetry event
 and recorded in :attr:`FaultPlan.log`, so a chaos run's telemetry shows
@@ -88,11 +89,8 @@ FAULT_KINDS = (
     "oom_run",
 )
 
-#: Kinds that take down (or bloat) the whole run process; their firing
-#: is persisted to the run directory so retries do not re-fire them.
-RUN_LEVEL_KINDS = ("oom_run", "freeze_run", "kill_run")
-
-#: The persistent one-shot ledger for run-level faults.
+#: The run directory's one-shot ledger: every firing, appended before
+#: the fault acts.
 FIRED_LEDGER = "faults_fired.jsonl"
 
 
@@ -159,17 +157,29 @@ class FaultPlan:
     before a domain-engine sweep).  An event fires at the **first** offered
     opportunity at or after its scheduled step — so a ``kill_worker``
     scheduled for step 2 of a run whose engine only sweeps on step 3
-    fires on step 3, once.
+    fires on step 3, once.  The firings are persisted to ``run_dir``'s
+    :data:`FIRED_LEDGER`, and events an earlier attempt in that
+    directory fired are fired already.
     """
 
-    def __init__(self, events, seed: int = 0) -> None:
+    def __init__(self, events, run_dir: str | Path, seed: int = 0) -> None:
         self.events: list[FaultEvent] = [
             e if isinstance(e, FaultEvent) else FaultEvent(**e) for e in events
         ]
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
         self.step = 0
-        #: Every fired event, in firing order: ``(step_fired, event_dict)``.
+        self.ledger = Path(run_dir) / FIRED_LEDGER
+        if self.ledger.exists():
+            # a torn tail is skipped: its fault fired all the same
+            for entry in iter_records(self.ledger):
+                for event in self.events:
+                    if (not event.fired and event.kind == entry.get("kind")
+                            and event.step == entry.get("step")):
+                        event.fired_at = entry.get("fired_at", event.step)
+                        break
+        #: Every event fired by this plan, in firing order:
+        #: ``{"fired_at": step, **event_dict}``.
         self.log: list[dict] = []
         #: Held ballast buffers (``oom_run``) — alive for the process's
         #: lifetime so the inflated RSS stays visible to the watchdog.
@@ -183,18 +193,18 @@ class FaultPlan:
         """Arm the plan for the step about to execute (1-based)."""
         self.step = int(step)
 
-    @property
-    def exhausted(self) -> bool:
-        """Whether every scheduled event has fired."""
-        return all(e.fired for e in self.events)
-
     def _take(self, kind: str) -> FaultEvent | None:
-        """Fire (and return) the next due unfired event of ``kind``."""
+        """Fire (and return) the next due unfired event of ``kind``,
+        persisting the firing first."""
         for event in self.events:
             if event.kind == kind and not event.fired and self.step >= event.step:
                 event.fired_at = self.step
                 entry = {"fired_at": self.step, **event.as_dict()}
                 self.log.append(entry)
+                with open(self.ledger, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(entry) + "\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
                 emit_event("fault_injected", **entry)
                 return event
         return None
@@ -239,46 +249,19 @@ class FaultPlan:
         path.write_bytes(bytes(data))
         return self.log[-1]
 
-    def run_level(self, run_dir: str | Path) -> None:
+    def run_level(self) -> None:
         """Fire due run-level faults (oom / freeze / kill this process).
 
         Called by the runner at each step boundary, after the
-        checkpoint logic.  Each firing is appended to the run
-        directory's :data:`FIRED_LEDGER` **before** the fault acts, and
-        ledger entries suppress re-firing: a retried attempt (a fresh
-        process re-reading the same ``[faults]`` config) resumes past
-        the fault instead of dying to it again — which is exactly what
-        makes a supervised chaos drill terminate.
+        checkpoint logic, so the pre-fault state is on disk for the
+        retry to resume from.
         """
-        run_dir = Path(run_dir)
-        ledger = run_dir / FIRED_LEDGER
-        # a torn tail is skipped: its fault fired all the same
-        already = ({f"{entry.get('kind')}@{entry.get('step')}"
-                    for entry in iter_records(ledger)}
-                   if ledger.exists() else set())
-        for kind in RUN_LEVEL_KINDS:
-            for event in self.events:
-                if (event.kind != kind or event.fired
-                        or self.step < event.step):
-                    continue
-                key = f"{kind}@{event.step}"
-                if key in already:
-                    event.fired_at = self.step  # fired by a prior attempt
-                    continue
-                event.fired_at = self.step
-                entry = {"fired_at": self.step, **event.as_dict()}
-                self.log.append(entry)
-                with open(ledger, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry) + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                emit_event("fault_injected", **entry)
-                if kind == "oom_run":
-                    self._ballast.append(bytearray(int(event.magnitude) << 20))
-                elif kind == "freeze_run":
-                    time.sleep(float(event.magnitude))
-                elif kind == "kill_run":  # pragma: no cover - dies here
-                    os.kill(os.getpid(), signal.SIGKILL)
+        while (event := self._take("oom_run")) is not None:
+            self._ballast.append(bytearray(int(event.magnitude) << 20))
+        while (event := self._take("freeze_run")) is not None:
+            time.sleep(float(event.magnitude))
+        if self._take("kill_run") is not None:  # pragma: no cover - dies here
+            os.kill(os.getpid(), signal.SIGKILL)
 
     def worker_fault(self, engine) -> None:
         """Domain-engine fault hook: sabotage the worker fleet mid-step.

@@ -16,7 +16,8 @@ carries a policy:
   exit so the state that tripped the guard is inspectable — and the run
   resumable once the cause is fixed.
 * ``"rollback"`` — report and let the runner restore the newest valid
-  checkpoint, shrink dt by the configured factor, and re-run (see
+  checkpoint as a resume does (with the dt it was written at), scale
+  that dt by ``recovery.dt_scale``, and re-run (see
   :mod:`repro.runtime.recovery`); when the attempt budget is exhausted
   the trip escalates to the abort path.
 

@@ -1,27 +1,26 @@
-"""Rollback-and-retry recovery for guarded runs.
+"""The restore scan behind every resume and rollback.
 
 The abort path (checkpoint, mark aborted, exit 70) preserves evidence
 but ends the campaign; on Fugaku-scale hardware most trips are
 *transient* — a flipped bit, a wedged node — and the economical response
-is the paper's: restore the last good state and go again.  This module
-owns the two pieces the runner composes:
+is the paper's: restore the last good state and go again.  A rollback is
+a resume inside the same invocation: the runner's one restore step
+(``SimulationRunner._restore``) rebuilds the stepper from the config,
+adopts the checkpoint :func:`find_latest_valid_checkpoint` returns, and
+rebuilds the conservation ledger and the guards — a NaN that tripped a
+guard has already poisoned the incremental drift tracking, so recovery
+rebuilds the observers, not just the state.  After a rollback the runner
+scales the restored dt by ``recovery.dt_scale``; the checkpoint header
+carries that dt, so a later resume continues at it.
 
-:func:`find_latest_valid_checkpoint`
-    The resume scan, hardened.  Candidates are tried newest-first;
-    anything unreadable — truncated zip, bad header, shape mismatch,
-    **checksum mismatch** (:class:`~repro.io.snapshot.SnapshotIntegrityError`)
-    — is skipped and, with ``quarantine_corrupt=True``, renamed to
-    ``*.corrupt`` so the restart chain never re-reads it (the bytes stay
-    on disk for post-mortem).  Every quarantine is published as a
-    ``checkpoint_quarantined`` telemetry event.
-
-:class:`RecoveryManager`
-    The rollback ledger for one run: counts attempts against the
-    configured budget and locates the state to restore.  The *runner*
-    performs the actual restore (rebuild stepper → adopt checkpoint →
-    re-register ledger/guards) because a NaN that tripped a guard has
-    already poisoned the incremental drift tracking — recovery must
-    rebuild the observers, not just the state.
+:func:`find_latest_valid_checkpoint` is the scan, hardened.  Candidates
+are tried newest-first; anything unreadable — truncated zip, bad header,
+shape mismatch, **checksum mismatch**
+(:class:`~repro.io.snapshot.SnapshotIntegrityError`) — is skipped and,
+with ``quarantine_corrupt=True``, renamed to ``*.corrupt`` so the
+restart chain never re-reads it (the bytes stay on disk for
+post-mortem).  Every quarantine is published as a
+``checkpoint_quarantined`` telemetry event.
 
 With ``recovery.dt_scale = 1.0`` (the default) a rollback re-executes
 bit-identical arithmetic from the restored state, so a run that recovers
@@ -42,12 +41,10 @@ from ..io.snapshot import (
     quarantine,
     read_checkpoint,
 )
-from .config import RecoveryConfig
 from .telemetry import emit_event
 
 __all__ = [
     "CheckpointState",
-    "RecoveryManager",
     "find_latest_valid_checkpoint",
 ]
 
@@ -104,62 +101,3 @@ def find_latest_valid_checkpoint(
     if skipped:
         return CheckpointState(Path(), None, None, None, {}, skipped)
     return None
-
-
-class RecoveryManager:
-    """Counts rollback attempts and finds the state to restore.
-
-    One manager lives for one ``run()`` invocation; its budget is the
-    run's, not the trip's — three separate guard trips against a
-    ``max_attempts = 3`` budget exhaust it just like three retries of
-    one trip (an endlessly re-tripping run must still terminate).
-    """
-
-    def __init__(self, ck_dir: Path, config: RecoveryConfig,
-                 timer: IOTimer | None = None) -> None:
-        self.ck_dir = Path(ck_dir)
-        self.config = config
-        self.timer = timer
-        self.attempts = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the attempt budget is spent."""
-        return self.attempts >= self.config.max_attempts
-
-    @property
-    def dt_factor(self) -> float:
-        """Cumulative dt multiplier after the attempts taken so far."""
-        return float(self.config.dt_scale) ** self.attempts
-
-    def begin_attempt(self, reason: str) -> CheckpointState | None:
-        """Charge one attempt and locate the newest restorable state.
-
-        Returns the checkpoint to restore (``f is None`` means nothing
-        restorable survives — restart from step 0), or raises
-        :class:`RuntimeError` if the budget is already exhausted; the
-        caller decides what exhaustion escalates to.  The located state
-        is also published as a ``rollback`` telemetry event.
-        """
-        if self.exhausted:
-            raise RuntimeError(
-                f"rollback budget exhausted "
-                f"({self.attempts}/{self.config.max_attempts} attempts)"
-            )
-        self.attempts += 1
-        state = find_latest_valid_checkpoint(
-            self.ck_dir, timer=self.timer, quarantine_corrupt=True
-        )
-        restored_step = (
-            int(state.header["step"])
-            if state is not None and state.f is not None else 0
-        )
-        emit_event(
-            "rollback",
-            attempt=self.attempts,
-            budget=self.config.max_attempts,
-            reason=reason,
-            restored_step=restored_step,
-            dt_factor=self.dt_factor,
-        )
-        return state

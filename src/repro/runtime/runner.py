@@ -25,10 +25,11 @@ operational discipline:
   other checkpoint (T seconds, drain, abort) holds the carried state
   and its pending kick, and continues the same chain on resume;
 * **auto-resume** — on start, the newest *valid* checkpoint in the run
-  directory is loaded (corrupt or truncated files are skipped with a
-  note and left for post-mortem); a fresh directory starts from the
-  scenario's deterministic initial conditions.  Resume is **bit-exact**:
-  run N steps, or run k, kill, resume N-k — identical f and particles;
+  directory is loaded (checksum-corrupt or truncated files are
+  quarantined with a note and left for post-mortem); a fresh directory
+  starts from the scenario's deterministic initial conditions.  Resume
+  is **bit-exact**: run N steps, or run k, kill, resume N-k — identical
+  f and particles (a checkpoint carries a fixed schedule's dt too);
 * **graceful drain** — SIGINT/SIGTERM finish the in-flight step, land a
   checkpoint, mark the run ``interrupted`` and exit with the distinct
   resumable status (:data:`EXIT_RESUMABLE`, BSD's EX_TEMPFAIL).  The
@@ -36,11 +37,11 @@ operational discipline:
 * **guards** — per-step health checks (:mod:`repro.runtime.guards`);
   an ``abort``-policy trip writes a final checkpoint *before* exiting
   with :data:`EXIT_GUARD_ABORT`, so the offending state is preserved;
-  a ``rollback``-policy trip restores the newest valid checkpoint
-  (quarantining checksum-corrupt ones), optionally shrinks dt, rebuilds
-  the ledger/guards, and re-runs — bounded by ``recovery.max_attempts``,
-  after which it escalates to the abort path
-  (:mod:`repro.runtime.recovery`);
+  a ``rollback``-policy trip is a resume: the same restore step as a
+  run's start (stepper from the config, newest valid checkpoint, fresh
+  ledger and guards), after which dt is scaled by ``recovery.dt_scale``
+  — bounded by ``recovery.max_attempts`` per invocation, after which it
+  escalates to the abort path (:mod:`repro.runtime.recovery`);
 * **always-on analysis** — with ``diagnostics.every_steps`` set, a
   :class:`~repro.serve.pipeline.DiagnosticsPipeline` stores moment
   fields and binned spectra under ``diagnostics/`` at that cadence, on
@@ -49,11 +50,11 @@ operational discipline:
   and the stored products read back through
   :func:`repro.serve.read_products`;
 * **chaos injection** — an optional :class:`~repro.runtime.faults.FaultPlan`
-  (``[faults]`` config section, or the ``run()`` argument) fires
-  deterministic worker kills, checkpoint corruption, NaN/negative-f
-  injection, and step stalls against the machinery above;
-  every injection and recovery lands in the telemetry stream as an
-  event record.
+  (the ``[faults]`` config section) fires deterministic worker kills,
+  checkpoint corruption, NaN/negative-f injection, and step stalls
+  against the machinery above, each once per run directory (resumes
+  included); every injection and recovery lands in the telemetry stream
+  as an event record.
 
 Exit-code contract (also in ``docs/RUNTIME.md``):
 
@@ -88,11 +89,7 @@ from ..perf.fft import get_default_backend
 from .config import RunConfig
 from .faults import FaultPlan
 from .guards import GuardSuite
-from .recovery import (
-    CheckpointState,
-    RecoveryManager,
-    find_latest_valid_checkpoint,
-)
+from .recovery import CheckpointState, find_latest_valid_checkpoint
 from .scenarios import Stepper, build_engine, build_stepper
 from .telemetry import TelemetryWriter, peak_rss_mb, set_event_sink
 
@@ -131,17 +128,6 @@ def checkpoint_name(step: int) -> str:
     return f"ck_{step:08d}.npz"
 
 
-def _adopt(stepper: Stepper, state: CheckpointState) -> None:
-    """Restore ``stepper`` from a recovered checkpoint (resume and
-    rollback alike), refusing one written for a different grid."""
-    if state.grid != stepper.grid:
-        raise RuntimeError(
-            f"checkpoint {state.path.name} was written for a different "
-            "grid than this config builds — refusing to restore it"
-        )
-    stepper.restore(state.f, state.particles, state.header)
-
-
 class SimulationRunner:
     """Drives one configured run inside one run directory.
 
@@ -157,10 +143,6 @@ class SimulationRunner:
         self.timer = StepTimer()
         self.io_timer = IOTimer()
         self.ledger = ConservationLedger()
-        #: While a rollback is pending (state restored, no newer
-        #: checkpoint written yet), the checkpoint it restored from —
-        #: rotation must never delete it (see :meth:`_rotate`).
-        self._rollback_protect: Path | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -191,15 +173,18 @@ class SimulationRunner:
     # the run loop
     # ------------------------------------------------------------------
 
-    def run(self, max_steps: int | None = None,
-            fault_plan: "FaultPlan | None" = None) -> int:
+    def run(self, max_steps: int | None = None) -> int:
         """Advance the schedule; returns the exit-code-contract status.
 
-        ``max_steps`` caps the steps taken by *this invocation* (a
-        deterministic stand-in for the wall-clock budget; the run exits
-        resumable when the cap lands before the schedule's end).
-        ``fault_plan`` injects chaos (tests/drills); when omitted, the
-        config's ``[faults]`` section is the plan.
+        Every invocation first restores: it builds the stepper from the
+        config and adopts the newest valid checkpoint (a fresh directory
+        starts from the initial conditions).  A ``rollback`` guard trip
+        restores the same way, then scales the restored dt by
+        ``recovery.dt_scale``.  ``max_steps`` caps the steps taken by
+        *this invocation* (a deterministic stand-in for the wall-clock
+        budget; the run exits resumable when the cap lands before the
+        schedule's end).  The config's ``[faults]`` section is the chaos
+        plan; each of its faults fires once per run directory.
 
         The run holds the run directory's lock throughout; a directory
         another live process is running raises
@@ -208,10 +193,9 @@ class SimulationRunner:
         """
         self.run_dir.mkdir(parents=True, exist_ok=True)
         with directory_lock(self.run_dir):
-            return self._run(max_steps, fault_plan)
+            return self._run(max_steps)
 
-    def _run(self, max_steps: int | None,
-             fault_plan: "FaultPlan | None") -> int:
+    def _run(self, max_steps: int | None) -> int:
         config = self.config
         ck_cfg = config.checkpoint
         ck_dir = self.run_dir / CHECKPOINT_DIR
@@ -223,11 +207,13 @@ class SimulationRunner:
             return (ck_cfg.every_steps is not None
                     and index % ck_cfg.every_steps == 0)
 
-        if fault_plan is None and config.faults.events:
-            fault_plan = FaultPlan(config.faults.events, seed=config.faults.seed)
+        fault_plan = None
+        if config.faults.events:
+            fault_plan = FaultPlan(config.faults.events, self.run_dir,
+                                   seed=config.faults.seed)
 
         # The telemetry stream opens first so that *everything* below —
-        # quarantines during the resume scan, worker failures,
+        # quarantines during the restore scan, worker failures,
         # fault injections, rollbacks — lands in it as event records.
         # The ``finally`` below restores the sink and closes what was
         # opened whether or not the run started: a refused resume too.
@@ -236,12 +222,14 @@ class SimulationRunner:
         engine = pipeline = None
         old_handlers: dict[int, object] = {}
         started = False
+        rollbacks = 0
         try:
             engine = build_engine(config)
             if fault_plan is not None:
                 engine.fault_hook = fault_plan.worker_fault
 
-            stepper = build_stepper(config, timer=self.timer, engine=engine)
+            stepper, guard_suite = self._restore(engine, ck_dir)
+            last_diag_step = stepper.index
 
             # The serving tier: moment fields and spectra stored under
             # diagnostics/ at its own cadence.
@@ -254,30 +242,6 @@ class SimulationRunner:
                     stepper.grid,
                     n_bins=diag_cfg.n_bins,
                 )
-
-            state = find_latest_valid_checkpoint(
-                ck_dir, timer=self.io_timer, quarantine_corrupt=True
-            )
-            if state is not None:
-                for path, reason in state.skipped:
-                    print(f"runner: skipping unreadable checkpoint {path.name}: "
-                          f"{reason}", file=sys.stderr)
-                if state.f is not None:
-                    _adopt(stepper, state)
-                    print(f"runner: resumed from {state.path.name} "
-                          f"(step {stepper.index}/{stepper.n_steps})",
-                          file=sys.stderr)
-                else:
-                    print("runner: no valid checkpoint survives in "
-                          f"{ck_dir.name}/ — restarting from step 0",
-                          file=sys.stderr)
-
-            last_diag_step = stepper.index
-            recovery = RecoveryManager(ck_dir, config.recovery,
-                                       timer=self.io_timer)
-            self.ledger = ConservationLedger()
-            self.ledger.register(**stepper.conserved())
-            guard_suite = GuardSuite(config.guards, self.ledger)
 
             interrupts: list[str] = []
 
@@ -295,12 +259,14 @@ class SimulationRunner:
             drain_flag = self.run_dir / DRAIN_NAME
             prev_sections: dict[str, float] = {}
             steps_taken = 0
-            status, exit_code, reason = "running", EXIT_COMPLETE, ""
             self._write_manifest(status="running", exit_code=None,
                                  last_step=stepper.index)
             started = True
 
-            while stepper.index < stepper.n_steps:
+            # (status, exit_code, reason, message): set by whatever ends
+            # the run early; the schedule's end is the default
+            stop = None
+            while stop is None and stepper.index < stepper.n_steps:
                 if fault_plan is not None:
                     fault_plan.begin_step(stepper.index + 1)
                 t0 = time.monotonic()
@@ -331,37 +297,43 @@ class SimulationRunner:
                                               prev_sections))
 
                 if reports and GuardSuite.should_abort(reports):
-                    self._checkpoint(stepper, ck_dir)
                     worst = next(r for r in reports if r.policy == "abort")
-                    status, exit_code = "aborted", EXIT_GUARD_ABORT
-                    reason = f"guard:{worst.guard}"
-                    print(f"runner: aborting on guard — {worst.message}",
-                          file=sys.stderr)
+                    stop = ("aborted", EXIT_GUARD_ABORT, f"guard:{worst.guard}",
+                            f"runner: aborting on guard — {worst.message}")
+                elif reports and GuardSuite.should_rollback(reports):
+                    worst = next(r for r in reports if r.policy == "rollback")
+                    budget = config.recovery.max_attempts
+                    if rollbacks >= budget:
+                        stop = ("aborted", EXIT_GUARD_ABORT,
+                                "rollback_exhausted",
+                                f"runner: rollback budget exhausted "
+                                f"({rollbacks}/{budget}) — aborting on "
+                                f"guard: {worst.message}")
+                    else:
+                        # a rollback is a resume, then a smaller step
+                        rollbacks += 1
+                        stepper, guard_suite = self._restore(
+                            engine, ck_dir, quiet=True)
+                        dt_factor = 1.0
+                        if stepper.rescale_dt(config.recovery.dt_scale):
+                            dt_factor = stepper.dt / config.schedule.dt
+                        elif config.recovery.dt_scale != 1.0:
+                            print("runner: this scenario cannot rescale dt "
+                                  "— rolling back at the original step "
+                                  "size", file=sys.stderr)
+                        telemetry.event(
+                            "rollback", attempt=rollbacks, budget=budget,
+                            reason=f"guard:{worst.guard}",
+                            restored_step=stepper.index, dt_factor=dt_factor,
+                        )
+                        last_diag_step = stepper.index
+                        last_ck_time = time.monotonic()
+                        print(f"runner: rollback {rollbacks}/{budget} to "
+                              f"step {stepper.index} on guard — "
+                              f"{worst.message}", file=sys.stderr)
+                        continue
+                if stop is not None:
                     break
-
-                if reports and GuardSuite.should_rollback(reports):
-                    worst = next(r for r in reports
-                                 if r.policy == "rollback")
-                    if recovery.exhausted:
-                        self._checkpoint(stepper, ck_dir)
-                        status, exit_code = "aborted", EXIT_GUARD_ABORT
-                        reason = "rollback_exhausted"
-                        print("runner: rollback budget exhausted "
-                              f"({recovery.attempts}/"
-                              f"{recovery.config.max_attempts}) — aborting "
-                              f"on guard: {worst.message}", file=sys.stderr)
-                        break
-                    stepper = self._rollback(
-                        recovery, f"guard:{worst.guard}", engine
-                    )
-                    guard_suite = GuardSuite(config.guards, self.ledger)
-                    last_diag_step = stepper.index
-                    last_ck_time = time.monotonic()
-                    print(f"runner: rollback {recovery.attempts}/"
-                          f"{recovery.config.max_attempts} to step "
-                          f"{stepper.index} on guard — {worst.message}",
-                          file=sys.stderr)
-                    continue
 
                 done = stepper.index >= stepper.n_steps
                 if pipeline is not None and (
@@ -399,45 +371,38 @@ class SimulationRunner:
                     # fires after the checkpoint logic so the pre-fault
                     # state is on disk for the retry to resume from; the
                     # kill variant does not return.
-                    fault_plan.run_level(self.run_dir)
+                    fault_plan.run_level()
 
                 poll = time.monotonic() >= next_drain_poll
                 if poll:
                     next_drain_poll = time.monotonic() + DRAIN_POLL_SECONDS
-                if interrupts or (poll and drain_flag.exists()):
-                    self._checkpoint(stepper, ck_dir)
-                    status, exit_code = "interrupted", EXIT_RESUMABLE
-                    if interrupts:
-                        reason = f"signal:{interrupts[0]}"
-                    else:
-                        reason = "drain_requested"
-                        # consume the flag: the retry that resumes this
-                        # run must not immediately re-drain
-                        drain_flag.unlink(missing_ok=True)
-                    print(f"runner: drained on {reason.split(':')[-1]} at "
-                          f"step {stepper.index}/{stepper.n_steps} — "
-                          "resumable", file=sys.stderr)
-                    break
-                if (config.wall_clock_budget is not None
-                        and time.monotonic() - start >= config.wall_clock_budget):
-                    self._checkpoint(stepper, ck_dir)
-                    status, exit_code = "interrupted", EXIT_RESUMABLE
-                    reason = "wall_clock_budget"
-                    print(f"runner: wall-clock budget exhausted at step "
-                          f"{stepper.index}/{stepper.n_steps} — resumable",
-                          file=sys.stderr)
-                    break
-                if max_steps is not None and steps_taken >= max_steps:
-                    if stepper.index < stepper.n_steps:
-                        self._checkpoint(stepper, ck_dir)
-                        status, exit_code = "interrupted", EXIT_RESUMABLE
-                        reason = "max_steps"
-                    break
-            if status == "running":  # the while condition ended the loop
-                self._checkpoint(stepper, ck_dir)
-                status, exit_code, reason = "complete", EXIT_COMPLETE, "schedule"
-                print(f"runner: complete — {stepper.index} steps "
-                      f"in {self.run_dir}")
+                if interrupts:
+                    stop = ("interrupted", EXIT_RESUMABLE,
+                            f"signal:{interrupts[0]}",
+                            f"runner: drained on {interrupts[0]} at step "
+                            f"{stepper.index}/{stepper.n_steps} — resumable")
+                elif poll and drain_flag.exists():
+                    # consume the flag: the retry that resumes this run
+                    # must not immediately re-drain
+                    drain_flag.unlink(missing_ok=True)
+                    stop = ("interrupted", EXIT_RESUMABLE, "drain_requested",
+                            f"runner: drained on drain_requested at step "
+                            f"{stepper.index}/{stepper.n_steps} — resumable")
+                elif (config.wall_clock_budget is not None
+                      and time.monotonic() - start >= config.wall_clock_budget):
+                    stop = ("interrupted", EXIT_RESUMABLE, "wall_clock_budget",
+                            f"runner: wall-clock budget exhausted at step "
+                            f"{stepper.index}/{stepper.n_steps} — resumable")
+                elif (not done and max_steps is not None
+                      and steps_taken >= max_steps):
+                    stop = ("interrupted", EXIT_RESUMABLE, "max_steps", None)
+            status, exit_code, reason, message = stop or (
+                "complete", EXIT_COMPLETE, "schedule",
+                f"runner: complete — {stepper.index} steps in {self.run_dir}")
+            self._checkpoint(stepper, ck_dir)
+            if message is not None:
+                print(message, file=sys.stdout if status == "complete"
+                      else sys.stderr)
         except BaseException as exc:
             # the manifest says the run died of it; the caller sees it
             status, exit_code = "failed", None
@@ -457,40 +422,53 @@ class SimulationRunner:
             if started:
                 self._write_manifest(status=status, exit_code=exit_code,
                                      last_step=stepper.index, reason=reason,
-                                     rollbacks=recovery.attempts)
+                                     rollbacks=rollbacks)
         return exit_code
 
     # ------------------------------------------------------------------
     # pieces
     # ------------------------------------------------------------------
 
-    def _rollback(self, recovery: RecoveryManager, reason: str,
-                  engine) -> Stepper:
-        """Restore the newest valid state and rebuild the observers.
+    def _restore(self, engine, ck_dir: Path,
+                 quiet: bool = False) -> tuple[Stepper, GuardSuite]:
+        """Build the stepper and adopt the newest valid checkpoint.
 
-        A fresh stepper is built from the config (deterministic ICs —
-        exactly the resume path) and, when a valid checkpoint survives,
-        adopts its state; when none does, the run restarts from step 0.
-        The conservation ledger is rebuilt from the restored state: the
-        trip that brought us here (a NaN, say) has already poisoned the
-        incremental drift tracking, so the old observers cannot be
-        trusted.  Returns the replacement stepper.
+        The one restore path, for a run's start and a rollback alike: a
+        fresh stepper from the config (deterministic ICs), which adopts
+        the newest checkpoint that reads back (checksum-corrupt ones are
+        quarantined); when none survives, the run restarts from step 0.
+        The conservation ledger and the guard suite are rebuilt from the
+        restored state: a trip (a NaN, say) has already poisoned the
+        incremental drift tracking.  ``quiet`` keeps the resume notes
+        off stderr (a rollback announces itself).
         """
-        state = recovery.begin_attempt(reason)
-        self._rollback_protect = (
-            state.path if state is not None and state.f is not None else None
-        )
         stepper = build_stepper(self.config, timer=self.timer, engine=engine)
-        if state is not None and state.f is not None:
-            _adopt(stepper, state)
-        if recovery.config.dt_scale != 1.0:
-            if not stepper.rescale_dt(recovery.dt_factor):
-                print("runner: this scenario cannot rescale dt — "
-                      "rolling back at the original step size",
-                      file=sys.stderr)
+        state = find_latest_valid_checkpoint(
+            ck_dir, timer=self.io_timer, quarantine_corrupt=True
+        )
+        if state is not None:
+            if not quiet:
+                for path, reason in state.skipped:
+                    print(f"runner: skipping unreadable checkpoint "
+                          f"{path.name}: {reason}", file=sys.stderr)
+            if state.f is not None:
+                if state.grid != stepper.grid:
+                    raise RuntimeError(
+                        f"checkpoint {state.path.name} was written for a "
+                        "different grid than this config builds — refusing "
+                        "to restore it"
+                    )
+                stepper.restore(state.f, state.particles, state.header)
+                note = (f"runner: resumed from {state.path.name} "
+                        f"(step {stepper.index}/{stepper.n_steps})")
+            else:
+                note = ("runner: no valid checkpoint survives in "
+                        f"{ck_dir.name}/ — restarting from step 0")
+            if not quiet:
+                print(note, file=sys.stderr)
         self.ledger = ConservationLedger()
         self.ledger.register(**stepper.conserved())
-        return stepper
+        return stepper, GuardSuite(self.config.guards, self.ledger)
 
     def _record(self, stepper: Stepper, dt: float, wall: float,
                 reports, prev_sections: dict[str, float]) -> dict:
@@ -525,9 +503,6 @@ class SimulationRunner:
         """Write a checkpoint at the stepper's position, then rotate."""
         path = stepper.save(ck_dir / checkpoint_name(stepper.index),
                             timer=self.io_timer)
-        # A newer valid checkpoint now exists: whatever rollback restore
-        # was pending is superseded, so the old restore point may rotate.
-        self._rollback_protect = None
         self._rotate(ck_dir)
         return path
 
@@ -539,24 +514,13 @@ class SimulationRunner:
         not re-read them), but under repeated corruption they would
         otherwise accumulate without bound.  The newest files of each
         family survive — recent corpses are post-mortem evidence, a
-        deep history of them is just disk.
-
-        Invariant: while a rollback is pending (state restored from a
-        checkpoint, nothing newer written yet) the restored-from file is
-        never deleted, no matter how the retention window lands — losing
-        it would leave a re-tripping run nothing to roll back onto.
+        deep history of them is just disk.  A rollback restores the
+        newest valid checkpoint, and rotation runs only after a newer
+        write, so it never takes a restore point a rollback still needs.
         """
         keep = self.config.checkpoint.keep_last
-        protect = self._rollback_protect
-        files = sorted(ck_dir.glob("ck_*.npz"))
-        for stale in files[:-keep]:
-            if protect is not None and stale.name == protect.name:
-                continue
+        for stale in sorted(ck_dir.glob("ck_*.npz"))[:-keep]:
             stale.unlink(missing_ok=True)
-        assert protect is None or protect.exists(), (
-            f"rotation deleted the pending rollback restore point "
-            f"{protect.name}"
-        )
         for stale in sorted(ck_dir.glob("ck_*.npz.corrupt"))[:-keep]:
             stale.unlink(missing_ok=True)
 

@@ -20,7 +20,9 @@ header's ``extra`` (``pending_kick``, or the hybrid's ``kick_from_a``);
 a header without the key is synchronous, which is how
 :meth:`Stepper.synchronize` leaves the runner's sync points (the step
 cadence's multiples and the schedule's end) and how checkpoints written
-before the merge read.
+before the merge read.  A fixed-dt schedule's ``dt`` rides in ``extra``
+too, so a rollback's rescaled step size survives a resume; a header
+without it keeps the config's dt.
 
 Initial conditions are part of the scenario (a run must be resumable
 from its config file alone, so ICs cannot live in an ad-hoc script):
@@ -114,7 +116,7 @@ class Stepper:
     completed schedule slots (the driver's ``step_count``); a stepper
     with ``index == n_steps`` is done.  ``save``/``restore`` round-trip
     the *entire* mutable state bit-exactly (f, particles, clock, index,
-    owed kick).
+    owed kick, and a fixed schedule's dt).
     """
 
     def __init__(self, scenario: str, driver: LeapfrogDriver, n_steps: int,
@@ -189,13 +191,20 @@ class Stepper:
         self.driver.solver.notify_f_mutated()
 
     def save(self, path: str | Path, timer=None) -> Path:
-        """Write a restart checkpoint at the current state."""
-        return self.driver.save(path, timer, {"scenario": self.scenario,
-                                              "schedule_index": self.index})
+        """Write a restart checkpoint at the current state; a fixed-dt
+        schedule's ``dt`` goes into the header's ``extra``, so a rescaled
+        step size survives a resume."""
+        extra = {"scenario": self.scenario, "schedule_index": self.index}
+        if self.schedule is None:
+            extra["dt"] = self.dt
+        return self.driver.save(path, timer, extra)
 
     def restore(self, f: np.ndarray, particles, header: dict) -> None:
-        """Adopt a checkpoint's state (inverse of :meth:`save`)."""
+        """Adopt a checkpoint's state (inverse of :meth:`save`); a
+        header without ``dt`` keeps the config's."""
         self.driver.restore(f, particles, header)
+        if self.schedule is None:
+            self.dt = header.get("extra", {}).get("dt", self.dt)
 
 
 def build_stepper(config: RunConfig, timer=None, engine=None) -> Stepper:

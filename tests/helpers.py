@@ -100,18 +100,18 @@ def uniform_lattice_particles(
 # -- runs that fail ------------------------------------------------------
 
 
-def failed_run_resumes(config, run_dir: Path, error: type, fault_plan=None):
+def failed_run_resumes(config, run_dir: Path, error: type):
     """Run ``config`` in ``run_dir``, which must raise ``error``; check the
     run left a clean directory — ``run.json`` at ``failed``, no staged
     ``.tmp`` file, every checkpoint whole, no shared-memory segment — then
-    resume it without ``fault_plan`` and return the final f."""
+    resume it (its faults have fired) and return the final f."""
     from repro.io.snapshot import read_checkpoint
     from repro.perf.substrate import LIVE_SEGMENTS
     from repro.runtime import EXIT_COMPLETE, SimulationRunner
 
     runner = SimulationRunner.create(config, run_dir)
     with pytest.raises(error):
-        runner.run(fault_plan=fault_plan)
+        runner.run()
     manifest = runner.manifest()
     assert (manifest["status"], manifest["exit_code"], manifest["reason"]) \
         == ("failed", None, f"error:{error.__name__}")

@@ -163,6 +163,10 @@ RETIRED = (
     # helpers only tests read: they live in tests/helpers.py
     "l1" + "_norm", "casi" + "mir", "entro" + "py", "dispersion" + "_tensor",
     "gaussian" + "_field(", "uniform" + "_random", "uniform" + "_lattice",
+    # the rollback's second restore path beside the resume (one restore
+    # step now), and the run-level-only fired ledger
+    "Recovery" + "Manager", "begin" + "_attempt", "_rollback" + "_protect",
+    "RUN_LEVEL" + "_KINDS",
 )
 
 

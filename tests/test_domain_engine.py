@@ -32,6 +32,7 @@ from repro.runtime import RunConfig
 from repro.runtime.config import (
     CheckpointConfig,
     EngineConfig,
+    FaultsConfig,
     GridConfig,
     ScheduleConfig,
 )
@@ -692,17 +693,18 @@ class TestChaosDrills:
 
     def test_worker_lost_past_retries_fails_and_resumes_bitwise(self, tmp_path):
         from repro.parallel.domain import DomainWorkerError
-        from repro.runtime import FaultPlan, SimulationRunner, read_events
+        from repro.runtime import SimulationRunner, read_events
 
         serial = dataclasses.replace(chaos_config(), engine=EngineConfig())
         assert SimulationRunner.create(serial, tmp_path / "ref").run() == 0
         ref_ck = tmp_path / "ref" / "checkpoints" / "ck_00000004.npz"
-        # the plan goes to the first attempt only: the resume re-runs
-        # step 2, where a config [faults] kill would fire again
-        f_final = failed_run_resumes(
-            chaos_config(max_retries=0), tmp_path / "kill", DomainWorkerError,
-            FaultPlan([{"kind": "kill_worker", "step": 2}]),
+        # the resume re-runs step 2, where the kill has already fired
+        killed = dataclasses.replace(
+            chaos_config(max_retries=0),
+            faults=FaultsConfig(events=[{"kind": "kill_worker", "step": 2}]),
         )
+        f_final = failed_run_resumes(killed, tmp_path / "kill",
+                                     DomainWorkerError)
         assert f_final.tobytes() == read_checkpoint(ref_ck)[1].tobytes()
         kinds = [e["event"] for e in read_events(tmp_path / "kill"
                                                  / "telemetry.jsonl")]

@@ -30,9 +30,11 @@ from repro.io.snapshot import (
 from repro.runtime import (
     EXIT_COMPLETE,
     EXIT_GUARD_ABORT,
+    EXIT_RESUMABLE,
     FaultPlan,
     RunConfig,
     SimulationRunner,
+    iter_records,
     read_events,
     set_event_sink,
 )
@@ -82,8 +84,9 @@ def reference_f(tmp_path, n_steps=8):
 
 
 class TestFaultPlan:
-    def test_events_fire_once_at_their_step(self):
-        plan = FaultPlan([{"kind": "inject_nan", "step": 3, "count": 4}], seed=1)
+    def test_events_fire_once_at_their_step(self, tmp_path):
+        plan = FaultPlan([{"kind": "inject_nan", "step": 3, "count": 4}],
+                         tmp_path, seed=1)
         f = np.ones((8, 8))
         plan.begin_step(2)
         plan.mutate_state(f)
@@ -91,20 +94,44 @@ class TestFaultPlan:
         plan.begin_step(3)
         plan.mutate_state(f)
         assert np.isnan(f).any()  # fired
-        assert plan.exhausted and len(plan.log) == 1
+        assert [(e["kind"], e["fired_at"]) for e in plan.log] == [
+            ("inject_nan", 3)]
         f2 = np.ones((8, 8))
         plan.begin_step(4)
         plan.mutate_state(f2)
         assert np.isfinite(f2).all()  # one-shot: never refires
+        assert len(plan.log) == 1
 
-    def test_negative_injection_and_stall(self):
+    def test_an_event_fires_once_per_run_directory(self, tmp_path):
+        """A plan built on a run directory persists each firing; a later
+        plan there (a resume, a retry) finds it fired."""
+        events = [{"kind": "inject_nan", "step": 3},
+                  {"kind": "inject_nan", "step": 3},
+                  {"kind": "stall_step", "step": 5, "magnitude": 2.0}]
+        first = FaultPlan(events, tmp_path, seed=1)
+        first.begin_step(3)
+        for _ in range(3):  # one event of a kind per injection point
+            first.mutate_state(np.ones(16))
+        assert len(first.log) == 2  # both NaN events, not the stall
+
+        again = FaultPlan(events, tmp_path, seed=1)
+        again.begin_step(5)
+        f = np.ones(16)
+        assert not again.mutate_state(f) and np.isfinite(f).all()
+        assert again.stall_seconds() == 2.0  # the one that had not fired
+        assert [e.fired_at for e in again.events] == [3, 3, 5]
+        last = FaultPlan(events, tmp_path)
+        last.begin_step(6)
+        assert last.stall_seconds() == 0.0 and not last.log
+
+    def test_negative_injection_and_stall(self, tmp_path):
         plan = FaultPlan(
             [
                 {"kind": "inject_negative", "step": 1, "count": 2,
                  "magnitude": 0.5},
                 {"kind": "stall_step", "step": 1, "magnitude": 0.25},
             ],
-            seed=2,
+            tmp_path, seed=2,
         )
         f = np.ones(64)
         plan.begin_step(1)
@@ -113,19 +140,21 @@ class TestFaultPlan:
         assert plan.stall_seconds() == 0.25
         assert plan.stall_seconds() == 0.0  # one-shot
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
-            FaultPlan([{"kind": "set_on_fire", "step": 1}])
+            FaultPlan([{"kind": "set_on_fire", "step": 1}], tmp_path)
 
     def test_corrupt_file_is_seeded_deterministic(self, tmp_path):
         original = bytes(range(256)) * 8
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         a.write_bytes(original)
         b.write_bytes(original)
-        for path in (a, b):
+        for path in (a, b):  # one run directory each: each plan fires
+            run_dir = tmp_path / path.stem
+            run_dir.mkdir()
             plan = FaultPlan(
                 [{"kind": "corrupt_checkpoint", "step": 1, "count": 16}],
-                seed=5,
+                run_dir, seed=5,
             )
             plan.begin_step(1)
             plan.corrupt_file(path)
@@ -333,6 +362,46 @@ class TestFailedRuns:
 
 
 # ----------------------------------------------------------------------
+# A rollback is a resume: its dt survives the next one (tier-1)
+# ----------------------------------------------------------------------
+
+
+class TestRollbackThenResume:
+    def test_rescaled_dt_survives_a_resume(self, tmp_path):
+        """A NaN at step 3 rolls back to the step-2 checkpoint at half
+        the dt; the run is drained by ``max_steps = 5`` and resumed.
+        The resume continues at the rescaled dt from the checkpoint,
+        does not roll back again, and ends on the uninterrupted run."""
+        cfg = chaos_config(
+            8,
+            grid=GridConfig(nx=(16,), nu=(16,), box_size=4 * np.pi,
+                            v_max=6.0),
+            checkpoint=CheckpointConfig(every_steps=2, keep_last=3),
+            guards=GuardConfig(nan="rollback"),
+            recovery=RecoveryConfig(max_attempts=3, dt_scale=0.5),
+            faults=FaultsConfig(seed=1, events=[
+                {"kind": "inject_nan", "step": 3},
+            ]),
+        )
+        whole = tmp_path / "whole"
+        assert SimulationRunner.create(cfg, whole).run() == EXIT_COMPLETE
+        split = tmp_path / "split"
+        assert SimulationRunner.create(cfg, split).run(max_steps=5) \
+            == EXIT_RESUMABLE
+        n_first = len(list(iter_records(split / TELEMETRY_NAME)))
+        assert SimulationRunner.resume(split).run() == EXIT_COMPLETE
+
+        assert final_f(split, 8).tobytes() == final_f(whole, 8).tobytes()
+        records = list(iter_records(split / TELEMETRY_NAME))
+        assert not [r for r in records[n_first:]
+                    if r.get("event") == "rollback"]
+        first = next(i for i, r in enumerate(records)
+                     if r.get("event") == "rollback")
+        dts = [r["dt"] for r in records[first:] if "event" not in r]
+        assert len(dts) == 6 and set(dts) == {0.05}
+
+
+# ----------------------------------------------------------------------
 # Chaos drills: whole runs under injected faults
 # ----------------------------------------------------------------------
 
@@ -390,14 +459,14 @@ class TestChaosRuns:
         ref = reference_f(tmp_path, self.N)
         cfg = chaos_config(
             self.N, engine=self.engine(task_timeout=0.5, max_retries=0),
+            faults=FaultsConfig(seed=3, events=[
+                {"kind": "stall_worker", "step": 2, "magnitude": 3.0},
+            ]),
         )
         # one stalled worker holds up the whole round (a barrier); the
-        # plan goes to the first attempt only, as a config [faults]
-        # stall would fire again when the resume re-runs step 2
-        plan = FaultPlan([{"kind": "stall_worker", "step": 2,
-                           "magnitude": 3.0}], seed=3)
+        # resume re-runs step 2, where the stall has already fired
         f_final = failed_run_resumes(cfg, tmp_path / "stall",
-                                     DomainWorkerError, plan)
+                                     DomainWorkerError)
         assert np.array_equal(ref, f_final)
         events = read_events(tmp_path / "stall" / TELEMETRY_NAME)
         (failure,) = [e for e in events if e["event"] == "domain_worker_failure"]

@@ -402,26 +402,34 @@ class TestRotationFamilies:
         valid = sorted(p.name for p in ck_dir.glob("ck_*.npz"))
         assert valid == [checkpoint_name(s) for s in (6, 8, 10)]
 
-    def test_rotation_never_deletes_pending_rollback_point(self, tmp_path):
-        """While a rollback is pending, its restore point is sacred even
-        when the retention window would rotate it away."""
-        cfg = plasma_config(n_steps=4,
-                            checkpoint=CheckpointConfig(keep_last=2))
-        runner = SimulationRunner.create(cfg, tmp_path / "run")
-        ck_dir = tmp_path / "run" / CHECKPOINT_DIR
-        for step in range(1, 6):
-            (ck_dir / checkpoint_name(step)).write_bytes(b"x")
-        oldest = ck_dir / checkpoint_name(1)
-        runner._rollback_protect = oldest  # a rollback restored from it
-        runner._rotate(ck_dir)
-        assert oldest.exists()
-        names = sorted(p.name for p in ck_dir.glob("ck_*.npz"))
-        assert names == [checkpoint_name(s) for s in (1, 4, 5)]
-        # once a newer checkpoint supersedes the restore point, it rotates
-        runner._rollback_protect = None
-        runner._rotate(ck_dir)
-        assert sorted(p.name for p in ck_dir.glob("ck_*.npz")) == [
-            checkpoint_name(4), checkpoint_name(5)]
+    def test_rollback_under_keep_last_one_ends_on_the_fault_free_run(
+        self, tmp_path
+    ):
+        """keep_last=1 on a two-step cadence and a NaN at step 3: the
+        rollback restores the one checkpoint there is (step 2), the next
+        rotation follows a newer write, and the run ends on the
+        fault-free answer with one checkpoint left."""
+        def run(name, **overrides):
+            cfg = plasma_config(
+                n_steps=8,
+                checkpoint=CheckpointConfig(every_steps=2, keep_last=1),
+                guards=GuardConfig(nan="rollback"), **overrides,
+            )
+            runner = SimulationRunner.create(cfg, tmp_path / name)
+            assert runner.run() == EXIT_COMPLETE
+            return runner
+
+        clean = run("clean")
+        faulted = run("faulted", faults=FaultsConfig(seed=3, events=[
+            {"kind": "inject_nan", "step": 3},
+        ]))
+        assert faulted.manifest()["rollbacks"] == 1
+        assert [e["restored_step"] for e in read_events(
+            tmp_path / "faulted" / TELEMETRY_NAME, "rollback")] == [2]
+        assert sorted(p.name for p in (tmp_path / "faulted" / CHECKPOINT_DIR)
+                      .glob("ck_*.npz")) == [checkpoint_name(8)]
+        assert (final_checkpoint(tmp_path / "faulted", 8)[1].tobytes()
+                == final_checkpoint(clean.run_dir, 8)[1].tobytes())
 
     def test_rollback_run_keeps_restore_point_protected(self, tmp_path):
         """End to end: keep_last=1 plus a mid-run rollback — rotation
