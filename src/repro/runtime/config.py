@@ -167,8 +167,10 @@ class RecoveryConfig:
     ``max_attempts`` bounds how many rollbacks one ``run()`` invocation
     may perform before the trip escalates to the abort path (exit 70).
     A rollback restores the newest valid checkpoint with the dt it was
-    written at, then multiplies that dt by ``dt_scale``; checkpoints
-    carry the scaled dt, so a resumed run keeps it.  ``n_steps`` does
+    written at, and each attempt multiplies that dt by ``dt_scale``: the
+    n-th rollback onto one checkpoint runs at its dt times
+    ``dt_scale**n``.  Checkpoints carry the scaled dt, so a resumed run
+    keeps it.  ``n_steps`` does
     not change, so a rescaled run ends earlier in time.  The default 1.0
     re-runs with identical arithmetic, which keeps recovery
     **bitwise-identical** to a fault-free run when the underlying cause

@@ -17,7 +17,7 @@ carries a policy:
   resumable once the cause is fixed.
 * ``"rollback"`` — report and let the runner restore the newest valid
   checkpoint as a resume does (with the dt it was written at), scale
-  that dt by ``recovery.dt_scale``, and re-run (see
+  that dt by ``recovery.dt_scale`` per attempt, and re-run (see
   :mod:`repro.runtime.recovery`); when the attempt budget is exhausted
   the trip escalates to the abort path.
 

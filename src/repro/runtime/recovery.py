@@ -10,7 +10,8 @@ adopts the checkpoint :func:`find_latest_valid_checkpoint` returns, and
 rebuilds the conservation ledger and the guards — a NaN that tripped a
 guard has already poisoned the incremental drift tracking, so recovery
 rebuilds the observers, not just the state.  After a rollback the runner
-scales the restored dt by ``recovery.dt_scale``; the checkpoint header
+scales the restored dt by ``recovery.dt_scale`` per attempt (the n-th
+rollback onto one checkpoint by ``dt_scale**n``); the checkpoint header
 carries that dt, so a later resume continues at it.
 
 :func:`find_latest_valid_checkpoint` is the scan, hardened.  Candidates

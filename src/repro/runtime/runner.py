@@ -40,8 +40,9 @@ operational discipline:
   a ``rollback``-policy trip is a resume: the same restore step as a
   run's start (stepper from the config, newest valid checkpoint, fresh
   ledger and guards), after which dt is scaled by ``recovery.dt_scale``
-  — bounded by ``recovery.max_attempts`` per invocation, after which it
-  escalates to the abort path (:mod:`repro.runtime.recovery`);
+  per attempt onto that checkpoint — bounded by ``recovery.max_attempts``
+  per invocation, after which it escalates to the abort path
+  (:mod:`repro.runtime.recovery`);
 * **always-on analysis** — with ``diagnostics.every_steps`` set, a
   :class:`~repro.serve.pipeline.DiagnosticsPipeline` stores moment
   fields and binned spectra under ``diagnostics/`` at that cadence, on
@@ -180,11 +181,12 @@ class SimulationRunner:
         config and adopts the newest valid checkpoint (a fresh directory
         starts from the initial conditions).  A ``rollback`` guard trip
         restores the same way, then scales the restored dt by
-        ``recovery.dt_scale``.  ``max_steps`` caps the steps taken by
-        *this invocation* (a deterministic stand-in for the wall-clock
-        budget; the run exits resumable when the cap lands before the
-        schedule's end).  The config's ``[faults]`` section is the chaos
-        plan; each of its faults fires once per run directory.
+        ``recovery.dt_scale`` per attempt onto that checkpoint.
+        ``max_steps`` caps the steps taken by *this invocation* (a
+        deterministic stand-in for the wall-clock budget; the run exits
+        resumable when the cap lands before the schedule's end).  The
+        config's ``[faults]`` section is the chaos plan; each of its
+        faults fires once per run directory.
 
         The run holds the run directory's lock throughout; a directory
         another live process is running raises
@@ -223,6 +225,7 @@ class SimulationRunner:
         old_handlers: dict[int, object] = {}
         started = False
         rollbacks = 0
+        restored_at, retries = None, 0  # the last rollback's restore point
         try:
             engine = build_engine(config)
             if fault_plan is not None:
@@ -310,12 +313,18 @@ class SimulationRunner:
                                 f"({rollbacks}/{budget}) — aborting on "
                                 f"guard: {worst.message}")
                     else:
-                        # a rollback is a resume, then a smaller step
+                        # a rollback is a resume, then a smaller step:
+                        # the n-th rollback onto one restore point runs
+                        # at its dt * dt_scale**n
                         rollbacks += 1
                         stepper, guard_suite = self._restore(
                             engine, ck_dir, quiet=True)
+                        retries = (retries + 1
+                                   if stepper.index == restored_at else 1)
+                        restored_at = stepper.index
                         dt_factor = 1.0
-                        if stepper.rescale_dt(config.recovery.dt_scale):
+                        if stepper.rescale_dt(
+                                config.recovery.dt_scale ** retries):
                             dt_factor = stepper.dt / config.schedule.dt
                         elif config.recovery.dt_scale != 1.0:
                             print("runner: this scenario cannot rescale dt "

@@ -362,7 +362,8 @@ class TestFailedRuns:
 
 
 # ----------------------------------------------------------------------
-# A rollback is a resume: its dt survives the next one (tier-1)
+# A rollback is a resume: its dt compounds and survives the next one
+# (tier-1)
 # ----------------------------------------------------------------------
 
 
@@ -399,6 +400,34 @@ class TestRollbackThenResume:
                      if r.get("event") == "rollback")
         dts = [r["dt"] for r in records[first:] if "event" not in r]
         assert len(dts) == 6 and set(dts) == {0.05}
+
+    def test_dt_scale_compounds_over_rollbacks_onto_one_checkpoint(
+        self, tmp_path
+    ):
+        """A trip that repeats before a newer checkpoint lands rolls back
+        onto the same restore point twice: the second attempt runs at
+        dt * dt_scale**2, not at the first attempt's dt again."""
+        cfg = chaos_config(
+            8,
+            checkpoint=CheckpointConfig(every_steps=2, keep_last=16),
+            guards=GuardConfig(nan="rollback"),
+            recovery=RecoveryConfig(max_attempts=3, dt_scale=0.5),
+            faults=FaultsConfig(seed=1, events=[
+                {"kind": "inject_nan", "step": 3},
+                {"kind": "inject_nan", "step": 3},
+            ]),
+        )
+        runner = SimulationRunner.create(cfg, tmp_path / "twice")
+        assert runner.run() == EXIT_COMPLETE
+        assert runner.manifest()["rollbacks"] == 2
+        records = list(iter_records(tmp_path / "twice" / TELEMETRY_NAME))
+        rollbacks = [(i, r) for i, r in enumerate(records)
+                     if r.get("event") == "rollback"]
+        assert [(r["restored_step"], r["dt_factor"])
+                for _, r in rollbacks] == [(2, 0.5), (2, 0.25)]
+        dts = [r["dt"] for r in records[rollbacks[-1][0]:]
+               if "event" not in r]
+        assert len(dts) == 6 and set(dts) == {0.025}
 
 
 # ----------------------------------------------------------------------

@@ -402,12 +402,11 @@ class TestRotationFamilies:
         valid = sorted(p.name for p in ck_dir.glob("ck_*.npz"))
         assert valid == [checkpoint_name(s) for s in (6, 8, 10)]
 
-    def test_rollback_under_keep_last_one_ends_on_the_fault_free_run(
-        self, tmp_path
-    ):
-        """keep_last=1 on a two-step cadence and a NaN at step 3: the
-        rollback restores the one checkpoint there is (step 2), the next
-        rotation follows a newer write, and the run ends on the
+    def test_rollback_run_keeps_restore_point_protected(self, tmp_path):
+        """End to end: keep_last=1 on a two-step cadence and a NaN at
+        step 3 under rollback.  The rollback restores the one checkpoint
+        there is (step 2); rotation only ever follows a newer write, so
+        it never takes that restore point, and the run ends on the
         fault-free answer with one checkpoint left."""
         def run(name, **overrides):
             cfg = plasma_config(
@@ -430,24 +429,6 @@ class TestRotationFamilies:
                       .glob("ck_*.npz")) == [checkpoint_name(8)]
         assert (final_checkpoint(tmp_path / "faulted", 8)[1].tobytes()
                 == final_checkpoint(clean.run_dir, 8)[1].tobytes())
-
-    def test_rollback_run_keeps_restore_point_protected(self, tmp_path):
-        """End to end: keep_last=1 plus a mid-run rollback — rotation
-        happens between the restore and the next write, and must not
-        take the only state the run can roll back onto."""
-        cfg = plasma_config(
-            n_steps=6,
-            checkpoint=CheckpointConfig(every_steps=1, keep_last=1),
-            guards=GuardConfig(nan="rollback"),
-            faults=FaultsConfig(seed=3, events=[
-                {"kind": "inject_nan", "step": 4},
-            ]),
-        )
-        runner = SimulationRunner.create(cfg, tmp_path / "run")
-        assert runner.run() == EXIT_COMPLETE
-        manifest = runner.manifest()
-        assert manifest["rollbacks"] == 1
-        final_checkpoint(tmp_path / "run", 6)
 
 
 class TestConcurrentRunners:
