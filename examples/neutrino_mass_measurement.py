@@ -47,8 +47,7 @@ def main() -> None:
                          "scale, where the suppression lives")
     args = ap.parse_args()
 
-    # one hybrid config swept over the mass; ~0 eV is a tiny mass, whose
-    # first step takes ~100 s: the stall heartbeat is an hour, not 30 s
+    # one hybrid config swept over the mass; ~0 eV is a tiny mass
     spec = CampaignConfig.from_dict({
         "name": "nu-mass",
         "base": {
@@ -60,7 +59,6 @@ def main() -> None:
         },
         "sweep": {"params.m_nu": [1e-4, 0.2, 0.4]},
         "executor": "threads", "concurrency": 1,
-        "limits": {"stall_seconds": 3600.0},
     })
     spectra = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -76,26 +76,22 @@ class SweepPoint:
 
 @dataclass
 class LimitsConfig:
-    """Per-run resource budgets enforced by the campaign supervisor.
+    """The campaign supervisor's watch over a run that stops.
 
-    ``wall_seconds`` and ``rss_mb`` are per-attempt ceilings (``None``,
-    the default, disables each — TOML has no null, so a missing key and
-    the default agree).  An over-budget run is drained gracefully first
+    A run owns every budget it can measure of itself (its wall clock,
+    ``wall_clock_budget``, and its peak RSS, ``rss_budget_mb``: keys of
+    the base run config).  The supervisor keeps the one job a run cannot
+    do for itself: reaping a process that stops.  ``stall_seconds`` is
+    the heartbeat horizon: a run whose telemetry file shows no progress
+    for this long (the runner touches it at most every
+    :data:`~repro.runtime.runner.DRAIN_POLL_SECONDS` from inside a step,
+    so the horizon bounds one sweep, not one step) is drained gracefully
     (a ``DRAIN`` flag in its run directory plus SIGTERM when the
     executor holds a process handle → the runner checkpoints and exits
     75) and SIGKILLed after ``grace_seconds`` if the drain does not
-    land.  ``stall_seconds`` is the heartbeat horizon: a run whose
-    telemetry shows no progress for this long is declared stalled and
-    drained.  ``poll_seconds`` paces the supervisor's monitor loop.
-
-    RSS is read from the run's own telemetry (``rss_mb`` is peak RSS of
-    the *run process*), so the budget is meaningful for the process
-    executor; thread-executor runs share the scheduler's RSS and only
-    the drain-flag path applies to them.
+    land.  ``poll_seconds`` paces the supervisor's monitor loop.
     """
 
-    wall_seconds: float | None = None
-    rss_mb: float | None = None
     stall_seconds: float = 30.0
     grace_seconds: float = 5.0
     poll_seconds: float = 0.25
@@ -180,10 +176,6 @@ class CampaignConfig:
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1 or null")
         lim = self.limits
-        if lim.wall_seconds is not None and lim.wall_seconds <= 0.0:
-            raise ValueError("limits.wall_seconds must be positive or null")
-        if lim.rss_mb is not None and lim.rss_mb <= 0.0:
-            raise ValueError("limits.rss_mb must be positive or null")
         if lim.stall_seconds <= 0.0:
             raise ValueError("limits.stall_seconds must be positive")
         if lim.grace_seconds <= 0.0:

@@ -24,11 +24,11 @@ manifest, or resume logic.  Two implementations ship:
     subsystem events land in its own ``telemetry.jsonl``.
 
 The supervision hooks (:meth:`Executor.request_drain` /
-:meth:`Executor.request_kill`) are how the campaign watchdog enforces
-wall-clock/RSS budgets and reclaims stalled runs: drain is always
-available (the supervisor also writes the run directory's ``DRAIN``
-flag, which every runner honors), hard kill only where the executor
-actually holds a process handle.
+:meth:`Executor.request_kill`) are how the campaign watchdog reclaims
+stalled runs (a run drains itself on its own wall-clock and RSS
+budgets): drain is always available (the supervisor also writes the run
+directory's ``DRAIN`` flag, which every runner honors), hard kill only
+where the executor actually holds a process handle.
 """
 
 from __future__ import annotations

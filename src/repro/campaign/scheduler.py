@@ -145,8 +145,8 @@ class Campaign:
         through exactly this seam); ``max_steps`` caps the steps each
         run takes this invocation (defaults to the spec's, usually
         unset).  Every point runs through the
-        :class:`~repro.campaign.supervision.Supervisor` — watchdog
-        budgets, failure-classified retries with backoff on the same
+        :class:`~repro.campaign.supervision.Supervisor` — the stall
+        watchdog, failure-classified retries with backoff on the same
         executor, and the ``supervisor.jsonl`` event stream.  The
         campaign directory's lock is held throughout, and the manifest
         is re-read under it: another scheduler may have moved it on

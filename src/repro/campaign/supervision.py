@@ -23,14 +23,16 @@ campaign directory's.
 
 :class:`Supervisor`
     The scheduler-side watchdog.  One :meth:`attempt` executes one run
-    under supervision: a monitor loop watching telemetry mtime (the
-    heartbeat the runner already provides), per-run wall-clock and RSS
-    budgets (:class:`~repro.campaign.config.LimitsConfig`) enforced by
-    a drain→kill ladder (``DRAIN`` flag + SIGTERM, then SIGKILL after
-    the grace window), and the terminal exit code classified into an
-    :class:`Outcome`.  Every supervision action is published as a
-    ``supervision_*`` event to the campaign's ``supervisor.jsonl``
-    stream.
+    under supervision: a monitor loop watching the telemetry file's
+    mtime (the heartbeat the runner refreshes from inside its steps)
+    against :class:`~repro.campaign.config.LimitsConfig`'s
+    ``stall_seconds``, a drain→kill ladder for a run that stops
+    (``DRAIN`` flag + SIGTERM, then SIGKILL after the grace window),
+    and the terminal exit code classified into an :class:`Outcome`.
+    The run's wall-clock and RSS budgets are the run's own
+    (``wall_clock_budget``, ``rss_budget_mb``: it drains itself, exit
+    75).  Every supervision action is published as a ``supervision_*``
+    event to the campaign's ``supervisor.jsonl`` stream.
 
 Retried ``transient``/``resumable`` attempts re-enter the run's own
 checkpoint chain through ``SimulationRunner``'s auto-resume, so a
@@ -40,11 +42,9 @@ property the campaign chaos drill asserts.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..runtime.runner import (
@@ -62,7 +62,6 @@ __all__ = [
     "RetryPolicy",
     "Supervisor",
     "classify_exit",
-    "read_last_rss_mb",
 ]
 
 #: Every failure class an attempt can land in.
@@ -141,54 +140,6 @@ class RetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# heartbeat helpers
-# ----------------------------------------------------------------------
-
-
-def heartbeat_age(run_dir: str | Path, since: float) -> float:
-    """Seconds since the run last showed progress, relative to ``since``.
-
-    Progress is the newer of the telemetry stream's mtime (the runner
-    appends one record per step) and ``since`` itself (dispatch time — a
-    run that has not produced its first record yet is not stalled, just
-    starting).
-    """
-    try:
-        newest = max(since, (Path(run_dir) / TELEMETRY_NAME).stat().st_mtime)
-    except OSError:
-        newest = since
-    return time.time() - newest
-
-
-def read_last_rss_mb(telemetry_path: str | Path) -> float | None:
-    """Peak RSS [MB] from the newest complete telemetry record.
-
-    Reads only the file's tail (a week-long stream never needs to be
-    scanned) and tolerates torn final lines; ``None`` when no record
-    carries an ``rss_mb`` yet.
-    """
-    try:
-        with open(telemetry_path, "rb") as fh:
-            fh.seek(0, os.SEEK_END)
-            size = fh.tell()
-            fh.seek(max(0, size - 65536))
-            tail = fh.read().decode("utf-8", errors="replace")
-    except OSError:
-        return None
-    for line in reversed(tail.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and "rss_mb" in record:
-            return float(record["rss_mb"])
-    return None
-
-
-# ----------------------------------------------------------------------
 # the supervisor
 # ----------------------------------------------------------------------
 
@@ -200,13 +151,12 @@ class _Attempt:
     run_id: str
     run_dir: Path
     started: float
-    drain_requested_at: float | None = None
+    drain_requested_at: float | None = None  # set when it first stalls
     killed: bool = False
-    violations: list = field(default_factory=list)
 
 
 class Supervisor:
-    """The scheduler-side watchdog: budgets, retries, classification.
+    """The scheduler-side watchdog: stalls, retries, classification.
 
     One supervisor lives for one scheduler invocation; it owns the
     campaign's retry policy and the event stream (``sink(kind,
@@ -214,8 +164,8 @@ class Supervisor:
     :meth:`attempt` blocks (it runs on a scheduler worker thread) for
     the duration of one supervised run.  A run that cannot be spawned
     is a ``transient`` outcome, retried on the same executor: falling
-    back to an in-process executor would drop the process isolation,
-    the RSS budget and the kill rung without a word.
+    back to an in-process executor would drop the process isolation
+    and the kill rung without a word.
     """
 
     def __init__(self, limits: LimitsConfig | None = None,
@@ -243,8 +193,7 @@ class Supervisor:
                 attempt: int) -> Outcome:
         """Execute one run under full supervision; classify the result."""
         run_dir = Path(run_dir)
-        lim = self.limits
-        # a DRAIN flag left by a previous over-budget drain must not
+        # a DRAIN flag left by a previous stall drain must not
         # immediately re-drain the retry
         (run_dir / DRAIN_NAME).unlink(missing_ok=True)
         self.emit("supervision_dispatch", run_id=run_id, attempt=attempt,
@@ -267,58 +216,48 @@ class Supervisor:
             target=_execute, name=f"exec-{run_id}", daemon=True
         )
         thread.start()
-        while not done.wait(timeout=lim.poll_seconds):
+        while not done.wait(timeout=self.limits.poll_seconds):
             self._monitor_tick(executor, state)
         return self._classify(state, result, attempt)
 
     # -- monitor internals ----------------------------------------------
 
     def _monitor_tick(self, executor, state: _Attempt) -> None:
-        """One watchdog pass: heartbeat, budgets, the drain→kill ladder."""
+        """One watchdog pass: the heartbeat, and the drain→kill ladder.
+
+        The heartbeat is the newer of the telemetry file's mtime (the
+        runner appends one record per step, and touches the file from
+        inside a step at most every
+        :data:`~repro.runtime.runner.DRAIN_POLL_SECONDS`) and the
+        dispatch time: a run that is just starting is not stalled.
+        """
         lim = self.limits
         now = time.time()
-        age = heartbeat_age(state.run_dir, state.started)
-        stalled = age > lim.stall_seconds
-        over_wall = (lim.wall_seconds is not None
-                     and now - state.started > lim.wall_seconds)
-        over_rss = False
-        if lim.rss_mb is not None:
-            # only trust telemetry appended by THIS attempt: the tail
-            # record of a drained previous attempt still carries its
-            # ballast-inflated peak RSS, and acting on it would drain
-            # every retry at startup forever
-            tpath = state.run_dir / TELEMETRY_NAME
-            try:
-                fresh = tpath.stat().st_mtime >= state.started
-            except OSError:
-                fresh = False
-            if fresh:
-                rss = read_last_rss_mb(tpath)
-                over_rss = rss is not None and rss > lim.rss_mb
-        if not (stalled or over_wall or over_rss):
+        try:
+            beat = (state.run_dir / TELEMETRY_NAME).stat().st_mtime
+        except OSError:
+            beat = state.started
+        age = now - max(beat, state.started)
+        if age <= lim.stall_seconds:
             return
-        violation = ("stalled" if stalled
-                     else "over_wall" if over_wall else "over_rss")
-        if violation not in state.violations:
-            state.violations.append(violation)
-            self.emit(f"supervision_{violation}", run_id=state.run_id,
+        if state.drain_requested_at is None:
+            self.emit("supervision_stalled", run_id=state.run_id,
                       heartbeat_age=round(age, 3),
                       elapsed=round(now - state.started, 3))
-        if state.drain_requested_at is None:
             # rung 1: ask nicely — DRAIN flag (any executor, any host
             # sharing the filesystem) plus SIGTERM when a handle exists
             (state.run_dir / DRAIN_NAME).touch()
             executor.request_drain(state.run_dir)
             state.drain_requested_at = now
             self.emit("supervision_drain", run_id=state.run_id,
-                      reason=violation)
+                      reason="stalled")
         elif (not state.killed
               and now - state.drain_requested_at > lim.grace_seconds):
             # rung 2: the drain did not land inside the grace window
             if executor.request_kill(state.run_dir):
                 state.killed = True
                 self.emit("supervision_kill", run_id=state.run_id,
-                          reason=violation)
+                          reason="stalled")
 
     def _classify(self, state: _Attempt, result: dict,
                   attempt: int) -> Outcome:
@@ -329,9 +268,9 @@ class Supervisor:
             code = result.get("code")
             reason = "exit"
             if state.killed:
-                reason = f"killed:{state.violations[0]}"
-            elif state.violations:
-                reason = f"drained:{state.violations[0]}"
+                reason = "killed:stalled"
+            elif state.drain_requested_at is not None:
+                reason = "drained:stalled"
             outcome = Outcome(code, classify_exit(code), reason=reason)
         self.emit("supervision_outcome", run_id=state.run_id,
                   attempt=attempt, **outcome.as_dict())

@@ -203,6 +203,14 @@ def _uniform_int(k: np.ndarray) -> int | None:
     return int(kmin) if kmin == k.max() else None
 
 
+def _shift_bounds(k: np.ndarray) -> tuple[int | None, int, int]:
+    """``(kc, k_min, k_max)``: :func:`_uniform_int` and the range of ``k``."""
+    kc = _uniform_int(k)
+    if kc is not None:
+        return kc, kc, kc
+    return None, int(k.min()), int(k.max())
+
+
 @lru_cache
 def _move(ndim: int, src: tuple, dst: tuple) -> tuple[int, ...]:
     """``np.moveaxis(a, src, dst)`` as a ``transpose`` order (~0.4 us, not ~7)."""
@@ -459,8 +467,13 @@ def _advect_block(fw, sh, out_w, spec, bc, arena, halo=None) -> None:
     elif some:
         sh = np.where(neg, -sh, sh)
     k = np.floor(sh).astype(np.int64)
-    kc = _uniform_int(k)
-    k_min, k_max = (kc, kc) if kc is not None else (int(k.min()), int(k.max()))
+    alpha = (sh - k).astype(fw.dtype)
+    kc, k_min, k_max = _shift_bounds(k)
+    if bc == "periodic" and halo is None and k_max >= n:
+        # each whole wrap adds the row's mass to every interface, which
+        # the flux difference cancels: k mod n cells move the same mass
+        k %= n
+        kc, k_min, k_max = _shift_bounds(k)
     if bc == "periodic" and halo is None:
         g_l = g_r = stencil_reach(spec)
         count = n
@@ -487,7 +500,6 @@ def _advect_block(fw, sh, out_w, spec, bc, arena, halo=None) -> None:
         ws.ghost_l[...] = ws.wrap_l
         ws.ghost_r[...] = ws.wrap_r
 
-    alpha = (sh - k).astype(fw.dtype)
     _flux_positive(ws, alpha, k, kc, k_min, k_max, spec)
 
     d = ws.delta
@@ -595,7 +607,8 @@ def _flux_positive(ws, alpha, k, kc, k_min, k_max, spec):
     is summed cell by cell: S = 0 + f_i + f_(i-1) + ... + f_(i-k+1), in
     that order — one slice add per ``j < k_max``, masked to the rows
     with ``k > j`` once ``j`` reaches ``k_min``; a periodic row reads
-    cell ``(i - j) mod n``, a ``zero`` window the landed ghost planes.
+    cell ``(i - j) mod n`` (and arrives with ``k < n``: the caller
+    reduces it), a ``zero`` window the landed ghost planes.
     Every operand is a cell of the row and the order is fixed by the
     interface alone, so S has no origin: a block landed with ``halo=``
     adds exactly what the whole row adds, at any shift.

@@ -87,6 +87,14 @@ class StepTimer:
         #: (parent, name) -> qualified name; a run enters the same few
         #: sections every step, so each is qualified once
         self._names: dict[tuple[str, str], str] = {}
+        self.set_heartbeat(None)
+
+    def set_heartbeat(self, beat, every: float = 0.0) -> None:
+        """Call ``beat()`` at a section exit at most once per ``every``
+        seconds (``beat=None``: never).  A run's progress signal from
+        inside a step: it beats as often as sweeps end, not steps."""
+        self._beat, self._beat_every = beat, every
+        self._next_beat = -math.inf if beat is not None else math.inf
 
     def section(self, name: str) -> "_Section":
         """Time a code block under ``name`` (qualified as parent/name
@@ -146,8 +154,13 @@ class _Section:
         self.t0 = time.perf_counter()
 
     def __exit__(self, *exc) -> None:
-        self.timer.add(self.name, time.perf_counter() - self.t0)
-        self.timer._stack.pop()
+        now = time.perf_counter()
+        timer = self.timer
+        timer.add(self.name, now - self.t0)
+        timer._stack.pop()
+        if now >= timer._next_beat:
+            timer._next_beat = now + timer._beat_every
+            timer._beat()
 
 
 def _finite_or_inf(drift: float) -> float:

@@ -63,10 +63,12 @@ def release_segment(shm) -> None:
     try:
         shm.close()
     except BufferError:
-        # a live ``np.frombuffer`` view holds an export of ``shm.buf``:
-        # the mapping stays until that view dies (an ``ndarray(buffer=)``
-        # view holds none, and would dangle); unlink still drops the name
-        pass
+        # a live ``np.frombuffer`` view holds an export of the mapping:
+        # it stays mapped until that view dies (an ``ndarray(buffer=)``
+        # view holds none, and would dangle).  Let go of it, or the
+        # segment's finalizer retries the close and reports the error
+        shm._buf = shm._mmap = None
+        shm.close()  # the file descriptor
     try:
         shm.unlink()
     except FileNotFoundError:

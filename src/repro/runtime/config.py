@@ -220,7 +220,11 @@ class RunConfig:
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     faults: FaultsConfig = field(default_factory=FaultsConfig)
     params: dict = field(default_factory=dict)
+    #: Budgets the run drains itself on (exit 75, reason: the key): one
+    #: invocation's seconds, and the process's peak RSS [MB] as a step's
+    #: telemetry record reads it.  ``None`` disables each.
     wall_clock_budget: float | None = None
+    rss_budget_mb: float | None = None
     #: Artificial per-step pause [s] — a pacing aid for signal/stall
     #: testing; leave at 0.0 for real runs.
     step_delay: float = 0.0
@@ -331,6 +335,8 @@ class RunConfig:
             FaultEvent(**event)  # validates kind/step/count
         if self.wall_clock_budget is not None and self.wall_clock_budget <= 0.0:
             raise ValueError("wall_clock_budget must be positive or null")
+        if self.rss_budget_mb is not None and self.rss_budget_mb <= 0.0:
+            raise ValueError("rss_budget_mb must be positive or null")
         if self.step_delay < 0.0:
             raise ValueError("step_delay must be >= 0")
         return self

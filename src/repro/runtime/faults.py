@@ -36,13 +36,13 @@ Fault kinds (``FAULT_KINDS``):
     death the campaign supervisor's retry machinery exists for.
 ``freeze_run``
     Actually sleep (up to ``magnitude`` seconds) at a step boundary
-    without appending telemetry — a hung run.  Exercises heartbeat
-    stall detection and the drain→kill ladder; the sleep is bounded so
-    a drill whose supervision is broken still terminates.
+    without appending or touching telemetry — a hung run.  Exercises
+    heartbeat stall detection and the drain→kill ladder; the sleep is
+    bounded so a drill whose supervision is broken still terminates.
 ``oom_run``
     Allocate and hold ``magnitude`` MB of ballast, pushing the run's
-    RSS over a campaign ``[limits]`` budget.  Exercises the resource
-    watchdog's drain→kill ladder.
+    peak RSS over its ``rss_budget_mb``.  Exercises the run's own drain
+    on its budget (exit 75, resumable).
 
 A fault fires **once per run directory**, resumes included.  A plan
 is built on a run directory: it appends every firing to the directory's

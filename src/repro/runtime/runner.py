@@ -33,7 +33,11 @@ operational discipline:
 * **graceful drain** — SIGINT/SIGTERM finish the in-flight step, land a
   checkpoint, mark the run ``interrupted`` and exit with the distinct
   resumable status (:data:`EXIT_RESUMABLE`, BSD's EX_TEMPFAIL).  The
-  wall-clock budget and ``max_steps`` drain through the same path;
+  run's own budgets (``wall_clock_budget``, ``rss_budget_mb``) and
+  ``max_steps`` drain through the same path;
+* **heartbeat** — ``telemetry.jsonl`` is touched at timer section exits,
+  at most every :data:`DRAIN_POLL_SECONDS`: a supervisor's stall
+  horizon bounds one sweep, not one step;
 * **guards** — per-step health checks (:mod:`repro.runtime.guards`);
   an ``abort``-policy trip writes a final checkpoint *before* exiting
   with :data:`EXIT_GUARD_ABORT`, so the offending state is preserved;
@@ -63,7 +67,7 @@ Exit-code contract (also in ``docs/RUNTIME.md``):
 name                  value  meaning
 ====================  =====  ==============================================
 EXIT_COMPLETE             0  schedule finished; synchronous final checkpoint
-EXIT_RESUMABLE           75  interrupted/budget/max_steps; resume continues
+EXIT_RESUMABLE           75  interrupted/budgets/max_steps; resume continues
 EXIT_GUARD_ABORT         70  a guard tripped at abort; state checkpointed
                              (also: rollback budget exhausted)
 ====================  =====  ==============================================
@@ -78,6 +82,7 @@ records ``status: "failed"``, ``exit_code: null`` and ``reason:
 from __future__ import annotations
 
 import json
+import os
 import signal
 import sys
 import time
@@ -120,7 +125,8 @@ DIAGNOSTICS_DIR = "diagnostics"
 DRAIN_NAME = "DRAIN"
 #: The flag is looked for after the first step and then at most this
 #: often: a ``stat`` per step costs ~20 us inside a run of 1 ms steps
-#: (2-vCPU VM), while a supervisor's drain grace window is seconds.
+#: (2-vCPU VM), while a supervisor's drain grace window is seconds.  The
+#: heartbeat (a touch of the telemetry file) keeps the same pace.
 DRAIN_POLL_SECONDS = 0.05
 
 
@@ -219,8 +225,17 @@ class SimulationRunner:
         # fault injections, rollbacks — lands in it as event records.
         # The ``finally`` below restores the sink and closes what was
         # opened whether or not the run started: a refused resume too.
-        telemetry = TelemetryWriter(self.run_dir / TELEMETRY_NAME)
+        telemetry_path = self.run_dir / TELEMETRY_NAME
+        telemetry = TelemetryWriter(telemetry_path)
         prev_sink = set_event_sink(telemetry.event)
+
+        def heartbeat() -> None:
+            try:
+                os.utime(telemetry_path)
+            except OSError:
+                pass  # a missed beat is a late one, not an error
+
+        self.timer.set_heartbeat(heartbeat, DRAIN_POLL_SECONDS)
         engine = pipeline = None
         old_handlers: dict[int, object] = {}
         started = False
@@ -262,6 +277,7 @@ class SimulationRunner:
             drain_flag = self.run_dir / DRAIN_NAME
             prev_sections: dict[str, float] = {}
             steps_taken = 0
+            saved_at = None  # the step of the newest cadence checkpoint
             self._write_manifest(status="running", exit_code=None,
                                  last_step=stepper.index)
             started = True
@@ -296,8 +312,9 @@ class SimulationRunner:
 
                 self.ledger.update(**stepper.conserved())
                 reports = guard_suite.check_step(stepper, wall)
-                telemetry.append(self._record(stepper, dt, wall, reports,
-                                              prev_sections))
+                record = self._record(stepper, dt, wall, reports,
+                                      prev_sections)
+                telemetry.append(record)
 
                 if reports and GuardSuite.should_abort(reports):
                     worst = next(r for r in reports if r.policy == "abort")
@@ -371,6 +388,7 @@ class SimulationRunner:
                 )
                 if due:
                     path = self._checkpoint(stepper, ck_dir)
+                    saved_at = stepper.index
                     if fault_plan is not None:
                         fault_plan.corrupt_file(path)
                     last_ck_time = time.monotonic()
@@ -402,13 +420,21 @@ class SimulationRunner:
                     stop = ("interrupted", EXIT_RESUMABLE, "wall_clock_budget",
                             f"runner: wall-clock budget exhausted at step "
                             f"{stepper.index}/{stepper.n_steps} — resumable")
+                elif (config.rss_budget_mb is not None
+                      and record["rss_mb"] > config.rss_budget_mb):
+                    stop = ("interrupted", EXIT_RESUMABLE, "rss_budget_mb",
+                            f"runner: peak RSS {record['rss_mb']:.0f} MB over "
+                            f"the {config.rss_budget_mb:g} MB budget at step "
+                            f"{stepper.index}/{stepper.n_steps} — resumable")
                 elif (not done and max_steps is not None
                       and steps_taken >= max_steps):
                     stop = ("interrupted", EXIT_RESUMABLE, "max_steps", None)
             status, exit_code, reason, message = stop or (
                 "complete", EXIT_COMPLETE, "schedule",
                 f"runner: complete — {stepper.index} steps in {self.run_dir}")
-            self._checkpoint(stepper, ck_dir)
+            # a stop on a cadence step has its checkpoint already
+            if saved_at != stepper.index:
+                self._checkpoint(stepper, ck_dir)
             if message is not None:
                 print(message, file=sys.stdout if status == "complete"
                       else sys.stderr)
@@ -418,6 +444,7 @@ class SimulationRunner:
             reason = f"error:{type(exc).__name__}"
             raise
         finally:
+            self.timer.set_heartbeat(None)
             for sig, handler in old_handlers.items():
                 signal.signal(sig, handler)
             # The pipeline closes BEFORE the sink is restored: its

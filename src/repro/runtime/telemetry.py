@@ -42,8 +42,8 @@ records in arrival order; :func:`read_events` filters them back out and
 :func:`summarize` reports them separately, so the per-step schema stays
 strict.  The campaign tier reuses this writer for its own stream —
 ``<campaign_dir>/supervisor.jsonl`` carries the ``supervision_*``
-(``dispatch`` / ``stalled`` / ``over_wall`` / ``over_rss`` / ``drain``
-/ ``kill`` / ``retry`` / ``outcome``) event kinds emitted by
+(``dispatch`` / ``stalled`` / ``drain`` / ``kill`` / ``retry`` /
+``outcome``) event kinds emitted by
 :class:`repro.campaign.supervision.Supervisor`.  Subsystems that
 cannot hold a writer (the pencil engine, the FFT backend, the
 diagnostics pipeline) publish through the **contextual** sink installed

@@ -88,7 +88,11 @@ def _flux_positive(fw, sh, spec):
     alpha = (sh - k).astype(fw.dtype)
     q = np.arange(n) - k
     # S(i, k) = f_i + f_(i-1) + ... + f_(i-k+1), nearest cell first, in
-    # float64: rows with k <= j add an exact +0.0
+    # float64: rows with k <= j add an exact +0.0.  Each whole wrap of a
+    # periodic row adds its mass to every interface, which the flux
+    # difference cancels, so only k mod n cells are summed (a zero row is
+    # padded past its largest shift: there k < n)
+    k = k % n
     flux = np.zeros(fw.shape)
     for j in range(int(k.max())):
         flux += np.where(k > j, np.roll(fw, j, axis=-1), 0.0)

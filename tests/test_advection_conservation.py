@@ -52,7 +52,8 @@ class TestFloat32MassDrift:
     def test_scalar_large_shift_drift_below_5_ulp(self):
         rng = np.random.default_rng(7)
         f = (1.0 + rng.random(N_LONG)).astype(np.float32)
-        for s in (900.6, -412.2, 3.7):
+        # the last two wrap the row several times (k >= n)
+        for s in (900.6, -412.2, 3.7, 3 * N_LONG + 900.6, -5 * N_LONG - 412.2):
             out = advect(f, np.float32(s), 0, scheme="slmpp5")
             total = _mass(f)
             drift = abs(_mass(out) - total)

@@ -136,14 +136,16 @@ class TestCampaignConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("limits", "lease_seconds"), ("retry", "seed"),
+        ("limits", "wall_seconds"), ("limits", "rss_mb"),
     ])
     def test_retired_supervision_keys_rejected(self, section, key):
-        """The lease's duration became ``limits.stall_seconds``, and the
-        backoff lost its seeded spread with the second scheduler it
-        served: old specs are refused like any typo, with no alias."""
+        """The lease's duration became ``limits.stall_seconds``, a run's
+        wall-clock and RSS budgets became its own (the run config's
+        ``wall_clock_budget`` and ``rss_budget_mb``), and the backoff
+        lost its seeded spread with the second scheduler it served: old
+        specs are refused like any typo, with no alias."""
         assert [f.name for f in dataclasses.fields(LimitsConfig)] == [
-            "wall_seconds", "rss_mb", "stall_seconds", "grace_seconds",
-            "poll_seconds"]
+            "stall_seconds", "grace_seconds", "poll_seconds"]
         assert [f.name for f in dataclasses.fields(RetryConfig)] == [
             "max_attempts", "campaign_budget", "retry_resumable",
             "backoff_base", "backoff_cap"]

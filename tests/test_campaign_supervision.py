@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.campaign import (
     classify_exit,
 )
 from repro.campaign.scheduler import SUPERVISOR_LOG
+from repro.core.engine import SweepEngine
 from repro.io.snapshot import read_checkpoint
 from repro.runtime import (
     EXIT_COMPLETE,
@@ -195,6 +197,33 @@ class TestDrainFlag:
         assert len(read_telemetry(run_dir / "telemetry.jsonl")) == 1
         # the resume completes the schedule
         assert SimulationRunner.resume(run_dir).run() == EXIT_COMPLETE
+
+
+class TestLongSteps:
+    def test_steps_longer_than_the_stall_horizon_complete(self, tmp_path,
+                                                          monkeypatch):
+        """Every step outlasts ``stall_seconds`` and no sweep does: the
+        heartbeat beats as sweeps end, so the run is never drained."""
+        sweep_s = 0.4
+        host_sweep = SweepEngine._host_sweep
+
+        def slow_sweep(self, sweep, accel):
+            time.sleep(sweep_s)
+            host_sweep(self, sweep, accel)
+
+        monkeypatch.setattr(SweepEngine, "_host_sweep", slow_sweep)
+        campaign = small_campaign(
+            tmp_path, n_steps=2,
+            limits=LimitsConfig(stall_seconds=1.5 * sweep_s,
+                                poll_seconds=0.05),
+        )
+        assert campaign.run() == EXIT_COMPLETE
+        entry = campaign.manifest.runs["p0000"]
+        assert [h["reason"] for h in entry["history"]] == ["exit"]
+        assert not supervisor_events(campaign, "supervision_stalled")
+        records = read_telemetry(campaign.manifest.run_dir("p0000")
+                                 / "telemetry.jsonl")
+        assert min(r["wall_s"] for r in records) > 1.5 * sweep_s
 
 
 class TestStaleRunning:
@@ -399,6 +428,8 @@ class TestCampaignChaosDrill:
         base = plasma_base(n_steps=4)
         base["checkpoint"] = {"every_steps": 1}
         base["step_delay"] = 0.05
+        # the run's own budget: an unfaulted child stays far below it
+        base["rss_budget_mb"] = baseline + 250.0
         config = CampaignConfig(
             name="t-chaos", base=base,
             sweep={"params.amplitude": [0.01, 0.02],
@@ -408,8 +439,7 @@ class TestCampaignChaosDrill:
             # the stall threshold must clear a child's import time, or
             # a slow interpreter startup reads as a frozen run
             limits=LimitsConfig(stall_seconds=8.0, grace_seconds=1.0,
-                                poll_seconds=0.1,
-                                rss_mb=baseline + 250.0),
+                                poll_seconds=0.1),
             retry=RetryConfig(max_attempts=4, retry_resumable=True,
                               backoff_base=0.05, backoff_cap=0.2),
         ).validate()
@@ -426,10 +456,6 @@ class TestCampaignChaosDrill:
             config_path = campaign.manifest.run_dir(run_id) / "config.json"
             doc = json.loads(config_path.read_text())
             doc["faults"] = {"events": [event]}
-            if run_id == "p0006":
-                # slow the steps so the watchdog's 0.1 s poll sees the
-                # ballast-inflated telemetry before the run finishes
-                doc["step_delay"] = 0.4
             config_path.write_text(json.dumps(doc))
 
         assert campaign.run() == EXIT_COMPLETE
@@ -447,10 +473,17 @@ class TestCampaignChaosDrill:
         for run_id in set(manifest.runs) - set(sabotage):
             assert manifest.runs[run_id]["attempts"] == 1, run_id
 
-        # the watchdog saw the freeze and the oom
-        assert supervisor_events(campaign, "supervision_stalled")
-        assert supervisor_events(campaign, "supervision_over_rss")
-        assert supervisor_events(campaign, "supervision_drain")
+        # the watchdog saw the freeze, drained it and then killed it
+        for kind in ("stalled", "drain", "kill"):
+            events = supervisor_events(campaign, f"supervision_{kind}")
+            assert [e["run_id"] for e in events] == ["p0003"], kind
+        # the oom point drained itself: the step after the ballast reads
+        # a peak RSS over its budget, and the run exits 75 on its own
+        history = manifest.runs["p0006"]["history"]
+        assert any(h["exit_code"] == EXIT_RESUMABLE and h["reason"] == "exit"
+                   for h in history)
+        log = (campaign.manifest.run_dir("p0006") / "executor.log").read_text()
+        assert "MB budget at step 3/4 — resumable" in log
 
         # bitwise: every point's final checkpoint equals an unfaulted
         # serial reference of the same sweep point

@@ -266,8 +266,8 @@ class TestWorkerResidency:
         assert stats == serial[0] == (0, -0.5)
         assert f_bytes == serial[1]
 
-    # the view held across close() keeps its segment mapped: the segment's
-    # own close then fails with a BufferError its finalizer reports
+    # the view held across close() keeps its segment mapped, on purpose:
+    # the segment's own close fails with a BufferError release_segment takes
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnraisableExceptionWarning")
     def test_f_reads_back_after_close(self):

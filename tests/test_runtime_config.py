@@ -40,6 +40,7 @@ def small_config(**overrides) -> RunConfig:
 #: raise from ``time.sleep`` instead of retrying.
 BAD_LIMITS = [
     (None, "wall_clock_budget", -1.0),
+    (None, "rss_budget_mb", 0.0),
     ("guards", "negative_f_tol", -1e-12),
     ("guards", "max_mass_drift", -1e-6),
     ("guards", "max_energy_drift", -0.1),

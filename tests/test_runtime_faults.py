@@ -325,10 +325,9 @@ class TestFailedRuns:
                 manifest["last_step"]) == ("failed", None, "error:RuntimeError", 2)
 
     # the traceback holds the checkpoint writer's view of f while the
-    # engine closes: the segment's own close then fails with a
-    # BufferError its finalizer reports (the name is unlinked all the same)
+    # engine closes: the segment's finalizer must not report it too
     @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnraisableExceptionWarning")
+        "error::pytest.PytestUnraisableExceptionWarning")
     def test_full_disk_at_a_cadence_checkpoint_fails_clean_and_resumes(
         self, tmp_path, monkeypatch
     ):

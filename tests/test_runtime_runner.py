@@ -8,6 +8,7 @@ skipping a deliberately truncated checkpoint.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from repro.runtime.config import (
     ScheduleConfig,
 )
 from repro.runtime.runner import CHECKPOINT_DIR, TELEMETRY_NAME, checkpoint_name
+from repro.runtime.scenarios import Stepper
 from repro.runtime.telemetry import set_event_sink
 
 
@@ -215,6 +217,25 @@ class TestCadenceAndRotation:
         assert names == [checkpoint_name(6), checkpoint_name(8),
                          checkpoint_name(10)]
 
+    def test_a_stop_on_the_cadence_writes_its_checkpoint_once(
+        self, tmp_path, monkeypatch
+    ):
+        saved = []
+        save = Stepper.save
+
+        def counted(self, path, timer=None):
+            saved.append(Path(path).name)
+            return save(self, path, timer)
+
+        monkeypatch.setattr(Stepper, "save", counted)
+        cfg = plasma_config(
+            n_steps=8,
+            checkpoint=CheckpointConfig(every_steps=2, keep_last=3),
+        )
+        runner = SimulationRunner.create(cfg, tmp_path / "run")
+        assert runner.run(max_steps=4) == EXIT_RESUMABLE
+        assert saved == [checkpoint_name(2), checkpoint_name(4)]
+
     def test_every_seconds_cadence(self, tmp_path):
         cfg = plasma_config(
             n_steps=4,
@@ -301,6 +322,34 @@ class TestResumeRobustness:
         _, f_part, _, _ = final_checkpoint(tmp_path / "part", n)
         assert np.array_equal(f_full, f_part)
 
+    def test_a_corrupted_stop_checkpoint_resumes_from_the_one_before(
+        self, tmp_path
+    ):
+        """A stop on a cadence step writes its checkpoint once, so damage
+        to it stays: the resume quarantines it, goes back one checkpoint,
+        and still ends on the uninterrupted run's f."""
+        n = 8
+        cadence = CheckpointConfig(every_steps=2, keep_last=10)
+        full = SimulationRunner.create(plasma_config(n, checkpoint=cadence),
+                                       tmp_path / "full")
+        assert full.run() == EXIT_COMPLETE
+
+        cfg = plasma_config(n, checkpoint=cadence, faults=FaultsConfig(
+            events=[{"kind": "corrupt_checkpoint", "step": 4}]))
+        part = SimulationRunner.create(cfg, tmp_path / "part")
+        assert part.run(max_steps=4) == EXIT_RESUMABLE
+        resumed = SimulationRunner.resume(tmp_path / "part")
+        assert resumed.run() == EXIT_COMPLETE
+        ck_dir = tmp_path / "part" / CHECKPOINT_DIR
+        assert (ck_dir / (checkpoint_name(4) + ".corrupt")).exists()
+        steps = [r["step"] for r in read_telemetry(tmp_path / "part"
+                                                   / TELEMETRY_NAME)]
+        assert steps == [1, 2, 3, 4, 3, 4, 5, 6, 7, 8]  # resumed from 2
+
+        _, f_full, _, _ = final_checkpoint(tmp_path / "full", n)
+        _, f_part, _, _ = final_checkpoint(tmp_path / "part", n)
+        assert np.array_equal(f_full, f_part)
+
     def test_all_checkpoints_corrupt_starts_fresh(self, tmp_path):
         cfg = plasma_config(4, checkpoint=CheckpointConfig(every_steps=1,
                                                            keep_last=10))
@@ -382,6 +431,28 @@ class TestGuardsInTheLoop:
         assert 0 < manifest["last_step"] < 50
         # and the drain checkpoint is valid
         final_checkpoint(tmp_path / "run", manifest["last_step"])
+
+
+    def test_rss_budget_drains_resumable_and_resumes_bitwise(self, tmp_path):
+        """This process's peak RSS is far over 1 MB: the run drains after
+        its first step, and under a lifted budget resumes to the
+        uninterrupted run's f."""
+        n = 4
+        cfg = plasma_config(n, rss_budget_mb=1.0)
+        runner = SimulationRunner.create(cfg, tmp_path / "run")
+        assert runner.run() == EXIT_RESUMABLE
+        manifest = runner.manifest()
+        assert manifest["status"] == "interrupted"
+        assert manifest["reason"] == "rss_budget_mb"
+        assert manifest["last_step"] == 1
+        lifted = dataclasses.replace(cfg, rss_budget_mb=None)
+        assert SimulationRunner(lifted, tmp_path / "run").run() == EXIT_COMPLETE
+
+        full = SimulationRunner.create(plasma_config(n), tmp_path / "full")
+        assert full.run() == EXIT_COMPLETE
+        _, f_full, _, _ = final_checkpoint(tmp_path / "full", n)
+        _, f_part, _, _ = final_checkpoint(tmp_path / "run", n)
+        assert np.array_equal(f_full, f_part)
 
 
 class TestRotationFamilies:
